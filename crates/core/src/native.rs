@@ -12,9 +12,10 @@
 //! Three mechanisms keep the tier honest:
 //!
 //! * **Refusal** — groups whose shape falls outside what the lowerer
-//!   can reproduce (pathological condition depth, arena exhaustion,
-//!   or — under ablation — `General`-class parcels) are never
-//!   compiled; they stay on the packed engine forever. Trap checks,
+//!   can reproduce (pathological condition depth, or — under
+//!   ablation — `General`-class parcels) are never compiled; they stay
+//!   on the packed engine forever. Arena exhaustion only defers an
+//!   entry until the next flush gives the arena back. Trap checks,
 //!   load-verify commits and intra-group back edges all lower to
 //!   templates now, so a default-configured tier refuses almost
 //!   nothing.
@@ -29,7 +30,8 @@
 //!   guarded by per-group alive bytes and a global patch log; any
 //!   invalidation or cast-out in the VMM flushes every native edge
 //!   (the analogue of the weak-`Rc` chain links severing), and
-//!   execution falls back to dispatcher boundaries.
+//!   execution falls back to dispatcher boundaries. The flush retires
+//!   every compiled group, so it also reclaims the whole code arena.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::precise::ArchEvent;
@@ -137,6 +139,9 @@ enum Slot {
     Compiled(Rc<CompiledGroup>),
     /// Permanently outside the template set (for this translation).
     Refused,
+    /// Refused for lack of arena space: stays packed until the next
+    /// flush reclaims the arena, then compiles on its next dispatch.
+    Deferred,
 }
 
 struct EntryState {
@@ -226,8 +231,13 @@ impl NativeTier {
     /// cannot execute emitted code (non-x86-64/Linux) — callers then
     /// run everything on the packed engine.
     pub fn new(config: NativeTierConfig) -> Option<NativeTier> {
+        NativeTier::with_arena(config, DEFAULT_ARENA_BYTES)
+    }
+
+    /// [`NativeTier::new`] with a code arena of `arena_bytes`.
+    fn with_arena(config: NativeTierConfig, arena_bytes: usize) -> Option<NativeTier> {
         Some(NativeTier {
-            jit: Jit::new(DEFAULT_ARENA_BYTES)?,
+            jit: Jit::new(arena_bytes)?,
             config: NativeTierConfig { threshold: config.threshold.max(1), ..config },
             entries: HashMap::new(),
             registry: HashMap::new(),
@@ -239,27 +249,38 @@ impl NativeTier {
         })
     }
 
-    /// Severs every patched chain edge and retires every compiled
-    /// group (their alive bytes flip, so even a stale patched edge
-    /// could never enter them). Warm-up counts and refusals survive —
-    /// they describe the *translations*, whose staleness the per-entry
-    /// identity check handles — and retired entries stay hot, so a
-    /// still-live hot group recompiles on its next dispatch instead of
-    /// re-warming from zero under invalidation churn.
+    /// Severs every patched chain edge, retires every compiled group
+    /// (their alive bytes flip, so even a stale patched edge could
+    /// never enter them) and reclaims their arena space. Warm-up counts
+    /// and refusals survive — they describe the *translations*, whose
+    /// staleness the per-entry identity check handles — and retired or
+    /// deferred entries stay hot, so a still-live hot group recompiles
+    /// on its next dispatch instead of re-warming from zero under
+    /// invalidation churn.
     pub fn flush(&mut self) {
         self.jit.unlink_all();
         let threshold = self.config.threshold;
         for st in self.entries.values_mut() {
-            if let Slot::Compiled(cg) = &st.slot {
-                // Drop the retiring group's inline indirect-target
-                // entries too: they are the IBTC analogue of the chain
-                // edges `unlink_all` just severed.
-                if let Some(t) = cg.ibtc() {
-                    t.clear();
+            match &st.slot {
+                Slot::Compiled(cg) => {
+                    // Drop the retiring group's inline indirect-target
+                    // entries too: they are the IBTC analogue of the
+                    // chain edges `unlink_all` just severed.
+                    if let Some(t) = cg.ibtc() {
+                        t.clear();
+                    }
+                    st.slot = Slot::Cold(threshold);
                 }
-                st.slot = Slot::Cold(threshold);
+                Slot::Deferred => st.slot = Slot::Cold(threshold),
+                Slot::Cold(_) | Slot::Refused => {}
             }
         }
+        // Rows of retired groups can never resolve again. With no
+        // group left alive and no edge patched, the arena rewinds
+        // (a caller still holding a group keeps both its row and the
+        // space until a later flush).
+        self.registry.retain(|_, row| row.compiled.strong_count() > 0);
+        self.jit.reclaim();
         self.stats.flushes += 1;
     }
 
@@ -302,7 +323,7 @@ impl NativeTier {
             .or_insert_with(|| EntryState { identity: Rc::downgrade(code), slot: Slot::Cold(0) });
         let due = match &mut state.slot {
             Slot::Compiled(cg) => return Some(Rc::clone(cg)),
-            Slot::Refused => return None,
+            Slot::Refused | Slot::Deferred => return None,
             Slot::Cold(n) => {
                 *n += 1;
                 *n >= self.config.threshold
@@ -359,7 +380,7 @@ impl NativeTier {
                 self.stats.refusal_histogram[r.index()] += 1;
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
                 if let Some(s) = self.entries.get_mut(&entry) {
-                    s.slot = Slot::Refused;
+                    s.slot = if r == Refusal::ArenaFull { Slot::Deferred } else { Slot::Refused };
                 }
                 None
             }
@@ -676,5 +697,54 @@ fn reconstruct_events(
                 }
             }
         }
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+mod tests {
+    use super::*;
+    use daisy_vliw::op::Operation;
+    use daisy_vliw::tree::{Exit, Group, ROOT};
+
+    /// A one-VLIW group at `entry` that loads a constant and leaves.
+    fn code(entry: u32) -> Rc<GroupCode> {
+        let mut g = Group::new(entry);
+        g.vliws[0].add_op(ROOT, Operation::new(OpKind::Li, entry).dst(Reg(1)).with_imm(7));
+        g.vliws[0].seal(ROOT, Exit::Branch { target: entry + 0x100 });
+        Rc::new(GroupCode::new(g, vec![entry]))
+    }
+
+    #[test]
+    fn arena_full_defers_the_entry_until_a_flush_reclaims_the_arena() {
+        let config = NativeTierConfig { threshold: 1, ..NativeTierConfig::default() };
+        let mut tier = NativeTier::with_arena(config, 2 * 4096).expect("native host");
+        let (mut mem, mut tracer) = (Memory::new(0x10000), Tracer::disabled());
+        let mut prepare = |tier: &mut NativeTier, c| tier.prepare(c, 4096, &mut mem, &mut tracer);
+        let codes: Vec<_> = (0..64).map(|i| code(0x1000 + 0x100 * i)).collect();
+        let mut first_addr = None;
+        let starved = codes
+            .iter()
+            .find(|c| match prepare(&mut tier, c) {
+                Some(cg) => {
+                    first_addr.get_or_insert(cg.entry_addr());
+                    false
+                }
+                None => true,
+            })
+            .expect("64 groups overflow a two-page arena");
+        assert_eq!(tier.stats.refusal_histogram[Refusal::ArenaFull.index()], 1);
+        assert_eq!(tier.registry.len() as u64, tier.stats.compiles);
+
+        // Deferred, not retried: no second refusal before a flush.
+        assert!(prepare(&mut tier, starved).is_none());
+        assert_eq!(tier.stats.refusals, 1);
+
+        tier.flush();
+        assert!(tier.registry.is_empty(), "rows of retired groups are pruned");
+        let compiles = tier.stats.compiles;
+        let cg = prepare(&mut tier, starved).expect("compiles after the reclaim");
+        assert_eq!(Some(cg.entry_addr()), first_addr, "lands on the reclaimed bytes");
+        assert_eq!(tier.stats.compiles, compiles + 1);
+        assert_eq!(tier.registry.len(), 1);
     }
 }

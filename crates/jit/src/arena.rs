@@ -1,22 +1,26 @@
 //! The W^X executable code arena.
 //!
 //! One anonymous `mmap` region holds every compiled group plus the
-//! shared entry thunk and epilogue. The mapping is normally `r-x`; it
-//! flips to `rw-` only for the duration of a write (initial group
-//! installation, chain-edge patching) and back before any guest code
-//! runs — writable and executable are never both set, and execution
-//! is single-threaded so there is no window where another thread could
-//! run code mid-write.
+//! shared entry thunk and epilogue. The mapping is `r-x` at rest. A
+//! write (group installation, chain-edge patching) opens a *window*:
+//! only the pages the write touches flip to `rw-`, and [`Arena::seal`]
+//! flips exactly those pages back before any guest code runs. No page
+//! is ever writable and executable at once, and execution is
+//! single-threaded, so there is no window where another thread could
+//! run code mid-write. A window's cost is the pages it touches, not
+//! the size of the mapping.
 //!
-//! Allocation is a bump pointer and freed code is never reclaimed:
-//! compiled groups are retired by flipping their alive byte (see
-//! [`crate::AliveSlab`]), which unpatches nothing and reuses nothing,
-//! so stale chain edges can never jump into recycled bytes. A full
-//! arena simply stops further compilation — execution falls back to
-//! the packed tier, never fails.
+//! Allocation is a bump pointer. Compiled groups are retired by
+//! flipping their alive byte (see [`crate::AliveSlab`]); the space
+//! they occupied comes back only wholesale, through
+//! [`Arena::rewind`], once the owner has proven nothing can reach it:
+//! no group alive and no chain edge patched (see
+//! [`crate::Jit::reclaim`]). A full arena between rewinds simply stops
+//! further compilation — execution falls back to the packed tier,
+//! never fails.
 //!
-//! The container has no libc crate, so the three needed syscalls are
-//! issued directly.
+//! The crate takes no libc dependency, so the three needed syscalls
+//! are issued directly.
 
 use std::cell::{Cell, RefCell};
 
@@ -29,6 +33,9 @@ const MAP_ANONYMOUS: usize = 0x20;
 const SYS_MMAP: usize = 9;
 const SYS_MPROTECT: usize = 10;
 const SYS_MUNMAP: usize = 11;
+
+/// Host page size: the granularity of a write window.
+const PAGE: usize = 4096;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 unsafe fn syscall6(
@@ -69,7 +76,9 @@ pub struct Arena {
     base: *mut u8,
     len: usize,
     used: Cell<usize>,
-    writable: Cell<bool>,
+    /// Page runs `[start, end)` (page-aligned arena offsets) the open
+    /// write window has flipped to `rw-`; empty at rest.
+    window: RefCell<Vec<(usize, usize)>>,
     /// Registered patch points: `(offset of a rel32 field, original
     /// target offset)` — enough to restore every chain edge to its
     /// fallback path on a global unpatch.
@@ -88,9 +97,9 @@ pub struct PatchSite {
 }
 
 impl Arena {
-    /// Maps `len` bytes of executable memory. Returns `None` when the
-    /// platform cannot provide it (non-x86-64, non-Linux, or mmap
-    /// failure) — callers then keep executing on the packed tier.
+    /// Maps `len` bytes of executable memory, `r-x`. Returns `None`
+    /// when the platform cannot provide it (non-x86-64, non-Linux, or
+    /// mmap failure) — callers then keep executing on the packed tier.
     pub fn new(len: usize) -> Option<Arena> {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
@@ -99,7 +108,7 @@ impl Arena {
                     SYS_MMAP,
                     0,
                     len,
-                    PROT_READ | PROT_WRITE,
+                    PROT_READ | PROT_EXEC,
                     MAP_PRIVATE | MAP_ANONYMOUS,
                     usize::MAX, // fd = -1
                     0,
@@ -112,7 +121,7 @@ impl Arena {
                 base: addr as *mut u8,
                 len,
                 used: Cell::new(0),
-                writable: Cell::new(true),
+                window: RefCell::new(Vec::new()),
                 patches: RefCell::new(Vec::new()),
             })
         }
@@ -144,44 +153,68 @@ impl Arena {
         self.base as u64 + ((self.used.get() + 15) & !15) as u64
     }
 
-    fn set_prot(&self, prot: usize) {
+    fn set_prot(&self, start: usize, end: usize, prot: usize) {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
-            let r = unsafe { syscall6(SYS_MPROTECT, self.base as usize, self.len, prot, 0, 0, 0) };
+            // SAFETY: `[start, end)` is page-aligned and inside the
+            // mapping (see `open`); no Rust reference points into it.
+            let r = unsafe {
+                syscall6(SYS_MPROTECT, self.base as usize + start, end - start, prot, 0, 0, 0)
+            };
             debug_assert_eq!(r, 0, "mprotect failed");
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-        let _ = prot;
+        let _ = (start, end, prot);
     }
 
-    fn make_writable(&self) {
-        if !self.writable.get() {
-            self.set_prot(PROT_READ | PROT_WRITE);
-            self.writable.set(true);
+    /// Adds the pages holding `[at, at + n)` to the write window,
+    /// flipping whichever of them are not already in it to `rw-`.
+    /// Every write goes through here, so this bounds check is what
+    /// keeps the writes inside the mapping.
+    fn open(&self, at: usize, n: usize) {
+        assert!(at + n <= self.len, "arena write at {at}+{n} past {}", self.len);
+        let lo = at & !(PAGE - 1);
+        let hi = (at + n).next_multiple_of(PAGE);
+        let mut window = self.window.borrow_mut();
+        match window.iter_mut().find(|r| lo <= r.1 && r.0 <= hi) {
+            Some(r) if r.0 <= lo && hi <= r.1 => {}
+            Some(r) => {
+                self.set_prot(lo, hi, PROT_READ | PROT_WRITE);
+                *r = (r.0.min(lo), r.1.max(hi));
+            }
+            None => {
+                self.set_prot(lo, hi, PROT_READ | PROT_WRITE);
+                window.push((lo, hi));
+            }
         }
     }
 
-    /// Flips the whole mapping to `r-x`. Must be called after any
-    /// write sequence, before guest code re-enters the arena.
+    /// Closes the write window: flips exactly the pages it opened back
+    /// to `r-x`. Must be called after any write sequence, before guest
+    /// code re-enters the arena.
     pub fn seal(&self) {
-        if self.writable.get() {
-            self.set_prot(PROT_READ | PROT_EXEC);
-            self.writable.set(false);
+        for (lo, hi) in self.window.borrow_mut().drain(..) {
+            self.set_prot(lo, hi, PROT_READ | PROT_EXEC);
         }
     }
 
     /// Copies `code` into the arena at the current bump position and
     /// returns its offset. Returns `None` when the arena is full. The
-    /// mapping is left writable; call [`Arena::seal`] before executing.
+    /// pages written are left writable; call [`Arena::seal`] before
+    /// executing.
     pub fn install(&self, code: &[u8]) -> Option<usize> {
         // Align each blob so patched rel32 stores stay within the blob.
         let at = (self.used.get() + 15) & !15;
         if at + code.len() > self.len {
             return None;
         }
-        self.make_writable();
-        unsafe {
-            std::ptr::copy_nonoverlapping(code.as_ptr(), self.base.add(at), code.len());
+        if !code.is_empty() {
+            self.open(at, code.len());
+            // SAFETY: `open` checked the range and made its pages
+            // writable; `code` is a separate Rust allocation.
+            unsafe {
+                std::ptr::copy_nonoverlapping(code.as_ptr(), self.base.add(at), code.len());
+            }
         }
         self.used.set(at + code.len());
         Some(at)
@@ -197,9 +230,10 @@ impl Arena {
     /// absolute address `target`, then records nothing — use
     /// [`Arena::patch_edge`] for tracked chain edges.
     pub fn write_rel32(&self, at: usize, target: u64) {
-        self.make_writable();
+        self.open(at, 4);
         let next = self.base as u64 + at as u64 + 4;
         let rel = (target as i64).wrapping_sub(next as i64) as i32;
+        // SAFETY: `open` checked the range and made its pages writable.
         unsafe {
             std::ptr::copy_nonoverlapping(rel.to_le_bytes().as_ptr(), self.base.add(at), 4);
         }
@@ -207,7 +241,8 @@ impl Arena {
 
     /// Writes an imm64 field at arena offset `at`.
     pub fn write_imm64(&self, at: usize, v: u64) {
-        self.make_writable();
+        self.open(at, 8);
+        // SAFETY: `open` checked the range and made its pages writable.
         unsafe {
             std::ptr::copy_nonoverlapping(v.to_le_bytes().as_ptr(), self.base.add(at), 8);
         }
@@ -225,19 +260,29 @@ impl Arena {
     /// how many were restored.
     pub fn unpatch_all(&self) -> u64 {
         let sites = std::mem::take(&mut *self.patches.borrow_mut());
-        let n = sites.len() as u64;
         for s in &sites {
             self.write_rel32(s.site, self.addr_of(s.fallback));
         }
-        if n > 0 {
-            self.seal();
-        }
-        n
+        self.seal();
+        sites.len() as u64
     }
 
     /// Number of currently active chain-edge patches.
     pub fn active_patches(&self) -> usize {
         self.patches.borrow().len()
+    }
+
+    /// Moves the bump pointer back to `to`, handing every byte past it
+    /// out again. Refused (returns `false`) while any chain-edge patch
+    /// is recorded, so a stale patch site can never be "restored" into
+    /// new code, or when `to` lies past the bump pointer. The caller
+    /// guarantees nothing past `to` is reachable any more.
+    pub fn rewind(&self, to: usize) -> bool {
+        if to > self.used.get() || self.active_patches() > 0 {
+            return false;
+        }
+        self.used.set(to);
+        true
     }
 }
 
@@ -291,5 +336,69 @@ mod tests {
         let arena = Arena::new(4096).expect("mmap");
         assert!(arena.install(&[0x90; 4000]).is_some());
         assert!(arena.install(&[0x90; 200]).is_none());
+    }
+
+    /// `(start, end, perms)` of every `/proc/self/maps` line overlapping
+    /// `arena`, clipped to the arena's own range.
+    fn maps(arena: &Arena) -> Vec<(usize, usize, String)> {
+        let (lo, hi) = (arena.base as usize, arena.base as usize + arena.len);
+        let text = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+        text.lines()
+            .filter_map(|line| {
+                let (range, rest) = line.split_once(' ')?;
+                let (s, e) = range.split_once('-')?;
+                let s = usize::from_str_radix(s, 16).ok()?;
+                let e = usize::from_str_radix(e, 16).ok()?;
+                (s < hi && lo < e).then(|| (s.max(lo), e.min(hi), rest[..4].to_string()))
+            })
+            .collect()
+    }
+
+    /// Asserts no arena page is writable and executable, and returns
+    /// the arena-relative page runs that are writable.
+    fn writable_runs(arena: &Arena) -> Vec<(usize, usize)> {
+        let base = arena.base as usize;
+        let lines = maps(arena);
+        assert_eq!(lines.iter().map(|l| l.1 - l.0).sum::<usize>(), arena.len, "{lines:?}");
+        for (_, _, perms) in &lines {
+            assert!(!(perms.contains('w') && perms.contains('x')), "W+X page: {lines:?}");
+        }
+        lines.iter().filter(|l| l.2.contains('w')).map(|l| (l.0 - base, l.1 - base)).collect()
+    }
+
+    #[test]
+    fn write_windows_touch_only_their_pages_and_never_wx() {
+        let arena = Arena::new(8 * PAGE).expect("mmap");
+        assert_eq!(writable_runs(&arena), []);
+        // A blob straddling the first page boundary opens both pages.
+        arena.install(&[0x90; 16]).expect("fits");
+        let off = arena.install(&[0xC3; PAGE]).expect("fits");
+        assert_eq!(writable_runs(&arena), [(0, 2 * PAGE)]);
+        arena.seal();
+        assert_eq!(writable_runs(&arena), []);
+        assert!(maps(&arena).iter().all(|l| l.2.starts_with("r-x")));
+        // A rel32 store on the second page opens that page alone.
+        arena.write_rel32(off + PAGE - 8, arena.addr_of(0));
+        assert_eq!(writable_runs(&arena), [(PAGE, 2 * PAGE)]);
+        arena.write_imm64(6 * PAGE, 0);
+        assert_eq!(writable_runs(&arena), [(PAGE, 2 * PAGE), (6 * PAGE, 7 * PAGE)]);
+        arena.seal();
+        assert_eq!(writable_runs(&arena), []);
+        assert!(maps(&arena).iter().all(|l| l.2.starts_with("r-x")));
+    }
+
+    #[test]
+    fn rewind_is_refused_while_an_edge_is_patched() {
+        let arena = Arena::new(1 << 16).expect("mmap");
+        let keep = arena.install(&[0xC3]).expect("fits") + 1;
+        let off = arena.install(&[0xE9, 0, 0, 0, 0, 0xC3, 0xC3]).expect("fits");
+        arena.patch_edge(PatchSite { site: off + 1, stub: off + 6, fallback: off + 5 });
+        arena.seal();
+        assert!(!arena.rewind(keep));
+        assert!(!arena.rewind(arena.used() + 1), "past the bump pointer");
+        assert_eq!(arena.unpatch_all(), 1);
+        assert!(arena.rewind(keep));
+        assert_eq!(arena.used(), keep);
+        assert_eq!(arena.install(&[0x90]), Some(off), "space is handed out again");
     }
 }

@@ -7,6 +7,12 @@
 //! design: arena layout, template coverage, bail-out semantics, and
 //! how the `Native` rung composes with the degradation ladder.
 //!
+//! The arena is `r-x` at rest; each write opens a window over only
+//! the pages it touches. Space is bump-allocated and comes back
+//! wholesale: once every group is dropped and every chain edge
+//! unpatched (the core crate's epoch flush), [`Jit::reclaim`] rewinds
+//! the arena to just past the shared thunk and epilogue.
+//!
 //! This crate is deliberately engine-agnostic: it knows the packed
 //! format and the [`ctx::JitCtx`] ABI, but dispatch policy, statistics
 //! reconciliation, and resume-after-bail all live in the core crate's
@@ -29,7 +35,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Default arena size: enough for thousands of compiled groups; a full
-/// arena only stops further compilation.
+/// arena only stops further compilation until [`Jit::reclaim`] gives
+/// its space back.
 pub const DEFAULT_ARENA_BYTES: usize = 16 << 20;
 
 /// Path-log capacity handed to compiled code. Re-exported from
@@ -197,7 +204,8 @@ impl std::fmt::Debug for AliveHandle {
 
 /// One group compiled into the arena. Dropping it severs all inbound
 /// patched edges (via the alive byte); the arena mapping itself is
-/// kept alive by the shared `Rc`.
+/// kept alive by the shared `Rc`, whose count is also how
+/// [`Jit::reclaim`] proves no group is alive.
 #[derive(Debug)]
 pub struct CompiledGroup {
     arena: Rc<Arena>,
@@ -245,6 +253,9 @@ pub struct Jit {
     slab: Rc<AliveSlab>,
     thunk: u64,
     epilogue: u64,
+    /// Arena offset just past the thunk and epilogue: where
+    /// [`Jit::reclaim`] rewinds the bump pointer to.
+    code_start: usize,
     next_id: std::cell::Cell<u32>,
 }
 
@@ -262,6 +273,7 @@ impl Jit {
         let jit = Jit {
             thunk: arena.addr_of(thunk_off),
             epilogue: arena.addr_of(epilogue_off),
+            code_start: arena.used(),
             arena,
             slab: Rc::new(AliveSlab::default()),
             next_id: std::cell::Cell::new(0),
@@ -278,6 +290,17 @@ impl Jit {
     /// Number of currently patched chain edges.
     pub fn active_patches(&self) -> usize {
         self.arena.active_patches()
+    }
+
+    /// Gives back the space of every compiled group: rewinds the bump
+    /// pointer to just past the shared thunk and epilogue, so later
+    /// compilations overwrite retired code. Refused (returns `false`)
+    /// while any [`CompiledGroup`] is alive — each holds an `Rc` to the
+    /// arena, so the `Jit`'s must be the only strong one — or any chain
+    /// edge is patched. Group ids and alive bytes are never reused, so
+    /// stale registry rows and stale alive-byte polls stay harmless.
+    pub fn reclaim(&self) -> bool {
+        Rc::strong_count(&self.arena) == 1 && self.arena.rewind(self.code_start)
     }
 
     /// Compiles `g` and installs it. The returned group is live

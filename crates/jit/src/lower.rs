@@ -79,7 +79,8 @@ pub enum Refusal {
     /// Node count exceeds [`MAX_NODES`], or conditional nesting
     /// exceeds [`MAX_COND_DEPTH`].
     TooLarge,
-    /// The code arena is out of space.
+    /// The code arena is out of space until [`crate::Jit::reclaim`]
+    /// gives it back.
     ArenaFull,
     /// The host cannot execute emitted code (non-x86-64 build).
     Unsupported,

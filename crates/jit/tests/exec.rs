@@ -6,6 +6,7 @@
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use daisy_jit::ctx::{JitCtx, EXIT_BAIL, EXIT_BRANCH};
+use daisy_jit::lower::Refusal;
 use daisy_jit::{CompileOpts, CompiledGroup, Jit, LOG_CAPACITY};
 use daisy_vliw::op::{MemWidth, OpKind, Operation};
 use daisy_vliw::tree::{Cond, Exit, ROOT};
@@ -289,4 +290,80 @@ fn general_parcels_are_refused_under_ablation() {
     let p = PackedGroup::lower(&g);
     let opts = CompileOpts { general_templates: false, ..CompileOpts::default() };
     assert!(jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, opts).is_err());
+}
+
+/// Compiles identical small groups into `jit` until the arena refuses
+/// one, and returns those that fit.
+fn fill(jit: &Jit) -> Vec<Rc<CompiledGroup>> {
+    let p = PackedGroup::lower(&leave_group(0x1000, 1, 5, 0x3000));
+    let mut groups = Vec::new();
+    loop {
+        match jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, CompileOpts::default()) {
+            Ok(cg) => groups.push(cg),
+            Err(r) => {
+                assert_eq!(r, Refusal::ArenaFull);
+                return groups;
+            }
+        }
+    }
+}
+
+#[test]
+fn reclaim_waits_for_dead_groups_and_severed_edges() {
+    let jit = Jit::new(2 * 4096).expect("host supports the native tier");
+    let shared = jit.arena_used();
+    let groups = fill(&jit);
+    let n = groups.len();
+    assert!(n > 2, "a two-page arena holds more than two small groups");
+    let (a, b) = (Rc::clone(&groups[0]), Rc::clone(&groups[n - 1]));
+    let (old_entry, last_id) = (a.entry_addr(), b.group_id);
+    drop(groups);
+    assert!(!jit.reclaim(), "two groups are alive");
+    assert_eq!(jit.link(&a, 0, &b), 1);
+    drop(b);
+    assert!(!jit.reclaim(), "one group is alive");
+    drop(a);
+    assert!(!jit.reclaim(), "an edge is still patched");
+    assert!(jit.arena_used() > shared);
+    assert_eq!(jit.unlink_all(), 1);
+    assert!(jit.reclaim());
+    assert_eq!(jit.arena_used(), shared);
+
+    // New code lands on the retired bytes under a fresh id and runs.
+    let c = compile(&jit, &leave_group(0x1000, 2, 77, 0x2000), 0x1000);
+    assert_eq!(c.entry_addr(), old_entry);
+    assert!(c.group_id > last_id, "group ids are never reused");
+    let mut h = Harness::new();
+    h.run(&jit, &c, u64::MAX);
+    assert_eq!((h.vals[1], h.vals[2]), (0, 77));
+    assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
+    assert_eq!(h.ctx.exit_a, 0x2000);
+    assert_eq!(h.ctx.cur_group, c.group_id);
+
+    // The whole arena is usable again.
+    assert_eq!(fill(&jit).len() + 1, n);
+}
+
+#[test]
+fn recompiled_chain_over_reclaimed_bytes_runs_both_groups() {
+    let jit = Jit::new(2 * 4096).expect("host supports the native tier");
+    let a = compile(&jit, &leave_group(0x1000, 1, 11, 0x1100), 0x1000);
+    let b = compile(&jit, &leave_group(0x1100, 2, 22, 0x3000), 0x1100);
+    jit.link(&a, 0, &b);
+    drop((a, b));
+    jit.unlink_all();
+    assert!(jit.reclaim());
+
+    // Same shape, swapped constants: a stale byte from the old blobs
+    // would show up as an old constant or a wrong exit.
+    let a = compile(&jit, &leave_group(0x1000, 1, 33, 0x1100), 0x1000);
+    let b = compile(&jit, &leave_group(0x1100, 2, 44, 0x3000), 0x1100);
+    assert_eq!(jit.link(&a, 0, &b), 1);
+    let mut h = Harness::new();
+    h.run(&jit, &a, 1 << 20);
+    assert_eq!((h.vals[1], h.vals[2]), (33, 44));
+    assert_eq!(h.ctx.exit_a, 0x3000);
+    assert_eq!(h.ctx.cur_group, b.group_id);
+    assert_eq!(h.ctx.chained_dispatches, 1);
+    jit.unlink_all();
 }

@@ -89,13 +89,16 @@ scripts/check_health_shape.sh \
 scripts/check_health_shape.sh BENCH_health.json "" 9
 
 # Native-tier smoke (x86-64 only): the nine-workload native ≡ packed
-# observational-equivalence test, then a 16-seed injection sweep of
-# the two invalidation-heavy fault kinds with the ladder starting at
-# the native rung. Other hosts build the same code but the tier
-# declines to engage, so there is nothing extra to test.
+# observational-equivalence test, the same equivalence under cast-out
+# churn (every flush reclaims the code arena and recompiles over the
+# retired bytes), then a 16-seed injection sweep of the two
+# invalidation-heavy fault kinds with the ladder starting at the native
+# rung. Other hosts build the same code but the tier declines to
+# engage, so there is nothing extra to test.
 if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_is_observably_the_packed_engine_on_every_workload
+  cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
   for kind in hot_patch chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \
       --native --seeds 16 --kind "$kind"

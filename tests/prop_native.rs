@@ -9,6 +9,8 @@
 //! (and must pass) everywhere.
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
+use daisy::native::Refusal;
+use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
 use daisy::trace::{RingSink, TraceEvent};
@@ -143,6 +145,41 @@ fn native_matches_packed_without_chaining() {
         (sys, strip_native_events(sink.events()))
     };
     assert_indistinguishable(&run(false), &run(true), "chaining off");
+}
+
+/// Cast-out churn: 64-byte translation pages and a 128-byte code area
+/// flush the native tier thousands of times, and every flush hands the
+/// whole code arena back. Code recompiled over reclaimed bytes must stay
+/// native≡packed to the counter, and no entry may starve for space.
+#[test]
+fn native_matches_packed_under_cast_out_churn() {
+    let w = daisy_workloads::by_name("fgrep").expect("fgrep workload");
+    let run = |native: bool| {
+        let sink = RingSink::new(1 << 21);
+        let mut sys = DaisySystem::<PpcIsa>::builder()
+            .mem_size(w.mem_size)
+            .translator(TranslatorConfig { page_size: 64, ..TranslatorConfig::default() })
+            .code_capacity(128)
+            .native_execution(native)
+            .native_threshold(THRESHOLD)
+            .trace_sink(sink.clone())
+            .build();
+        sys.load(&w.program()).unwrap();
+        let stop = sys.run(50 * w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall, "churn run did not finish");
+        assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
+        (sys, strip_native_events(sink.events()))
+    };
+    let (packed, native) = (run(false), run(true));
+    assert_indistinguishable(&packed, &native, "cast-out churn");
+    assert!(packed.0.vmm.stats.cast_outs > 0, "the clamp must force cast-outs");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let ns = native.0.native_stats().unwrap();
+        assert!(ns.flushes > 0, "cast-outs must flush the native tier");
+        assert!(ns.compiles > ns.flushes / 8, "entries recompile after flushes: {ns:?}");
+        assert_eq!(ns.refusal_histogram[Refusal::ArenaFull.index()], 0, "{ns:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
