@@ -1,27 +1,23 @@
 //! Execution-engine throughput: the native host-code tier versus the
-//! packed execution format versus the reference tree-walking engine,
-//! end-to-end (translate and run) over all nine paper workloads — the
-//! simulation speed that makes the Chapter 5 sweeps practical.
+//! packed execution format, end-to-end (translate and run) over all
+//! nine paper workloads — the simulation speed that makes the Chapter 5
+//! sweeps practical.
 //!
 //! Besides the criterion timings, a full `cargo bench` run writes
 //! `BENCH_engine.json` at the repository root: per workload, the
 //! wall-clock time and host nanoseconds per guest instruction for each
-//! engine, the packed-over-tree and native-over-packed speedups, the
-//! fraction of tree instructions the native tier executed as compiled
-//! x86-64 (`native_coverage`), and the geometric-mean speedups across
-//! the suite. All three tiers live in the same binary
-//! ([`DaisySystemBuilder::packed_execution`],
-//! [`DaisySystemBuilder::native_execution`]) and each keeps its code
-//! shape, so the ratios are an honest before/after. Under `cargo test`
-//! the suite runs a single quick correctness pass (all engines,
-//! results checked) and leaves the JSON untouched — debug-build
-//! timings would be meaningless.
+//! tier, the native-over-packed speedup, the fraction of tree
+//! instructions the native tier executed as compiled x86-64
+//! (`coverage`, with refusals by kind), and the geometric-mean speedup
+//! across the suite. Both tiers live in the same binary
+//! ([`DaisySystemBuilder::native_execution`]). Under `cargo test` the
+//! suite runs a single quick correctness pass (both tiers, results
+//! checked) and leaves the JSON untouched — debug-build timings would
+//! be meaningless.
 //!
 //! On hosts without native support (non-x86-64) the native column
 //! falls back to packed execution; regenerate the JSON on x86-64.
 //!
-//! [`DaisySystemBuilder::packed_execution`]:
-//! daisy::system::DaisySystemBuilder::packed_execution
 //! [`DaisySystemBuilder::native_execution`]:
 //! daisy::system::DaisySystemBuilder::native_execution
 
@@ -34,7 +30,6 @@ use std::time::Instant;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    Tree,
     Packed,
     Native,
 }
@@ -42,7 +37,6 @@ enum Mode {
 impl Mode {
     fn name(self) -> &'static str {
         match self {
-            Mode::Tree => "tree",
             Mode::Packed => "packed",
             Mode::Native => "native",
         }
@@ -56,7 +50,6 @@ fn run_once(
 ) -> DaisySystem<daisy_ppc::PpcIsa> {
     let mut sys = DaisySystem::<daisy_ppc::PpcIsa>::builder()
         .mem_size(w.mem_size)
-        .packed_execution(mode != Mode::Tree)
         .native_execution(mode == Mode::Native)
         .build();
     sys.load(prog).unwrap();
@@ -94,7 +87,7 @@ fn bench_engine(c: &mut Criterion) {
     for name in ["c_sieve", "wc", "fgrep"] {
         let w = daisy_workloads::by_name(name).unwrap();
         let prog = w.program();
-        for mode in [Mode::Native, Mode::Packed, Mode::Tree] {
+        for mode in [Mode::Native, Mode::Packed] {
             g.bench_with_input(BenchmarkId::new(name, mode.name()), &mode, |b, &m| {
                 b.iter(|| black_box(run_once(&w, &prog, m)));
             });
@@ -103,34 +96,25 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 
     if !full {
-        // Smoke mode: the correctness passes above already ran all
-        // engines; don't overwrite the measured JSON with debug noise.
+        // Smoke mode: the correctness passes above already ran both
+        // tiers; don't overwrite the measured JSON with debug noise.
         return;
     }
 
     let mut rows = Vec::new();
-    let mut log_ratio_sum = 0.0;
     let mut log_native_ratio_sum = 0.0;
     let all = daisy_workloads::all();
     for w in &all {
         let prog = w.program();
-        let (tree_s, tsys) = measure(w, &prog, Mode::Tree, 3);
         let (packed_s, psys) = measure(w, &prog, Mode::Packed, 3);
         let (native_s, nsys) = measure(w, &prog, Mode::Native, 3);
-        assert_eq!(
-            tsys.stats.vliws_executed, psys.stats.vliws_executed,
-            "{}: engines disagree on work done",
-            w.name
-        );
         assert_eq!(
             psys.stats.vliws_executed, nsys.stats.vliws_executed,
             "{}: native tier disagrees on work done",
             w.name
         );
-        let guest = tsys.stats.approx_base_instrs().max(1) as f64;
-        let ratio = tree_s / packed_s;
+        let guest = psys.stats.approx_base_instrs().max(1) as f64;
         let native_ratio = packed_s / native_s;
-        log_ratio_sum += ratio.ln();
         log_native_ratio_sum += native_ratio.ln();
         let coverage = nsys
             .native_stats()
@@ -152,42 +136,34 @@ fn bench_engine(c: &mut Criterion) {
             row,
             concat!(
                 "    {{\"name\": \"{}\", ",
-                "\"tree\": {{\"wall_ms\": {:.3}, \"ns_per_guest_instr\": {:.2}}}, ",
                 "\"packed\": {{\"wall_ms\": {:.3}, \"ns_per_guest_instr\": {:.2}}}, ",
                 "\"native\": {{\"wall_ms\": {:.3}, \"ns_per_guest_instr\": {:.2}, ",
                 "\"coverage\": {:.3}, \"refusals\": {{{}}}}}, ",
-                "\"speedup\": {:.3}, \"native_speedup\": {:.3}}}"
+                "\"native_speedup\": {:.3}}}"
             ),
             w.name,
-            tree_s * 1e3,
-            tree_s * 1e9 / guest,
             packed_s * 1e3,
             packed_s * 1e9 / guest,
             native_s * 1e3,
             native_s * 1e9 / guest,
             coverage,
             refusal_json,
-            ratio,
             native_ratio
         );
         rows.push(row);
     }
-    let geomean = (log_ratio_sum / all.len() as f64).exp();
     let native_geomean = (log_native_ratio_sum / all.len() as f64).exp();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"engine\",\n",
-            "  \"geomean_speedup\": {:.3},\n",
             "  \"native_geomean_speedup\": {:.3},\n",
             "  \"workloads\": [\n{}\n  ]\n}}\n"
         ),
-        geomean,
         native_geomean,
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, json).expect("write BENCH_engine.json");
-    println!("engine geomean speedup (packed vs tree): {geomean:.3}x");
     println!("engine geomean speedup (native vs packed): {native_geomean:.3}x");
 }
 

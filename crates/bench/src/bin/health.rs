@@ -1,10 +1,10 @@
 //! `health` — periodic metrics snapshots over the workload suite.
 //!
 //! ```text
-//! health [--mode packed|tree|native] [--interval N] [--watch]
+//! health [--mode packed|native] [--interval N] [--watch]
 //!        [--out FILE] [--prom FILE] [WORKLOAD ...]
 //!
-//!   --mode MODE      execution tier: packed (default), tree, native
+//!   --mode MODE      execution tier: packed (default), native
 //!   --interval N     dispatch boundaries between snapshots
 //!                    (default 4096)
 //!   --watch          print a delta line per snapshot while running
@@ -52,7 +52,7 @@ fn parse_args() -> Options {
             "--mode" => {
                 let v = args.next().expect("--mode needs a value");
                 opts.mode = Mode::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown mode: {v} (expected packed|tree|native)"));
+                    .unwrap_or_else(|| panic!("unknown mode: {v} (expected packed|native)"));
             }
             "--interval" => {
                 opts.interval = args
@@ -67,7 +67,7 @@ fn parse_args() -> Options {
             "--prom" => opts.prom = Some(args.next().expect("--prom needs a path")),
             "--help" | "-h" => {
                 println!(
-                    "health [--mode packed|tree|native] [--interval N] [--watch] \
+                    "health [--mode packed|native] [--interval N] [--watch] \
                      [--out FILE] [--prom FILE] [WORKLOAD ...]"
                 );
                 std::process::exit(0);

@@ -4,14 +4,13 @@
 //! record a ladder step.
 //!
 //! ```text
-//! inject [--seed N] [--seeds N] [--kind NAME] [--tree] [--no-chain] [--native] [WORKLOAD ...]
+//! inject [--seed N] [--seeds N] [--kind NAME] [--no-chain] [--native] [WORKLOAD ...]
 //!
 //!   --seed N      run exactly one seed (default: a seed sweep)
 //!   --seeds N     seeds per (workload, kind) pair (default 32)
 //!   --kind NAME   restrict to one fault kind (default: all six;
 //!                 `preempt` selects preemption fuzzing against the
 //!                 modeled SoC and defaults WORKLOAD to soc_firmware)
-//!   --tree        use the reference tree engine instead of packed
 //!   --no-chain    disable direct group chaining
 //!   --native      start the ladder at the native x86-64 rung
 //!   WORKLOAD      workload names (default: c_sieve wc cmp hist)
@@ -28,7 +27,6 @@ struct Options {
     seed: Option<u64>,
     seeds: u64,
     kinds: Vec<FaultKind>,
-    packed: bool,
     chaining: bool,
     native: bool,
     workloads: Vec<String>,
@@ -39,7 +37,6 @@ fn parse_args() -> Options {
         seed: None,
         seeds: 32,
         kinds: FaultKind::ALL.to_vec(),
-        packed: true,
         chaining: true,
         native: false,
         workloads: Vec::new(),
@@ -61,13 +58,12 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|| panic!("unknown fault kind {name:?}"));
                 opts.kinds = vec![kind];
             }
-            "--tree" => opts.packed = false,
             "--no-chain" => opts.chaining = false,
             "--native" => opts.native = true,
             "--help" | "-h" => {
                 println!(
-                    "inject [--seed N] [--seeds N] [--kind NAME] [--tree] [--no-chain] \
-                     [--native] [WORKLOAD ...]"
+                    "inject [--seed N] [--seeds N] [--kind NAME] [--no-chain] [--native] \
+                     [WORKLOAD ...]"
                 );
                 std::process::exit(0);
             }
@@ -108,7 +104,6 @@ fn main() {
             for &seed in &seeds {
                 ran += 1;
                 let mut cfg = CampaignConfig {
-                    packed: opts.packed,
                     chaining: opts.chaining,
                     native: opts.native,
                     ..CampaignConfig::new(kind, seed)

@@ -20,8 +20,6 @@ use std::fmt::Write as _;
 pub enum Mode {
     /// Packed-format execution (default; all hosts).
     Packed,
-    /// Reference tree-walking engine.
-    Tree,
     /// Native x86-64 tier over packed (falls back off-x86-64).
     Native,
 }
@@ -31,7 +29,6 @@ impl Mode {
     pub fn name(self) -> &'static str {
         match self {
             Mode::Packed => "packed",
-            Mode::Tree => "tree",
             Mode::Native => "native",
         }
     }
@@ -40,7 +37,6 @@ impl Mode {
     pub fn parse(s: &str) -> Option<Mode> {
         match s {
             "packed" => Some(Mode::Packed),
-            "tree" => Some(Mode::Tree),
             "native" => Some(Mode::Native),
             _ => None,
         }
@@ -68,7 +64,6 @@ pub struct HealthRecord {
 pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> HealthRecord {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
-        .packed_execution(mode != Mode::Tree)
         .native_execution(mode == Mode::Native)
         .metrics(true)
         .metrics_publish_period(interval.min(u32::MAX as u64) as u32)

@@ -29,7 +29,7 @@ fn two_quick_records() -> Vec<daisy_bench::health::HealthRecord> {
 /// Acceptance: `BENCH_health.json` parses as JSON, carries the schema
 /// tag, and each workload's metrics object holds exactly the
 /// registered counter/gauge names, all nine degradation causes, all
-/// five ladder rungs, and both histograms. Runs two real workloads —
+/// four ladder rungs, and both histograms. Runs two real workloads —
 /// the same pair CI smokes.
 #[test]
 fn bench_health_json_schema_holds() {

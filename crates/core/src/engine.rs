@@ -14,14 +14,11 @@ use crate::stats::RunStats;
 use crate::trace::Tier;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::mem::Memory;
-use daisy_vliw::op::{
-    compare, effective_address, effective_address_inline, eval, eval_inline, EvalOut, MemWidth,
-    OpKind, Operation,
-};
+use daisy_vliw::op::{compare, effective_address, eval, EvalOut, MemWidth, OpKind, Operation};
 use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
 use daisy_vliw::reg::{Reg, NUM_REGS};
 use daisy_vliw::regfile::RegFile;
-use daisy_vliw::tree::{Exit, Group, IndirectVia, NodeKind, VliwId, ROOT};
+use daisy_vliw::tree::{Group, IndirectVia};
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
@@ -68,7 +65,7 @@ pub enum ChainLink {
 #[derive(Debug, Clone)]
 pub struct GroupCode {
     /// The translated group (scheduling representation; kept for
-    /// diagnostics, recovery, and the reference tree-walking engine).
+    /// diagnostics, recovery, and lowering).
     pub group: Group,
     /// The group lowered to the packed execution format the hot loop
     /// runs ([`run_group`]). Its exit-target table defines the chain
@@ -280,11 +277,10 @@ pub struct EngineScratch {
     /// Architected-commitment record for precise-exception recovery
     /// (§3.5); filled afresh by each [`run_group`] call.
     pub events: Vec<ArchEvent>,
-    /// Retirement trace filled only by the profiled engine variants
-    /// ([`run_group_profiled`] / [`run_group_tree_profiled`]): the
+    /// Retirement trace filled only by [`run_group_profiled`]: the
     /// absolute packed-node index of every tree node the dispatch
-    /// visited, in execution order. The non-profiled engines never
-    /// touch it (the `PROFILE` const generic compiles the recording
+    /// visited, in execution order. The non-profiled engine never
+    /// touches it (the `PROFILE` const generic compiles the recording
     /// out), so the hot loop stays provenance-free.
     pub(crate) visited: Vec<u32>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
@@ -339,6 +335,7 @@ impl Default for EngineScratch {
     }
 }
 
+#[inline(always)]
 fn read_mem(mem: &Memory, ea: u32, width: MemWidth, algebraic: bool) -> Result<u32, ()> {
     match width {
         MemWidth::Byte => mem.read_u8(ea).map(u32::from).map_err(|_| ()),
@@ -350,32 +347,12 @@ fn read_mem(mem: &Memory, ea: u32, width: MemWidth, algebraic: bool) -> Result<u
     }
 }
 
+#[inline(always)]
 fn write_mem(mem: &mut Memory, ea: u32, width: MemWidth, v: u32) -> Result<(), ()> {
     match width {
         MemWidth::Byte => mem.write_u8(ea, v as u8).map_err(|_| ()),
         MemWidth::Half => mem.write_u16(ea, v as u16).map_err(|_| ()),
         MemWidth::Word => mem.write_u32(ea, v).map_err(|_| ()),
-    }
-}
-
-#[inline(always)]
-fn read_mem_fast(mem: &Memory, ea: u32, width: MemWidth, algebraic: bool) -> Result<u32, ()> {
-    match width {
-        MemWidth::Byte => mem.read_u8_inline(ea).map(u32::from).map_err(|_| ()),
-        MemWidth::Half => mem
-            .read_u16_inline(ea)
-            .map(|v| if algebraic { v as i16 as i32 as u32 } else { u32::from(v) })
-            .map_err(|_| ()),
-        MemWidth::Word => mem.read_u32_inline(ea).map_err(|_| ()),
-    }
-}
-
-#[inline(always)]
-fn write_mem_fast(mem: &mut Memory, ea: u32, width: MemWidth, v: u32) -> Result<(), ()> {
-    match width {
-        MemWidth::Byte => mem.write_u8_inline(ea, v as u8).map_err(|_| ()),
-        MemWidth::Half => mem.write_u16_inline(ea, v as u16).map_err(|_| ()),
-        MemWidth::Word => mem.write_u32_inline(ea, v).map_err(|_| ()),
     }
 }
 
@@ -387,9 +364,9 @@ fn write_mem_fast(mem: &mut Memory, ea: u32, width: MemWidth, v: u32) -> Result<
 /// `scratch` is reset and its event record filled with the
 /// architected-commitment trail used for precise-exception recovery.
 ///
-/// Observably identical to [`run_group_tree`] (same architected state,
-/// same [`RunStats`], same exit, same event record); the property tests
-/// in `tests/prop_packed.rs` pin that equivalence.
+/// The property tests in `tests/prop_equivalence.rs` check it against
+/// the reference interpreter, including under the finite cache
+/// hierarchy.
 #[inline]
 pub fn run_group(
     code: &GroupCode,
@@ -606,8 +583,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                     }
                     OpClass::Value => {
                         let sv = [vals[s0], vals[s1], vals[s2]];
-                        let EvalOut::Value { v, carry } = eval_inline(op, &sv[..m.nsrc as usize])
-                        else {
+                        let EvalOut::Value { v, carry } = eval(op, &sv[..m.nsrc as usize]) else {
                             unreachable!("non-memory ops evaluate to values")
                         };
                         if m.d1 != OpMeta::NONE {
@@ -629,8 +605,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                     }
                     OpClass::SpecValue => {
                         let sv = [vals[s0], vals[s1], vals[s2]];
-                        let EvalOut::Value { v, carry } = eval_inline(op, &sv[..m.nsrc as usize])
-                        else {
+                        let EvalOut::Value { v, carry } = eval(op, &sv[..m.nsrc as usize]) else {
                             unreachable!("non-memory ops evaluate to values")
                         };
                         if m.d1 != OpMeta::NONE {
@@ -651,7 +626,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                             unreachable!("Load class carries a load op")
                         };
                         let sv = [vals[s0], vals[s1], vals[s2]];
-                        let ea = effective_address_inline(op, &sv[..m.nsrc as usize]);
+                        let ea = effective_address(op, &sv[..m.nsrc as usize]);
                         // Device reads have side effects: never touch
                         // the MMIO window from translated code. A
                         // speculative MMIO load poisons like a fault
@@ -669,7 +644,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                             }
                             return GroupExit::Mmio { addr: op.base_addr };
                         }
-                        match read_mem_fast(mem, ea, width, algebraic) {
+                        match read_mem(mem, ea, width, algebraic) {
                             Ok(v) => {
                                 if !infinite {
                                     let acc = cache.access_data(ea, false);
@@ -718,13 +693,13 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                             unreachable!("Store class carries a store op")
                         };
                         let sv = [vals[s0], vals[s1], vals[s2]];
-                        let ea = effective_address_inline(op, &sv[..m.nsrc as usize]);
+                        let ea = effective_address(op, &sv[..m.nsrc as usize]);
                         // Stores are never speculative; bail to the
                         // interpreter before the device sees the write.
                         if mem.is_mmio_inline(ea) {
                             return GroupExit::Mmio { addr: op.base_addr };
                         }
-                        match write_mem_fast(mem, ea, width, sv[0]) {
+                        match write_mem(mem, ea, width, sv[0]) {
                             Ok(()) => {
                                 if !infinite {
                                     let acc = cache.access_data(ea, true);
@@ -736,7 +711,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                                 stats.stores += 1;
                                 scratch.events.push(ArchEvent::Store);
                                 commit_base!(op);
-                                if mem.has_code_writes_inline() {
+                                if mem.has_code_writes() {
                                     stats.code_modifications += 1;
                                     return GroupExit::CodeModified { addr: op.base_addr };
                                 }
@@ -814,15 +789,14 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
     }
 }
 
-/// The packed engine's full-semantics parcel interpreter: semantics
-/// identical to `exec_parcel`, but over the register file's raw
-/// arrays and the scratch tables. [`run_group`] routes here whenever a
+/// The packed engine's full-semantics parcel interpreter, over the
+/// register file's raw arrays and the scratch tables. [`run_group`]
+/// routes here whenever a
 /// source carries an exception tag (poison propagation / deferred
 /// faults, §2.1) or the parcel's [`OpClass`] is
 /// [`General`](OpClass::General) (trap checks, load-verify commits);
 /// everything hot runs in the class-dispatched arms inlined into the
-/// walk loop. The tree engine deliberately keeps the outlined
-/// `exec_parcel` so it stays measurable as the pre-packing baseline.
+/// walk loop.
 // invariant: the translator only emits `Load` operations with a
 // destination register (convert.rs builds them via `.dst(..)`), so the
 // `op.dest.expect(..)` calls below cannot fire on translated code.
@@ -885,7 +859,7 @@ fn exec_parcel_general(
 
     match op.kind {
         OpKind::Load { width, algebraic } => {
-            let ea = effective_address_inline(op, src_vals);
+            let ea = effective_address(op, src_vals);
             // Same MMIO discipline as the class-dispatched Load arm.
             if mem.is_mmio_inline(ea) {
                 if op.speculative {
@@ -898,7 +872,7 @@ fn exec_parcel_general(
                 }
                 return Err(GroupExit::Mmio { addr: op.base_addr });
             }
-            match read_mem_fast(mem, ea, width, algebraic) {
+            match read_mem(mem, ea, width, algebraic) {
                 Ok(v) => {
                     if !infinite {
                         let acc = cache.access_data(ea, false);
@@ -942,11 +916,11 @@ fn exec_parcel_general(
             }
         }
         OpKind::Store { width } => {
-            let ea = effective_address_inline(op, src_vals);
+            let ea = effective_address(op, src_vals);
             if mem.is_mmio_inline(ea) {
                 return Err(GroupExit::Mmio { addr: op.base_addr });
             }
-            match write_mem_fast(mem, ea, width, src_vals[0]) {
+            match write_mem(mem, ea, width, src_vals[0]) {
                 Ok(()) => {
                     if !infinite {
                         let acc = cache.access_data(ea, true);
@@ -958,7 +932,7 @@ fn exec_parcel_general(
                     stats.stores += 1;
                     scratch.events.push(ArchEvent::Store);
                     count_completion(stats, last_base, op.base_addr);
-                    if mem.has_code_writes_inline() {
+                    if mem.has_code_writes() {
                         stats.code_modifications += 1;
                         return Err(GroupExit::CodeModified { addr: op.base_addr });
                     }
@@ -972,7 +946,7 @@ fn exec_parcel_general(
                 }
             }
         }
-        OpKind::TrapIf { .. } => match eval_inline(op, src_vals) {
+        OpKind::TrapIf { .. } => match eval(op, src_vals) {
             EvalOut::Trap(true) => {
                 return Err(GroupExit::Exception {
                     kind: ExcKind::Trap,
@@ -987,7 +961,7 @@ fn exec_parcel_general(
             _ => unreachable!("TrapIf evaluates to Trap"),
         },
         _ => {
-            let EvalOut::Value { v, carry } = eval_inline(op, src_vals) else {
+            let EvalOut::Value { v, carry } = eval(op, src_vals) else {
                 unreachable!("non-memory ops evaluate to values")
             };
             // Load-verify at the commit of a bypassed load (§2.1: "the
@@ -996,7 +970,7 @@ fn exec_parcel_general(
             if op.is_commit && op.bypassed_store {
                 let src = op.srcs()[0];
                 if let Some(pl) = scratch.pending[src.index()] {
-                    if read_mem_fast(mem, pl.ea, pl.width, pl.algebraic) != Ok(pl.value) {
+                    if read_mem(mem, pl.ea, pl.width, pl.algebraic) != Ok(pl.value) {
                         stats.alias_failures += 1;
                         return Err(GroupExit::AliasRestart { addr: op.base_addr });
                     }
@@ -1015,344 +989,6 @@ fn exec_parcel_general(
             if !op.speculative {
                 if let Some(d) = op.dest {
                     scratch.events.push(ArchEvent::Def { d1: d, d2: op.dest2 });
-                    count_completion(stats, last_base, op.base_addr);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Executes one group to its exit by walking the tree representation
-/// directly — the pre-packing engine, kept byte-for-byte as the
-/// reference the packed walk is verified against (and selectable
-/// through `DaisySystemBuilder::packed_execution(false)` so the
-/// `engine` bench can measure packed against the old engine in the
-/// same binary).
-///
-/// Deliberately *not* optimized: it re-initialises its exception-tag
-/// and pending-load tables on every dispatch, probes the cache
-/// hierarchy unconditionally, and calls the outlined `exec_parcel`
-/// per parcel, exactly as the engine did before the packed format
-/// existed. Only `scratch.events` is used from `scratch` (the event
-/// vector was caller-owned in the old engine too).
-#[inline]
-pub fn run_group_tree(
-    code: &GroupCode,
-    rf: &mut RegFile,
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    stats: &mut RunStats,
-    scratch: &mut EngineScratch,
-) -> GroupExit {
-    run_group_tree_impl::<false>(code, rf, mem, cache, stats, scratch)
-}
-
-/// [`run_group_tree`] with guest-PC attribution enabled: records the
-/// same absolute packed-node indices as [`run_group_profiled`]
-/// (translating tree-local `(vliw, node)` coordinates through
-/// [`PackedGroup::roots`]), so attribution computed from the visit
-/// trace is engine-independent — the packed≡tree property the profile
-/// tests pin.
-#[inline]
-pub fn run_group_tree_profiled(
-    code: &GroupCode,
-    rf: &mut RegFile,
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    stats: &mut RunStats,
-    scratch: &mut EngineScratch,
-) -> GroupExit {
-    run_group_tree_impl::<true>(code, rf, mem, cache, stats, scratch)
-}
-
-fn run_group_tree_impl<const PROFILE: bool>(
-    code: &GroupCode,
-    rf: &mut RegFile,
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    stats: &mut RunStats,
-    scratch: &mut EngineScratch,
-) -> GroupExit {
-    scratch.reset();
-    let events = &mut scratch.events;
-    let group = &code.group;
-    let mut tag_info: [Option<(u32, bool, bool)>; NUM_REGS] = [None; NUM_REGS];
-    let mut pending: [Option<PendingLoad>; NUM_REGS] = [None; NUM_REGS];
-    let mut last_base = u32::MAX;
-    let mut cur = VliwId(0);
-    // Same back-edge budget as the packed engine: bounded native-style
-    // looping inside a group, then yield at the loop header.
-    let backedge_limit = stats.vliws_executed + BACKEDGE_VLIW_BUDGET;
-
-    loop {
-        let vliw = group.vliw(cur);
-        stats.vliws_executed += 1;
-        let iacc = cache.access_instr(code.vliw_addrs[cur.0 as usize]);
-        stats.stall_cycles += u64::from(iacc.penalty);
-
-        let mut node = ROOT;
-        let mut parcels_this_vliw = 0usize;
-        loop {
-            if PROFILE {
-                scratch.visited.push(code.packed.roots[cur.0 as usize] + node.0);
-            }
-            let n = &vliw.nodes()[node.0 as usize];
-            parcels_this_vliw += n.ops.len();
-            for op in &n.ops {
-                match exec_parcel(
-                    op,
-                    rf,
-                    mem,
-                    cache,
-                    stats,
-                    events,
-                    &mut tag_info,
-                    &mut pending,
-                    &mut last_base,
-                ) {
-                    Ok(()) => {}
-                    Err(exit) => return exit,
-                }
-            }
-            match &n.kind {
-                NodeKind::Open => unreachable!("translator seals every node"),
-                NodeKind::Branch { cond, taken, fall } => {
-                    debug_assert!(!rf.tag(cond.src), "branch conditions are committed clean");
-                    let t = cond.holds(rf.get(cond.src));
-                    match cond.spec_target {
-                        // A Ch. 6 indirect-branch specialization: the
-                        // taken side is the true indirect exit, the
-                        // fall side continues inline at the target.
-                        Some(spec) => {
-                            events.push(ArchEvent::IndirectDir(if t { None } else { Some(spec) }));
-                        }
-                        None => events.push(ArchEvent::Dir(t)),
-                    }
-                    // Same dedup as the packed engine's Cond arm: a
-                    // CTR-decrementing branch's commit already counted
-                    // this instruction.
-                    if last_base != cond.origin {
-                        last_base = cond.origin;
-                        stats.base_instrs += 1;
-                    }
-                    node = if t { *taken } else { *fall };
-                }
-                NodeKind::Exit(e) => {
-                    stats.issue_histogram[parcels_this_vliw.min(24)] += 1;
-                    match e {
-                        Exit::Goto(next) => {
-                            if next.0 <= cur.0 && stats.vliws_executed >= backedge_limit {
-                                return GroupExit::Branch {
-                                    target: group.vliw(*next).base_entry,
-                                    via: None,
-                                    slot: None,
-                                };
-                            }
-                            cur = *next;
-                            break;
-                        }
-                        Exit::Branch { target } => {
-                            return GroupExit::Branch {
-                                target: *target,
-                                via: None,
-                                slot: code.exit_slot(*target),
-                            }
-                        }
-                        Exit::Indirect { src, via } => {
-                            debug_assert!(!rf.tag(*src), "indirect targets are committed clean");
-                            return GroupExit::Branch {
-                                target: rf.get(*src) & !3,
-                                via: Some(*via),
-                                slot: None,
-                            };
-                        }
-                        Exit::Interp { addr } => return GroupExit::Interp { addr: *addr },
-                    }
-                }
-            }
-        }
-    }
-}
-
-// invariant: as in `exec_parcel_general`, translated `Load` operations
-// always carry a destination register.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
-fn exec_parcel(
-    op: &Operation,
-    rf: &mut RegFile,
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    stats: &mut RunStats,
-    events: &mut Vec<ArchEvent>,
-    tag_info: &mut [Option<(u32, bool, bool)>; NUM_REGS],
-    pending: &mut [Option<PendingLoad>; NUM_REGS],
-    last_base: &mut u32,
-) -> Result<(), GroupExit> {
-    let nsrc = op.srcs().len();
-    let mut vals = [0u32; 3];
-    let mut tagged: Option<Reg> = None;
-    for (i, s) in op.srcs().iter().enumerate() {
-        vals[i] = rf.get(*s);
-        if rf.tag(*s) {
-            tagged = Some(*s);
-        }
-    }
-    let vals = &vals[..nsrc];
-
-    // Exception-tag semantics (§2.1): speculative consumers propagate
-    // the poison; non-speculative consumers take the deferred fault.
-    if let Some(t) = tagged {
-        if op.speculative {
-            let info = tag_info[t.index()];
-            for d in [op.dest, op.dest2].into_iter().flatten() {
-                rf.set(d, 0);
-                rf.set_tag(d, true);
-                tag_info[d.index()] = info;
-            }
-            return Ok(());
-        }
-        let (addr, write, mmio) = tag_info[t.index()].unwrap_or((0, false, false));
-        if mmio {
-            // Speculative MMIO load: bail at the commit, not a DSI.
-            return Err(GroupExit::Mmio { addr: op.base_addr });
-        }
-        return Err(GroupExit::Exception {
-            kind: ExcKind::Dsi { addr, write },
-            base_addr: op.base_addr,
-            fault_idx: events.len(),
-        });
-    }
-
-    let count_completion = |stats: &mut RunStats, last_base: &mut u32, addr: u32| {
-        if *last_base != addr {
-            *last_base = addr;
-            stats.base_instrs += 1;
-        }
-    };
-
-    match op.kind {
-        OpKind::Load { width, algebraic } => {
-            let ea = effective_address(op, vals);
-            // Same MMIO discipline as the packed engine: never touch
-            // the device from translated code.
-            if mem.is_mmio_inline(ea) {
-                if op.speculative {
-                    let d = op.dest.expect("loads have destinations");
-                    rf.set(d, 0);
-                    rf.set_tag(d, true);
-                    tag_info[d.index()] = Some((ea, false, true));
-                    return Ok(());
-                }
-                return Err(GroupExit::Mmio { addr: op.base_addr });
-            }
-            match read_mem(mem, ea, width, algebraic) {
-                Ok(v) => {
-                    let acc = cache.access_data(ea, false);
-                    stats.loads += 1;
-                    if acc.l0_miss {
-                        stats.load_l0_misses += 1;
-                    }
-                    stats.stall_cycles += u64::from(acc.penalty);
-                    let d = op.dest.expect("loads have destinations");
-                    rf.set(d, v);
-                    tag_info[d.index()] = None;
-                    if op.bypassed_store {
-                        pending[d.index()] = Some(PendingLoad { ea, width, algebraic, value: v });
-                    }
-                    if !op.speculative {
-                        events.push(ArchEvent::Def { d1: d, d2: None });
-                        count_completion(stats, last_base, op.base_addr);
-                    }
-                }
-                Err(()) => {
-                    if op.speculative {
-                        // "A speculative operation that causes an error
-                        // … just sets the exception tag bit."
-                        let d = op.dest.expect("loads have destinations");
-                        rf.set(d, 0);
-                        rf.set_tag(d, true);
-                        tag_info[d.index()] = Some((ea, false, false));
-                    } else {
-                        return Err(GroupExit::Exception {
-                            kind: ExcKind::Dsi { addr: ea, write: false },
-                            base_addr: op.base_addr,
-                            fault_idx: events.len(),
-                        });
-                    }
-                }
-            }
-        }
-        OpKind::Store { width } => {
-            let ea = effective_address(op, vals);
-            if mem.is_mmio_inline(ea) {
-                return Err(GroupExit::Mmio { addr: op.base_addr });
-            }
-            match write_mem(mem, ea, width, vals[0]) {
-                Ok(()) => {
-                    let acc = cache.access_data(ea, true);
-                    stats.stores += 1;
-                    if acc.l0_miss {
-                        stats.store_l0_misses += 1;
-                    }
-                    stats.stall_cycles += u64::from(acc.penalty);
-                    events.push(ArchEvent::Store);
-                    count_completion(stats, last_base, op.base_addr);
-                    if mem.has_code_writes() {
-                        stats.code_modifications += 1;
-                        return Err(GroupExit::CodeModified { addr: op.base_addr });
-                    }
-                }
-                Err(()) => {
-                    return Err(GroupExit::Exception {
-                        kind: ExcKind::Dsi { addr: ea, write: true },
-                        base_addr: op.base_addr,
-                        fault_idx: events.len(),
-                    });
-                }
-            }
-        }
-        OpKind::TrapIf { .. } => match eval(op, vals) {
-            EvalOut::Trap(true) => {
-                return Err(GroupExit::Exception {
-                    kind: ExcKind::Trap,
-                    base_addr: op.base_addr,
-                    fault_idx: events.len(),
-                });
-            }
-            EvalOut::Trap(false) => {
-                events.push(ArchEvent::TrapCheck);
-                count_completion(stats, last_base, op.base_addr);
-            }
-            _ => unreachable!("TrapIf evaluates to Trap"),
-        },
-        _ => {
-            let EvalOut::Value { v, carry } = eval(op, vals) else {
-                unreachable!("non-memory ops evaluate to values")
-            };
-            // Load-verify at the commit of a bypassed load (§2.1: "the
-            // value must be reloaded and execution re-commenced from
-            // the point of the load").
-            if op.is_commit && op.bypassed_store {
-                let src = op.srcs()[0];
-                if let Some(pl) = pending[src.index()] {
-                    if read_mem(mem, pl.ea, pl.width, pl.algebraic) != Ok(pl.value) {
-                        stats.alias_failures += 1;
-                        return Err(GroupExit::AliasRestart { addr: op.base_addr });
-                    }
-                }
-            }
-            if let Some(d) = op.dest {
-                rf.set(d, v);
-                tag_info[d.index()] = None;
-            }
-            if let Some(d2) = op.dest2 {
-                rf.set(d2, u32::from(carry.unwrap_or(false)));
-                tag_info[d2.index()] = None;
-            }
-            if !op.speculative {
-                if let Some(d) = op.dest {
-                    events.push(ArchEvent::Def { d1: d, d2: op.dest2 });
                     count_completion(stats, last_base, op.base_addr);
                 }
             }

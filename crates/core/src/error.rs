@@ -17,11 +17,9 @@
 //!    top rung when the native tier is enabled and the host supports
 //!    it; otherwise entries start at `Packed`).
 //! 2. [`Rung::Packed`] — the packed-format engine.
-//! 3. [`Rung::Tree`] — the reference tree-walking engine on the same
-//!    translation.
-//! 4. [`Rung::Conservative`] — the entry is retranslated with load
-//!    speculation inhibited.
-//! 5. [`Rung::Interpret`] — the entry's whole translation page is
+//! 3. [`Rung::Conservative`] — the entry is retranslated with load
+//!    speculation inhibited and runs on the packed engine.
+//! 4. [`Rung::Interpret`] — the entry's whole translation page is
 //!    abandoned and executed by the reference interpreter. Groups never
 //!    span pages, so page-granular interpretation is always sound.
 //!
@@ -42,8 +40,6 @@ pub enum Rung {
     Native,
     /// Packed-format engine (the default execution mode).
     Packed,
-    /// Reference tree-walking engine over the same translation.
-    Tree,
     /// Retranslated with load speculation inhibited (no-spec).
     Conservative,
     /// Pure interpretation of the entry's whole translation page.
@@ -52,8 +48,7 @@ pub enum Rung {
 
 impl Rung {
     /// Every rung, top (fastest) to bottom, in [`Rung::index`] order.
-    pub const ALL: [Rung; 5] =
-        [Rung::Native, Rung::Packed, Rung::Tree, Rung::Conservative, Rung::Interpret];
+    pub const ALL: [Rung; 4] = [Rung::Native, Rung::Packed, Rung::Conservative, Rung::Interpret];
 
     /// Stable position in [`Rung::ALL`] (0 = [`Rung::Native`]), used by
     /// [`crate::metrics`] for per-rung occupancy arrays.
@@ -61,9 +56,8 @@ impl Rung {
         match self {
             Rung::Native => 0,
             Rung::Packed => 1,
-            Rung::Tree => 2,
-            Rung::Conservative => 3,
-            Rung::Interpret => 4,
+            Rung::Conservative => 2,
+            Rung::Interpret => 3,
         }
     }
 
@@ -72,7 +66,6 @@ impl Rung {
         match self {
             Rung::Native => "native",
             Rung::Packed => "packed",
-            Rung::Tree => "tree",
             Rung::Conservative => "conservative",
             Rung::Interpret => "interpret",
         }
@@ -84,8 +77,7 @@ impl Rung {
     pub fn next_down(self) -> Option<Rung> {
         match self {
             Rung::Native => Some(Rung::Packed),
-            Rung::Packed => Some(Rung::Tree),
-            Rung::Tree => Some(Rung::Conservative),
+            Rung::Packed => Some(Rung::Conservative),
             Rung::Conservative => Some(Rung::Interpret),
             Rung::Interpret => None,
         }
@@ -256,7 +248,7 @@ mod tests {
             steps += 1;
         }
         assert_eq!(rung, Rung::Interpret);
-        assert_eq!(steps, 4);
+        assert_eq!(steps, 3);
     }
 
     #[test]
@@ -274,10 +266,10 @@ mod tests {
         let d = Degradation {
             entry: 0x1000,
             from: Rung::Packed,
-            to: Rung::Tree,
+            to: Rung::Conservative,
             cause: DegradeCause::RecoveryMismatch,
         };
-        assert_eq!(d.to_string(), "entry 0x1000: packed -> tree (recovery_mismatch)");
+        assert_eq!(d.to_string(), "entry 0x1000: packed -> conservative (recovery_mismatch)");
         let e = DaisyError::Recovery {
             entry: 0x1000,
             source: RecoverError { message: "mismatch".into() },

@@ -171,9 +171,6 @@ pub struct CampaignConfig {
     pub kind: FaultKind,
     /// Seed for the perturbation schedule.
     pub seed: u64,
-    /// Run the packed engine (true, the default) or the reference tree
-    /// engine, so campaigns can differentially test both.
-    pub packed: bool,
     /// Start entries on the native host-code rung (default false): the
     /// campaign runs with [`crate::native`] enabled at a low compile
     /// threshold, so perturbations land while compiled x86-64 groups
@@ -185,8 +182,9 @@ pub struct CampaignConfig {
     pub chaining: bool,
     /// Ladder steps the campaign driver forces (spread over the run, at
     /// the then-current PC, recorded under [`FaultKind::cause`]), so
-    /// every campaign also exercises the tree / conservative /
-    /// interpret rungs. Default 3 — one full walk to the floor.
+    /// every campaign also exercises the conservative and interpret
+    /// rungs. Default 2 — one full walk from the packed rung to the
+    /// floor.
     pub max_degrades: u32,
     /// MMIO device-tree factory, required by [`FaultKind::Preempt`]
     /// campaigns (and ignored by every other kind): the campaign
@@ -196,18 +194,10 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A default campaign: packed engine, chaining on, three forced
+    /// A default campaign: packed engine, chaining on, two forced
     /// ladder steps.
     pub fn new(kind: FaultKind, seed: u64) -> CampaignConfig {
-        CampaignConfig {
-            kind,
-            seed,
-            packed: true,
-            native: false,
-            chaining: true,
-            max_degrades: 3,
-            bus: None,
-        }
+        CampaignConfig { kind, seed, native: false, chaining: true, max_degrades: 2, bus: None }
     }
 
     /// The same campaign with the native host-code tier on (low
@@ -414,7 +404,6 @@ pub fn run_campaign_on_program<I: Isa>(
     let mut builder = DaisySystem::<I>::builder()
         .mem_size(mem_size)
         .chaining(cfg.chaining)
-        .packed_execution(cfg.packed)
         .native_execution(cfg.native)
         .native_threshold(2);
     if kind == FaultKind::CastOutThrash {
@@ -591,7 +580,6 @@ fn run_preempt_campaign_on_program<I: Isa>(
     let mut sys = DaisySystem::<I>::builder()
         .mem_size(mem_size)
         .chaining(cfg.chaining)
-        .packed_execution(cfg.packed)
         .native_execution(cfg.native)
         .native_threshold(2)
         .record_deliveries(true)
@@ -645,7 +633,7 @@ fn run_preempt_campaign_on_program<I: Isa>(
             injections += 1;
         }
         // Same ladder driver as the generic campaigns: every campaign
-        // also exercises the tree / conservative / interpret rungs.
+        // also exercises the conservative and interpret rungs.
         if degrades_left > 0
             && boundaries.is_multiple_of(7)
             && sys.degrade(sys.cpu.pc(), kind.cause()).is_some()

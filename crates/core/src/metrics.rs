@@ -17,8 +17,8 @@
 //!   slots the system publishes absolute counter values into every
 //!   [`publish period`](crate::system::DaisySystemBuilder::metrics_publish_period)
 //!   group boundaries. Readers on other threads take consistent-enough
-//!   snapshots without locks; the forthcoming multi-guest translation
-//!   server exports one registry per guest.
+//!   snapshots without locks; one system publishes per registry, so
+//!   several guests in one process each export their own.
 //! * [`PostMortem`] — flight-recorder ring contents + the run's full
 //!   degradation chain + a final snapshot, captured automatically on
 //!   every ladder degradation and on fault-injection divergence (see
@@ -815,8 +815,8 @@ impl Default for RegistryInner {
 /// publishing system and any number of readers.
 ///
 /// Cloning the registry clones the *handle* (`Arc`); all clones see the
-/// same slots, so a monitoring thread (or the forthcoming translation
-/// server's exporter) can hold one clone and take
+/// same slots, so a monitoring thread (or a scrape endpoint) can hold
+/// one clone and take
 /// [`MetricsRegistry::snapshot`]s while the system runs and publishes
 /// into another. Publication stores absolute values with relaxed
 /// ordering: individual slots are never torn, though a concurrent
@@ -1007,7 +1007,7 @@ mod tests {
         let degs = [Degradation {
             entry: 0x1000,
             from: Rung::Packed,
-            to: Rung::Tree,
+            to: Rung::Conservative,
             cause: DegradeCause::CastOutPressure,
         }];
         MetricsSnapshot::gather(&MetricsSource {
@@ -1015,7 +1015,7 @@ mod tests {
             vmm: &vmm,
             native: None,
             degradations: &degs,
-            rung_entries: [0, 0, 1, 0, 0],
+            rung_entries: [0, 0, 1, 0],
             live_pages: 3,
             live_groups: 7,
             interp_pages: 0,
@@ -1037,7 +1037,7 @@ mod tests {
         assert_eq!(snap.gauge(Gauge::LiveGroups), 7);
         assert_eq!(snap.gauge(Gauge::DegradedEntries), 1);
         assert_eq!(snap.degradations_by(DegradeCause::CastOutPressure), 1);
-        assert_eq!(snap.rung_entries(Rung::Tree), 1);
+        assert_eq!(snap.rung_entries(Rung::Conservative), 1);
         assert_eq!(snap.issue_parcels.count, 301);
         assert_eq!(snap.issue_parcels.sum, 300 * 2 + 24);
         assert_eq!(snap.irq_latency.count, 3);
@@ -1092,7 +1092,9 @@ mod tests {
         assert!(text.contains(
             "daisy_degradations_total{workload=\"alpha\",cause=\"cast_out_pressure\"} 1"
         ));
-        assert!(text.contains("daisy_ladder_rung_entries{workload=\"alpha\",rung=\"tree\"} 1"));
+        assert!(
+            text.contains("daisy_ladder_rung_entries{workload=\"alpha\",rung=\"conservative\"} 1")
+        );
         assert!(text.contains("daisy_irq_latency_instrs_bucket{workload=\"alpha\",le=\"+Inf\"} 3"));
         assert!(text.contains("daisy_irq_latency_instrs_count{workload=\"alpha\"} 3"));
         // Cumulative buckets are monotone and end at count.
@@ -1128,13 +1130,13 @@ mod tests {
     #[test]
     fn post_mortem_display_is_structured() {
         let pm = PostMortem {
-            reason: "ladder degradation: entry 0x1000: packed -> tree (forced)".into(),
+            reason: "ladder degradation: entry 0x1000: packed -> conservative (forced)".into(),
             events: vec![(7, TraceEvent::Invalidate { page: 3 })],
             dropped: 1,
             chain: vec![Degradation {
                 entry: 0x1000,
                 from: Rung::Packed,
-                to: Rung::Tree,
+                to: Rung::Conservative,
                 cause: DegradeCause::Forced,
             }],
             snapshot: sample_snapshot(),
@@ -1142,7 +1144,7 @@ mod tests {
         let dump = pm.to_string();
         assert!(dump.contains("=== daisy post-mortem:"));
         assert!(dump.contains("degradation chain (1 steps):"));
-        assert!(dump.contains("1. entry 0x1000: packed -> tree (forced)"));
+        assert!(dump.contains("1. entry 0x1000: packed -> conservative (forced)"));
         assert!(dump.contains("[7] invalidate page 3"));
         assert!(dump.contains("1 dropped"));
         assert!(dump.contains("snapshot: dispatches=100 (vmm 10 + chained 90)"));

@@ -50,9 +50,10 @@
 //! for dispatches aborted mid-node (exceptions, alias restarts) the
 //! trailing node is approximated as fully executed.
 //!
-//! Attribution is **engine-independent**: the packed and tree engines
-//! record identical visit traces (`tests/profile.rs` pins equality of
-//! whole profiles, floating point included).
+//! Recording never perturbs what it measures: the profiled packed
+//! engine leaves the same architected state, memory and [`RunStats`]
+//! as the unprofiled one (`tests/profile.rs` pins this on the paper
+//! workloads under the finite cache hierarchy).
 
 use crate::engine::GroupCode;
 use crate::stats::RunStats;

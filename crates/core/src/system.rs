@@ -17,8 +17,8 @@
 //! ISA it is running.
 
 use crate::engine::{
-    run_group, run_group_profiled, run_group_resume, run_group_tree, run_group_tree_profiled,
-    ChainLink, EngineScratch, ExcKind, GroupCode, GroupExit,
+    run_group, run_group_profiled, run_group_resume, ChainLink, EngineScratch, ExcKind, GroupCode,
+    GroupExit,
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
 use crate::metrics::{IrqLatency, MetricsRegistry, MetricsSnapshot, MetricsSource, PostMortem};
@@ -103,9 +103,6 @@ pub struct DaisySystem<I: Isa> {
     chaining: bool,
     /// The previous group's exit, if a chain link may apply to it.
     pending_chain: Option<PendingChain>,
-    /// Execute groups through the packed format (default) or the
-    /// reference tree walk.
-    packed: bool,
     /// Per-group execution profiler (`None` unless enabled through the
     /// builder; tiered retranslation enables it implicitly).
     pub profiler: Option<GroupProfiler>,
@@ -183,7 +180,6 @@ pub struct DaisySystemBuilder<I: Isa> {
     profiling: bool,
     guest_profiling: bool,
     tier_policy: Option<TierPolicy>,
-    packed: bool,
     native: bool,
     native_config: NativeTierConfig,
     record_deliveries: bool,
@@ -208,7 +204,6 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             profiling: false,
             guest_profiling: false,
             tier_policy: None,
-            packed: true,
             native: false,
             native_config: NativeTierConfig::default(),
             record_deliveries: false,
@@ -269,24 +264,15 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Execute translated groups through the packed format (default
-    /// on). Off selects the reference tree-walking engine — observably
-    /// identical, slower; kept for measurement and differential
-    /// testing (see [`crate::engine::run_group_tree`]).
-    pub fn packed_execution(mut self, on: bool) -> Self {
-        self.packed = on;
-        self
-    }
-
     /// Enables the native host-code tier (default off): groups whose
     /// dispatch count crosses [`DaisySystemBuilder::native_threshold`]
     /// are lowered to executable x86-64 and entered directly, with
     /// chained direct jumps between compiled groups (see
-    /// [`crate::native`] and `docs/jit.md`). Requires packed execution;
-    /// silently falls back to the packed engine when the host is not
-    /// x86-64 Linux, when guest profiling is enabled (native code
-    /// records no retirement trace), or when the cache hierarchy is
-    /// finite (native code does not probe the cache model).
+    /// [`crate::native`] and `docs/jit.md`). Silently falls back to the
+    /// packed engine when the host is not x86-64 Linux, when guest
+    /// profiling is enabled (native code records no retirement trace),
+    /// or when the cache hierarchy is finite (native code does not
+    /// probe the cache model).
     pub fn native_execution(mut self, on: bool) -> Self {
         self.native = on;
         self
@@ -359,8 +345,8 @@ impl<I: Isa> DaisySystemBuilder<I> {
     }
 
     /// Publishes into an existing shared registry handle instead of a
-    /// fresh one (a monitoring thread — or the forthcoming translation
-    /// server — holds a clone and snapshots it while the system runs).
+    /// fresh one (a monitoring thread holds a clone and snapshots it
+    /// while the system runs).
     pub fn metrics_registry(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -445,15 +431,13 @@ impl<I: Isa> DaisySystemBuilder<I> {
         let hot_threshold = self.tier_policy.as_ref().map(|p| p.hot_threshold);
         vmm.tier_policy = self.tier_policy;
         // The native tier only composes with configurations it can
-        // reproduce exactly: packed execution (it lowers the packed
-        // format), no guest profiling (native code records no
-        // retirement trace), and an infinite cache (native code does
-        // not probe the cache model). `NativeTier::new` additionally
+        // reproduce exactly: no guest profiling (native code records no
+        // retirement trace) and an infinite cache (native code does not
+        // probe the cache model). `NativeTier::new` additionally
         // returns `None` on hosts that cannot execute emitted x86-64.
-        let native =
-            (self.native && self.packed && !self.guest_profiling && self.cache.is_infinite())
-                .then(|| NativeTier::new(self.native_config))
-                .flatten();
+        let native = (self.native && !self.guest_profiling && self.cache.is_infinite())
+            .then(|| NativeTier::new(self.native_config))
+            .flatten();
         DaisySystem {
             mem: Memory::new(self.mem_size),
             cpu: <I::Cpu as GuestCpu>::new(0),
@@ -470,7 +454,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
             scratch: EngineScratch::new(),
             chaining: self.chaining,
             pending_chain: None,
-            packed: self.packed,
             profiler: self.profiling.then(GroupProfiler::new),
             guest_profile: self.guest_profiling.then(GuestProfile::new),
             hot_threshold,
@@ -797,9 +780,9 @@ impl<I: Isa> DaisySystem<I> {
         let base_instrs_before = self.stats.base_instrs;
         let mut rf = RegFile::new();
         self.cpu.fill_regfile(&mut rf);
-        // Entries faulted down the ladder run on the reference tree
-        // engine (the conservative rung also retranslated without
-        // load speculation, upstream in the VMM).
+        // Entries faulted below the native rung run on the packed
+        // engine (the conservative rung's translation was rebuilt
+        // without load speculation, upstream in the VMM).
         let default_rung = if self.native.is_some() { Rung::Native } else { Rung::Packed };
         let rung = if self.ladder_engaged {
             self.ladder.get(&code.group.entry).copied().unwrap_or(default_rung)
@@ -863,15 +846,8 @@ impl<I: Isa> DaisySystem<I> {
         let (exit, run_entry, run_code) = match native_result {
             Some(r) => r,
             None => {
-                let engine = match (
-                    self.packed && matches!(rung, Rung::Packed | Rung::Native),
-                    self.guest_profile.is_some(),
-                ) {
-                    (true, false) => run_group,
-                    (true, true) => run_group_profiled,
-                    (false, false) => run_group_tree,
-                    (false, true) => run_group_tree_profiled,
-                };
+                let engine =
+                    if self.guest_profile.is_some() { run_group_profiled } else { run_group };
                 let exit = engine(
                     &code,
                     &mut rf,
@@ -1116,7 +1092,6 @@ impl<I: Isa> DaisySystem<I> {
         let to = from.next_down()?;
         self.ladder.insert(entry, to);
         match to {
-            Rung::Tree => {}
             Rung::Conservative => {
                 // Drop the entry's translation; the next dispatch
                 // rebuilds it with load speculation inhibited.
@@ -1719,8 +1694,8 @@ mod tests {
     fn mmio_accesses_bail_to_the_interpreter() {
         // A translated load/store that reaches the device window must
         // bail pre-side-effect and re-execute on the interpreter: the
-        // device sees each access exactly once, on both the packed and
-        // tree tiers, and `mmio_ops` counts each bail.
+        // device sees each access exactly once, and `mmio_ops` counts
+        // each bail.
         let mut a = Asm::new(0x1000);
         a.li32(Gpr(9), 0x2000_0000);
         a.li(Gpr(5), 77);
@@ -1730,23 +1705,20 @@ mod tests {
         a.sc();
         let prog = a.finish().unwrap();
 
-        for packed in [true, false] {
-            let mut sys =
-                DaisySystem::<PpcIsa>::builder().mem_size(0x40000).packed_execution(packed).build();
-            sys.mem.attach_bus(0x2000_0000, 0x100, Box::new(Latch::default()));
-            sys.load(&prog).unwrap();
-            let stop = sys.run(1_000_000).unwrap();
-            assert_eq!(stop, StopReason::Syscall, "packed={packed}");
-            assert_eq!(sys.cpu.gpr[3], 82, "store then load through the device");
-            assert_eq!(sys.stats.mmio_ops, 2, "one bail per device access");
-            let dev = sys
-                .mem
-                .with_bus(|_, dev| {
-                    let latch = dev.as_any_mut().downcast_mut::<Latch>().unwrap();
-                    (latch.reads, latch.writes)
-                })
-                .unwrap();
-            assert_eq!(dev, (1, 1), "device saw each access exactly once");
-        }
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x40000).build();
+        sys.mem.attach_bus(0x2000_0000, 0x100, Box::new(Latch::default()));
+        sys.load(&prog).unwrap();
+        let stop = sys.run(1_000_000).unwrap();
+        assert_eq!(stop, StopReason::Syscall);
+        assert_eq!(sys.cpu.gpr[3], 82, "store then load through the device");
+        assert_eq!(sys.stats.mmio_ops, 2, "one bail per device access");
+        let dev = sys
+            .mem
+            .with_bus(|_, dev| {
+                let latch = dev.as_any_mut().downcast_mut::<Latch>().unwrap();
+                (latch.reads, latch.writes)
+            })
+            .unwrap();
+        assert_eq!(dev, (1, 1), "device saw each access exactly once");
     }
 }

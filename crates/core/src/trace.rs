@@ -787,10 +787,13 @@ mod tests {
         let ev = TraceEvent::Degraded {
             entry: 0x1000,
             from: Rung::Packed,
-            to: Rung::Tree,
+            to: Rung::Conservative,
             cause: DegradeCause::CastOutPressure,
         };
-        assert_eq!(ev.to_string(), "degraded entry 0x1000: packed -> tree (cast_out_pressure)");
+        assert_eq!(
+            ev.to_string(),
+            "degraded entry 0x1000: packed -> conservative (cast_out_pressure)"
+        );
         assert_eq!(
             TraceEvent::CastOut { page: 4, groups: 2 }.to_string(),
             "cast out page 4 (2 groups)"
@@ -878,7 +881,7 @@ mod tests {
             TraceEvent::Degraded {
                 entry: 4,
                 from: Rung::Packed,
-                to: Rung::Tree,
+                to: Rung::Conservative,
                 cause: DegradeCause::RecoveryMismatch,
             },
         ];

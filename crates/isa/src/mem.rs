@@ -261,91 +261,17 @@ impl Memory {
         }
     }
 
-    /// Reads one byte.
-    pub fn read_u8(&self, addr: u32) -> Result<u8, MemFault> {
-        self.read_u8_impl(addr)
-    }
-
-    /// Reads a big-endian halfword.
-    pub fn read_u16(&self, addr: u32) -> Result<u16, MemFault> {
-        self.read_u16_impl(addr)
-    }
-
-    /// Reads a big-endian word.
-    pub fn read_u32(&self, addr: u32) -> Result<u32, MemFault> {
-        self.read_u32_impl(addr)
-    }
-
-    /// Writes one byte, recording code-modification events.
-    pub fn write_u8(&mut self, addr: u32, v: u8) -> Result<(), MemFault> {
-        self.write_u8_impl(addr, v)
-    }
-
-    /// Writes a big-endian halfword.
-    pub fn write_u16(&mut self, addr: u32, v: u16) -> Result<(), MemFault> {
-        self.write_u16_impl(addr, v)
-    }
-
-    /// Writes a big-endian word.
-    pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), MemFault> {
-        self.write_u32_impl(addr, v)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::read_u8`] for the
-    /// packed execution engine's hot loop (the unsuffixed accessors
-    /// deliberately stay outlined calls so the reference tree engine
-    /// keeps its pre-packing code shape).
-    #[inline(always)]
-    pub fn read_u8_inline(&self, addr: u32) -> Result<u8, MemFault> {
-        self.read_u8_impl(addr)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::read_u16`].
-    #[inline(always)]
-    pub fn read_u16_inline(&self, addr: u32) -> Result<u16, MemFault> {
-        self.read_u16_impl(addr)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::read_u32`].
-    #[inline(always)]
-    pub fn read_u32_inline(&self, addr: u32) -> Result<u32, MemFault> {
-        self.read_u32_impl(addr)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::write_u8`].
-    #[inline(always)]
-    pub fn write_u8_inline(&mut self, addr: u32, v: u8) -> Result<(), MemFault> {
-        self.write_u8_impl(addr, v)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::write_u16`].
-    #[inline(always)]
-    pub fn write_u16_inline(&mut self, addr: u32, v: u16) -> Result<(), MemFault> {
-        self.write_u16_impl(addr, v)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::write_u32`].
-    #[inline(always)]
-    pub fn write_u32_inline(&mut self, addr: u32, v: u32) -> Result<(), MemFault> {
-        self.write_u32_impl(addr, v)
-    }
-
-    /// Inlining-guaranteed variant of [`Memory::has_code_writes`].
-    #[inline(always)]
-    pub fn has_code_writes_inline(&self) -> bool {
-        !self.code_writes.is_empty()
-    }
-
-    // The `_impl` accessors route bounds-check failures to the MMIO
-    // window before faulting. Device access is therefore automatic for
+    // The accessors route bounds-check failures to the MMIO window
+    // before faulting. Device access is therefore automatic for
     // every *interpreter* path (the window sits above RAM, so the
     // ordinary check fails exactly for device addresses); engine tiers
     // never reach this routing because they test `is_mmio_inline`
     // first and bail — reaching a device read from translated code
     // could replay its side effects on the recovery re-execution.
 
+    /// Reads one byte.
     #[inline(always)]
-    fn read_u8_impl(&self, addr: u32) -> Result<u8, MemFault> {
+    pub fn read_u8(&self, addr: u32) -> Result<u8, MemFault> {
         match self.check(addr, 1, false) {
             Ok(i) => Ok(self.bytes[i]),
             Err(f) => match self.mmio_read(addr, 1) {
@@ -355,8 +281,9 @@ impl Memory {
         }
     }
 
+    /// Reads a big-endian halfword.
     #[inline(always)]
-    fn read_u16_impl(&self, addr: u32) -> Result<u16, MemFault> {
+    pub fn read_u16(&self, addr: u32) -> Result<u16, MemFault> {
         match self.check(addr, 2, false) {
             Ok(i) => Ok(u16::from_be_bytes([self.bytes[i], self.bytes[i + 1]])),
             Err(f) => match self.mmio_read(addr, 2) {
@@ -366,8 +293,9 @@ impl Memory {
         }
     }
 
+    /// Reads a big-endian word.
     #[inline(always)]
-    fn read_u32_impl(&self, addr: u32) -> Result<u32, MemFault> {
+    pub fn read_u32(&self, addr: u32) -> Result<u32, MemFault> {
         match self.check(addr, 4, false) {
             Ok(i) => Ok(u32::from_be_bytes([
                 self.bytes[i],
@@ -382,8 +310,9 @@ impl Memory {
         }
     }
 
+    /// Writes one byte, recording code-modification events.
     #[inline(always)]
-    fn write_u8_impl(&mut self, addr: u32, v: u8) -> Result<(), MemFault> {
+    pub fn write_u8(&mut self, addr: u32, v: u8) -> Result<(), MemFault> {
         match self.check(addr, 1, true) {
             Ok(i) => {
                 self.note_store(addr, 1);
@@ -394,8 +323,9 @@ impl Memory {
         }
     }
 
+    /// Writes a big-endian halfword.
     #[inline(always)]
-    fn write_u16_impl(&mut self, addr: u32, v: u16) -> Result<(), MemFault> {
+    pub fn write_u16(&mut self, addr: u32, v: u16) -> Result<(), MemFault> {
         match self.check(addr, 2, true) {
             Ok(i) => {
                 self.note_store(addr, 2);
@@ -406,8 +336,9 @@ impl Memory {
         }
     }
 
+    /// Writes a big-endian word.
     #[inline(always)]
-    fn write_u32_impl(&mut self, addr: u32, v: u32) -> Result<(), MemFault> {
+    pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), MemFault> {
         match self.check(addr, 4, true) {
             Ok(i) => {
                 self.note_store(addr, 4);
@@ -469,6 +400,7 @@ impl Memory {
     }
 
     /// True if any code-modification event is pending.
+    #[inline(always)]
     pub fn has_code_writes(&self) -> bool {
         !self.code_writes.is_empty()
     }

@@ -20,7 +20,7 @@
 //!
 //! Devices are clocked by **retired guest instructions**, not host time
 //! and not VLIW cycles: it is the only clock that every execution tier
-//! (interpreter, tree, packed, native) and the interpreter oracle agree
+//! (interpreter, packed, native) and the interpreter oracle agree
 //! on bit-for-bit. All device state is a pure function of (`now`, the
 //! history of MMIO writes with their times) — sampling the IRQ line
 //! mutates nothing — which is what lets the preemption-fuzz harness

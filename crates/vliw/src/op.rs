@@ -410,33 +410,15 @@ fn carry_sum(a: u32, b: u32, c: u32) -> (u32, bool) {
 ///
 /// `vals[i]` is the runtime value of `op.srcs()[i]`. Memory operations
 /// return [`EvalOut::Memory`]; use [`effective_address`] and the engine
-/// for those.
-///
-/// Deliberately an outlined call: the reference tree engine keeps its
-/// pre-packing code shape through this entry point, while the packed
-/// hot loop uses [`eval_inline`].
+/// for those. Always inlined: the packed engine's hot loop expands the
+/// evaluation match at the call site, so primitive dispatch costs no
+/// function call.
 ///
 /// # Panics
 ///
 /// Panics if `vals` is shorter than the operation's source list.
+#[inline(always)]
 pub fn eval(op: &Operation, vals: &[u32]) -> EvalOut {
-    eval_impl(op, vals)
-}
-
-/// Inlining-guaranteed variant of [`eval`] for the packed engine's hot
-/// loop — identical semantics, but the evaluation match is expanded at
-/// the call site so primitive dispatch costs no function call.
-///
-/// # Panics
-///
-/// Panics if `vals` is shorter than the operation's source list.
-#[inline(always)]
-pub fn eval_inline(op: &Operation, vals: &[u32]) -> EvalOut {
-    eval_impl(op, vals)
-}
-
-#[inline(always)]
-fn eval_impl(op: &Operation, vals: &[u32]) -> EvalOut {
     use OpKind::*;
     let v = |i: usize| vals[i];
     let value = |x: u32| EvalOut::Value { v: x, carry: None };
@@ -546,23 +528,12 @@ fn sra(s: u32, n: u32) -> (u32, bool) {
 /// Loads sum *all* sources (base and optional index) plus the signed
 /// displacement; stores reserve `src0` for the value and sum the rest.
 /// A missing base means the architected `ra = 0` literal-zero form.
-pub fn effective_address(op: &Operation, vals: &[u32]) -> u32 {
-    effective_address_impl(op, vals)
-}
-
-/// Inlining-guaranteed variant of [`effective_address`] for the packed
-/// engine's hot loop.
 ///
 /// # Panics
 ///
 /// Panics on non-memory operations.
 #[inline(always)]
-pub fn effective_address_inline(op: &Operation, vals: &[u32]) -> u32 {
-    effective_address_impl(op, vals)
-}
-
-#[inline(always)]
-fn effective_address_impl(op: &Operation, vals: &[u32]) -> u32 {
+pub fn effective_address(op: &Operation, vals: &[u32]) -> u32 {
     let addr_vals = match op.kind {
         OpKind::Load { .. } => vals,
         OpKind::Store { .. } => &vals[1..],

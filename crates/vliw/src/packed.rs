@@ -26,7 +26,7 @@
 //!
 //! Lowering is total and lossless for any group that passes
 //! [`Group::validate`]; the `daisy` core crate's property tests pin the
-//! packed walk to the tree walk observation-for-observation.
+//! packed walk to the reference interpreter's architected state.
 
 use crate::op::{OpKind, Operation};
 use crate::reg::Reg;
@@ -36,7 +36,7 @@ use crate::tree::{Cond, Exit, Group, IndirectVia, NodeKind};
 /// *backward* intra-group edge stops looping and leaves the group
 /// through an architected branch to the target VLIW's anchor.
 ///
-/// Shared by every engine (packed, tree, native) so a budget exit is
+/// Shared by every engine (packed, native) so a budget exit is
 /// observationally identical across tiers: the limit is always
 /// `vliws_executed`-at-group-entry plus this constant, checked at each
 /// backward edge before it is followed.
@@ -71,7 +71,7 @@ pub enum OpClass {
     /// Committed [`OpKind::RotlImmMask`].
     RotlImmMask,
     /// Any other committed non-memory value op (evaluated through the
-    /// generic [`crate::op::eval_inline`] table).
+    /// generic [`crate::op::eval`] table).
     Value,
     /// Speculative non-memory value op: renamed destinations, no
     /// architected event.

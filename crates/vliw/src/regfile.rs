@@ -57,8 +57,7 @@ impl RegFile {
     /// Direct mutable views of the value and tag arrays, indexed by
     /// [`Reg::index`]. The packed execution engine borrows these once
     /// per dispatch so its inlined hot loop reads and writes registers
-    /// as plain array accesses instead of per-operand accessor calls
-    /// (which stay outlined for the reference tree engine).
+    /// as plain array accesses instead of per-operand accessor calls.
     #[inline]
     pub fn arrays_mut(&mut self) -> (&mut [u32; NUM_REGS], &mut [bool; NUM_REGS]) {
         (&mut self.vals, &mut self.tags)

@@ -18,7 +18,7 @@ grep -q '"schema": "daisy-health-v1"' "$health" || {
   echo "error: schema tag daisy-health-v1 missing in $health" >&2
   exit 1
 }
-grep -Eq '"mode": "(packed|tree|native)"' "$health" || {
+grep -Eq '"mode": "(packed|native)"' "$health" || {
   echo "error: mode field missing or invalid in $health" >&2
   exit 1
 }

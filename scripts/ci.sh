@@ -75,6 +75,20 @@ scripts/check_report_shape.sh "$artifacts/BENCH_report.smoke.json" 2
   exit 1
 }
 
+# Simulated-results pin: the full nine-workload report (finite-cache
+# ILP, base instructions, speculation counts, overhead per base
+# instruction) is deterministic, so a regenerated copy must match the
+# committed BENCH_report.json byte for byte. Any engine or translator
+# change that moves a simulated figure fails here; regenerate the file
+# (`cargo run --release -p daisy-bench --bin report`) only for a change
+# that means to move them, and say so.
+cargo run -q --release -p daisy-bench --bin report -- --out "$artifacts/BENCH_report.json"
+scripts/check_report_shape.sh "$artifacts/BENCH_report.json" 9
+cmp "$artifacts/BENCH_report.json" BENCH_report.json || {
+  echo "error: regenerated BENCH_report.json differs from the committed file" >&2
+  exit 1
+}
+
 # Live-metrics health smoke: two workloads through the metrics
 # registry with periodic snapshots, then the shape assertion over the
 # JSON document and the Prometheus exposition (the structural

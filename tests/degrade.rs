@@ -1,6 +1,6 @@
 //! The graceful-degradation ladder under pressure: a translation cache
-//! clamped to a page or two of code, the full Packed → Tree →
-//! Conservative → Interpret walk, and interpret-ahead budget
+//! clamped to a page or two of code, the full Packed → Conservative →
+//! Interpret walk, and interpret-ahead budget
 //! exhaustion. Every configuration must stay bit-exact against the
 //! pure-interpreter reference.
 
@@ -67,8 +67,8 @@ fn clamped_cache_is_bit_exact_on_all_workloads() {
     assert!(cast_outs_total > 0, "the clamp must force cast-outs somewhere");
 }
 
-/// The full ladder walk on every workload: force Packed → Tree →
-/// Conservative → Interpret at the entry point, run to completion, and
+/// The full ladder walk on every workload: force Packed → Conservative
+/// → Interpret at the entry point, run to completion, and
 /// demand bit-exactness. The floor rung refuses to step further.
 #[test]
 fn full_ladder_walk_is_bit_exact() {
@@ -79,7 +79,7 @@ fn full_ladder_walk_is_bit_exact() {
         let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).build();
         sys.load(&prog).unwrap();
         let entry = prog.entry;
-        for expect_to in [daisy::Rung::Tree, daisy::Rung::Conservative, daisy::Rung::Interpret] {
+        for expect_to in [daisy::Rung::Conservative, daisy::Rung::Interpret] {
             let d = sys.degrade(entry, DegradeCause::Forced).expect("ladder has a rung left");
             assert_eq!(d.to, expect_to, "{}: ladder out of order", w.name);
         }
@@ -95,7 +95,7 @@ fn full_ladder_walk_is_bit_exact() {
         assert_state_matches(&w, &sys, &ref_cpu, &ref_mem);
         w.check(&sys.cpu, &sys.mem)
             .unwrap_or_else(|e| panic!("{}: checker failed on the floor: {e}", w.name));
-        assert_eq!(sys.degradations().len(), 3, "{}: exactly three steps recorded", w.name);
+        assert_eq!(sys.degradations().len(), 2, "{}: exactly two steps recorded", w.name);
     }
 }
 
@@ -142,10 +142,11 @@ fn hint_budget_exhaustion_is_surfaced() {
 }
 
 /// Guest-level attribution must survive the degradation ladder: with
-/// profiling on, a full Packed → Tree → Conservative → Interpret walk
-/// still records every forced step as a `"degrade"` instant on the
-/// timeline, and the conservation invariant (attributed issue and
-/// stall cycles equal the run totals) holds across the tier changes.
+/// profiling on, the walk down to the last translated rung (Packed →
+/// Conservative) still records the forced step as a `"degrade"`
+/// instant on the timeline, and the conservation invariant (attributed
+/// issue and stall cycles equal the run totals) holds across the tier
+/// change.
 #[test]
 fn guest_profile_survives_ladder_walk() {
     let w = daisy_workloads::by_name("cmp").expect("known workload");
@@ -154,11 +155,10 @@ fn guest_profile_survives_ladder_walk() {
         DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).guest_profiling(true).build();
     sys.load(&prog).unwrap();
     let entry = prog.entry;
-    // Two rungs down: Conservative still dispatches translated groups,
-    // so attribution keeps flowing after the tier changes.
-    for _ in 0..2 {
-        sys.degrade(entry, DegradeCause::Forced).expect("ladder has a rung left");
-    }
+    // One rung down: Conservative still dispatches translated groups,
+    // so attribution keeps flowing after the tier change.
+    let d = sys.degrade(entry, DegradeCause::Forced).expect("ladder has a rung left");
+    assert_eq!(d.to, daisy::Rung::Conservative);
     let stop = sys.run(50 * w.max_instrs).unwrap();
     assert_eq!(stop, StopReason::Syscall);
     w.check(&sys.cpu, &sys.mem).expect("checker passes under profiling + degradation");
@@ -169,7 +169,7 @@ fn guest_profile_survives_ladder_walk() {
         .iter()
         .filter(|e| matches!(e, TimelineEvent::Instant { label: "degrade", .. }))
         .count();
-    assert_eq!(degrade_instants, 2, "both forced steps must appear on the timeline");
+    assert_eq!(degrade_instants, 1, "the forced step must appear on the timeline");
 
     let issue = gp.total_issue_cycles();
     let stalls = gp.total_stall_cycles();

@@ -78,10 +78,10 @@ fn trace_event_one_liners_are_pinned() {
             TraceEvent::Degraded {
                 entry: 0x1000,
                 from: Rung::Packed,
-                to: Rung::Tree,
+                to: Rung::Conservative,
                 cause: DegradeCause::CastOutPressure,
             },
-            "degraded entry 0x1000: packed -> tree (cast_out_pressure)",
+            "degraded entry 0x1000: packed -> conservative (cast_out_pressure)",
         ),
     ];
     for (ev, want) in cases {
@@ -94,7 +94,7 @@ fn trace_event_one_liners_are_pinned() {
 #[test]
 fn rung_and_cause_names_are_pinned() {
     let rungs: Vec<String> = Rung::ALL.iter().map(ToString::to_string).collect();
-    assert_eq!(rungs, ["native", "packed", "tree", "conservative", "interpret"]);
+    assert_eq!(rungs, ["native", "packed", "conservative", "interpret"]);
     let causes: Vec<String> = DegradeCause::ALL.iter().map(ToString::to_string).collect();
     assert_eq!(
         causes,

@@ -30,17 +30,6 @@ fn all_fault_kinds_bit_exact_with_degradations() {
     }
 }
 
-/// The tree engine survives the same campaigns (the ladder's first rung
-/// must be as robust as the packed default).
-#[test]
-fn campaigns_pass_on_tree_engine() {
-    let w = daisy_workloads::by_name("wc").expect("wc workload");
-    for kind in [FaultKind::HotPatch, FaultKind::InterruptStorm, FaultKind::TranslationDrop] {
-        let cfg = CampaignConfig { packed: false, ..CampaignConfig::new(kind, 11) };
-        run_campaign(&w, &cfg).unwrap_or_else(|e| panic!("tree-engine campaign failed: {e}"));
-    }
-}
-
 /// Campaigns with chaining disabled exercise the pure-VMM dispatch
 /// path's recovery surface.
 #[test]
@@ -87,13 +76,13 @@ fn degraded_events_reach_the_trace_stream() {
     let mut sys =
         DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).trace_sink(sink.clone()).build();
     sys.load(&prog).unwrap();
-    // Prime a translation, then force two ladder steps at the entry.
+    // Prime a translation, then walk the entry to the floor.
     sys.step().unwrap();
     let entry = prog.entry;
-    let d1 = sys.degrade(entry, DegradeCause::Forced).expect("packed -> tree");
-    let d2 = sys.degrade(entry, DegradeCause::Forced).expect("tree -> conservative");
-    assert_eq!((d1.from, d1.to), (daisy::Rung::Packed, daisy::Rung::Tree));
-    assert_eq!((d2.from, d2.to), (daisy::Rung::Tree, daisy::Rung::Conservative));
+    let d1 = sys.degrade(entry, DegradeCause::Forced).expect("packed -> conservative");
+    let d2 = sys.degrade(entry, DegradeCause::Forced).expect("conservative -> interpret");
+    assert_eq!((d1.from, d1.to), (daisy::Rung::Packed, daisy::Rung::Conservative));
+    assert_eq!((d2.from, d2.to), (daisy::Rung::Conservative, daisy::Rung::Interpret));
     sys.run(10 * w.max_instrs).unwrap();
     w.check(&sys.cpu, &sys.mem).expect("result exact after degradation");
 
@@ -105,7 +94,7 @@ fn degraded_events_reach_the_trace_stream() {
         TraceEvent::Degraded {
             entry,
             from: daisy::Rung::Packed,
-            to: daisy::Rung::Tree,
+            to: daisy::Rung::Conservative,
             cause: DegradeCause::Forced,
         }
     );

@@ -12,10 +12,9 @@ use daisy::DegradeCause;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 
-fn run_with_metrics(w: &Workload, packed: bool, native: bool) -> DaisySystem<PpcIsa> {
+fn run_with_metrics(w: &Workload, native: bool) -> DaisySystem<PpcIsa> {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
-        .packed_execution(packed)
         .native_execution(native)
         .metrics(true)
         .build();
@@ -25,23 +24,17 @@ fn run_with_metrics(w: &Workload, packed: bool, native: bool) -> DaisySystem<Ppc
     sys
 }
 
-/// Conservation: on all nine workloads, on the packed, tree, and
-/// native tiers, the final snapshot agrees counter-for-counter with
+/// Conservation: on all nine workloads, on the packed and native
+/// tiers, the final snapshot agrees counter-for-counter with
 /// the per-layer stats structs it is gathered from — dispatches,
 /// retired instructions, cast-outs, and interrupts among them. A
 /// mismatch means a publisher drifted from the source of truth.
 #[test]
 fn snapshot_conserves_stats_on_every_workload_and_tier() {
     for w in daisy_workloads::all() {
-        for (packed, native) in [(true, false), (false, false), (true, true)] {
-            let tier = if native {
-                "native"
-            } else if packed {
-                "packed"
-            } else {
-                "tree"
-            };
-            let sys = run_with_metrics(&w, packed, native);
+        for native in [false, true] {
+            let tier = if native { "native" } else { "packed" };
+            let sys = run_with_metrics(&w, native);
             let snap = sys.metrics_snapshot();
             let ctx = format!("{} ({tier})", w.name);
 
@@ -107,7 +100,7 @@ fn snapshot_conserves_stats_on_every_workload_and_tier() {
 #[test]
 fn published_registry_agrees_with_direct_snapshot() {
     for w in daisy_workloads::all() {
-        let mut sys = run_with_metrics(&w, true, false);
+        let mut sys = run_with_metrics(&w, false);
         sys.publish_metrics_now();
         let direct = sys.metrics_snapshot();
         let scraped = sys.metrics_registry().expect("metrics enabled").snapshot();
@@ -129,7 +122,7 @@ fn post_mortem_fires_on_degradation_without_a_sink() {
     assert!(sys.flight_recorder().recorded() > 0, "recorder taps events anyway");
     assert!(sys.post_mortem().is_none(), "nothing degraded yet");
 
-    let d = sys.degrade(prog.entry, DegradeCause::Forced).expect("packed -> tree");
+    let d = sys.degrade(prog.entry, DegradeCause::Forced).expect("packed -> conservative");
     let pm = sys.post_mortem().expect("degradation auto-captures a post-mortem");
     assert!(pm.reason.contains("ladder degradation"), "reason names the trigger: {}", pm.reason);
     assert_eq!(pm.chain, vec![d], "chain carries the recorded degradation");
@@ -153,13 +146,13 @@ fn post_mortem_fires_on_degradation_without_a_sink() {
 
 /// A cast-out-thrash campaign that walks one entry all the way down
 /// must surface the *complete* degradation chain
-/// (Packed → Tree → Conservative → Interpret, in order) in the
+/// (Packed → Conservative → Interpret, in order) in the
 /// outcome's post-mortem, with the snapshot's per-cause tallies
 /// agreeing with the chain.
 #[test]
 fn cast_out_thrash_post_mortem_carries_the_full_chain() {
     let w = daisy_workloads::by_name("c_sieve").expect("sieve workload");
-    let want = [Rung::Packed, Rung::Tree, Rung::Conservative, Rung::Interpret];
+    let want = [Rung::Packed, Rung::Conservative, Rung::Interpret];
 
     let mut found_full_walk = false;
     for seed in 0..16u64 {
@@ -194,7 +187,7 @@ fn cast_out_thrash_post_mortem_carries_the_full_chain() {
                 .filter(|d| d.entry == entry && d.from != d.to)
                 .map(|d| (d.from, d.to))
                 .collect();
-            if walk == [(want[0], want[1]), (want[1], want[2]), (want[2], want[3])] {
+            if walk == [(want[0], want[1]), (want[1], want[2])] {
                 found_full_walk = true;
             }
         }

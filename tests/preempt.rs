@@ -33,11 +33,10 @@ fn native_supported() -> bool {
 
 /// Runs the firmware fuzz-free on a DaisySystem tier to its halt park,
 /// recording every interrupt delivery's `(retired instructions, pc)`.
-fn tier_run(w: &Workload, packed: bool, native: bool) -> DaisySystem<PpcIsa> {
+fn tier_run(w: &Workload, native: bool) -> DaisySystem<PpcIsa> {
     let prog = w.program();
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
-        .packed_execution(packed)
         .native_execution(native)
         .native_threshold(2)
         .record_deliveries(true)
@@ -108,12 +107,12 @@ fn oracle_replay(w: &Workload, deliveries: &[(u64, u32)], ctx: &str) -> (Cpu, Me
 #[test]
 fn firmware_instruction_clock_is_exact_on_every_tier() {
     let w = firmware();
-    let mut tiers = vec![("packed", true, false), ("tree", false, false)];
+    let mut tiers = vec![("packed", false)];
     if native_supported() {
-        tiers.push(("native", true, true));
+        tiers.push(("native", true));
     }
-    for (name, packed, native) in tiers {
-        let sys = tier_run(&w, packed, native);
+    for (name, native) in tiers {
+        let sys = tier_run(&w, native);
         assert!(sys.stats.interrupts_taken >= 2, "{name}: timer never scheduled");
         let log = sys.delivery_log().expect("recording was on").to_vec();
         assert_eq!(log.len() as u64, sys.stats.interrupts_taken, "{name}: log misses deliveries");
@@ -137,19 +136,6 @@ fn preempt_campaigns_bit_exact_on_packed() {
         assert_eq!(out.stop, StopReason::Halted, "seed {seed}");
         assert!(out.interrupts_taken > 0, "seed {seed}: no interrupt was ever delivered");
         assert!(out.degradations >= 1, "seed {seed}: ladder driver recorded no step");
-    }
-}
-
-/// The same campaigns on the tree engine (the ladder's first fallback
-/// rung must deliver interrupts exactly where the packed tier does).
-#[test]
-fn preempt_campaigns_bit_exact_on_tree() {
-    for seed in 0..4u64 {
-        let cfg = CampaignConfig { packed: false, ..preempt_cfg(seed) };
-        let out = run_campaign::<PpcIsa>(&firmware(), &cfg)
-            .unwrap_or_else(|e| panic!("tree seed {seed}: {e}"));
-        assert_eq!(out.stop, StopReason::Halted, "tree seed {seed}");
-        assert!(out.interrupts_taken > 0, "tree seed {seed}");
     }
 }
 

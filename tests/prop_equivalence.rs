@@ -7,281 +7,44 @@
 //! plain interpretation would" — exercised over thousands of program
 //! shapes: dependence chains, carry chains, record forms, compares and
 //! forward branches, loads/stores (aliased and not), CTR loops, and
-//! calls/returns.
+//! calls/returns. The same generator also drives fault-injection
+//! campaigns, which diff against the oracle themselves.
 
+mod common;
+
+use common::{assemble, assert_same, run_daisy, run_oracle, step, Step, MEM_SIZE};
+use daisy::inject::{run_campaign_on_program, CampaignConfig, FaultKind};
 use daisy::sched::TranslatorConfig;
 use daisy::system::DaisySystem;
 use daisy_cachesim::Hierarchy;
-use daisy_ppc::asm::Asm;
-use daisy_ppc::insn::{bo, Insn};
-use daisy_ppc::interp::{Cpu, StopReason};
+use daisy_ppc::interp::Cpu;
 use daisy_ppc::mem::Memory;
-use daisy_ppc::reg::{CrBit, CrField, Gpr};
 use daisy_ppc::PpcIsa;
 use daisy_vliw::machine::MachineConfig;
 use proptest::prelude::*;
 
-/// One step of a generated program. Field values are constrained so the
-/// program always terminates and only touches the data window.
-#[derive(Debug, Clone)]
-enum Step {
-    Alu { op: u8, rt: u8, ra: u8, rb: u8, rc: bool },
-    AluImm { op: u8, rt: u8, ra: u8, imm: i16 },
-    Carry { op: u8, rt: u8, ra: u8, rb: u8 },
-    Shift { op: u8, rt: u8, ra: u8, sh: u8 },
-    Cmp { bf: u8, signed: bool, ra: u8, rb: u8 },
-    Load { width: u8, rt: u8, slot: u8 },
-    Store { width: u8, rs: u8, slot: u8 },
-    LoadIdx { rt: u8, ridx: u8 },
-    StoreIdx { rs: u8, ridx: u8 },
-    SkipIf { bf: u8, bit: u8, want: bool, skip: u8 },
-    CtrLoop { count: u8, body_rt: u8 },
-    Call { rt: u8, ra: u8, rb: u8 },
-    CrOp { bt: u8, ba: u8, bb: u8 },
-    Trap { never: bool },
-}
-
-const DATA: u32 = 0x8000;
-const SLOTS: u32 = 64;
-
-fn step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0u8..8, 0u8..12, 0u8..12, 0u8..12, any::<bool>())
-            .prop_map(|(op, rt, ra, rb, rc)| Step::Alu { op, rt, ra, rb, rc }),
-        (0u8..3, 0u8..12, 0u8..12, any::<i16>()).prop_map(|(op, rt, ra, imm)| Step::AluImm {
-            op,
-            rt,
-            ra,
-            imm
-        }),
-        (0u8..4, 0u8..12, 0u8..12, 0u8..12).prop_map(|(op, rt, ra, rb)| Step::Carry {
-            op,
-            rt,
-            ra,
-            rb
-        }),
-        (0u8..4, 0u8..12, 0u8..12, 0u8..32).prop_map(|(op, rt, ra, sh)| Step::Shift {
-            op,
-            rt,
-            ra,
-            sh
-        }),
-        (0u8..4, any::<bool>(), 0u8..12, 0u8..12).prop_map(|(bf, signed, ra, rb)| Step::Cmp {
-            bf,
-            signed,
-            ra,
-            rb
-        }),
-        (0u8..3, 0u8..12, 0u8..64).prop_map(|(width, rt, slot)| Step::Load { width, rt, slot }),
-        (0u8..3, 0u8..12, 0u8..64).prop_map(|(width, rs, slot)| Step::Store { width, rs, slot }),
-        (0u8..12, 0u8..12).prop_map(|(rt, ridx)| Step::LoadIdx { rt, ridx }),
-        (0u8..12, 0u8..12).prop_map(|(rs, ridx)| Step::StoreIdx { rs, ridx }),
-        (0u8..4, 0u8..4, any::<bool>(), 1u8..6).prop_map(|(bf, bit, want, skip)| Step::SkipIf {
-            bf,
-            bit,
-            want,
-            skip
-        }),
-        (1u8..6, 0u8..12).prop_map(|(count, body_rt)| Step::CtrLoop { count, body_rt }),
-        (0u8..12, 0u8..12, 0u8..12).prop_map(|(rt, ra, rb)| Step::Call { rt, ra, rb }),
-        (0u8..16, 0u8..16, 0u8..16).prop_map(|(bt, ba, bb)| Step::CrOp { bt, ba, bb }),
-        any::<bool>().prop_map(|_| Step::Trap { never: true }),
-    ]
-}
-
-/// Emits the generated steps as real instructions. r20 is reserved as
-/// the data-window base, r21 as a bounded index register.
-fn emit(a: &mut Asm, steps: &[Step]) {
-    let base = Gpr(20);
-    let idx = Gpr(21);
-    a.li32(base, DATA);
-    a.li(idx, 0);
-    let mut label = 0usize;
-    let mut fresh = || {
-        label += 1;
-        format!("l{label}")
-    };
-    for s in steps {
-        match *s {
-            Step::Alu { op, rt, ra, rb, rc } => {
-                let (rt, ra, rb) = (Gpr(rt), Gpr(ra), Gpr(rb));
-                match op {
-                    0 => a.emit(Insn::Arith {
-                        op: daisy_ppc::insn::ArithOp::Add,
-                        rt,
-                        ra,
-                        rb,
-                        oe: false,
-                        rc,
-                    }),
-                    1 => a.emit(Insn::Arith {
-                        op: daisy_ppc::insn::ArithOp::Subf,
-                        rt,
-                        ra,
-                        rb,
-                        oe: false,
-                        rc,
-                    }),
-                    2 => a.emit(Insn::Arith {
-                        op: daisy_ppc::insn::ArithOp::Mullw,
-                        rt,
-                        ra,
-                        rb,
-                        oe: false,
-                        rc,
-                    }),
-                    3 => a.emit(Insn::Arith {
-                        op: daisy_ppc::insn::ArithOp::Divwu,
-                        rt,
-                        ra,
-                        rb,
-                        oe: false,
-                        rc,
-                    }),
-                    4 => a.and(rt, ra, rb),
-                    5 => a.or(rt, ra, rb),
-                    6 => a.xor(rt, ra, rb),
-                    _ => a.nor(rt, ra, rb),
-                }
-            }
-            Step::AluImm { op, rt, ra, imm } => match op {
-                0 => a.addi(Gpr(rt), Gpr(ra), imm),
-                1 => a.ori(Gpr(rt), Gpr(ra), imm as u16),
-                _ => a.xori(Gpr(rt), Gpr(ra), imm as u16),
-            },
-            Step::Carry { op, rt, ra, rb } => match op {
-                0 => a.addc(Gpr(rt), Gpr(ra), Gpr(rb)),
-                1 => a.adde(Gpr(rt), Gpr(ra), Gpr(rb)),
-                2 => a.subfc(Gpr(rt), Gpr(ra), Gpr(rb)),
-                _ => a.addic(Gpr(rt), Gpr(ra), 0x77),
-            },
-            Step::Shift { op, rt, ra, sh } => match op {
-                0 => a.slwi(Gpr(rt), Gpr(ra), sh & 31),
-                1 => a.srwi(Gpr(rt), Gpr(ra), sh & 31),
-                2 => a.srawi(Gpr(rt), Gpr(ra), sh & 31),
-                _ => a.rlwinm(Gpr(rt), Gpr(ra), sh & 31, (sh / 2) & 31, 31),
-            },
-            Step::Cmp { bf, signed, ra, rb } => {
-                a.emit(Insn::Cmp { bf: CrField(bf), signed, ra: Gpr(ra), rb: Gpr(rb) });
-            }
-            Step::Load { width, rt, slot } => {
-                let d = i16::from(slot) * 4;
-                match width {
-                    0 => a.lbz(Gpr(rt), d, base),
-                    1 => a.lhz(Gpr(rt), d, base),
-                    _ => a.lwz(Gpr(rt), d, base),
-                }
-            }
-            Step::Store { width, rs, slot } => {
-                let d = i16::from(slot) * 4;
-                match width {
-                    0 => a.stb(Gpr(rs), d, base),
-                    1 => a.sth(Gpr(rs), d, base),
-                    _ => a.stw(Gpr(rs), d, base),
-                }
-            }
-            Step::LoadIdx { rt, ridx } => {
-                // Clamp the index register into the window, then load.
-                a.rlwinm(idx, Gpr(ridx), 2, 32 - 8, 29); // (r << 2) & 0xFC
-                a.lwzx(Gpr(rt), base, idx);
-            }
-            Step::StoreIdx { rs, ridx } => {
-                a.rlwinm(idx, Gpr(ridx), 2, 32 - 8, 29);
-                a.stwx(Gpr(rs), base, idx);
-            }
-            Step::SkipIf { bf, bit, want, skip } => {
-                let l = fresh();
-                let b = if want { bo::IF_TRUE } else { bo::IF_FALSE };
-                a.bc(b, CrBit::new(CrField(bf), bit), &l);
-                for i in 0..skip {
-                    a.addi(Gpr(i % 12), Gpr((i + 1) % 12), 13);
-                }
-                a.label(&l);
-            }
-            Step::CtrLoop { count, body_rt } => {
-                let l = fresh();
-                a.li(Gpr(9), i16::from(count));
-                a.mtctr(Gpr(9));
-                a.label(&l);
-                a.addi(Gpr(body_rt), Gpr(body_rt), 3);
-                a.xor(Gpr((body_rt + 1) % 12), Gpr(body_rt), Gpr(9));
-                a.bdnz(&l);
-            }
-            Step::Call { rt, ra, rb } => {
-                let over = fresh();
-                let func = fresh();
-                a.b(&over);
-                a.label(&func);
-                a.add(Gpr(rt), Gpr(ra), Gpr(rb));
-                a.blr();
-                a.label(&over);
-                a.bl(&func);
-            }
-            Step::CrOp { bt, ba, bb } => {
-                a.cror(CrBit(bt), CrBit(ba), CrBit(bb));
-            }
-            Step::Trap { never } => {
-                if never {
-                    // Trap-if-r0-less-than-itself: never fires, but the
-                    // parcel is scheduled and checked.
-                    a.emit(Insn::Tw { to: 16, ra: Gpr(0), rb: Gpr(0) });
-                }
-            }
-        }
-    }
-    a.sc();
-}
-
-fn run_both(steps: &[Step], seeds: &[u32], cfg: TranslatorConfig) -> (Cpu, DaisySystem<PpcIsa>) {
-    let mut a = Asm::new(0x1000);
-    emit(&mut a, steps);
-    let prog = a.finish().expect("generated program assembles");
+/// Runs one generated program on the interpreter and on DAISY (under
+/// `cache`), returning the interpreter's final registers and memory
+/// plus the system.
+fn run_both(
+    steps: &[Step],
+    seeds: &[u32],
+    cfg: TranslatorConfig,
+    cache: Hierarchy,
+) -> (Cpu, Memory, DaisySystem<PpcIsa>) {
+    let prog = assemble(steps);
 
     // Structural invariants of the translation itself.
     {
-        let mut mem = Memory::new(0x2_0000);
+        let mut mem = Memory::new(MEM_SIZE);
         prog.load_into(&mut mem).unwrap();
         let (group, _) = daisy::sched::translate_group::<PpcIsa>(&cfg, &mem, prog.entry);
         group.validate().expect("translated group is structurally valid");
     }
 
-    let mut mem = Memory::new(0x2_0000);
-    prog.load_into(&mut mem).unwrap();
-    // Pre-fill the data window deterministically.
-    for i in 0..SLOTS {
-        mem.write_u32(DATA + 4 * i, i.wrapping_mul(0x9E37_79B9)).unwrap();
-    }
-    let mut cpu = Cpu::new(prog.entry);
-    for (i, s) in seeds.iter().enumerate().take(12) {
-        cpu.gpr[i] = *s;
-    }
-    let stop = cpu.run(&mut mem, 1_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall);
-
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(0x2_0000)
-        .translator(cfg)
-        .cache(Hierarchy::infinite())
-        .build();
-    sys.load(&prog).unwrap();
-    for i in 0..SLOTS {
-        sys.mem.write_u32(DATA + 4 * i, i.wrapping_mul(0x9E37_79B9)).unwrap();
-    }
-    for (i, s) in seeds.iter().enumerate().take(12) {
-        sys.cpu.gpr[i] = *s;
-    }
-    let stop = sys.run(100_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall);
-    (cpu, sys)
-}
-
-fn assert_same(cpu: &Cpu, sys: &DaisySystem<PpcIsa>, ctx: &str) {
-    assert_eq!(sys.cpu.gpr, cpu.gpr, "{ctx}: GPRs diverged");
-    assert_eq!(sys.cpu.cr, cpu.cr, "{ctx}: CR diverged");
-    assert_eq!(sys.cpu.lr, cpu.lr, "{ctx}: LR diverged");
-    assert_eq!(sys.cpu.ctr, cpu.ctr, "{ctx}: CTR diverged");
-    assert_eq!(sys.cpu.xer, cpu.xer, "{ctx}: XER diverged");
-    assert_eq!(sys.cpu.pc, cpu.pc, "{ctx}: PC diverged");
+    let (cpu, mem) = run_oracle(&prog, seeds);
+    let sys = run_daisy(&prog, seeds, DaisySystem::builder().translator(cfg).cache(cache));
+    (cpu, mem, sys)
 }
 
 proptest! {
@@ -293,12 +56,13 @@ proptest! {
         steps in prop::collection::vec(step(), 1..40),
         seeds in prop::collection::vec(any::<u32>(), 12),
     ) {
-        let (cpu, sys) = run_both(&steps, &seeds, TranslatorConfig::default());
-        assert_same(&cpu, &sys, "default config");
+        let (cpu, mem, sys) = run_both(&steps, &seeds, TranslatorConfig::default(), Hierarchy::infinite());
+        assert_same(&sys, &cpu, &mem, "default config");
     }
 
-    /// The smallest paper machine and a tiny page size stress resource
-    /// limits, VLIW splitting, and cross-page dispatch.
+    /// The smallest paper machine, a tiny page size and the paper's
+    /// finite cache hierarchy stress resource limits, VLIW splitting,
+    /// cross-page dispatch, and the engine's per-access cache probes.
     #[test]
     fn daisy_matches_interpreter_on_small_machine(
         steps in prop::collection::vec(step(), 1..24),
@@ -309,8 +73,8 @@ proptest! {
             page_size: 256,
             ..TranslatorConfig::default()
         };
-        let (cpu, sys) = run_both(&steps, &seeds, cfg);
-        assert_same(&cpu, &sys, "4-issue machine, 256-byte pages");
+        let (cpu, mem, sys) = run_both(&steps, &seeds, cfg, Hierarchy::paper_default());
+        assert_same(&sys, &cpu, &mem, "4-issue machine, 256-byte pages, finite cache");
     }
 
     /// Interpretive compilation (Ch. 6) — observed-path scheduling and
@@ -321,8 +85,8 @@ proptest! {
         seeds in prop::collection::vec(any::<u32>(), 12),
     ) {
         let cfg = TranslatorConfig { interpretive: true, ..TranslatorConfig::default() };
-        let (cpu, sys) = run_both(&steps, &seeds, cfg);
-        assert_same(&cpu, &sys, "interpretive");
+        let (cpu, mem, sys) = run_both(&steps, &seeds, cfg, Hierarchy::infinite());
+        assert_same(&sys, &cpu, &mem, "interpretive");
     }
 
     /// Renaming and load speculation disabled (the ablation modes) must
@@ -338,8 +102,23 @@ proptest! {
             speculate_loads: !rename,
             ..TranslatorConfig::default()
         };
-        let (cpu, sys) = run_both(&steps, &seeds, cfg);
-        assert_same(&cpu, &sys, "ablation");
+        let (cpu, mem, sys) = run_both(&steps, &seeds, cfg, Hierarchy::infinite());
+        assert_same(&sys, &cpu, &mem, "ablation");
+    }
+
+    /// Fault-injection campaigns on random programs: each campaign runs
+    /// the perturbed system to completion and diffs registers and all
+    /// of memory against the interpreter oracle.
+    #[test]
+    fn packed_engine_survives_injection(
+        steps in prop::collection::vec(step(), 1..20),
+        seed in 0u64..1024,
+    ) {
+        let prog = assemble(&steps);
+        for kind in [FaultKind::IllegalOp, FaultKind::InterruptStorm, FaultKind::ChainSever] {
+            run_campaign_on_program::<PpcIsa>(&prog, MEM_SIZE, 1_000_000, &CampaignConfig::new(kind, seed))
+                .unwrap_or_else(|e| panic!("injection broke the packed engine: {e}"));
+        }
     }
 }
 
@@ -366,8 +145,8 @@ fn regression_forwarding_must_not_match_reused_rename_regs() {
         page_size: 256,
         ..TranslatorConfig::default()
     };
-    let (cpu, sys) = run_both(&steps, &seeds, cfg);
-    assert_same(&cpu, &sys, "reused rename register in store record");
+    let (cpu, mem, sys) = run_both(&steps, &seeds, cfg, Hierarchy::infinite());
+    assert_same(&sys, &cpu, &mem, "reused rename register in store record");
 }
 
 /// A deterministic regression corpus for the same generator (fast path
@@ -386,6 +165,7 @@ fn equivalence_smoke_memory_width_mix() {
         Step::CtrLoop { count: 4, body_rt: 6 },
     ];
     let seeds: Vec<u32> = (0..12).map(|i| 0xABCD_0123u32.wrapping_mul(i + 1)).collect();
-    let (cpu, sys) = run_both(&steps, &seeds, TranslatorConfig::default());
-    assert_same(&cpu, &sys, "smoke");
+    let (cpu, mem, sys) =
+        run_both(&steps, &seeds, TranslatorConfig::default(), Hierarchy::infinite());
+    assert_same(&sys, &cpu, &mem, "smoke");
 }

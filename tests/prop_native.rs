@@ -183,7 +183,7 @@ fn native_matches_packed_under_cast_out_churn() {
 }
 
 // ---------------------------------------------------------------------
-// Randomized programs (compact cousin of `prop_packed`'s generator:
+// Randomized programs (compact cousin of `tests/common`'s generator:
 // ALU work, CR-driven skips, CTR loops, calls through LR, loads and
 // stores in a private data window, and trap parcels — the last lower
 // through the general-parcel trap-check template, so generated runs

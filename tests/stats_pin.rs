@@ -53,7 +53,7 @@ fn interpret_floor_count_is_exact() {
 
     let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x20000).build();
     sys.load(&prog).unwrap();
-    for _ in 0..3 {
+    for _ in 0..2 {
         sys.degrade(prog.entry, DegradeCause::Forced).expect("ladder has a rung left");
     }
     assert_eq!(sys.rung(prog.entry), daisy::Rung::Interpret);
