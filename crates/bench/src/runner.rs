@@ -67,6 +67,11 @@ pub fn run_daisy(w: &Workload, cfg: TranslatorConfig, cache: Hierarchy) -> Measu
 
 /// Like [`run_daisy`], but with profile-guided tiered retranslation
 /// enabled when a [`TierPolicy`] is given.
+///
+/// Runs on the native tier, which reproduces the packed engine's
+/// statistics exactly under any cache hierarchy (and falls back to the
+/// packed engine on hosts that cannot execute emitted x86-64), so every
+/// table comes out the same on either engine; native is just faster.
 pub fn run_daisy_tiered(
     w: &Workload,
     cfg: TranslatorConfig,
@@ -76,8 +81,11 @@ pub fn run_daisy_tiered(
     let base_instrs = run_reference(w).ninstrs;
     let prog = w.program();
     let static_words = u64::from(prog.code_size() / 4);
-    let mut builder =
-        DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).translator(cfg).cache(cache);
+    let mut builder = DaisySystem::<PpcIsa>::builder()
+        .mem_size(w.mem_size)
+        .translator(cfg)
+        .cache(cache)
+        .native_execution(true);
     if let Some(policy) = policy {
         builder = builder.tiered(policy);
     }

@@ -48,10 +48,12 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (size not divisible by
-    /// `assoc * line`, or line not a power of two).
+    /// `assoc * line`, line not a power of two, or a set count that is
+    /// not a power of two — the simulator indexes sets with a mask).
     pub fn new(name: &str, size: u32, assoc: u32, line: u32, latency: u32) -> CacheConfig {
         assert!(line.is_power_of_two(), "line size must be a power of two");
         assert!(assoc >= 1 && size.is_multiple_of(assoc * line), "inconsistent cache geometry");
+        assert!((size / (assoc * line)).is_power_of_two(), "set count must be a power of two");
         CacheConfig { name: name.to_owned(), size, assoc, line, latency }
     }
 
@@ -81,18 +83,32 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u32,
-    last_use: u64,
-    valid: bool,
-}
+/// Sentinel for [`Cache::mru`] before the first probe: line addresses
+/// are at most 32 bits wide, so no probe can match it.
+const NO_LINE: u64 = u64::MAX;
 
 /// One cache level with LRU replacement.
+///
+/// Tags, ages and valid bits live in flat arrays indexed
+/// `set * assoc + way`; the set index and tag come from a shift and a
+/// mask precomputed at construction. A probe of the line probed last
+/// hits without searching its set: that line is resident and already
+/// the newest in its set, so the hit cannot change the LRU order.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// `sets - 1`.
+    set_mask: u32,
+    /// log2 of the set count.
+    set_bits: u32,
+    tags: Vec<u32>,
+    /// Probe tick of each way's last use (0 while invalid).
+    ages: Vec<u64>,
+    valid: Vec<bool>,
+    /// Line address of the last probe, or [`NO_LINE`].
+    mru: u64,
     stats: CacheStats,
     tick: u64,
 }
@@ -100,10 +116,17 @@ pub struct Cache {
 impl Cache {
     /// Builds an empty (cold) cache.
     pub fn new(cfg: CacheConfig) -> Cache {
-        let n = (cfg.sets() * cfg.assoc) as usize;
+        let sets = cfg.sets();
+        let n = (sets * cfg.assoc) as usize;
         Cache {
+            line_shift: cfg.line.trailing_zeros(),
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             cfg,
-            lines: vec![Line { tag: 0, last_use: 0, valid: false }; n],
+            tags: vec![0; n],
+            ages: vec![0; n],
+            valid: vec![false; n],
+            mru: NO_LINE,
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -120,24 +143,43 @@ impl Cache {
     }
 
     /// Probes the cache; fills the line on miss. Returns true on hit.
+    #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
-        let line_addr = addr / self.cfg.line;
-        let set = line_addr % self.cfg.sets();
-        let tag = line_addr / self.cfg.sets();
-        let base = (set * self.cfg.assoc) as usize;
-        let ways = &mut self.lines[base..base + self.cfg.assoc as usize];
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_use = self.tick;
+        let line = addr >> self.line_shift;
+        if u64::from(line) == self.mru {
+            return true;
+        }
+        self.mru = u64::from(line);
+        self.probe_set(line)
+    }
+
+    /// The set search behind [`Cache::access`]: a hit refreshes the
+    /// way's age; a miss fills the first invalid way, else the least
+    /// recently used one.
+    fn probe_set(&mut self, line: u32) -> bool {
+        self.tick += 1;
+        let tag = line >> self.set_bits;
+        let assoc = self.cfg.assoc as usize;
+        let base = (line & self.set_mask) as usize * assoc;
+        let ways = base..base + assoc;
+        if let Some(w) = ways.clone().find(|&w| self.valid[w] && self.tags[w] == tag) {
+            self.ages[w] = self.tick;
             return true;
         }
         self.stats.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
-            .expect("assoc >= 1");
-        *victim = Line { tag, last_use: self.tick, valid: true };
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for w in ways {
+            let age = if self.valid[w] { self.ages[w] } else { 0 };
+            if age < oldest {
+                oldest = age;
+                victim = w;
+            }
+        }
+        self.tags[victim] = tag;
+        self.ages[victim] = self.tick;
+        self.valid[victim] = true;
         false
     }
 }
@@ -226,37 +268,34 @@ impl Hierarchy {
         Hierarchy::new(Vec::new(), Vec::new(), Vec::new(), 0)
     }
 
+    #[inline]
     fn walk(levels: &mut [Cache], shared: &mut [Cache], addr: u32, mem_latency: u32) -> Access {
-        let mut penalty = 0;
-        let mut l0_miss = false;
-        let mut first = true;
-        let mut any = false;
-        for c in levels.iter_mut().chain(shared.iter_mut()) {
-            any = true;
-            let hit = c.access(addr);
-            if !hit && first {
-                l0_miss = true;
-            }
-            first = false;
-            penalty += c.cfg.latency;
-            if hit {
-                return Access { penalty, l0_miss };
-            }
-        }
-        if any {
-            Access { penalty: penalty + mem_latency, l0_miss }
-        } else {
+        let mut path = levels.iter_mut().chain(shared.iter_mut());
+        let Some(l0) = path.next() else {
             // No caches at all: the infinite-cache model.
-            Access { penalty: 0, l0_miss: false }
+            return Access { penalty: 0, l0_miss: false };
+        };
+        let mut penalty = l0.cfg.latency;
+        if l0.access(addr) {
+            return Access { penalty, l0_miss: false };
         }
+        for c in path {
+            penalty += c.cfg.latency;
+            if c.access(addr) {
+                return Access { penalty, l0_miss: true };
+            }
+        }
+        Access { penalty: penalty + mem_latency, l0_miss: true }
     }
 
     /// Probes the instruction side.
+    #[inline]
     pub fn access_instr(&mut self, addr: u32) -> Access {
         Hierarchy::walk(&mut self.ilevels, &mut self.shared, addr, self.mem_latency)
     }
 
     /// Probes the data side.
+    #[inline]
     pub fn access_data(&mut self, addr: u32, _write: bool) -> Access {
         Hierarchy::walk(&mut self.dlevels, &mut self.shared, addr, self.mem_latency)
     }
@@ -354,6 +393,13 @@ mod tests {
         assert_eq!(names, ["L0 ICache", "L0 DCache", "L1 JCache"]);
         let h8 = Hierarchy::paper_eight_issue();
         assert_eq!(h8.level_stats().len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 3 sets of one 16-byte way.
+        let _ = CacheConfig::new("t", 48, 1, 16, 0);
     }
 
     #[test]

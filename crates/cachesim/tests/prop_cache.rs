@@ -67,3 +67,204 @@ proptest! {
         prop_assert_eq!(first.1.accesses, addrs.len() as u64);
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential check against a reference LRU model: the straightforward
+// simulator (divisions for set and tag, an array of line records, a
+// probe tick on every access, a full set search on every probe). The
+// production cache precomputes shifts and masks, keeps flat arrays and
+// short-circuits repeat probes of the same line; none of that may change
+// a single hit, miss, counter or penalty.
+// ---------------------------------------------------------------------
+
+mod reference {
+    use daisy_cachesim::{Access, CacheConfig, CacheStats};
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u32,
+        last_use: u64,
+        valid: bool,
+    }
+
+    pub struct RefCache {
+        cfg: CacheConfig,
+        lines: Vec<Line>,
+        pub stats: CacheStats,
+        tick: u64,
+    }
+
+    impl RefCache {
+        pub fn new(cfg: CacheConfig) -> RefCache {
+            let n = (cfg.sets() * cfg.assoc) as usize;
+            RefCache {
+                cfg,
+                lines: vec![Line { tag: 0, last_use: 0, valid: false }; n],
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        pub fn access(&mut self, addr: u32) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let line_addr = addr / self.cfg.line;
+            let set = line_addr % self.cfg.sets();
+            let tag = line_addr / self.cfg.sets();
+            let base = (set * self.cfg.assoc) as usize;
+            let ways = &mut self.lines[base..base + self.cfg.assoc as usize];
+            if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.last_use = self.tick;
+                return true;
+            }
+            self.stats.misses += 1;
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.last_use } else { 0 })
+                .expect("assoc >= 1");
+            *victim = Line { tag, last_use: self.tick, valid: true };
+            false
+        }
+    }
+
+    pub struct RefHierarchy {
+        pub ilevels: Vec<RefCache>,
+        pub dlevels: Vec<RefCache>,
+        pub shared: Vec<RefCache>,
+        pub mem_latency: u32,
+    }
+
+    impl RefHierarchy {
+        fn walk(
+            levels: &mut [RefCache],
+            shared: &mut [RefCache],
+            addr: u32,
+            mem_latency: u32,
+        ) -> Access {
+            let mut penalty = 0;
+            let mut l0_miss = false;
+            let mut first = true;
+            let mut any = false;
+            for c in levels.iter_mut().chain(shared.iter_mut()) {
+                any = true;
+                let hit = c.access(addr);
+                if !hit && first {
+                    l0_miss = true;
+                }
+                first = false;
+                penalty += c.cfg.latency;
+                if hit {
+                    return Access { penalty, l0_miss };
+                }
+            }
+            if any {
+                Access { penalty: penalty + mem_latency, l0_miss }
+            } else {
+                Access { penalty: 0, l0_miss: false }
+            }
+        }
+
+        pub fn access_instr(&mut self, addr: u32) -> Access {
+            RefHierarchy::walk(&mut self.ilevels, &mut self.shared, addr, self.mem_latency)
+        }
+
+        pub fn access_data(&mut self, addr: u32) -> Access {
+            RefHierarchy::walk(&mut self.dlevels, &mut self.shared, addr, self.mem_latency)
+        }
+
+        pub fn level_stats(&self) -> Vec<CacheStats> {
+            self.ilevels.iter().chain(&self.dlevels).chain(&self.shared).map(|c| c.stats).collect()
+        }
+    }
+}
+
+use daisy_cachesim::CacheStats;
+use reference::{RefCache, RefHierarchy};
+
+/// The three hierarchies under test, each built twice from one level
+/// list: `(ilevels, dlevels, shared, memory latency)`.
+type Geometry = (Vec<CacheConfig>, Vec<CacheConfig>, Vec<CacheConfig>, u32);
+
+fn geometries() -> Vec<(&'static str, Geometry)> {
+    let c = CacheConfig::new;
+    vec![
+        (
+            "paper_default",
+            (
+                vec![c("L0 ICache", 64 << 10, 1, 256, 0)],
+                vec![c("L0 DCache", 64 << 10, 4, 256, 0)],
+                vec![c("L1 JCache", 4 << 20, 4, 256, 12)],
+                88,
+            ),
+        ),
+        (
+            "paper_eight_issue",
+            (
+                vec![c("L1 ICache", 4 << 10, 1, 64, 0), c("L2 ICache", 64 << 10, 2, 128, 4)],
+                vec![c("L1 DCache", 4 << 10, 4, 64, 0), c("L2 DCache", 64 << 10, 4, 128, 4)],
+                vec![c("L3 JCache", 4 << 20, 4, 256, 16)],
+                92,
+            ),
+        ),
+        (
+            "tiny",
+            (
+                vec![c("I", 64, 1, 16, 0)],
+                vec![c("D", 128, 2, 16, 1)],
+                vec![c("S", 256, 4, 16, 5)],
+                20,
+            ),
+        ),
+    ]
+}
+
+/// One probe of a random stream: side (instruction or data) and
+/// address. Addresses cluster in a few small windows, so streams mix
+/// repeat probes of one line, set conflicts and capacity misses.
+fn probe() -> impl Strategy<Value = (bool, u32)> {
+    (any::<bool>(), 0u32..4, 0u32..2048, 0u32..4).prop_map(|(instr, window, off, spread)| {
+        (instr, window.wrapping_mul(0x4001_0000) + off * (1 << (2 * spread)))
+    })
+}
+
+proptest! {
+    /// A single level probed with a random stream hits and misses
+    /// exactly like the reference model, with equal counters.
+    #[test]
+    fn cache_matches_reference_lru(stream in prop::collection::vec(probe(), 1..512)) {
+        for (assoc, size) in [(1u32, 256u32), (2, 256), (4, 512), (8, 256)] {
+            let cfg = CacheConfig::new("t", size, assoc, 16, 0);
+            let (mut fast, mut slow) = (Cache::new(cfg.clone()), RefCache::new(cfg));
+            for &(_, a) in &stream {
+                prop_assert_eq!(fast.access(a), slow.access(a), "assoc {} addr {:#x}", assoc, a);
+                prop_assert_eq!(*fast.stats(), slow.stats);
+            }
+        }
+    }
+
+    /// Both paper hierarchies and a tiny one: every probe returns the
+    /// reference `Access`, and every level's counters stay equal.
+    #[test]
+    fn hierarchy_matches_reference_lru(stream in prop::collection::vec(probe(), 1..512)) {
+        for (name, (i, d, s, mem)) in geometries() {
+            let mut fast = Hierarchy::new(i.clone(), d.clone(), s.clone(), mem);
+            let mut slow = RefHierarchy {
+                ilevels: i.into_iter().map(RefCache::new).collect(),
+                dlevels: d.into_iter().map(RefCache::new).collect(),
+                shared: s.into_iter().map(RefCache::new).collect(),
+                mem_latency: mem,
+            };
+            for &(instr, a) in &stream {
+                let (got, want) = if instr {
+                    (fast.access_instr(a), slow.access_instr(a))
+                } else {
+                    (fast.access_data(a, false), slow.access_data(a))
+                };
+                prop_assert_eq!(got, want, "{} addr {:#x}", name, a);
+                let stats: Vec<CacheStats> =
+                    fast.level_stats().into_iter().map(|(_, st)| st).collect();
+                prop_assert_eq!(stats, slow.level_stats(), "{}", name);
+            }
+        }
+    }
+}

@@ -26,6 +26,13 @@
 //!   log (`reconstruct_events`) and resumes the same group mid-node
 //!   on the packed engine ([`crate::engine::run_group_resume`]), so
 //!   §3.5 precise-exception recovery works unchanged.
+//! * **Probe replay** — under a finite cache model, compiled code
+//!   logs every cache probe the packed engine would make (each VLIW's
+//!   fetch, then each completed load or store in parcel order), and
+//!   [`NativeTier::execute`] replays the log through the
+//!   [`Hierarchy`] before it returns, so stall cycles and miss counts
+//!   match packed execution exactly. On a bail the replay finishes
+//!   before the packed resume makes its own probes.
 //! * **Severing** — chained direct jumps between compiled groups are
 //!   guarded by per-group alive bytes and a global patch log; any
 //!   invalidation or cast-out in the VMM flushes every native edge
@@ -37,10 +44,15 @@ use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use crate::trace::{TraceEvent, Tracer};
+use daisy_cachesim::Hierarchy;
 use daisy_isa::mem::Memory;
-use daisy_jit::ctx::{EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP};
+use daisy_jit::arena::AccessLog;
+use daisy_jit::ctx::{EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD};
 pub use daisy_jit::lower::Refusal;
-use daisy_jit::{ctx::JitCtx, CompileOpts, CompiledGroup, Jit, DEFAULT_ARENA_BYTES, LOG_CAPACITY};
+use daisy_jit::{
+    ctx::JitCtx, CompileOpts, CompiledGroup, Jit, ACCESS_LOG_VLIW_BUDGET, DEFAULT_ARENA_BYTES,
+    LOG_CAPACITY,
+};
 use daisy_vliw::op::{MemWidth, OpKind};
 use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
 use daisy_vliw::reg::{Reg, NUM_REGS};
@@ -195,6 +207,10 @@ pub struct NativeTier {
     registry: HashMap<u32, RegEntry>,
     ctx: JitCtx,
     log: Vec<u8>,
+    /// Cache access log when the cache model is finite; `None` under
+    /// an infinite cache, where groups compile without log stores and
+    /// nothing is replayed.
+    access_log: Option<AccessLog>,
     /// Bypassed-load pending table: [`NUM_REGS`] rows of 32 bytes
     /// (`{gen: u64, ea: u32, value: u32, meta: u32, pad}`), written by
     /// the bypassed-load template and read by the verify-commit
@@ -229,13 +245,19 @@ const _: () = assert!(daisy_jit::IBTC_WAYS == crate::engine::ICACHE_WAYS);
 impl NativeTier {
     /// Creates the tier, mapping the code arena. `None` when the host
     /// cannot execute emitted code (non-x86-64/Linux) — callers then
-    /// run everything on the packed engine.
-    pub fn new(config: NativeTierConfig) -> Option<NativeTier> {
-        NativeTier::with_arena(config, DEFAULT_ARENA_BYTES)
+    /// run everything on the packed engine. A finite `cache` makes
+    /// every compiled group log its cache probes for replay; the
+    /// system must then run the tier against that same cache model.
+    pub fn new(config: NativeTierConfig, cache: &Hierarchy) -> Option<NativeTier> {
+        NativeTier::with_arena(config, cache, DEFAULT_ARENA_BYTES)
     }
 
     /// [`NativeTier::new`] with a code arena of `arena_bytes`.
-    fn with_arena(config: NativeTierConfig, arena_bytes: usize) -> Option<NativeTier> {
+    fn with_arena(
+        config: NativeTierConfig,
+        cache: &Hierarchy,
+        arena_bytes: usize,
+    ) -> Option<NativeTier> {
         Some(NativeTier {
             jit: Jit::new(arena_bytes)?,
             config: NativeTierConfig { threshold: config.threshold.max(1), ..config },
@@ -243,6 +265,7 @@ impl NativeTier {
             registry: HashMap::new(),
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
+            access_log: if cache.is_infinite() { None } else { Some(AccessLog::new()?) },
             pending: vec![0u64; NUM_REGS * PENDING_ROW_BYTES / 8],
             epoch: (0, 0, 0),
             stats: NativeStats::default(),
@@ -357,6 +380,7 @@ impl NativeTier {
         let opts = CompileOpts {
             general_templates: self.config.general_templates,
             ibtc: self.config.ibtc,
+            fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]),
         };
         match self.jit.compile(&code.packed, entry, page_size, mem_len, Memory::page_shift(), opts)
         {
@@ -436,15 +460,18 @@ impl NativeTier {
     }
 
     /// Runs `cg` (the compilation of `code`) natively and reconciles
-    /// the counter deltas into `stats`. On a bail-out, reconstructs
-    /// `scratch` up to the bail point and returns
+    /// the counter deltas into `stats`, replaying the run's cache
+    /// probes through `cache` when the model is finite. On a bail-out,
+    /// reconstructs `scratch` up to the bail point and returns
     /// [`NativeRun::Resume`] for the packed engine to finish.
+    #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &mut self,
         cg: &CompiledGroup,
         code: &Rc<GroupCode>,
         rf: &mut RegFile,
         mem: &mut Memory,
+        cache: &mut Hierarchy,
         stats: &mut RunStats,
         scratch: &mut EngineScratch,
     ) -> NativeRun {
@@ -456,12 +483,21 @@ impl NativeTier {
         self.ctx.translated_base = translated as *const u8;
         self.ctx.log_base = self.log.as_mut_ptr();
         self.ctx.pending_base = self.pending.as_mut_ptr() as *mut u8;
-        self.ctx.budget_vliws = NATIVE_VLIW_BUDGET;
+        // Under a finite cache the chain budget is what bounds the
+        // access log (chain stubs return before it could overflow);
+        // returning at a stub leaves every statistic unchanged.
+        (self.ctx.access_base, self.ctx.budget_vliws) = match &self.access_log {
+            Some(log) => (log.base(), NATIVE_VLIW_BUDGET.min(ACCESS_LOG_VLIW_BUDGET)),
+            None => (std::ptr::null_mut(), NATIVE_VLIW_BUDGET),
+        };
         // SAFETY: every pointer set above is valid for the run — vals
         // is the register file's fixed array, mem/translated never
-        // reallocate, the log holds LOG_CAPACITY bytes, and `cg` was
-        // compiled by this tier's own `Jit` into its sealed arena.
+        // reallocate, the log holds LOG_CAPACITY bytes, the access log
+        // (when groups log) ACCESS_LOG_CAPACITY entries under the
+        // budget just set, and `cg` was compiled by this tier's own
+        // `Jit` into its sealed arena.
         unsafe { self.jit.run(&mut self.ctx, cg) };
+        self.replay_probes(cache, stats);
 
         stats.vliws_executed += self.ctx.vliws;
         stats.base_instrs += self.ctx.base_instrs;
@@ -587,6 +623,31 @@ impl NativeTier {
                 final_entry,
                 final_code,
             },
+        }
+    }
+
+    /// Replays the run's access log through `cache`, in the packed
+    /// engine's probe order, adding the stall cycles and level-0 miss
+    /// counts the packed engine would have added. A no-op under an
+    /// infinite cache (the log is empty and nothing was written).
+    fn replay_probes(&self, cache: &mut Hierarchy, stats: &mut RunStats) {
+        let Some(log) = &self.access_log else { return };
+        for &e in log.written(self.ctx.access_end) {
+            let addr = e as u32;
+            match (e >> 32) as u32 {
+                PROBE_FETCH => stats.stall_cycles += u64::from(cache.access_instr(addr).penalty),
+                kind => {
+                    let acc = cache.access_data(addr, kind != PROBE_LOAD);
+                    if acc.l0_miss {
+                        if kind == PROBE_LOAD {
+                            stats.load_l0_misses += 1;
+                        } else {
+                            stats.store_l0_misses += 1;
+                        }
+                    }
+                    stats.stall_cycles += u64::from(acc.penalty);
+                }
+            }
         }
     }
 }
@@ -717,7 +778,8 @@ mod tests {
     #[test]
     fn arena_full_defers_the_entry_until_a_flush_reclaims_the_arena() {
         let config = NativeTierConfig { threshold: 1, ..NativeTierConfig::default() };
-        let mut tier = NativeTier::with_arena(config, 2 * 4096).expect("native host");
+        let mut tier =
+            NativeTier::with_arena(config, &Hierarchy::infinite(), 2 * 4096).expect("native host");
         let (mut mem, mut tracer) = (Memory::new(0x10000), Tracer::disabled());
         let mut prepare = |tier: &mut NativeTier, c| tier.prepare(c, 4096, &mut mem, &mut tracer);
         let codes: Vec<_> = (0..64).map(|i| code(0x1000 + 0x100 * i)).collect();

@@ -268,11 +268,13 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// dispatch count crosses [`DaisySystemBuilder::native_threshold`]
     /// are lowered to executable x86-64 and entered directly, with
     /// chained direct jumps between compiled groups (see
-    /// [`crate::native`] and `docs/jit.md`). Silently falls back to the
-    /// packed engine when the host is not x86-64 Linux, when guest
-    /// profiling is enabled (native code records no retirement trace),
-    /// or when the cache hierarchy is finite (native code does not
-    /// probe the cache model).
+    /// [`crate::native`] and `docs/jit.md`). Works under any cache
+    /// hierarchy: with a finite one, compiled code logs its cache probes
+    /// and the tier replays them through the model at every return, so
+    /// statistics match the packed engine exactly. Silently falls back
+    /// to the packed engine when the host is not x86-64 Linux or when
+    /// guest profiling is enabled (native code records no retirement
+    /// trace).
     pub fn native_execution(mut self, on: bool) -> Self {
         self.native = on;
         self
@@ -432,11 +434,12 @@ impl<I: Isa> DaisySystemBuilder<I> {
         vmm.tier_policy = self.tier_policy;
         // The native tier only composes with configurations it can
         // reproduce exactly: no guest profiling (native code records no
-        // retirement trace) and an infinite cache (native code does not
-        // probe the cache model). `NativeTier::new` additionally
-        // returns `None` on hosts that cannot execute emitted x86-64.
-        let native = (self.native && !self.guest_profiling && self.cache.is_infinite())
-            .then(|| NativeTier::new(self.native_config))
+        // retirement trace). Under a finite cache its compiled groups
+        // log their cache probes and the tier replays them through this
+        // system's hierarchy. `NativeTier::new` additionally returns
+        // `None` on hosts that cannot execute emitted x86-64.
+        let native = (self.native && !self.guest_profiling)
+            .then(|| NativeTier::new(self.native_config, &self.cache))
             .flatten();
         DaisySystem {
             mem: Memory::new(self.mem_size),
@@ -820,6 +823,7 @@ impl<I: Isa> DaisySystem<I> {
                         &code,
                         &mut rf,
                         &mut self.mem,
+                        &mut self.cache,
                         &mut self.stats,
                         &mut self.scratch,
                     ) {

@@ -20,7 +20,8 @@
 //! never fails.
 //!
 //! The crate takes no libc dependency, so the three needed syscalls
-//! are issued directly.
+//! are issued directly. The cache access log's backing store
+//! ([`AccessLog`]) is mapped here too, for the same reason.
 
 use std::cell::{Cell, RefCell};
 
@@ -291,6 +292,68 @@ impl Drop for Arena {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         unsafe {
             syscall6(SYS_MUNMAP, self.base as usize, self.len, 0, 0, 0, 0);
+        }
+    }
+}
+
+/// Backing store of the cache access log: [`crate::ACCESS_LOG_CAPACITY`]
+/// `u64` entries in an anonymous read-write mapping. The kernel fills
+/// pages with zeros on first touch, so resident memory is what runs
+/// actually write, not the static bound.
+#[derive(Debug)]
+pub struct AccessLog {
+    base: *mut u64,
+    len: usize,
+}
+
+impl AccessLog {
+    /// Maps the log. `None` where [`Arena::new`] would fail too.
+    pub fn new() -> Option<AccessLog> {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let len = crate::ACCESS_LOG_CAPACITY;
+            let addr = unsafe {
+                syscall6(
+                    SYS_MMAP,
+                    0,
+                    len * 8,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    usize::MAX, // fd = -1
+                    0,
+                )
+            };
+            if !(0..isize::MAX).contains(&addr) || addr == 0 {
+                return None;
+            }
+            Some(AccessLog { base: addr as *mut u64, len })
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        {
+            None
+        }
+    }
+
+    /// First entry: the run's `JitCtx::access_base`.
+    pub fn base(&self) -> *mut u64 {
+        self.base
+    }
+
+    /// The entries a run wrote, up to the cursor `end` its epilogue
+    /// stored (`JitCtx::access_end`).
+    pub fn written(&self, end: *const u64) -> &[u64] {
+        let n = (end as usize).saturating_sub(self.base as usize) / 8;
+        // SAFETY: the mapping holds `len` initialised (zero-filled or
+        // written) entries and lives as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.base, n.min(self.len)) }
+    }
+}
+
+impl Drop for AccessLog {
+    fn drop(&mut self) {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        unsafe {
+            syscall6(SYS_MUNMAP, self.base as usize, self.len * 8, 0, 0, 0, 0);
         }
     }
 }

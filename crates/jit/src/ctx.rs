@@ -15,6 +15,12 @@ pub const EXIT_INDIRECT: u32 = 1;
 pub const EXIT_INTERP: u32 = 2;
 pub const EXIT_BAIL: u32 = 3;
 
+/// Access-log entry kinds. Each entry is one `u64`: the probed address
+/// in the low 32 bits, the kind in the high 32 bits.
+pub const PROBE_FETCH: u32 = 0;
+pub const PROBE_LOAD: u32 = 1;
+pub const PROBE_STORE: u32 = 2;
+
 /// The context block shared between the dispatcher and compiled code.
 ///
 /// Field order is ABI: the `OFF_*` constants below must match, and a
@@ -85,6 +91,13 @@ pub struct JitCtx {
     /// `vliws`-at-entry plus the shared back-edge budget, snapshotted
     /// by every group prologue.
     pub entry_vliws: u64,
+    /// Base of the cache access log (`u64` entries, see
+    /// [`PROBE_FETCH`]). The entry thunk loads it into `rbp`, the log
+    /// cursor for the whole run; only groups compiled for a finite cache
+    /// write through it.
+    pub access_base: *mut u64,
+    /// Access-log cursor at exit (written from `rbp` by the epilogue).
+    pub access_end: *mut u64,
 }
 
 pub const OFF_VALS: i32 = 0;
@@ -112,6 +125,8 @@ pub const OFF_ICACHE_HITS: i32 = 344;
 pub const OFF_CROSSPAGE_VIA_LR: i32 = 352;
 pub const OFF_CROSSPAGE_VIA_CTR: i32 = 360;
 pub const OFF_ENTRY_VLIWS: i32 = 368;
+pub const OFF_ACCESS_BASE: i32 = 376;
+pub const OFF_ACCESS_END: i32 = 384;
 
 impl JitCtx {
     /// A zeroed context with dangling (never-dereferenced-as-is)
@@ -145,6 +160,8 @@ impl JitCtx {
             crosspage_via_lr: 0,
             crosspage_via_ctr: 0,
             entry_vliws: 0,
+            access_base: std::ptr::null_mut(),
+            access_end: std::ptr::null_mut(),
         }
     }
 
@@ -168,6 +185,7 @@ impl JitCtx {
         self.icache_hits = 0;
         self.crosspage_via_lr = 0;
         self.crosspage_via_ctr = 0;
+        self.access_end = std::ptr::null_mut();
         // `pending_gen` is deliberately *not* reset: row validity is
         // "gen matches the current value", and monotonicity guarantees
         // zeroed rows (gen 0) can never become valid again.
@@ -189,7 +207,8 @@ impl Default for JitCtx {
 /// sealed (`r-x`) arena, and every pointer field of `ctx` must be
 /// valid for the accesses the compiled group performs (vals: 77×u32,
 /// mem/translated: full guest image, log: the compiler-checked
-/// capacity).
+/// capacity, access log: [`crate::ACCESS_LOG_CAPACITY`] entries when
+/// the group logs cache probes).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub unsafe fn enter(thunk: u64, ctx: *mut JitCtx, entry: u64) {
     let f: extern "sysv64" fn(*mut JitCtx, u64) = unsafe { std::mem::transmute(thunk) };
@@ -233,5 +252,7 @@ mod tests {
         assert_eq!(offset_of!(JitCtx, crosspage_via_lr), OFF_CROSSPAGE_VIA_LR as usize);
         assert_eq!(offset_of!(JitCtx, crosspage_via_ctr), OFF_CROSSPAGE_VIA_CTR as usize);
         assert_eq!(offset_of!(JitCtx, entry_vliws), OFF_ENTRY_VLIWS as usize);
+        assert_eq!(offset_of!(JitCtx, access_base), OFF_ACCESS_BASE as usize);
+        assert_eq!(offset_of!(JitCtx, access_end), OFF_ACCESS_END as usize);
     }
 }

@@ -44,6 +44,15 @@ pub const DEFAULT_ARENA_BYTES: usize = 16 << 20;
 /// VLIW entries under the back-edge budget) is derived and enforced.
 pub const LOG_CAPACITY: usize = lower::LOG_CAPACITY;
 
+/// Access-log capacity (in `u64` entries) for runs of groups compiled
+/// with fetch addresses, valid while `JitCtx::budget_vliws` is at most
+/// [`ACCESS_LOG_VLIW_BUDGET`]. Re-exported from `lower`, where the
+/// bound is derived and enforced.
+pub const ACCESS_LOG_CAPACITY: usize = lower::ACCESS_LOG_CAPACITY;
+
+/// Largest chain budget under which [`ACCESS_LOG_CAPACITY`] holds.
+pub const ACCESS_LOG_VLIW_BUDGET: u64 = lower::ACCESS_LOG_VLIW_BUDGET;
+
 /// Associativity of the inline indirect-branch target cache. Must
 /// equal the packed engine's icache associativity so the inline hit
 /// set is exactly the dispatcher's hit set (the table mirrors the
@@ -129,21 +138,26 @@ impl IbtcTable {
     }
 }
 
-/// Per-compilation feature switches (ablation levers; both default
-/// on in the real system).
+/// Per-compilation options: the ablation levers (both default on in
+/// the real system) and the cache model's fetch addresses.
 #[derive(Debug, Clone, Copy)]
-pub struct CompileOpts {
+pub struct CompileOpts<'a> {
     /// Lower `General`-class parcels (trap checks, bypassed-store
     /// commits and verifying loads) instead of refusing the group.
     pub general_templates: bool,
     /// Give groups with indirect exits an inline indirect-branch
     /// target cache.
     pub ibtc: bool,
+    /// Translated-code address of each VLIW (one per VLIW of the
+    /// group), given when the cache model is finite: the compiled
+    /// group then logs every cache probe into the access log. `None`
+    /// (the default) emits no log stores.
+    pub fetch_addrs: Option<&'a [u32]>,
 }
 
-impl Default for CompileOpts {
+impl Default for CompileOpts<'_> {
     fn default() -> Self {
-        CompileOpts { general_templates: true, ibtc: true }
+        CompileOpts { general_templates: true, ibtc: true, fetch_addrs: None }
     }
 }
 
@@ -312,7 +326,7 @@ impl Jit {
         page_size: u32,
         mem_len: u32,
         mem_page_shift: u32,
-        opts: CompileOpts,
+        opts: CompileOpts<'_>,
     ) -> Result<Rc<CompiledGroup>, Refusal> {
         let group_id = self.next_id.get();
         let ibtc = if opts.ibtc
@@ -335,7 +349,7 @@ impl Jit {
             ibtc_base: ibtc.as_ref().map_or(0, |t| t.base_addr()),
             general_templates: opts.general_templates,
         };
-        let lowered: Lowered = lower::lower(g, params)?;
+        let lowered: Lowered = lower::lower(g, params, opts.fetch_addrs)?;
         // `install` bumps by the aligned position `next_addr` predicted
         // (install aligns first, and next_addr accounts for that).
         let off = self.arena.install(&lowered.code).ok_or(Refusal::ArenaFull)?;
@@ -387,8 +401,11 @@ impl Jit {
     ///
     /// Every pointer field of `ctx` must be valid for the run (see
     /// [`ctx::enter`]); in particular `log_base` must provide
-    /// [`LOG_CAPACITY`] writable bytes and `vals` the full register
-    /// file.
+    /// [`LOG_CAPACITY`] writable bytes, `vals` the full register
+    /// file, and, when any group reachable in the run was compiled with
+    /// fetch addresses, `access_base` [`ACCESS_LOG_CAPACITY`] writable
+    /// entries under a `budget_vliws` of at most
+    /// [`ACCESS_LOG_VLIW_BUDGET`].
     pub unsafe fn run(&self, ctx_ptr: *mut JitCtx, group: &CompiledGroup) {
         unsafe { ctx::enter(self.thunk, ctx_ptr, group.entry_addr()) }
     }
@@ -407,9 +424,9 @@ impl std::fmt::Debug for Jit {
 ///
 /// Thunk (`extern "sysv64" fn(*mut JitCtx, u64)`): saves the
 /// callee-saved registers the templates claim, loads the pinned
-/// context registers, and tail-jumps to the group entry in `rsi`.
-/// Epilogue: stores the log cursor and `last_base` back to the context
-/// and unwinds.
+/// context registers (the access-log cursor starts at `access_base`),
+/// and tail-jumps to the group entry in `rsi`. Epilogue: stores both
+/// log cursors and `last_base` back to the context and unwinds.
 fn shared_code() -> (Vec<u8>, Vec<u8>) {
     use asm::{Asm, Mem, R12, R13, R14, R15, RBP, RBX, RDI, RSI};
     let mut t = Asm::new(0);
@@ -420,10 +437,12 @@ fn shared_code() -> (Vec<u8>, Vec<u8>) {
     t.mov_rr64(RBX, RDI);
     t.mov_r64_m(R12, Mem::base_disp(RBX, ctx::OFF_VALS));
     t.mov_r64_m(R13, Mem::base_disp(RBX, ctx::OFF_MEM_BASE));
+    t.mov_r64_m(RBP, Mem::base_disp(RBX, ctx::OFF_ACCESS_BASE));
     t.jmp_r64(RSI);
 
     let mut e = Asm::new(0);
     e.mov_m_r64(Mem::base_disp(RBX, ctx::OFF_LOG_END), R14);
+    e.mov_m_r64(Mem::base_disp(RBX, ctx::OFF_ACCESS_END), RBP);
     e.mov_m_r32(Mem::base_disp(RBX, ctx::OFF_LAST_BASE), R15);
     e.add_rsp_imm8(8);
     for r in [R15, R14, R13, R12, RBP, RBX] {

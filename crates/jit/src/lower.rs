@@ -27,17 +27,26 @@
 //! | r13  | guest memory bytes base                     |
 //! | r14  | path-log cursor (one byte per condition)    |
 //! | r15d | `last_base` dedup register                  |
+//! | rbp  | access-log cursor (finite cache only)       |
 //! | rax, rcx, rdx, rsi, rdi | per-template scratch     |
+//!
+//! Under a finite cache model the lowerer is given each VLIW's
+//! translated-code address, and compiled code appends every probe the
+//! packed engine would make to the access log: the VLIW's fetch at its
+//! start, then each completed load or store in parcel order. The
+//! dispatcher replays the log through the cache model when the run
+//! returns. Without fetch addresses no log store is emitted.
 
 use crate::asm::{
     Asm, Label, Mem, CC_A, CC_AE, CC_B, CC_C, CC_E, CC_G, CC_L, CC_NE, R12, R13, R14, R15, RAX,
-    RBX, RCX, RDI, RDX, RSI,
+    RBP, RBX, RCX, RDI, RDX, RSI,
 };
 use crate::ctx::{
     EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BASE_INSTRS, OFF_BUDGET, OFF_CHAINED,
     OFF_CROSSPAGE, OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_ENTRY_VLIWS,
     OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE,
-    OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS,
+    OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD,
+    PROBE_STORE,
 };
 use daisy_vliw::op::{CrOp, MemWidth, OpKind, Operation};
 use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
@@ -60,8 +69,32 @@ pub const MAX_COND_DEPTH: usize = 128;
 /// (once over budget, only forward — acyclic — progress remains), and
 /// each entry logs at most `MAX_COND_DEPTH` condition bytes plus one
 /// back-edge byte.
-pub const LOG_CAPACITY: usize =
-    (BACKEDGE_VLIW_BUDGET as usize + MAX_NODES + 2) * (MAX_COND_DEPTH + 1);
+pub const LOG_CAPACITY: usize = ENTRY_VLIWS * (MAX_COND_DEPTH + 1);
+
+/// Executed VLIW entries per group entry: the back-edge budget plus
+/// one acyclic pass (see [`LOG_CAPACITY`]).
+const ENTRY_VLIWS: usize = BACKEDGE_VLIW_BUDGET as usize + MAX_NODES + 2;
+
+/// Ceiling on memory parcels along any root-to-leaf path of a single
+/// VLIW in a group that logs cache probes. Enforced at lowering
+/// (refuse [`Refusal::TooLarge`]) so one VLIW writes at most
+/// `MAX_VLIW_MEM_PARCELS + 1` access-log entries.
+pub const MAX_VLIW_MEM_PARCELS: usize = 31;
+
+/// Chain budget under which the access log cannot overflow: a run
+/// whose dispatcher sets `JitCtx::budget_vliws` to at most this stops
+/// following chain edges before [`ACCESS_LOG_CAPACITY`] is in reach.
+pub const ACCESS_LOG_VLIW_BUDGET: u64 = 16_384;
+
+/// Static access-log capacity in entries. Chain stubs and inline
+/// indirect-cache hits only enter the next group while fewer than
+/// `budget_vliws` VLIWs have run, and one group entry executes at most
+/// `BACKEDGE_VLIW_BUDGET + MAX_NODES + 2` more (the path-log bound),
+/// each writing at most one fetch entry plus
+/// [`MAX_VLIW_MEM_PARCELS`] data entries. So compiled code never checks
+/// the cursor at run time.
+pub const ACCESS_LOG_CAPACITY: usize =
+    (ACCESS_LOG_VLIW_BUDGET as usize + ENTRY_VLIWS) * (MAX_VLIW_MEM_PARCELS + 1);
 
 /// Why a group could not be lowered. Refusal is permanent for the
 /// group (recorded by the tier) and never an error: execution simply
@@ -76,8 +109,9 @@ pub enum Refusal {
     /// general-parcel templates are ablated off (the pending-table
     /// templates handle it otherwise).
     BypassedStore,
-    /// Node count exceeds [`MAX_NODES`], or conditional nesting
-    /// exceeds [`MAX_COND_DEPTH`].
+    /// Node count exceeds [`MAX_NODES`], conditional nesting exceeds
+    /// [`MAX_COND_DEPTH`], or (when logging cache probes) one VLIW
+    /// path holds more than [`MAX_VLIW_MEM_PARCELS`] memory parcels.
     TooLarge,
     /// The code arena is out of space until [`crate::Jit::reclaim`]
     /// gives it back.
@@ -231,6 +265,9 @@ struct Emitter<'a> {
     a: Asm,
     g: &'a PackedGroup,
     p: LowerParams,
+    /// Translated-code address of each VLIW when the cache model is
+    /// finite; `None` emits no access-log stores.
+    fetch_addrs: Option<&'a [u32]>,
     vliw_labels: Vec<Label>,
     leaves: Vec<PendingLeave>,
     bails: Vec<PendingBail>,
@@ -246,8 +283,14 @@ fn vreg(s: u8) -> Mem {
 }
 
 /// Lowers `g` for installation at `p.base`. Pure byte generation — no
-/// arena interaction; the caller installs and links.
-pub fn lower(g: &PackedGroup, p: LowerParams) -> Result<Lowered, Refusal> {
+/// arena interaction; the caller installs and links. `fetch_addrs`
+/// (one translated-code address per VLIW of `g`) turns on the access
+/// log for a finite cache model.
+pub fn lower(
+    g: &PackedGroup,
+    p: LowerParams,
+    fetch_addrs: Option<&[u32]>,
+) -> Result<Lowered, Refusal> {
     if g.nodes.len() > MAX_NODES {
         return Err(Refusal::TooLarge);
     }
@@ -261,20 +304,31 @@ pub fn lower(g: &PackedGroup, p: LowerParams) -> Result<Lowered, Refusal> {
             }
         }
     }
-    // Static log bound: nested conditions deeper than MAX_COND_DEPTH
-    // would void the LOG_CAPACITY guarantee (a runtime capacity check
-    // is not an option — exiting early where packed would continue
-    // diverges the statistics). Each VLIW's nodes form a tree, so a
-    // plain DFS terminates.
+    // Static log bounds: nested conditions deeper than MAX_COND_DEPTH
+    // would void the LOG_CAPACITY guarantee, and (when logging probes)
+    // memory parcels past MAX_VLIW_MEM_PARCELS on one VLIW path the
+    // ACCESS_LOG_CAPACITY one (a runtime capacity check is not an
+    // option — exiting early where packed would continue diverges the
+    // statistics). Each VLIW's nodes form a tree, so a plain DFS
+    // terminates.
     for &root in &g.roots {
-        let mut stack = vec![(root as usize, 0usize)];
-        while let Some((idx, depth)) = stack.pop() {
-            if let PackedCtrl::Cond { taken, fall, .. } = g.nodes[idx].ctrl {
+        let mut stack = vec![(root as usize, 0usize, 0usize)];
+        while let Some((idx, depth, mem)) = stack.pop() {
+            let n = g.nodes[idx];
+            let mem = mem
+                + g.meta[n.start as usize..(n.start + n.len) as usize]
+                    .iter()
+                    .filter(|m| matches!(m.class, OpClass::Load | OpClass::Store))
+                    .count();
+            if fetch_addrs.is_some() && mem > MAX_VLIW_MEM_PARCELS {
+                return Err(Refusal::TooLarge);
+            }
+            if let PackedCtrl::Cond { taken, fall, .. } = n.ctrl {
                 if depth + 1 > MAX_COND_DEPTH {
                     return Err(Refusal::TooLarge);
                 }
-                stack.push((taken as usize, depth + 1));
-                stack.push((fall as usize, depth + 1));
+                stack.push((taken as usize, depth + 1, mem));
+                stack.push((fall as usize, depth + 1, mem));
             }
         }
     }
@@ -282,6 +336,7 @@ pub fn lower(g: &PackedGroup, p: LowerParams) -> Result<Lowered, Refusal> {
         a: Asm::new(p.base),
         g,
         p,
+        fetch_addrs,
         vliw_labels: Vec::new(),
         leaves: Vec::new(),
         bails: Vec::new(),
@@ -306,8 +361,12 @@ pub fn lower(g: &PackedGroup, p: LowerParams) -> Result<Lowered, Refusal> {
     for (vi, &root) in g.roots.iter().enumerate() {
         let l = e.vliw_labels[vi];
         e.a.bind(l);
-        // stats.vliws_executed += 1 (per tree instruction).
+        // stats.vliws_executed += 1 (per tree instruction), then the
+        // VLIW's fetch probe.
         e.a.inc_m64(ctx(OFF_VLIWS));
+        if let Some(addrs) = e.fetch_addrs {
+            e.log_probe(PROBE_FETCH, Some(addrs[vi]));
+        }
         e.emit_node(root as usize, 0);
     }
     let stub_offs = e.emit_deferred();
@@ -558,6 +617,19 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// Appends one access-log entry at `rbp` and advances the cursor.
+    /// The address is the constant `addr`, or ecx (the effective
+    /// address of the load or store just completed) when `None`.
+    fn log_probe(&mut self, kind: u32, addr: Option<u32>) {
+        let at = Mem::base_disp(RBP, 0);
+        match addr {
+            Some(addr) => self.a.mov_m32_imm(at, addr),
+            None => self.a.mov_m_r32(at, RCX),
+        }
+        self.a.mov_m32_imm(Mem::base_disp(RBP, 4), kind);
+        self.a.add_r64_imm(RBP, 8);
+    }
+
     /// `issue_histogram[min(parcels, 24)] += 1` — the VLIW just
     /// finished; its parcel count along this emitted path is a
     /// compile-time constant.
@@ -753,6 +825,9 @@ impl<'a> Emitter<'a> {
             }
         }
         self.a.inc_m64(ctx(OFF_LOADS));
+        if self.fetch_addrs.is_some() {
+            self.log_probe(PROBE_LOAD, None);
+        }
         debug_assert!(m.d1 != OpMeta::NONE);
         self.a.mov_m_r32(vreg(m.d1), RAX);
         if op.bypassed_store {
@@ -813,6 +888,9 @@ impl<'a> Emitter<'a> {
             }
         }
         self.a.inc_m64(ctx(OFF_STORES));
+        if self.fetch_addrs.is_some() {
+            self.log_probe(PROBE_STORE, None);
+        }
         self.commit_base(op.base_addr);
     }
 

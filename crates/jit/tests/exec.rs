@@ -1,16 +1,18 @@
 //! End-to-end tests: build tiny tree groups with the `daisy-vliw`
 //! API, lower them to packed form, compile to native code, execute,
 //! and check architected state, the counter mirrors, the path log,
-//! and the exit record — the same observables the core crate's
-//! native≡packed property tests compare at scale.
+//! the cache access log, and the exit record — the same observables
+//! the core crate's native≡packed property tests compare at scale.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use daisy_jit::ctx::{JitCtx, EXIT_BAIL, EXIT_BRANCH};
-use daisy_jit::lower::Refusal;
-use daisy_jit::{CompileOpts, CompiledGroup, Jit, LOG_CAPACITY};
+use daisy_jit::ctx::{JitCtx, EXIT_BAIL, EXIT_BRANCH, PROBE_FETCH, PROBE_LOAD, PROBE_STORE};
+use daisy_jit::lower::{Refusal, MAX_VLIW_MEM_PARCELS};
+use daisy_jit::{
+    CompileOpts, CompiledGroup, Jit, ACCESS_LOG_CAPACITY, ACCESS_LOG_VLIW_BUDGET, LOG_CAPACITY,
+};
 use daisy_vliw::op::{MemWidth, OpKind, Operation};
 use daisy_vliw::tree::{Cond, Exit, ROOT};
-use daisy_vliw::{Group, PackedGroup, Reg};
+use daisy_vliw::{Group, PackedGroup, Reg, VliwId};
 use std::rc::Rc;
 
 const MEM_LEN: usize = 1 << 16;
@@ -23,6 +25,7 @@ struct Harness {
     mem: Vec<u8>,
     translated: Vec<u8>,
     log: Vec<u8>,
+    access: Vec<u64>,
     ctx: JitCtx,
 }
 
@@ -33,6 +36,7 @@ impl Harness {
             mem: vec![0u8; MEM_LEN],
             translated: vec![0u8; MEM_LEN >> 12],
             log: vec![0u8; LOG_CAPACITY],
+            access: vec![0u64; ACCESS_LOG_CAPACITY],
             ctx: JitCtx::new(),
         }
     }
@@ -43,12 +47,18 @@ impl Harness {
         self.ctx.mem_base = self.mem.as_mut_ptr();
         self.ctx.translated_base = self.translated.as_ptr();
         self.ctx.log_base = self.log.as_mut_ptr();
+        self.ctx.access_base = self.access.as_mut_ptr();
         self.ctx.budget_vliws = budget;
         unsafe { jit.run(&mut self.ctx, group) };
     }
 
     fn log_len(&self) -> usize {
         self.ctx.log_end as usize - self.log.as_ptr() as usize
+    }
+
+    /// Access-log entries written by the last run.
+    fn access_len(&self) -> usize {
+        (self.ctx.access_end as usize - self.access.as_ptr() as usize) / 8
     }
 }
 
@@ -366,4 +376,118 @@ fn recompiled_chain_over_reclaimed_bytes_runs_both_groups() {
     assert_eq!(h.ctx.cur_group, b.group_id);
     assert_eq!(h.ctx.chained_dispatches, 1);
     jit.unlink_all();
+}
+
+fn load(at: u32, dst: u8, base: u8, disp: i32) -> Operation {
+    Operation::new(OpKind::Load { width: MemWidth::Word, algebraic: false }, at)
+        .dst(Reg(dst))
+        .src(Reg(base))
+        .with_imm(disp)
+}
+
+fn store(at: u32, val: u8, base: u8, disp: i32) -> Operation {
+    Operation::new(OpKind::Store { width: MemWidth::Word }, at)
+        .src(Reg(val))
+        .src(Reg(base))
+        .with_imm(disp)
+}
+
+/// The access log's static bound, at its worst: a rerolled loop whose
+/// one VLIW carries the most memory parcels a logging group may hold,
+/// chained to itself until the run reaches the budget the dispatcher
+/// derives for a finite cache. The cursor must stay inside the
+/// capacity, and the log must be exactly the packed engine's probe
+/// sequence: per executed VLIW its fetch, then every load and store in
+/// parcel order.
+#[test]
+fn access_log_stays_within_capacity_at_the_chain_budget() {
+    const ENTRY: u32 = 0x1000;
+    const FETCH: u32 = 0x8000_0040;
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(ENTRY);
+    let v0 = &mut g.vliws[0];
+    let mut probes = Vec::new();
+    for k in 0..MAX_VLIW_MEM_PARCELS as u32 {
+        let disp = 4 * k as i32;
+        if k % 3 == 2 {
+            v0.add_op(ROOT, store(ENTRY + 4 * k, 1, 2, 0x400 + disp));
+            probes.push(u64::from(0x500 + 4 * k) | u64::from(PROBE_STORE) << 32);
+        } else {
+            v0.add_op(ROOT, load(ENTRY + 4 * k, 10 + (k % 8) as u8, 2, disp));
+            probes.push(u64::from(0x100 + 4 * k) | u64::from(PROBE_LOAD) << 32);
+        }
+    }
+    // r5 counts iterations: loop while its low 11 bits are nonzero,
+    // then leave through the (self-linked) chain exit.
+    v0.add_op(ROOT, Operation::new(OpKind::AddImm, 0x1100).dst(Reg(5)).src(Reg(5)).with_imm(1));
+    let cond = Cond { src: Reg(5), mask: 0x7FF, want_set: true, spec_target: None, origin: 0x1104 };
+    let (t, f) = v0.split(ROOT, cond);
+    v0.seal(t, Exit::Goto(VliwId(0)));
+    v0.seal(f, Exit::Branch { target: ENTRY });
+    let p = PackedGroup::lower(&g);
+    let fetch = [FETCH];
+    let opts = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
+    let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
+    jit.link(&cg, 0, &cg);
+
+    let mut h = Harness::new();
+    h.vals[2] = 0x100;
+    // Start off the 2048-iteration cadence so a chain stub passes one
+    // VLIW short of the budget and the last entry overshoots it.
+    h.vals[5] = 1;
+    h.run(&jit, &cg, ACCESS_LOG_VLIW_BUDGET);
+    jit.unlink_all();
+
+    let vliws = h.ctx.vliws;
+    assert!(vliws > ACCESS_LOG_VLIW_BUDGET, "the last entry runs past the budget: {vliws}");
+    assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
+    assert!(h.ctx.chained_dispatches > 0);
+    assert!(h.access_len() <= ACCESS_LOG_CAPACITY, "{} entries", h.access_len());
+    let per_vliw = MAX_VLIW_MEM_PARCELS + 1;
+    assert_eq!(h.access_len(), vliws as usize * per_vliw);
+    assert_eq!(h.ctx.loads + h.ctx.stores, vliws * MAX_VLIW_MEM_PARCELS as u64);
+    for (i, entry) in h.access[..h.access_len()].chunks(per_vliw).enumerate() {
+        assert_eq!(entry[0], u64::from(FETCH) | u64::from(PROBE_FETCH) << 32, "VLIW {i} fetch");
+        assert_eq!(&entry[1..], &probes[..], "VLIW {i} data probes");
+    }
+}
+
+/// One memory parcel past the bound refuses the group when it would
+/// log probes, and compiles as before when it would not.
+#[test]
+fn too_many_memory_parcels_per_vliw_refuse_only_a_logging_group() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    let v0 = &mut g.vliws[0];
+    for k in 0..=MAX_VLIW_MEM_PARCELS as u32 {
+        v0.add_op(ROOT, load(0x1000 + 4 * k, 10, 2, 4 * k as i32));
+    }
+    v0.seal(ROOT, Exit::Branch { target: 0x2000 });
+    let p = PackedGroup::lower(&g);
+    let fetch = [0x8000_0000];
+    let logging = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
+    let refused = jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, logging);
+    assert_eq!(refused.err(), Some(Refusal::TooLarge));
+    assert!(jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, CompileOpts::default()).is_ok());
+}
+
+/// A group compiled for an infinite cache (no fetch addresses) emits
+/// no log stores: its loads and stores never move the cursor.
+#[test]
+fn group_compiled_for_an_infinite_cache_never_moves_the_log_cursor() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    let v0 = &mut g.vliws[0];
+    v0.add_op(ROOT, store(0x1000, 1, 2, 4));
+    v0.add_op(ROOT, load(0x1004, 3, 2, 4));
+    v0.seal(ROOT, Exit::Branch { target: 0x2000 });
+    let cg = compile(&jit, &g, 0x1000);
+
+    let mut h = Harness::new();
+    h.vals[1] = 0x1122_3344;
+    h.vals[2] = 0x100;
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!((h.ctx.loads, h.ctx.stores), (1, 1));
+    assert_eq!(h.access_len(), 0);
+    assert!(h.access.iter().all(|&e| e == 0), "nothing was written");
 }

@@ -89,6 +89,19 @@ cmp "$artifacts/BENCH_report.json" BENCH_report.json || {
   exit 1
 }
 
+# Chapter 5 tables pin: `repro all` is deterministic, so its output
+# must match the committed docs/repro-output.txt byte for byte. The
+# tables run on the native tier (including the finite-cache ones, where
+# compiled code logs its cache probes for replay), so this also proves
+# the tier exact on every table. Regenerate the file (`cargo run
+# --release -p daisy-bench --bin repro -- all > docs/repro-output.txt`)
+# only for a change that means to move a simulated figure, and say so.
+cargo run -q --release -p daisy-bench --bin repro -- all > "$artifacts/repro-output.txt"
+cmp "$artifacts/repro-output.txt" docs/repro-output.txt || {
+  echo "error: regenerated repro output differs from docs/repro-output.txt" >&2
+  exit 1
+}
+
 # Live-metrics health smoke: two workloads through the metrics
 # registry with periodic snapshots, then the shape assertion over the
 # JSON document and the Prometheus exposition (the structural
@@ -103,7 +116,9 @@ scripts/check_health_shape.sh \
 scripts/check_health_shape.sh BENCH_health.json "" 9
 
 # Native-tier smoke (x86-64 only): the nine-workload native ≡ packed
-# observational-equivalence test, the same equivalence under cast-out
+# observational-equivalence test under the infinite cache and under
+# both paper hierarchies (probe replay: stall cycles, miss counts and
+# every cache level's counters), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
 # retired bytes), then a 16-seed injection sweep of the two
 # invalidation-heavy fault kinds with the ladder starting at the native
@@ -112,6 +127,8 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_is_observably_the_packed_engine_on_every_workload
+  cargo test -q --test prop_native \
+    native_is_observably_the_packed_engine_under_finite_caches
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
   for kind in hot_patch chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \

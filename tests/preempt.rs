@@ -13,6 +13,7 @@
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
 use daisy::native::{NativeTier, NativeTierConfig};
 use daisy::system::DaisySystem;
+use daisy_cachesim::Hierarchy;
 use daisy_isa::{Exception, GuestCpu, StopReason};
 use daisy_ppc::interp::Cpu;
 use daisy_ppc::mem::Memory;
@@ -28,7 +29,7 @@ fn preempt_cfg(seed: u64) -> CampaignConfig {
 }
 
 fn native_supported() -> bool {
-    NativeTier::new(NativeTierConfig::default()).is_some()
+    NativeTier::new(NativeTierConfig::default(), &Hierarchy::infinite()).is_some()
 }
 
 /// Runs the firmware fuzz-free on a DaisySystem tier to its halt park,

@@ -4,6 +4,8 @@
 //! engine — same architected state, same memory image, same
 //! [`RunStats`] to the counter, and the same structured [`TraceEvent`]
 //! sequence once the native tier's own compile events are set aside.
+//! Under a finite cache hierarchy the cache model's statistics must
+//! match too: compiled code logs its probes and the tier replays them.
 //! On hosts without native support the builder falls back to packed
 //! execution and the twins are trivially identical, so this suite runs
 //! (and must pass) everywhere.
@@ -14,6 +16,7 @@ use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
 use daisy::trace::{RingSink, TraceEvent};
+use daisy_cachesim::{CacheConfig, Hierarchy};
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::insn::{bo, ArithOp, Insn};
 use daisy_ppc::interp::StopReason;
@@ -30,6 +33,9 @@ const THRESHOLD: u64 = 2;
 /// tier's own compile events stripped (they are the one intentional
 /// observable difference between the twins).
 type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
+
+/// Builds a fresh (cold) cache hierarchy for each twin.
+type HierarchyCtor = fn() -> Hierarchy;
 
 fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
     events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()
@@ -54,6 +60,11 @@ fn assert_indistinguishable(
     );
     assert_eq!(native.stats, packed.stats, "{ctx}: RunStats diverged");
     assert_eq!(native_ev, packed_ev, "{ctx}: trace event sequences diverged");
+    assert_eq!(
+        native.cache.level_stats(),
+        packed.cache.level_stats(),
+        "{ctx}: cache level statistics diverged"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -61,9 +72,14 @@ fn assert_indistinguishable(
 // ---------------------------------------------------------------------
 
 fn run_workload(w: &Workload, native: bool) -> TracedRun {
+    run_workload_with_cache(w, native, Hierarchy::infinite())
+}
+
+fn run_workload_with_cache(w: &Workload, native: bool, cache: Hierarchy) -> TracedRun {
     let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
+        .cache(cache)
         .native_execution(native)
         .native_threshold(THRESHOLD)
         .trace_sink(sink.clone())
@@ -94,16 +110,43 @@ fn native_is_observably_the_packed_engine_on_every_workload() {
     }
 }
 
+/// Under both of the paper's finite hierarchies, compiled code logs its
+/// cache probes and the tier replays them at every return: stall cycles,
+/// level-0 miss counts and every cache level's counters must equal the
+/// packed engine's, on every workload.
+#[test]
+fn native_is_observably_the_packed_engine_under_finite_caches() {
+    let caches: [(&str, HierarchyCtor); 2] = [
+        ("paper_default", Hierarchy::paper_default),
+        ("paper_eight_issue", Hierarchy::paper_eight_issue),
+    ];
+    for w in daisy_workloads::all() {
+        for (name, cache) in caches {
+            let packed = run_workload_with_cache(&w, false, cache());
+            let native = run_workload_with_cache(&w, true, cache());
+            let ctx = format!("{} under {name}", w.name);
+            assert_indistinguishable(&packed, &native, &ctx);
+            assert!(packed.0.stats.stall_cycles > 0, "{ctx}: the finite hierarchy must stall");
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            {
+                let ns = native.0.native_stats().unwrap();
+                assert!(ns.dispatches > 0, "{ctx}: native tier never entered compiled code");
+            }
+        }
+    }
+}
+
 /// Configurations that keep every dispatcher boundary visible (per-group
 /// profiler; timer ticks) must still be native≡packed — the tier runs
 /// one group per dispatch there instead of chaining natively.
 #[test]
 fn native_matches_packed_with_boundary_observers() {
     let w = daisy_workloads::by_name("c_sieve").expect("sieve workload");
-    let run = |native: bool, profiled: bool, timer: Option<u64>| {
+    let run = |native: bool, profiled: bool, timer: Option<u64>, cache: HierarchyCtor| {
         let sink = RingSink::new(1 << 21);
         let mut b = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
+            .cache(cache())
             .native_execution(native)
             .native_threshold(THRESHOLD)
             .profiling(profiled)
@@ -117,10 +160,20 @@ fn native_matches_packed_with_boundary_observers() {
         assert_eq!(stop, StopReason::Syscall);
         (sys, strip_native_events(sink.events()))
     };
-    for (profiled, timer) in [(true, None), (false, Some(4096)), (true, Some(4096))] {
-        let packed = run(false, profiled, timer);
-        let native = run(true, profiled, timer);
-        let ctx = format!("profiled={profiled} timer={timer:?}");
+    // The last case ticks the timer off simulated cycles that include
+    // replayed stall cycles.
+    let infinite: HierarchyCtor = Hierarchy::infinite;
+    let finite: HierarchyCtor = Hierarchy::paper_default;
+    for (profiled, timer, cache) in [
+        (true, None, infinite),
+        (false, Some(4096), infinite),
+        (true, Some(4096), infinite),
+        (false, Some(4096), finite),
+    ] {
+        let packed = run(false, profiled, timer, cache);
+        let native = run(true, profiled, timer, cache);
+        let finite = !cache().is_infinite();
+        let ctx = format!("profiled={profiled} timer={timer:?} finite={finite}");
         assert_indistinguishable(&packed, &native, &ctx);
     }
 }
@@ -151,13 +204,22 @@ fn native_matches_packed_without_chaining() {
 /// flush the native tier thousands of times, and every flush hands the
 /// whole code arena back. Code recompiled over reclaimed bytes must stay
 /// native≡packed to the counter, and no entry may starve for space.
+/// Rerun under the paper's default finite hierarchy, the same churn
+/// also covers probe replay across bails, packed resumes and flushes.
 #[test]
 fn native_matches_packed_under_cast_out_churn() {
+    for cache in [Hierarchy::infinite, Hierarchy::paper_default] {
+        check_cast_out_churn(cache);
+    }
+}
+
+fn check_cast_out_churn(cache: HierarchyCtor) {
     let w = daisy_workloads::by_name("fgrep").expect("fgrep workload");
     let run = |native: bool| {
         let sink = RingSink::new(1 << 21);
         let mut sys = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
+            .cache(cache())
             .translator(TranslatorConfig { page_size: 64, ..TranslatorConfig::default() })
             .code_capacity(128)
             .native_execution(native)
@@ -310,10 +372,11 @@ fn emit(a: &mut Asm, steps: &[Step]) {
     a.sc();
 }
 
-fn run_generated(prog: &Program, seeds: &[u32], native: bool) -> TracedRun {
+fn run_generated(prog: &Program, seeds: &[u32], native: bool, cache: Hierarchy) -> TracedRun {
     let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x2_0000)
+        .cache(cache)
         .native_execution(native)
         .native_threshold(THRESHOLD)
         .trace_sink(sink.clone())
@@ -344,10 +407,36 @@ proptest! {
         let mut a = Asm::new(0x1000);
         emit(&mut a, &steps);
         let prog = a.finish().expect("generated program assembles");
-        let packed = run_generated(&prog, &seeds, false);
-        let native = run_generated(&prog, &seeds, true);
+        let packed = run_generated(&prog, &seeds, false, Hierarchy::infinite());
+        let native = run_generated(&prog, &seeds, true, Hierarchy::infinite());
         assert_indistinguishable(&packed, &native, "generated program");
     }
+
+    /// Random programs under a deliberately tiny hierarchy (1 KiB L1I
+    /// and L1D over a 4 KiB shared level): frequent misses interleave
+    /// instruction and data probes at the shared level, so any
+    /// misordered replay shows up in its counters.
+    #[test]
+    fn native_replays_probes_exactly_under_a_tiny_cache(
+        steps in prop::collection::vec(step(), 1..32),
+        seeds in prop::collection::vec(any::<u32>(), 12),
+    ) {
+        let mut a = Asm::new(0x1000);
+        emit(&mut a, &steps);
+        let prog = a.finish().expect("generated program assembles");
+        let packed = run_generated(&prog, &seeds, false, tiny_hierarchy());
+        let native = run_generated(&prog, &seeds, true, tiny_hierarchy());
+        assert_indistinguishable(&packed, &native, "generated program, tiny cache");
+    }
+}
+
+fn tiny_hierarchy() -> Hierarchy {
+    Hierarchy::new(
+        vec![CacheConfig::new("L1 ICache", 1 << 10, 1, 32, 0)],
+        vec![CacheConfig::new("L1 DCache", 1 << 10, 2, 32, 0)],
+        vec![CacheConfig::new("L2 JCache", 4 << 10, 4, 64, 6)],
+        40,
+    )
 }
 
 // ---------------------------------------------------------------------

@@ -92,8 +92,9 @@ proptest! {
 }
 
 /// All nine paper workloads on the interpreter, on the packed engine
-/// under the paper's finite cache and on the native tier (which runs
-/// only under an infinite cache): both leave the oracle's registers and
+/// under the paper's finite cache and on the native tier under an
+/// infinite one (`tests/prop_native.rs` pins native against packed
+/// under finite caches): both leave the oracle's registers and
 /// memory image, pass the workload's own checker, and agree on every
 /// counter the cache cannot move.
 #[test]
