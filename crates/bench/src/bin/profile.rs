@@ -12,12 +12,25 @@
 //! ```
 //!
 //! For each workload this prints the top-N groups by dispatch count
-//! (entry address, tier, dispatches, chained share, VLIWs retired,
-//! stall cycles) and a histogram of structured trace events.
+//! (entry address, tier, dispatches, VLIWs retired, stall cycles) and a
+//! histogram of structured trace events. The group table is rolled up
+//! from the guest profile's dispatch timeline
+//! ([`GuestProfile::timeline`]); when the timeline hit its bound the
+//! dropped count is printed, so a truncated table is visible.
 
 use daisy::prelude::*;
+use daisy::trace::Tier;
 use daisy_bench::reporting::{resolve_workloads, run_profiled, RunConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// One group entry's rollup of its timeline dispatches.
+#[derive(Default)]
+struct GroupRow {
+    tier: Tier,
+    dispatches: u64,
+    vliws: u64,
+    stalls: u64,
+}
 
 struct Options {
     tiered: bool,
@@ -53,30 +66,41 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
         w,
         RunConfig {
             tiered: opts.tiered.then(TierPolicy::default),
+            guest_profiling: true,
             sink: Some(sink.clone()),
             ..RunConfig::default()
         },
     );
 
-    let profiler = sys.profiler.as_ref().expect("profiling enabled");
+    let gp = sys.guest_profile.as_ref().expect("guest profiling enabled");
+    let mut groups: HashMap<u32, GroupRow> = HashMap::new();
+    for ev in gp.timeline() {
+        if let TimelineEvent::Dispatch { entry, cycles, vliws, tier, .. } = *ev {
+            let row = groups.entry(entry).or_default();
+            row.tier = row.tier.max(tier);
+            row.dispatches += 1;
+            row.vliws += u64::from(vliws);
+            row.stalls += cycles.saturating_sub(u64::from(vliws));
+        }
+    }
     let mode = if opts.tiered { "tiered" } else { "cold-only" };
-    println!("== {} ({mode}, {} distinct groups) ==", w.name, profiler.len());
+    println!("== {} ({mode}, {} distinct groups) ==", w.name, groups.len());
+    if gp.timeline_dropped() > 0 {
+        println!("(timeline full: {} dispatches dropped from the table)", gp.timeline_dropped());
+    }
     println!(
-        "{:>10}  {:>5}  {:>10}  {:>8}  {:>12}  {:>12}",
-        "entry", "tier", "dispatches", "chained%", "vliws", "stalls"
+        "{:>10}  {:>5}  {:>10}  {:>12}  {:>12}",
+        "entry", "tier", "dispatches", "vliws", "stalls"
     );
-    for (entry, p) in profiler.top_by_dispatches(opts.top) {
-        let chained_pct = if p.dispatches == 0 {
-            0.0
-        } else {
-            100.0 * p.chained_dispatches as f64 / p.dispatches as f64
-        };
+    let mut top: Vec<(u32, GroupRow)> = groups.into_iter().collect();
+    top.sort_by(|a, b| b.1.dispatches.cmp(&a.1.dispatches).then(a.0.cmp(&b.0)));
+    for (entry, row) in top.into_iter().take(opts.top) {
         println!(
-            "{entry:>#10x}  {:>5}  {:>10}  {chained_pct:>7.1}%  {:>12}  {:>12}",
-            p.tier.name(),
-            p.dispatches,
-            p.vliws_retired,
-            p.stall_cycles
+            "{entry:>#10x}  {:>5}  {:>10}  {:>12}  {:>12}",
+            row.tier.name(),
+            row.dispatches,
+            row.vliws,
+            row.stalls
         );
     }
 

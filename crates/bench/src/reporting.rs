@@ -5,8 +5,8 @@
 //! Both binaries run workloads to completion under checked conditions
 //! ([`run_profiled`] panics if a workload fails its result check — a
 //! report over wrong answers is worse than no report); the `report`
-//! binary adds guest profiling and renders [`WorkloadReport`]s, the
-//! `profile` binary adds a trace sink and renders per-group tables.
+//! binary renders [`WorkloadReport`]s, the `profile` binary adds a
+//! trace sink and renders per-group tables; both read guest profiling.
 
 use crate::runner::run_reference;
 use daisy::prelude::*;
@@ -50,13 +50,12 @@ pub fn resolve_workloads(names: &[String]) -> Vec<Workload> {
         .collect()
 }
 
-/// Runs `w` to completion under DAISY with group profiling always on
-/// and the given extras, asserting the workload's result check.
+/// Runs `w` to completion under DAISY with the given extras, asserting
+/// the workload's result check.
 pub fn run_profiled(w: &Workload, cfg: RunConfig) -> DaisySystem<PpcIsa> {
     let mut builder = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .cache(cfg.cache)
-        .profiling(true)
         .guest_profiling(cfg.guest_profiling);
     if let Some(policy) = cfg.tiered {
         builder = builder.tiered(policy);

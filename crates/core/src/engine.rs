@@ -9,6 +9,7 @@
 //! (Table 5.7). The cache hierarchy is probed per tree-instruction
 //! fetch and per memory parcel.
 
+use crate::native::NativeSlot;
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use crate::trace::Tier;
@@ -62,7 +63,7 @@ pub enum ChainLink {
 /// translation ([`crate::vmm::Vmm::invalidate_unit`], LRU cast-out,
 /// [`crate::vmm::Vmm::note_alias_restart`]) severs all inbound links
 /// simply by dropping the `Rc` — a dangling link can never be followed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GroupCode {
     /// The translated group (scheduling representation; kept for
     /// diagnostics, recovery, and lowering).
@@ -74,9 +75,19 @@ pub struct GroupCode {
     /// Translated-code address of each tree instruction.
     pub vliw_addrs: Vec<u32>,
     /// Which translator tier produced this code (cold first-touch or
-    /// profile-guided hot retranslation); carried so the profiler and
-    /// trace events can attribute execution per tier.
+    /// profile-guided hot retranslation); carried so promotion, the
+    /// native tier and trace events can tell the tiers apart.
     pub tier: Tier,
+    /// Dispatcher boundaries that entered this translation, VMM and
+    /// chained dispatches alike (bumped once per `step`). The one
+    /// hotness counter: the native threshold and the hot-promotion
+    /// threshold are two thresholds on it. Native runs that follow a
+    /// patched edge skip the dispatcher and are not counted.
+    dispatches: Cell<u64>,
+    /// The native tier's compile state for this translation (see
+    /// [`crate::native`]). Dropping the translation drops its compiled
+    /// body, whose alive byte then severs every patched edge into it.
+    pub(crate) native: RefCell<NativeSlot>,
     /// Lazily installed group-to-group links, one slot per entry of
     /// the packed exit-target table.
     links: RefCell<Vec<Option<Weak<GroupCode>>>>,
@@ -99,6 +110,8 @@ impl GroupCode {
             packed,
             vliw_addrs,
             tier: Tier::Cold,
+            dispatches: Cell::new(0),
+            native: RefCell::new(NativeSlot::Cold),
             links,
             icache: RefCell::new([const { None }; ICACHE_WAYS]),
             icache_victim: Cell::new(0),
@@ -110,6 +123,19 @@ impl GroupCode {
     pub fn with_tier(mut self, tier: Tier) -> GroupCode {
         self.tier = tier;
         self
+    }
+
+    /// Dispatcher boundaries that have entered this translation so far.
+    pub fn dispatches(&self) -> u64 {
+        self.dispatches.get()
+    }
+
+    /// Counts one dispatcher boundary entering this translation and
+    /// returns the new count.
+    pub(crate) fn count_dispatch(&self) -> u64 {
+        let n = self.dispatches.get() + 1;
+        self.dispatches.set(n);
+        n
     }
 
     /// The link slot for a static direct-branch exit `target`, if the

@@ -9,7 +9,15 @@
 //! statistics, same trace stream. `tests/prop_native.rs` pins that
 //! equivalence over the full workload suite.
 //!
-//! Three mechanisms keep the tier honest:
+//! A translation is lowered on the dispatch that brings its own
+//! dispatch counter ([`GroupCode::dispatches`]) to the threshold; its
+//! compile state lives on the translation too, so a retranslation
+//! starts cold. Under a [`crate::sched::TierPolicy`] the system offers
+//! only hot-tier translations to the tier: cold code always passes
+//! through the dispatcher, where promotion counts it, and the ladder
+//! reads cold → retranslated hot → native.
+//!
+//! Four mechanisms keep the tier honest:
 //!
 //! * **Refusal** — groups whose shape falls outside what the lowerer
 //!   can reproduce (pathological condition depth, or — under
@@ -61,7 +69,8 @@ use daisy_vliw::tree::IndirectVia;
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
-/// Default dispatch count before a group is lowered to native code.
+/// Default native threshold: a translation is lowered to native code on
+/// its eighth dispatch.
 pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
 
 /// Tree instructions a single native entry may execute before chain
@@ -116,7 +125,9 @@ pub const DEFAULT_NATIVE_MIN_COVERAGE: f64 = 0.25;
 /// warm-up threshold).
 #[derive(Debug, Clone, Copy)]
 pub struct NativeTierConfig {
-    /// Dispatch count before a group is lowered (min 1).
+    /// The dispatch of a translation on which it is lowered (min 1):
+    /// its first `threshold - 1` dispatches run on the packed engine.
+    /// Counted by [`GroupCode::dispatches`].
     pub threshold: u64,
     /// Give groups with indirect exits an inline indirect-branch
     /// target cache (IBTC).
@@ -143,24 +154,30 @@ impl Default for NativeTierConfig {
     }
 }
 
-/// Per-entry compilation state.
-enum Slot {
-    /// Seen `n` native-eligible dispatches; compiles at the threshold.
-    Cold(u64),
+/// Compile state of one translation, kept on its [`GroupCode`] so it
+/// lives and dies with the translation it describes.
+#[derive(Debug)]
+pub(crate) enum NativeSlot {
+    /// Not compiled: below the threshold, or retired by a flush (a
+    /// retired translation is past the threshold, so it recompiles on
+    /// its next dispatch).
+    Cold,
     /// Lowered and installed.
     Compiled(Rc<CompiledGroup>),
-    /// Permanently outside the template set (for this translation).
+    /// Permanently outside the template set.
     Refused,
-    /// Refused for lack of arena space: stays packed until the next
-    /// flush reclaims the arena, then compiles on its next dispatch.
-    Deferred,
+    /// Refused for lack of arena space when the tier had flushed this
+    /// many times: stays packed until the next flush reclaims the
+    /// arena, then compiles on its next dispatch.
+    Deferred(u64),
 }
 
-struct EntryState {
-    /// Identity of the translation this state describes: if the VMM
-    /// rebuilds the entry (retranslation, promotion), the state resets.
-    identity: Weak<GroupCode>,
-    slot: Slot,
+/// The compiled body of `code`, if it has one.
+fn compiled(code: &GroupCode) -> Option<Rc<CompiledGroup>> {
+    match &*code.native.borrow() {
+        NativeSlot::Compiled(cg) => Some(Rc::clone(cg)),
+        _ => None,
+    }
 }
 
 /// Registry row resolving a compiled group id (`JitCtx::cur_group`)
@@ -198,12 +215,12 @@ pub enum NativeRun {
     },
 }
 
-/// The native tier: compiler, code cache, per-entry warm-up counters,
-/// and the dispatch context block.
+/// The native tier: compiler, code cache, the registry of compiled
+/// groups, and the dispatch context block. Warm-up counts and compile
+/// state live on each [`GroupCode`].
 pub struct NativeTier {
     jit: Jit,
     config: NativeTierConfig,
-    entries: HashMap<u32, EntryState>,
     registry: HashMap<u32, RegEntry>,
     ctx: JitCtx,
     log: Vec<u8>,
@@ -229,7 +246,7 @@ impl std::fmt::Debug for NativeTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeTier")
             .field("config", &self.config)
-            .field("entries", &self.entries.len())
+            .field("compiled", &self.registry.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -261,7 +278,6 @@ impl NativeTier {
         Some(NativeTier {
             jit: Jit::new(arena_bytes)?,
             config: NativeTierConfig { threshold: config.threshold.max(1), ..config },
-            entries: HashMap::new(),
             registry: HashMap::new(),
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
@@ -274,28 +290,23 @@ impl NativeTier {
 
     /// Severs every patched chain edge, retires every compiled group
     /// (their alive bytes flip, so even a stale patched edge could
-    /// never enter them) and reclaims their arena space. Warm-up counts
-    /// and refusals survive — they describe the *translations*, whose
-    /// staleness the per-entry identity check handles — and retired or
-    /// deferred entries stay hot, so a still-live hot group recompiles
-    /// on its next dispatch instead of re-warming from zero under
-    /// invalidation churn.
+    /// never enter them) and reclaims their arena space. Dispatch
+    /// counts and refusals survive — they describe the *translations*
+    /// — so a still-live hot group recompiles on its next dispatch
+    /// instead of re-warming from zero under invalidation churn, and a
+    /// deferred one gets its retry.
     pub fn flush(&mut self) {
         self.jit.unlink_all();
-        let threshold = self.config.threshold;
-        for st in self.entries.values_mut() {
-            match &st.slot {
-                Slot::Compiled(cg) => {
-                    // Drop the retiring group's inline indirect-target
-                    // entries too: they are the IBTC analogue of the
-                    // chain edges `unlink_all` just severed.
-                    if let Some(t) = cg.ibtc() {
-                        t.clear();
-                    }
-                    st.slot = Slot::Cold(threshold);
+        for code in self.registry.values().filter_map(|row| row.code.upgrade()) {
+            let mut slot = code.native.borrow_mut();
+            if let NativeSlot::Compiled(cg) = &*slot {
+                // Drop the retiring group's inline indirect-target
+                // entries too: they are the IBTC analogue of the chain
+                // edges `unlink_all` just severed.
+                if let Some(t) = cg.ibtc() {
+                    t.clear();
                 }
-                Slot::Deferred => st.slot = Slot::Cold(threshold),
-                Slot::Cold(_) | Slot::Refused => {}
+                *slot = NativeSlot::Cold;
             }
         }
         // Rows of retired groups can never resolve again. With no
@@ -314,15 +325,16 @@ impl NativeTier {
     pub fn sync_epoch(&mut self, invalidations: u64, cast_outs: u64, alias_retranslations: u64) {
         if self.epoch != (invalidations, cast_outs, alias_retranslations) {
             self.epoch = (invalidations, cast_outs, alias_retranslations);
-            if !self.entries.is_empty() || self.jit.active_patches() > 0 {
+            if !self.registry.is_empty() || self.jit.active_patches() > 0 {
                 self.flush();
             }
         }
     }
 
-    /// Looks up (or counts toward, or performs) the compilation of
-    /// `code`. Returns the compiled group when this dispatch should
-    /// run natively; `None` keeps it on the packed engine.
+    /// Looks up (or performs, once the translation's dispatch count
+    /// reaches the threshold) the compilation of `code`. Returns the
+    /// compiled group when this dispatch should run natively; `None`
+    /// keeps it on the packed engine.
     pub fn prepare(
         &mut self,
         code: &Rc<GroupCode>,
@@ -330,31 +342,16 @@ impl NativeTier {
         mem: &mut Memory,
         tracer: &mut Tracer,
     ) -> Option<Rc<CompiledGroup>> {
-        let entry = code.group.entry;
-        // Reset state that describes a dead or replaced translation
-        // (retranslation, hot promotion): its compiled body retires.
-        let stale = self
-            .entries
-            .get(&entry)
-            .is_some_and(|s| !s.identity.upgrade().is_some_and(|c| Rc::ptr_eq(&c, code)));
-        if stale {
-            self.entries.remove(&entry);
+        match &*code.native.borrow() {
+            NativeSlot::Compiled(cg) => return Some(Rc::clone(cg)),
+            NativeSlot::Refused => return None,
+            NativeSlot::Deferred(at) if *at == self.stats.flushes => return None,
+            NativeSlot::Cold | NativeSlot::Deferred(_) => {}
         }
-        let state = self
-            .entries
-            .entry(entry)
-            .or_insert_with(|| EntryState { identity: Rc::downgrade(code), slot: Slot::Cold(0) });
-        let due = match &mut state.slot {
-            Slot::Compiled(cg) => return Some(Rc::clone(cg)),
-            Slot::Refused | Slot::Deferred => return None,
-            Slot::Cold(n) => {
-                *n += 1;
-                *n >= self.config.threshold
-            }
-        };
-        if !due {
+        if code.dispatches() < self.config.threshold {
             return None;
         }
+        let entry = code.group.entry;
         let (_, mem_len, _) = mem.jit_view();
         let parcels = code.packed.ops.len() as u64;
         // Worthwhile-ness gate: predict the template coverage this
@@ -374,7 +371,7 @@ impl NativeTier {
             self.stats.parcels_refused += parcels;
             self.stats.refusal_histogram[r.index()] += 1;
             tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
-            state.slot = Slot::Refused;
+            *code.native.borrow_mut() = NativeSlot::Refused;
             return None;
         }
         let opts = CompileOpts {
@@ -392,33 +389,21 @@ impl NativeTier {
                     RegEntry { entry, code: Rc::downgrade(code), compiled: Rc::downgrade(&cg) },
                 );
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: "ok" });
-                let out = Rc::clone(&cg);
-                if let Some(s) = self.entries.get_mut(&entry) {
-                    s.slot = Slot::Compiled(cg);
-                }
-                Some(out)
+                *code.native.borrow_mut() = NativeSlot::Compiled(Rc::clone(&cg));
+                Some(cg)
             }
             Err(r) => {
                 self.stats.refusals += 1;
                 self.stats.parcels_refused += parcels;
                 self.stats.refusal_histogram[r.index()] += 1;
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
-                if let Some(s) = self.entries.get_mut(&entry) {
-                    s.slot = if r == Refusal::ArenaFull { Slot::Deferred } else { Slot::Refused };
-                }
+                *code.native.borrow_mut() = if r == Refusal::ArenaFull {
+                    NativeSlot::Deferred(self.stats.flushes)
+                } else {
+                    NativeSlot::Refused
+                };
                 None
             }
-        }
-    }
-
-    fn compiled_for(&self, code: &Rc<GroupCode>) -> Option<Rc<CompiledGroup>> {
-        let st = self.entries.get(&code.group.entry)?;
-        if !st.identity.upgrade().is_some_and(|c| Rc::ptr_eq(&c, code)) {
-            return None;
-        }
-        match &st.slot {
-            Slot::Compiled(cg) => Some(Rc::clone(cg)),
-            _ => None,
         }
     }
 
@@ -427,7 +412,7 @@ impl NativeTier {
     /// boundary that just followed the corresponding [`GroupCode`]
     /// link, so a patched edge always mirrors an installed link.
     pub fn try_patch(&mut self, from: &Rc<GroupCode>, slot: usize, to: &Rc<GroupCode>) {
-        let (Some(fc), Some(tc)) = (self.compiled_for(from), self.compiled_for(to)) else {
+        let (Some(fc), Some(tc)) = (compiled(from), compiled(to)) else {
             return;
         };
         self.stats.edge_patches += self.jit.link(&fc, slot as u32, &tc) as u64;
@@ -450,9 +435,9 @@ impl NativeTier {
         to: Option<&Rc<GroupCode>>,
         allowed: bool,
     ) {
-        let Some(fc) = self.compiled_for(from) else { return };
+        let Some(fc) = compiled(from) else { return };
         let Some(tbl) = fc.ibtc() else { return };
-        let tc = if allowed { to.and_then(|t| self.compiled_for(t)) } else { None };
+        let tc = if allowed { to.and_then(|t| compiled(t)) } else { None };
         match tc {
             Some(tc) => tbl.install(way, target, tc.entry_addr(), tc.alive_addr()),
             None => tbl.invalidate(way),
@@ -551,7 +536,7 @@ impl NativeTier {
                     Some(c) => c,
                     // The dispatched group itself (never chained-into),
                     // whose compilation the caller holds.
-                    None => match self.compiled_for(&rcode) {
+                    None => match compiled(&rcode) {
                         Some(c) => c,
                         None => unreachable!("bailing group's compilation is live during its run"),
                     },
@@ -781,7 +766,10 @@ mod tests {
         let mut tier =
             NativeTier::with_arena(config, &Hierarchy::infinite(), 2 * 4096).expect("native host");
         let (mut mem, mut tracer) = (Memory::new(0x10000), Tracer::disabled());
-        let mut prepare = |tier: &mut NativeTier, c| tier.prepare(c, 4096, &mut mem, &mut tracer);
+        let mut prepare = |tier: &mut NativeTier, c: &Rc<GroupCode>| {
+            c.count_dispatch();
+            tier.prepare(c, 4096, &mut mem, &mut tracer)
+        };
         let codes: Vec<_> = (0..64).map(|i| code(0x1000 + 0x100 * i)).collect();
         let mut first_addr = None;
         let starved = codes

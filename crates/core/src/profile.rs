@@ -4,9 +4,10 @@
 //! The paper's whole evaluation is phrased in guest terms: ILP per
 //! *base* instruction, speculative operations wasted, translation
 //! overhead per base instruction (§4.2's ~4000-instruction budget).
-//! [`crate::trace::GroupProfiler`] stops at the group boundary: it can
-//! say *which entry* is hot, but not *which guest instructions* own the
-//! cycles. This module closes that gap:
+//! A translation's dispatch counter
+//! ([`crate::engine::GroupCode::dispatches`]) stops at the group
+//! boundary: it can say *which entry* is hot, but not *which guest
+//! instructions* own the cycles. This module closes that gap:
 //!
 //! * [`GuestProfile`] attributes VLIW issue cycles, stall cycles,
 //!   dispatch counts, and **speculation waste** to `(group entry, guest

@@ -90,22 +90,23 @@ impl Default for TranslatorConfig {
 /// reoptimization the paper sketches in §4.3).
 ///
 /// Groups translate cold with the base [`TranslatorConfig`] — fast,
-/// narrow, cheap. The per-group profiler counts dispatches; when an
-/// entry crosses [`TierPolicy::hot_threshold`], its cold translation is
-/// dropped and the next dispatch retranslates it with
-/// [`TierPolicy::hot_config`]: a wider scheduling window, more
+/// narrow, cheap. Each translation counts its own dispatches
+/// ([`crate::engine::GroupCode::dispatches`]); the dispatch that brings
+/// a cold translation to [`TierPolicy::hot_threshold`] drops it, and
+/// the next dispatch retranslates it with [`TierPolicy::hot_config`]: a wider scheduling window, more
 /// simultaneous paths, deeper loop unrolling, and interpretive
 /// compilation (Ch. 6) so observed branch outcomes and indirect targets
 /// steer the richer schedule. Cold first-touch translation cost stays
 /// where it was; only entries that provably repay the investment get
 /// the expensive treatment.
 ///
-/// Enabled via [`crate::system::DaisySystemBuilder::tiered`] (or
-/// [`crate::system::DaisySystemBuilder::hot_threshold`] for the default
-/// policy at a chosen threshold).
+/// Enabled via [`crate::system::DaisySystemBuilder::tiered`]
+/// ([`TierPolicy::with_threshold`] for the default policy at a chosen
+/// threshold).
 #[derive(Debug, Clone)]
 pub struct TierPolicy {
-    /// Dispatch count at which an entry is promoted to the hot tier.
+    /// Dispatch count of a cold translation at which its entry is
+    /// promoted to the hot tier (promotion follows that dispatch).
     pub hot_threshold: u64,
     /// Multiplier on [`TranslatorConfig::window_size`] for hot groups.
     pub window_multiplier: u32,

@@ -28,8 +28,7 @@ use crate::profile::GuestProfile;
 use crate::sched::{TierPolicy, TranslatorConfig};
 use crate::stats::RunStats;
 use crate::trace::{
-    ExcClass, FlightRecorder, GroupProfiler, Tier, TraceEvent, TraceSink, Tracer,
-    DEFAULT_FLIGHT_RECORDER_CAPACITY,
+    ExcClass, FlightRecorder, Tier, TraceEvent, TraceSink, Tracer, DEFAULT_FLIGHT_RECORDER_CAPACITY,
 };
 use crate::vmm::Vmm;
 use daisy_cachesim::Hierarchy;
@@ -75,14 +74,12 @@ pub struct DaisySystem<I: Isa> {
     /// Cross-check the §3.5 recovery algorithm against parcel metadata
     /// on every exception (cheap: exceptions are rare).
     pub check_precise_recovery: bool,
-    /// Deliver an external interrupt every this many cycles (a timer
-    /// tick), when the emulated machine state has interrupts enabled.
-    /// External interrupts are taken at group boundaries — the
-    /// translated-code analogue of the paper's "to the external
-    /// interrupt handler the program will appear to be at [a precise]
-    /// point" (§3.7).
-    pub timer_period: Option<u64>,
-    next_timer: u64,
+    /// An external interrupt posted through
+    /// [`DaisySystem::post_external_interrupt`], not yet delivered.
+    /// External interrupts (posted ones and the attached bus's line)
+    /// are taken at group boundaries — the translated-code analogue of
+    /// the paper's "to the external interrupt handler the program will
+    /// appear to be at [a precise] point" (§3.7).
     pending_external: bool,
     /// Recorded external-interrupt deliveries — `(retired guest
     /// instructions, architected PC)` per delivery — when enabled
@@ -103,17 +100,11 @@ pub struct DaisySystem<I: Isa> {
     chaining: bool,
     /// The previous group's exit, if a chain link may apply to it.
     pending_chain: Option<PendingChain>,
-    /// Per-group execution profiler (`None` unless enabled through the
-    /// builder; tiered retranslation enables it implicitly).
-    pub profiler: Option<GroupProfiler>,
     /// Guest-level attribution profile (`None` unless enabled through
     /// [`DaisySystemBuilder::guest_profiling`]): per-guest-PC cycles,
     /// stalls, speculation waste, the §4.2 overhead clock, and the
     /// dispatch timeline the exporters render (see [`crate::profile`]).
     pub guest_profile: Option<GuestProfile>,
-    /// Promotion threshold, copied out of the VMM's tier policy so the
-    /// dispatch loop can test it without borrowing the VMM.
-    hot_threshold: Option<u64>,
     /// Graceful-degradation ladder: entries faulted down from the
     /// default execution mode (see [`crate::error`]). Empty on the
     /// happy path.
@@ -172,12 +163,10 @@ pub struct DaisySystemBuilder<I: Isa> {
     mem_size: u32,
     cfg: TranslatorConfig,
     cache: Hierarchy,
-    timer_period: Option<u64>,
     check_precise_recovery: bool,
     code_capacity: Option<u64>,
     chaining: bool,
     trace_sink: Option<Box<dyn TraceSink>>,
-    profiling: bool,
     guest_profiling: bool,
     tier_policy: Option<TierPolicy>,
     native: bool,
@@ -196,12 +185,10 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             mem_size: 0x40000,
             cfg: TranslatorConfig::default(),
             cache: Hierarchy::infinite(),
-            timer_period: None,
             check_precise_recovery: true,
             code_capacity: None,
             chaining: true,
             trace_sink: None,
-            profiling: false,
             guest_profiling: false,
             tier_policy: None,
             native: false,
@@ -235,13 +222,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Deliver an external interrupt every `cycles` cycles (default:
-    /// no timer).
-    pub fn timer_period(mut self, cycles: u64) -> Self {
-        self.timer_period = Some(cycles);
-        self
-    }
-
     /// Cross-check §3.5 precise-exception recovery on every exception
     /// (default on).
     pub fn check_precise_recovery(mut self, on: bool) -> Self {
@@ -264,11 +244,12 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Enables the native host-code tier (default off): groups whose
-    /// dispatch count crosses [`DaisySystemBuilder::native_threshold`]
-    /// are lowered to executable x86-64 and entered directly, with
-    /// chained direct jumps between compiled groups (see
-    /// [`crate::native`] and `docs/jit.md`). Works under any cache
+    /// Enables the native host-code tier (default off): translations
+    /// whose dispatch count reaches
+    /// [`DaisySystemBuilder::native_threshold`] are lowered to
+    /// executable x86-64 and entered directly, with chained direct
+    /// jumps between compiled groups (see [`crate::native`] and
+    /// `docs/jit.md`). Works under any cache
     /// hierarchy: with a finite one, compiled code logs its cache probes
     /// and the tier replays them through the model at every return, so
     /// statistics match the packed engine exactly. Silently falls back
@@ -280,9 +261,13 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Dispatches before a group is lowered to native code (default
-    /// [`crate::native::DEFAULT_NATIVE_THRESHOLD`]; clamped to at
-    /// least 1). Only meaningful with
+    /// The dispatch of a translation on which it is lowered to native
+    /// code: its first `dispatches - 1` dispatches run on the packed
+    /// engine (default [`crate::native::DEFAULT_NATIVE_THRESHOLD`];
+    /// clamped to at least 1). Counted per translation
+    /// ([`GroupCode::dispatches`]), the same counter the
+    /// [`TierPolicy`] hot threshold reads; under a tier policy only
+    /// hot-tier translations are lowered. Only meaningful with
     /// [`DaisySystemBuilder::native_execution`] on.
     pub fn native_threshold(mut self, dispatches: u64) -> Self {
         self.native_config.threshold = dispatches;
@@ -380,15 +365,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Enables the per-group execution profiler
-    /// ([`DaisySystem::profiler`]): dispatch counts, VLIWs retired, and
-    /// stall cycles attributed per group entry (default off; implied by
-    /// [`DaisySystemBuilder::tiered`]).
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
-        self
-    }
-
     /// Enables guest-level attribution ([`DaisySystem::guest_profile`]):
     /// per-guest-PC cycle/stall/waste accounting plus the dispatch
     /// timeline and §4.2 overhead clock behind the exporters in
@@ -400,22 +376,15 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Enables profile-guided tiered retranslation under `policy`:
-    /// groups whose dispatch count crosses the policy's hot threshold
-    /// are dropped and rebuilt with the policy's wider scheduling
-    /// window and deeper speculation. Implies [`profiling`].
-    ///
-    /// [`profiling`]: DaisySystemBuilder::profiling
+    /// Enables profile-guided tiered retranslation under `policy`: a
+    /// cold translation is dropped right after the dispatch that
+    /// brings its count ([`GroupCode::dispatches`]) to the policy's hot
+    /// threshold, and rebuilt with the policy's wider scheduling window
+    /// and deeper speculation. With the native tier on, only those hot
+    /// retranslations are lowered to native code.
     pub fn tiered(mut self, policy: TierPolicy) -> Self {
         self.tier_policy = Some(policy);
-        self.profiling = true;
         self
-    }
-
-    /// Shorthand for [`DaisySystemBuilder::tiered`] with the default
-    /// [`TierPolicy`] at the given promotion threshold.
-    pub fn hot_threshold(self, dispatches: u64) -> Self {
-        self.tiered(TierPolicy::with_threshold(dispatches))
     }
 
     /// Builds the system.
@@ -430,7 +399,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         } else {
             FlightRecorder::disabled()
         };
-        let hot_threshold = self.tier_policy.as_ref().map(|p| p.hot_threshold);
         vmm.tier_policy = self.tier_policy;
         // The native tier only composes with configurations it can
         // reproduce exactly: no guest profiling (native code records no
@@ -448,8 +416,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
             cache: self.cache,
             stats: RunStats::default(),
             check_precise_recovery: self.check_precise_recovery,
-            timer_period: self.timer_period,
-            next_timer: 0,
             pending_external: false,
             delivery_log: self.record_deliveries.then(Vec::new),
             native_yield_preempts: 0,
@@ -457,9 +423,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
             scratch: EngineScratch::new(),
             chaining: self.chaining,
             pending_chain: None,
-            profiler: self.profiling.then(GroupProfiler::new),
             guest_profile: self.guest_profiling.then(GuestProfile::new),
-            hot_threshold,
             ladder: HashMap::new(),
             interp_pages: HashSet::new(),
             ladder_engaged: false,
@@ -598,22 +562,11 @@ impl<I: Isa> DaisySystem<I> {
                 self.stats.cycles(),
             );
         }
-        // Timer tick / posted external interrupts, at precise group
-        // boundaries (every architected register is exact here). The
-        // cadence is fixed: ticks land on multiples of `period`
-        // regardless of how far a long group overshot the deadline,
-        // and overshooting several periods yields one tick, not a
-        // burst (the level stays asserted until delivered anyway).
-        if let Some(period) = self.timer_period {
-            if self.stats.cycles() >= self.next_timer {
-                let missed = (self.stats.cycles() - self.next_timer) / period;
-                self.next_timer += period * (missed + 1);
-                self.pending_external = true;
-            }
-        }
-        // Advance the modeled SoC's device clock to the retired-
-        // instruction count — the one clock the interpreter oracle
-        // reproduces exactly — then sample its interrupt line.
+        // External interrupts are taken at precise group boundaries
+        // (every architected register is exact here). Advance the
+        // modeled SoC's device clock to the retired-instruction count
+        // — the one clock the interpreter oracle reproduces exactly —
+        // then sample its interrupt line.
         // Level-triggered: the line is *not* latched into
         // `pending_external`; it stays asserted until the handler
         // acknowledges the device.
@@ -622,7 +575,7 @@ impl<I: Isa> DaisySystem<I> {
             self.mem.bus_irq_level()
         };
         // Gated by the architected interrupt-enable state alone (clear
-        // by default), so harnesses can take timer ticks while still
+        // by default), so harnesses can take interrupts while still
         // stopping at a final system call with vectored delivery off.
         // With no interrupt asserted this whole block is the same
         // single short-circuit test it always was; latency bookkeeping
@@ -717,7 +670,6 @@ impl<I: Isa> DaisySystem<I> {
                 _ => {}
             }
         }
-        let was_chained = chained.is_some();
         let code = match chained {
             Some(code) => {
                 self.stats.chain.chained_dispatches += 1;
@@ -773,8 +725,9 @@ impl<I: Isa> DaisySystem<I> {
                 code
             }
         };
-        let profiled_before =
-            self.profiler.as_ref().map(|_| (self.stats.vliws_executed, self.stats.stall_cycles));
+        // The translation's one hotness counter: the native threshold
+        // (in `prepare`) and hot promotion (below) both read it.
+        let dispatches = code.count_dispatch();
         let guest_before =
             self.guest_profile.as_ref().map(|_| (self.stats.cycles(), self.stats.stall_cycles));
         // Snapshot for the recovery-retry path below: a dispatch whose
@@ -792,17 +745,21 @@ impl<I: Isa> DaisySystem<I> {
         } else {
             default_rung
         };
-        // Native tier: compile-or-count the entry, enter compiled code,
-        // and (where the dispatcher can be skipped invisibly) patch the
-        // chain edge just followed into a direct native jump. A bailed
-        // native run resumes the same group mid-node on the packed
-        // engine with the architected-event trail reconstructed, so
-        // everything downstream (recovery cross-check, exception
-        // delivery, exit handling) is rung-oblivious. `run_from` names
-        // the group that produced the exit — a chained native run may
-        // end groups away from the dispatched one.
+        // Native tier: compile the translation once it is warm, enter
+        // compiled code, and (where the dispatcher can be skipped
+        // invisibly) patch the chain edge just followed into a direct
+        // native jump. A bailed native run resumes the same group
+        // mid-node on the packed engine with the architected-event
+        // trail reconstructed, so everything downstream (recovery
+        // cross-check, exception delivery, exit handling) is
+        // rung-oblivious. `run_from` names the group that produced the
+        // exit — a chained native run may end groups away from the
+        // dispatched one.
         let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
-        if rung == Rung::Native {
+        // Under a tier policy only hot retranslations go native, so
+        // every cold dispatch passes through here and is counted.
+        let native_eligible = self.vmm.tier_policy.is_none() || code.tier == Tier::Hot;
+        if rung == Rung::Native && native_eligible {
             let patching_ok = self.native_patching_ok();
             if let Some(nt) = self.native.as_mut() {
                 nt.sync_epoch(
@@ -899,29 +856,11 @@ impl<I: Isa> DaisySystem<I> {
             );
         }
 
-        // Attribute this dispatch to the group's entry and promote
-        // it to the hot tier when its dispatch count crosses the
-        // configured threshold (profile-guided retranslation).
-        let mut promoted = false;
-        if let (Some(profiler), Some((v0, s0))) = (&mut self.profiler, profiled_before) {
-            let entry = code.group.entry;
-            profiler.record(
-                entry,
-                code.tier,
-                was_chained,
-                self.stats.vliws_executed - v0,
-                self.stats.stall_cycles - s0,
-            );
-            if let Some(threshold) = self.hot_threshold {
-                if code.tier == Tier::Cold
-                    && !self.vmm.is_hot(entry)
-                    && profiler.get(entry).is_some_and(|p| p.dispatches >= threshold)
-                {
-                    let dispatches = profiler.get(entry).map_or(0, |p| p.dispatches);
-                    promoted = self.vmm.promote_hot(entry, dispatches);
-                }
-            }
-        }
+        // Promote a cold translation to the hot tier once its dispatch
+        // count reaches the threshold (profile-guided retranslation).
+        let promoted = code.tier == Tier::Cold
+            && self.vmm.tier_policy.as_ref().is_some_and(|p| dispatches >= p.hot_threshold)
+            && self.vmm.promote_hot(code.group.entry, dispatches);
 
         match exit {
             GroupExit::Branch { target, via, slot } => {
@@ -1248,18 +1187,15 @@ impl<I: Isa> DaisySystem<I> {
     /// Whether chain edges between compiled native groups may be
     /// patched into direct jumps. Patching removes the dispatcher
     /// boundary between the linked groups, so it is only sound when
-    /// nothing observes that boundary: no per-group profiler, no guest
-    /// profile, no timer (interrupts are taken at boundaries), and no
+    /// nothing observes that boundary: chaining on, no guest profile,
+    /// no bus (device interrupts are taken at boundaries), and no
     /// engaged degradation ladder (rung checks happen at boundaries).
-    /// In every other configuration native groups still run one group
-    /// per dispatch, which preserves boundary-exact behaviour.
+    /// Tiering needs no clause: cold code, the only code promotion
+    /// counts, is never compiled. In every other configuration native
+    /// groups still run one group per dispatch, which preserves
+    /// boundary-exact behaviour.
     fn native_patching_ok(&self) -> bool {
-        self.chaining
-            && self.profiler.is_none()
-            && self.guest_profile.is_none()
-            && self.timer_period.is_none()
-            && !self.mem.has_bus()
-            && !self.ladder_engaged
+        self.chaining && self.guest_profile.is_none() && !self.mem.has_bus() && !self.ladder_engaged
     }
 
     /// Every ladder step taken this run, in order.
@@ -1584,36 +1520,6 @@ mod tests {
             a.sc();
         });
         assert_eq!(sys.stats.crosspage.via_ctr, 1);
-    }
-
-    #[test]
-    fn timer_ticks_on_fixed_cadence() {
-        // Every timer re-arm must land on the fixed grid (a multiple
-        // of the period), no matter how far a long group overshot the
-        // previous deadline — and overshooting several periods yields
-        // one tick, not a burst. This pins against the drifting re-arm
-        // `next_timer = cycles() + period`, which re-phases at every
-        // tick and (with a prime period) lands off-grid almost surely.
-        let mut a = Asm::new(0x1000);
-        a.li(Gpr(3), 0);
-        a.li(Gpr(4), 2000);
-        a.mtctr(Gpr(4));
-        a.label("loop");
-        a.addi(Gpr(3), Gpr(3), 1);
-        a.bdnz("loop");
-        a.sc();
-        let prog = a.finish().unwrap();
-
-        let period = 997;
-        let mut sys =
-            DaisySystem::<PpcIsa>::builder().mem_size(0x40000).timer_period(period).build();
-        sys.load(&prog).unwrap();
-        let _ = sys.mem.write_u32(PpcIsa::external_vector(), PpcIsa::interrupt_return_word());
-        sys.cpu.enable_interrupts();
-        let stop = sys.run(1_000_000).unwrap();
-        assert_eq!(stop, StopReason::Syscall);
-        assert!(sys.stats.interrupts_taken >= 2, "timer must fire repeatedly");
-        assert_eq!(sys.next_timer % period, 0, "re-arm must stay on the fixed grid");
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Structured observability for the VMM: trace events and the
-//! per-group execution profiler.
+//! Structured observability for the VMM: trace events and the flight
+//! recorder.
 //!
 //! The paper's Chapter 5 is built on end-of-run aggregates; this module
 //! adds the *where* — a stream of structured [`TraceEvent`]s emitted at
 //! every translation-lifecycle transition (translate, cast-out,
 //! invalidate, chain install/sever, alias restart, exception,
-//! code-modification flush, hot promotion) plus a [`GroupProfiler`]
-//! attributing dispatches, VLIWs retired, and stall cycles to each
-//! group entry point. Together they expose exactly the fleet-profiling
-//! signal that profile-guided reoptimization (§4.3 of the paper, and
-//! [`crate::sched::TierPolicy`] here) consumes.
+//! code-modification flush, hot promotion). The hotness signal that
+//! profile-guided reoptimization (§4.3 of the paper, and
+//! [`crate::sched::TierPolicy`] here) consumes is one dispatch counter
+//! per translation ([`crate::engine::GroupCode::dispatches`]); per-entry
+//! attribution of cycles and stalls lives in [`crate::profile`].
 //!
 //! Tracing is **cheap by default and free when silenced**: the
 //! [`Tracer`] holds an `Option<Box<dyn TraceSink>>` plus an always-on
@@ -43,7 +43,7 @@
 
 use crate::error::{DegradeCause, Rung};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::rc::Rc;
@@ -193,7 +193,8 @@ pub enum TraceEvent {
     HotPromotion {
         /// Entry point promoted.
         entry: u32,
-        /// Dispatch count at promotion.
+        /// The promoted cold translation's own dispatch count at
+        /// promotion ([`crate::engine::GroupCode::dispatches`]).
         dispatches: u64,
     },
     /// A hot group was lowered to native host code — or refused, with
@@ -653,95 +654,6 @@ impl Tracer {
     }
 }
 
-/// Execution counters attributed to one group entry point.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupProfile {
-    /// Times the group was dispatched (VMM *and* chained dispatches).
-    pub dispatches: u64,
-    /// Dispatches that arrived through a chain link or the inline
-    /// indirect cache rather than the VMM.
-    pub chained_dispatches: u64,
-    /// Tree instructions retired across all dispatches.
-    pub vliws_retired: u64,
-    /// Cache-stall cycles attributed to this group's execution.
-    pub stall_cycles: u64,
-    /// Highest tier of translation executed for this entry.
-    pub tier: Tier,
-}
-
-impl GroupProfile {
-    /// Total cycles attributed to this group (VLIWs + stalls).
-    pub fn cycles(&self) -> u64 {
-        self.vliws_retired + self.stall_cycles
-    }
-}
-
-/// Per-group execution profiler: attributes dispatches, VLIWs retired,
-/// and stall cycles to group entry points.
-///
-/// Enabled via [`crate::system::DaisySystemBuilder::profiling`] (and
-/// implied by tiered retranslation, which consumes its dispatch
-/// counts). One hash-map update per group dispatch; disabled, it costs
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct GroupProfiler {
-    map: HashMap<u32, GroupProfile>,
-}
-
-impl GroupProfiler {
-    /// An empty profiler.
-    pub fn new() -> GroupProfiler {
-        GroupProfiler::default()
-    }
-
-    /// Attributes one dispatch of the group entered at `entry`.
-    pub fn record(&mut self, entry: u32, tier: Tier, chained: bool, vliws: u64, stalls: u64) {
-        let p = self.map.entry(entry).or_default();
-        p.dispatches += 1;
-        p.chained_dispatches += u64::from(chained);
-        p.vliws_retired += vliws;
-        p.stall_cycles += stalls;
-        p.tier = p.tier.max(tier);
-    }
-
-    /// The profile for `entry`, if it was ever dispatched.
-    pub fn get(&self, entry: u32) -> Option<&GroupProfile> {
-        self.map.get(&entry)
-    }
-
-    /// Number of distinct entry points profiled.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been profiled.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates over `(entry, profile)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &GroupProfile)> {
-        self.map.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// The `n` hottest entries by dispatch count, descending (ties
-    /// break toward lower addresses for deterministic reports).
-    pub fn top_by_dispatches(&self, n: usize) -> Vec<(u32, GroupProfile)> {
-        let mut v: Vec<(u32, GroupProfile)> = self.map.iter().map(|(k, p)| (*k, *p)).collect();
-        v.sort_by(|a, b| b.1.dispatches.cmp(&a.1.dispatches).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-
-    /// The `n` costliest entries by attributed cycles, descending.
-    pub fn top_by_cycles(&self, n: usize) -> Vec<(u32, GroupProfile)> {
-        let mut v: Vec<(u32, GroupProfile)> = self.map.iter().map(|(k, p)| (*k, *p)).collect();
-        v.sort_by(|a, b| b.1.cycles().cmp(&a.1.cycles()).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,23 +748,6 @@ mod tests {
         assert!(lines[0].contains("\"event\": \"translate\""));
         assert!(lines[0].contains("\"tier\": \"hot\""));
         assert!(lines[1].contains("\"target\": 8192"));
-    }
-
-    #[test]
-    fn profiler_ranks_hot_groups() {
-        let mut p = GroupProfiler::new();
-        for _ in 0..10 {
-            p.record(0x1000, Tier::Cold, true, 4, 1);
-        }
-        p.record(0x2000, Tier::Hot, false, 100, 0);
-        let top = p.top_by_dispatches(1);
-        assert_eq!(top[0].0, 0x1000);
-        assert_eq!(top[0].1.dispatches, 10);
-        assert_eq!(top[0].1.chained_dispatches, 10);
-        assert_eq!(top[0].1.vliws_retired, 40);
-        let costly = p.top_by_cycles(1);
-        assert_eq!(costly[0].0, 0x2000);
-        assert_eq!(p.get(0x2000).unwrap().tier, Tier::Hot);
     }
 
     #[test]

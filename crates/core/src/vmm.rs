@@ -239,7 +239,7 @@ impl<I: Isa> Vmm<I> {
         if let Some(g) = self.pages.get(&key).and_then(|t| t.get(slot)) {
             return Rc::clone(g);
         }
-        // Pick the tier: hot entries (promoted by the profiler) rebuild
+        // Pick the tier: hot entries (promoted by the dispatcher) rebuild
         // under the wider TierPolicy configuration; everything else uses
         // the base config. Conservative (no-load-speculation) mode from
         // repeated aliasing composes with either tier.
@@ -363,9 +363,10 @@ impl<I: Isa> Vmm<I> {
 
     /// Promotes `entry` to the hot tier: its cold translation is
     /// dropped and the next dispatch rebuilds it under
-    /// [`TierPolicy::hot_config`]. `dispatches` is the profiled count
-    /// at promotion (carried into the trace event). Returns `false`
-    /// when tiering is off or the entry was already hot.
+    /// [`TierPolicy::hot_config`]. `dispatches` is the cold
+    /// translation's dispatch count at promotion (carried into the
+    /// trace event). Returns `false` when tiering is off or the entry
+    /// was already hot.
     pub fn promote_hot(&mut self, entry: u32, dispatches: u64) -> bool {
         if self.tier_policy.is_none() || !self.hot_entries.insert(entry) {
             return false;
@@ -374,11 +375,6 @@ impl<I: Isa> Vmm<I> {
         self.drop_entry(entry);
         self.tracer.emit(|| TraceEvent::HotPromotion { entry, dispatches });
         true
-    }
-
-    /// Whether `entry` has been promoted to the hot tier.
-    pub fn is_hot(&self, entry: u32) -> bool {
-        self.hot_entries.contains(&entry)
     }
 
     /// Returns the existing translation for `addr`, if any — one page

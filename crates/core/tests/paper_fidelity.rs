@@ -290,9 +290,11 @@ fn context_switches_carry_only_architected_state() {
 
 /// §3.3/§3.7: external (timer) interrupts reach the emulated OS at
 /// precise points and the interrupted computation still completes
-/// exactly.
+/// exactly. The ticks come from the modeled SoC's interval timer.
 #[test]
 fn timer_interrupts_are_transparent_to_the_computation() {
+    use daisy_soc::{reg, IRQ_TIMER, SOC_BASE};
+
     let mut a = Asm::new(0x1000);
     a.li(Gpr(3), 0);
     a.li(Gpr(4), 500);
@@ -304,14 +306,25 @@ fn timer_interrupts_are_transparent_to_the_computation() {
     let prog = a.finish().unwrap();
     let reference = run_interp(&prog, 0x20000);
 
-    // OS: the external handler at 0x500 counts ticks in r30 and rfi's.
+    // OS: the external handler at 0x500 counts ticks in r30,
+    // acknowledges the timer (level-triggered) and rfi's.
     let mut os = Asm::new(vectors::EXTERNAL);
     os.addi(Gpr(30), Gpr(30), 1);
+    os.lis(Gpr(29), (SOC_BASE >> 16) as i16);
+    os.stw(Gpr(29), reg::TIMER_ACK as i16, Gpr(29));
     os.rfi();
     let os_prog = os.finish().unwrap();
 
-    // rfi restores EE because SRR1 snapshots the MSR at delivery.
-    let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x20000).timer_period(50).build();
+    // A tick every 50 retired instructions; rfi restores EE because
+    // SRR1 snapshots the MSR at delivery.
+    let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x20000).build();
+    let (base, len, dev) = daisy_soc::standard_bus();
+    sys.mem.attach_bus(base, len, dev);
+    sys.mem.with_bus(|now, dev| {
+        dev.write(now, reg::TIMER_PERIOD, 4, 50);
+        dev.write(now, reg::TIMER_CTRL, 4, 1);
+        dev.write(now, reg::IRQ_ENABLE, 4, 1 << IRQ_TIMER);
+    });
     sys.load(&prog).unwrap();
     os_prog.load_into(&mut sys.mem).unwrap();
     sys.cpu.msr |= daisy_ppc::reg::msr_bits::EE;

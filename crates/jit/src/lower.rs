@@ -507,7 +507,7 @@ impl<'a> Emitter<'a> {
         self.a.bind(found);
         // Budget: stop chaining once the run quota is spent, so a hot
         // indirect loop still returns to the dispatcher (ladder,
-        // timer, profiler preemption).
+        // interrupts, run limits).
         self.a.mov_r64_m(RSI, ctx(OFF_VLIWS));
         self.a.cmp_r64_m(RSI, ctx(OFF_BUDGET));
         self.a.jcc(CC_AE, miss);
@@ -572,10 +572,10 @@ impl<'a> Emitter<'a> {
                     // Backward edge (rerolled loop): check the
                     // per-entry budget first — once spent, leave the
                     // group through the target's anchor like any
-                    // direct branch, so the dispatcher (ladder, timer,
-                    // profiler) regains control. A taken back edge
-                    // logs direction byte 2 (bail reconstruction must
-                    // know the walk revisits nodes).
+                    // direct branch, so the dispatcher (ladder,
+                    // interrupts, run limits) regains control. A taken
+                    // back edge logs direction byte 2 (bail
+                    // reconstruction must know the walk revisits nodes).
                     let stub = self.budget_exit_label(vliw);
                     self.a.mov_r64_m(RAX, ctx(OFF_VLIWS));
                     self.a.cmp_r64_m(RAX, ctx(OFF_ENTRY_VLIWS));

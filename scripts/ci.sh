@@ -120,7 +120,8 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 # both paper hierarchies (probe replay: stall cycles, miss counts and
 # every cache level's counters), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
-# retired bytes), then a 16-seed injection sweep of the two
+# retired bytes) and under tiered retranslation (only hot translations
+# compile, and they chain natively), then a 16-seed injection sweep of the two
 # invalidation-heavy fault kinds with the ladder starting at the native
 # rung. Other hosts build the same code but the tier declines to
 # engage, so there is nothing extra to test.
@@ -130,6 +131,7 @@ if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_is_observably_the_packed_engine_under_finite_caches
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
+  cargo test -q --test tiered tiered_native_is_observably_tiered_packed
   for kind in hot_patch chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \
       --native --seeds 16 --kind "$kind"

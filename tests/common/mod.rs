@@ -1,15 +1,23 @@
 //! The random-program generator shared by the oracle proptests
 //! (`prop_equivalence`, `prop_packed`): arbitrary but safe PowerPC
 //! programs — they always terminate and touch only a private data
-//! window — plus the interpreter-oracle run and the state diff.
+//! window — plus the interpreter-oracle run and the state diff; the
+//! native-versus-packed twin comparison; and the SoC interval-timer
+//! setup the preemption tests share.
+
+// Each test binary that includes this module uses a different subset.
+#![allow(dead_code)]
 
 use daisy::system::{DaisySystem, DaisySystemBuilder};
+use daisy::trace::TraceEvent;
+use daisy_isa::GuestCpu;
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::insn::{bo, Insn};
 use daisy_ppc::interp::{Cpu, StopReason};
 use daisy_ppc::mem::Memory;
-use daisy_ppc::reg::{CrBit, CrField, Gpr};
-use daisy_ppc::PpcIsa;
+use daisy_ppc::reg::{CrBit, CrField, Gpr, Spr};
+use daisy_ppc::{vectors, PpcIsa};
+use daisy_soc::{reg, IRQ_TIMER, SOC_BASE};
 use proptest::prelude::*;
 
 /// Guest memory size of every generated run.
@@ -286,5 +294,66 @@ pub fn assert_same(sys: &DaisySystem<PpcIsa>, cpu: &Cpu, mem: &Memory, ctx: &str
         sys.mem.read_bytes(0, size).unwrap(),
         mem.read_bytes(0, size).unwrap(),
         "{ctx}: memory image diverged"
+    );
+}
+
+/// Attaches the modeled SoC, starts its interval timer with a tick
+/// every `period` retired instructions, unmasks the timer line, writes
+/// an acknowledge-then-`rfi` handler at the external vector (it keeps
+/// `r31` in SPRG0 while it addresses the device) and enables
+/// interrupts. Call after loading the program.
+pub fn attach_soc_timer(sys: &mut DaisySystem<PpcIsa>, period: u32) {
+    let (base, len, dev) = daisy_soc::standard_bus();
+    sys.mem.attach_bus(base, len, dev);
+    sys.mem.with_bus(|now, dev| {
+        dev.write(now, reg::TIMER_PERIOD, 4, period);
+        dev.write(now, reg::TIMER_CTRL, 4, 1);
+        dev.write(now, reg::IRQ_ENABLE, 4, 1 << IRQ_TIMER);
+    });
+    let mut h = Asm::new(vectors::EXTERNAL);
+    h.emit(Insn::Mtspr { spr: Spr::Sprg0, rs: Gpr(31) });
+    h.lis(Gpr(31), (SOC_BASE >> 16) as i16);
+    h.stw(Gpr(31), reg::TIMER_ACK as i16, Gpr(31));
+    h.emit(Insn::Mfspr { rt: Gpr(31), spr: Spr::Sprg0 });
+    h.rfi();
+    h.finish().expect("timer handler assembles").load_into(&mut sys.mem).unwrap();
+    sys.cpu.enable_interrupts();
+}
+
+/// A finished run: the system plus its captured trace, with the native
+/// tier's own compile events stripped (they are the one intentional
+/// observable difference between native and packed twins).
+pub type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
+
+/// Drops the native tier's `native_compile` events from a trace.
+pub fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()
+}
+
+/// Asserts two twin runs are indistinguishable: architected state,
+/// memory image, `RunStats`, trace stream and cache-level statistics.
+pub fn assert_indistinguishable(
+    (packed, packed_ev): &TracedRun,
+    (native, native_ev): &TracedRun,
+    ctx: &str,
+) {
+    assert_eq!(native.cpu.gpr, packed.cpu.gpr, "{ctx}: GPRs diverged");
+    assert_eq!(native.cpu.cr, packed.cpu.cr, "{ctx}: CR diverged");
+    assert_eq!(native.cpu.lr, packed.cpu.lr, "{ctx}: LR diverged");
+    assert_eq!(native.cpu.ctr, packed.cpu.ctr, "{ctx}: CTR diverged");
+    assert_eq!(native.cpu.xer, packed.cpu.xer, "{ctx}: XER diverged");
+    assert_eq!(native.cpu.pc, packed.cpu.pc, "{ctx}: PC diverged");
+    let size = packed.mem.size();
+    assert_eq!(
+        native.mem.read_bytes(0, size).unwrap(),
+        packed.mem.read_bytes(0, size).unwrap(),
+        "{ctx}: memory image diverged"
+    );
+    assert_eq!(native.stats, packed.stats, "{ctx}: RunStats diverged");
+    assert_eq!(native_ev, packed_ev, "{ctx}: trace event sequences diverged");
+    assert_eq!(
+        native.cache.level_stats(),
+        packed.cache.level_stats(),
+        "{ctx}: cache level statistics diverged"
     );
 }

@@ -13,42 +13,18 @@ use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
 use daisy::system::DaisySystem;
 use daisy::trace::{RingSink, TraceEvent};
 use daisy::TranslatorConfig;
-use daisy_isa::{GuestCpu, Isa};
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::interp::StopReason;
 use daisy_ppc::reg::{CrField, Gpr};
 use daisy_ppc::PpcIsa;
 use daisy_vliw::packed::BACKEDGE_VLIW_BUDGET;
 
-/// Dispatches before the tier compiles an entry (same as prop_native).
+mod common;
+use common::{assert_indistinguishable, strip_native_events, TracedRun};
+
+/// The dispatch on which the tier compiles a translation (same as
+/// prop_native).
 const THRESHOLD: u64 = 2;
-
-type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
-
-fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()
-}
-
-fn assert_indistinguishable(
-    (packed, packed_ev): &TracedRun,
-    (native, native_ev): &TracedRun,
-    ctx: &str,
-) {
-    assert_eq!(native.cpu.gpr, packed.cpu.gpr, "{ctx}: GPRs diverged");
-    assert_eq!(native.cpu.cr, packed.cpu.cr, "{ctx}: CR diverged");
-    assert_eq!(native.cpu.lr, packed.cpu.lr, "{ctx}: LR diverged");
-    assert_eq!(native.cpu.ctr, packed.cpu.ctr, "{ctx}: CTR diverged");
-    assert_eq!(native.cpu.xer, packed.cpu.xer, "{ctx}: XER diverged");
-    assert_eq!(native.cpu.pc, packed.cpu.pc, "{ctx}: PC diverged");
-    let size = packed.mem.size();
-    assert_eq!(
-        native.mem.read_bytes(0, size).unwrap(),
-        packed.mem.read_bytes(0, size).unwrap(),
-        "{ctx}: memory image diverged"
-    );
-    assert_eq!(native.stats, packed.stats, "{ctx}: RunStats diverged");
-    assert_eq!(native_ev, packed_ev, "{ctx}: trace event sequences diverged");
-}
 
 // ---------------------------------------------------------------------
 // Inline IBTC on an aligned computed-dispatch table.
@@ -183,25 +159,21 @@ fn spin_program() -> Program {
     a.finish().expect("spin loop assembles")
 }
 
-fn run_spin(native: bool, timer: Option<u64>) -> TracedRun {
+fn run_spin(native: bool, timer: Option<u32>) -> TracedRun {
     let sink = RingSink::new(1 << 21);
-    let mut b = DaisySystem::<PpcIsa>::builder()
+    let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x1_0000)
         .translator(TranslatorConfig { reroll_loops: true, ..TranslatorConfig::default() })
         .native_execution(native)
         .native_threshold(THRESHOLD)
-        .trace_sink(sink.clone());
-    if let Some(t) = timer {
-        b = b.timer_period(t);
-    }
-    let mut sys = b.build();
+        .trace_sink(sink.clone())
+        .build();
     sys.load(&spin_program()).unwrap();
-    if timer.is_some() {
-        // Pure-`rfi` handler at the external vector, interrupts on, so
-        // timer ticks deliver and return invisibly (the storm-campaign
-        // setup) — the loop must keep surfacing for them.
-        sys.mem.write_u32(PpcIsa::external_vector(), PpcIsa::interrupt_return_word()).unwrap();
-        sys.cpu.enable_interrupts();
+    if let Some(period) = timer {
+        // The SoC timer with an acknowledge-and-return handler, so
+        // ticks deliver and return invisibly — the loop must keep
+        // surfacing for them.
+        common::attach_soc_timer(&mut sys, period);
     }
     let stop = sys.run(10_000_000).unwrap();
     assert_eq!(stop, StopReason::Syscall, "spin loop did not finish");
@@ -216,7 +188,7 @@ fn run_spin(native: bool, timer: Option<u64>) -> TracedRun {
 /// stay indistinguishable with and without the timer watching.
 #[test]
 fn rerolled_loop_budget_exit_keeps_timer_preemption() {
-    for timer in [None, Some(3_000u64)] {
+    for timer in [None, Some(3_000u32)] {
         let packed = run_spin(false, timer);
         let native = run_spin(true, timer);
         let ctx = format!("rerolled spin, timer={timer:?}");

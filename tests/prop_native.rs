@@ -15,7 +15,7 @@ use daisy::native::Refusal;
 use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
-use daisy::trace::{RingSink, TraceEvent};
+use daisy::trace::RingSink;
 use daisy_cachesim::{CacheConfig, Hierarchy};
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::insn::{bo, ArithOp, Insn};
@@ -25,47 +25,15 @@ use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 use proptest::prelude::*;
 
-/// Dispatches before the tier compiles an entry. Low, so even short
-/// workloads and generated programs reach compiled code.
-const THRESHOLD: u64 = 2;
+mod common;
+use common::{assert_indistinguishable, strip_native_events, TracedRun};
 
-/// A finished run: the system plus its captured trace, with the native
-/// tier's own compile events stripped (they are the one intentional
-/// observable difference between the twins).
-type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
+/// The dispatch on which the tier compiles a translation. Low, so even
+/// short workloads and generated programs reach compiled code.
+const THRESHOLD: u64 = 2;
 
 /// Builds a fresh (cold) cache hierarchy for each twin.
 type HierarchyCtor = fn() -> Hierarchy;
-
-fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()
-}
-
-fn assert_indistinguishable(
-    (packed, packed_ev): &TracedRun,
-    (native, native_ev): &TracedRun,
-    ctx: &str,
-) {
-    assert_eq!(native.cpu.gpr, packed.cpu.gpr, "{ctx}: GPRs diverged");
-    assert_eq!(native.cpu.cr, packed.cpu.cr, "{ctx}: CR diverged");
-    assert_eq!(native.cpu.lr, packed.cpu.lr, "{ctx}: LR diverged");
-    assert_eq!(native.cpu.ctr, packed.cpu.ctr, "{ctx}: CTR diverged");
-    assert_eq!(native.cpu.xer, packed.cpu.xer, "{ctx}: XER diverged");
-    assert_eq!(native.cpu.pc, packed.cpu.pc, "{ctx}: PC diverged");
-    let size = packed.mem.size();
-    assert_eq!(
-        native.mem.read_bytes(0, size).unwrap(),
-        packed.mem.read_bytes(0, size).unwrap(),
-        "{ctx}: memory image diverged"
-    );
-    assert_eq!(native.stats, packed.stats, "{ctx}: RunStats diverged");
-    assert_eq!(native_ev, packed_ev, "{ctx}: trace event sequences diverged");
-    assert_eq!(
-        native.cache.level_stats(),
-        packed.cache.level_stats(),
-        "{ctx}: cache level statistics diverged"
-    );
-}
 
 // ---------------------------------------------------------------------
 // The nine-workload suite.
@@ -136,45 +104,41 @@ fn native_is_observably_the_packed_engine_under_finite_caches() {
     }
 }
 
-/// Configurations that keep every dispatcher boundary visible (per-group
-/// profiler; timer ticks) must still be native≡packed — the tier runs
-/// one group per dispatch there instead of chaining natively.
+/// A boundary observer — the SoC's interval timer, whose interrupts
+/// are taken at dispatcher boundaries — keeps the tier to one group
+/// per dispatch instead of chaining natively; native must still equal
+/// packed, under the infinite cache and under the paper's finite one
+/// (probe replay around every preempted boundary).
 #[test]
 fn native_matches_packed_with_boundary_observers() {
     let w = daisy_workloads::by_name("c_sieve").expect("sieve workload");
-    let run = |native: bool, profiled: bool, timer: Option<u64>, cache: HierarchyCtor| {
+    let run = |native: bool, cache: HierarchyCtor| {
         let sink = RingSink::new(1 << 21);
-        let mut b = DaisySystem::<PpcIsa>::builder()
+        let mut sys = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
             .cache(cache())
             .native_execution(native)
             .native_threshold(THRESHOLD)
-            .profiling(profiled)
-            .trace_sink(sink.clone());
-        if let Some(t) = timer {
-            b = b.timer_period(t);
-        }
-        let mut sys = b.build();
+            .trace_sink(sink.clone())
+            .build();
         sys.load(&w.program()).unwrap();
+        common::attach_soc_timer(&mut sys, 4096);
         let stop = sys.run(10 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall);
+        assert!(sys.stats.interrupts_taken > 0, "the timer must fire");
         (sys, strip_native_events(sink.events()))
     };
-    // The last case ticks the timer off simulated cycles that include
-    // replayed stall cycles.
-    let infinite: HierarchyCtor = Hierarchy::infinite;
-    let finite: HierarchyCtor = Hierarchy::paper_default;
-    for (profiled, timer, cache) in [
-        (true, None, infinite),
-        (false, Some(4096), infinite),
-        (true, Some(4096), infinite),
-        (false, Some(4096), finite),
-    ] {
-        let packed = run(false, profiled, timer, cache);
-        let native = run(true, profiled, timer, cache);
-        let finite = !cache().is_infinite();
-        let ctx = format!("profiled={profiled} timer={timer:?} finite={finite}");
-        assert_indistinguishable(&packed, &native, &ctx);
+    let caches: [(&str, HierarchyCtor); 2] =
+        [("infinite", Hierarchy::infinite), ("paper_default", Hierarchy::paper_default)];
+    for (name, cache) in caches {
+        let (packed, native) = (run(false, cache), run(true, cache));
+        assert_indistinguishable(&packed, &native, &format!("SoC timer under {name}"));
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let ns = native.0.native_stats().unwrap();
+            assert!(ns.dispatches > 0, "{name}: native tier never entered compiled code");
+            assert_eq!(ns.edge_patches, 0, "{name}: a bus keeps every boundary visible");
+        }
     }
 }
 
