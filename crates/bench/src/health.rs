@@ -66,7 +66,6 @@ pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> Healt
         .mem_size(w.mem_size)
         .native_execution(mode == Mode::Native)
         .metrics(true)
-        .metrics_publish_period(interval.min(u32::MAX as u64) as u32)
         .build();
     sys.load(&w.program()).expect("workload fits in memory");
 

@@ -15,7 +15,7 @@
 //!   text exposition format ([`prometheus_text`]).
 //! * [`MetricsRegistry`] — a shareable (`Arc`) bank of `AtomicU64`
 //!   slots the system publishes absolute counter values into every
-//!   [`publish period`](crate::system::DaisySystemBuilder::metrics_publish_period)
+//!   [`DEFAULT_METRICS_PUBLISH_PERIOD`](crate::system::DEFAULT_METRICS_PUBLISH_PERIOD)
 //!   group boundaries. Readers on other threads take consistent-enough
 //!   snapshots without locks; one system publishes per registry, so
 //!   several guests in one process each export their own.
@@ -31,7 +31,7 @@
 //! is *derived* from the plain-`u64` counter structs the engines
 //! already maintain ([`RunStats`], [`VmmStats`], [`NativeStats`]);
 //! gathering is a copy at a group boundary, and registry publication
-//! happens on a countdown cadence (default every 1024 boundaries).
+//! happens on a countdown cadence (every 1024 boundaries).
 //! `benches/engine.rs` gates the result against `BENCH_engine.json`.
 //!
 //! # Naming scheme
@@ -53,285 +53,205 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Every monotone counter the registry tracks, in stable index order
-/// (`Counter::ALL[i] as usize == i`, pinned by a unit test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Pages with at least one translation created.
-    PagesTranslated,
-    /// Groups (entry points) translated, including retranslations.
-    GroupsTranslated,
-    /// Page translations destroyed by code modification.
-    Invalidations,
-    /// Page translations evicted by the LRU code-area bound.
-    CastOuts,
-    /// Entries retranslated conservatively after repeated aliasing.
-    AliasRetranslations,
-    /// Entries promoted to the hot translation tier.
-    HotPromotions,
-    /// Interpret-ahead hint gatherings that ran out of budget.
-    HintBudgetExhausted,
-    /// Bytes of translated VLIW code ever produced (monotone).
-    CodeBytesEmitted,
-    /// Dispatches that went through the VMM (lookup or translation).
-    VmmDispatches,
-    /// Dispatches that followed a chain link or indirect-cache entry.
-    ChainedDispatches,
-    /// Dispatches whose branch target stayed on the same page.
-    OnpageDispatches,
-    /// Cross-page direct branches executed.
-    CrosspageDirect,
-    /// Cross-page branches via the link register.
-    CrosspageViaLr,
-    /// Cross-page branches via the count register.
-    CrosspageViaCtr,
-    /// Chain links installed on direct exits.
-    LinkInstalls,
-    /// Chain links found severed and cleared.
-    Severs,
-    /// Inline indirect-dispatch cache hits.
-    IcacheHits,
-    /// Inline indirect-dispatch cache misses.
-    IcacheMisses,
-    /// Tree instructions executed (any engine tier).
-    Vliws,
-    /// Cycles lost to cache misses.
-    StallCycles,
-    /// Instructions executed by the VMM's interpreter.
-    InterpInstrs,
-    /// Base instructions retired (see [`RunStats::approx_base_instrs`]).
-    RetiredInstrs,
-    /// Load parcels executed.
-    Loads,
-    /// Store parcels executed.
-    Stores,
-    /// Run-time load-store alias failures.
-    AliasFailures,
-    /// Precise exceptions delivered.
-    Exceptions,
-    /// External interrupts delivered to the guest.
-    InterruptsTaken,
-    /// Code-modification (self-modifying code) invalidations taken.
-    CodeModifications,
-    /// MMIO device accesses serviced via the interpreter bail path.
-    MmioOps,
-    /// Interrupts delivered at a boundary a native-tier run produced.
-    NativeYieldPreempts,
-    /// Groups lowered to native host code.
-    NativeCompiles,
-    /// Groups the native lowerer refused.
-    NativeRefusals,
-    /// Dispatches that entered native code.
-    NativeDispatches,
-    /// Group transfers that stayed inside native code (patched edges).
-    NativeChained,
-    /// Native runs that bailed back to the packed engine mid-group.
-    NativeBails,
-    /// Chain edges patched into direct native jumps.
-    NativeEdgePatches,
-    /// Native-tier epoch flushes (every patched edge restored and every
-    /// compiled group retired).
-    NativeFlushes,
-    /// Tree instructions executed natively.
-    NativeVliws,
-    /// Indirect exits resolved by the inline IBTC.
-    NativeIbtcHits,
-    /// Flight-recorder events discarded because the ring was full.
-    FlightRecorderDropped,
-}
-
-impl Counter {
-    /// Number of counters.
-    pub const COUNT: usize = 40;
-
-    /// Every counter, in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::PagesTranslated,
-        Counter::GroupsTranslated,
-        Counter::Invalidations,
-        Counter::CastOuts,
-        Counter::AliasRetranslations,
-        Counter::HotPromotions,
-        Counter::HintBudgetExhausted,
-        Counter::CodeBytesEmitted,
-        Counter::VmmDispatches,
-        Counter::ChainedDispatches,
-        Counter::OnpageDispatches,
-        Counter::CrosspageDirect,
-        Counter::CrosspageViaLr,
-        Counter::CrosspageViaCtr,
-        Counter::LinkInstalls,
-        Counter::Severs,
-        Counter::IcacheHits,
-        Counter::IcacheMisses,
-        Counter::Vliws,
-        Counter::StallCycles,
-        Counter::InterpInstrs,
-        Counter::RetiredInstrs,
-        Counter::Loads,
-        Counter::Stores,
-        Counter::AliasFailures,
-        Counter::Exceptions,
-        Counter::InterruptsTaken,
-        Counter::CodeModifications,
-        Counter::MmioOps,
-        Counter::NativeYieldPreempts,
-        Counter::NativeCompiles,
-        Counter::NativeRefusals,
-        Counter::NativeDispatches,
-        Counter::NativeChained,
-        Counter::NativeBails,
-        Counter::NativeEdgePatches,
-        Counter::NativeFlushes,
-        Counter::NativeVliws,
-        Counter::NativeIbtcHits,
-        Counter::FlightRecorderDropped,
-    ];
-
-    /// Stable Prometheus metric name (`daisy_<layer>_<what>_total`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::PagesTranslated => "daisy_vmm_pages_translated_total",
-            Counter::GroupsTranslated => "daisy_vmm_groups_translated_total",
-            Counter::Invalidations => "daisy_vmm_invalidations_total",
-            Counter::CastOuts => "daisy_vmm_cast_outs_total",
-            Counter::AliasRetranslations => "daisy_vmm_alias_retranslations_total",
-            Counter::HotPromotions => "daisy_vmm_hot_promotions_total",
-            Counter::HintBudgetExhausted => "daisy_vmm_hint_budget_exhausted_total",
-            Counter::CodeBytesEmitted => "daisy_vmm_code_bytes_emitted_total",
-            Counter::VmmDispatches => "daisy_dispatch_vmm_total",
-            Counter::ChainedDispatches => "daisy_dispatch_chained_total",
-            Counter::OnpageDispatches => "daisy_dispatch_onpage_total",
-            Counter::CrosspageDirect => "daisy_dispatch_crosspage_direct_total",
-            Counter::CrosspageViaLr => "daisy_dispatch_crosspage_via_lr_total",
-            Counter::CrosspageViaCtr => "daisy_dispatch_crosspage_via_ctr_total",
-            Counter::LinkInstalls => "daisy_chain_link_installs_total",
-            Counter::Severs => "daisy_chain_severs_total",
-            Counter::IcacheHits => "daisy_chain_icache_hits_total",
-            Counter::IcacheMisses => "daisy_chain_icache_misses_total",
-            Counter::Vliws => "daisy_engine_vliws_total",
-            Counter::StallCycles => "daisy_engine_stall_cycles_total",
-            Counter::InterpInstrs => "daisy_engine_interp_instrs_total",
-            Counter::RetiredInstrs => "daisy_engine_retired_instrs_total",
-            Counter::Loads => "daisy_engine_loads_total",
-            Counter::Stores => "daisy_engine_stores_total",
-            Counter::AliasFailures => "daisy_engine_alias_failures_total",
-            Counter::Exceptions => "daisy_exceptions_total",
-            Counter::InterruptsTaken => "daisy_interrupts_taken_total",
-            Counter::CodeModifications => "daisy_code_modifications_total",
-            Counter::MmioOps => "daisy_mmio_ops_total",
-            Counter::NativeYieldPreempts => "daisy_native_yield_preempts_total",
-            Counter::NativeCompiles => "daisy_native_compiles_total",
-            Counter::NativeRefusals => "daisy_native_refusals_total",
-            Counter::NativeDispatches => "daisy_native_dispatches_total",
-            Counter::NativeChained => "daisy_native_chained_total",
-            Counter::NativeBails => "daisy_native_bails_total",
-            Counter::NativeEdgePatches => "daisy_native_edge_patches_total",
-            Counter::NativeFlushes => "daisy_native_flushes_total",
-            Counter::NativeVliws => "daisy_native_vliws_total",
-            Counter::NativeIbtcHits => "daisy_native_ibtc_hits_total",
-            Counter::FlightRecorderDropped => "daisy_flight_recorder_dropped_total",
+/// Declares one family of scalar metrics from a table with one row per
+/// metric: `Variant => "prometheus_name", "help text", |src| value`,
+/// where `value` reads the metric out of a [`MetricsSource`] `src`.
+/// Generates the enum (each variant documented by its help text),
+/// `COUNT`, `ALL`, `name`, `help`, and the private `gather` that reads
+/// every row in order. Row order is index order, JSON order and
+/// Prometheus order.
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        $kind:ident {
+            $($var:ident => $name:literal, $help:literal, |$src:ident| $read:expr;)+
         }
-    }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $(#[doc = $help] $var,)+
+        }
 
-    /// One-line help string for the Prometheus `# HELP` header.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::PagesTranslated => "Pages with at least one translation created",
-            Counter::GroupsTranslated => "Groups translated, including retranslations",
-            Counter::Invalidations => "Page translations destroyed by code modification",
-            Counter::CastOuts => "Page translations evicted by the LRU code-area bound",
-            Counter::AliasRetranslations => "Entries retranslated with load speculation inhibited",
-            Counter::HotPromotions => "Entries promoted to the hot translation tier",
-            Counter::HintBudgetExhausted => {
-                "Interpret-ahead hint gatherings that ran out of budget"
+        impl $kind {
+            /// Number of metrics in the family.
+            pub const COUNT: usize = [$($name),+].len();
+
+            /// Every metric of the family, in index order.
+            pub const ALL: [$kind; $kind::COUNT] = [$($kind::$var),+];
+
+            /// Stable Prometheus metric name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($kind::$var => $name,)+
+                }
             }
-            Counter::CodeBytesEmitted => "Bytes of translated VLIW code ever produced",
-            Counter::VmmDispatches => "Dispatches through the VMM (lookup or translation)",
-            Counter::ChainedDispatches => "Dispatches that followed a chain link or indirect cache",
-            Counter::OnpageDispatches => "Dispatches whose branch target stayed on the same page",
-            Counter::CrosspageDirect => "Cross-page direct branches executed",
-            Counter::CrosspageViaLr => "Cross-page branches via the link register",
-            Counter::CrosspageViaCtr => "Cross-page branches via the count register",
-            Counter::LinkInstalls => "Chain links installed on direct exits",
-            Counter::Severs => "Chain links found severed and cleared",
-            Counter::IcacheHits => "Inline indirect-dispatch cache hits",
-            Counter::IcacheMisses => "Inline indirect-dispatch cache misses",
-            Counter::Vliws => "Tree instructions executed on any engine tier",
-            Counter::StallCycles => "Cycles lost to cache misses",
-            Counter::InterpInstrs => "Instructions executed by the VMM's interpreter",
-            Counter::RetiredInstrs => "Base instructions retired (approximate, see RunStats)",
-            Counter::Loads => "Load parcels executed",
-            Counter::Stores => "Store parcels executed",
-            Counter::AliasFailures => "Run-time load-store alias failures",
-            Counter::Exceptions => "Precise exceptions delivered",
-            Counter::InterruptsTaken => "External interrupts delivered to the guest",
-            Counter::CodeModifications => "Self-modifying-code invalidations taken",
-            Counter::MmioOps => "MMIO device accesses serviced via the interpreter bail",
-            Counter::NativeYieldPreempts => "Interrupts delivered at a native-run boundary",
-            Counter::NativeCompiles => "Groups lowered to native host code",
-            Counter::NativeRefusals => "Groups the native lowerer refused",
-            Counter::NativeDispatches => "Dispatches that entered native code",
-            Counter::NativeChained => "Group transfers that stayed inside native code",
-            Counter::NativeBails => "Native runs that bailed back to the packed engine",
-            Counter::NativeEdgePatches => "Chain edges patched into direct native jumps",
-            Counter::NativeFlushes => "Native-tier epoch flushes (all patched edges severed)",
-            Counter::NativeVliws => "Tree instructions executed natively",
-            Counter::NativeIbtcHits => "Indirect exits resolved by the inline IBTC",
-            Counter::FlightRecorderDropped => "Flight-recorder events discarded (ring full)",
+
+            /// One-line help string for the Prometheus `# HELP` header.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($kind::$var => $help,)+
+                }
+            }
+
+            /// Every metric's current value, in index order.
+            fn gather(src: &MetricsSource<'_>) -> [u64; $kind::COUNT] {
+                [$({
+                    let $src = src;
+                    $read
+                }),+]
+            }
         }
+    };
+}
+
+metric_table! {
+    /// Every monotone counter the registry tracks, in stable index order
+    /// (`Counter::ALL[i] as usize == i`, pinned by a unit test). Names
+    /// are `daisy_<layer>_<what>_total`.
+    Counter {
+        PagesTranslated => "daisy_vmm_pages_translated_total",
+            "Pages with at least one translation created",
+            |s| s.vmm.pages_translated;
+        GroupsTranslated => "daisy_vmm_groups_translated_total",
+            "Groups translated, including retranslations",
+            |s| s.vmm.groups_translated;
+        Invalidations => "daisy_vmm_invalidations_total",
+            "Page translations destroyed by code modification",
+            |s| s.vmm.invalidations;
+        CastOuts => "daisy_vmm_cast_outs_total",
+            "Page translations evicted by the LRU code-area bound",
+            |s| s.vmm.cast_outs;
+        AliasRetranslations => "daisy_vmm_alias_retranslations_total",
+            "Entries retranslated with load speculation inhibited",
+            |s| s.vmm.alias_retranslations;
+        HotPromotions => "daisy_vmm_hot_promotions_total",
+            "Entries promoted to the hot translation tier",
+            |s| s.vmm.hot_promotions;
+        HintBudgetExhausted => "daisy_vmm_hint_budget_exhausted_total",
+            "Interpret-ahead hint gatherings that ran out of budget",
+            |s| s.vmm.hint_budget_exhausted;
+        CodeBytesEmitted => "daisy_vmm_code_bytes_emitted_total",
+            "Bytes of translated VLIW code ever produced",
+            |s| s.vmm.code_bytes_total;
+        VmmDispatches => "daisy_dispatch_vmm_total",
+            "Dispatches through the VMM (lookup or translation)",
+            |s| s.stats.groups_entered;
+        ChainedDispatches => "daisy_dispatch_chained_total",
+            "Dispatches that followed a chain link or indirect cache",
+            |s| s.stats.chain.chained_dispatches;
+        OnpageDispatches => "daisy_dispatch_onpage_total",
+            "Dispatches whose branch target stayed on the same page",
+            |s| s.stats.onpage_dispatches;
+        CrosspageDirect => "daisy_dispatch_crosspage_direct_total",
+            "Cross-page direct branches executed",
+            |s| s.stats.crosspage.direct;
+        CrosspageViaLr => "daisy_dispatch_crosspage_via_lr_total",
+            "Cross-page branches via the link register",
+            |s| s.stats.crosspage.via_lr;
+        CrosspageViaCtr => "daisy_dispatch_crosspage_via_ctr_total",
+            "Cross-page branches via the count register",
+            |s| s.stats.crosspage.via_ctr;
+        LinkInstalls => "daisy_chain_link_installs_total",
+            "Chain links installed on direct exits",
+            |s| s.stats.chain.link_installs;
+        Severs => "daisy_chain_severs_total",
+            "Chain links found severed and cleared",
+            |s| s.stats.chain.severs;
+        IcacheHits => "daisy_chain_icache_hits_total",
+            "Inline indirect-dispatch cache hits",
+            |s| s.stats.chain.icache_hits;
+        IcacheMisses => "daisy_chain_icache_misses_total",
+            "Inline indirect-dispatch cache misses",
+            |s| s.stats.chain.icache_misses;
+        Vliws => "daisy_engine_vliws_total",
+            "Tree instructions executed on any engine tier",
+            |s| s.stats.vliws_executed;
+        StallCycles => "daisy_engine_stall_cycles_total",
+            "Cycles lost to cache misses",
+            |s| s.stats.stall_cycles;
+        InterpInstrs => "daisy_engine_interp_instrs_total",
+            "Instructions executed by the VMM's interpreter",
+            |s| s.stats.interp_instrs;
+        RetiredInstrs => "daisy_engine_retired_instrs_total",
+            "Base instructions retired (approximate, see RunStats)",
+            |s| s.stats.approx_base_instrs();
+        Loads => "daisy_engine_loads_total",
+            "Load parcels executed",
+            |s| s.stats.loads;
+        Stores => "daisy_engine_stores_total",
+            "Store parcels executed",
+            |s| s.stats.stores;
+        AliasFailures => "daisy_engine_alias_failures_total",
+            "Run-time load-store alias failures",
+            |s| s.stats.alias_failures;
+        Exceptions => "daisy_exceptions_total",
+            "Precise exceptions delivered",
+            |s| s.stats.exceptions;
+        InterruptsTaken => "daisy_interrupts_taken_total",
+            "External interrupts delivered to the guest",
+            |s| s.stats.interrupts_taken;
+        CodeModifications => "daisy_code_modifications_total",
+            "Self-modifying-code invalidations taken",
+            |s| s.stats.code_modifications;
+        MmioOps => "daisy_mmio_ops_total",
+            "MMIO device accesses serviced via the interpreter bail",
+            |s| s.stats.mmio_ops;
+        NativeYieldPreempts => "daisy_native_yield_preempts_total",
+            "Interrupts delivered at a native-run boundary",
+            |s| s.native_yield_preempts;
+        NativeCompiles => "daisy_native_compiles_total",
+            "Groups lowered to native host code",
+            |s| s.native.map_or(0, |n| n.compiles);
+        NativeRefusals => "daisy_native_refusals_total",
+            "Groups the native lowerer refused",
+            |s| s.native.map_or(0, |n| n.refusals);
+        NativeDispatches => "daisy_native_dispatches_total",
+            "Dispatches that entered native code",
+            |s| s.native.map_or(0, |n| n.dispatches);
+        NativeChained => "daisy_native_chained_total",
+            "Group transfers that stayed inside native code",
+            |s| s.native.map_or(0, |n| n.chained);
+        NativeBails => "daisy_native_bails_total",
+            "Native runs that bailed back to the packed engine",
+            |s| s.native.map_or(0, |n| n.bails);
+        NativeEdgePatches => "daisy_native_edge_patches_total",
+            "Chain edges patched into direct native jumps",
+            |s| s.native.map_or(0, |n| n.edge_patches);
+        NativeFlushes => "daisy_native_flushes_total",
+            "Native-tier epoch flushes (all patched edges severed)",
+            |s| s.native.map_or(0, |n| n.flushes);
+        NativeVliws => "daisy_native_vliws_total",
+            "Tree instructions executed natively",
+            |s| s.native.map_or(0, |n| n.vliws_native);
+        NativeIbtcHits => "daisy_native_ibtc_hits_total",
+            "Indirect exits resolved by the inline IBTC",
+            |s| s.native.map_or(0, |n| n.ibtc_hits);
+        FlightRecorderDropped => "daisy_flight_recorder_dropped_total",
+            "Flight-recorder events discarded (ring full)",
+            |s| s.flight_dropped;
     }
 }
 
-/// Every point-in-time gauge the registry tracks, in stable index
-/// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// Bytes of translated VLIW code currently live.
-    CodeBytesLive,
-    /// Pages with a live translation.
-    LivePages,
-    /// Groups currently live in the translation cache.
-    LiveGroups,
-    /// Pages abandoned to the reference interpreter (bottom rung).
-    InterpPages,
-    /// Entry points currently below their default ladder rung.
-    DegradedEntries,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = 5;
-
-    /// Every gauge, in index order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::CodeBytesLive,
-        Gauge::LivePages,
-        Gauge::LiveGroups,
-        Gauge::InterpPages,
-        Gauge::DegradedEntries,
-    ];
-
-    /// Stable Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::CodeBytesLive => "daisy_vmm_code_bytes_live",
-            Gauge::LivePages => "daisy_vmm_live_pages",
-            Gauge::LiveGroups => "daisy_vmm_live_groups",
-            Gauge::InterpPages => "daisy_ladder_interp_pages",
-            Gauge::DegradedEntries => "daisy_ladder_degraded_entries",
-        }
-    }
-
-    /// One-line help string for the Prometheus `# HELP` header.
-    pub fn help(self) -> &'static str {
-        match self {
-            Gauge::CodeBytesLive => "Bytes of translated VLIW code currently live",
-            Gauge::LivePages => "Pages with a live translation",
-            Gauge::LiveGroups => "Groups currently live in the translation cache",
-            Gauge::InterpPages => "Pages abandoned to the reference interpreter",
-            Gauge::DegradedEntries => "Entry points currently below their default rung",
-        }
+metric_table! {
+    /// Every point-in-time gauge the registry tracks, in stable index
+    /// order.
+    Gauge {
+        CodeBytesLive => "daisy_vmm_code_bytes_live",
+            "Bytes of translated VLIW code currently live",
+            |s| s.vmm.code_bytes;
+        LivePages => "daisy_vmm_live_pages",
+            "Pages with a live translation",
+            |s| s.live_pages;
+        LiveGroups => "daisy_vmm_live_groups",
+            "Groups currently live in the translation cache",
+            |s| s.live_groups;
+        InterpPages => "daisy_ladder_interp_pages",
+            "Pages abandoned to the reference interpreter",
+            |s| s.interp_pages;
+        DegradedEntries => "daisy_ladder_degraded_entries",
+            "Entry points currently below their default rung",
+            |s| s.rung_entries.iter().sum::<u64>();
     }
 }
 
@@ -526,73 +446,26 @@ impl MetricsSnapshot {
     /// copy — no layer is perturbed, so a snapshot can be taken at any
     /// group boundary, any number of times.
     pub fn gather(src: &MetricsSource<'_>) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        let s = src.stats;
-        let v = src.vmm;
-        {
-            let c = &mut snap.counters;
-            c[Counter::PagesTranslated as usize] = v.pages_translated;
-            c[Counter::GroupsTranslated as usize] = v.groups_translated;
-            c[Counter::Invalidations as usize] = v.invalidations;
-            c[Counter::CastOuts as usize] = v.cast_outs;
-            c[Counter::AliasRetranslations as usize] = v.alias_retranslations;
-            c[Counter::HotPromotions as usize] = v.hot_promotions;
-            c[Counter::HintBudgetExhausted as usize] = v.hint_budget_exhausted;
-            c[Counter::CodeBytesEmitted as usize] = v.code_bytes_total;
-            c[Counter::VmmDispatches as usize] = s.groups_entered;
-            c[Counter::ChainedDispatches as usize] = s.chain.chained_dispatches;
-            c[Counter::OnpageDispatches as usize] = s.onpage_dispatches;
-            c[Counter::CrosspageDirect as usize] = s.crosspage.direct;
-            c[Counter::CrosspageViaLr as usize] = s.crosspage.via_lr;
-            c[Counter::CrosspageViaCtr as usize] = s.crosspage.via_ctr;
-            c[Counter::LinkInstalls as usize] = s.chain.link_installs;
-            c[Counter::Severs as usize] = s.chain.severs;
-            c[Counter::IcacheHits as usize] = s.chain.icache_hits;
-            c[Counter::IcacheMisses as usize] = s.chain.icache_misses;
-            c[Counter::Vliws as usize] = s.vliws_executed;
-            c[Counter::StallCycles as usize] = s.stall_cycles;
-            c[Counter::InterpInstrs as usize] = s.interp_instrs;
-            c[Counter::RetiredInstrs as usize] = s.approx_base_instrs();
-            c[Counter::Loads as usize] = s.loads;
-            c[Counter::Stores as usize] = s.stores;
-            c[Counter::AliasFailures as usize] = s.alias_failures;
-            c[Counter::Exceptions as usize] = s.exceptions;
-            c[Counter::InterruptsTaken as usize] = s.interrupts_taken;
-            c[Counter::CodeModifications as usize] = s.code_modifications;
-            c[Counter::MmioOps as usize] = s.mmio_ops;
-            c[Counter::NativeYieldPreempts as usize] = src.native_yield_preempts;
-            if let Some(n) = src.native {
-                c[Counter::NativeCompiles as usize] = n.compiles;
-                c[Counter::NativeRefusals as usize] = n.refusals;
-                c[Counter::NativeDispatches as usize] = n.dispatches;
-                c[Counter::NativeChained as usize] = n.chained;
-                c[Counter::NativeBails as usize] = n.bails;
-                c[Counter::NativeEdgePatches as usize] = n.edge_patches;
-                c[Counter::NativeFlushes as usize] = n.flushes;
-                c[Counter::NativeVliws as usize] = n.vliws_native;
-                c[Counter::NativeIbtcHits as usize] = n.ibtc_hits;
-            }
-            c[Counter::FlightRecorderDropped as usize] = src.flight_dropped;
-        }
-        snap.gauges[Gauge::CodeBytesLive as usize] = v.code_bytes;
-        snap.gauges[Gauge::LivePages as usize] = src.live_pages;
-        snap.gauges[Gauge::LiveGroups as usize] = src.live_groups;
-        snap.gauges[Gauge::InterpPages as usize] = src.interp_pages;
-        snap.gauges[Gauge::DegradedEntries as usize] = src.rung_entries.iter().sum::<u64>();
+        let mut snap = MetricsSnapshot {
+            counters: Counter::gather(src),
+            gauges: Gauge::gather(src),
+            rung_entries: src.rung_entries,
+            irq_latency: src.irq_latency.snapshot(),
+            ..MetricsSnapshot::default()
+        };
         for d in src.degradations {
             snap.degradations[d.cause.index()] += 1;
         }
-        snap.rung_entries = src.rung_entries;
         // Issue histogram: RunStats buckets parcels-per-VLIW linearly,
         // with index 24 holding everything ≥ 24; overflow samples
         // contribute their bound to the sum (approximation, documented
         // on `HistSnapshot::sum`).
-        snap.issue_parcels.buckets.copy_from_slice(&s.issue_histogram);
-        for (i, n) in s.issue_histogram.iter().enumerate() {
+        let hist = &src.stats.issue_histogram;
+        snap.issue_parcels.buckets.copy_from_slice(hist);
+        for (i, n) in hist.iter().enumerate() {
             snap.issue_parcels.count += n;
             snap.issue_parcels.sum += n * (i as u64).min(24);
         }
-        snap.irq_latency = src.irq_latency.snapshot();
         snap
     }
 
@@ -630,6 +503,23 @@ impl MetricsSnapshot {
         d.issue_parcels = self.issue_parcels.delta(&earlier.issue_parcels);
         d.irq_latency = self.irq_latency.delta(&earlier.irq_latency);
         d
+    }
+
+    /// Every value of the snapshot, in registry slot order: counters
+    /// first and gauges second (so `Counter as usize` and
+    /// `Counter::COUNT + Gauge as usize` index a slot directly), then
+    /// degradations, rung occupancy and the two histograms.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let (issue, irq) = (&mut self.issue_parcels, &mut self.irq_latency);
+        self.counters
+            .iter_mut()
+            .chain(&mut self.gauges)
+            .chain(&mut self.degradations)
+            .chain(&mut self.rung_entries)
+            .chain(&mut issue.buckets)
+            .chain([&mut issue.sum, &mut issue.count])
+            .chain(&mut irq.buckets)
+            .chain([&mut irq.sum, &mut irq.count])
     }
 
     /// Renders the snapshot as one JSON object keyed by metric name
@@ -775,42 +665,6 @@ pub fn prometheus_text(series: &[(&str, &MetricsSnapshot)]) -> String {
     out
 }
 
-struct RegistryInner {
-    counters: [AtomicU64; Counter::COUNT],
-    gauges: [AtomicU64; Gauge::COUNT],
-    degradations: [AtomicU64; DegradeCause::ALL.len()],
-    rung_entries: [AtomicU64; Rung::ALL.len()],
-    issue: [AtomicU64; ISSUE_BOUNDS.len() + 1],
-    issue_sum: AtomicU64,
-    issue_count: AtomicU64,
-    irq: [AtomicU64; IRQ_BOUNDS.len() + 1],
-    irq_sum: AtomicU64,
-    irq_count: AtomicU64,
-}
-
-impl fmt::Debug for RegistryInner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RegistryInner").finish_non_exhaustive()
-    }
-}
-
-impl Default for RegistryInner {
-    fn default() -> RegistryInner {
-        RegistryInner {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            degradations: std::array::from_fn(|_| AtomicU64::new(0)),
-            rung_entries: std::array::from_fn(|_| AtomicU64::new(0)),
-            issue: std::array::from_fn(|_| AtomicU64::new(0)),
-            issue_sum: AtomicU64::new(0),
-            issue_count: AtomicU64::new(0),
-            irq: std::array::from_fn(|_| AtomicU64::new(0)),
-            irq_sum: AtomicU64::new(0),
-            irq_count: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A lock-free bank of `AtomicU64` metric slots shared between the
 /// publishing system and any number of readers.
 ///
@@ -823,9 +677,18 @@ impl Default for RegistryInner {
 /// snapshot may mix values from two adjacent publications (each of
 /// which is internally consistent at a group boundary). One system
 /// publishes per registry; give each guest its own.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryInner>,
+    /// One slot per snapshot value, in [`MetricsSnapshot::values_mut`]
+    /// order.
+    slots: Arc<[AtomicU64]>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> MetricsRegistry {
+        let n = MetricsSnapshot::default().values_mut().count();
+        MetricsRegistry { slots: (0..n).map(|_| AtomicU64::new(0)).collect() }
+    }
 }
 
 impl MetricsRegistry {
@@ -838,68 +701,29 @@ impl MetricsRegistry {
     /// stores). Called by the system on its publish cadence; harnesses
     /// holding their own registry can publish hand-gathered snapshots.
     pub fn publish(&self, snap: &MetricsSnapshot) {
-        let r = &*self.inner;
-        for (i, v) in snap.counters.iter().enumerate() {
-            r.counters[i].store(*v, Ordering::Relaxed);
+        let mut snap = snap.clone();
+        for (slot, v) in self.slots.iter().zip(snap.values_mut()) {
+            slot.store(*v, Ordering::Relaxed);
         }
-        for (i, v) in snap.gauges.iter().enumerate() {
-            r.gauges[i].store(*v, Ordering::Relaxed);
-        }
-        for (i, v) in snap.degradations.iter().enumerate() {
-            r.degradations[i].store(*v, Ordering::Relaxed);
-        }
-        for (i, v) in snap.rung_entries.iter().enumerate() {
-            r.rung_entries[i].store(*v, Ordering::Relaxed);
-        }
-        for (i, v) in snap.issue_parcels.buckets.iter().enumerate() {
-            r.issue[i].store(*v, Ordering::Relaxed);
-        }
-        r.issue_sum.store(snap.issue_parcels.sum, Ordering::Relaxed);
-        r.issue_count.store(snap.issue_parcels.count, Ordering::Relaxed);
-        for (i, v) in snap.irq_latency.buckets.iter().enumerate() {
-            r.irq[i].store(*v, Ordering::Relaxed);
-        }
-        r.irq_sum.store(snap.irq_latency.sum, Ordering::Relaxed);
-        r.irq_count.store(snap.irq_latency.count, Ordering::Relaxed);
     }
 
     /// Reads every slot into a [`MetricsSnapshot`] (relaxed loads).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let r = &*self.inner;
         let mut snap = MetricsSnapshot::default();
-        for (i, v) in snap.counters.iter_mut().enumerate() {
-            *v = r.counters[i].load(Ordering::Relaxed);
+        for (v, slot) in snap.values_mut().zip(self.slots.iter()) {
+            *v = slot.load(Ordering::Relaxed);
         }
-        for (i, v) in snap.gauges.iter_mut().enumerate() {
-            *v = r.gauges[i].load(Ordering::Relaxed);
-        }
-        for (i, v) in snap.degradations.iter_mut().enumerate() {
-            *v = r.degradations[i].load(Ordering::Relaxed);
-        }
-        for (i, v) in snap.rung_entries.iter_mut().enumerate() {
-            *v = r.rung_entries[i].load(Ordering::Relaxed);
-        }
-        for (i, v) in snap.issue_parcels.buckets.iter_mut().enumerate() {
-            *v = r.issue[i].load(Ordering::Relaxed);
-        }
-        snap.issue_parcels.sum = r.issue_sum.load(Ordering::Relaxed);
-        snap.issue_parcels.count = r.issue_count.load(Ordering::Relaxed);
-        for (i, v) in snap.irq_latency.buckets.iter_mut().enumerate() {
-            *v = r.irq[i].load(Ordering::Relaxed);
-        }
-        snap.irq_latency.sum = r.irq_sum.load(Ordering::Relaxed);
-        snap.irq_latency.count = r.irq_count.load(Ordering::Relaxed);
         snap
     }
 
     /// The current value of one counter slot.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.inner.counters[c as usize].load(Ordering::Relaxed)
+        self.slots[c as usize].load(Ordering::Relaxed)
     }
 
     /// The current value of one gauge slot.
     pub fn gauge(&self, g: Gauge) -> u64 {
-        self.inner.gauges[g as usize].load(Ordering::Relaxed)
+        self.slots[Counter::COUNT + g as usize].load(Ordering::Relaxed)
     }
 }
 
@@ -1047,6 +871,94 @@ mod tests {
         assert_eq!(snap.irq_latency.buckets[IRQ_BOUNDS.len()], 1);
     }
 
+    /// Every table row reads its own field: with each counter-bearing
+    /// source field holding a distinct value, a row copied from its
+    /// neighbour without editing its read shows up as a duplicate.
+    #[test]
+    fn every_row_reads_its_own_source() {
+        let mut k = 0;
+        let mut next = || {
+            k += 1;
+            k
+        };
+        let mut stats = RunStats::default();
+        for f in [
+            &mut stats.vliws_executed,
+            &mut stats.stall_cycles,
+            &mut stats.interp_instrs,
+            &mut stats.loads,
+            &mut stats.stores,
+            &mut stats.load_l0_misses,
+            &mut stats.store_l0_misses,
+            &mut stats.alias_failures,
+            &mut stats.crosspage.direct,
+            &mut stats.crosspage.via_lr,
+            &mut stats.crosspage.via_ctr,
+            &mut stats.onpage_dispatches,
+            &mut stats.groups_entered,
+            &mut stats.chain.chained_dispatches,
+            &mut stats.chain.link_installs,
+            &mut stats.chain.severs,
+            &mut stats.chain.icache_hits,
+            &mut stats.chain.icache_misses,
+            &mut stats.exceptions,
+            &mut stats.code_modifications,
+            &mut stats.mmio_ops,
+            &mut stats.interrupts_taken,
+            &mut stats.base_instrs,
+        ] {
+            *f = next();
+        }
+        let mut vmm = VmmStats::default();
+        for f in [
+            &mut vmm.pages_translated,
+            &mut vmm.groups_translated,
+            &mut vmm.invalidations,
+            &mut vmm.cast_outs,
+            &mut vmm.alias_retranslations,
+            &mut vmm.hot_promotions,
+            &mut vmm.code_bytes,
+            &mut vmm.code_bytes_total,
+            &mut vmm.hint_budget_exhausted,
+        ] {
+            *f = next();
+        }
+        let mut native = NativeStats::default();
+        for f in [
+            &mut native.compiles,
+            &mut native.refusals,
+            &mut native.dispatches,
+            &mut native.chained,
+            &mut native.bails,
+            &mut native.edge_patches,
+            &mut native.flushes,
+            &mut native.vliws_native,
+            &mut native.ibtc_hits,
+        ] {
+            *f = next();
+        }
+        let snap = MetricsSnapshot::gather(&MetricsSource {
+            stats: &stats,
+            vmm: &vmm,
+            native: Some(&native),
+            degradations: &[],
+            rung_entries: [1 << 20, 1 << 21, 1 << 22, 1 << 23],
+            live_pages: next(),
+            live_groups: next(),
+            interp_pages: next(),
+            native_yield_preempts: next(),
+            irq_latency: &IrqLatency::default(),
+            flight_dropped: next(),
+        });
+        for values in [&snap.counters[..], &snap.gauges[..]] {
+            let mut seen = values.to_vec();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), values.len(), "two rows read one field: {values:?}");
+            assert!(!seen.contains(&0), "a row reads nothing: {values:?}");
+        }
+    }
+
     #[test]
     fn delta_subtracts_counters_and_keeps_gauges() {
         let earlier = sample_snapshot();
@@ -1087,8 +999,9 @@ mod tests {
         // One TYPE line per metric, even with two series.
         let type_lines = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
         assert_eq!(type_lines, Counter::COUNT + Gauge::COUNT + 4);
-        assert!(text.contains("daisy_dispatch_vmm_total{workload=\"alpha\"} 10"));
-        assert!(text.contains("daisy_dispatch_vmm_total{workload=\"beta\"} 0"));
+        let vmm = Counter::VmmDispatches.name();
+        assert!(text.contains(&format!("{vmm}{{workload=\"alpha\"}} 10")));
+        assert!(text.contains(&format!("{vmm}{{workload=\"beta\"}} 0")));
         assert!(text.contains(
             "daisy_degradations_total{workload=\"alpha\",cause=\"cast_out_pressure\"} 1"
         ));
@@ -1110,7 +1023,7 @@ mod tests {
         assert_eq!(last, a.issue_parcels.count);
         // The unlabeled single-snapshot form drops the braces.
         let solo = a.to_prometheus();
-        assert!(solo.contains("\ndaisy_dispatch_vmm_total 10\n"));
+        assert!(solo.contains(&format!("\n{vmm} 10\n")));
     }
 
     #[test]

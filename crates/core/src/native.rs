@@ -20,13 +20,11 @@
 //! Four mechanisms keep the tier honest:
 //!
 //! * **Refusal** — groups whose shape falls outside what the lowerer
-//!   can reproduce (pathological condition depth, or — under
-//!   ablation — `General`-class parcels) are never compiled; they stay
-//!   on the packed engine forever. Arena exhaustion only defers an
-//!   entry until the next flush gives the arena back. Trap checks,
-//!   load-verify commits and intra-group back edges all lower to
-//!   templates now, so a default-configured tier refuses almost
-//!   nothing.
+//!   can reproduce (pathological condition depth) are never compiled;
+//!   they stay on the packed engine forever. Arena exhaustion only
+//!   defers an entry until the next flush gives the arena back. Trap
+//!   checks, load-verify commits and intra-group back edges all lower
+//!   to templates, so the tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
 //!   translated page). The dispatcher then reconstructs the packed
@@ -103,10 +101,6 @@ pub struct NativeStats {
     /// Tree instructions executed natively (numerator of native
     /// coverage; the denominator is [`RunStats::vliws_executed`]).
     pub vliws_native: u64,
-    /// Parcels covered by successful compilations.
-    pub parcels_compiled: u64,
-    /// Parcels in refused groups (template-coverage ablation data).
-    pub parcels_refused: u64,
     /// Refusals broken down by [`Refusal`] variant (index via
     /// [`Refusal::index`]).
     pub refusal_histogram: [u64; Refusal::COUNT],
@@ -115,43 +109,6 @@ pub struct NativeStats {
     /// these count as icache hits + chained dispatches in [`RunStats`];
     /// this tier-side counter isolates the inline mechanism.
     pub ibtc_hits: u64,
-}
-
-/// Default predicted-coverage floor below which a warm entry is
-/// refused as not worthwhile (see [`NativeTierConfig::min_coverage`]).
-pub const DEFAULT_NATIVE_MIN_COVERAGE: f64 = 0.25;
-
-/// Configuration of the native tier (the ablation levers plus the
-/// warm-up threshold).
-#[derive(Debug, Clone, Copy)]
-pub struct NativeTierConfig {
-    /// The dispatch of a translation on which it is lowered (min 1):
-    /// its first `threshold - 1` dispatches run on the packed engine.
-    /// Counted by [`GroupCode::dispatches`].
-    pub threshold: u64,
-    /// Give groups with indirect exits an inline indirect-branch
-    /// target cache (IBTC).
-    pub ibtc: bool,
-    /// Lower `General`-class parcels (trap checks, load-verify
-    /// commits) instead of refusing groups that contain them.
-    pub general_templates: bool,
-    /// Worthwhile-ness floor: a warm entry whose statically predicted
-    /// template coverage (lowerable parcels / total parcels) falls
-    /// below this fraction is refused without attempting compilation.
-    /// With `general_templates` on the prediction is always 1.0, so
-    /// this only bites under ablation.
-    pub min_coverage: f64,
-}
-
-impl Default for NativeTierConfig {
-    fn default() -> Self {
-        NativeTierConfig {
-            threshold: DEFAULT_NATIVE_THRESHOLD,
-            ibtc: true,
-            general_templates: true,
-            min_coverage: DEFAULT_NATIVE_MIN_COVERAGE,
-        }
-    }
 }
 
 /// Compile state of one translation, kept on its [`GroupCode`] so it
@@ -220,7 +177,10 @@ pub enum NativeRun {
 /// state live on each [`GroupCode`].
 pub struct NativeTier {
     jit: Jit,
-    config: NativeTierConfig,
+    /// The dispatch of a translation on which it is lowered (min 1):
+    /// its first `threshold - 1` dispatches run on the packed engine.
+    /// Counted by [`GroupCode::dispatches`].
+    threshold: u64,
     registry: HashMap<u32, RegEntry>,
     ctx: JitCtx,
     log: Vec<u8>,
@@ -245,7 +205,7 @@ pub struct NativeTier {
 impl std::fmt::Debug for NativeTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeTier")
-            .field("config", &self.config)
+            .field("threshold", &self.threshold)
             .field("compiled", &self.registry.len())
             .field("stats", &self.stats)
             .finish()
@@ -260,24 +220,22 @@ const PENDING_ROW_BYTES: usize = 32;
 const _: () = assert!(daisy_jit::IBTC_WAYS == crate::engine::ICACHE_WAYS);
 
 impl NativeTier {
-    /// Creates the tier, mapping the code arena. `None` when the host
-    /// cannot execute emitted code (non-x86-64/Linux) — callers then
-    /// run everything on the packed engine. A finite `cache` makes
-    /// every compiled group log its cache probes for replay; the
-    /// system must then run the tier against that same cache model.
-    pub fn new(config: NativeTierConfig, cache: &Hierarchy) -> Option<NativeTier> {
-        NativeTier::with_arena(config, cache, DEFAULT_ARENA_BYTES)
+    /// Creates the tier, mapping the code arena. A translation is
+    /// lowered on its `threshold`-th dispatch (clamped to at least 1).
+    /// `None` when the host cannot execute emitted code
+    /// (non-x86-64/Linux) — callers then run everything on the packed
+    /// engine. A finite `cache` makes every compiled group log its
+    /// cache probes for replay; the system must then run the tier
+    /// against that same cache model.
+    pub fn new(threshold: u64, cache: &Hierarchy) -> Option<NativeTier> {
+        NativeTier::with_arena(threshold, cache, DEFAULT_ARENA_BYTES)
     }
 
     /// [`NativeTier::new`] with a code arena of `arena_bytes`.
-    fn with_arena(
-        config: NativeTierConfig,
-        cache: &Hierarchy,
-        arena_bytes: usize,
-    ) -> Option<NativeTier> {
+    fn with_arena(threshold: u64, cache: &Hierarchy, arena_bytes: usize) -> Option<NativeTier> {
         Some(NativeTier {
             jit: Jit::new(arena_bytes)?,
-            config: NativeTierConfig { threshold: config.threshold.max(1), ..config },
+            threshold: threshold.max(1),
             registry: HashMap::new(),
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
@@ -348,42 +306,17 @@ impl NativeTier {
             NativeSlot::Deferred(at) if *at == self.stats.flushes => return None,
             NativeSlot::Cold | NativeSlot::Deferred(_) => {}
         }
-        if code.dispatches() < self.config.threshold {
+        if code.dispatches() < self.threshold {
             return None;
         }
         let entry = code.group.entry;
         let (_, mem_len, _) = mem.jit_view();
-        let parcels = code.packed.ops.len() as u64;
-        // Worthwhile-ness gate: predict the template coverage this
-        // compilation would achieve and skip entries that would mostly
-        // refuse anyway. Lowerable means "has a template": with the
-        // general templates enabled every parcel class does, so the
-        // prediction is 1.0 and the gate never fires outside ablation.
-        let lowerable = if self.config.general_templates {
-            parcels
-        } else {
-            code.packed.meta.iter().filter(|m| m.class != OpClass::General).count() as u64
-        };
-        let predicted = if parcels == 0 { 1.0 } else { lowerable as f64 / parcels as f64 };
-        if predicted < self.config.min_coverage {
-            let r = Refusal::NotWorthwhile;
-            self.stats.refusals += 1;
-            self.stats.parcels_refused += parcels;
-            self.stats.refusal_histogram[r.index()] += 1;
-            tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
-            *code.native.borrow_mut() = NativeSlot::Refused;
-            return None;
-        }
-        let opts = CompileOpts {
-            general_templates: self.config.general_templates,
-            ibtc: self.config.ibtc,
-            fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]),
-        };
+        let opts =
+            CompileOpts { fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]) };
         match self.jit.compile(&code.packed, entry, page_size, mem_len, Memory::page_shift(), opts)
         {
             Ok(cg) => {
                 self.stats.compiles += 1;
-                self.stats.parcels_compiled += parcels;
                 self.registry.insert(
                     cg.group_id,
                     RegEntry { entry, code: Rc::downgrade(code), compiled: Rc::downgrade(&cg) },
@@ -394,7 +327,6 @@ impl NativeTier {
             }
             Err(r) => {
                 self.stats.refusals += 1;
-                self.stats.parcels_refused += parcels;
                 self.stats.refusal_histogram[r.index()] += 1;
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
                 *code.native.borrow_mut() = if r == Refusal::ArenaFull {
@@ -421,8 +353,8 @@ impl NativeTier {
     /// Mirrors a dispatcher indirect-icache event into `from`'s inline
     /// IBTC. Called whenever the dispatcher hits or installs way `way`
     /// of `from`'s icache for indirect target `target`: when both ends
-    /// are compiled and inline dispatch is `allowed` (patching safe,
-    /// IBTC enabled) the way is installed pointing at `to`'s native
+    /// are compiled and inline dispatch is `allowed` (patching safe)
+    /// the way is installed pointing at `to`'s native
     /// entry; otherwise that way is invalidated — the dispatcher just
     /// (re)wrote it, so whatever the inline cache held is stale. The
     /// invalidate half is mandatory for correctness: way overwrites
@@ -762,9 +694,8 @@ mod tests {
 
     #[test]
     fn arena_full_defers_the_entry_until_a_flush_reclaims_the_arena() {
-        let config = NativeTierConfig { threshold: 1, ..NativeTierConfig::default() };
         let mut tier =
-            NativeTier::with_arena(config, &Hierarchy::infinite(), 2 * 4096).expect("native host");
+            NativeTier::with_arena(1, &Hierarchy::infinite(), 2 * 4096).expect("native host");
         let (mut mem, mut tracer) = (Memory::new(0x10000), Tracer::disabled());
         let mut prepare = |tier: &mut NativeTier, c: &Rc<GroupCode>| {
             c.count_dispatch();

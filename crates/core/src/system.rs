@@ -22,14 +22,12 @@ use crate::engine::{
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
 use crate::metrics::{IrqLatency, MetricsRegistry, MetricsSnapshot, MetricsSource, PostMortem};
-use crate::native::{NativeRun, NativeStats, NativeTier, NativeTierConfig};
+use crate::native::{NativeRun, NativeStats, NativeTier, DEFAULT_NATIVE_THRESHOLD};
 use crate::precise::{self, ArchEvent, RecoverError};
 use crate::profile::GuestProfile;
 use crate::sched::{TierPolicy, TranslatorConfig};
 use crate::stats::RunStats;
-use crate::trace::{
-    ExcClass, FlightRecorder, Tier, TraceEvent, TraceSink, Tracer, DEFAULT_FLIGHT_RECORDER_CAPACITY,
-};
+use crate::trace::{ExcClass, FlightRecorder, Tier, TraceEvent, TraceSink, Tracer};
 use crate::vmm::Vmm;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::convert::BranchKind;
@@ -40,10 +38,9 @@ use daisy_vliw::tree::IndirectVia;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Default group-boundary cadence of metrics publication: the system
+/// Group-boundary cadence of metrics publication: the system
 /// republishes its [`MetricsSnapshot`] into the registry every this
-/// many dispatch boundaries (see
-/// [`DaisySystemBuilder::metrics_publish_period`]).
+/// many dispatch boundaries (see [`DaisySystemBuilder::metrics`]).
 pub const DEFAULT_METRICS_PUBLISH_PERIOD: u32 = 1024;
 
 /// How the previous group exited, carried to the next dispatch so a
@@ -71,9 +68,6 @@ pub struct DaisySystem<I: Isa> {
     pub cache: Hierarchy,
     /// Run statistics.
     pub stats: RunStats,
-    /// Cross-check the §3.5 recovery algorithm against parcel metadata
-    /// on every exception (cheap: exceptions are rare).
-    pub check_precise_recovery: bool,
     /// An external interrupt posted through
     /// [`DaisySystem::post_external_interrupt`], not yet delivered.
     /// External interrupts (posted ones and the attached bus's line)
@@ -126,8 +120,6 @@ pub struct DaisySystem<I: Isa> {
     /// enabled through [`DaisySystemBuilder::metrics`] or
     /// [`DaisySystemBuilder::metrics_registry`]).
     metrics: Option<MetricsRegistry>,
-    /// Boundaries between registry publications.
-    metrics_period: u32,
     /// Boundaries left until the next publication.
     metrics_countdown: u32,
     /// Interrupt post-to-delivery latency accumulator (observed at
@@ -163,19 +155,16 @@ pub struct DaisySystemBuilder<I: Isa> {
     mem_size: u32,
     cfg: TranslatorConfig,
     cache: Hierarchy,
-    check_precise_recovery: bool,
     code_capacity: Option<u64>,
     chaining: bool,
     trace_sink: Option<Box<dyn TraceSink>>,
     guest_profiling: bool,
     tier_policy: Option<TierPolicy>,
     native: bool,
-    native_config: NativeTierConfig,
+    native_threshold: u64,
     record_deliveries: bool,
     metrics: Option<MetricsRegistry>,
-    metrics_period: u32,
     flight_recorder: bool,
-    flight_capacity: usize,
     _isa: std::marker::PhantomData<I>,
 }
 
@@ -185,19 +174,16 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             mem_size: 0x40000,
             cfg: TranslatorConfig::default(),
             cache: Hierarchy::infinite(),
-            check_precise_recovery: true,
             code_capacity: None,
             chaining: true,
             trace_sink: None,
             guest_profiling: false,
             tier_policy: None,
             native: false,
-            native_config: NativeTierConfig::default(),
+            native_threshold: DEFAULT_NATIVE_THRESHOLD,
             record_deliveries: false,
             metrics: None,
-            metrics_period: DEFAULT_METRICS_PUBLISH_PERIOD,
             flight_recorder: true,
-            flight_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
             _isa: std::marker::PhantomData,
         }
     }
@@ -222,13 +208,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Cross-check §3.5 precise-exception recovery on every exception
-    /// (default on).
-    pub fn check_precise_recovery(mut self, on: bool) -> Self {
-        self.check_precise_recovery = on;
-        self
-    }
-
     /// Bound the translated-code area to `bytes`, casting out LRU page
     /// translations beyond it (default unbounded).
     pub fn code_capacity(mut self, bytes: u64) -> Self {
@@ -248,8 +227,10 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// whose dispatch count reaches
     /// [`DaisySystemBuilder::native_threshold`] are lowered to
     /// executable x86-64 and entered directly, with chained direct
-    /// jumps between compiled groups (see [`crate::native`] and
-    /// `docs/jit.md`). Works under any cache
+    /// jumps between compiled groups and an inline indirect-branch
+    /// target cache for indirect exits (see [`crate::native`] and
+    /// `docs/jit.md`). Every template is always on; the tier's one knob
+    /// is [`DaisySystemBuilder::native_threshold`]. Works under any cache
     /// hierarchy: with a finite one, compiled code logs its cache probes
     /// and the tier replays them through the model at every return, so
     /// statistics match the packed engine exactly. Silently falls back
@@ -270,36 +251,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// hot-tier translations are lowered. Only meaningful with
     /// [`DaisySystemBuilder::native_execution`] on.
     pub fn native_threshold(mut self, dispatches: u64) -> Self {
-        self.native_config.threshold = dispatches;
-        self
-    }
-
-    /// Inline indirect-branch target cache (default on): compiled
-    /// groups with indirect exits resolve guest target → native entry
-    /// inside the arena, skipping the dispatcher boundary the
-    /// icache-hit path would otherwise take. Ablation lever for
-    /// `EXPERIMENTS.md`.
-    pub fn native_ibtc(mut self, on: bool) -> Self {
-        self.native_config.ibtc = on;
-        self
-    }
-
-    /// General-parcel templates and partial-group compilation (default
-    /// on): trap checks and load-verify commits lower to native
-    /// templates instead of refusing the whole group, with mid-group
-    /// bails resuming on the packed engine. Ablation lever for
-    /// `EXPERIMENTS.md`.
-    pub fn native_partial_groups(mut self, on: bool) -> Self {
-        self.native_config.general_templates = on;
-        self
-    }
-
-    /// Worthwhile-ness floor for native compilation (default
-    /// [`crate::native::DEFAULT_NATIVE_MIN_COVERAGE`]): warm entries
-    /// whose statically predicted template coverage falls below this
-    /// fraction are refused without attempting compilation.
-    pub fn native_min_coverage(mut self, fraction: f64) -> Self {
-        self.native_config.min_coverage = fraction;
+        self.native_threshold = dispatches;
         self
     }
 
@@ -322,9 +274,11 @@ impl<I: Isa> DaisySystemBuilder<I> {
 
     /// Enables metrics publication into a fresh
     /// [`MetricsRegistry`] (default off; read it back through
-    /// [`DaisySystem::metrics_registry`]). Publication happens on the
-    /// [`DaisySystemBuilder::metrics_publish_period`] cadence at group
-    /// boundaries and costs nothing on in-group hot paths;
+    /// [`DaisySystem::metrics_registry`]). Publication happens every
+    /// [`DEFAULT_METRICS_PUBLISH_PERIOD`] group boundaries and costs
+    /// nothing on in-group hot paths. Snapshots are exact regardless of
+    /// cadence — the registry is a periodically refreshed *copy* of
+    /// counters every layer maintains continuously — and
     /// [`DaisySystem::metrics_snapshot`] works with or without this.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on.then(MetricsRegistry::new);
@@ -339,29 +293,12 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Group boundaries between registry publications (default
-    /// [`DEFAULT_METRICS_PUBLISH_PERIOD`]; clamped to at least 1).
-    /// Snapshots are exact regardless of cadence — the registry is a
-    /// periodically refreshed *copy* of counters every layer maintains
-    /// continuously.
-    pub fn metrics_publish_period(mut self, boundaries: u32) -> Self {
-        self.metrics_period = boundaries.max(1);
-        self
-    }
-
     /// Enables or disables the always-on flight recorder (default on):
     /// a fixed ring of recent trace events kept with no sink installed,
     /// dumped as a [`PostMortem`] on ladder degradation (see
     /// [`crate::trace::FlightRecorder`]).
     pub fn flight_recorder(mut self, on: bool) -> Self {
         self.flight_recorder = on;
-        self
-    }
-
-    /// Capacity of the flight-recorder ring (default
-    /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`]; clamped to at least 1).
-    pub fn flight_recorder_capacity(mut self, events: usize) -> Self {
-        self.flight_capacity = events;
         self
     }
 
@@ -395,7 +332,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
             vmm.tracer = Tracer::new(sink);
         }
         vmm.tracer.recorder = if self.flight_recorder {
-            FlightRecorder::with_capacity(self.flight_capacity)
+            FlightRecorder::default()
         } else {
             FlightRecorder::disabled()
         };
@@ -407,7 +344,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
         // system's hierarchy. `NativeTier::new` additionally returns
         // `None` on hosts that cannot execute emitted x86-64.
         let native = (self.native && !self.guest_profiling)
-            .then(|| NativeTier::new(self.native_config, &self.cache))
+            .then(|| NativeTier::new(self.native_threshold, &self.cache))
             .flatten();
         DaisySystem {
             mem: Memory::new(self.mem_size),
@@ -415,7 +352,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
             vmm,
             cache: self.cache,
             stats: RunStats::default(),
-            check_precise_recovery: self.check_precise_recovery,
             pending_external: false,
             delivery_log: self.record_deliveries.then(Vec::new),
             native_yield_preempts: 0,
@@ -429,8 +365,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
             ladder_engaged: false,
             native,
             metrics: self.metrics,
-            metrics_period: self.metrics_period,
-            metrics_countdown: self.metrics_period,
+            metrics_countdown: DEFAULT_METRICS_PUBLISH_PERIOD,
             irq_latency: IrqLatency::default(),
             irq_posted_at: None,
             last_post_mortem: None,
@@ -828,9 +763,7 @@ impl<I: Isa> DaisySystem<I> {
         // mutated yet — registers are still in `rf`, and memory is
         // clean unless a store committed before the fault.
         if let GroupExit::Exception { base_addr, fault_idx, .. } = exit {
-            if self.check_precise_recovery
-                && self.recovery_cross_check(run_entry, base_addr, fault_idx)?
-            {
+            if self.recovery_cross_check(run_entry, base_addr, fault_idx)? {
                 // Discard `rf`; architected state is untouched, so the
                 // next step re-dispatches the same PC one rung down.
                 // The retry re-executes (and re-counts) every base
@@ -994,7 +927,7 @@ impl<I: Isa> DaisySystem<I> {
     /// `Ok(false)` when the check passed.
     ///
     /// Outlined and cold: the hot dispatch path only pays the call on
-    /// exception exits, and only with `check_precise_recovery` on.
+    /// exception exits.
     #[cold]
     #[inline(never)]
     fn recovery_cross_check(
@@ -1107,7 +1040,7 @@ impl<I: Isa> DaisySystem<I> {
     #[cold]
     #[inline(never)]
     pub fn publish_metrics_now(&mut self) {
-        self.metrics_countdown = self.metrics_period;
+        self.metrics_countdown = DEFAULT_METRICS_PUBLISH_PERIOD;
         if self.metrics.is_some() {
             let snap = self.metrics_snapshot();
             if let Some(reg) = &self.metrics {

@@ -2,12 +2,14 @@
 //!
 //! Compiled code receives a single pointer (held in `rbx` for the
 //! whole run) to a [`JitCtx`], a `#[repr(C)]` block whose field
-//! offsets are frozen as `OFF_*` constants and referenced by the
-//! emitter in `lower.rs`. The dispatcher fills the input fields,
+//! offsets are the `OFF_*` constants (each an `offset_of!` of its
+//! field) referenced by the emitter in `lower.rs`. The dispatcher fills the input fields,
 //! calls the shared entry thunk, and reads the exit record plus the
 //! counter deltas back out. Keeping every counter in the block (one
 //! `inc qword [rbx+OFF]` each) is what lets native runs reproduce
 //! `RunStats` bit-for-bit against packed execution.
+
+use core::mem::offset_of;
 
 /// Exit kinds written to [`JitCtx::exit_kind`] by compiled code.
 pub const EXIT_BRANCH: u32 = 0;
@@ -23,8 +25,8 @@ pub const PROBE_STORE: u32 = 2;
 
 /// The context block shared between the dispatcher and compiled code.
 ///
-/// Field order is ABI: the `OFF_*` constants below must match, and a
-/// unit test pins them with `core::mem::offset_of!`.
+/// Field order is ABI: reordering fields moves the `OFF_*` constants
+/// below (derived with `offset_of!`) and therefore every emitted byte.
 #[repr(C)]
 pub struct JitCtx {
     /// `*mut u32` — the 77-entry architected value array.
@@ -100,33 +102,33 @@ pub struct JitCtx {
     pub access_end: *mut u64,
 }
 
-pub const OFF_VALS: i32 = 0;
-pub const OFF_MEM_BASE: i32 = 8;
-pub const OFF_TRANSLATED: i32 = 16;
-pub const OFF_LOG_BASE: i32 = 24;
-pub const OFF_BUDGET: i32 = 32;
-pub const OFF_VLIWS: i32 = 40;
-pub const OFF_BASE_INSTRS: i32 = 48;
-pub const OFF_LOADS: i32 = 56;
-pub const OFF_STORES: i32 = 64;
-pub const OFF_CHAINED: i32 = 72;
-pub const OFF_ONPAGE: i32 = 80;
-pub const OFF_CROSSPAGE: i32 = 88;
-pub const OFF_LOG_END: i32 = 96;
-pub const OFF_EXIT_KIND: i32 = 104;
-pub const OFF_EXIT_A: i32 = 108;
-pub const OFF_EXIT_B: i32 = 112;
-pub const OFF_LAST_BASE: i32 = 116;
-pub const OFF_CUR_GROUP: i32 = 120;
-pub const OFF_HISTOGRAM: i32 = 128;
-pub const OFF_PENDING_BASE: i32 = 328;
-pub const OFF_PENDING_GEN: i32 = 336;
-pub const OFF_ICACHE_HITS: i32 = 344;
-pub const OFF_CROSSPAGE_VIA_LR: i32 = 352;
-pub const OFF_CROSSPAGE_VIA_CTR: i32 = 360;
-pub const OFF_ENTRY_VLIWS: i32 = 368;
-pub const OFF_ACCESS_BASE: i32 = 376;
-pub const OFF_ACCESS_END: i32 = 384;
+pub const OFF_VALS: i32 = offset_of!(JitCtx, vals) as i32;
+pub const OFF_MEM_BASE: i32 = offset_of!(JitCtx, mem_base) as i32;
+pub const OFF_TRANSLATED: i32 = offset_of!(JitCtx, translated_base) as i32;
+pub const OFF_LOG_BASE: i32 = offset_of!(JitCtx, log_base) as i32;
+pub const OFF_BUDGET: i32 = offset_of!(JitCtx, budget_vliws) as i32;
+pub const OFF_VLIWS: i32 = offset_of!(JitCtx, vliws) as i32;
+pub const OFF_BASE_INSTRS: i32 = offset_of!(JitCtx, base_instrs) as i32;
+pub const OFF_LOADS: i32 = offset_of!(JitCtx, loads) as i32;
+pub const OFF_STORES: i32 = offset_of!(JitCtx, stores) as i32;
+pub const OFF_CHAINED: i32 = offset_of!(JitCtx, chained_dispatches) as i32;
+pub const OFF_ONPAGE: i32 = offset_of!(JitCtx, onpage_dispatches) as i32;
+pub const OFF_CROSSPAGE: i32 = offset_of!(JitCtx, crosspage_direct) as i32;
+pub const OFF_LOG_END: i32 = offset_of!(JitCtx, log_end) as i32;
+pub const OFF_EXIT_KIND: i32 = offset_of!(JitCtx, exit_kind) as i32;
+pub const OFF_EXIT_A: i32 = offset_of!(JitCtx, exit_a) as i32;
+pub const OFF_EXIT_B: i32 = offset_of!(JitCtx, exit_b) as i32;
+pub const OFF_LAST_BASE: i32 = offset_of!(JitCtx, last_base) as i32;
+pub const OFF_CUR_GROUP: i32 = offset_of!(JitCtx, cur_group) as i32;
+pub const OFF_HISTOGRAM: i32 = offset_of!(JitCtx, histogram) as i32;
+pub const OFF_PENDING_BASE: i32 = offset_of!(JitCtx, pending_base) as i32;
+pub const OFF_PENDING_GEN: i32 = offset_of!(JitCtx, pending_gen) as i32;
+pub const OFF_ICACHE_HITS: i32 = offset_of!(JitCtx, icache_hits) as i32;
+pub const OFF_CROSSPAGE_VIA_LR: i32 = offset_of!(JitCtx, crosspage_via_lr) as i32;
+pub const OFF_CROSSPAGE_VIA_CTR: i32 = offset_of!(JitCtx, crosspage_via_ctr) as i32;
+pub const OFF_ENTRY_VLIWS: i32 = offset_of!(JitCtx, entry_vliws) as i32;
+pub const OFF_ACCESS_BASE: i32 = offset_of!(JitCtx, access_base) as i32;
+pub const OFF_ACCESS_END: i32 = offset_of!(JitCtx, access_end) as i32;
 
 impl JitCtx {
     /// A zeroed context with dangling (never-dereferenced-as-is)
@@ -218,41 +220,4 @@ pub unsafe fn enter(thunk: u64, ctx: *mut JitCtx, entry: u64) {
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 pub unsafe fn enter(_thunk: u64, _ctx: *mut JitCtx, _entry: u64) {
     unreachable!("native tier is gated off on this platform");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use core::mem::offset_of;
-
-    #[test]
-    fn offsets_match_emitter_constants() {
-        assert_eq!(offset_of!(JitCtx, vals), OFF_VALS as usize);
-        assert_eq!(offset_of!(JitCtx, mem_base), OFF_MEM_BASE as usize);
-        assert_eq!(offset_of!(JitCtx, translated_base), OFF_TRANSLATED as usize);
-        assert_eq!(offset_of!(JitCtx, log_base), OFF_LOG_BASE as usize);
-        assert_eq!(offset_of!(JitCtx, budget_vliws), OFF_BUDGET as usize);
-        assert_eq!(offset_of!(JitCtx, vliws), OFF_VLIWS as usize);
-        assert_eq!(offset_of!(JitCtx, base_instrs), OFF_BASE_INSTRS as usize);
-        assert_eq!(offset_of!(JitCtx, loads), OFF_LOADS as usize);
-        assert_eq!(offset_of!(JitCtx, stores), OFF_STORES as usize);
-        assert_eq!(offset_of!(JitCtx, chained_dispatches), OFF_CHAINED as usize);
-        assert_eq!(offset_of!(JitCtx, onpage_dispatches), OFF_ONPAGE as usize);
-        assert_eq!(offset_of!(JitCtx, crosspage_direct), OFF_CROSSPAGE as usize);
-        assert_eq!(offset_of!(JitCtx, log_end), OFF_LOG_END as usize);
-        assert_eq!(offset_of!(JitCtx, exit_kind), OFF_EXIT_KIND as usize);
-        assert_eq!(offset_of!(JitCtx, exit_a), OFF_EXIT_A as usize);
-        assert_eq!(offset_of!(JitCtx, exit_b), OFF_EXIT_B as usize);
-        assert_eq!(offset_of!(JitCtx, last_base), OFF_LAST_BASE as usize);
-        assert_eq!(offset_of!(JitCtx, cur_group), OFF_CUR_GROUP as usize);
-        assert_eq!(offset_of!(JitCtx, histogram), OFF_HISTOGRAM as usize);
-        assert_eq!(offset_of!(JitCtx, pending_base), OFF_PENDING_BASE as usize);
-        assert_eq!(offset_of!(JitCtx, pending_gen), OFF_PENDING_GEN as usize);
-        assert_eq!(offset_of!(JitCtx, icache_hits), OFF_ICACHE_HITS as usize);
-        assert_eq!(offset_of!(JitCtx, crosspage_via_lr), OFF_CROSSPAGE_VIA_LR as usize);
-        assert_eq!(offset_of!(JitCtx, crosspage_via_ctr), OFF_CROSSPAGE_VIA_CTR as usize);
-        assert_eq!(offset_of!(JitCtx, entry_vliws), OFF_ENTRY_VLIWS as usize);
-        assert_eq!(offset_of!(JitCtx, access_base), OFF_ACCESS_BASE as usize);
-        assert_eq!(offset_of!(JitCtx, access_end), OFF_ACCESS_END as usize);
-    }
 }

@@ -138,27 +138,14 @@ impl IbtcTable {
     }
 }
 
-/// Per-compilation options: the ablation levers (both default on in
-/// the real system) and the cache model's fetch addresses.
-#[derive(Debug, Clone, Copy)]
+/// Per-compilation options: the cache model's fetch addresses.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CompileOpts<'a> {
-    /// Lower `General`-class parcels (trap checks, bypassed-store
-    /// commits and verifying loads) instead of refusing the group.
-    pub general_templates: bool,
-    /// Give groups with indirect exits an inline indirect-branch
-    /// target cache.
-    pub ibtc: bool,
     /// Translated-code address of each VLIW (one per VLIW of the
     /// group), given when the cache model is finite: the compiled
     /// group then logs every cache probe into the access log. `None`
     /// (the default) emits no log stores.
     pub fetch_addrs: Option<&'a [u32]>,
-}
-
-impl Default for CompileOpts<'_> {
-    fn default() -> Self {
-        CompileOpts { general_templates: true, ibtc: true, fetch_addrs: None }
-    }
 }
 
 /// Allocator for *alive bytes*: one byte per compiled group, flipped
@@ -329,15 +316,11 @@ impl Jit {
         opts: CompileOpts<'_>,
     ) -> Result<Rc<CompiledGroup>, Refusal> {
         let group_id = self.next_id.get();
-        let ibtc = if opts.ibtc
-            && g.nodes
-                .iter()
-                .any(|n| matches!(n.ctrl, daisy_vliw::packed::PackedCtrl::Indirect { .. }))
-        {
-            Some(IbtcTable::new())
-        } else {
-            None
-        };
+        let ibtc = g
+            .nodes
+            .iter()
+            .any(|n| matches!(n.ctrl, daisy_vliw::packed::PackedCtrl::Indirect { .. }))
+            .then(IbtcTable::new);
         let params = LowerParams {
             group_id,
             entry,
@@ -347,7 +330,6 @@ impl Jit {
             base: self.arena.next_addr(),
             epilogue: self.epilogue,
             ibtc_base: ibtc.as_ref().map_or(0, |t| t.base_addr()),
-            general_templates: opts.general_templates,
         };
         let lowered: Lowered = lower::lower(g, params, opts.fetch_addrs)?;
         // `install` bumps by the aligned position `next_addr` predicted

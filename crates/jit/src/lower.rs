@@ -101,14 +101,6 @@ pub const ACCESS_LOG_CAPACITY: usize =
 /// stays packed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refusal {
-    /// Contains a [`OpClass::General`] parcel (trap check or
-    /// load-verify commit). Only issued when the general-parcel
-    /// templates are ablated off ([`LowerParams::general_templates`]).
-    GeneralParcel,
-    /// Contains a bypassed-store load. Only issued when the
-    /// general-parcel templates are ablated off (the pending-table
-    /// templates handle it otherwise).
-    BypassedStore,
     /// Node count exceeds [`MAX_NODES`], conditional nesting exceeds
     /// [`MAX_COND_DEPTH`], or (when logging cache probes) one VLIW
     /// path holds more than [`MAX_VLIW_MEM_PARCELS`] memory parcels.
@@ -118,46 +110,31 @@ pub enum Refusal {
     ArenaFull,
     /// The host cannot execute emitted code (non-x86-64 build).
     Unsupported,
-    /// Predicted template coverage is below the tier's worthwhile
-    /// threshold (issued by the tier before lowering, never here).
-    NotWorthwhile,
 }
 
 impl Refusal {
     /// Number of variants (refusal-histogram size).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 3;
 
     /// All variants, in [`Refusal::index`] order (histogram labelling).
-    pub const ALL: [Refusal; Refusal::COUNT] = [
-        Refusal::GeneralParcel,
-        Refusal::BypassedStore,
-        Refusal::TooLarge,
-        Refusal::ArenaFull,
-        Refusal::Unsupported,
-        Refusal::NotWorthwhile,
-    ];
+    pub const ALL: [Refusal; Refusal::COUNT] =
+        [Refusal::TooLarge, Refusal::ArenaFull, Refusal::Unsupported];
 
     /// Dense index for per-variant histograms.
     pub fn index(self) -> usize {
         match self {
-            Refusal::GeneralParcel => 0,
-            Refusal::BypassedStore => 1,
-            Refusal::TooLarge => 2,
-            Refusal::ArenaFull => 3,
-            Refusal::Unsupported => 4,
-            Refusal::NotWorthwhile => 5,
+            Refusal::TooLarge => 0,
+            Refusal::ArenaFull => 1,
+            Refusal::Unsupported => 2,
         }
     }
 
     /// Stable label for stats and traces.
     pub fn as_str(self) -> &'static str {
         match self {
-            Refusal::GeneralParcel => "general-parcel",
-            Refusal::BypassedStore => "bypassed-store",
             Refusal::TooLarge => "too-large",
             Refusal::ArenaFull => "arena-full",
             Refusal::Unsupported => "unsupported",
-            Refusal::NotWorthwhile => "not-worthwhile",
         }
     }
 }
@@ -181,13 +158,8 @@ pub struct LowerParams {
     /// Absolute address of the shared epilogue.
     pub epilogue: u64,
     /// Absolute address of the group's inline indirect-branch target
-    /// cache, or 0 when the group has none (no indirect exits, or the
-    /// cache is ablated off).
+    /// cache, or 0 when the group has none (no indirect exits).
     pub ibtc_base: u64,
-    /// Lower `General`-class parcels and bypassed-store loads with the
-    /// pending-table templates; when false they refuse the group (the
-    /// seed behavior, kept as an ablation lever).
-    pub general_templates: bool,
 }
 
 /// One `Leave` exit emission: a patchable 5-byte `jmp` plus its chain
@@ -293,16 +265,6 @@ pub fn lower(
 ) -> Result<Lowered, Refusal> {
     if g.nodes.len() > MAX_NODES {
         return Err(Refusal::TooLarge);
-    }
-    if !p.general_templates {
-        for (op, m) in g.ops.iter().zip(&g.meta) {
-            if m.class == OpClass::General {
-                return Err(Refusal::GeneralParcel);
-            }
-            if op.bypassed_store {
-                return Err(Refusal::BypassedStore);
-            }
-        }
     }
     // Static log bounds: nested conditions deeper than MAX_COND_DEPTH
     // would void the LOG_CAPACITY guarantee, and (when logging probes)

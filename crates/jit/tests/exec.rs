@@ -288,20 +288,6 @@ fn dropping_a_group_severs_inbound_edges_via_alive_byte() {
     jit.unlink_all();
 }
 
-/// With the general templates ablated off, a trap-check parcel still
-/// refuses the whole group (the pre-scan that used to be the default).
-#[test]
-fn general_parcels_are_refused_under_ablation() {
-    let jit = Jit::new(1 << 20).expect("host supports the native tier");
-    let mut g = Group::new(0x1000);
-    let v0 = &mut g.vliws[0];
-    v0.add_op(ROOT, Operation::new(OpKind::TrapIf { to: 0 }, 0x1000).src(Reg(1)));
-    v0.seal(ROOT, Exit::Branch { target: 0x2000 });
-    let p = PackedGroup::lower(&g);
-    let opts = CompileOpts { general_templates: false, ..CompileOpts::default() };
-    assert!(jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, opts).is_err());
-}
-
 /// Compiles identical small groups into `jit` until the arena refuses
 /// one, and returns those that fit.
 fn fill(jit: &Jit) -> Vec<Rc<CompiledGroup>> {
@@ -426,7 +412,7 @@ fn access_log_stays_within_capacity_at_the_chain_budget() {
     v0.seal(f, Exit::Branch { target: ENTRY });
     let p = PackedGroup::lower(&g);
     let fetch = [FETCH];
-    let opts = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
+    let opts = CompileOpts { fetch_addrs: Some(&fetch) };
     let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
     jit.link(&cg, 0, &cg);
 
@@ -465,7 +451,7 @@ fn too_many_memory_parcels_per_vliw_refuse_only_a_logging_group() {
     v0.seal(ROOT, Exit::Branch { target: 0x2000 });
     let p = PackedGroup::lower(&g);
     let fetch = [0x8000_0000];
-    let logging = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
+    let logging = CompileOpts { fetch_addrs: Some(&fetch) };
     let refused = jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, logging);
     assert_eq!(refused.err(), Some(Refusal::TooLarge));
     assert!(jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, CompileOpts::default()).is_ok());

@@ -89,6 +89,19 @@ cmp "$artifacts/BENCH_report.json" BENCH_report.json || {
   exit 1
 }
 
+# Live-metrics pin: the nine-workload packed health document (every
+# counter, gauge, degradation and histogram the registry publishes) is
+# deterministic too, so a regenerated copy must match the committed
+# BENCH_health.json byte for byte. A metric renamed, reordered or
+# reading the wrong field fails here; regenerate the file (`cargo run
+# --release -p daisy-bench --bin health`) only for a change that means
+# to move a metric, and say so.
+cargo run -q --release -p daisy-bench --bin health -- --out "$artifacts/BENCH_health.json"
+cmp "$artifacts/BENCH_health.json" BENCH_health.json || {
+  echo "error: regenerated BENCH_health.json differs from the committed file" >&2
+  exit 1
+}
+
 # Chapter 5 tables pin: `repro all` is deterministic, so its output
 # must match the committed docs/repro-output.txt byte for byte. The
 # tables run on the native tier (including the finite-cache ones, where

@@ -11,7 +11,7 @@
 //! carries a 32-seed smoke slice.
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
-use daisy::native::{NativeTier, NativeTierConfig};
+use daisy::native::{NativeTier, DEFAULT_NATIVE_THRESHOLD};
 use daisy::system::DaisySystem;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::{Exception, GuestCpu, StopReason};
@@ -29,7 +29,7 @@ fn preempt_cfg(seed: u64) -> CampaignConfig {
 }
 
 fn native_supported() -> bool {
-    NativeTier::new(NativeTierConfig::default(), &Hierarchy::infinite()).is_some()
+    NativeTier::new(DEFAULT_NATIVE_THRESHOLD, &Hierarchy::infinite()).is_some()
 }
 
 /// Runs the firmware fuzz-free on a DaisySystem tier to its halt park,
