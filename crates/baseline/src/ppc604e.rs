@@ -124,11 +124,11 @@ pub fn run(
                 }
                 OpKind::Div | OpKind::Divu => lat = cfg.div_latency,
                 OpKind::Load { .. } => {
-                    let a = cache.access_data(ea.unwrap_or(0), false);
+                    let a = cache.access_data(ea.unwrap_or(0));
                     lat = cfg.load_latency + u64::from(a.penalty);
                 }
                 OpKind::Store { .. } => {
-                    let a = cache.access_data(ea.unwrap_or(0), true);
+                    let a = cache.access_data(ea.unwrap_or(0));
                     cycle += u64::from(a.penalty);
                 }
                 _ => {}

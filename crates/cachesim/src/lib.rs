@@ -18,9 +18,9 @@
 //! use daisy_cachesim::Hierarchy;
 //!
 //! let mut h = Hierarchy::paper_default();
-//! let first = h.access_data(0x1000, false);
+//! let first = h.access_data(0x1000);
 //! assert_eq!(first.penalty, 100); // cold miss: L2 12 + memory 88
-//! let second = h.access_data(0x1004, false);
+//! let second = h.access_data(0x1004);
 //! assert_eq!(second.penalty, 0); // same 256-byte line
 //! ```
 
@@ -206,6 +206,15 @@ pub struct Access {
     pub l0_miss: bool,
 }
 
+/// The two probe streams of a [`Hierarchy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Instruction fetches ([`Hierarchy::access_instr`]).
+    Instr,
+    /// Loads and stores ([`Hierarchy::access_data`]).
+    Data,
+}
+
 /// A full memory hierarchy: private instruction levels, private data
 /// levels, shared combined levels, and a flat memory latency behind them.
 #[derive(Debug, Clone)]
@@ -294,10 +303,59 @@ impl Hierarchy {
         Hierarchy::walk(&mut self.ilevels, &mut self.shared, addr, self.mem_latency)
     }
 
-    /// Probes the data side.
+    /// Probes the data side. Reads and writes probe alike.
     #[inline]
-    pub fn access_data(&mut self, addr: u32, _write: bool) -> Access {
+    pub fn access_data(&mut self, addr: u32) -> Access {
         Hierarchy::walk(&mut self.dlevels, &mut self.shared, addr, self.mem_latency)
+    }
+
+    /// `side`'s private level 0: the first of its own levels, which no
+    /// probe of the other side reaches. `None` when the side has no
+    /// level of its own (its first level, if any, is shared).
+    fn private_l0(&self, side: Side) -> Option<&Cache> {
+        match side {
+            Side::Instr => self.ilevels.first(),
+            Side::Data => self.dlevels.first(),
+        }
+    }
+
+    /// log2 of the line size of `side`'s private level 0, or `None`
+    /// when the side has no private level 0.
+    pub fn l0_line_shift(&self, side: Side) -> Option<u32> {
+        self.private_l0(side).map(|c| c.line_shift)
+    }
+
+    /// Line address (`addr >> l0_line_shift`) of the last probe of
+    /// `side`'s private level 0. `u64::MAX`, which no line address
+    /// equals, before its first probe or when the side has no private
+    /// level 0.
+    pub fn l0_mru_line(&self, side: Side) -> u64 {
+        self.private_l0(side).map_or(NO_LINE, |c| c.mru)
+    }
+
+    /// Records `hits` probes of `side` that each fell in the line of
+    /// [`Hierarchy::l0_mru_line`], with the effect of making them one
+    /// by one: such a probe hits the private level 0 without touching
+    /// its LRU state or any level behind it, so it only counts a
+    /// level-0 access. Returns the probes' summed penalty, `hits` times
+    /// the level-0 latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hits` is nonzero and `side` has no private level 0
+    /// or has not been probed yet.
+    pub fn add_l0_mru_hits(&mut self, side: Side, hits: u64) -> u64 {
+        if hits == 0 {
+            return 0;
+        }
+        let l0 = match side {
+            Side::Instr => self.ilevels.first_mut(),
+            Side::Data => self.dlevels.first_mut(),
+        }
+        .expect("MRU hits need a private level 0");
+        assert!(l0.mru != NO_LINE, "MRU hits before the level's first probe");
+        l0.stats.accesses += hits;
+        hits * u64::from(l0.cfg.latency)
     }
 
     /// Per-level statistics `(name, stats)` in probe order: instruction
@@ -354,12 +412,12 @@ mod tests {
             50,
         );
         // Cold: L1 miss (0) + L2 miss (10) + memory (50).
-        assert_eq!(h.access_data(0, false), Access { penalty: 60, l0_miss: true });
+        assert_eq!(h.access_data(0), Access { penalty: 60, l0_miss: true });
         // L1 hit.
-        assert_eq!(h.access_data(8, false), Access { penalty: 0, l0_miss: false });
+        assert_eq!(h.access_data(8), Access { penalty: 0, l0_miss: false });
         // Fill the other L1 sets, then wrap to evict line 0 from L1 only.
-        h.access_data(64, false);
-        let a = h.access_data(0, false);
+        h.access_data(64);
+        let a = h.access_data(0);
         assert_eq!(a, Access { penalty: 10, l0_miss: true }); // L1 miss, L2 hit
     }
 
@@ -373,14 +431,14 @@ mod tests {
         );
         assert!(h.access_instr(0).l0_miss);
         // Same address on the data side still cold.
-        assert!(h.access_data(0, false).l0_miss);
+        assert!(h.access_data(0).l0_miss);
         assert!(!h.access_instr(0).l0_miss);
     }
 
     #[test]
     fn infinite_cache_is_free() {
         let mut h = Hierarchy::infinite();
-        assert_eq!(h.access_data(0x1234, true).penalty, 0);
+        assert_eq!(h.access_data(0x1234).penalty, 0);
         assert_eq!(h.access_instr(0xFFFF_0000).penalty, 0);
         assert!(h.is_infinite());
         assert!(h.level_stats().is_empty());

@@ -1,6 +1,6 @@
 //! Property tests for the cache simulator.
 
-use daisy_cachesim::{Cache, CacheConfig, Hierarchy};
+use daisy_cachesim::{Cache, CacheConfig, Hierarchy, Side};
 use proptest::prelude::*;
 
 proptest! {
@@ -48,7 +48,7 @@ proptest! {
     fn infinite_hierarchy_is_always_free(addrs in prop::collection::vec(any::<u32>(), 1..64)) {
         let mut h = Hierarchy::infinite();
         for a in addrs {
-            prop_assert_eq!(h.access_data(a, false).penalty, 0);
+            prop_assert_eq!(h.access_data(a).penalty, 0);
             prop_assert_eq!(h.access_instr(a).penalty, 0);
         }
     }
@@ -58,7 +58,7 @@ proptest! {
     fn stats_are_consistent(addrs in prop::collection::vec(any::<u32>(), 1..256)) {
         let mut h = Hierarchy::paper_default();
         for a in &addrs {
-            let _ = h.access_data(*a, false);
+            let _ = h.access_data(*a);
         }
         for (_, st) in h.level_stats() {
             prop_assert!(st.misses <= st.accesses);
@@ -258,7 +258,7 @@ proptest! {
                 let (got, want) = if instr {
                     (fast.access_instr(a), slow.access_instr(a))
                 } else {
-                    (fast.access_data(a, false), slow.access_data(a))
+                    (fast.access_data(a), slow.access_data(a))
                 };
                 prop_assert_eq!(got, want, "{} addr {:#x}", name, a);
                 let stats: Vec<CacheStats> =
@@ -266,5 +266,79 @@ proptest! {
                 prop_assert_eq!(stats, slow.level_stats(), "{}", name);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Counted level-0 MRU hits. The native tier does not log a probe of the
+// line its side's private level 0 used last: it counts it and adds the
+// counts through `add_l0_mru_hits` after replaying the logged probes.
+// That must equal making every probe one by one.
+// ---------------------------------------------------------------------
+
+/// One random level: 1–16 sets, 1/2/4 ways, 4–64-byte lines, latency
+/// 0–3 cycles (so level 0 is often slower than free).
+fn level() -> impl Strategy<Value = CacheConfig> {
+    (0u32..5, 0u32..3, 2u32..7, 0u32..4).prop_map(|(sets, ways, line, latency)| {
+        let (assoc, line) = (1 << ways, 1 << line);
+        CacheConfig::new("c", (assoc * line) << sets, assoc, line, latency)
+    })
+}
+
+/// A random hierarchy: zero to two private levels per side (a side
+/// without one starts at the shared levels, or has no cache at all).
+fn hierarchy() -> impl Strategy<Value = Geometry> {
+    (
+        prop::collection::vec(level(), 0..3),
+        prop::collection::vec(level(), 0..3),
+        prop::collection::vec(level(), 0..3),
+        0u32..40,
+    )
+}
+
+proptest! {
+    /// Probes are split as compiled code splits them. Each side with a
+    /// private level 0 tracks a line, seeded from `l0_mru_line` when a
+    /// run starts: a probe of the tracked line is counted, any other
+    /// probe is made at once and becomes the tracked line. Runs end at
+    /// random, adding their counts. Every made probe returns the
+    /// per-probe `Access`, and at the end the summed penalty and every
+    /// level's counters are equal.
+    #[test]
+    fn counted_mru_hits_equal_per_probe_access(
+        geo in hierarchy(),
+        stream in prop::collection::vec((probe(), 0u32..16), 1..512),
+    ) {
+        let (i, d, s, mem) = geo;
+        let mut each = Hierarchy::new(i.clone(), d.clone(), s.clone(), mem);
+        let mut split = Hierarchy::new(i, d, s, mem);
+        let sides = [Side::Instr, Side::Data];
+        let shifts = sides.map(|side| split.l0_line_shift(side));
+        let (mut each_penalty, mut split_penalty) = (0u64, 0u64);
+        let mut tracked = sides.map(|side| split.l0_mru_line(side));
+        let mut hits = [0u64; 2];
+        for (n, &((instr, a), run_end)) in stream.iter().enumerate() {
+            let k = usize::from(!instr);
+            let want = if instr { each.access_instr(a) } else { each.access_data(a) };
+            each_penalty += u64::from(want.penalty);
+            let line = shifts[k].map(|sh| u64::from(a >> sh));
+            if line == Some(tracked[k]) {
+                prop_assert!(!want.l0_miss, "a level-0 MRU probe missed at {:#x}", a);
+                hits[k] += 1;
+            } else {
+                let got = if instr { split.access_instr(a) } else { split.access_data(a) };
+                prop_assert_eq!(got, want, "addr {:#x}", a);
+                split_penalty += u64::from(got.penalty);
+                tracked[k] = line.unwrap_or(tracked[k]);
+            }
+            if run_end == 0 || n + 1 == stream.len() {
+                for (side, h) in sides.into_iter().zip(&mut hits) {
+                    split_penalty += split.add_l0_mru_hits(side, std::mem::take(h));
+                }
+                tracked = sides.map(|side| split.l0_mru_line(side));
+            }
+        }
+        prop_assert_eq!(split_penalty, each_penalty);
+        prop_assert_eq!(split.level_stats(), each.level_stats());
     }
 }

@@ -673,7 +673,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                         match read_mem(mem, ea, width, algebraic) {
                             Ok(v) => {
                                 if !infinite {
-                                    let acc = cache.access_data(ea, false);
+                                    let acc = cache.access_data(ea);
                                     if acc.l0_miss {
                                         stats.load_l0_misses += 1;
                                     }
@@ -728,7 +728,7 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
                         match write_mem(mem, ea, width, sv[0]) {
                             Ok(()) => {
                                 if !infinite {
-                                    let acc = cache.access_data(ea, true);
+                                    let acc = cache.access_data(ea);
                                     if acc.l0_miss {
                                         stats.store_l0_misses += 1;
                                     }
@@ -901,7 +901,7 @@ fn exec_parcel_general(
             match read_mem(mem, ea, width, algebraic) {
                 Ok(v) => {
                     if !infinite {
-                        let acc = cache.access_data(ea, false);
+                        let acc = cache.access_data(ea);
                         if acc.l0_miss {
                             stats.load_l0_misses += 1;
                         }
@@ -949,7 +949,7 @@ fn exec_parcel_general(
             match write_mem(mem, ea, width, src_vals[0]) {
                 Ok(()) => {
                     if !infinite {
-                        let acc = cache.access_data(ea, true);
+                        let acc = cache.access_data(ea);
                         if acc.l0_miss {
                             stats.store_l0_misses += 1;
                         }

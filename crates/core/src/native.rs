@@ -33,12 +33,15 @@
 //!   on the packed engine ([`crate::engine::run_group_resume`]), so
 //!   §3.5 precise-exception recovery works unchanged.
 //! * **Probe replay** — under a finite cache model, compiled code
-//!   logs every cache probe the packed engine would make (each VLIW's
+//!   logs the cache probes the packed engine would make (each VLIW's
 //!   fetch, then each completed load or store in parcel order), and
 //!   [`NativeTier::execute`] replays the log through the
 //!   [`Hierarchy`] before it returns, so stall cycles and miss counts
-//!   match packed execution exactly. On a bail the replay finishes
-//!   before the packed resume makes its own probes.
+//!   match packed execution exactly. A probe of the line its side's
+//!   private level 0 used last changes no cache state, so compiled
+//!   code only counts those, and the replay adds the counts. On a bail
+//!   the replay finishes before the packed resume makes its own
+//!   probes.
 //! * **Severing** — chained direct jumps between compiled groups are
 //!   guarded by per-group alive bytes and a global patch log; any
 //!   invalidation or cast-out in the VMM flushes every native edge
@@ -50,7 +53,7 @@ use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use crate::trace::{TraceEvent, Tracer};
-use daisy_cachesim::Hierarchy;
+use daisy_cachesim::{Hierarchy, Side};
 use daisy_isa::mem::Memory;
 use daisy_jit::arena::AccessLog;
 use daisy_jit::ctx::{EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD};
@@ -188,6 +191,11 @@ pub struct NativeTier {
     /// an infinite cache, where groups compile without log stores and
     /// nothing is replayed.
     access_log: Option<AccessLog>,
+    /// `(instruction, data)` line shifts of the cache model's private
+    /// level 0s, compiled into every group: probes of the line a side
+    /// used last are counted, not logged. `None` for a side without a
+    /// private level 0, which logs every probe.
+    line_shifts: (Option<u32>, Option<u32>),
     /// Bypassed-load pending table: [`NUM_REGS`] rows of 32 bytes
     /// (`{gen: u64, ea: u32, value: u32, meta: u32, pad}`), written by
     /// the bypassed-load template and read by the verify-commit
@@ -240,6 +248,7 @@ impl NativeTier {
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
             access_log: if cache.is_infinite() { None } else { Some(AccessLog::new()?) },
+            line_shifts: (cache.l0_line_shift(Side::Instr), cache.l0_line_shift(Side::Data)),
             pending: vec![0u64; NUM_REGS * PENDING_ROW_BYTES / 8],
             epoch: (0, 0, 0),
             stats: NativeStats::default(),
@@ -311,8 +320,11 @@ impl NativeTier {
         }
         let entry = code.group.entry;
         let (_, mem_len, _) = mem.jit_view();
-        let opts =
-            CompileOpts { fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]) };
+        let opts = CompileOpts {
+            fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]),
+            instr_line_shift: self.line_shifts.0,
+            data_line_shift: self.line_shifts.1,
+        };
         match self.jit.compile(&code.packed, entry, page_size, mem_len, Memory::page_shift(), opts)
         {
             Ok(cg) => {
@@ -407,6 +419,10 @@ impl NativeTier {
             Some(log) => (log.base(), NATIVE_VLIW_BUDGET.min(ACCESS_LOG_VLIW_BUDGET)),
             None => (std::ptr::null_mut(), NATIVE_VLIW_BUDGET),
         };
+        if self.access_log.is_some() {
+            self.ctx.fetch_mru = cache.l0_mru_line(Side::Instr);
+            self.ctx.data_mru = cache.l0_mru_line(Side::Data);
+        }
         // SAFETY: every pointer set above is valid for the run — vals
         // is the register file's fixed array, mem/translated never
         // reallocate, the log holds LOG_CAPACITY bytes, the access log
@@ -544,9 +560,12 @@ impl NativeTier {
     }
 
     /// Replays the run's access log through `cache`, in the packed
-    /// engine's probe order, adding the stall cycles and level-0 miss
-    /// counts the packed engine would have added. A no-op under an
-    /// infinite cache (the log is empty and nothing was written).
+    /// engine's probe order, then the level-0 MRU hits compiled code
+    /// counted instead of logging, adding the stall cycles and level-0
+    /// miss counts the packed engine would have added. The hits can
+    /// come last: each only counts a level-0 access, which no other
+    /// probe observes. A no-op under an infinite cache (the log is
+    /// empty and nothing was written).
     fn replay_probes(&self, cache: &mut Hierarchy, stats: &mut RunStats) {
         let Some(log) = &self.access_log else { return };
         for &e in log.written(self.ctx.access_end) {
@@ -554,7 +573,7 @@ impl NativeTier {
             match (e >> 32) as u32 {
                 PROBE_FETCH => stats.stall_cycles += u64::from(cache.access_instr(addr).penalty),
                 kind => {
-                    let acc = cache.access_data(addr, kind != PROBE_LOAD);
+                    let acc = cache.access_data(addr);
                     if acc.l0_miss {
                         if kind == PROBE_LOAD {
                             stats.load_l0_misses += 1;
@@ -566,6 +585,8 @@ impl NativeTier {
                 }
             }
         }
+        stats.stall_cycles += cache.add_l0_mru_hits(Side::Instr, self.ctx.fetch_mru_hits)
+            + cache.add_l0_mru_hits(Side::Data, self.ctx.data_mru_hits);
     }
 }
 

@@ -100,6 +100,18 @@ pub struct JitCtx {
     pub access_base: *mut u64,
     /// Access-log cursor at exit (written from `rbp` by the epilogue).
     pub access_end: *mut u64,
+    /// Line address of the instruction side's last probe, tracked by
+    /// groups compiled with an instruction line shift: a fetch of this
+    /// line is counted in `fetch_mru_hits` instead of logged, and every
+    /// other fetch is logged and becomes the tracked line. The
+    /// dispatcher seeds it from the cache model before each run.
+    pub fetch_mru: u64,
+    /// `fetch_mru` for loads and stores, under the data line shift.
+    pub data_mru: u64,
+    /// Fetches of `fetch_mru` made by the run (not logged).
+    pub fetch_mru_hits: u64,
+    /// Loads and stores of `data_mru` made by the run (not logged).
+    pub data_mru_hits: u64,
 }
 
 pub const OFF_VALS: i32 = offset_of!(JitCtx, vals) as i32;
@@ -129,6 +141,10 @@ pub const OFF_CROSSPAGE_VIA_CTR: i32 = offset_of!(JitCtx, crosspage_via_ctr) as 
 pub const OFF_ENTRY_VLIWS: i32 = offset_of!(JitCtx, entry_vliws) as i32;
 pub const OFF_ACCESS_BASE: i32 = offset_of!(JitCtx, access_base) as i32;
 pub const OFF_ACCESS_END: i32 = offset_of!(JitCtx, access_end) as i32;
+pub const OFF_FETCH_MRU: i32 = offset_of!(JitCtx, fetch_mru) as i32;
+pub const OFF_DATA_MRU: i32 = offset_of!(JitCtx, data_mru) as i32;
+pub const OFF_FETCH_MRU_HITS: i32 = offset_of!(JitCtx, fetch_mru_hits) as i32;
+pub const OFF_DATA_MRU_HITS: i32 = offset_of!(JitCtx, data_mru_hits) as i32;
 
 impl JitCtx {
     /// A zeroed context with dangling (never-dereferenced-as-is)
@@ -164,6 +180,10 @@ impl JitCtx {
             entry_vliws: 0,
             access_base: std::ptr::null_mut(),
             access_end: std::ptr::null_mut(),
+            fetch_mru: u64::MAX,
+            data_mru: u64::MAX,
+            fetch_mru_hits: 0,
+            data_mru_hits: 0,
         }
     }
 
@@ -188,10 +208,13 @@ impl JitCtx {
         self.crosspage_via_lr = 0;
         self.crosspage_via_ctr = 0;
         self.access_end = std::ptr::null_mut();
+        self.fetch_mru_hits = 0;
+        self.data_mru_hits = 0;
         // `pending_gen` is deliberately *not* reset: row validity is
         // "gen matches the current value", and monotonicity guarantees
         // zeroed rows (gen 0) can never become valid again.
-        // `entry_vliws` is overwritten by every group prologue.
+        // `entry_vliws` is overwritten by every group prologue, and
+        // the tracked MRU lines are the caller's to seed.
     }
 }
 

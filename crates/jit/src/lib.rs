@@ -138,14 +138,22 @@ impl IbtcTable {
     }
 }
 
-/// Per-compilation options: the cache model's fetch addresses.
+/// Per-compilation options: the cache model's fetch addresses and
+/// level-0 line sizes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileOpts<'a> {
     /// Translated-code address of each VLIW (one per VLIW of the
     /// group), given when the cache model is finite: the compiled
-    /// group then logs every cache probe into the access log. `None`
+    /// group then logs its cache probes into the access log. `None`
     /// (the default) emits no log stores.
     pub fetch_addrs: Option<&'a [u32]>,
+    /// log2 of the line size of the instruction side's private level
+    /// 0. With `fetch_addrs`, a fetch of the line in
+    /// [`JitCtx::fetch_mru`] bumps [`JitCtx::fetch_mru_hits`] instead
+    /// of being logged. `None` logs every fetch.
+    pub instr_line_shift: Option<u32>,
+    /// The same for loads and stores, against [`JitCtx::data_mru`].
+    pub data_line_shift: Option<u32>,
 }
 
 /// Allocator for *alive bytes*: one byte per compiled group, flipped
@@ -331,7 +339,7 @@ impl Jit {
             epilogue: self.epilogue,
             ibtc_base: ibtc.as_ref().map_or(0, |t| t.base_addr()),
         };
-        let lowered: Lowered = lower::lower(g, params, opts.fetch_addrs)?;
+        let lowered: Lowered = lower::lower(g, params, opts)?;
         // `install` bumps by the aligned position `next_addr` predicted
         // (install aligns first, and next_addr accounts for that).
         let off = self.arena.install(&lowered.code).ok_or(Refusal::ArenaFull)?;

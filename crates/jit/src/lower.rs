@@ -35,7 +35,11 @@
 //! packed engine would make to the access log: the VLIW's fetch at its
 //! start, then each completed load or store in parcel order. The
 //! dispatcher replays the log through the cache model when the run
-//! returns. Without fetch addresses no log store is emitted.
+//! returns. A side whose private level-0 line size is given tracks
+//! that level's most recently used line in the context block: a probe
+//! of that line only bumps a hit counter (it cannot change the cache's
+//! state), and every other probe is logged and becomes the tracked
+//! line. Without fetch addresses no log store is emitted.
 
 use crate::asm::{
     Asm, Label, Mem, CC_A, CC_AE, CC_B, CC_C, CC_E, CC_G, CC_L, CC_NE, R12, R13, R14, R15, RAX,
@@ -43,11 +47,12 @@ use crate::asm::{
 };
 use crate::ctx::{
     EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BASE_INSTRS, OFF_BUDGET, OFF_CHAINED,
-    OFF_CROSSPAGE, OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_ENTRY_VLIWS,
-    OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE,
-    OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD,
-    PROBE_STORE,
+    OFF_CROSSPAGE, OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_MRU,
+    OFF_DATA_MRU_HITS, OFF_ENTRY_VLIWS, OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU,
+    OFF_FETCH_MRU_HITS, OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE, OFF_ONPAGE,
+    OFF_PENDING_BASE, OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD, PROBE_STORE,
 };
+use crate::CompileOpts;
 use daisy_vliw::op::{CrOp, MemWidth, OpKind, Operation};
 use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
 use daisy_vliw::tree::IndirectVia;
@@ -237,9 +242,8 @@ struct Emitter<'a> {
     a: Asm,
     g: &'a PackedGroup,
     p: LowerParams,
-    /// Translated-code address of each VLIW when the cache model is
-    /// finite; `None` emits no access-log stores.
-    fetch_addrs: Option<&'a [u32]>,
+    /// The cache model's fetch addresses and level-0 line shifts.
+    opts: CompileOpts<'a>,
     vliw_labels: Vec<Label>,
     leaves: Vec<PendingLeave>,
     bails: Vec<PendingBail>,
@@ -255,14 +259,10 @@ fn vreg(s: u8) -> Mem {
 }
 
 /// Lowers `g` for installation at `p.base`. Pure byte generation — no
-/// arena interaction; the caller installs and links. `fetch_addrs`
+/// arena interaction; the caller installs and links. `opts.fetch_addrs`
 /// (one translated-code address per VLIW of `g`) turns on the access
 /// log for a finite cache model.
-pub fn lower(
-    g: &PackedGroup,
-    p: LowerParams,
-    fetch_addrs: Option<&[u32]>,
-) -> Result<Lowered, Refusal> {
+pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<Lowered, Refusal> {
     if g.nodes.len() > MAX_NODES {
         return Err(Refusal::TooLarge);
     }
@@ -282,7 +282,7 @@ pub fn lower(
                     .iter()
                     .filter(|m| matches!(m.class, OpClass::Load | OpClass::Store))
                     .count();
-            if fetch_addrs.is_some() && mem > MAX_VLIW_MEM_PARCELS {
+            if opts.fetch_addrs.is_some() && mem > MAX_VLIW_MEM_PARCELS {
                 return Err(Refusal::TooLarge);
             }
             if let PackedCtrl::Cond { taken, fall, .. } = n.ctrl {
@@ -298,7 +298,7 @@ pub fn lower(
         a: Asm::new(p.base),
         g,
         p,
-        fetch_addrs,
+        opts,
         vliw_labels: Vec::new(),
         leaves: Vec::new(),
         bails: Vec::new(),
@@ -326,8 +326,8 @@ pub fn lower(
         // stats.vliws_executed += 1 (per tree instruction), then the
         // VLIW's fetch probe.
         e.a.inc_m64(ctx(OFF_VLIWS));
-        if let Some(addrs) = e.fetch_addrs {
-            e.log_probe(PROBE_FETCH, Some(addrs[vi]));
+        if let Some(addrs) = e.opts.fetch_addrs {
+            e.probe(PROBE_FETCH, Some(addrs[vi]));
         }
         e.emit_node(root as usize, 0);
     }
@@ -579,6 +579,41 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// One cache probe. When the probe's side has a level-0 line shift
+    /// and the probe falls in the tracked line, it bumps the side's hit
+    /// counter; any other probe becomes the tracked line and is logged.
+    /// The address is the constant `addr`, or ecx (the effective
+    /// address of the load or store just completed) when `None`.
+    /// Clobbers rdx only, so a load's value survives in eax.
+    fn probe(&mut self, kind: u32, addr: Option<u32>) {
+        let (shift, mru, hits) = if kind == PROBE_FETCH {
+            (self.opts.instr_line_shift, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS)
+        } else {
+            (self.opts.data_line_shift, OFF_DATA_MRU, OFF_DATA_MRU_HITS)
+        };
+        let Some(shift) = shift else { return self.log_probe(kind, addr) };
+        // The line into edx, zero-extended to rdx: the tracked line is
+        // a u64 whose "none yet" value no line address equals.
+        match addr {
+            Some(addr) => self.a.mov_r32_imm(RDX, addr >> shift),
+            None => {
+                self.a.mov_rr32(RDX, RCX);
+                if shift != 0 {
+                    self.a.shr_r32_imm(RDX, shift as u8);
+                }
+            }
+        }
+        let (miss, join) = (self.a.label(), self.a.label());
+        self.a.cmp_r64_m(RDX, ctx(mru));
+        self.a.jcc(CC_NE, miss);
+        self.a.inc_m64(ctx(hits));
+        self.a.jmp(join);
+        self.a.bind(miss);
+        self.a.mov_m_r64(ctx(mru), RDX);
+        self.log_probe(kind, addr);
+        self.a.bind(join);
+    }
+
     /// Appends one access-log entry at `rbp` and advances the cursor.
     /// The address is the constant `addr`, or ecx (the effective
     /// address of the load or store just completed) when `None`.
@@ -787,8 +822,8 @@ impl<'a> Emitter<'a> {
             }
         }
         self.a.inc_m64(ctx(OFF_LOADS));
-        if self.fetch_addrs.is_some() {
-            self.log_probe(PROBE_LOAD, None);
+        if self.opts.fetch_addrs.is_some() {
+            self.probe(PROBE_LOAD, None);
         }
         debug_assert!(m.d1 != OpMeta::NONE);
         self.a.mov_m_r32(vreg(m.d1), RAX);
@@ -850,8 +885,8 @@ impl<'a> Emitter<'a> {
             }
         }
         self.a.inc_m64(ctx(OFF_STORES));
-        if self.fetch_addrs.is_some() {
-            self.log_probe(PROBE_STORE, None);
+        if self.opts.fetch_addrs.is_some() {
+            self.probe(PROBE_STORE, None);
         }
         self.commit_base(op.base_addr);
     }

@@ -412,7 +412,7 @@ fn access_log_stays_within_capacity_at_the_chain_budget() {
     v0.seal(f, Exit::Branch { target: ENTRY });
     let p = PackedGroup::lower(&g);
     let fetch = [FETCH];
-    let opts = CompileOpts { fetch_addrs: Some(&fetch) };
+    let opts = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
     let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
     jit.link(&cg, 0, &cg);
 
@@ -438,6 +438,78 @@ fn access_log_stays_within_capacity_at_the_chain_budget() {
     }
 }
 
+/// With level-0 line shifts, a probe of the line its side probed last
+/// only bumps that side's hit counter; every other probe is logged and
+/// becomes the tracked line. Three VLIWs: the first two share a
+/// 256-byte fetch line, and the loads and stores revisit two 16-byte
+/// data lines. Loads still deliver their values.
+#[test]
+fn mru_probes_are_counted_and_every_other_probe_is_logged() {
+    const ENTRY: u32 = 0x1000;
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(ENTRY);
+    let (v1, v2) = (g.push_vliw(ENTRY + 0x20), g.push_vliw(ENTRY + 0x40));
+    let v = &mut g.vliws[0];
+    v.add_op(ROOT, load(ENTRY, 10, 2, 0)); // 0x100: new line
+    v.add_op(ROOT, load(ENTRY + 4, 11, 2, 4)); // 0x104: hit
+    v.add_op(ROOT, store(ENTRY + 8, 1, 2, 8)); // 0x108: hit
+    v.seal(ROOT, Exit::Goto(v1));
+    let v = &mut g.vliws[v1.0 as usize];
+    v.add_op(ROOT, load(ENTRY + 0x20, 12, 2, 0x300)); // 0x400: new line
+    v.add_op(ROOT, store(ENTRY + 0x24, 1, 2, 0x304)); // 0x404: hit
+    v.seal(ROOT, Exit::Goto(v2));
+    let v = &mut g.vliws[v2.0 as usize];
+    v.add_op(ROOT, load(ENTRY + 0x40, 13, 2, 0x30C)); // 0x40C: hit
+    v.seal(ROOT, Exit::Branch { target: 0x2000 });
+    let p = PackedGroup::lower(&g);
+    // VLIWs 0 and 1 share fetch line 0x80_0000; VLIW 2 is on the next.
+    let fetch = [0x8000_0000, 0x8000_0040, 0x8000_0100];
+    let opts = CompileOpts {
+        fetch_addrs: Some(&fetch),
+        instr_line_shift: Some(8),
+        data_line_shift: Some(4),
+    };
+    let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
+
+    let mut h = Harness::new();
+    h.vals[1] = 0xDEAD_BEEF;
+    h.vals[2] = 0x100;
+    for (i, w) in [0x1122_3344u32, 0x5566_7788].iter().enumerate() {
+        h.mem[0x100 + 4 * i..][..4].copy_from_slice(&w.to_be_bytes());
+    }
+    h.mem[0x40C..0x410].copy_from_slice(&0x99AA_BBCCu32.to_be_bytes());
+    let entry = |addr: u32, kind: u32| u64::from(addr) | u64::from(kind) << 32;
+
+    // Cold: nothing tracked yet, so each side's first probe is logged.
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
+    assert_eq!((h.vals[10], h.vals[11], h.vals[13]), (0x1122_3344, 0x5566_7788, 0x99AA_BBCC));
+    assert_eq!(h.mem[0x404..0x408], 0xDEAD_BEEFu32.to_be_bytes());
+    assert_eq!(
+        &h.access[..h.access_len()],
+        &[
+            entry(0x8000_0000, PROBE_FETCH),
+            entry(0x100, PROBE_LOAD),
+            entry(0x400, PROBE_LOAD),
+            entry(0x8000_0100, PROBE_FETCH),
+        ]
+    );
+    assert_eq!((h.ctx.fetch_mru_hits, h.ctx.data_mru_hits), (1, 4));
+    assert_eq!((h.ctx.fetch_mru, h.ctx.data_mru), (0x80_0001, 0x40));
+    let probes = h.ctx.vliws + h.ctx.loads + h.ctx.stores;
+    assert_eq!(h.access_len() as u64 + h.ctx.fetch_mru_hits + h.ctx.data_mru_hits, probes);
+
+    // Seeded with the lines the group starts on, those probes hit too.
+    h.ctx.fetch_mru = 0x80_0000;
+    h.ctx.data_mru = 0x10;
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!(
+        &h.access[..h.access_len()],
+        &[entry(0x400, PROBE_LOAD), entry(0x8000_0100, PROBE_FETCH)]
+    );
+    assert_eq!((h.ctx.fetch_mru_hits, h.ctx.data_mru_hits), (2, 5));
+}
+
 /// One memory parcel past the bound refuses the group when it would
 /// log probes, and compiles as before when it would not.
 #[test]
@@ -451,7 +523,7 @@ fn too_many_memory_parcels_per_vliw_refuse_only_a_logging_group() {
     v0.seal(ROOT, Exit::Branch { target: 0x2000 });
     let p = PackedGroup::lower(&g);
     let fetch = [0x8000_0000];
-    let logging = CompileOpts { fetch_addrs: Some(&fetch) };
+    let logging = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
     let refused = jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, logging);
     assert_eq!(refused.err(), Some(Refusal::TooLarge));
     assert!(jit.compile(&p, 0x1000, PAGE, MEM_LEN as u32, 12, CompileOpts::default()).is_ok());

@@ -130,8 +130,10 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 
 # Native-tier smoke (x86-64 only): the nine-workload native ≡ packed
 # observational-equivalence test under the infinite cache and under
-# both paper hierarchies (probe replay: stall cycles, miss counts and
-# every cache level's counters), the same equivalence under cast-out
+# both paper hierarchies plus two edge ones (probe replay: stall
+# cycles, miss counts and every cache level's counters), random
+# programs under those edge hierarchies (a level 0 that costs cycles,
+# no private instruction level), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
 # retired bytes) and under tiered retranslation (only hot translations
 # compile, and they chain natively), then a 16-seed injection sweep of the two
@@ -143,6 +145,8 @@ if [ "$(uname -m)" = "x86_64" ]; then
     native_is_observably_the_packed_engine_on_every_workload
   cargo test -q --test prop_native \
     native_is_observably_the_packed_engine_under_finite_caches
+  cargo test -q --test prop_native \
+    native_replays_probes_exactly_under_edge_hierarchies
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
   cargo test -q --test tiered tiered_native_is_observably_tiered_packed
   for kind in hot_patch chain_sever interrupt_storm; do

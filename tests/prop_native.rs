@@ -78,15 +78,20 @@ fn native_is_observably_the_packed_engine_on_every_workload() {
     }
 }
 
-/// Under both of the paper's finite hierarchies, compiled code logs its
-/// cache probes and the tier replays them at every return: stall cycles,
-/// level-0 miss counts and every cache level's counters must equal the
-/// packed engine's, on every workload.
+/// Under both of the paper's finite hierarchies, and the two edge
+/// hierarchies of `native_replays_probes_exactly_under_edge_hierarchies`,
+/// compiled code logs its cache probes and the tier replays them at
+/// every return: stall cycles, level-0 miss counts and every cache
+/// level's counters must equal the packed engine's, on every workload.
+/// (Generated programs are too short to move a shared first level
+/// between two fetches of one line; `compress` and `lex` do.)
 #[test]
 fn native_is_observably_the_packed_engine_under_finite_caches() {
-    let caches: [(&str, HierarchyCtor); 2] = [
+    let caches: [(&str, HierarchyCtor); 4] = [
         ("paper_default", Hierarchy::paper_default),
         ("paper_eight_issue", Hierarchy::paper_eight_issue),
+        ("slow level 0", slow_l0_hierarchy),
+        ("shared first level", shared_l0_hierarchy),
     ];
     for w in daisy_workloads::all() {
         for (name, cache) in caches {
@@ -392,6 +397,29 @@ proptest! {
         let native = run_generated(&prog, &seeds, true, tiny_hierarchy());
         assert_indistinguishable(&packed, &native, "generated program, tiny cache");
     }
+
+    /// Random programs under the two hierarchies where counting level-0
+    /// MRU hits instead of logging them could slip: level 0s that cost
+    /// cycles (every counted hit must add its latency to the stalls),
+    /// and no private instruction level (fetches reach the shared level
+    /// first, whose most recent line data probes move, so every fetch
+    /// is logged).
+    #[test]
+    fn native_replays_probes_exactly_under_edge_hierarchies(
+        steps in prop::collection::vec(step(), 1..32),
+        seeds in prop::collection::vec(any::<u32>(), 12),
+    ) {
+        let mut a = Asm::new(0x1000);
+        emit(&mut a, &steps);
+        let prog = a.finish().expect("generated program assembles");
+        let caches: [(&str, HierarchyCtor); 2] =
+            [("slow level 0", slow_l0_hierarchy), ("shared first level", shared_l0_hierarchy)];
+        for (name, cache) in caches {
+            let packed = run_generated(&prog, &seeds, false, cache());
+            let native = run_generated(&prog, &seeds, true, cache());
+            assert_indistinguishable(&packed, &native, &format!("generated program, {name}"));
+        }
+    }
 }
 
 fn tiny_hierarchy() -> Hierarchy {
@@ -399,6 +427,29 @@ fn tiny_hierarchy() -> Hierarchy {
         vec![CacheConfig::new("L1 ICache", 1 << 10, 1, 32, 0)],
         vec![CacheConfig::new("L1 DCache", 1 << 10, 2, 32, 0)],
         vec![CacheConfig::new("L2 JCache", 4 << 10, 4, 64, 6)],
+        40,
+    )
+}
+
+/// [`tiny_hierarchy`] with 2- and 3-cycle level 0s.
+fn slow_l0_hierarchy() -> Hierarchy {
+    Hierarchy::new(
+        vec![CacheConfig::new("L1 ICache", 1 << 10, 1, 32, 2)],
+        vec![CacheConfig::new("L1 DCache", 1 << 10, 2, 32, 3)],
+        vec![CacheConfig::new("L2 JCache", 4 << 10, 4, 64, 6)],
+        40,
+    )
+}
+
+/// A private data level but no private instruction level: fetches go
+/// straight to the shared level. Both levels are small, so data misses
+/// keep moving the shared level's most recent line between fetches and
+/// evict fetched lines.
+fn shared_l0_hierarchy() -> Hierarchy {
+    Hierarchy::new(
+        Vec::new(),
+        vec![CacheConfig::new("L1 DCache", 128, 2, 16, 0)],
+        vec![CacheConfig::new("L2 JCache", 512, 2, 32, 1)],
         40,
     )
 }
