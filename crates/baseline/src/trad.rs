@@ -87,11 +87,11 @@ pub fn run_traditional(
     rcpu.run(&mut rmem, max_instrs).expect("reference run");
     let base_instrs = rcpu.ninstrs;
 
-    let mut sys = DaisySystem::<PpcIsa>::with_config(
-        mem_size,
-        traditional_config(machine, prof),
-        Hierarchy::infinite(),
-    );
+    let mut sys = DaisySystem::<PpcIsa>::builder()
+        .mem_size(mem_size)
+        .translator(traditional_config(machine, prof))
+        .cache(Hierarchy::infinite())
+        .build();
     sys.load(prog).expect("program fits");
     let stop = sys.run(10 * max_instrs).expect("traditional run");
     TradResult {
@@ -130,7 +130,7 @@ mod tests {
         let trad = run_traditional(&prog, 0x20000, machine.clone(), 1_000_000);
         assert_eq!(trad.stop, StopReason::Syscall);
 
-        let mut sys = DaisySystem::<PpcIsa>::new(0x20000);
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x20000).build();
         sys.load(&prog).unwrap();
         sys.run(10_000_000).unwrap();
         let daisy_ilp = sys.stats.pathlength_reduction(trad.base_instrs);

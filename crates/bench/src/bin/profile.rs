@@ -72,7 +72,7 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
         },
     );
 
-    let gp = sys.guest_profile.as_ref().expect("guest profiling enabled");
+    let gp = sys.guest_profile().expect("guest profiling enabled");
     let mut groups: HashMap<u32, GroupRow> = HashMap::new();
     for ev in gp.timeline() {
         if let TimelineEvent::Dispatch { entry, cycles, vliws, tier, .. } = *ev {

@@ -97,7 +97,7 @@ fn main() {
         if let Some(dir) = &opts.trace_dir {
             write_artifact(dir, format!("{}.trace.json", w.name), &chrome_trace_for(&sys, w.name));
         }
-        let gp = sys.guest_profile.as_ref().expect("guest profiling enabled");
+        let gp = sys.guest_profile().expect("guest profiling enabled");
         if let Some(dir) = &opts.folded_dir {
             let folded = folded_stacks(gp, w.name, sys.vmm.cfg.page_size);
             write_artifact(dir, format!("{}.folded", w.name), &folded);

@@ -110,7 +110,7 @@ pub fn report_workload(w: &Workload) -> (WorkloadReport, DaisySystem<PpcIsa>) {
             ..RunConfig::default()
         },
     );
-    let gp = sys.guest_profile.as_ref().expect("guest profiling enabled");
+    let gp = sys.guest_profile().expect("guest profiling enabled");
     let overhead = gp.overhead().report(&sys.stats);
     let report = WorkloadReport {
         name: w.name,
@@ -128,7 +128,7 @@ pub fn report_workload(w: &Workload) -> (WorkloadReport, DaisySystem<PpcIsa>) {
 
 /// Renders the Chrome trace for a completed guest-profiled run.
 pub fn chrome_trace_for(sys: &DaisySystem<PpcIsa>, workload: &str) -> String {
-    let gp = sys.guest_profile.as_ref().expect("guest profiling enabled");
+    let gp = sys.guest_profile().expect("guest profiling enabled");
     chrome_trace_json(gp, workload)
 }
 

@@ -31,8 +31,9 @@
 //! is *derived* from the plain-`u64` counter structs the engines
 //! already maintain ([`RunStats`], [`VmmStats`], [`NativeStats`]);
 //! gathering is a copy at a group boundary, and registry publication
-//! happens on a countdown cadence (every 1024 boundaries).
-//! `benches/engine.rs` gates the result against `BENCH_engine.json`.
+//! happens on a countdown cadence (every 1024 boundaries). Host time
+//! is measured by `daisybench` (the repository's benchmark crate),
+//! which runs with the registry off.
 //!
 //! # Naming scheme
 //!

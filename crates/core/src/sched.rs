@@ -186,7 +186,7 @@ impl TranslatorConfig {
 }
 
 /// Cost accounting for one group translation (feeds the §5.1 overhead
-/// analysis and the Criterion benches).
+/// analysis and the translation-cost layers of `daisybench`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XlateCost {
     /// Base instructions scheduled (counting re-visits on other paths).

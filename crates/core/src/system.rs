@@ -98,7 +98,7 @@ pub struct DaisySystem<I: Isa> {
     /// [`DaisySystemBuilder::guest_profiling`]): per-guest-PC cycles,
     /// stalls, speculation waste, the §4.2 overhead clock, and the
     /// dispatch timeline the exporters render (see [`crate::profile`]).
-    pub guest_profile: Option<GuestProfile>,
+    guest_profile: Option<GuestProfile>,
     /// Graceful-degradation ladder: entries faulted down from the
     /// default execution mode (see [`crate::error`]). Empty on the
     /// happy path.
@@ -379,23 +379,10 @@ impl<I: Isa> DaisySystem<I> {
         DaisySystemBuilder::default()
     }
 
-    /// Creates a system with `mem_size` bytes of base memory, the
-    /// default translator configuration, and an infinite cache (the
-    /// paper's pathlength-reduction setup).
-    ///
-    /// Note: prefer [`DaisySystem::builder`], which exposes every
-    /// configuration knob; this constructor remains for convenience.
-    pub fn new(mem_size: u32) -> DaisySystem<I> {
-        DaisySystem::builder().mem_size(mem_size).build()
-    }
-
-    /// Creates a system with explicit translator and cache
-    /// configurations.
-    ///
-    /// Note: prefer [`DaisySystem::builder`], which exposes every
-    /// configuration knob; this constructor remains for convenience.
-    pub fn with_config(mem_size: u32, cfg: TranslatorConfig, cache: Hierarchy) -> DaisySystem<I> {
-        DaisySystem::builder().mem_size(mem_size).translator(cfg).cache(cache).build()
+    /// The guest-level attribution profile, when enabled through
+    /// [`DaisySystemBuilder::guest_profiling`].
+    pub fn guest_profile(&self) -> Option<&GuestProfile> {
+        self.guest_profile.as_ref()
     }
 
     /// Whether direct group chaining is enabled.
@@ -1120,15 +1107,16 @@ impl<I: Isa> DaisySystem<I> {
     /// Whether chain edges between compiled native groups may be
     /// patched into direct jumps. Patching removes the dispatcher
     /// boundary between the linked groups, so it is only sound when
-    /// nothing observes that boundary: chaining on, no guest profile,
-    /// no bus (device interrupts are taken at boundaries), and no
-    /// engaged degradation ladder (rung checks happen at boundaries).
-    /// Tiering needs no clause: cold code, the only code promotion
-    /// counts, is never compiled. In every other configuration native
-    /// groups still run one group per dispatch, which preserves
-    /// boundary-exact behaviour.
+    /// nothing observes that boundary: chaining on, no bus (device
+    /// interrupts are taken at boundaries), and no engaged degradation
+    /// ladder (rung checks happen at boundaries). Guest profiling needs
+    /// no clause: [`DaisySystemBuilder::build`] creates no native tier
+    /// when it is on. Tiering needs none either: cold code, the only
+    /// code promotion counts, is never compiled. In every other
+    /// configuration native groups still run one group per dispatch,
+    /// which preserves boundary-exact behaviour.
     fn native_patching_ok(&self) -> bool {
-        self.chaining && self.guest_profile.is_none() && !self.mem.has_bus() && !self.ladder_engaged
+        self.chaining && !self.mem.has_bus() && !self.ladder_engaged
     }
 
     /// Every ladder step taken this run, in order.
@@ -1300,7 +1288,7 @@ mod tests {
         let mut a = Asm::new(0x1000);
         build(&mut a);
         let prog = a.finish().unwrap();
-        let mut sys = DaisySystem::<PpcIsa>::new(0x40000);
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x40000).build();
         sys.load(&prog).unwrap();
         let stop = sys.run(10_000_000).unwrap();
         (sys, stop)
@@ -1427,7 +1415,7 @@ mod tests {
         os.rfi();
         let os_prog = os.finish().unwrap();
 
-        let mut sys = DaisySystem::<PpcIsa>::new(0x40000);
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x40000).build();
         sys.load(&prog).unwrap();
         os_prog.load_into(&mut sys.mem).unwrap();
         sys.cpu.vectored = true;
@@ -1471,7 +1459,7 @@ mod tests {
         a.sc();
         let prog = a.finish().unwrap();
 
-        let mut sys = DaisySystem::<PpcIsa>::new(0x40000);
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x40000).build();
         sys.load(&prog).unwrap();
         let _ = sys.mem.write_u32(PpcIsa::external_vector(), PpcIsa::interrupt_return_word());
         let entry = prog.addr_of("loop");

@@ -163,7 +163,7 @@ fn guest_profile_survives_ladder_walk() {
     assert_eq!(stop, StopReason::Syscall);
     w.check(&sys.cpu, &sys.mem).expect("checker passes under profiling + degradation");
 
-    let gp = sys.guest_profile.as_ref().expect("profiling was enabled");
+    let gp = sys.guest_profile().expect("profiling was enabled");
     let degrade_instants = gp
         .timeline()
         .iter()
@@ -213,7 +213,7 @@ fn guest_profile_records_cast_outs_under_clamp() {
         assert_eq!(stop, StopReason::Syscall, "{}: profiled clamped run did not finish", w.name);
         assert_state_matches(&w, &sys, &ref_cpu, &ref_mem);
 
-        let gp = sys.guest_profile.as_ref().expect("profiling was enabled");
+        let gp = sys.guest_profile().expect("profiling was enabled");
         let cast_out_instants = gp
             .timeline()
             .iter()

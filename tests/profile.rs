@@ -9,9 +9,10 @@ use daisy_ppc::interp::{Cpu, StopReason};
 use daisy_ppc::mem::Memory;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
+use std::collections::BTreeMap;
 
 /// Workloads exercised here — kept to a handful so the profiled runs
-/// (two per workload in the non-perturbation test) stay cheap in debug
+/// (three per workload in the non-perturbation test) stay cheap in debug
 /// builds.
 const WORKLOADS: &[&str] = &["wc", "cmp", "hist", "xlat"];
 
@@ -47,7 +48,7 @@ fn profiling_does_not_perturb_the_run() {
         let w = workload(name);
         let plain = run(&w, Hierarchy::paper_default(), false);
         let profiled = run(&w, Hierarchy::paper_default(), true);
-        assert!(plain.guest_profile.is_none() && profiled.guest_profile.is_some());
+        assert!(plain.guest_profile().is_none() && profiled.guest_profile().is_some());
 
         assert_eq!(profiled.cpu.gpr, plain.cpu.gpr, "{name}: GPRs diverged");
         assert_eq!(profiled.cpu.cr, plain.cpu.cr, "{name}: CR diverged");
@@ -63,6 +64,30 @@ fn profiling_does_not_perturb_the_run() {
         );
         assert_eq!(profiled.stats, plain.stats, "{name}: RunStats diverged");
         assert!(plain.stats.stall_cycles > 0, "{name}: the finite hierarchy must stall");
+
+        // Asking for the native tier too changes nothing: the builder
+        // declines it under guest profiling, so the run is the packed
+        // profiled one, profile included.
+        let mut native = DaisySystem::<PpcIsa>::builder()
+            .mem_size(w.mem_size)
+            .cache(Hierarchy::paper_default())
+            .guest_profiling(true)
+            .native_execution(true)
+            .build();
+        assert!(!native.native_enabled(), "{name}: native tier engaged under guest profiling");
+        native.load(&w.program()).unwrap();
+        native.run(50 * w.max_instrs).unwrap();
+        assert_eq!(native.stats, profiled.stats, "{name}: RunStats diverged with native requested");
+        let (gn, gp) = (native.guest_profile().unwrap(), profiled.guest_profile().unwrap());
+        let per_pc = |g: &GuestProfile| g.iter().map(|(&k, &v)| (k, v)).collect::<BTreeMap<_, _>>();
+        assert_eq!(per_pc(gn), per_pc(gp), "{name}: per-PC attribution diverged");
+        assert_eq!(gn.timeline(), gp.timeline(), "{name}: timeline diverged");
+        assert_eq!(gn.dispatches(), gp.dispatches(), "{name}: dispatches diverged");
+        assert_eq!(
+            gn.overhead().report(&native.stats),
+            gp.overhead().report(&profiled.stats),
+            "{name}: overhead clock diverged"
+        );
     }
 }
 
@@ -74,7 +99,7 @@ fn attributed_cycles_sum_to_run_totals() {
     for name in WORKLOADS {
         let w = workload(name);
         let sys = run_guest_profiled(&w);
-        let gp = sys.guest_profile.as_ref().unwrap();
+        let gp = sys.guest_profile().unwrap();
 
         let issue = gp.total_issue_cycles();
         let want_issue = sys.stats.vliws_executed as f64;
@@ -101,7 +126,7 @@ fn waste_accounting_is_bounded_and_nonvacuous() {
     for name in WORKLOADS {
         let w = workload(name);
         let sys = run_guest_profiled(&w);
-        let gp = sys.guest_profile.as_ref().unwrap();
+        let gp = sys.guest_profile().unwrap();
 
         assert!(gp.wasted_spec_ops() <= gp.spec_ops(), "{name}: wasted > speculative");
         let f = gp.waste_fraction();
@@ -124,7 +149,7 @@ fn waste_accounting_is_bounded_and_nonvacuous() {
 fn overhead_clock_tracks_translation_work() {
     let w = workload("cmp");
     let sys = run_guest_profiled(&w);
-    let gp = sys.guest_profile.as_ref().unwrap();
+    let gp = sys.guest_profile().unwrap();
     let clock = gp.overhead();
 
     assert!(clock.translations > 0, "a fresh run must translate");
@@ -154,7 +179,7 @@ fn overhead_clock_tracks_translation_work() {
 fn folded_stacks_are_well_formed() {
     let w = workload("wc");
     let sys = run_guest_profiled(&w);
-    let gp = sys.guest_profile.as_ref().unwrap();
+    let gp = sys.guest_profile().unwrap();
     let folded = folded_stacks(gp, w.name, sys.vmm.cfg.page_size);
     assert!(!folded.is_empty(), "a completed run must attribute something");
     for line in folded.lines() {
@@ -175,7 +200,7 @@ fn folded_stacks_are_well_formed() {
 fn annotated_disassembly_renders_decoded_instructions() {
     let w = workload("wc");
     let sys = run_guest_profiled(&w);
-    let gp = sys.guest_profile.as_ref().unwrap();
+    let gp = sys.guest_profile().unwrap();
     let report = annotated_disassembly::<PpcIsa>(gp, &sys.mem, w.name);
     assert!(report.contains("annotated guest disassembly: wc"));
     assert!(report.contains("spec ops:"));
@@ -201,7 +226,7 @@ fn attribution_survives_forced_degradation() {
     assert_eq!(stop, StopReason::Syscall);
     w.check(&sys.cpu, &sys.mem).expect("degraded run stays correct");
 
-    let gp = sys.guest_profile.as_ref().unwrap();
+    let gp = sys.guest_profile().unwrap();
     assert!(gp.dispatches() > 0);
     let issue = gp.total_issue_cycles();
     let want = sys.stats.vliws_executed as f64;
