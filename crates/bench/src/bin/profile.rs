@@ -7,7 +7,8 @@
 //!   --tiered      enable profile-guided tiered retranslation
 //!                 (default TierPolicy: promote at 64 dispatches)
 //!   --top N       show the N hottest groups (default 10)
-//!   --jsonl FILE  also stream every trace event to FILE as JSON lines
+//!   --jsonl FILE  also write every captured trace event to FILE as
+//!                 JSON lines
 //!   WORKLOAD      workload names (default: all nine)
 //! ```
 //!
@@ -61,13 +62,12 @@ fn parse_args() -> Options {
 }
 
 fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
-    let sink = RingSink::new(1 << 16);
     let sys = run_profiled(
         w,
         RunConfig {
             tiered: opts.tiered.then(TierPolicy::default),
             guest_profiling: true,
-            sink: Some(sink.clone()),
+            flight_recorder_capacity: 1 << 16,
             ..RunConfig::default()
         },
     );
@@ -104,12 +104,13 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
         );
     }
 
-    let events = sink.events();
+    let recorder = sys.flight_recorder();
+    let events = recorder.events();
     let mut hist: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for ev in &events {
+    for (_, ev) in &events {
         *hist.entry(ev.kind()).or_default() += 1;
     }
-    println!("-- events ({} captured, {} dropped) --", events.len(), sink.dropped());
+    println!("-- events ({} captured, {} dropped) --", events.len(), recorder.dropped());
     for (kind, n) in &hist {
         println!("{kind:>18}  {n}");
     }
@@ -125,7 +126,7 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
             .append(true)
             .open(path)
             .expect("open --jsonl file");
-        for ev in &events {
+        for (_, ev) in &events {
             writeln!(f, "{}", ev.to_json()).expect("write --jsonl file");
         }
     }

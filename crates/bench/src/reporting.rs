@@ -5,12 +5,14 @@
 //! Both binaries run workloads to completion under checked conditions
 //! ([`run_profiled`] panics if a workload fails its result check — a
 //! report over wrong answers is worse than no report); the `report`
-//! binary renders [`WorkloadReport`]s, the `profile` binary adds a
-//! trace sink and renders per-group tables; both read guest profiling.
+//! binary renders [`WorkloadReport`]s, the `profile` binary enlarges
+//! the flight recorder and renders per-group tables; both read guest
+//! profiling.
 
 use crate::runner::run_reference;
 use daisy::prelude::*;
 use daisy::profile::chrome_trace_json;
+use daisy::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 use std::fmt::Write as _;
@@ -23,13 +25,19 @@ pub struct RunConfig {
     pub tiered: Option<TierPolicy>,
     /// Enable guest-level attribution ([`daisy::profile`]).
     pub guest_profiling: bool,
-    /// Install a ring sink capturing structured trace events.
-    pub sink: Option<RingSink>,
+    /// Trace events the flight recorder keeps (default
+    /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`]).
+    pub flight_recorder_capacity: usize,
 }
 
 impl Default for RunConfig {
     fn default() -> RunConfig {
-        RunConfig { cache: Hierarchy::infinite(), tiered: None, guest_profiling: false, sink: None }
+        RunConfig {
+            cache: Hierarchy::infinite(),
+            tiered: None,
+            guest_profiling: false,
+            flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
+        }
     }
 }
 
@@ -56,12 +64,10 @@ pub fn run_profiled(w: &Workload, cfg: RunConfig) -> DaisySystem<PpcIsa> {
     let mut builder = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .cache(cfg.cache)
-        .guest_profiling(cfg.guest_profiling);
+        .guest_profiling(cfg.guest_profiling)
+        .flight_recorder_capacity(cfg.flight_recorder_capacity);
     if let Some(policy) = cfg.tiered {
         builder = builder.tiered(policy);
-    }
-    if let Some(sink) = cfg.sink {
-        builder = builder.trace_sink(sink);
     }
     let mut sys = builder.build();
     sys.load(&w.program()).expect("workload fits in memory");

@@ -65,9 +65,11 @@ pub enum ChainLink {
 /// simply by dropping the `Rc` — a dangling link can never be followed.
 #[derive(Debug)]
 pub struct GroupCode {
-    /// The translated group (scheduling representation; kept for
-    /// diagnostics, recovery, and lowering).
-    pub group: Group,
+    /// Guest entry point of the group.
+    pub entry: u32,
+    /// Estimated binary size of the translated group in bytes
+    /// ([`Group::code_bytes`]); the VMM's live-code accounting.
+    pub code_bytes: u32,
     /// The group lowered to the packed execution format the hot loop
     /// runs ([`run_group`]). Its exit-target table defines the chain
     /// link slots.
@@ -99,14 +101,16 @@ pub struct GroupCode {
 }
 
 impl GroupCode {
-    /// Wraps a translated group, lowering it to the packed execution
-    /// format and deriving one chain-link slot per static direct-branch
-    /// exit target.
+    /// Lowers a translated group to the packed execution format and
+    /// derives one chain-link slot per static direct-branch exit
+    /// target. The tree form is not kept: the packed form is the one
+    /// representation every engine runs.
     pub fn new(group: Group, vliw_addrs: Vec<u32>) -> GroupCode {
         let packed = PackedGroup::lower(&group);
         let links = RefCell::new(vec![None; packed.exit_targets().len()]);
         GroupCode {
-            group,
+            entry: group.entry,
+            code_bytes: group.code_bytes(),
             packed,
             vliw_addrs,
             tier: Tier::Cold,

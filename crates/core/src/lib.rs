@@ -24,8 +24,9 @@
 //!   emulated guest CPU state into a runnable whole.
 //! * [`oracle`] — the oracle-parallelism schedulers of Chapter 6.
 //! * [`overhead`] — the analytic compile-overhead model of §5.1.
-//! * [`trace`] — structured observability: [`trace::TraceSink`] event
-//!   taps, the flight recorder, and the hot/cold translation tiers
+//! * [`trace`] — structured observability: trace events, the
+//!   [`trace::FlightRecorder`] ring they land in, and the hot/cold
+//!   translation tiers
 //!   behind [`sched::TierPolicy`].
 //! * [`profile`] — guest-level attribution (`perf` for the guest):
 //!   per-guest-PC cycles, stalls, speculation waste, the §4.2
@@ -131,7 +132,7 @@ pub mod prelude {
     pub use crate::sched::{TierPolicy, TranslatorConfig};
     pub use crate::stats::{ChainStats, RunStats};
     pub use crate::system::{DaisySystem, DaisySystemBuilder};
-    pub use crate::trace::{JsonlSink, NullSink, RingSink, TraceEvent, TraceSink};
+    pub use crate::trace::{FlightRecorder, TraceEvent};
     pub use daisy_cachesim::Hierarchy;
     pub use daisy_isa::{Event, Exception, GuestCpu, Isa, IsaId, Program, StopReason, Workload};
 }

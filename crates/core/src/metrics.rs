@@ -229,7 +229,7 @@ metric_table! {
             "Indirect exits resolved by the inline IBTC",
             |s| s.native.map_or(0, |n| n.ibtc_hits);
         FlightRecorderDropped => "daisy_flight_recorder_dropped_total",
-            "Flight-recorder events discarded (ring full)",
+            "Flight-recorder events older than the post-mortem window",
             |s| s.flight_dropped;
     }
 }
@@ -407,7 +407,8 @@ pub struct MetricsSource<'a> {
     pub native_yield_preempts: u64,
     /// Interrupt post-to-delivery latency accumulator.
     pub irq_latency: &'a IrqLatency,
-    /// Flight-recorder events discarded because the ring was full.
+    /// Flight-recorder events older than the post-mortem window
+    /// ([`crate::trace::FlightRecorder::post_mortem_dropped`]).
     pub flight_dropped: u64,
 }
 
@@ -731,17 +732,18 @@ impl MetricsRegistry {
 /// A structured post-mortem: the flight recorder's recent events, the
 /// run's full degradation chain, and a metrics snapshot, captured at
 /// the moment something went wrong (or on request). Produced by
-/// [`crate::system::DaisySystem::degrade`] automatically — with no
-/// [`crate::trace::TraceSink`] installed — and attached to
+/// [`crate::system::DaisySystem::degrade`] automatically and attached to
 /// fault-injection divergence reports by [`crate::inject`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PostMortem {
     /// Why the dump was taken.
     pub reason: String,
-    /// The flight recorder's retained events, oldest first, each with
-    /// its global sequence number.
+    /// The flight recorder's newest events (at most
+    /// [`crate::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY`] of them, at
+    /// any ring capacity), oldest first, each with its global sequence
+    /// number.
     pub events: Vec<(u64, TraceEvent)>,
-    /// Events the ring had already discarded when the dump was taken.
+    /// Events recorded before those: `recorded − events.len()`.
     pub dropped: u64,
     /// Every ladder step taken this run, in order (the last entries are
     /// the degradation chain that triggered the dump).

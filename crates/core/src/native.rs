@@ -52,7 +52,7 @@
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{FlightRecorder, TraceEvent};
 use daisy_cachesim::{Hierarchy, Side};
 use daisy_isa::mem::Memory;
 use daisy_jit::arena::AccessLog;
@@ -307,7 +307,7 @@ impl NativeTier {
         code: &Rc<GroupCode>,
         page_size: u32,
         mem: &mut Memory,
-        tracer: &mut Tracer,
+        tracer: &mut FlightRecorder,
     ) -> Option<Rc<CompiledGroup>> {
         match &*code.native.borrow() {
             NativeSlot::Compiled(cg) => return Some(Rc::clone(cg)),
@@ -318,7 +318,7 @@ impl NativeTier {
         if code.dispatches() < self.threshold {
             return None;
         }
-        let entry = code.group.entry;
+        let entry = code.entry;
         let (_, mem_len, _) = mem.jit_view();
         let opts = CompileOpts {
             fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]),
@@ -455,7 +455,7 @@ impl NativeTier {
         // stale for the dispatched group itself, whose `code` we hold.
         let (final_entry, final_code, final_cg) = match self.registry.get(&self.ctx.cur_group) {
             Some(row) => (row.entry, row.code.upgrade(), row.compiled.upgrade()),
-            None => (code.group.entry, Some(Rc::clone(code)), None),
+            None => (code.entry, Some(Rc::clone(code)), None),
         };
 
         match self.ctx.exit_kind {
@@ -717,7 +717,7 @@ mod tests {
     fn arena_full_defers_the_entry_until_a_flush_reclaims_the_arena() {
         let mut tier =
             NativeTier::with_arena(1, &Hierarchy::infinite(), 2 * 4096).expect("native host");
-        let (mut mem, mut tracer) = (Memory::new(0x10000), Tracer::disabled());
+        let (mut mem, mut tracer) = (Memory::new(0x10000), FlightRecorder::default());
         let mut prepare = |tier: &mut NativeTier, c: &Rc<GroupCode>| {
             c.count_dispatch();
             tier.prepare(c, 4096, &mut mem, &mut tracer)

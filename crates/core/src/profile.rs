@@ -417,7 +417,7 @@ impl GuestProfile {
         cycle_delta: u64,
     ) {
         let packed = &code.packed;
-        let entry = code.group.entry;
+        let entry = code.entry;
         self.dispatches += 1;
 
         // --- issue-cycle shares, one cycle per retired VLIW ---
@@ -444,7 +444,7 @@ impl GuestProfile {
             if vliw_pcs.is_empty() {
                 // Structural VLIW (no parcels on the taken path): its
                 // issue cycle belongs to the VLIW's anchor address.
-                vliw_pcs.push(code.group.vliws[v as usize].base_entry);
+                vliw_pcs.push(packed.anchor(v as usize));
             }
             let share = 1.0 / vliw_pcs.len() as f64;
             for &pc in &vliw_pcs {

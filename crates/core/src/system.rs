@@ -27,7 +27,7 @@ use crate::precise::{self, ArchEvent, RecoverError};
 use crate::profile::GuestProfile;
 use crate::sched::{TierPolicy, TranslatorConfig};
 use crate::stats::RunStats;
-use crate::trace::{ExcClass, FlightRecorder, Tier, TraceEvent, TraceSink, Tracer};
+use crate::trace::{ExcClass, FlightRecorder, Tier, TraceEvent, DEFAULT_FLIGHT_RECORDER_CAPACITY};
 use crate::vmm::Vmm;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::convert::BranchKind;
@@ -117,8 +117,7 @@ pub struct DaisySystem<I: Isa> {
     /// ladder rungs) runs on the packed engine as before.
     native: Option<NativeTier>,
     /// The metrics registry this system publishes into (`None` unless
-    /// enabled through [`DaisySystemBuilder::metrics`] or
-    /// [`DaisySystemBuilder::metrics_registry`]).
+    /// enabled through [`DaisySystemBuilder::metrics`]).
     metrics: Option<MetricsRegistry>,
     /// Boundaries left until the next publication.
     metrics_countdown: u32,
@@ -157,14 +156,13 @@ pub struct DaisySystemBuilder<I: Isa> {
     cache: Hierarchy,
     code_capacity: Option<u64>,
     chaining: bool,
-    trace_sink: Option<Box<dyn TraceSink>>,
     guest_profiling: bool,
     tier_policy: Option<TierPolicy>,
     native: bool,
     native_threshold: u64,
     record_deliveries: bool,
-    metrics: Option<MetricsRegistry>,
-    flight_recorder: bool,
+    metrics: bool,
+    flight_recorder_capacity: usize,
     _isa: std::marker::PhantomData<I>,
 }
 
@@ -176,14 +174,13 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             cache: Hierarchy::infinite(),
             code_capacity: None,
             chaining: true,
-            trace_sink: None,
             guest_profiling: false,
             tier_policy: None,
             native: false,
             native_threshold: DEFAULT_NATIVE_THRESHOLD,
             record_deliveries: false,
-            metrics: None,
-            flight_recorder: true,
+            metrics: false,
+            flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
             _isa: std::marker::PhantomData,
         }
     }
@@ -265,13 +262,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Installs a structured-event sink (see [`crate::trace`]). Without
-    /// one, tracing is disabled and event closures are never evaluated.
-    pub fn trace_sink(mut self, sink: impl TraceSink + 'static) -> Self {
-        self.trace_sink = Some(Box::new(sink));
-        self
-    }
-
     /// Enables metrics publication into a fresh
     /// [`MetricsRegistry`] (default off; read it back through
     /// [`DaisySystem::metrics_registry`]). Publication happens every
@@ -280,25 +270,21 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// cadence — the registry is a periodically refreshed *copy* of
     /// counters every layer maintains continuously — and
     /// [`DaisySystem::metrics_snapshot`] works with or without this.
+    /// A monitoring thread clones the registry (an `Arc` handle) and
+    /// snapshots it while the system runs.
     pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on.then(MetricsRegistry::new);
+        self.metrics = on;
         self
     }
 
-    /// Publishes into an existing shared registry handle instead of a
-    /// fresh one (a monitoring thread holds a clone and snapshots it
-    /// while the system runs).
-    pub fn metrics_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Enables or disables the always-on flight recorder (default on):
-    /// a fixed ring of recent trace events kept with no sink installed,
-    /// dumped as a [`PostMortem`] on ladder degradation (see
-    /// [`crate::trace::FlightRecorder`]).
-    pub fn flight_recorder(mut self, on: bool) -> Self {
-        self.flight_recorder = on;
+    /// Trace events the flight recorder keeps (default
+    /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`]; see
+    /// [`crate::trace::FlightRecorder`]). The ring grows as events
+    /// arrive, so a large capacity allocates nothing up front. A
+    /// [`PostMortem`] shows the newest
+    /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`] events at any capacity.
+    pub fn flight_recorder_capacity(mut self, events: usize) -> Self {
+        self.flight_recorder_capacity = events;
         self
     }
 
@@ -328,14 +314,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
     pub fn build(self) -> DaisySystem<I> {
         let mut vmm = Vmm::new(self.cfg);
         vmm.set_code_capacity(self.code_capacity);
-        if let Some(sink) = self.trace_sink {
-            vmm.tracer = Tracer::new(sink);
-        }
-        vmm.tracer.recorder = if self.flight_recorder {
-            FlightRecorder::default()
-        } else {
-            FlightRecorder::disabled()
-        };
+        vmm.tracer = FlightRecorder::with_capacity(self.flight_recorder_capacity);
         vmm.tier_policy = self.tier_policy;
         // The native tier only composes with configurations it can
         // reproduce exactly: no guest profiling (native code records no
@@ -364,7 +343,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
             interp_pages: HashSet::new(),
             ladder_engaged: false,
             native,
-            metrics: self.metrics,
+            metrics: self.metrics.then(MetricsRegistry::new),
             metrics_countdown: DEFAULT_METRICS_PUBLISH_PERIOD,
             irq_latency: IrqLatency::default(),
             irq_posted_at: None,
@@ -563,7 +542,7 @@ impl<I: Isa> DaisySystem<I> {
                         ChainLink::Severed => {
                             self.stats.chain.severs += 1;
                             from.clear_link(*slot);
-                            let from_entry = from.group.entry;
+                            let from_entry = from.entry;
                             self.vmm
                                 .tracer
                                 .emit(|| TraceEvent::ChainSever { from: from_entry, target: pc });
@@ -617,7 +596,7 @@ impl<I: Isa> DaisySystem<I> {
                         Some(PendingChain::Direct { from, slot, target }) if target == pc => {
                             from.install_link(slot, &code);
                             self.stats.chain.link_installs += 1;
-                            let from_entry = from.group.entry;
+                            let from_entry = from.entry;
                             self.vmm.tracer.emit(|| TraceEvent::ChainInstall {
                                 from: from_entry,
                                 to: pc,
@@ -634,7 +613,7 @@ impl<I: Isa> DaisySystem<I> {
                             if let Some(nt) = self.native.as_mut() {
                                 nt.icache_sync(&from, pc, way, Some(&code), allowed);
                             }
-                            let from_entry = from.group.entry;
+                            let from_entry = from.entry;
                             self.vmm.tracer.emit(|| TraceEvent::ChainInstall {
                                 from: from_entry,
                                 to: pc,
@@ -663,7 +642,7 @@ impl<I: Isa> DaisySystem<I> {
         // without load speculation, upstream in the VMM).
         let default_rung = if self.native.is_some() { Rung::Native } else { Rung::Packed };
         let rung = if self.ladder_engaged {
-            self.ladder.get(&code.group.entry).copied().unwrap_or(default_rung)
+            self.ladder.get(&code.entry).copied().unwrap_or(default_rung)
         } else {
             default_rung
         };
@@ -739,7 +718,7 @@ impl<I: Isa> DaisySystem<I> {
                     &mut self.stats,
                     &mut self.scratch,
                 );
-                (exit, code.group.entry, None)
+                (exit, code.entry, None)
             }
         };
         let from_page = run_entry / self.vmm.cfg.page_size;
@@ -780,7 +759,7 @@ impl<I: Isa> DaisySystem<I> {
         // count reaches the threshold (profile-guided retranslation).
         let promoted = code.tier == Tier::Cold
             && self.vmm.tier_policy.as_ref().is_some_and(|p| dispatches >= p.hot_threshold)
-            && self.vmm.promote_hot(code.group.entry, dispatches);
+            && self.vmm.promote_hot(code.entry, dispatches);
 
         match exit {
             GroupExit::Branch { target, via, slot } => {
@@ -812,7 +791,7 @@ impl<I: Isa> DaisySystem<I> {
             }
             GroupExit::Interp { addr } => {
                 self.cpu.set_pc(addr);
-                if let Some(stop) = self.interp_service() {
+                if let Some(stop) = self.interp_one() {
                     return Ok(Some(stop));
                 }
             }
@@ -826,7 +805,7 @@ impl<I: Isa> DaisySystem<I> {
                 self.stats.mmio_ops += 1;
                 self.vmm.tracer.emit(|| TraceEvent::MmioBail { addr });
                 self.cpu.set_pc(addr);
-                if let Some(stop) = self.interp_service() {
+                if let Some(stop) = self.interp_one() {
                     return Ok(Some(stop));
                 }
             }
@@ -972,11 +951,13 @@ impl<I: Isa> DaisySystem<I> {
             // invariant: next_down never yields the top rung.
             Rung::Native => {}
         }
-        // Any step down retires the native tier's compiled code and
-        // severs its patched edges: a patched chain could otherwise
-        // carry execution natively *through* a degraded entry without
-        // consulting the ladder. Engaging the ladder also disables
-        // future patching, so boundaries stay visible from here on.
+        // Any step down retires the native tier's compiled code,
+        // severs its patched edges and empties its inline IBTC ways: a
+        // patched chain could otherwise carry execution natively
+        // *through* a degraded entry without consulting the ladder.
+        // Later patches cannot reach it either: only entries on the
+        // native rung are compiled (`prepare`), so a degraded entry
+        // never becomes the target of a patched edge.
         if let Some(nt) = self.native.as_mut() {
             nt.flush();
         }
@@ -1015,7 +996,7 @@ impl<I: Isa> DaisySystem<I> {
             interp_pages: self.interp_pages.len() as u64,
             native_yield_preempts: self.native_yield_preempts,
             irq_latency: &self.irq_latency,
-            flight_dropped: self.vmm.tracer.recorder.dropped(),
+            flight_dropped: self.vmm.tracer.post_mortem_dropped(),
         })
     }
 
@@ -1043,9 +1024,9 @@ impl<I: Isa> DaisySystem<I> {
         self.metrics.as_ref()
     }
 
-    /// The always-on flight recorder (ring of recent trace events).
+    /// The flight recorder: the ring every trace event lands in.
     pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.vmm.tracer.recorder
+        &self.vmm.tracer
     }
 
     /// The latest automatic post-mortem, captured when the ladder last
@@ -1067,10 +1048,11 @@ impl<I: Isa> DaisySystem<I> {
     }
 
     fn build_post_mortem(&self, reason: String) -> PostMortem {
+        let (events, dropped) = self.vmm.tracer.post_mortem_window();
         PostMortem {
             reason,
-            events: self.vmm.tracer.recorder.events(),
-            dropped: self.vmm.tracer.recorder.dropped(),
+            events,
+            dropped,
             chain: self.vmm.degradations().to_vec(),
             snapshot: self.metrics_snapshot(),
         }
@@ -1107,16 +1089,20 @@ impl<I: Isa> DaisySystem<I> {
     /// Whether chain edges between compiled native groups may be
     /// patched into direct jumps. Patching removes the dispatcher
     /// boundary between the linked groups, so it is only sound when
-    /// nothing observes that boundary: chaining on, no bus (device
-    /// interrupts are taken at boundaries), and no engaged degradation
-    /// ladder (rung checks happen at boundaries). Guest profiling needs
-    /// no clause: [`DaisySystemBuilder::build`] creates no native tier
-    /// when it is on. Tiering needs none either: cold code, the only
-    /// code promotion counts, is never compiled. In every other
-    /// configuration native groups still run one group per dispatch,
-    /// which preserves boundary-exact behaviour.
+    /// nothing observes that boundary: no bus (device interrupts are
+    /// taken at boundaries). Chaining needs no clause: the followed
+    /// edges and indirect-cache ways this guards exist only with
+    /// chaining on. The ladder needs none: [`Self::degrade`]
+    /// flushes every compiled group, patched edge and inline IBTC way,
+    /// and only entries on the native rung are compiled again, so no
+    /// patched edge reaches a degraded entry. Guest profiling needs
+    /// none: [`DaisySystemBuilder::build`] creates no native tier when
+    /// it is on. Tiering needs none either: cold code, the only code
+    /// promotion counts, is never compiled. With a bus, native groups
+    /// still run one group per dispatch, which preserves boundary-exact
+    /// behaviour.
     fn native_patching_ok(&self) -> bool {
-        self.chaining && !self.mem.has_bus() && !self.ladder_engaged
+        !self.mem.has_bus()
     }
 
     /// Every ladder step taken this run, in order.
@@ -1178,15 +1164,11 @@ impl<I: Isa> DaisySystem<I> {
         None
     }
 
-    /// Interprets exactly one instruction, handling its events. Returns
-    /// a stop reason when execution cannot continue.
+    /// Interprets exactly one instruction, handling its events: the
+    /// VMM's interpreter service for an instruction a group deferred
+    /// (system call, interrupt return, privileged, unsupported, MMIO).
+    /// Returns a stop reason when execution cannot continue.
     fn interp_one(&mut self) -> Option<StopReason> {
-        // MMIO accesses interpret here; the device observes the
-        // retired-instruction clock as of *before* this instruction —
-        // exactly what an oracle stepping `instret` sees.
-        if self.mem.has_bus() {
-            self.mem.set_bus_time(self.stats.base_instrs);
-        }
         let insn = match self.cpu.fetch(&self.mem) {
             Ok(i) => i,
             Err(_) => {
@@ -1197,11 +1179,7 @@ impl<I: Isa> DaisySystem<I> {
                 })
             }
         };
-        let ev = self.cpu.execute(&mut self.mem, insn);
-        if matches!(ev, Event::Continue | Event::Syscall) {
-            self.stats.interp_instrs += 1;
-            self.stats.base_instrs += 1;
-        }
+        let ev = self.interp_execute(insn);
         if ev == Event::Continue {
             if I::ends_interp_window(&insn) {
                 // §3.4: after an interrupt return, interpret until the
@@ -1214,11 +1192,21 @@ impl<I: Isa> DaisySystem<I> {
         self.cpu.handle_event(ev)
     }
 
-    /// One VMM interpreter service: execute the instruction the group
-    /// deferred (system call, interrupt return, privileged,
-    /// unsupported).
-    fn interp_service(&mut self) -> Option<StopReason> {
-        self.interp_one()
+    /// Executes one fetched instruction on the interpreter and counts
+    /// it when it retires.
+    fn interp_execute(&mut self, insn: I::Insn) -> Event {
+        // MMIO accesses interpret here; the device observes the
+        // retired-instruction clock as of *before* this instruction —
+        // exactly what an oracle stepping `instret` sees.
+        if self.mem.has_bus() {
+            self.mem.set_bus_time(self.stats.base_instrs);
+        }
+        let ev = self.cpu.execute(&mut self.mem, insn);
+        if matches!(ev, Event::Continue | Event::Syscall) {
+            self.stats.interp_instrs += 1;
+            self.stats.base_instrs += 1;
+        }
+        ev
     }
 
     /// Post-interrupt-return interpretation window (§3.4).
@@ -1242,38 +1230,29 @@ impl<I: Isa> DaisySystem<I> {
                         BranchKind::ViaLr | BranchKind::ViaCtr => true,
                     }
             });
-            if let Some(stop) = self.interp_one_decoded(insn) {
-                return Some(stop);
+            // Unlike `interp_one`, traps, program exceptions and fetch
+            // faults inside the window always stop the run; system
+            // calls and data faults follow the guest's vectored-delivery
+            // rules.
+            let stop = match self.interp_execute(insn) {
+                Event::Continue => None,
+                Event::Trap => Some(StopReason::Trap),
+                Event::Program => Some(StopReason::Program),
+                Event::Isi => Some(StopReason::StorageFault {
+                    addr: self.cpu.pc(),
+                    write: false,
+                    fetch: true,
+                }),
+                ev => self.cpu.handle_event(ev),
+            };
+            if stop.is_some() {
+                return stop;
             }
             if boundary == Some(true) {
                 break;
             }
         }
         None
-    }
-
-    fn interp_one_decoded(&mut self, insn: I::Insn) -> Option<StopReason> {
-        if self.mem.has_bus() {
-            self.mem.set_bus_time(self.stats.base_instrs);
-        }
-        let ev = self.cpu.execute(&mut self.mem, insn);
-        if matches!(ev, Event::Continue | Event::Syscall) {
-            self.stats.interp_instrs += 1;
-            self.stats.base_instrs += 1;
-        }
-        // Unlike `interp_one`, traps, program exceptions and fetch
-        // faults inside the post-interrupt-return window always stop
-        // the run; system calls and data faults follow the guest's
-        // vectored-delivery rules.
-        match ev {
-            Event::Continue => None,
-            Event::Trap => Some(StopReason::Trap),
-            Event::Program => Some(StopReason::Program),
-            Event::Isi => {
-                Some(StopReason::StorageFault { addr: self.cpu.pc(), write: false, fetch: true })
-            }
-            ev => self.cpu.handle_event(ev),
-        }
     }
 }
 

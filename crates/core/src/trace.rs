@@ -11,42 +11,37 @@
 //! per translation ([`crate::engine::GroupCode::dispatches`]); per-entry
 //! attribution of cycles and stalls lives in [`crate::profile`].
 //!
-//! Tracing is **cheap by default and free when silenced**: the
-//! [`Tracer`] holds an `Option<Box<dyn TraceSink>>` plus an always-on
-//! [`FlightRecorder`] — a small fixed ring of the most recent events
-//! kept for post-mortems (see [`crate::metrics::PostMortem`]).
-//! [`Tracer::emit`] takes a closure that is only evaluated when a sink
-//! is installed *or* the recorder is enabled; with the recorder
-//! disabled and no sink, a tracer costs one branch per event site and
-//! allocates nothing. Event sites are translation-lifecycle
-//! transitions, never in-group hot paths, so the default-on recorder
-//! costs one ring write per lifecycle event.
+//! Every event lands in one ring, the VMM's [`FlightRecorder`]: it is
+//! always on, keeps the most recent events (default
+//! [`DEFAULT_FLIGHT_RECORDER_CAPACITY`], sized through
+//! [`crate::system::DaisySystemBuilder::flight_recorder_capacity`]) and
+//! feeds post-mortems (see [`crate::metrics::PostMortem`]). Event sites
+//! are translation-lifecycle transitions, never in-group hot paths, so
+//! the recorder costs one ring write per lifecycle event. Read it back
+//! through [`crate::system::DaisySystem::flight_recorder`];
+//! [`TraceEvent::to_json`] renders one event as a JSON object.
 //!
 //! # Example
 //!
 //! ```
 //! use daisy::prelude::*;
-//! use daisy::trace::{RingSink, TraceEvent};
 //! use daisy_ppc::{Asm, Gpr, PpcIsa};
 //!
-//! let sink = RingSink::new(1024);
 //! let mut a = Asm::new(0x1000);
 //! a.li(Gpr(3), 21);
 //! a.sc();
 //! let prog = a.finish().unwrap();
 //!
-//! let mut sys = DaisySystem::<PpcIsa>::builder().trace_sink(sink.clone()).build();
+//! let mut sys = DaisySystem::<PpcIsa>::builder().flight_recorder_capacity(1024).build();
 //! sys.load(&prog).unwrap();
 //! sys.run(1_000_000).unwrap();
-//! assert!(matches!(sink.events()[0], TraceEvent::Translate { entry: 0x1000, .. }));
+//! let events = sys.flight_recorder().events();
+//! assert!(matches!(events[0], (0, TraceEvent::Translate { entry: 0x1000, .. })));
 //! ```
 
 use crate::error::{DegradeCause, Rung};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
-use std::rc::Rc;
 
 /// Translation tier of a group: first-touch translations are cold;
 /// profile-guided retranslations of hot entries use the wider
@@ -225,8 +220,8 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable lowercase kind name, used by the JSONL sink and the event
-    /// histograms of the `profile` report.
+    /// Stable lowercase kind name, used by [`TraceEvent::to_json`] and
+    /// the event histograms of the `profile` report.
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::Translate { .. } => "translate",
@@ -370,198 +365,56 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Receives the structured event stream.
-///
-/// # Contract
-///
-/// * [`TraceSink::record`] is called **synchronously** at the event
-///   site, in program order: the sequence of calls is the exact
-///   lifecycle history of the run (the ring-sink unit tests assert on
-///   exact sequences).
-/// * Sinks must not panic on any event and must tolerate events they do
-///   not recognize (the taxonomy grows; match non-exhaustively).
-/// * Sinks run on the hot VMM dispatch path; `record` should be O(1)
-///   and defer formatting/IO where possible (the JSONL sink formats
-///   inline and is intended for offline analysis, not for measured
-///   runs).
-pub trait TraceSink: fmt::Debug {
-    /// Records one event.
-    fn record(&mut self, ev: &TraceEvent);
-
-    /// Flushes buffered output, if any. Called when the owning system
-    /// is dropped or on explicit request; the default does nothing.
-    fn flush(&mut self) {}
-}
-
-/// The do-nothing sink: every event is discarded.
-///
-/// Installing `NullSink` exercises every emission site (useful to test
-/// that tracing changes no behaviour) while retaining nothing; *not*
-/// installing any sink is cheaper still, as event closures are never
-/// evaluated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-}
-
-/// A bounded in-memory sink keeping the most recent events.
-///
-/// `RingSink` is a cheap shared handle (`Rc<RefCell<…>>`): clone it,
-/// hand one clone to [`crate::system::DaisySystemBuilder::trace_sink`],
-/// and read [`RingSink::events`] from the other after the run.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    cap: usize,
-    buf: Rc<RefCell<VecDeque<TraceEvent>>>,
-    dropped: Rc<RefCell<u64>>,
-}
-
-impl RingSink {
-    /// Creates a sink retaining at most `cap` events (the oldest are
-    /// discarded first).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            buf: Rc::new(RefCell::new(VecDeque::new())),
-            dropped: Rc::new(RefCell::new(0)),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.borrow().iter().copied().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.borrow().len()
-    }
-
-    /// True when no events have been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.borrow().is_empty()
-    }
-
-    /// Events discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        *self.dropped.borrow()
-    }
-
-    /// Clears the buffer (the drop counter is kept).
-    pub fn clear(&self) {
-        self.buf.borrow_mut().clear();
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.len() == self.cap {
-            buf.pop_front();
-            *self.dropped.borrow_mut() += 1;
-        }
-        buf.push_back(*ev);
-    }
-}
-
-/// A sink writing one JSON object per event, newline-delimited, to any
-/// [`Write`] target (a file, a pipe, a `Vec<u8>`).
-pub struct JsonlSink<W: Write> {
-    w: W,
-    errored: bool,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer. IO errors are sticky and silent (observability
-    /// must never turn into a crash of the observed run); check
-    /// [`JsonlSink::errored`] if delivery matters.
-    pub fn new(w: W) -> JsonlSink<W> {
-        JsonlSink { w, errored: false }
-    }
-
-    /// True if any write has failed; subsequent events are dropped.
-    pub fn errored(&self) -> bool {
-        self.errored
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlSink").field("errored", &self.errored).finish_non_exhaustive()
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.errored {
-            return;
-        }
-        if writeln!(self.w, "{}", ev.to_json()).is_err() {
-            self.errored = true;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.w.flush().is_err() {
-            self.errored = true;
-        }
-    }
-}
-
-/// Default capacity of the always-on [`FlightRecorder`] ring.
+/// Default capacity of the [`FlightRecorder`] ring, and the number of
+/// newest events a post-mortem shows at any capacity.
 pub const DEFAULT_FLIGHT_RECORDER_CAPACITY: usize = 256;
 
-/// The always-on flight recorder: a fixed-size ring of the most recent
-/// [`TraceEvent`]s, kept even when no [`TraceSink`] is installed, so a
-/// post-mortem ([`crate::metrics::PostMortem`]) can show what led up to
-/// a ladder degradation or a fault-injection divergence.
+/// The flight recorder: the one ring the VMM keeps its trace events
+/// in. It is always on, holds the most recent [`TraceEvent`]s, and
+/// feeds post-mortems ([`crate::metrics::PostMortem`]), which show what
+/// led up to a ladder degradation or a fault-injection divergence.
 ///
 /// Each retained event carries a global sequence number (0-based count
 /// of events ever recorded), so dumps stay correlatable after the ring
-/// wraps; [`FlightRecorder::dropped`] counts what fell off.
+/// wraps; [`FlightRecorder::dropped`] counts what fell off. The ring
+/// grows as events arrive, so a large capacity costs nothing up front.
 #[derive(Debug)]
 pub struct FlightRecorder {
     cap: usize,
     buf: VecDeque<(u64, TraceEvent)>,
     seq: u64,
-    /// Whether events are recorded; a disabled recorder is free.
-    pub enabled: bool,
 }
 
 impl Default for FlightRecorder {
-    /// Enabled, with [`DEFAULT_FLIGHT_RECORDER_CAPACITY`] slots.
+    /// A recorder with [`DEFAULT_FLIGHT_RECORDER_CAPACITY`] slots.
     fn default() -> FlightRecorder {
         FlightRecorder::with_capacity(DEFAULT_FLIGHT_RECORDER_CAPACITY)
     }
 }
 
 impl FlightRecorder {
-    /// An enabled recorder retaining at most `cap` events.
+    /// A recorder retaining at most `cap` events (at least one).
     pub fn with_capacity(cap: usize) -> FlightRecorder {
-        FlightRecorder { cap: cap.max(1), buf: VecDeque::new(), seq: 0, enabled: true }
+        FlightRecorder { cap: cap.max(1), buf: VecDeque::new(), seq: 0 }
     }
 
-    /// A disabled recorder (records nothing, retains nothing).
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder { enabled: false, ..FlightRecorder::default() }
+    /// Records the event built by `f`, discarding the oldest when the
+    /// ring is full. Event sites are translation-lifecycle transitions,
+    /// never in-group hot paths.
+    #[inline]
+    pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
+        self.record(f());
     }
 
-    /// Records one event (a no-op when disabled).
-    pub fn record(&mut self, ev: &TraceEvent) {
-        if !self.enabled {
-            return;
-        }
+    /// Out of line: with the ring update inlined into every event site,
+    /// `DaisySystem::step` grew and `daisybench`'s `native_suite` ran
+    /// about 7% slower (median of 8 alternating runs, 2-vCPU Xeon VM).
+    #[inline(never)]
+    fn record(&mut self, ev: TraceEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
-        self.buf.push_back((self.seq, *ev));
+        self.buf.push_back((self.seq, ev));
         self.seq += 1;
     }
 
@@ -590,67 +443,19 @@ impl FlightRecorder {
         self.seq - self.buf.len() as u64
     }
 
-    /// Clears the buffer; sequence numbering (and thus
-    /// [`FlightRecorder::dropped`]) keeps counting.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-}
-
-/// The emission front-end owned by the VMM: an optional sink plus the
-/// always-on [`FlightRecorder`].
-///
-/// Event sites call [`Tracer::emit`] with a closure building the event;
-/// the closure is only run when a sink is installed or the recorder is
-/// enabled, so a fully silenced tracer costs one branch per site.
-#[derive(Debug, Default)]
-pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
-    /// The post-mortem ring. Public so the owning system can snapshot
-    /// it, resize it, or disable it wholesale.
-    pub recorder: FlightRecorder,
-}
-
-impl Tracer {
-    /// A tracer with no sink. The flight recorder is still on (the
-    /// default); silence it too with
-    /// [`Tracer::recorder`]`= FlightRecorder::disabled()`.
-    pub fn disabled() -> Tracer {
-        Tracer::default()
+    /// What a post-mortem shows: the newest
+    /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`] retained events, oldest
+    /// first, and the count of every event older than them. Both are
+    /// the same at every ring capacity of at least the default.
+    pub fn post_mortem_window(&self) -> (Vec<(u64, TraceEvent)>, u64) {
+        let kept = self.buf.len().min(DEFAULT_FLIGHT_RECORDER_CAPACITY);
+        (self.buf.range(self.buf.len() - kept..).copied().collect(), self.seq - kept as u64)
     }
 
-    /// A tracer delivering to `sink` (and to the flight recorder).
-    pub fn new(sink: Box<dyn TraceSink>) -> Tracer {
-        Tracer { sink: Some(sink), recorder: FlightRecorder::default() }
-    }
-
-    /// True when a sink is installed. (The flight recorder is
-    /// independent: `emit` may retain events while `enabled()` is
-    /// false.)
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emits the event built by `f` — evaluated only when a sink is
-    /// installed or the flight recorder is enabled.
-    #[inline]
-    pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
-        if self.sink.is_none() && !self.recorder.enabled {
-            return;
-        }
-        let ev = f();
-        self.recorder.record(&ev);
-        if let Some(sink) = &mut self.sink {
-            sink.record(&ev);
-        }
-    }
-
-    /// Flushes the sink, if any.
-    pub fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
-        }
+    /// Events a post-mortem does not show (see
+    /// [`FlightRecorder::post_mortem_window`]).
+    pub fn post_mortem_dropped(&self) -> u64 {
+        self.seq - self.buf.len().min(DEFAULT_FLIGHT_RECORDER_CAPACITY) as u64
     }
 }
 
@@ -659,39 +464,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn silenced_tracer_never_builds_events() {
-        let mut t = Tracer::disabled();
-        t.recorder = FlightRecorder::disabled();
-        assert!(!t.enabled());
-        t.emit(|| unreachable!("closure must not run with no sink and no recorder"));
-    }
-
-    #[test]
-    fn default_tracer_flight_records_without_a_sink() {
-        let mut t = Tracer::disabled();
-        assert!(!t.enabled(), "no sink installed");
-        assert!(t.recorder.enabled, "the flight recorder is on by default");
-        t.emit(|| TraceEvent::Invalidate { page: 7 });
-        assert_eq!(t.recorder.events(), vec![(0, TraceEvent::Invalidate { page: 7 })]);
-    }
-
-    #[test]
     fn flight_recorder_wraps_and_keeps_sequence_numbers() {
         let mut r = FlightRecorder::with_capacity(3);
         for page in 0..5 {
-            r.record(&TraceEvent::Invalidate { page });
+            r.emit(|| TraceEvent::Invalidate { page });
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.recorded(), 5);
         assert_eq!(r.dropped(), 2);
         let seqs: Vec<u64> = r.events().iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![2, 3, 4], "survivors keep their global sequence numbers");
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 5, "clearing does not rewind numbering");
-        let mut off = FlightRecorder::disabled();
-        off.record(&TraceEvent::Invalidate { page: 0 });
-        assert!(off.is_empty() && off.recorded() == 0);
     }
 
     #[test]
@@ -713,41 +495,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent_and_counts_drops() {
-        let sink = RingSink::new(2);
-        let mut t = Tracer::new(Box::new(sink.clone()));
-        assert!(t.enabled());
-        for page in 0..5 {
-            t.emit(|| TraceEvent::Invalidate { page });
+    fn post_mortem_window_is_the_same_at_every_capacity() {
+        let (mut small, mut large) =
+            (FlightRecorder::default(), FlightRecorder::with_capacity(1 << 21));
+        for page in 0..1000 {
+            small.emit(|| TraceEvent::Invalidate { page });
+            large.emit(|| TraceEvent::Invalidate { page });
         }
-        assert_eq!(
-            sink.events(),
-            vec![TraceEvent::Invalidate { page: 3 }, TraceEvent::Invalidate { page: 4 }]
-        );
-        assert_eq!(sink.dropped(), 3);
-        sink.clear();
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_object_per_line() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceEvent::Translate {
-            entry: 0x1000,
-            page: 1,
-            vliws: 3,
-            code_bytes: 96,
-            tier: Tier::Hot,
-            conservative: false,
-        });
-        sink.record(&TraceEvent::ChainSever { from: 0x1000, target: 0x2000 });
-        assert!(!sink.errored());
-        let out = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"event\": \"translate\""));
-        assert!(lines[0].contains("\"tier\": \"hot\""));
-        assert!(lines[1].contains("\"target\": 8192"));
+        assert_eq!(large.dropped(), 0);
+        assert_eq!(small.post_mortem_window(), large.post_mortem_window());
+        let (events, dropped) = large.post_mortem_window();
+        assert_eq!(events.len(), DEFAULT_FLIGHT_RECORDER_CAPACITY);
+        assert_eq!(events[0].0, dropped, "the window starts right after what it drops");
+        assert_eq!(dropped, small.dropped());
     }
 
     #[test]

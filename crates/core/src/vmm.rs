@@ -18,7 +18,7 @@
 use crate::engine::GroupCode;
 use crate::error::{Degradation, DegradeCause, Rung};
 use crate::sched::{translate_group_with_hints, Hints, TierPolicy, TranslatorConfig, XlateCost};
-use crate::trace::{Tier, TraceEvent, Tracer};
+use crate::trace::{FlightRecorder, Tier, TraceEvent};
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::Memory;
 use daisy_isa::{DecodeCache, Event, GuestCpu, Isa, IsaId, PAGE_SIZE};
@@ -133,9 +133,9 @@ pub struct Vmm<I: Isa> {
     pub cost: XlateCost,
     /// Counters.
     pub stats: VmmStats,
-    /// Structured-event emission front-end (disabled by default; see
+    /// The flight recorder every trace event lands in (see
     /// [`crate::trace`]).
-    pub tracer: Tracer,
+    pub tracer: FlightRecorder,
     /// Log of every ladder step taken this run (see [`crate::error`]);
     /// the system appends its dispatch-path degradations here too, so
     /// one list holds the run's full fallback history.
@@ -161,7 +161,7 @@ impl<I: Isa> Vmm<I> {
             next_code_addr: VLIW_BASE,
             cost: XlateCost::default(),
             stats: VmmStats::default(),
-            tracer: Tracer::disabled(),
+            tracer: FlightRecorder::default(),
             degradations: Vec::new(),
             _isa: PhantomData,
         }
@@ -190,7 +190,7 @@ impl<I: Isa> Vmm<I> {
             if let Some(table) = self.pages.remove(&victim) {
                 for g in table.groups() {
                     self.stats.code_bytes =
-                        self.stats.code_bytes.saturating_sub(u64::from(g.group.code_bytes()));
+                        self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
                 }
                 self.stats.cast_outs += 1;
                 self.tracer
@@ -356,7 +356,7 @@ impl<I: Isa> Vmm<I> {
         if let Some(table) = self.pages.get_mut(&key) {
             if let Some(g) = table.remove(slot) {
                 self.stats.code_bytes =
-                    self.stats.code_bytes.saturating_sub(u64::from(g.group.code_bytes()));
+                    self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
             }
         }
     }
@@ -396,7 +396,7 @@ impl<I: Isa> Vmm<I> {
                 self.stats.invalidations += 1;
                 for g in table.groups() {
                     self.stats.code_bytes =
-                        self.stats.code_bytes.saturating_sub(u64::from(g.group.code_bytes()));
+                        self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
                 }
                 self.tracer.emit(|| TraceEvent::Invalidate { page });
             }
@@ -464,8 +464,7 @@ impl<I: Isa> Vmm<I> {
         let page = self.page_of(addr);
         let Some(table) = self.pages.remove(&(I::ID, page)) else { return 0 };
         for g in table.groups() {
-            self.stats.code_bytes =
-                self.stats.code_bytes.saturating_sub(u64::from(g.group.code_bytes()));
+            self.stats.code_bytes = self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
         }
         self.tracer.emit(|| TraceEvent::Invalidate { page });
         table.live
@@ -643,7 +642,7 @@ mod tests {
 
         let mut vmm = Vmm::<daisy_ppc::PpcIsa>::new(TranslatorConfig::default());
         let g1 = vmm.entry(&mut mem, 0x1000);
-        let one_page = u64::from(g1.group.code_bytes());
+        let one_page = u64::from(g1.code_bytes);
         vmm.set_code_capacity(Some(one_page + one_page / 2));
         vmm.entry(&mut mem, 0x2000); // casts out page 1 (LRU)
         assert_eq!(vmm.stats.cast_outs, 1);

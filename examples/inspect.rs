@@ -7,6 +7,7 @@
 //! ```
 
 use daisy::prelude::*;
+use daisy::sched::translate_group;
 use daisy_ppc::PpcIsa;
 
 fn main() {
@@ -29,8 +30,11 @@ fn main() {
     );
 
     // Show the entry group's tree code next to the base instructions.
+    // The VMM keeps only the packed form it runs, so translate the
+    // entry again (same configuration, same memory) for the tree form.
     let entry = prog.entry;
-    let code = sys.vmm.lookup(entry).expect("entry translated");
+    assert!(sys.vmm.lookup(entry).is_some(), "entry translated");
+    let (group, _) = translate_group::<PpcIsa>(&sys.vmm.cfg, &sys.mem, entry);
     println!("=== base instructions at {entry:#x} ===");
     for i in 0..12u32 {
         let addr = entry + 4 * i;
@@ -38,11 +42,11 @@ fn main() {
             println!("  {addr:#x}: {}", daisy_ppc::decode(word));
         }
     }
-    println!("\n=== translated group at {entry:#x} ({} VLIWs) ===", code.group.len());
-    for (i, v) in code.group.vliws.iter().take(max_vliws).enumerate() {
+    println!("\n=== translated group at {entry:#x} ({} VLIWs) ===", group.len());
+    for (i, v) in group.vliws.iter().take(max_vliws).enumerate() {
         println!("[{i}] {v}");
     }
-    if code.group.len() > max_vliws {
-        println!("… {} more VLIWs (pass a larger max)", code.group.len() - max_vliws);
+    if group.len() > max_vliws {
+        println!("… {} more VLIWs (pass a larger max)", group.len() - max_vliws);
     }
 }

@@ -6,6 +6,7 @@
 //! ```
 
 use daisy::prelude::*;
+use daisy::sched::translate_group;
 use daisy_ppc::interp::Cpu;
 use daisy_ppc::mem::Memory;
 use daisy_ppc::reg::CrField;
@@ -47,11 +48,13 @@ fn main() {
     );
     assert_eq!(sys.cpu.gpr[3], cpu.gpr[3], "architected state must match");
 
-    // Peek at the translation itself.
-    let group = sys.vmm.lookup(prog.entry).expect("translated");
+    // Peek at the translation itself: the VMM keeps only the packed
+    // form it runs, so translate the entry again for the tree form.
+    assert!(sys.vmm.lookup(prog.entry).is_some(), "translated");
+    let (group, _) = translate_group::<PpcIsa>(&sys.vmm.cfg, &sys.mem, prog.entry);
     println!(
         "\nthe entry group has {} tree instructions; the first is:\n{}",
-        group.group.len(),
-        group.group.vliws[0]
+        group.len(),
+        group.vliws[0]
     );
 }

@@ -309,6 +309,46 @@ fn sever_chains_retires_native_patches() {
     }
 }
 
+/// A ladder step retires every compiled group and patched edge, but it
+/// must not switch patching off for the rest of the run: the degraded
+/// entry runs on the packed engine and is never compiled again, so no
+/// patched edge can reach it, and edges between the other native
+/// entries are patched anew.
+#[test]
+fn degrade_keeps_native_patching_live() {
+    let w = daisy_workloads::by_name("compress").expect("compress workload");
+    let mut sys = DaisySystem::<PpcIsa>::builder()
+        .mem_size(w.mem_size)
+        .native_execution(true)
+        .native_threshold(2)
+        .build();
+    sys.load(&w.program()).unwrap();
+    for _ in 0..400 {
+        if sys.native_stats().is_some_and(|ns| ns.edge_patches > 0) {
+            break;
+        }
+        if sys.step().unwrap().is_some() {
+            panic!("compress finished during warmup");
+        }
+    }
+    let entry = sys.cpu.pc;
+    let patches_before = sys.native_stats().map_or(0, |ns| ns.edge_patches);
+    sys.degrade(entry, DegradeCause::Forced).expect("a rung below the default");
+    let stop = sys.run(10 * w.max_instrs).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
+    w.check(&sys.cpu, &sys.mem).expect("compress result exact across the degrade");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        assert_eq!(sys.rung(entry), Rung::Packed, "one step down from native");
+        let ns = sys.native_stats().expect("native tier active");
+        assert!(patches_before > 0, "warmup must patch an edge: {ns:?}");
+        assert!(
+            ns.edge_patches > patches_before,
+            "edges must be patched again after the degrade: {ns:?}"
+        );
+    }
+}
+
 /// Alias-restart retranslation reached through native dispatch: the
 /// retranslated entry's old compiled body must be retired (identity
 /// check), and results stay exact.

@@ -325,6 +325,19 @@ pub fn attach_soc_timer(sys: &mut DaisySystem<PpcIsa>, period: u32) {
 /// observable difference between native and packed twins).
 pub type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
 
+/// The events the system's flight recorder retains, oldest first,
+/// without their sequence numbers.
+pub fn trace_events(sys: &DaisySystem<PpcIsa>) -> Vec<TraceEvent> {
+    sys.flight_recorder().events().into_iter().map(|(_, ev)| ev).collect()
+}
+
+/// A finished run paired with its flight-recorder trace, native
+/// compile events stripped.
+pub fn traced_run(sys: DaisySystem<PpcIsa>) -> TracedRun {
+    let events = strip_native_events(trace_events(&sys));
+    (sys, events)
+}
+
 /// Drops the native tier's `native_compile` events from a trace.
 pub fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
     events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()

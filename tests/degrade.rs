@@ -113,7 +113,6 @@ fn hint_budget_exhaustion_is_surfaced() {
     a.sc();
     let prog = a.finish().unwrap();
 
-    let sink = RingSink::new(1024);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x20000)
         .translator(TranslatorConfig {
@@ -121,7 +120,7 @@ fn hint_budget_exhaustion_is_surfaced() {
             window_size: 8,
             ..TranslatorConfig::default()
         })
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1024)
         .build();
     sys.load(&prog).unwrap();
     let stop = sys.run(1_000_000).unwrap();
@@ -134,9 +133,10 @@ fn hint_budget_exhaustion_is_surfaced() {
         "exhaustion must be recorded as a typed degradation"
     );
     assert!(
-        sink.events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Degraded { cause: DegradeCause::HintBudget, .. })),
+        sys.flight_recorder().events().iter().any(|(_, e)| matches!(
+            e,
+            TraceEvent::Degraded { cause: DegradeCause::HintBudget, .. }
+        )),
         "exhaustion must reach the trace stream"
     );
 }

@@ -72,9 +72,10 @@ fn degraded_events_reach_the_trace_stream() {
 
     let w = daisy_workloads::by_name("wc").expect("wc workload");
     let prog = w.program();
-    let sink = RingSink::new(4096);
-    let mut sys =
-        DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).trace_sink(sink.clone()).build();
+    let mut sys = DaisySystem::<PpcIsa>::builder()
+        .mem_size(w.mem_size)
+        .flight_recorder_capacity(4096)
+        .build();
     sys.load(&prog).unwrap();
     // Prime a translation, then walk the entry to the floor.
     sys.step().unwrap();
@@ -86,8 +87,13 @@ fn degraded_events_reach_the_trace_stream() {
     sys.run(10 * w.max_instrs).unwrap();
     w.check(&sys.cpu, &sys.mem).expect("result exact after degradation");
 
-    let degraded: Vec<TraceEvent> =
-        sink.events().into_iter().filter(|e| matches!(e, TraceEvent::Degraded { .. })).collect();
+    let degraded: Vec<TraceEvent> = sys
+        .flight_recorder()
+        .events()
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| matches!(e, TraceEvent::Degraded { .. }))
+        .collect();
     assert_eq!(degraded.len(), sys.degradations().len(), "log and stream must agree");
     assert_eq!(
         degraded[0],

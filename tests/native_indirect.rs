@@ -11,7 +11,7 @@
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
 use daisy::system::DaisySystem;
-use daisy::trace::{RingSink, TraceEvent};
+use daisy::trace::TraceEvent;
 use daisy::TranslatorConfig;
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::interp::StopReason;
@@ -20,7 +20,7 @@ use daisy_ppc::PpcIsa;
 use daisy_vliw::packed::BACKEDGE_VLIW_BUDGET;
 
 mod common;
-use common::{assert_indistinguishable, strip_native_events, TracedRun};
+use common::{assert_indistinguishable, traced_run, TracedRun};
 
 /// The dispatch on which the tier compiles a translation (same as
 /// prop_native).
@@ -79,19 +79,18 @@ fn expected_acc() -> u32 {
 }
 
 fn run_indirect_loop(native: bool) -> TracedRun {
-    let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x1_0000)
         .native_execution(native)
         .native_threshold(THRESHOLD)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1 << 21)
         .build();
     sys.load(&indirect_loop_program()).unwrap();
     let stop = sys.run(10_000_000).unwrap();
     assert_eq!(stop, StopReason::Syscall, "indirect loop did not finish");
-    assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
+    assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
     assert_eq!(sys.cpu.gpr[4], expected_acc(), "wrong accumulator");
-    (sys, strip_native_events(sink.events()))
+    traced_run(sys)
 }
 
 /// The aligned dispatch table is indistinguishable between the twins,
@@ -160,13 +159,12 @@ fn spin_program() -> Program {
 }
 
 fn run_spin(native: bool, timer: Option<u32>) -> TracedRun {
-    let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x1_0000)
         .translator(TranslatorConfig { reroll_loops: true, ..TranslatorConfig::default() })
         .native_execution(native)
         .native_threshold(THRESHOLD)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1 << 21)
         .build();
     sys.load(&spin_program()).unwrap();
     if let Some(period) = timer {
@@ -177,9 +175,9 @@ fn run_spin(native: bool, timer: Option<u32>) -> TracedRun {
     }
     let stop = sys.run(10_000_000).unwrap();
     assert_eq!(stop, StopReason::Syscall, "spin loop did not finish");
-    assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
+    assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
     assert_eq!(sys.cpu.gpr[3], SPINS, "wrong spin count");
-    (sys, strip_native_events(sink.events()))
+    traced_run(sys)
 }
 
 /// A rerolled single-group loop exhausts its back-edge budget instead

@@ -15,7 +15,6 @@ use daisy::native::Refusal;
 use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
-use daisy::trace::RingSink;
 use daisy_cachesim::{CacheConfig, Hierarchy};
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::insn::{bo, ArithOp, Insn};
@@ -26,7 +25,7 @@ use daisy_workloads::Workload;
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_indistinguishable, strip_native_events, TracedRun};
+use common::{assert_indistinguishable, traced_run, TracedRun};
 
 /// The dispatch on which the tier compiles a translation. Low, so even
 /// short workloads and generated programs reach compiled code.
@@ -44,19 +43,23 @@ fn run_workload(w: &Workload, native: bool) -> TracedRun {
 }
 
 fn run_workload_with_cache(w: &Workload, native: bool, cache: Hierarchy) -> TracedRun {
-    let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .cache(cache)
         .native_execution(native)
         .native_threshold(THRESHOLD)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1 << 21)
         .build();
     sys.load(&w.program()).unwrap();
     let stop = sys.run(10 * w.max_instrs).unwrap();
     assert_eq!(stop, StopReason::Syscall, "{}: run did not finish", w.name);
-    assert_eq!(sink.dropped(), 0, "{}: trace ring overflowed; grow the cap", w.name);
-    (sys, strip_native_events(sink.events()))
+    assert_eq!(
+        sys.flight_recorder().dropped(),
+        0,
+        "{}: trace ring overflowed; grow the cap",
+        w.name
+    );
+    traced_run(sys)
 }
 
 #[test]
@@ -118,20 +121,19 @@ fn native_is_observably_the_packed_engine_under_finite_caches() {
 fn native_matches_packed_with_boundary_observers() {
     let w = daisy_workloads::by_name("c_sieve").expect("sieve workload");
     let run = |native: bool, cache: HierarchyCtor| {
-        let sink = RingSink::new(1 << 21);
         let mut sys = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
             .cache(cache())
             .native_execution(native)
             .native_threshold(THRESHOLD)
-            .trace_sink(sink.clone())
+            .flight_recorder_capacity(1 << 21)
             .build();
         sys.load(&w.program()).unwrap();
         common::attach_soc_timer(&mut sys, 4096);
         let stop = sys.run(10 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall);
         assert!(sys.stats.interrupts_taken > 0, "the timer must fire");
-        (sys, strip_native_events(sink.events()))
+        traced_run(sys)
     };
     let caches: [(&str, HierarchyCtor); 2] =
         [("infinite", Hierarchy::infinite), ("paper_default", Hierarchy::paper_default)];
@@ -153,18 +155,17 @@ fn native_matches_packed_with_boundary_observers() {
 fn native_matches_packed_without_chaining() {
     let w = daisy_workloads::by_name("wc").expect("wc workload");
     let run = |native: bool| {
-        let sink = RingSink::new(1 << 21);
         let mut sys = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
             .chaining(false)
             .native_execution(native)
             .native_threshold(THRESHOLD)
-            .trace_sink(sink.clone())
+            .flight_recorder_capacity(1 << 21)
             .build();
         sys.load(&w.program()).unwrap();
         let stop = sys.run(10 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall);
-        (sys, strip_native_events(sink.events()))
+        traced_run(sys)
     };
     assert_indistinguishable(&run(false), &run(true), "chaining off");
 }
@@ -185,7 +186,6 @@ fn native_matches_packed_under_cast_out_churn() {
 fn check_cast_out_churn(cache: HierarchyCtor) {
     let w = daisy_workloads::by_name("fgrep").expect("fgrep workload");
     let run = |native: bool| {
-        let sink = RingSink::new(1 << 21);
         let mut sys = DaisySystem::<PpcIsa>::builder()
             .mem_size(w.mem_size)
             .cache(cache())
@@ -193,13 +193,13 @@ fn check_cast_out_churn(cache: HierarchyCtor) {
             .code_capacity(128)
             .native_execution(native)
             .native_threshold(THRESHOLD)
-            .trace_sink(sink.clone())
+            .flight_recorder_capacity(1 << 21)
             .build();
         sys.load(&w.program()).unwrap();
         let stop = sys.run(50 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall, "churn run did not finish");
-        assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
-        (sys, strip_native_events(sink.events()))
+        assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
+        traced_run(sys)
     };
     let (packed, native) = (run(false), run(true));
     assert_indistinguishable(&packed, &native, "cast-out churn");
@@ -342,13 +342,12 @@ fn emit(a: &mut Asm, steps: &[Step]) {
 }
 
 fn run_generated(prog: &Program, seeds: &[u32], native: bool, cache: Hierarchy) -> TracedRun {
-    let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x2_0000)
         .cache(cache)
         .native_execution(native)
         .native_threshold(THRESHOLD)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1 << 21)
         .build();
     sys.load(prog).unwrap();
     for i in 0..SLOTS {
@@ -359,8 +358,8 @@ fn run_generated(prog: &Program, seeds: &[u32], native: bool, cache: Hierarchy) 
     }
     let stop = sys.run(100_000_000).unwrap();
     assert_eq!(stop, StopReason::Syscall);
-    assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
-    (sys, strip_native_events(sink.events()))
+    assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
+    traced_run(sys)
 }
 
 proptest! {

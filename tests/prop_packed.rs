@@ -14,7 +14,6 @@ use common::{assemble, assert_same, run_daisy, run_oracle, step, MEM_SIZE};
 use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
-use daisy::trace::RingSink;
 use daisy_cachesim::Hierarchy;
 use daisy_ppc::asm::Asm;
 use daisy_ppc::encode::encode;
@@ -41,7 +40,8 @@ proptest! {
 
     /// Default machine, infinite cache: the traced run leaves the
     /// oracle's registers and memory, records its whole trace, and the
-    /// sink perturbs nothing — an untraced twin agrees to the counter.
+    /// ring size perturbs nothing — a twin with the default ring agrees
+    /// to the counter.
     #[test]
     fn packed_engine_is_observably_the_tree_engine(
         steps in prop::collection::vec(step(), 1..40),
@@ -49,12 +49,11 @@ proptest! {
     ) {
         let prog = assemble(&steps);
         let (cpu, mem) = run_oracle(&prog, &seeds);
-        let sink = RingSink::new(1 << 16);
-        let traced = run_daisy(&prog, &seeds, DaisySystem::builder().trace_sink(sink.clone()));
-        assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
-        assert!(!sink.events().is_empty(), "the traced run recorded no events");
+        let traced = run_daisy(&prog, &seeds, DaisySystem::builder().flight_recorder_capacity(1 << 16));
+        assert_eq!(traced.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
+        assert!(!traced.flight_recorder().is_empty(), "the traced run recorded no events");
         let plain = run_daisy(&prog, &seeds, DaisySystem::builder());
-        assert_eq!(plain.stats, traced.stats, "the trace sink perturbed RunStats");
+        assert_eq!(plain.stats, traced.stats, "the ring size perturbed RunStats");
         assert_same(&traced, &cpu, &mem, "traced, default config");
         assert_same(&plain, &cpu, &mem, "untraced, default config");
     }

@@ -16,24 +16,29 @@ use daisy_ppc::{Asm, Gpr};
 use daisy_workloads::Workload;
 
 mod common;
-use common::{assert_indistinguishable, assert_same, strip_native_events};
+use common::{assert_indistinguishable, assert_same, strip_native_events, trace_events};
 
 /// Runs `w` to completion under `tiered(TierPolicy::with_threshold(8))`
 /// on the native or packed tier, returning the system and its full
 /// (unstripped) trace.
 fn run_tiered(w: &Workload, native: bool) -> (DaisySystem<PpcIsa>, Vec<TraceEvent>) {
-    let sink = RingSink::new(1 << 21);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .tiered(TierPolicy::with_threshold(8))
         .native_execution(native)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(1 << 21)
         .build();
     sys.load(&w.program()).unwrap();
     let stop = sys.run(10 * w.max_instrs).unwrap();
     assert_eq!(stop, StopReason::Syscall, "{}: tiered run did not finish", w.name);
-    assert_eq!(sink.dropped(), 0, "{}: trace ring overflowed; grow the cap", w.name);
-    (sys, sink.events())
+    assert_eq!(
+        sys.flight_recorder().dropped(),
+        0,
+        "{}: trace ring overflowed; grow the cap",
+        w.name
+    );
+    let events = trace_events(&sys);
+    (sys, events)
 }
 
 #[test]
@@ -125,11 +130,10 @@ fn self_loop(trips: i16) -> (Program, u32) {
 fn hot_promotion_retranslates_wider() {
     // A tight self-loop crosses the threshold and must be rebuilt hot.
     let (prog, head) = self_loop(200);
-    let sink = RingSink::new(4096);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x20000)
         .tiered(TierPolicy::with_threshold(4))
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(4096)
         .build();
     sys.load(&prog).unwrap();
     let stop = sys.run(1_000_000).unwrap();
@@ -137,7 +141,7 @@ fn hot_promotion_retranslates_wider() {
     assert_eq!(sys.cpu.gpr[3], 600);
     assert!(sys.vmm.stats.hot_promotions >= 1, "hot loop must be promoted");
     assert!(
-        sink.events().iter().any(
+        trace_events(&sys).iter().any(
             |e| matches!(e, TraceEvent::Translate { entry, tier: Tier::Hot, .. } if *entry == head)
         ),
         "the loop head must be retranslated at the hot tier"
@@ -157,8 +161,7 @@ fn dispatch_counter_thresholds_are_exact() {
     let dispatches_until = |b: DaisySystemBuilder<PpcIsa>,
                             probe: fn(&DaisySystem<PpcIsa>) -> u64| {
         let (prog, head) = self_loop(200);
-        let sink = RingSink::new(4096);
-        let mut sys = b.trace_sink(sink.clone()).build();
+        let mut sys = b.flight_recorder_capacity(4096).build();
         sys.load(&prog).unwrap();
         let mut n = 0;
         loop {
@@ -166,7 +169,7 @@ fn dispatch_counter_thresholds_are_exact() {
             let stop = sys.step().unwrap();
             n += u64::from(at_head);
             if at_head && probe(&sys) > before {
-                return (n, head, sink.events());
+                return (n, head, trace_events(&sys));
             }
             assert!(stop.is_none(), "the run ended before the probe moved");
         }

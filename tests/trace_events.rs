@@ -1,8 +1,8 @@
-//! Observability contract tests: the tracer must be inert when no sink
-//! is installed, and a ring sink must capture the exact structured
-//! event sequence for a small self-modifying program — translations,
-//! chain installs, the code-modification store, the page invalidation,
-//! and the resulting chain severs, in dispatch order.
+//! Observability contract tests: the flight recorder is on in every
+//! system, and it captures the exact structured event sequence for a
+//! small self-modifying program — translations, chain installs, the
+//! code-modification store, the page invalidation, and the resulting
+//! chain severs, in dispatch order.
 
 use daisy::prelude::*;
 use daisy::trace::Tier;
@@ -13,6 +13,7 @@ use daisy_ppc::PpcIsa;
 use daisy_ppc::{Asm, Gpr};
 
 mod common;
+use common::trace_events;
 
 const PAGE: u32 = 256;
 const TABLE: u32 = 0x8000;
@@ -51,13 +52,13 @@ fn small_pages() -> TranslatorConfig {
     TranslatorConfig { page_size: PAGE, ..TranslatorConfig::default() }
 }
 
-fn run_selfmod(sink: Option<RingSink>) -> DaisySystem<PpcIsa> {
+fn run_selfmod(flight_recorder_capacity: usize) -> DaisySystem<PpcIsa> {
     let prog = selfmod_program(&[11, 31, 50]);
-    let mut b = DaisySystem::<PpcIsa>::builder().mem_size(0x2_0000).translator(small_pages());
-    if let Some(sink) = sink {
-        b = b.trace_sink(sink);
-    }
-    let mut sys = b.build();
+    let mut sys = DaisySystem::<PpcIsa>::builder()
+        .mem_size(0x2_0000)
+        .translator(small_pages())
+        .flight_recorder_capacity(flight_recorder_capacity)
+        .build();
     sys.load(&prog).unwrap();
     let stop = sys.run(1_000_000).unwrap();
     assert_eq!(stop, StopReason::Syscall);
@@ -65,66 +66,35 @@ fn run_selfmod(sink: Option<RingSink>) -> DaisySystem<PpcIsa> {
     sys
 }
 
-/// Without a sink the tracer reports disabled (no sink to feed) but
-/// the always-on flight recorder still taps the stream: the recent
-/// ring is populated, capped at its capacity, and the run performs the
-/// same work (events are a pure tap). Building with
-/// `.flight_recorder(false)` silences even that.
+/// A default-built system's flight recorder taps the stream: the ring
+/// is populated, capped at its capacity, and the run performs the same
+/// work (events are a pure tap).
 #[test]
 fn no_sink_records_nothing() {
-    let sys = run_selfmod(None);
-    assert!(!sys.vmm.tracer.enabled());
+    let sys = run_selfmod(daisy::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY);
     assert!(sys.stats.code_modifications >= 1);
 
     let rec = sys.flight_recorder();
-    assert!(rec.enabled, "the flight recorder is on by default");
-    assert!(rec.recorded() > 0, "the ring taps events with no sink installed");
+    assert!(rec.recorded() > 0, "the ring taps events by default");
     assert!(rec.len() as u64 <= daisy::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY as u64);
     assert_eq!(rec.dropped(), rec.recorded() - rec.len() as u64);
     assert!(
         rec.events().iter().any(|(_, ev)| matches!(ev, TraceEvent::CodeModified { .. })),
         "the self-modifying store reached the ring"
     );
-
-    let prog = selfmod_program(&[11, 31, 50]);
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(0x2_0000)
-        .translator(small_pages())
-        .flight_recorder(false)
-        .build();
-    sys.load(&prog).unwrap();
-    sys.run(1_000_000).unwrap();
-    assert_eq!(sys.cpu.gpr[7], 92);
-    assert_eq!(sys.flight_recorder().recorded(), 0, "opting out silences the ring");
 }
 
-/// `NullSink` accepts every event and stores none of them.
-#[test]
-fn null_sink_stores_no_events() {
-    let prog = selfmod_program(&[11, 31, 50]);
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(0x2_0000)
-        .translator(small_pages())
-        .trace_sink(NullSink)
-        .build();
-    sys.load(&prog).unwrap();
-    sys.run(1_000_000).unwrap();
-    assert!(sys.vmm.tracer.enabled(), "a null sink still counts as a sink");
-    assert_eq!(sys.cpu.gpr[7], 92);
-}
-
-/// The ring sink sees the exact event sequence of the self-modifying
+/// The flight recorder sees the exact event sequence of the self-modifying
 /// run: cold translations as each page is first touched, a chain
 /// install on the hot edge, then for every patch store a
 /// code-modification event, the page invalidation, a sever of the link
 /// into the dead group, and the retranslation of the patched page.
 #[test]
 fn ring_sink_captures_selfmod_event_sequence() {
-    let sink = RingSink::new(256);
-    let _ = run_selfmod(Some(sink.clone()));
+    let sys = run_selfmod(256);
 
-    let events = sink.events();
-    assert_eq!(sink.dropped(), 0, "256 entries must be enough for this program");
+    let events = trace_events(&sys);
+    assert_eq!(sys.flight_recorder().dropped(), 0, "256 entries must be enough for this program");
     let kinds: Vec<&'static str> = events.iter().map(|e| e.kind()).collect();
 
     // Exact sequence, pinned. Iteration 1 stores before the patch page
@@ -185,12 +155,12 @@ fn ring_sink_captures_selfmod_event_sequence() {
 /// the drop counter says how many.
 #[test]
 fn ring_sink_caps_and_counts_drops() {
-    let sink = RingSink::new(3);
-    let _ = run_selfmod(Some(sink.clone()));
-    assert_eq!(sink.len(), 3);
-    assert_eq!(sink.dropped(), 13, "16 events into a 3-slot ring drops 13");
+    let sys = run_selfmod(3);
+    let rec = sys.flight_recorder();
+    assert_eq!(rec.len(), 3);
+    assert_eq!(rec.dropped(), 13, "16 events into a 3-slot ring drops 13");
     // The survivors are the *latest* three.
-    let kinds: Vec<_> = sink.events().iter().map(|e| e.kind()).collect();
+    let kinds: Vec<_> = trace_events(&sys).iter().map(|e| e.kind()).collect();
     assert_eq!(kinds, vec!["chain_sever", "translate", "chain_install"]);
 }
 
@@ -217,9 +187,8 @@ fn external_interrupt_orders_before_handler_translate_in_hot_loop() {
     let prog = a.finish().unwrap();
     let loop_head = prog.labels["loop"];
 
-    let sink = RingSink::new(4096);
     let mut sys =
-        DaisySystem::<PpcIsa>::builder().mem_size(0x2_0000).trace_sink(sink.clone()).build();
+        DaisySystem::<PpcIsa>::builder().mem_size(0x2_0000).flight_recorder_capacity(4096).build();
     sys.load(&prog).unwrap();
     common::attach_soc_timer(&mut sys, 397);
     let stop = sys.run(1_000_000).unwrap();
@@ -227,7 +196,7 @@ fn external_interrupt_orders_before_handler_translate_in_hot_loop() {
     assert_eq!(sys.cpu.gpr[3], 20_000, "loop result survived preemption");
     assert!(sys.stats.interrupts_taken >= 2, "timer delivered fewer than two interrupts");
 
-    let events = sink.events();
+    let events = trace_events(&sys);
     let first_irq = events
         .iter()
         .position(|e| matches!(e, TraceEvent::ExternalInterrupt { .. }))
@@ -282,17 +251,16 @@ fn hot_promotion_emits_tagged_retranslation() {
     a.sc();
     let prog = a.finish().unwrap();
 
-    let sink = RingSink::new(256);
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(0x2_0000)
-        .trace_sink(sink.clone())
+        .flight_recorder_capacity(256)
         .tiered(TierPolicy::with_threshold(4))
         .build();
     sys.load(&prog).unwrap();
     sys.run(1_000_000).unwrap();
     assert_eq!(sys.cpu.gpr[3], 50);
 
-    let events = sink.events();
+    let events = trace_events(&sys);
     let promo = events
         .iter()
         .position(|e| matches!(e, TraceEvent::HotPromotion { .. }))
