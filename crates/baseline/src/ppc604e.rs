@@ -85,6 +85,7 @@ pub fn run(
     let mut cpu = Cpu::new(prog.entry);
 
     let mut cycle: u64 = 0;
+    let mut ops = Vec::new();
     let mut slots_used: u64 = 0;
     let mut ready = [0u64; NUM_REGS];
     let mut instrs = 0u64;
@@ -103,8 +104,9 @@ pub fn run(
         // Instruction fetch through the I-side hierarchy.
         cycle += u64::from(cache.access_instr(pc).penalty);
 
-        let conv = convert(&insn, pc);
-        for op in &conv.ops {
+        ops.clear();
+        let conv = convert(&insn, pc, &mut ops);
+        for op in &ops {
             // In-order issue: stall until operands are ready.
             let ready_at = op.srcs().iter().map(|s| ready[s.index()]).max().unwrap_or(0);
             if ready_at > cycle {

@@ -32,6 +32,7 @@
 
 use crate::error::{DaisyError, DegradeCause};
 use crate::metrics::PostMortem;
+use crate::native::NativeStats;
 use crate::stats::RunStats;
 use crate::system::DaisySystem;
 use crate::vmm::VmmStats;
@@ -243,6 +244,9 @@ pub struct CampaignOutcome {
     pub stats: RunStats,
     /// VMM statistics of the perturbed run.
     pub vmm_stats: VmmStats,
+    /// Native-tier statistics of the perturbed run (all zero when the
+    /// tier was off or declined to engage on this host).
+    pub native_stats: NativeStats,
     /// The flight-recorder post-mortem captured at the run's last
     /// ladder degradation (see
     /// [`crate::system::DaisySystem::take_post_mortem`]); `None` only
@@ -525,6 +529,7 @@ pub fn run_campaign_on_program<I: Isa>(
         native_yield_preempts: sys.native_yield_preempts(),
         stats: sys.stats,
         vmm_stats: sys.vmm.stats,
+        native_stats: sys.native_stats().unwrap_or_default(),
         post_mortem: sys.take_post_mortem(),
     })
 }
@@ -767,6 +772,7 @@ fn run_preempt_campaign_on_program<I: Isa>(
         native_yield_preempts: sys.native_yield_preempts(),
         stats: sys.stats,
         vmm_stats: sys.vmm.stats,
+        native_stats: sys.native_stats().unwrap_or_default(),
         post_mortem: sys.take_post_mortem(),
     })
 }

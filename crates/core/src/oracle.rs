@@ -19,7 +19,7 @@ use daisy_isa::convert::Flow;
 use daisy_isa::mem::Memory;
 use daisy_isa::{Event, GuestCpu, Isa, StopReason};
 use daisy_vliw::machine::{MachineConfig, ResClass, ResCounts};
-use daisy_vliw::op::OpKind;
+use daisy_vliw::op::{OpKind, Operation};
 use daisy_vliw::reg::NUM_REGS;
 use std::collections::HashMap;
 
@@ -60,6 +60,8 @@ pub struct OracleScheduler {
     max_cycle: u64,
     instrs: u64,
     ops: u64,
+    /// The primitives of the instruction being fed.
+    converted: Vec<Operation>,
 }
 
 impl OracleScheduler {
@@ -76,6 +78,7 @@ impl OracleScheduler {
             max_cycle: 0,
             instrs: 0,
             ops: 0,
+            converted: Vec::new(),
         }
     }
 
@@ -134,9 +137,11 @@ impl OracleScheduler {
     /// starting address.
     pub fn feed<I: Isa>(&mut self, pc: u32, insn: &I::Insn, ea: Option<u32>) {
         self.instrs += 1;
-        let conv = I::convert(insn, pc);
+        let mut converted = std::mem::take(&mut self.converted);
+        converted.clear();
+        let conv = I::convert(insn, pc, &mut converted);
         let mut mem_idx = 0u32;
-        for op in &conv.ops {
+        for op in &converted {
             self.ops += 1;
             let mut start = op.srcs().iter().map(|s| self.ready[s.index()]).max().unwrap_or(0);
             let class = match op.kind {
@@ -179,6 +184,7 @@ impl OracleScheduler {
             let c = self.slot_for(0, None, true);
             self.max_cycle = self.max_cycle.max(c + 1);
         }
+        self.converted = converted;
     }
 
     /// Finishes the run.

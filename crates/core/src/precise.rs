@@ -73,17 +73,18 @@ impl std::error::Error for RecoverError {}
 
 fn expected_of<I: Isa>(mem: &Memory, addr: u32) -> (Vec<Expected>, Flow, bool) {
     let word = mem.read_u32(addr).unwrap_or(0);
+    let mut ops = Vec::new();
     let conv = match I::decode(word) {
-        Ok(insn) => I::convert(&insn, addr),
+        Ok(insn) => I::convert(&insn, addr, &mut ops),
         Err(_) => daisy_isa::convert::Converted::interp(),
     };
     let mut exp = Vec::new();
-    let n = conv.ops.len();
+    let n = ops.len();
     let cond_compare = matches!(
         conv.flow,
         Flow::CondJump { cond_compare: true, .. } | Flow::CondIndirect { cond_compare: true, .. }
     );
-    for (i, op) in conv.ops.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         if cond_compare && i == n - 1 {
             continue; // the condition compare lives only in a rename register
         }

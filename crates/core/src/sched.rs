@@ -13,6 +13,29 @@
 //! (the `Pathlist`); conditional branches clone the current path; paths
 //! close at the paper's stopping points (cross-page and indirect
 //! branches, over-visited join points, window exhaustion).
+//!
+//! # Translation cost
+//!
+//! Translation is the paper's headline overhead (§5.1), so the
+//! scheduler hashes and allocates nothing it does not hand back:
+//!
+//! - Join-point visit counts and the branch-target set are one dense
+//!   array indexed by word offset in the entry's page (over the whole
+//!   memory image under [`TranslatorConfig::whole_program`]). Each
+//!   translation takes a new generation number instead of clearing it.
+//! - Per-thread scratch buffers (the Pathlist, recycled closed paths,
+//!   the per-VLIW rename masks, the suffix table of free renames and
+//!   the converted primitives of the current instruction) move from
+//!   one translation to the next. They carry capacity only: each
+//!   translation resets them, so a group is a function of the
+//!   configuration, memory, entry and hints alone, and nothing is
+//!   memoized.
+//! - A fork copies its parent into a recycled path's buffers. Paths do
+//!   not share prefixes: a fork still copies one rename map per VLIW of
+//!   the path, a few hundred bytes.
+//!
+//! What a translation still allocates is its output: the tree's VLIWs,
+//! nodes and parcel lists.
 
 use daisy_isa::convert::{CondSpec, Converted, Flow};
 use daisy_isa::mem::Memory;
@@ -21,7 +44,8 @@ use daisy_vliw::machine::MachineConfig;
 use daisy_vliw::op::{MemWidth, OpKind, Operation};
 use daisy_vliw::reg::{Reg, RenameMask, NUM_REGS};
 use daisy_vliw::tree::{Cond, Exit, Group, IndirectVia, NodeId, NodeKind, VliwId, ROOT};
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashMap;
 
 /// Tuning knobs of the dynamic translator.
 #[derive(Debug, Clone)]
@@ -230,7 +254,7 @@ struct StoreRec {
 }
 
 /// One entry of the Pathlist.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Path {
     /// VLIWs along this path, in order.
     vliws: Vec<VliwId>,
@@ -254,9 +278,153 @@ struct Path {
 }
 
 impl Path {
+    /// A path with no buffers yet; [`Path::reset`] or
+    /// [`Path::copy_from`] gives it content.
+    fn empty() -> Path {
+        Path {
+            vliws: Vec::new(),
+            tips: Vec::new(),
+            maps: Vec::new(),
+            avail: [0; NUM_REGS],
+            cont: 0,
+            prob: 1.0,
+            window_used: 0,
+            last_store_pos: NO_STORE,
+            recent_store: None,
+        }
+    }
+
+    /// Makes this the root path of a group entered at `entry`, keeping
+    /// its buffers.
+    fn reset(&mut self, entry: u32) {
+        self.vliws.clear();
+        self.vliws.push(VliwId(0));
+        self.tips.clear();
+        self.tips.push(ROOT);
+        self.maps.clear();
+        self.maps.push(identity_map());
+        self.avail = [0; NUM_REGS];
+        self.cont = entry;
+        self.prob = 1.0;
+        self.window_used = 0;
+        self.last_store_pos = NO_STORE;
+        self.recent_store = None;
+    }
+
+    /// Makes this a copy of `src` (a fork), keeping its buffers.
+    fn copy_from(&mut self, src: &Path) {
+        self.vliws.clone_from(&src.vliws);
+        self.tips.clone_from(&src.tips);
+        self.maps.clone_from(&src.maps);
+        self.avail = src.avail;
+        self.cont = src.cont;
+        self.prob = src.prob;
+        self.window_used = src.window_used;
+        self.last_store_pos = src.last_store_pos;
+        self.recent_store = src.recent_store;
+    }
+
     fn last(&self) -> u32 {
         self.vliws.len() as u32 - 1
     }
+}
+
+/// Join-point state of one word: how often a path scheduled it and
+/// whether any path branches to it. `gen` names the translation that
+/// wrote the slot; a slot from an earlier translation reads as empty.
+#[derive(Debug, Clone, Copy, Default)]
+struct JoinSlot {
+    gen: u32,
+    visits: u32,
+    target: bool,
+}
+
+/// The scheduler's visit counts and branch-target set as one dense
+/// array indexed by word offset from `base`: the entry's translation
+/// page, or address 0 over the whole memory image under
+/// [`TranslatorConfig::whole_program`]. Every translation takes a new
+/// generation number instead of clearing the array. Two addresses in
+/// one word share a slot (only misaligned guest control flow can
+/// produce that). An address outside the array has no slot and is
+/// never a join point: an off-page address stops its path before the
+/// join test, and under `whole_program` only device registers past
+/// the memory image lie outside.
+#[derive(Debug, Default)]
+struct JoinTable {
+    slots: Vec<JoinSlot>,
+    base: u32,
+    words: usize,
+    gen: u32,
+}
+
+impl JoinTable {
+    /// Starts a translation covering `words` words from `base`.
+    fn start(&mut self, base: u32, words: usize) {
+        if self.gen == u32::MAX {
+            // Generation numbers wrapped: forget every stamp once.
+            self.slots.clear();
+            self.gen = 0;
+        }
+        self.gen += 1;
+        if self.slots.len() < words {
+            self.slots.resize(words, JoinSlot::default());
+        }
+        self.base = base;
+        self.words = words;
+    }
+
+    fn index(&self, addr: u32) -> Option<usize> {
+        let i = (addr.wrapping_sub(self.base) / 4) as usize;
+        (i < self.words).then_some(i)
+    }
+
+    /// The slot for `addr` as this translation has written it.
+    fn get(&self, addr: u32) -> JoinSlot {
+        match self.index(addr) {
+            Some(i) if self.slots[i].gen == self.gen => self.slots[i],
+            _ => JoinSlot::default(),
+        }
+    }
+
+    /// The slot for `addr`, claimed for this translation.
+    fn slot_mut(&mut self, addr: u32) -> Option<&mut JoinSlot> {
+        let i = self.index(addr)?;
+        let slot = &mut self.slots[i];
+        if slot.gen != self.gen {
+            *slot = JoinSlot { gen: self.gen, ..JoinSlot::default() };
+        }
+        Some(slot)
+    }
+
+    fn visit(&mut self, addr: u32) {
+        if let Some(slot) = self.slot_mut(addr) {
+            slot.visits += 1;
+        }
+    }
+
+    fn mark_target(&mut self, addr: u32) {
+        if let Some(slot) = self.slot_mut(addr) {
+            slot.target = true;
+        }
+    }
+}
+
+/// The buffers one translation leaves to the next on the same thread.
+/// They carry capacity only: every translation resets them (the join
+/// table by generation), so a group depends on nothing but the
+/// configuration, memory, entry and hints it is built from.
+#[derive(Debug, Default)]
+struct Scratch {
+    vliw_free: Vec<RenameMask>,
+    paths: Vec<Path>,
+    spare: Vec<Path>,
+    suffixes: Vec<RenameMask>,
+    joins: JoinTable,
+    ops: Vec<Operation>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
 }
 
 /// Where a conditional branch's taken side goes.
@@ -277,8 +445,13 @@ struct Scheduler<'a> {
     /// at a shared VLIW must be visible to every path through it).
     vliw_free: Vec<RenameMask>,
     paths: Vec<Path>,
-    visits: HashMap<u32, u32>,
-    branch_targets: HashSet<u32>,
+    /// Closed paths whose buffers the next fork reuses.
+    spare: Vec<Path>,
+    /// [`Scheduler::free_suffixes`]'s output buffer.
+    suffixes: Vec<RenameMask>,
+    joins: JoinTable,
+    /// The primitives of the instruction being scheduled.
+    ops: Vec<Operation>,
     cost: XlateCost,
 }
 
@@ -301,25 +474,30 @@ pub fn translate_group_with_hints<I: Isa>(
     entry: u32,
     hints: &Hints,
 ) -> (Group, XlateCost) {
+    let Scratch { mut vliw_free, mut paths, mut spare, suffixes, mut joins, ops } =
+        SCRATCH.with(Cell::take);
+    vliw_free.clear();
+    vliw_free.push(RenameMask::ALL_FREE);
+    let mut root = spare.pop().unwrap_or_else(Path::empty);
+    root.reset(entry);
+    paths.clear();
+    paths.push(root);
+    if cfg.whole_program {
+        joins.start(0, mem.size().div_ceil(4) as usize);
+    } else {
+        joins.start(entry - entry % cfg.page_size, cfg.page_size.div_ceil(4) as usize);
+    }
     let mut s = Scheduler {
         cfg,
         hints,
         mem,
         group: Group::new(entry),
-        vliw_free: vec![RenameMask::ALL_FREE],
-        paths: vec![Path {
-            vliws: vec![VliwId(0)],
-            tips: vec![ROOT],
-            maps: vec![identity_map()],
-            avail: [0; NUM_REGS],
-            cont: entry,
-            prob: 1.0,
-            window_used: 0,
-            last_store_pos: NO_STORE,
-            recent_store: None,
-        }],
-        visits: HashMap::new(),
-        branch_targets: HashSet::new(),
+        vliw_free,
+        paths,
+        spare,
+        suffixes,
+        joins,
+        ops,
         cost: XlateCost { paths: 1, ..XlateCost::default() },
     };
     while let Some(idx) = s.most_probable() {
@@ -329,7 +507,9 @@ pub fn translate_group_with_hints<I: Isa>(
         s.reroll_loops();
     }
     s.group.base_instrs = s.cost.instrs_scheduled as u32;
-    (s.group, s.cost)
+    let Scheduler { group, cost, vliw_free, paths, spare, suffixes, joins, ops, .. } = s;
+    SCRATCH.with(|c| c.set(Scratch { vliw_free, paths, spare, suffixes, joins, ops }));
+    (group, cost)
 }
 
 // invariant: every live `Path` keeps `vliws`, `tips`, and `maps`
@@ -363,12 +543,8 @@ impl Scheduler<'_> {
         if self.group.len() as u32 >= self.cfg.max_vliws_per_group {
             return true;
         }
-        if self.branch_targets.contains(&cont)
-            && self.visits.get(&cont).copied().unwrap_or(0) >= self.cfg.max_join_visits
-        {
-            return true;
-        }
-        false
+        let join = self.joins.get(cont);
+        join.target && join.visits >= self.cfg.max_join_visits
     }
 
     /// Closes a path by sealing its tip with `exit`.
@@ -376,7 +552,8 @@ impl Scheduler<'_> {
         let p = &self.paths[idx];
         let (v, t) = (*p.vliws.last().expect("paths have a VLIW"), *p.tips.last().unwrap());
         self.group.vliw_mut(v).seal(t, exit);
-        self.paths.swap_remove(idx);
+        let closed = self.paths.swap_remove(idx);
+        self.spare.push(closed);
     }
 
     /// Opens a new VLIW at the end of a path (paper `OpenNewVLIW`). The
@@ -530,25 +707,26 @@ impl Scheduler<'_> {
         m
     }
 
-    /// Suffix-AND table of `free_until_end` for positions `from..=last`
-    /// — one linear pass instead of one per candidate position (the
-    /// paper's Fig. A.4 does the same backward pass).
-    fn free_suffixes(&self, idx: usize, from: u32) -> Vec<RenameMask> {
+    /// Fills `self.suffixes` with the suffix-AND table of
+    /// `free_until_end` for positions `from..=last` — one linear pass
+    /// instead of one per candidate position (the paper's Fig. A.4
+    /// does the same backward pass).
+    fn free_suffixes(&mut self, idx: usize, from: u32) {
         let vliws = &self.paths[idx].vliws[from as usize..];
-        let mut out = vec![RenameMask::ALL_FREE; vliws.len()];
+        self.suffixes.clear();
+        self.suffixes.resize(vliws.len(), RenameMask::ALL_FREE);
         let mut m = RenameMask::ALL_FREE;
-        for (i, v) in vliws.iter().enumerate().rev() {
+        for (out, v) in self.suffixes.iter_mut().zip(vliws).rev() {
             m = m.and(self.vliw_free[v.0 as usize]);
-            out[i] = m;
+            *out = m;
         }
-        out
     }
 
     /// Marks `r` allocated from `pos` to the end of the path.
     fn reserve(&mut self, idx: usize, pos: u32, r: Reg) {
-        let ids: Vec<VliwId> = self.paths[idx].vliws[pos as usize..].to_vec();
-        for v in ids {
-            self.vliw_free[v.0 as usize] = self.vliw_free[v.0 as usize].without(r);
+        for v in &self.paths[idx].vliws[pos as usize..] {
+            let free = &mut self.vliw_free[v.0 as usize];
+            *free = free.without(r);
         }
     }
 
@@ -608,12 +786,12 @@ impl Scheduler<'_> {
 
         if !in_order_only && op.dest.is_some() {
             let needed = 1 + u32::from(op.dest2.is_some());
-            let suffixes = self.free_suffixes(idx, v);
+            self.free_suffixes(idx, v);
             let base = v;
             while v < self.paths[idx].last() {
                 let vid = self.paths[idx].vliws[v as usize];
                 if self.group.vliw(vid).has_room(&self.cfg.machine, &op)
-                    && suffixes[(v - base) as usize].count() >= needed
+                    && self.suffixes[(v - base) as usize].count() >= needed
                 {
                     break;
                 }
@@ -758,12 +936,12 @@ impl Scheduler<'_> {
         }
         loop {
             let last = self.paths[idx].last();
-            let suffixes = self.free_suffixes(idx, v);
+            self.free_suffixes(idx, v);
             let base = v;
             while v <= last {
                 let vid = self.paths[idx].vliws[v as usize];
                 if self.group.vliw(vid).has_room(&self.cfg.machine, &op)
-                    && suffixes[(v - base) as usize].count() >= 1
+                    && self.suffixes[(v - base) as usize].count() >= 1
                 {
                     break;
                 }
@@ -841,12 +1019,13 @@ impl Scheduler<'_> {
                 p.cont = addr.wrapping_add(4);
             }
             TakenKind::Direct(target) => {
-                self.branch_targets.insert(target);
+                self.joins.mark_target(target);
                 let pt = self.cfg.taken_prob(self.hints, addr, target);
                 let spawn = (self.paths.len() as u32) < self.cfg.max_paths
                     && !self.is_stopping(self.paths[idx].window_used, target);
                 if spawn {
-                    let mut p2 = self.paths[idx].clone();
+                    let mut p2 = self.spare.pop().unwrap_or_else(Path::empty);
+                    p2.copy_from(&self.paths[idx]);
                     *p2.tips.last_mut().unwrap() = taken_node;
                     p2.cont = target;
                     p2.prob = self.paths[idx].prob * pt;
@@ -901,10 +1080,10 @@ impl Scheduler<'_> {
                 let p = &self.paths[idx];
                 let map = &p.maps[p.last() as usize];
                 p.recent_store.as_ref().and_then(|rec| {
-                    let mapped: Vec<Reg> = op.srcs().iter().map(|s| map[s.index()]).collect();
-                    let rec_srcs: Vec<Reg> = rec.addr_srcs.iter().flatten().copied().collect();
-                    (rec.width == width && rec.imm == op.imm && mapped == rec_srcs)
-                        .then_some(rec.value)
+                    let rec_srcs = rec.addr_srcs.iter().flatten();
+                    let same_addr = op.srcs().len() == rec_srcs.clone().count()
+                        && op.srcs().iter().zip(rec_srcs).all(|(s, r)| map[s.index()] == *r);
+                    (rec.width == width && rec.imm == op.imm && same_addr).then_some(rec.value)
                 })
             };
             if let Some(value) = forward {
@@ -943,20 +1122,29 @@ impl Scheduler<'_> {
             self.close(idx, Exit::Interp { addr });
             return;
         };
-        *self.visits.entry(addr).or_insert(0) += 1;
+        self.joins.visit(addr);
         self.paths[idx].window_used += 1;
         self.cost.instrs_scheduled += 1;
 
         // A word the frontend cannot decode ends the path at the
         // interpreter, exactly like an instruction it converts to
         // `Flow::Interp`.
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.clear();
         let conv = match I::decode(word) {
-            Ok(insn) => I::convert(&insn, addr),
+            Ok(insn) => I::convert(&insn, addr, &mut ops),
             Err(_) => Converted::interp(),
         };
+        self.schedule_insn(idx, addr, conv, &ops);
+        self.ops = ops;
+    }
+
+    /// Schedules one converted instruction's primitives `ops` and its
+    /// control transfer.
+    fn schedule_insn(&mut self, idx: usize, addr: u32, conv: Converted, ops: &[Operation]) {
         match conv.flow {
             Flow::Fall => {
-                for op in conv.ops {
+                for &op in ops {
                     self.schedule_converted(idx, op);
                 }
                 self.paths[idx].cont = addr.wrapping_add(4);
@@ -965,7 +1153,7 @@ impl Scheduler<'_> {
                 // Frontends may attach ops to a jump (e.g. RV32 `jal`
                 // writes its link register as an explicit op); schedule
                 // them before the control transfer.
-                for op in conv.ops {
+                for &op in ops {
                     self.schedule_converted(idx, op);
                 }
                 if conv.links {
@@ -976,14 +1164,14 @@ impl Scheduler<'_> {
                 {
                     // On-page direct jump: continue scheduling at the
                     // target (join-visit caps bound loop unrolling).
-                    self.branch_targets.insert(target);
+                    self.joins.mark_target(target);
                     self.paths[idx].cont = target;
                 } else {
                     self.close(idx, Exit::Branch { target });
                 }
             }
             Flow::CondJump { cond, target, cond_compare } => {
-                let temp = self.schedule_flow_ops(idx, conv.ops, cond_compare);
+                let temp = self.schedule_flow_ops(idx, ops, cond_compare);
                 if conv.links {
                     self.schedule_link(idx, addr);
                 }
@@ -993,7 +1181,7 @@ impl Scheduler<'_> {
                 // Ops run first: e.g. RV32 `jalr` computes the target
                 // into LR and writes the link register as ops, then the
                 // indirect source below reads the renamed LR.
-                for op in conv.ops {
+                for &op in ops {
                     self.schedule_converted(idx, op);
                 }
                 let src = self.indirect_src(idx, via, conv.links, addr);
@@ -1012,7 +1200,7 @@ impl Scheduler<'_> {
                             .src(Reg::SO)
                             .with_imm(t as i32);
                         let tmp = self.schedule_temp(idx, cmp);
-                        self.branch_targets.insert(t);
+                        self.joins.mark_target(t);
                         // Taken = "not equal" → the true indirect exit;
                         // fall-through = the specialized direct path.
                         let cond = CondSpec { field: tmp, mask: 0b0010, want_set: false };
@@ -1031,7 +1219,7 @@ impl Scheduler<'_> {
                 self.close(idx, Exit::Indirect { src, via });
             }
             Flow::CondIndirect { cond, via, cond_compare } => {
-                let temp = self.schedule_flow_ops(idx, conv.ops, cond_compare);
+                let temp = self.schedule_flow_ops(idx, ops, cond_compare);
                 let src = self.indirect_src(idx, via, conv.links, addr);
                 self.schedule_cond_branch(
                     idx,
@@ -1055,12 +1243,12 @@ impl Scheduler<'_> {
     fn schedule_flow_ops(
         &mut self,
         idx: usize,
-        ops: Vec<Operation>,
+        ops: &[Operation],
         cond_compare: bool,
     ) -> Option<Reg> {
         let n = ops.len();
         let mut temp = None;
-        for (i, mut op) in ops.into_iter().enumerate() {
+        for (i, mut op) in ops.iter().copied().enumerate() {
             if cond_compare && i == n - 1 {
                 op.dest = None; // placeholder condition dest never materializes
                 temp = Some(self.schedule_temp(idx, op));
@@ -1262,6 +1450,104 @@ mod tests {
             .flat_map(|n| n.ops.iter())
             .any(|o| o.speculative);
         assert!(!spec);
+    }
+
+    /// Translates the program `a` assembled under `cfg`, from its entry.
+    fn translate_with(cfg: &TranslatorConfig, a: Asm) -> (Group, XlateCost) {
+        let prog = a.finish().unwrap();
+        let mut mem = Memory::new(0x20000);
+        prog.load_into(&mut mem).unwrap();
+        translate_group::<daisy_ppc::PpcIsa>(cfg, &mem, prog.entry)
+    }
+
+    /// Every direct-branch exit target of the group.
+    fn branch_exits(g: &Group) -> Vec<u32> {
+        g.vliws
+            .iter()
+            .flat_map(|v| v.nodes().iter())
+            .filter_map(|n| match n.kind {
+                NodeKind::Exit(Exit::Branch { target }) => Some(target),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn join_target_on_the_last_word_of_a_page_is_counted() {
+        // The 256-byte page at 0x1000 ends with the word at 0x10FC: a
+        // one-instruction loop there is a join point whose visits must
+        // land in the table's last slot.
+        let cfg = TranslatorConfig { page_size: 256, ..TranslatorConfig::default() };
+        let mut a = Asm::new(0x10F4);
+        a.li(Gpr(3), 10);
+        a.mtctr(Gpr(3));
+        a.label("last");
+        assert_eq!(a.here(), 0x10FC);
+        a.bdnz("last");
+        a.sc(); // 0x1100: the next page
+        let (g, cost) = translate_with(&cfg, a);
+        // li and mtctr once, then the loop word until its join budget
+        // is spent; the last trip's taken side leaves the group.
+        assert_eq!(cost.instrs_scheduled, 2 + u64::from(cfg.max_join_visits));
+        assert!(branch_exits(&g).contains(&0x10FC), "join cap must seal the back edge");
+    }
+
+    #[test]
+    fn off_page_branch_target_never_takes_a_join_slot() {
+        // With no join budget, any marked on-page word stops the path
+        // that reaches it. The taken target 0x1108 lies on the next
+        // 256-byte page at the same word offset as 0x1008 on this one;
+        // marking it must leave 0x1008 schedulable.
+        let cfg =
+            TranslatorConfig { page_size: 256, max_join_visits: 0, ..TranslatorConfig::default() };
+        let mut a = Asm::new(0x1000);
+        a.beq(CrField(0), "off");
+        a.nop();
+        a.nop(); // 0x1008
+        a.sc();
+        while a.here() < 0x1108 {
+            a.nop();
+        }
+        a.label("off");
+        a.sc();
+        let (g, cost) = translate_with(&cfg, a);
+        assert!(branch_exits(&g).contains(&0x1108), "the off-page side leaves the group");
+        assert_eq!(cost.instrs_scheduled, 4, "beq, both nops and the sc are scheduled");
+    }
+
+    #[test]
+    fn whole_program_loop_joins_across_pages() {
+        // Entered on the 256-byte page at 0x1000, a jump reaches a
+        // counted loop whose header is the last word of the next page
+        // and whose back edge is on the page after that. Whole-program
+        // scope follows it across both boundaries, and the header's
+        // join budget still bounds the unrolling.
+        let program = || {
+            let mut a = Asm::new(0x10FC);
+            a.b("loop");
+            while a.here() < 0x11FC {
+                a.nop();
+            }
+            a.label("loop");
+            a.addi(Gpr(4), Gpr(4), 1);
+            a.addi(Gpr(5), Gpr(5), 1); // 0x1200
+            a.bdnz("loop");
+            a.sc();
+            a
+        };
+        let cfg =
+            TranslatorConfig { page_size: 256, whole_program: true, ..TranslatorConfig::default() };
+        let k = u64::from(cfg.max_join_visits);
+        let (g, cost) = translate_with(&cfg, program());
+        // The jump once; k trips of three words; each trip's
+        // fall-through path schedules the sc.
+        assert_eq!(cost.instrs_scheduled, 1 + 3 * k + k);
+        assert!(branch_exits(&g).contains(&0x11FC), "join cap must seal the back edge");
+        // At page scope the jump already leaves the group.
+        let paged = TranslatorConfig { whole_program: false, ..cfg };
+        let (g, cost) = translate_with(&paged, program());
+        assert_eq!(cost.instrs_scheduled, 1);
+        assert_eq!(branch_exits(&g), vec![0x11FC]);
     }
 
     #[test]

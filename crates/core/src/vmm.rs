@@ -22,6 +22,7 @@ use crate::trace::{FlightRecorder, Tier, TraceEvent};
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::Memory;
 use daisy_isa::{DecodeCache, Event, GuestCpu, Isa, IsaId, PAGE_SIZE};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -240,42 +241,38 @@ impl<I: Isa> Vmm<I> {
             return Rc::clone(g);
         }
         // Pick the tier: hot entries (promoted by the dispatcher) rebuild
-        // under the wider TierPolicy configuration; everything else uses
-        // the base config. Conservative (no-load-speculation) mode from
-        // repeated aliasing composes with either tier.
-        let hot_cfg = self
-            .tier_policy
-            .as_ref()
-            .filter(|_| self.hot_entries.contains(&addr))
-            .map(|policy| policy.hot_config(&self.cfg));
-        let tier = if hot_cfg.is_some() { Tier::Hot } else { Tier::Cold };
-        let mut cfg = hot_cfg.unwrap_or_else(|| self.cfg.clone());
+        // under the wider TierPolicy configuration; everything else
+        // borrows the base config. Conservative (no-load-speculation)
+        // mode from repeated aliasing composes with either tier.
+        let (mut cfg, mut tier) = (Cow::Borrowed(&self.cfg), Tier::Cold);
+        if let Some(policy) = self.tier_policy.as_ref().filter(|_| self.hot_entries.contains(&addr))
+        {
+            cfg = Cow::Owned(policy.hot_config(&self.cfg));
+            tier = Tier::Hot;
+        }
         if self.no_spec_entries.contains(&addr) {
             // This entry aliased too often: rebuild it conservatively.
-            cfg.speculate_loads = false;
+            cfg.to_mut().speculate_loads = false;
         }
-        let hints = match cpu {
-            Some(cpu) if cfg.interpretive => {
-                let (hints, exhausted) = gather_hints::<I>(&cfg, mem, cpu, addr);
-                if exhausted {
-                    // The interpret-ahead window ran dry before a group
-                    // boundary: the translation built below is sound
-                    // but its hints are truncated. Surface it as a
-                    // typed degradation instead of silently shipping a
-                    // lower-quality translation.
-                    self.record_degradation(Degradation {
-                        entry: addr,
-                        from: Rung::Packed,
-                        to: Rung::Packed,
-                        cause: DegradeCause::HintBudget,
-                    });
-                    self.stats.hint_budget_exhausted += 1;
-                }
-                hints
-            }
-            _ => Hints::default(),
+        let conservative = !cfg.speculate_loads;
+        let (hints, exhausted) = match cpu {
+            Some(cpu) if cfg.interpretive => gather_hints::<I>(&cfg, mem, cpu, addr),
+            _ => (Hints::default(), false),
         };
         let (group, cost) = translate_group_with_hints::<I>(&cfg, mem, addr, &hints);
+        if exhausted {
+            // The interpret-ahead window ran dry before a group
+            // boundary: the translation is sound but its hints are
+            // truncated. Surface it as a typed degradation instead of
+            // silently shipping a lower-quality translation.
+            self.record_degradation(Degradation {
+                entry: addr,
+                from: Rung::Packed,
+                to: Rung::Packed,
+                cause: DegradeCause::HintBudget,
+            });
+            self.stats.hint_budget_exhausted += 1;
+        }
         self.cost.add(&cost);
         self.stats.groups_translated += 1;
         // Lay the group's tree instructions out contiguously in the
@@ -313,7 +310,6 @@ impl<I: Isa> Vmm<I> {
             self.stats.pages_translated += 1;
         }
         let nvliws = group.len() as u32;
-        let conservative = !cfg.speculate_loads;
         let rc = Rc::new(GroupCode::new(group, vliw_addrs).with_tier(tier));
         table.insert(slot, Rc::clone(&rc));
         self.tracer.emit(|| TraceEvent::Translate {

@@ -10,7 +10,6 @@
 //! The produced primitives name *architected* resources; renaming into
 //! the non-architected pool is the scheduler's job.
 
-use daisy_vliw::op::Operation;
 use daisy_vliw::reg::Reg;
 use daisy_vliw::tree::IndirectVia;
 
@@ -72,11 +71,11 @@ pub enum Flow {
     Interp,
 }
 
-/// A converted instruction: its RISC primitives plus control behaviour.
+/// A converted instruction's control behaviour. Its RISC primitives
+/// (architected operands, execution order) go into the buffer the
+/// caller hands to `Isa::convert`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Converted {
-    /// Primitives in execution order (architected operands).
-    pub ops: Vec<Operation>,
     /// Control flow after the ops.
     pub flow: Flow,
     /// True when the instruction writes the guest's link register (the
@@ -86,14 +85,14 @@ pub struct Converted {
 }
 
 impl Converted {
-    /// Straight-line conversion: `ops` then fall through.
-    pub fn fall(ops: Vec<Operation>) -> Converted {
-        Converted { ops, flow: Flow::Fall, links: false }
+    /// Straight-line conversion: the ops, then fall through.
+    pub fn fall() -> Converted {
+        Converted { flow: Flow::Fall, links: false }
     }
 
     /// Route the instruction to the VMM's interpreter.
     pub fn interp() -> Converted {
-        Converted { ops: Vec::new(), flow: Flow::Interp, links: false }
+        Converted { flow: Flow::Interp, links: false }
     }
 }
 

@@ -52,6 +52,7 @@ pub use event::{Event, Exception, StopReason};
 pub use program::Program;
 pub use workload::Workload;
 
+use daisy_vliw::op::Operation;
 use daisy_vliw::regfile::RegFile;
 
 /// Base-architecture page size. The VMM translates code in page-sized
@@ -88,6 +89,7 @@ impl IsaId {
 /// ```
 /// use daisy_isa::convert::{BranchInfo, Converted, Flow};
 /// use daisy_isa::{Isa, IsaId};
+/// use daisy_vliw::op::Operation;
 ///
 /// #[derive(Debug, Clone, Copy)]
 /// enum ToyInsn {
@@ -112,8 +114,8 @@ impl IsaId {
 ///         }
 ///     }
 ///
-///     fn convert(_insn: &ToyInsn, _addr: u32) -> Converted {
-///         Converted { ops: Vec::new(), flow: Flow::Interp, links: false }
+///     fn convert(_insn: &ToyInsn, _addr: u32, _ops: &mut Vec<Operation>) -> Converted {
+///         Converted { flow: Flow::Interp, links: false }
 ///     }
 ///
 ///     fn branch_info(_insn: &ToyInsn, _pc: u32) -> Option<BranchInfo> {
@@ -142,7 +144,7 @@ impl IsaId {
 /// }
 ///
 /// assert!(ToyIsa::decode(0).is_ok());
-/// assert_eq!(ToyIsa::convert(&ToyInsn::Halt, 0x1000).flow, Flow::Interp);
+/// assert_eq!(ToyIsa::convert(&ToyInsn::Halt, 0x1000, &mut Vec::new()).flow, Flow::Interp);
 /// # use daisy_isa::{Event, Exception, GuestCpu, StopReason, DecodeCache};
 /// # use daisy_isa::mem::Memory;
 /// # use daisy_vliw::regfile::RegFile;
@@ -198,9 +200,12 @@ pub trait Isa {
     fn decode(word: u32) -> Result<Self::Insn, Self::DecodeError>;
 
     /// Converts the instruction at `addr` into VLIW RISC primitives
-    /// plus its control behaviour (paper §2: "converted into RISC
-    /// primitives (if a CISCy operation)").
-    fn convert(insn: &Self::Insn, addr: u32) -> convert::Converted;
+    /// (paper §2: "converted into RISC primitives (if a CISCy
+    /// operation)"), appended to `ops`, and returns its control
+    /// behaviour. An instruction routed to the interpreter appends
+    /// nothing. Callers reuse one buffer, so conversion does not
+    /// allocate once it has grown.
+    fn convert(insn: &Self::Insn, addr: u32, ops: &mut Vec<Operation>) -> convert::Converted;
 
     /// Static control-flow description if `insn` is a branch, with
     /// direct targets resolved against the branch's own address `pc`.

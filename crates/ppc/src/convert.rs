@@ -42,12 +42,14 @@ fn push_record(ops: &mut Vec<Operation>, result: Reg, addr: u32) {
     );
 }
 
-/// Converts the instruction at `addr` into RISC primitives.
+/// Converts the instruction at `addr` into RISC primitives, appended
+/// to `ops`, and returns its control behaviour. An instruction routed
+/// to the interpreter appends nothing.
 ///
 /// OE-form arithmetic (overflow-enable) is routed to the interpreter:
 /// the workloads never use it, and modelling OV/SO updates as extra
 /// primitives would only add parcels the paper's numbers do not contain.
-pub fn convert(insn: &Insn, addr: u32) -> Converted {
+pub fn convert(insn: &Insn, addr: u32, ops: &mut Vec<Operation>) -> Converted {
     let op0 = |k: OpKind| Operation::new(k, addr);
     match *insn {
         Insn::Addi { rt, ra, si } => {
@@ -55,7 +57,8 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 Some(b) => op0(OpKind::AddImm).dst(g(rt)).src(b).with_imm(i32::from(si)),
                 None => op0(OpKind::Li).dst(g(rt)).with_imm(i32::from(si)),
             };
-            Converted::fall(vec![op])
+            ops.push(op);
+            Converted::fall()
         }
         Insn::Addis { rt, ra, si } => {
             let v = i32::from(si) << 16;
@@ -63,26 +66,27 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 Some(b) => op0(OpKind::AddImm).dst(g(rt)).src(b).with_imm(v),
                 None => op0(OpKind::Li).dst(g(rt)).with_imm(v),
             };
-            Converted::fall(vec![op])
+            ops.push(op);
+            Converted::fall()
         }
         Insn::Addic { rt, ra, si, rc } => {
-            let mut ops = vec![op0(OpKind::AddImmC)
-                .dst(g(rt))
-                .dst2(Reg::CA)
-                .src(g(ra))
-                .with_imm(i32::from(si))];
+            ops.push(
+                op0(OpKind::AddImmC).dst(g(rt)).dst2(Reg::CA).src(g(ra)).with_imm(i32::from(si)),
+            );
             if rc {
-                push_record(&mut ops, g(rt), addr);
+                push_record(ops, g(rt), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
-        Insn::Subfic { rt, ra, si } => Converted::fall(vec![op0(OpKind::SubfImmC)
-            .dst(g(rt))
-            .dst2(Reg::CA)
-            .src(g(ra))
-            .with_imm(i32::from(si))]),
+        Insn::Subfic { rt, ra, si } => {
+            ops.push(
+                op0(OpKind::SubfImmC).dst(g(rt)).dst2(Reg::CA).src(g(ra)).with_imm(i32::from(si)),
+            );
+            Converted::fall()
+        }
         Insn::Mulli { rt, ra, si } => {
-            Converted::fall(vec![op0(OpKind::MulImm).dst(g(rt)).src(g(ra)).with_imm(i32::from(si))])
+            ops.push(op0(OpKind::MulImm).dst(g(rt)).src(g(ra)).with_imm(i32::from(si)));
+            Converted::fall()
         }
         Insn::Arith { op, rt, ra, rb, oe, rc } => {
             if oe {
@@ -108,35 +112,35 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
             if carry {
                 o = o.dst2(Reg::CA);
             }
-            let mut ops = vec![o];
+            ops.push(o);
             if rc {
-                push_record(&mut ops, g(rt), addr);
+                push_record(ops, g(rt), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Arith2 { op, rt, ra, oe, rc } => {
             if oe {
                 return Converted::interp();
             }
-            let mut ops = match op {
-                Arith2Op::Neg => vec![op0(OpKind::Neg).dst(g(rt)).src(g(ra))],
+            ops.push(match op {
+                Arith2Op::Neg => op0(OpKind::Neg).dst(g(rt)).src(g(ra)),
                 Arith2Op::Addze => {
-                    vec![op0(OpKind::AddZe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)]
+                    op0(OpKind::AddZe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)
                 }
                 Arith2Op::Addme => {
-                    vec![op0(OpKind::AddMe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)]
+                    op0(OpKind::AddMe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)
                 }
                 Arith2Op::Subfze => {
-                    vec![op0(OpKind::SubfZe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)]
+                    op0(OpKind::SubfZe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)
                 }
                 Arith2Op::Subfme => {
-                    vec![op0(OpKind::SubfMe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)]
+                    op0(OpKind::SubfMe).dst(g(rt)).dst2(Reg::CA).src(g(ra)).src(Reg::CA)
                 }
-            };
+            });
             if rc {
-                push_record(&mut ops, g(rt), addr);
+                push_record(ops, g(rt), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Logic { op, ra, rs, rb, rc } => {
             let kind = match op {
@@ -149,11 +153,11 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 LogicOp::Orc => OpKind::Orc,
                 LogicOp::Eqv => OpKind::Eqv,
             };
-            let mut ops = vec![op0(kind).dst(g(ra)).src(g(rs)).src(g(rb))];
+            ops.push(op0(kind).dst(g(ra)).src(g(rs)).src(g(rb)));
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::LogicImm { op, ra, rs, ui } => {
             let (kind, imm2) = match op {
@@ -164,11 +168,11 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 LogicImmOp::Xori => (OpKind::XorImm, u32::from(ui)),
                 LogicImmOp::Xoris => (OpKind::XorImm, u32::from(ui) << 16),
             };
-            let mut ops = vec![op0(kind).dst(g(ra)).src(g(rs)).with_imm2(imm2)];
+            ops.push(op0(kind).dst(g(ra)).src(g(rs)).with_imm2(imm2));
             if op.records() {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Shift { op, ra, rs, rb, rc } => {
             let mut o = match op {
@@ -179,56 +183,60 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
             if matches!(op, ShiftOp::Sraw) {
                 o = o.dst2(Reg::CA);
             }
-            let mut ops = vec![o];
+            ops.push(o);
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Srawi { ra, rs, sh, rc } => {
-            let mut ops = vec![op0(OpKind::SraImm)
-                .dst(g(ra))
-                .dst2(Reg::CA)
-                .src(g(rs))
-                .with_imm(i32::from(sh))];
+            ops.push(
+                op0(OpKind::SraImm).dst(g(ra)).dst2(Reg::CA).src(g(rs)).with_imm(i32::from(sh)),
+            );
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Rlwinm { ra, rs, sh, mb, me, rc } => {
-            let mut ops = vec![op0(OpKind::RotlImmMask)
-                .dst(g(ra))
-                .src(g(rs))
-                .with_imm(i32::from(sh))
-                .with_imm2(daisy_vliw::op::rlw_mask(mb, me))];
+            ops.push(
+                op0(OpKind::RotlImmMask)
+                    .dst(g(ra))
+                    .src(g(rs))
+                    .with_imm(i32::from(sh))
+                    .with_imm2(daisy_vliw::op::rlw_mask(mb, me)),
+            );
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Rlwimi { ra, rs, sh, mb, me, rc } => {
-            let mut ops = vec![op0(OpKind::RotlImmInsert)
-                .dst(g(ra))
-                .src(g(rs))
-                .src(g(ra))
-                .with_imm(i32::from(sh))
-                .with_imm2(daisy_vliw::op::rlw_mask(mb, me))];
+            ops.push(
+                op0(OpKind::RotlImmInsert)
+                    .dst(g(ra))
+                    .src(g(rs))
+                    .src(g(ra))
+                    .with_imm(i32::from(sh))
+                    .with_imm2(daisy_vliw::op::rlw_mask(mb, me)),
+            );
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Rlwnm { ra, rs, rb, mb, me, rc } => {
-            let mut ops = vec![op0(OpKind::RotlRegMask)
-                .dst(g(ra))
-                .src(g(rs))
-                .src(g(rb))
-                .with_imm2(daisy_vliw::op::rlw_mask(mb, me))];
+            ops.push(
+                op0(OpKind::RotlRegMask)
+                    .dst(g(ra))
+                    .src(g(rs))
+                    .src(g(rb))
+                    .with_imm2(daisy_vliw::op::rlw_mask(mb, me)),
+            );
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Unary { op, ra, rs, rc } => {
             let kind = match op {
@@ -236,19 +244,21 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 UnaryOp::Extsb => OpKind::Extsb,
                 UnaryOp::Extsh => OpKind::Exts,
             };
-            let mut ops = vec![op0(kind).dst(g(ra)).src(g(rs))];
+            ops.push(op0(kind).dst(g(ra)).src(g(rs)));
             if rc {
-                push_record(&mut ops, g(ra), addr);
+                push_record(ops, g(ra), addr);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Cmp { bf, signed, ra, rb } => {
             let kind = if signed { OpKind::CmpS } else { OpKind::CmpU };
-            Converted::fall(vec![op0(kind).dst(Reg::cr(bf)).src(g(ra)).src(g(rb)).src(Reg::SO)])
+            ops.push(op0(kind).dst(Reg::cr(bf)).src(g(ra)).src(g(rb)).src(Reg::SO));
+            Converted::fall()
         }
         Insn::CmpImm { bf, signed, ra, imm } => {
             let kind = if signed { OpKind::CmpSImm } else { OpKind::CmpUImm };
-            Converted::fall(vec![op0(kind).dst(Reg::cr(bf)).src(g(ra)).src(Reg::SO).with_imm(imm)])
+            ops.push(op0(kind).dst(Reg::cr(bf)).src(g(ra)).src(Reg::SO).with_imm(imm));
+            Converted::fall()
         }
         Insn::Load { width, algebraic, update, indexed, rt, ra, rb, d } => {
             let mut l = op0(OpKind::Load { width, algebraic }).dst(g(rt));
@@ -260,7 +270,7 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
             } else {
                 l = l.with_imm(i32::from(d));
             }
-            let mut ops = vec![l];
+            ops.push(l);
             if update {
                 // EA write-back; faults on the load leave ra untouched
                 // because commits are in program order.
@@ -271,7 +281,7 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 };
                 ops.push(upd);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Store { width, update, indexed, rs, ra, rb, d } => {
             // Store sources: value, then address registers (a missing
@@ -285,7 +295,7 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
             } else {
                 s = s.with_imm(i32::from(d));
             }
-            let mut ops = vec![s];
+            ops.push(s);
             if update {
                 let upd = if indexed {
                     op0(OpKind::Add).dst(g(ra)).src(g(ra)).src(g(rb))
@@ -294,11 +304,10 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 };
                 ops.push(upd);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Lmw { rt, ra, d } => {
             // CISC decomposition: one load primitive per register.
-            let mut ops = Vec::new();
             for (i, r) in (rt.0..32).enumerate() {
                 let mut l = op0(OpKind::Load { width: MemWidth::Word, algebraic: false })
                     .dst(Reg(r))
@@ -308,10 +317,9 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 }
                 ops.push(l);
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Stmw { rs, ra, d } => {
-            let mut ops = Vec::new();
             for (i, r) in (rs.0..32).enumerate() {
                 let mut s = op0(OpKind::Store { width: MemWidth::Word }).src(Reg(r));
                 if let Some(b) = base_or_zero(ra) {
@@ -319,48 +327,49 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 }
                 ops.push(s.with_imm(i32::from(d) + 4 * i as i32));
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::BranchI { lk, .. } => {
             // invariant: `branch_info` is total over branch opcodes, and
             // an I-form branch is by definition direct.
             let Some(info) = insn.branch_info(addr) else { unreachable!() };
             let BranchKind::Direct(target) = info.kind else { unreachable!() };
-            Converted { ops: Vec::new(), flow: Flow::Jump { target }, links: lk }
+            Converted { flow: Flow::Jump { target }, links: lk }
         }
         Insn::BranchC { bo: b, bi, bd: _, lk, .. } => {
             // invariant: B-form conditional branches always decode to a
             // direct target.
             let Some(info) = insn.branch_info(addr) else { unreachable!() };
             let BranchKind::Direct(target) = info.kind else { unreachable!() };
-            convert_cond_branch(addr, b, bi, lk, BranchDest::Direct(target))
+            convert_cond_branch(addr, b, bi, lk, BranchDest::Direct(target), ops)
         }
         Insn::BranchClr { bo: b, bi, lk } => {
-            convert_cond_branch(addr, b, bi, lk, BranchDest::Via(IndirectVia::Lr))
+            convert_cond_branch(addr, b, bi, lk, BranchDest::Via(IndirectVia::Lr), ops)
         }
         Insn::BranchCctr { bo: b, bi, lk } => {
             if !bo::ignores_ctr(b) {
                 // bcctr with CTR decrement is an invalid form.
                 return Converted::interp();
             }
-            convert_cond_branch(addr, b | 0b00100, bi, lk, BranchDest::Via(IndirectVia::Ctr))
+            convert_cond_branch(addr, b | 0b00100, bi, lk, BranchDest::Via(IndirectVia::Ctr), ops)
         }
-        Insn::CrLogic { op, bt, ba, bb } => Converted::fall(vec![op0(OpKind::CrBit {
-            op,
-            bt: bt.within(),
-            ba: ba.within(),
-            bb: bb.within(),
-        })
-        .dst(Reg::cr(bt.field()))
-        .src(Reg::cr(ba.field()))
-        .src(Reg::cr(bb.field()))
-        .src(Reg::cr(bt.field()))]),
+        Insn::CrLogic { op, bt, ba, bb } => {
+            ops.push(
+                op0(OpKind::CrBit { op, bt: bt.within(), ba: ba.within(), bb: bb.within() })
+                    .dst(Reg::cr(bt.field()))
+                    .src(Reg::cr(ba.field()))
+                    .src(Reg::cr(bb.field()))
+                    .src(Reg::cr(bt.field())),
+            );
+            Converted::fall()
+        }
         Insn::Mcrf { bf, bfa } => {
-            Converted::fall(vec![op0(OpKind::Copy).dst(Reg::cr(bf)).src(Reg::cr(bfa))])
+            ops.push(op0(OpKind::Copy).dst(Reg::cr(bf)).src(Reg::cr(bfa)));
+            Converted::fall()
         }
         Insn::Mfcr { rt } => {
             // Decompose into an insert chain over the 8 fields.
-            let mut ops = vec![op0(OpKind::Li).dst(g(rt)).with_imm(0)];
+            ops.push(op0(OpKind::Li).dst(g(rt)).with_imm(0));
             for f in 0..8u8 {
                 ops.push(
                     op0(OpKind::InsertField)
@@ -370,11 +379,10 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                         .with_imm(i32::from(f)),
                 );
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Mtcrf { fxm, rs } => {
             // One mtcrf2 (paper Appendix D) per selected field.
-            let mut ops = Vec::new();
             for f in 0..8u8 {
                 if fxm & (0x80 >> f) != 0 {
                     ops.push(
@@ -385,43 +393,55 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                     );
                 }
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Mfspr { rt, spr } => match spr {
-            crate::reg::Spr::Lr => Converted::fall(vec![op0(OpKind::Copy).dst(g(rt)).src(Reg::LR)]),
-            crate::reg::Spr::Ctr => {
-                Converted::fall(vec![op0(OpKind::Copy).dst(g(rt)).src(Reg::CTR)])
+            crate::reg::Spr::Lr => {
+                ops.push(op0(OpKind::Copy).dst(g(rt)).src(Reg::LR));
+                Converted::fall()
             }
-            crate::reg::Spr::Xer => Converted::fall(vec![op0(OpKind::XerCompose)
-                .dst(g(rt))
-                .src(Reg::CA)
-                .src(Reg::OV)
-                .src(Reg::SO)]),
+            crate::reg::Spr::Ctr => {
+                ops.push(op0(OpKind::Copy).dst(g(rt)).src(Reg::CTR));
+                Converted::fall()
+            }
+            crate::reg::Spr::Xer => {
+                ops.push(op0(OpKind::XerCompose).dst(g(rt)).src(Reg::CA).src(Reg::OV).src(Reg::SO));
+                Converted::fall()
+            }
             _ => Converted::interp(),
         },
         Insn::Mtspr { spr, rs } => match spr {
-            crate::reg::Spr::Lr => Converted::fall(vec![op0(OpKind::Copy).dst(Reg::LR).src(g(rs))]),
-            crate::reg::Spr::Ctr => {
-                Converted::fall(vec![op0(OpKind::Copy).dst(Reg::CTR).src(g(rs))])
+            crate::reg::Spr::Lr => {
+                ops.push(op0(OpKind::Copy).dst(Reg::LR).src(g(rs)));
+                Converted::fall()
             }
-            crate::reg::Spr::Xer => Converted::fall(vec![
-                op0(OpKind::XerExtract).dst(Reg::CA).src(g(rs)).with_imm(29),
-                op0(OpKind::XerExtract).dst(Reg::OV).src(g(rs)).with_imm(30),
-                op0(OpKind::XerExtract).dst(Reg::SO).src(g(rs)).with_imm(31),
-            ]),
+            crate::reg::Spr::Ctr => {
+                ops.push(op0(OpKind::Copy).dst(Reg::CTR).src(g(rs)));
+                Converted::fall()
+            }
+            crate::reg::Spr::Xer => {
+                ops.extend([
+                    op0(OpKind::XerExtract).dst(Reg::CA).src(g(rs)).with_imm(29),
+                    op0(OpKind::XerExtract).dst(Reg::OV).src(g(rs)).with_imm(30),
+                    op0(OpKind::XerExtract).dst(Reg::SO).src(g(rs)).with_imm(31),
+                ]);
+                Converted::fall()
+            }
             _ => Converted::interp(),
         },
         Insn::Sync | Insn::Isync | Insn::Eieio => {
             // Strongly consistent memory assumed (paper Appendix E:
             // "Assume a strongly consistent memory system, not requiring
             // stop at a serializing op").
-            Converted::fall(Vec::new())
+            Converted::fall()
         }
         Insn::Tw { to, ra, rb } => {
-            Converted::fall(vec![op0(OpKind::TrapIf { to }).src(g(ra)).src(g(rb))])
+            ops.push(op0(OpKind::TrapIf { to }).src(g(ra)).src(g(rb)));
+            Converted::fall()
         }
         Insn::Twi { to, ra, si } => {
-            Converted::fall(vec![op0(OpKind::TrapIf { to }).src(g(ra)).with_imm(i32::from(si))])
+            ops.push(op0(OpKind::TrapIf { to }).src(g(ra)).with_imm(i32::from(si)));
+            Converted::fall()
         }
         Insn::Mfmsr { .. } | Insn::Mtmsr { .. } | Insn::Sc | Insn::Rfi | Insn::Invalid(_) => {
             Converted::interp()
@@ -440,23 +460,12 @@ fn convert_cond_branch(
     bi: crate::reg::CrBit,
     lk: bool,
     dest: BranchDest,
+    ops: &mut Vec<Operation>,
 ) -> Converted {
-    let mut ops = Vec::new();
-    let mut cond_compare = false;
     // CTR-decrementing forms: explicit decrement + compare, so the
     // count can rename and loop iterations overlap (paper Appendix D).
-    let ctr_cond = if !bo::ignores_ctr(b) {
-        let dec = Operation::new(OpKind::AddImm, addr).dst(Reg::CTR).src(Reg::CTR).with_imm(-1);
-        ops.push(dec);
-        // Compare the *new* CTR against zero. The scheduler points this
-        // at the renamed decrement result.
-        let cmp = Operation::new(OpKind::CmpSImm, addr)
-            .dst(Reg::cr(CrField(0))) // placeholder dest; scheduler renames
-            .src(Reg::CTR)
-            .src(Reg::SO)
-            .with_imm(0);
-        ops.push(cmp);
-        cond_compare = true;
+    let cond_compare = !bo::ignores_ctr(b);
+    let ctr_cond = if cond_compare {
         Some(CondSpec {
             field: Reg::cr(CrField(0)), // placeholder; scheduler substitutes
             mask: 0b0010,               // EQ bit of the compare
@@ -481,23 +490,42 @@ fn convert_cond_branch(
         (Some(c), None) | (None, Some(c)) => Some(c),
         (None, None) => None,
     };
+    if cond_compare {
+        let dec = Operation::new(OpKind::AddImm, addr).dst(Reg::CTR).src(Reg::CTR).with_imm(-1);
+        // Compare the *new* CTR against zero. The scheduler points this
+        // at the renamed decrement result.
+        let cmp = Operation::new(OpKind::CmpSImm, addr)
+            .dst(Reg::cr(CrField(0))) // placeholder dest; scheduler renames
+            .src(Reg::CTR)
+            .src(Reg::SO)
+            .with_imm(0);
+        ops.extend([dec, cmp]);
+    }
     let flow = match (cond, dest) {
         (None, BranchDest::Direct(target)) => Flow::Jump { target },
         (None, BranchDest::Via(via)) => Flow::IndirectJump { via },
         (Some(cond), BranchDest::Direct(target)) => Flow::CondJump { cond, target, cond_compare },
         (Some(cond), BranchDest::Via(via)) => Flow::CondIndirect { cond, via, cond_compare },
     };
-    Converted { ops, flow, links: lk }
+    Converted { flow, links: lk }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`convert`] into a fresh buffer: the ops and the control
+    /// behaviour.
+    fn conv(insn: &Insn, addr: u32) -> (Vec<Operation>, Converted) {
+        let mut ops = Vec::new();
+        let c = convert(insn, addr, &mut ops);
+        (ops, c)
+    }
     use crate::reg::CrBit;
 
     #[test]
     fn add_converts_to_one_primitive() {
-        let c = convert(
+        let (ops, c) = conv(
             &Insn::Arith {
                 op: ArithOp::Add,
                 rt: Gpr(3),
@@ -508,15 +536,15 @@ mod tests {
             },
             0x100,
         );
-        assert_eq!(c.ops.len(), 1);
-        assert_eq!(c.ops[0].kind, OpKind::Add);
-        assert_eq!(c.ops[0].dest, Some(Reg::gpr(Gpr(3))));
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].kind, OpKind::Add);
+        assert_eq!(ops[0].dest, Some(Reg::gpr(Gpr(3))));
         assert_eq!(c.flow, Flow::Fall);
     }
 
     #[test]
     fn record_form_adds_compare() {
-        let c = convert(
+        let (ops, _) = conv(
             &Insn::Arith {
                 op: ArithOp::Add,
                 rt: Gpr(3),
@@ -527,30 +555,28 @@ mod tests {
             },
             0,
         );
-        assert_eq!(c.ops.len(), 2);
-        assert_eq!(c.ops[1].kind, OpKind::CmpSImm);
-        assert_eq!(c.ops[1].dest, Some(Reg::cr(CrField(0))));
-        assert_eq!(c.ops[1].srcs()[0], Reg::gpr(Gpr(3)));
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[1].kind, OpKind::CmpSImm);
+        assert_eq!(ops[1].dest, Some(Reg::cr(CrField(0))));
+        assert_eq!(ops[1].srcs()[0], Reg::gpr(Gpr(3)));
     }
 
     #[test]
     fn lmw_decomposes_per_register() {
-        let c = convert(&Insn::Lmw { rt: Gpr(28), ra: Gpr(1), d: 8 }, 0);
-        assert_eq!(c.ops.len(), 4);
-        assert_eq!(c.ops[0].dest, Some(Reg::gpr(Gpr(28))));
-        assert_eq!(c.ops[3].dest, Some(Reg::gpr(Gpr(31))));
-        assert_eq!(c.ops[3].imm, 8 + 12);
+        let (ops, _) = conv(&Insn::Lmw { rt: Gpr(28), ra: Gpr(1), d: 8 }, 0);
+        assert_eq!(ops.len(), 4);
+        assert_eq!(ops[0].dest, Some(Reg::gpr(Gpr(28))));
+        assert_eq!(ops[3].dest, Some(Reg::gpr(Gpr(31))));
+        assert_eq!(ops[3].imm, 8 + 12);
     }
 
     #[test]
     fn bdnz_emits_decrement_and_compare() {
-        let c = convert(
-            &Insn::BranchC { bo: bo::DNZ, bi: CrBit(0), bd: -8, aa: false, lk: false },
-            0x100,
-        );
-        assert_eq!(c.ops.len(), 2);
-        assert_eq!(c.ops[0].dest, Some(Reg::CTR));
-        assert_eq!(c.ops[0].imm, -1);
+        let (ops, c) =
+            conv(&Insn::BranchC { bo: bo::DNZ, bi: CrBit(0), bd: -8, aa: false, lk: false }, 0x100);
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[0].dest, Some(Reg::CTR));
+        assert_eq!(ops[0].imm, -1);
         match c.flow {
             Flow::CondJump { cond, target, cond_compare } => {
                 assert_eq!(target, 0xF8);
@@ -564,14 +590,14 @@ mod tests {
 
     #[test]
     fn blr_is_indirect_via_lr() {
-        let c = convert(&Insn::BranchClr { bo: bo::ALWAYS, bi: CrBit(0), lk: false }, 0);
-        assert!(c.ops.is_empty());
+        let (ops, c) = conv(&Insn::BranchClr { bo: bo::ALWAYS, bi: CrBit(0), lk: false }, 0);
+        assert!(ops.is_empty());
         assert_eq!(c.flow, Flow::IndirectJump { via: IndirectVia::Lr });
     }
 
     #[test]
     fn conditional_blr() {
-        let c = convert(&Insn::BranchClr { bo: bo::IF_FALSE, bi: CrBit(2), lk: false }, 0);
+        let (_, c) = conv(&Insn::BranchClr { bo: bo::IF_FALSE, bi: CrBit(2), lk: false }, 0);
         match c.flow {
             Flow::CondIndirect { cond, via, cond_compare } => {
                 assert_eq!(via, IndirectVia::Lr);
@@ -585,30 +611,30 @@ mod tests {
 
     #[test]
     fn privileged_goes_to_interpreter() {
-        assert_eq!(convert(&Insn::Rfi, 0).flow, Flow::Interp);
-        assert_eq!(convert(&Insn::Sc, 0).flow, Flow::Interp);
+        assert_eq!(conv(&Insn::Rfi, 0).1.flow, Flow::Interp);
+        assert_eq!(conv(&Insn::Sc, 0).1.flow, Flow::Interp);
         assert_eq!(
-            convert(&Insn::Mfspr { rt: Gpr(1), spr: crate::reg::Spr::Srr0 }, 0).flow,
+            conv(&Insn::Mfspr { rt: Gpr(1), spr: crate::reg::Spr::Srr0 }, 0).1.flow,
             Flow::Interp
         );
     }
 
     #[test]
     fn sync_is_free() {
-        let c = convert(&Insn::Sync, 0);
-        assert!(c.ops.is_empty());
+        let (ops, c) = conv(&Insn::Sync, 0);
+        assert!(ops.is_empty());
         assert_eq!(c.flow, Flow::Fall);
     }
 
     #[test]
     fn mfcr_chain_length() {
-        let c = convert(&Insn::Mfcr { rt: Gpr(9) }, 0);
-        assert_eq!(c.ops.len(), 9);
+        let (ops, _) = conv(&Insn::Mfcr { rt: Gpr(9) }, 0);
+        assert_eq!(ops.len(), 9);
     }
 
     #[test]
     fn bl_marks_link() {
-        let c = convert(&Insn::BranchI { li: 0x40, aa: false, lk: true }, 0x1000);
+        let (_, c) = conv(&Insn::BranchI { li: 0x40, aa: false, lk: true }, 0x1000);
         assert!(c.links);
         assert_eq!(c.flow, Flow::Jump { target: 0x1040 });
     }

@@ -15,6 +15,7 @@ use crate::reg::{msr_bits, xer_bits, CrField};
 use crate::vectors;
 use daisy_isa::convert::{BranchInfo, Converted};
 use daisy_isa::{Event, Exception, IsaId, StopReason};
+use daisy_vliw::op::Operation;
 use daisy_vliw::reg::Reg;
 use daisy_vliw::regfile::RegFile;
 
@@ -40,8 +41,8 @@ impl daisy_isa::Isa for PpcIsa {
         Ok(decode(word))
     }
 
-    fn convert(insn: &Insn, addr: u32) -> Converted {
-        crate::convert::convert(insn, addr)
+    fn convert(insn: &Insn, addr: u32, ops: &mut Vec<Operation>) -> Converted {
+        crate::convert::convert(insn, addr, ops)
     }
 
     fn branch_info(insn: &Insn, pc: u32) -> Option<BranchInfo> {

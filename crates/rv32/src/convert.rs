@@ -42,7 +42,14 @@ fn op0(kind: OpKind, addr: u32) -> Operation {
 /// Lowers a conditional branch: one fresh compare (scheduled as a
 /// renamed temp via `cond_compare`) plus a conditional flow on the
 /// relevant bit of its field.
-fn convert_branch(addr: u32, cond: BranchCond, rs1: Xr, rs2: Xr, off: i16) -> Converted {
+fn convert_branch(
+    addr: u32,
+    cond: BranchCond,
+    rs1: Xr,
+    rs2: Xr,
+    off: i16,
+    ops: &mut Vec<Operation>,
+) -> Converted {
     let signed = matches!(cond, BranchCond::Lt | BranchCond::Ge);
     let kind = if signed { OpKind::CmpS } else { OpKind::CmpU };
     let cmp = op0(kind, addr)
@@ -58,59 +65,58 @@ fn convert_branch(addr: u32, cond: BranchCond, rs1: Xr, rs2: Xr, off: i16) -> Co
     };
     let cond = CondSpec { field: Reg::cr(CrField(0)), mask, want_set };
     let target = addr.wrapping_add(off as i32 as u32);
-    Converted {
-        ops: vec![cmp],
-        flow: Flow::CondJump { cond, target, cond_compare: true },
-        links: false,
-    }
+    ops.push(cmp);
+    Converted { flow: Flow::CondJump { cond, target, cond_compare: true }, links: false }
 }
 
 /// Lowers `slt`-family results: compare into `rd`, then extract the
 /// LT bit (bit 3 of the 4-bit field) as the 0/1 value.
-fn slt_ops(cmp: Operation, rd: Xr, addr: u32) -> Vec<Operation> {
-    vec![cmp, op0(OpKind::XerExtract, addr).dst(g(rd)).src(g(rd)).with_imm(3)]
+fn push_slt(ops: &mut Vec<Operation>, cmp: Operation, rd: Xr, addr: u32) {
+    ops.extend([cmp, op0(OpKind::XerExtract, addr).dst(g(rd)).src(g(rd)).with_imm(3)]);
 }
 
-/// Converts one decoded instruction at `addr` into RISC primitives
-/// plus a control-flow disposition.
+/// Converts one decoded instruction at `addr` into RISC primitives,
+/// appended to `ops`, and returns its control-flow disposition. An
+/// instruction routed to the interpreter appends nothing.
 #[allow(clippy::too_many_lines)]
-pub fn convert(insn: &Insn, addr: u32) -> Converted {
+pub fn convert(insn: &Insn, addr: u32, ops: &mut Vec<Operation>) -> Converted {
     let next = addr.wrapping_add(4);
     match *insn {
         Insn::Lui { rd, imm } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
-            Converted::fall(vec![op0(OpKind::Li, addr).dst(g(rd)).with_imm(imm as i32)])
+            ops.push(op0(OpKind::Li, addr).dst(g(rd)).with_imm(imm as i32));
+            Converted::fall()
         }
         Insn::Auipc { rd, imm } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
             let v = addr.wrapping_add(imm);
-            Converted::fall(vec![op0(OpKind::Li, addr).dst(g(rd)).with_imm(v as i32)])
+            ops.push(op0(OpKind::Li, addr).dst(g(rd)).with_imm(v as i32));
+            Converted::fall()
         }
         Insn::Jal { rd, off } => {
-            let mut ops = Vec::new();
             if rd.0 != 0 {
                 ops.push(op0(OpKind::Li, addr).dst(g(rd)).with_imm(next as i32));
             }
             let target = addr.wrapping_add(off as u32);
-            Converted { ops, flow: Flow::Jump { target }, links: false }
+            Converted { flow: Flow::Jump { target }, links: false }
         }
         Insn::Jalr { rd, rs1, off } => {
             // Target into LR *before* the link write, so `jalr rd, rs1`
             // with rd == rs1 reads the pre-link value.
-            let mut ops = vec![
+            ops.extend([
                 op0(OpKind::AddImm, addr).dst(Reg::LR).src(g(rs1)).with_imm(i32::from(off)),
                 op0(OpKind::AndImm, addr).dst(Reg::LR).src(Reg::LR).with_imm2(!1u32),
-            ];
+            ]);
             if rd.0 != 0 {
                 ops.push(op0(OpKind::Li, addr).dst(g(rd)).with_imm(next as i32));
             }
-            Converted { ops, flow: Flow::IndirectJump { via: IndirectVia::Lr }, links: false }
+            Converted { flow: Flow::IndirectJump { via: IndirectVia::Lr }, links: false }
         }
-        Insn::Branch { cond, rs1, rs2, off } => convert_branch(addr, cond, rs1, rs2, off),
+        Insn::Branch { cond, rs1, rs2, off } => convert_branch(addr, cond, rs1, rs2, off, ops),
         Insn::Load { rd, rs1, off, width, unsigned } => {
             if rd.0 == 0 {
                 // A load to x0 still probes memory for faults; rather
@@ -119,56 +125,58 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 return Converted::interp();
             }
             let algebraic = width == MemWidth::Half && !unsigned;
-            let mut ops = vec![op0(OpKind::Load { width, algebraic }, addr)
-                .dst(g(rd))
-                .src(g(rs1))
-                .with_imm(i32::from(off))];
+            ops.push(
+                op0(OpKind::Load { width, algebraic }, addr)
+                    .dst(g(rd))
+                    .src(g(rs1))
+                    .with_imm(i32::from(off)),
+            );
             if width == MemWidth::Byte && !unsigned {
                 ops.push(op0(OpKind::Extsb, addr).dst(g(rd)).src(g(rd)));
             }
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::Store { rs2, rs1, off, width } => {
-            Converted::fall(vec![op0(OpKind::Store { width }, addr)
-                .src(g(rs2))
-                .src(g(rs1))
-                .with_imm(i32::from(off))])
+            ops.push(
+                op0(OpKind::Store { width }, addr).src(g(rs2)).src(g(rs1)).with_imm(i32::from(off)),
+            );
+            Converted::fall()
         }
         Insn::OpImm { op, rd, rs1, imm } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
             let i = i32::from(imm);
             let bits = i as u32;
-            let ops = match op {
+            match op {
                 AluImmOp::Addi => {
-                    vec![op0(OpKind::AddImm, addr).dst(g(rd)).src(g(rs1)).with_imm(i)]
+                    ops.push(op0(OpKind::AddImm, addr).dst(g(rd)).src(g(rs1)).with_imm(i))
                 }
                 AluImmOp::Xori => {
-                    vec![op0(OpKind::XorImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits)]
+                    ops.push(op0(OpKind::XorImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits))
                 }
                 AluImmOp::Ori => {
-                    vec![op0(OpKind::OrImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits)]
+                    ops.push(op0(OpKind::OrImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits))
                 }
                 AluImmOp::Andi => {
-                    vec![op0(OpKind::AndImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits)]
+                    ops.push(op0(OpKind::AndImm, addr).dst(g(rd)).src(g(rs1)).with_imm2(bits))
                 }
                 AluImmOp::Slti => {
                     let cmp =
                         op0(OpKind::CmpSImm, addr).dst(g(rd)).src(g(rs1)).src(Reg::SO).with_imm(i);
-                    slt_ops(cmp, rd, addr)
+                    push_slt(ops, cmp, rd, addr)
                 }
                 AluImmOp::Sltiu => {
                     let cmp =
                         op0(OpKind::CmpUImm, addr).dst(g(rd)).src(g(rs1)).src(Reg::SO).with_imm(i);
-                    slt_ops(cmp, rd, addr)
+                    push_slt(ops, cmp, rd, addr)
                 }
             };
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::ShiftImm { op, rd, rs1, shamt } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
             let n = shamt & 31;
             let o = match op {
@@ -186,35 +194,36 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                     op0(OpKind::SraImm, addr).dst(g(rd)).src(g(rs1)).with_imm(i32::from(n))
                 }
             };
-            Converted::fall(vec![o])
+            ops.push(o);
+            Converted::fall()
         }
         Insn::Op { op, rd, rs1, rs2 } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
-            let ops = match op {
-                AluOp::Add => vec![op0(OpKind::Add, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))],
+            match op {
+                AluOp::Add => ops.push(op0(OpKind::Add, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))),
                 // Subf computes src1 - src0.
-                AluOp::Sub => vec![op0(OpKind::Subf, addr).dst(g(rd)).src(g(rs2)).src(g(rs1))],
-                AluOp::Xor => vec![op0(OpKind::Xor, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))],
-                AluOp::Or => vec![op0(OpKind::Or, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))],
-                AluOp::And => vec![op0(OpKind::And, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))],
+                AluOp::Sub => ops.push(op0(OpKind::Subf, addr).dst(g(rd)).src(g(rs2)).src(g(rs1))),
+                AluOp::Xor => ops.push(op0(OpKind::Xor, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))),
+                AluOp::Or => ops.push(op0(OpKind::Or, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))),
+                AluOp::And => ops.push(op0(OpKind::And, addr).dst(g(rd)).src(g(rs1)).src(g(rs2))),
                 AluOp::Slt => {
                     let cmp =
                         op0(OpKind::CmpS, addr).dst(g(rd)).src(g(rs1)).src(g(rs2)).src(Reg::SO);
-                    slt_ops(cmp, rd, addr)
+                    push_slt(ops, cmp, rd, addr)
                 }
                 AluOp::Sltu => {
                     let cmp =
                         op0(OpKind::CmpU, addr).dst(g(rd)).src(g(rs1)).src(g(rs2)).src(Reg::SO);
-                    slt_ops(cmp, rd, addr)
+                    push_slt(ops, cmp, rd, addr)
                 }
             };
-            Converted::fall(ops)
+            Converted::fall()
         }
         Insn::OpShift { op, rd, rs1, rs2 } => {
             if rd.0 == 0 {
-                return Converted::fall(vec![]);
+                return Converted::fall();
             }
             // RV32 shifts use the low 5 bits of rs2; the VLIW shifter
             // uses 6. Pre-mask into a scratch so the semantics agree.
@@ -225,9 +234,10 @@ pub fn convert(insn: &Insn, addr: u32) -> Converted {
                 ShiftOp::Sra => OpKind::Sra,
             };
             let shift = op0(kind, addr).dst(g(rd)).src(g(rs1)).src(Reg::CTR);
-            Converted::fall(vec![mask, shift])
+            ops.extend([mask, shift]);
+            Converted::fall()
         }
-        Insn::Fence => Converted::fall(vec![]),
+        Insn::Fence => Converted::fall(),
         Insn::Ecall | Insn::Ebreak | Insn::Mret | Insn::Invalid(_) => Converted::interp(),
     }
 }
@@ -263,6 +273,14 @@ pub fn branch_info(insn: &Insn, pc: u32) -> Option<BranchInfo> {
 mod tests {
     use super::*;
 
+    /// [`convert`] into a fresh buffer: the ops and the control
+    /// behaviour.
+    fn conv(insn: &Insn, addr: u32) -> (Vec<Operation>, Converted) {
+        let mut ops = Vec::new();
+        let c = convert(insn, addr, &mut ops);
+        (ops, c)
+    }
+
     #[test]
     fn x0_destinations_emit_no_ops() {
         for insn in [
@@ -270,8 +288,8 @@ mod tests {
             Insn::OpImm { op: AluImmOp::Addi, rd: Xr(0), rs1: Xr(5), imm: 1 },
             Insn::Op { op: AluOp::Add, rd: Xr(0), rs1: Xr(5), rs2: Xr(6) },
         ] {
-            let c = convert(&insn, 0x1000);
-            assert!(c.ops.is_empty(), "{insn:?}");
+            let (ops, c) = conv(&insn, 0x1000);
+            assert!(ops.is_empty(), "{insn:?}");
             assert!(matches!(c.flow, Flow::Fall));
         }
     }
@@ -282,8 +300,8 @@ mod tests {
         // Sweep a pile of encodings; whatever converts must not write
         // the x0 slot (its regfile slot is the architected zero).
         for w in (0..0x40_0000u32).step_by(97) {
-            let c = convert(&decode(w), 0x1000);
-            for op in &c.ops {
+            let (ops, _) = conv(&decode(w), 0x1000);
+            for op in &ops {
                 assert_ne!(op.dest, Some(Reg(0)), "word {w:#010x}");
             }
         }
@@ -291,12 +309,10 @@ mod tests {
 
     #[test]
     fn branch_lowering_uses_fresh_compare() {
-        let c = convert(
-            &Insn::Branch { cond: BranchCond::Ltu, rs1: Xr(3), rs2: Xr(4), off: -8 },
-            0x2000,
-        );
-        assert_eq!(c.ops.len(), 1);
-        assert!(matches!(c.ops[0].kind, OpKind::CmpU));
+        let (ops, c) =
+            conv(&Insn::Branch { cond: BranchCond::Ltu, rs1: Xr(3), rs2: Xr(4), off: -8 }, 0x2000);
+        assert_eq!(ops.len(), 1);
+        assert!(matches!(ops[0].kind, OpKind::CmpU));
         match c.flow {
             Flow::CondJump { cond, target, cond_compare } => {
                 assert!(cond_compare);
@@ -310,9 +326,9 @@ mod tests {
 
     #[test]
     fn jalr_computes_target_before_link() {
-        let c = convert(&Insn::Jalr { rd: Xr(1), rs1: Xr(1), off: 12 }, 0x3000);
+        let (ops, c) = conv(&Insn::Jalr { rd: Xr(1), rs1: Xr(1), off: 12 }, 0x3000);
         assert!(matches!(c.flow, Flow::IndirectJump { via: IndirectVia::Lr }));
-        assert_eq!(c.ops[0].dest, Some(Reg::LR));
-        assert_eq!(c.ops.last().unwrap().dest, Some(Reg(1)));
+        assert_eq!(ops[0].dest, Some(Reg::LR));
+        assert_eq!(ops.last().unwrap().dest, Some(Reg(1)));
     }
 }

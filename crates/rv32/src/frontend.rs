@@ -12,6 +12,7 @@ use crate::interp::{mcause, Cpu, DecodeCache, TRAP_VECTOR};
 use daisy_isa::convert::{BranchInfo, Converted};
 use daisy_isa::mem::Memory;
 use daisy_isa::{Event, Exception, IsaId, StopReason};
+use daisy_vliw::op::Operation;
 use daisy_vliw::reg::{CrField, Reg};
 use daisy_vliw::regfile::RegFile;
 
@@ -38,8 +39,8 @@ impl daisy_isa::Isa for Rv32Isa {
         Ok(decode(word))
     }
 
-    fn convert(insn: &Insn, addr: u32) -> Converted {
-        convert::convert(insn, addr)
+    fn convert(insn: &Insn, addr: u32, ops: &mut Vec<Operation>) -> Converted {
+        convert::convert(insn, addr, ops)
     }
 
     fn branch_info(insn: &Insn, pc: u32) -> Option<BranchInfo> {

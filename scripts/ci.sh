@@ -112,16 +112,18 @@ cmp "$artifacts/repro-output.txt" docs/repro-output.txt || {
 }
 
 # Bench-count pins: native coverage and refusals, chained versus
-# unchained dispatch counts, and cold versus tiered retranslation are
-# simulated counts, so `pins` regenerates them exactly (guest results
-# checked, packed and native VLIW counts asserted equal). The dispatch
-# and tiered documents must match the committed files byte for byte on
-# every host; the engine document only on x86-64 (below), since
+# unchained dispatch counts, cold versus tiered retranslation, and the
+# translation digest (every group of every workload under seven
+# translator configurations) are simulated counts, so `pins`
+# regenerates them exactly (guest results checked, packed and native
+# VLIW counts asserted equal). The dispatch, tiered and translate
+# documents must match the committed files byte for byte on every
+# host; the engine document only on x86-64 (below), since
 # elsewhere the native tier declines to engage and its column reads
 # zero. Regenerate the files (`cargo run --release -p daisy-bench --bin
 # pins`) only for a change that means to move a count, and say so.
 cargo run -q --release -p daisy-bench --bin pins -- --out-dir "$artifacts"
-for doc in BENCH_dispatch.json BENCH_tiered.json; do
+for doc in BENCH_dispatch.json BENCH_tiered.json BENCH_translate.json; do
   cmp "$artifacts/$doc" "$doc" || {
     echo "error: regenerated $doc differs from the committed file" >&2
     exit 1

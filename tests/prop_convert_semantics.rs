@@ -185,11 +185,12 @@ proptest! {
 
         // Primitive side: evaluate the converted ops in sequence over a
         // unified register file seeded with the same state.
-        let conv = convert(&insn, 0x1000);
+        let mut ops = Vec::new();
+        let conv = convert(&insn, 0x1000, &mut ops);
         prop_assert_eq!(conv.flow, Flow::Fall, "computational insns fall through");
         let mut rf = RegFile::new();
         cpu_before.fill_regfile(&mut rf);
-        for op in &conv.ops {
+        for op in &ops {
             let vals: Vec<u32> = op.srcs().iter().map(|s| rf.get(*s)).collect();
             match eval(op, &vals) {
                 EvalOut::Value { v, carry } => {

@@ -70,7 +70,7 @@ fn run_selfmod(flight_recorder_capacity: usize) -> DaisySystem<PpcIsa> {
 /// is populated, capped at its capacity, and the run performs the same
 /// work (events are a pure tap).
 #[test]
-fn no_sink_records_nothing() {
+fn default_ring_records_selfmod_events() {
     let sys = run_selfmod(daisy::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY);
     assert!(sys.stats.code_modifications >= 1);
 
@@ -90,7 +90,7 @@ fn no_sink_records_nothing() {
 /// code-modification event, the page invalidation, a sever of the link
 /// into the dead group, and the retranslation of the patched page.
 #[test]
-fn ring_sink_captures_selfmod_event_sequence() {
+fn flight_recorder_captures_selfmod_event_sequence() {
     let sys = run_selfmod(256);
 
     let events = trace_events(&sys);
@@ -154,7 +154,7 @@ fn ring_sink_captures_selfmod_event_sequence() {
 /// The ring is a *ring*: beyond capacity the oldest events fall off and
 /// the drop counter says how many.
 #[test]
-fn ring_sink_caps_and_counts_drops() {
+fn flight_recorder_caps_and_counts_drops() {
     let sys = run_selfmod(3);
     let rec = sys.flight_recorder();
     assert_eq!(rec.len(), 3);
