@@ -15,13 +15,13 @@
 //!   WORKLOAD         workload names (default: all nine)
 //! ```
 //!
-//! Each workload runs to completion with the metrics registry enabled,
-//! stepping one dispatch boundary at a time and snapshotting every
-//! `--interval` boundaries. The final registry snapshot per workload
-//! lands in the JSON document (and the optional Prometheus file);
-//! `--watch` additionally prints the snapshot-over-snapshot deltas as
-//! they happen — the live-health view. Results are checked: a workload
-//! that computes a wrong answer aborts the run.
+//! Each workload runs to completion one dispatch boundary at a time,
+//! snapshotting every `--interval` boundaries and at the last one. The
+//! last snapshot per workload lands in the JSON document (and the
+//! optional Prometheus file); `--watch` additionally prints the
+//! snapshot-over-snapshot deltas as they happen — the live-health
+//! view. Results are checked: a workload that computes a wrong answer
+//! aborts the run.
 
 use daisy::metrics::{prometheus_text, Counter, Gauge};
 use daisy::prelude::*;

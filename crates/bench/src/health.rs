@@ -1,13 +1,12 @@
-//! Plumbing for the `health` binary: checked runs with the metrics
-//! registry enabled, periodic snapshots at dispatch-boundary
-//! granularity, and the `BENCH_health.json` serializer.
+//! Plumbing for the `health` binary: checked runs stepped one dispatch
+//! boundary at a time, periodic [`DaisySystem::metrics_snapshot`]s at
+//! those boundaries, and the `BENCH_health.json` serializer.
 //!
 //! The `report` binary answers "how well did the paper's machine do";
-//! `health` answers "what is the machine doing right now" — the same
-//! counters a monitoring scrape would read from a shared
-//! [`MetricsRegistry`], exercised
-//! over the workload suite so their conservation can be asserted and
-//! their shapes pinned (see `docs/observability.md`).
+//! `health` answers "what is the machine doing right now" — the
+//! snapshots a monitor would take, exercised over the workload suite
+//! so their conservation can be asserted and their shapes pinned (see
+//! `docs/observability.md`).
 
 use daisy::metrics::{Counter, Gauge};
 use daisy::prelude::*;
@@ -53,19 +52,18 @@ pub struct HealthRecord {
     pub boundaries: u64,
     /// Periodic snapshots taken (including the final one).
     pub snapshots: u64,
-    /// The final snapshot, read back from the published registry.
+    /// The snapshot taken at the run's last boundary.
     pub last: MetricsSnapshot,
 }
 
-/// Runs `w` to completion one dispatch boundary at a time with metrics
-/// enabled, snapshotting every `interval` boundaries; `watch` prints a
-/// delta line per snapshot. Asserts the workload's result check, then
-/// returns the registry's final published snapshot.
+/// Runs `w` to completion one dispatch boundary at a time,
+/// snapshotting every `interval` boundaries and at the last one;
+/// `watch` prints a delta line per snapshot. Asserts the workload's
+/// result check, then returns the last snapshot.
 pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> HealthRecord {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .native_execution(mode == Mode::Native)
-        .metrics(true)
         .build();
     sys.load(&w.program()).expect("workload fits in memory");
 
@@ -101,11 +99,7 @@ pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> Healt
         assert!(sys.stats.cycles() <= budget, "{}: exceeded cycle budget", w.name);
     }
     w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{}: check failed: {e}", w.name));
-    // One last publish so the registry a monitor would scrape agrees
-    // with the snapshot we report.
-    sys.publish_metrics_now();
-    let last = sys.metrics_registry().expect("metrics enabled").snapshot();
-    HealthRecord { name: w.name, boundaries, snapshots, last }
+    HealthRecord { name: w.name, boundaries, snapshots, last: sys.metrics_snapshot() }
 }
 
 /// Serializes the records as the `BENCH_health.json` document:

@@ -414,13 +414,17 @@ pub fn run_campaign_on_program<I: Isa>(
         // Tiny translation pages (so even the most compact workloads
         // span several) plus a capacity of roughly one or two pages'
         // translated code: every cross-page entry evicts the pool down
-        // to a single page — continuous LRU cast-out thrash.
+        // to a single page — continuous LRU cast-out thrash. A 64-byte
+        // area casts out at nearly every boundary, so few translations
+        // live to a second dispatch: native campaigns compile on the
+        // first, or they would run no native code at all.
         builder = builder
             .translator(crate::sched::TranslatorConfig {
                 page_size: 32,
                 ..crate::sched::TranslatorConfig::default()
             })
-            .code_capacity((1 + (seed % 2)) * 64);
+            .code_capacity((1 + (seed % 2)) * 64)
+            .native_threshold(1);
     }
     let mut sys = builder.build();
     // invariant: same image, same fit as the oracle above.
@@ -540,12 +544,14 @@ pub fn run_campaign_on_program<I: Isa>(
 /// are architecturally invisible (or applied identically to both
 /// images). A preemption campaign's perturbation — *when* each external
 /// interrupt is taken — is decided by the perturbed run itself, so here
-/// the perturbed system runs first with delivery recording on
-/// ([`crate::system::DaisySystemBuilder::record_deliveries`]), and the
-/// oracle then *replays* the recorded schedule: it single-steps the
-/// interpreter and delivers each interrupt at the exact retired-
-/// instruction count the translated run delivered it, asserting the
-/// architected PC matches the recorded one. Out-of-band UART RX bytes
+/// the perturbed system runs first, recording each delivery as the
+/// `(retired instructions, PC)` pair read just before the step that
+/// took it (interrupts are delivered only at the top of
+/// [`DaisySystem::step`]), and the oracle then *replays* the recorded
+/// schedule: it single-steps the interpreter and delivers each
+/// interrupt at the exact retired-instruction count the translated run
+/// delivered it, asserting the architected PC matches the recorded
+/// one. Out-of-band UART RX bytes
 /// injected by the fuzzer are logged the same way (device clock, byte)
 /// and re-injected at the same instants.
 ///
@@ -587,7 +593,6 @@ fn run_preempt_campaign_on_program<I: Isa>(
         .chaining(cfg.chaining)
         .native_execution(cfg.native)
         .native_threshold(2)
-        .record_deliveries(true)
         .build();
     let (bus_base, bus_len, dev) = factory();
     sys.mem.attach_bus(bus_base, bus_len, dev);
@@ -605,6 +610,7 @@ fn run_preempt_campaign_on_program<I: Isa>(
     let mut storm_left = 0u64;
     let mut rx_budget = 4 + rng.below(13);
     let mut rx_log: Vec<(u64, u32)> = Vec::new();
+    let mut deliveries: Vec<(u64, u32)> = Vec::new();
     let mut injections = 0u64;
     let max_cycles = oracle_budget.saturating_mul(8).saturating_add(100_000);
     let mut degrades_left = cfg.max_degrades;
@@ -645,8 +651,13 @@ fn run_preempt_campaign_on_program<I: Isa>(
         {
             degrades_left -= 1;
         }
+        let before = (sys.stats.approx_base_instrs(), sys.cpu.pc());
+        let taken = sys.stats.interrupts_taken;
         let stepped = sys.step();
         boundaries += 1;
+        if sys.stats.interrupts_taken > taken {
+            deliveries.push(before);
+        }
         match stepped {
             Ok(None) => {}
             Ok(Some(stop)) => break stop,
@@ -661,8 +672,6 @@ fn run_preempt_campaign_on_program<I: Isa>(
             }
         }
     };
-    let deliveries: Vec<(u64, u32)> = sys.delivery_log().unwrap_or(&[]).to_vec();
-
     // ---- Oracle: single-stepped interpreter replaying the schedule. ----
     let mut omem = Memory::new(mem_size);
     let (obase, olen, odev) = factory();

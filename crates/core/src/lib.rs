@@ -126,7 +126,7 @@ pub mod ppc {
 /// ```
 pub mod prelude {
     pub use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
-    pub use crate::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, PostMortem};
+    pub use crate::metrics::{Counter, Gauge, MetricsSnapshot, PostMortem};
     pub use crate::native::NativeStats;
     pub use crate::profile::{GuestProfile, OverheadReport, PcStats, TimelineEvent};
     pub use crate::sched::{TierPolicy, TranslatorConfig};
@@ -134,5 +134,5 @@ pub mod prelude {
     pub use crate::system::{DaisySystem, DaisySystemBuilder};
     pub use crate::trace::{FlightRecorder, TraceEvent};
     pub use daisy_cachesim::Hierarchy;
-    pub use daisy_isa::{Event, Exception, GuestCpu, Isa, IsaId, Program, StopReason, Workload};
+    pub use daisy_isa::{Event, Exception, GuestCpu, Isa, Program, StopReason, Workload};
 }

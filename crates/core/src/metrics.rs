@@ -1,24 +1,20 @@
-//! Always-on runtime metrics: a lock-free registry of atomic counters,
-//! gauges, and bucketed histograms that every layer of the VMM
-//! publishes into at group-boundary granularity, plus the structured
-//! post-mortem the flight recorder dumps when something degrades.
+//! Always-on runtime metrics: counters, gauges and bucketed histograms
+//! read at a group boundary from the counters every layer of the VMM
+//! already keeps, plus the structured post-mortem the flight recorder
+//! dumps when something degrades.
 //!
 //! The paper's VMM runs *under* everything, invisibly and continuously
 //! — exactly the regime where a profiler cannot be attached after the
-//! fact. [`crate::trace`] (opt-in event streams) and [`crate::profile`]
+//! fact. [`crate::trace`] (the event ring) and [`crate::profile`]
 //! (opt-in attribution) cover deep inspection; this module is the third
 //! mode: cheap, live, aggregate, and crash-surviving.
 //!
-//! * [`MetricsSnapshot`] — a point-in-time copy of every metric, cheap
-//!   to take mid-run, diffable ([`MetricsSnapshot::delta`]), and
-//!   serializable as JSON ([`MetricsSnapshot::to_json`]) or Prometheus
-//!   text exposition format ([`prometheus_text`]).
-//! * [`MetricsRegistry`] — a shareable (`Arc`) bank of `AtomicU64`
-//!   slots the system publishes absolute counter values into every
-//!   [`DEFAULT_METRICS_PUBLISH_PERIOD`](crate::system::DEFAULT_METRICS_PUBLISH_PERIOD)
-//!   group boundaries. Readers on other threads take consistent-enough
-//!   snapshots without locks; one system publishes per registry, so
-//!   several guests in one process each export their own.
+//! * [`MetricsSnapshot`] — a point-in-time copy of every metric,
+//!   exact at any group boundary
+//!   ([`crate::system::DaisySystem::metrics_snapshot`]), diffable
+//!   ([`MetricsSnapshot::delta`]), and serializable as JSON
+//!   ([`MetricsSnapshot::to_json`]) or Prometheus text exposition
+//!   format ([`prometheus_text`]).
 //! * [`PostMortem`] — flight-recorder ring contents + the run's full
 //!   degradation chain + a final snapshot, captured automatically on
 //!   every ladder degradation and on fault-injection divergence (see
@@ -30,10 +26,9 @@
 //! Nothing here touches an in-group hot path. Every value in a snapshot
 //! is *derived* from the plain-`u64` counter structs the engines
 //! already maintain ([`RunStats`], [`VmmStats`], [`NativeStats`]);
-//! gathering is a copy at a group boundary, and registry publication
-//! happens on a countdown cadence (every 1024 boundaries). Host time
-//! is measured by `daisybench` (the repository's benchmark crate),
-//! which runs with the registry off.
+//! gathering is a copy taken only when a caller asks for one, so a run
+//! nobody reads pays nothing. Host time is measured by `daisybench`
+//! (the repository's benchmark crate).
 //!
 //! # Naming scheme
 //!
@@ -51,8 +46,6 @@ use crate::trace::TraceEvent;
 use crate::vmm::VmmStats;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Declares one family of scalar metrics from a table with one row per
 /// metric: `Variant => "prometheus_name", "help text", |src| value`,
@@ -107,7 +100,7 @@ macro_rules! metric_table {
 }
 
 metric_table! {
-    /// Every monotone counter the registry tracks, in stable index order
+    /// Every monotone counter a snapshot carries, in stable index order
     /// (`Counter::ALL[i] as usize == i`, pinned by a unit test). Names
     /// are `daisy_<layer>_<what>_total`.
     Counter {
@@ -235,7 +228,7 @@ metric_table! {
 }
 
 metric_table! {
-    /// Every point-in-time gauge the registry tracks, in stable index
+    /// Every point-in-time gauge a snapshot carries, in stable index
     /// order.
     Gauge {
         CodeBytesLive => "daisy_vmm_code_bytes_live",
@@ -383,33 +376,32 @@ impl IrqLatency {
 /// Everything a [`MetricsSnapshot`] is gathered from — the plain
 /// counter structs each layer already maintains, plus the few
 /// system-owned aggregates. [`crate::system::DaisySystem`] assembles
-/// this; it is public so alternative harnesses can gather snapshots
-/// from hand-built parts.
+/// it.
 #[derive(Debug, Clone, Copy)]
-pub struct MetricsSource<'a> {
+pub(crate) struct MetricsSource<'a> {
     /// Engine counters.
-    pub stats: &'a RunStats,
+    pub(crate) stats: &'a RunStats,
     /// VMM counters.
-    pub vmm: &'a VmmStats,
+    pub(crate) vmm: &'a VmmStats,
     /// Native-tier counters, when the tier is active.
-    pub native: Option<&'a NativeStats>,
+    pub(crate) native: Option<&'a NativeStats>,
     /// Every ladder step taken so far, in order.
-    pub degradations: &'a [Degradation],
+    pub(crate) degradations: &'a [Degradation],
     /// Degraded-entry occupancy per rung, in [`Rung::ALL`] order.
-    pub rung_entries: [u64; Rung::ALL.len()],
+    pub(crate) rung_entries: [u64; Rung::ALL.len()],
     /// Pages with a live translation.
-    pub live_pages: u64,
+    pub(crate) live_pages: u64,
     /// Groups live in the translation cache.
-    pub live_groups: u64,
+    pub(crate) live_groups: u64,
     /// Pages abandoned to the reference interpreter.
-    pub interp_pages: u64,
+    pub(crate) interp_pages: u64,
     /// Interrupts delivered at a boundary a native run produced.
-    pub native_yield_preempts: u64,
+    pub(crate) native_yield_preempts: u64,
     /// Interrupt post-to-delivery latency accumulator.
-    pub irq_latency: &'a IrqLatency,
+    pub(crate) irq_latency: &'a IrqLatency,
     /// Flight-recorder events older than the post-mortem window
     /// ([`crate::trace::FlightRecorder::post_mortem_dropped`]).
-    pub flight_dropped: u64,
+    pub(crate) flight_dropped: u64,
 }
 
 /// A point-in-time copy of every metric. Plain data: cheap to clone,
@@ -447,7 +439,7 @@ impl MetricsSnapshot {
     /// Gathers a snapshot from the per-layer counter structs. A pure
     /// copy — no layer is perturbed, so a snapshot can be taken at any
     /// group boundary, any number of times.
-    pub fn gather(src: &MetricsSource<'_>) -> MetricsSnapshot {
+    pub(crate) fn gather(src: &MetricsSource<'_>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             counters: Counter::gather(src),
             gauges: Gauge::gather(src),
@@ -505,23 +497,6 @@ impl MetricsSnapshot {
         d.issue_parcels = self.issue_parcels.delta(&earlier.issue_parcels);
         d.irq_latency = self.irq_latency.delta(&earlier.irq_latency);
         d
-    }
-
-    /// Every value of the snapshot, in registry slot order: counters
-    /// first and gauges second (so `Counter as usize` and
-    /// `Counter::COUNT + Gauge as usize` index a slot directly), then
-    /// degradations, rung occupancy and the two histograms.
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut u64> {
-        let (issue, irq) = (&mut self.issue_parcels, &mut self.irq_latency);
-        self.counters
-            .iter_mut()
-            .chain(&mut self.gauges)
-            .chain(&mut self.degradations)
-            .chain(&mut self.rung_entries)
-            .chain(&mut issue.buckets)
-            .chain([&mut issue.sum, &mut issue.count])
-            .chain(&mut irq.buckets)
-            .chain([&mut irq.sum, &mut irq.count])
     }
 
     /// Renders the snapshot as one JSON object keyed by metric name
@@ -665,68 +640,6 @@ pub fn prometheus_text(series: &[(&str, &MetricsSnapshot)]) -> String {
         &irq,
     );
     out
-}
-
-/// A lock-free bank of `AtomicU64` metric slots shared between the
-/// publishing system and any number of readers.
-///
-/// Cloning the registry clones the *handle* (`Arc`); all clones see the
-/// same slots, so a monitoring thread (or a scrape endpoint) can hold
-/// one clone and take
-/// [`MetricsRegistry::snapshot`]s while the system runs and publishes
-/// into another. Publication stores absolute values with relaxed
-/// ordering: individual slots are never torn, though a concurrent
-/// snapshot may mix values from two adjacent publications (each of
-/// which is internally consistent at a group boundary). One system
-/// publishes per registry; give each guest its own.
-#[derive(Debug, Clone)]
-pub struct MetricsRegistry {
-    /// One slot per snapshot value, in [`MetricsSnapshot::values_mut`]
-    /// order.
-    slots: Arc<[AtomicU64]>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        let n = MetricsSnapshot::default().values_mut().count();
-        MetricsRegistry { slots: (0..n).map(|_| AtomicU64::new(0)).collect() }
-    }
-}
-
-impl MetricsRegistry {
-    /// A fresh registry with every slot zero.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Publishes `snap` into the registry (absolute values, relaxed
-    /// stores). Called by the system on its publish cadence; harnesses
-    /// holding their own registry can publish hand-gathered snapshots.
-    pub fn publish(&self, snap: &MetricsSnapshot) {
-        let mut snap = snap.clone();
-        for (slot, v) in self.slots.iter().zip(snap.values_mut()) {
-            slot.store(*v, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads every slot into a [`MetricsSnapshot`] (relaxed loads).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for (v, slot) in snap.values_mut().zip(self.slots.iter()) {
-            *v = slot.load(Ordering::Relaxed);
-        }
-        snap
-    }
-
-    /// The current value of one counter slot.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.slots[c as usize].load(Ordering::Relaxed)
-    }
-
-    /// The current value of one gauge slot.
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.slots[Counter::COUNT + g as usize].load(Ordering::Relaxed)
-    }
 }
 
 /// A structured post-mortem: the flight recorder's recent events, the
@@ -1027,20 +940,6 @@ mod tests {
         // The unlabeled single-snapshot form drops the braces.
         let solo = a.to_prometheus();
         assert!(solo.contains(&format!("\n{vmm} 10\n")));
-    }
-
-    #[test]
-    fn registry_roundtrips_snapshots_across_clones() {
-        let reg = MetricsRegistry::new();
-        let reader = reg.clone();
-        let snap = sample_snapshot();
-        reg.publish(&snap);
-        assert_eq!(reader.snapshot(), snap, "clone reads what the original published");
-        assert_eq!(reader.counter(Counter::VmmDispatches), 10);
-        assert_eq!(reader.gauge(Gauge::LiveGroups), 7);
-        // Re-publication overwrites (absolute values, not increments).
-        reg.publish(&snap);
-        assert_eq!(reader.counter(Counter::VmmDispatches), 10);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::engine::{
     GroupExit,
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
-use crate::metrics::{IrqLatency, MetricsRegistry, MetricsSnapshot, MetricsSource, PostMortem};
+use crate::metrics::{IrqLatency, MetricsSnapshot, MetricsSource, PostMortem};
 use crate::native::{NativeRun, NativeStats, NativeTier, DEFAULT_NATIVE_THRESHOLD};
 use crate::precise::{self, ArchEvent, RecoverError};
 use crate::profile::GuestProfile;
@@ -37,11 +37,6 @@ use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::IndirectVia;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-
-/// Group-boundary cadence of metrics publication: the system
-/// republishes its [`MetricsSnapshot`] into the registry every this
-/// many dispatch boundaries (see [`DaisySystemBuilder::metrics`]).
-pub const DEFAULT_METRICS_PUBLISH_PERIOD: u32 = 1024;
 
 /// How the previous group exited, carried to the next dispatch so a
 /// chain link can be followed or installed.
@@ -75,12 +70,6 @@ pub struct DaisySystem<I: Isa> {
     /// the paper's "to the external interrupt handler the program will
     /// appear to be at [a precise] point" (§3.7).
     pending_external: bool,
-    /// Recorded external-interrupt deliveries — `(retired guest
-    /// instructions, architected PC)` per delivery — when enabled
-    /// through [`DaisySystemBuilder::record_deliveries`]. The
-    /// preemption-fuzz harness replays this log on the interpreter
-    /// oracle to reproduce the exact delivery schedule.
-    delivery_log: Option<Vec<(u64, u32)>>,
     /// External interrupts delivered at a boundary produced by a
     /// native-tier run (including rerolled back-edge yields).
     native_yield_preempts: u64,
@@ -116,11 +105,6 @@ pub struct DaisySystem<I: Isa> {
     /// code; everything else (cold groups, refused groups, other
     /// ladder rungs) runs on the packed engine as before.
     native: Option<NativeTier>,
-    /// The metrics registry this system publishes into (`None` unless
-    /// enabled through [`DaisySystemBuilder::metrics`]).
-    metrics: Option<MetricsRegistry>,
-    /// Boundaries left until the next publication.
-    metrics_countdown: u32,
     /// Interrupt post-to-delivery latency accumulator (observed at
     /// group boundaries — see the delivery block in `step`).
     irq_latency: IrqLatency,
@@ -160,8 +144,6 @@ pub struct DaisySystemBuilder<I: Isa> {
     tier_policy: Option<TierPolicy>,
     native: bool,
     native_threshold: u64,
-    record_deliveries: bool,
-    metrics: bool,
     flight_recorder_capacity: usize,
     _isa: std::marker::PhantomData<I>,
 }
@@ -178,8 +160,6 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             tier_policy: None,
             native: false,
             native_threshold: DEFAULT_NATIVE_THRESHOLD,
-            record_deliveries: false,
-            metrics: false,
             flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
             _isa: std::marker::PhantomData,
         }
@@ -252,31 +232,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Records every external-interrupt delivery as `(retired guest
-    /// instructions, PC)` in [`DaisySystem::delivery_log`] (default
-    /// off). The preemption-fuzz harness replays the log on the
-    /// interpreter oracle to reproduce a translated run's exact
-    /// delivery schedule.
-    pub fn record_deliveries(mut self, on: bool) -> Self {
-        self.record_deliveries = on;
-        self
-    }
-
-    /// Enables metrics publication into a fresh
-    /// [`MetricsRegistry`] (default off; read it back through
-    /// [`DaisySystem::metrics_registry`]). Publication happens every
-    /// [`DEFAULT_METRICS_PUBLISH_PERIOD`] group boundaries and costs
-    /// nothing on in-group hot paths. Snapshots are exact regardless of
-    /// cadence — the registry is a periodically refreshed *copy* of
-    /// counters every layer maintains continuously — and
-    /// [`DaisySystem::metrics_snapshot`] works with or without this.
-    /// A monitoring thread clones the registry (an `Arc` handle) and
-    /// snapshots it while the system runs.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
-        self
-    }
-
     /// Trace events the flight recorder keeps (default
     /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`]; see
     /// [`crate::trace::FlightRecorder`]). The ring grows as events
@@ -332,7 +287,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
             cache: self.cache,
             stats: RunStats::default(),
             pending_external: false,
-            delivery_log: self.record_deliveries.then(Vec::new),
             native_yield_preempts: 0,
             last_exit_native: false,
             scratch: EngineScratch::new(),
@@ -343,8 +297,6 @@ impl<I: Isa> DaisySystemBuilder<I> {
             interp_pages: HashSet::new(),
             ladder_engaged: false,
             native,
-            metrics: self.metrics.then(MetricsRegistry::new),
-            metrics_countdown: DEFAULT_METRICS_PUBLISH_PERIOD,
             irq_latency: IrqLatency::default(),
             irq_posted_at: None,
             last_post_mortem: None,
@@ -434,6 +386,13 @@ impl<I: Isa> DaisySystem<I> {
     /// directly so they can perturb the system between groups; ordinary
     /// harnesses should call [`DaisySystem::run`].
     ///
+    /// An external interrupt is only ever delivered at the top of a
+    /// step, before anything retires, at the PC and retired-instruction
+    /// count ([`RunStats::approx_base_instrs`]) the caller reads just
+    /// before the call. A harness that needs the delivery schedule
+    /// records that pair before each step that raises
+    /// `stats.interrupts_taken`.
+    ///
     /// # Errors
     ///
     /// See [`DaisySystem::run`].
@@ -443,16 +402,6 @@ impl<I: Isa> DaisySystem<I> {
     #[inline]
     pub fn step(&mut self) -> Result<Option<StopReason>, DaisyError> {
         self.handle_code_writes();
-        // Metrics publication cadence: one decrement-and-test per
-        // boundary when enabled, with the publication itself outlined
-        // and cold. Snapshots read counters the layers maintain anyway,
-        // so the cadence bounds staleness, not accuracy.
-        if self.metrics.is_some() {
-            self.metrics_countdown -= 1;
-            if self.metrics_countdown == 0 {
-                self.publish_metrics_now();
-            }
-        }
         // Mirror VMM events (degradations, cast-outs) into the guest
         // profile's timeline; syncing at the group boundary keeps the
         // hot paths that produce them free of profiling hooks.
@@ -497,9 +446,6 @@ impl<I: Isa> DaisySystem<I> {
                 let posted = self.irq_posted_at.take().unwrap_or(self.stats.base_instrs);
                 self.irq_latency.record(self.stats.base_instrs.saturating_sub(posted));
                 let at = self.cpu.pc();
-                if let Some(log) = &mut self.delivery_log {
-                    log.push((self.stats.base_instrs, at));
-                }
                 self.vmm.tracer.emit(|| TraceEvent::ExternalInterrupt { pc: at });
                 self.cpu.deliver(Exception::External, at);
             } else if self.irq_posted_at.is_none() {
@@ -976,10 +922,8 @@ impl<I: Isa> DaisySystem<I> {
         Some(d)
     }
 
-    /// Gathers a [`MetricsSnapshot`] directly from the system's
-    /// counters, bypassing the registry: exact at any group boundary
-    /// regardless of the publish cadence, and available with metrics
-    /// publication off.
+    /// Gathers a [`MetricsSnapshot`] from the counters every layer
+    /// maintains anyway: a pure copy, exact at any group boundary.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut rung_entries = [0u64; Rung::ALL.len()];
         for r in self.ladder.values() {
@@ -998,30 +942,6 @@ impl<I: Isa> DaisySystem<I> {
             irq_latency: &self.irq_latency,
             flight_dropped: self.vmm.tracer.post_mortem_dropped(),
         })
-    }
-
-    /// Publishes a fresh snapshot into the registry immediately and
-    /// re-arms the cadence countdown. A no-op without a registry.
-    ///
-    /// Outlined and cold: `step` only pays the call on the publish
-    /// cadence, never on the per-boundary path.
-    #[cold]
-    #[inline(never)]
-    pub fn publish_metrics_now(&mut self) {
-        self.metrics_countdown = DEFAULT_METRICS_PUBLISH_PERIOD;
-        if self.metrics.is_some() {
-            let snap = self.metrics_snapshot();
-            if let Some(reg) = &self.metrics {
-                reg.publish(&snap);
-            }
-        }
-    }
-
-    /// The registry this system publishes into, when metrics are
-    /// enabled. Clone it to read snapshots elsewhere while the system
-    /// runs.
-    pub fn metrics_registry(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_ref()
     }
 
     /// The flight recorder: the ring every trace event lands in.
@@ -1108,17 +1028,6 @@ impl<I: Isa> DaisySystem<I> {
     /// Every ladder step taken this run, in order.
     pub fn degradations(&self) -> &[Degradation] {
         self.vmm.degradations()
-    }
-
-    /// The recorded delivery schedule, when
-    /// [`DaisySystemBuilder::record_deliveries`] was enabled: one
-    /// `(retired guest instructions, PC)` pair per external interrupt
-    /// delivered, in delivery order. The instruction counts are
-    /// strictly increasing — delivery clears the architected
-    /// interrupt-enable bit, and re-enabling retires at least the
-    /// interrupt return.
-    pub fn delivery_log(&self) -> Option<&[(u64, u32)]> {
-        self.delivery_log.as_deref()
     }
 
     /// External interrupts that preempted the guest at a boundary a

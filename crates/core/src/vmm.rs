@@ -21,7 +21,7 @@ use crate::sched::{translate_group_with_hints, Hints, TierPolicy, TranslatorConf
 use crate::trace::{FlightRecorder, Tier, TraceEvent};
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::Memory;
-use daisy_isa::{DecodeCache, Event, GuestCpu, Isa, IsaId, PAGE_SIZE};
+use daisy_isa::{DecodeCache, Event, GuestCpu, Isa, PAGE_SIZE};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
@@ -100,22 +100,15 @@ impl PageTable {
     }
 }
 
-/// Key of one translated page: the guest ISA that produced the
-/// translation plus the page index. Carrying the ISA id keeps the
-/// shared translated-code area sound even when several frontends feed
-/// the same pool — identical guest addresses from different ISAs can
-/// never alias each other's translations.
-type PageKey = (IsaId, u32);
-
 /// The Virtual Machine Monitor's translation cache.
 #[derive(Debug)]
 pub struct Vmm<I: Isa> {
     /// Translator configuration (machine, page size, window…).
     pub cfg: TranslatorConfig,
-    /// (ISA id, page index) → direct-mapped entry table for that page.
-    pages: HashMap<PageKey, PageTable>,
+    /// Page index → direct-mapped entry table for that page.
+    pages: HashMap<u32, PageTable>,
     /// Per-page last-use tick for LRU cast-out.
-    last_use: HashMap<PageKey, u64>,
+    last_use: HashMap<u32, u64>,
     tick: u64,
     /// Capacity of the translated-code area, if bounded.
     capacity: Option<u64>,
@@ -177,7 +170,7 @@ impl<I: Isa> Vmm<I> {
         self.capacity = bytes;
     }
 
-    fn cast_out_lru(&mut self, keep: PageKey) {
+    fn cast_out_lru(&mut self, keep: u32) {
         let Some(cap) = self.capacity else { return };
         while self.stats.code_bytes > cap && self.pages.len() > 1 {
             let Some((&victim, _)) = self
@@ -195,7 +188,7 @@ impl<I: Isa> Vmm<I> {
                 }
                 self.stats.cast_outs += 1;
                 self.tracer
-                    .emit(|| TraceEvent::CastOut { page: victim.1, groups: table.live as u32 });
+                    .emit(|| TraceEvent::CastOut { page: victim, groups: table.live as u32 });
             }
             self.last_use.remove(&victim);
         }
@@ -203,12 +196,6 @@ impl<I: Isa> Vmm<I> {
 
     fn page_of(&self, addr: u32) -> u32 {
         addr / self.cfg.page_size
-    }
-
-    /// Full translation-table key for `addr`: this frontend's ISA id
-    /// plus the page index.
-    fn page_key(&self, addr: u32) -> PageKey {
-        (I::ID, self.page_of(addr))
     }
 
     /// Word-offset slot of `addr` within its page's direct-mapped table.
@@ -232,12 +219,11 @@ impl<I: Isa> Vmm<I> {
         cpu: Option<&I::Cpu>,
     ) -> Rc<GroupCode> {
         let page = self.page_of(addr);
-        let key = self.page_key(addr);
         let slot = self.slot_of(addr);
         self.tick += 1;
         let tick = self.tick;
-        self.last_use.insert(key, tick);
-        if let Some(g) = self.pages.get(&key).and_then(|t| t.get(slot)) {
+        self.last_use.insert(page, tick);
+        if let Some(g) = self.pages.get(&page).and_then(|t| t.get(slot)) {
             return Rc::clone(g);
         }
         // Pick the tier: hot entries (promoted by the dispatcher) rebuild
@@ -302,7 +288,7 @@ impl<I: Isa> Vmm<I> {
         }
 
         let nslots = (self.cfg.page_size / 4) as usize;
-        let table = self.pages.entry(key).or_insert_with(|| {
+        let table = self.pages.entry(page).or_insert_with(|| {
             // First translation for this page.
             PageTable::new(nslots)
         });
@@ -323,7 +309,7 @@ impl<I: Isa> Vmm<I> {
         // Stay within the translated-code area, casting out LRU pages
         // (their stale read-only bits are harmless: a store there takes
         // one spurious, idempotent code-modification service).
-        self.cast_out_lru(key);
+        self.cast_out_lru(page);
         rc
     }
 
@@ -347,9 +333,9 @@ impl<I: Isa> Vmm<I> {
     /// other entries alone), so the next dispatch retranslates it.
     /// Inbound chain links sever automatically when the `Rc` drops.
     fn drop_entry(&mut self, entry: u32) {
-        let key = self.page_key(entry);
+        let page = self.page_of(entry);
         let slot = self.slot_of(entry);
-        if let Some(table) = self.pages.get_mut(&key) {
+        if let Some(table) = self.pages.get_mut(&page) {
             if let Some(g) = table.remove(slot) {
                 self.stats.code_bytes =
                     self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
@@ -376,7 +362,7 @@ impl<I: Isa> Vmm<I> {
     /// Returns the existing translation for `addr`, if any — one page
     /// hash plus one array index.
     pub fn lookup(&self, addr: u32) -> Option<Rc<GroupCode>> {
-        self.pages.get(&self.page_key(addr)).and_then(|t| t.get(self.slot_of(addr))).cloned()
+        self.pages.get(&self.page_of(addr)).and_then(|t| t.get(self.slot_of(addr))).cloned()
     }
 
     /// Destroys every translation overlapping the 4 KiB base unit with
@@ -388,7 +374,7 @@ impl<I: Isa> Vmm<I> {
         let first_page = unit_lo / self.cfg.page_size;
         let last_page = unit_hi / self.cfg.page_size;
         for page in first_page..=last_page {
-            if let Some(table) = self.pages.remove(&(I::ID, page)) {
+            if let Some(table) = self.pages.remove(&page) {
                 self.stats.invalidations += 1;
                 for g in table.groups() {
                     self.stats.code_bytes =
@@ -458,7 +444,7 @@ impl<I: Isa> Vmm<I> {
     /// the interpret rung. Returns the number of groups destroyed.
     pub fn drop_page_of(&mut self, addr: u32) -> usize {
         let page = self.page_of(addr);
-        let Some(table) = self.pages.remove(&(I::ID, page)) else { return 0 };
+        let Some(table) = self.pages.remove(&page) else { return 0 };
         for g in table.groups() {
             self.stats.code_bytes = self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
         }
@@ -486,7 +472,7 @@ impl<I: Isa> Vmm<I> {
         let mut v: Vec<u32> = self
             .pages
             .iter()
-            .flat_map(|(&(_, page), table)| {
+            .flat_map(|(&page, table)| {
                 table.slots.iter().enumerate().filter_map(move |(slot, g)| {
                     g.as_ref().map(|_| page * self.cfg.page_size + slot as u32 * 4)
                 })
@@ -518,7 +504,7 @@ fn gather_hints<I: Isa>(
     sim.set_pc(addr);
     let mut counts: HashMap<u32, (u64, u64)> = HashMap::new();
     let mut indirect = HashMap::new();
-    let mut dcache = DecodeCache::<I::Insn>::new(I::ID);
+    let mut dcache = DecodeCache::<I::Insn>::default();
     let budget = u64::from(cfg.window_size) * 8;
     let mut exhausted = true;
     for _ in 0..budget {

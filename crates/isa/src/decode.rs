@@ -1,9 +1,6 @@
-//! Per-ISA memoization of instruction decoding.
+//! Memoization of instruction decoding.
 
-use crate::IsaId;
-
-/// Memoizes decode results per instruction-word address, salted by the
-/// owning guest's [`IsaId`].
+/// Memoizes decode results per instruction-word address.
 ///
 /// The interpreter hot loops (trace generation, interpretive
 /// compilation's interpret-ahead) revisit the same words millions of
@@ -12,18 +9,12 @@ use crate::IsaId;
 /// remembers the raw word it decoded: a store that rewrites an
 /// instruction in place changes the word, the comparison on the next
 /// fetch misses, and the entry is re-decoded — self-invalidation
-/// without any store-side hook.
-///
-/// The ISA salt perturbs the slot index so a multi-guest server that
-/// (incorrectly) shared one cache across frontends could never return a
-/// PowerPC decode for an RV32 fetch of the same address: entries are
-/// additionally typed by the instruction type parameter, making such
-/// sharing a compile error in the first place.
+/// without any store-side hook. Entries are typed by the guest's
+/// instruction type, so one cache serves exactly one frontend.
 #[derive(Debug, Clone)]
 pub struct DecodeCache<Ins: Copy> {
     entries: Vec<DecodeEntry<Ins>>,
     mask: usize,
-    salt: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -33,26 +24,21 @@ struct DecodeEntry<Ins> {
     insn: Option<Ins>,
 }
 
-impl<Ins: Copy> DecodeCache<Ins> {
-    /// Default number of slots; covers an 8 KiB working set of code.
-    const DEFAULT_SLOTS: usize = 2048;
-
-    /// Creates a cache with the default slot count for guest `isa`.
-    pub fn new(isa: IsaId) -> DecodeCache<Ins> {
-        DecodeCache::with_slots(isa, Self::DEFAULT_SLOTS)
+impl<Ins: Copy> Default for DecodeCache<Ins> {
+    /// A cache of 2048 slots, covering an 8 KiB working set of code.
+    fn default() -> DecodeCache<Ins> {
+        DecodeCache::with_slots(2048)
     }
+}
 
+impl<Ins: Copy> DecodeCache<Ins> {
     /// Creates a cache with at least `slots` entries (rounded up to a
     /// power of two).
-    pub fn with_slots(isa: IsaId, slots: usize) -> DecodeCache<Ins> {
+    pub fn with_slots(slots: usize) -> DecodeCache<Ins> {
         let slots = slots.next_power_of_two().max(16);
         DecodeCache {
             entries: vec![DecodeEntry { addr: u32::MAX, word: 0, insn: None }; slots],
             mask: slots - 1,
-            // Knuth multiplicative spread of the ISA id, so different
-            // guests' entries for the same address land in different
-            // slots even if a cache were (wrongly) shared.
-            salt: (isa.0 as usize).wrapping_mul(0x9E37_79B9),
         }
     }
 
@@ -60,7 +46,7 @@ impl<Ins: Copy> DecodeCache<Ins> {
     /// reusing the cached result when the same word is still at that
     /// address.
     pub fn decode_at(&mut self, addr: u32, word: u32, decode: impl FnOnce(u32) -> Ins) -> Ins {
-        let e = &mut self.entries[(((addr >> 2) as usize) ^ self.salt) & self.mask];
+        let e = &mut self.entries[((addr >> 2) as usize) & self.mask];
         if e.addr == addr && e.word == word {
             if let Some(insn) = e.insn {
                 return insn;
@@ -84,19 +70,12 @@ mod tests {
             calls.set(calls.get() + 1);
             w.wrapping_mul(3)
         };
-        let mut c: DecodeCache<u32> = DecodeCache::with_slots(IsaId::PPC, 16);
+        let mut c: DecodeCache<u32> = DecodeCache::with_slots(16);
         assert_eq!(c.decode_at(0x100, 7, dec), 21);
         assert_eq!(c.decode_at(0x100, 7, dec), 21);
         assert_eq!(calls.get(), 1);
         // Same address, new word (self-modifying code): re-decoded.
         assert_eq!(c.decode_at(0x100, 9, dec), 27);
         assert_eq!(calls.get(), 2);
-    }
-
-    #[test]
-    fn salt_differs_across_isas() {
-        let a: DecodeCache<u32> = DecodeCache::new(IsaId::PPC);
-        let b: DecodeCache<u32> = DecodeCache::new(IsaId::RV32);
-        assert_ne!(a.salt, b.salt);
     }
 }

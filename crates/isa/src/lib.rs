@@ -25,7 +25,7 @@
 //!   conversion ([`convert::Converted`], [`convert::Flow`],
 //!   [`convert::CondSpec`]) plus static branch descriptions
 //!   ([`convert::BranchInfo`]).
-//! * [`DecodeCache`] — a per-ISA-salted memo table for decoded
+//! * [`DecodeCache`] — a direct-mapped memo table for decoded
 //!   instructions.
 //! * [`Workload`] — a benchmark program plus its result checker,
 //!   generic over the guest that the program was assembled for.
@@ -59,19 +59,6 @@ use daisy_vliw::regfile::RegFile;
 /// units and the §3.2 translated bits are tracked per page.
 pub const PAGE_SIZE: u32 = 4096;
 
-/// Identifies a guest ISA. Translation caches key on this in addition
-/// to the guest address, so two frontends sharing one VMM can never
-/// alias each other's translations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IsaId(pub u16);
-
-impl IsaId {
-    /// The PowerPC (subset) frontend, `daisy-ppc`.
-    pub const PPC: IsaId = IsaId(1);
-    /// The RV32I (subset) frontend, `daisy-rv32`.
-    pub const RV32: IsaId = IsaId(2);
-}
-
 /// Static description of a guest ISA: everything the translator needs
 /// that does not involve architected state.
 ///
@@ -88,7 +75,7 @@ impl IsaId {
 ///
 /// ```
 /// use daisy_isa::convert::{BranchInfo, Converted, Flow};
-/// use daisy_isa::{Isa, IsaId};
+/// use daisy_isa::Isa;
 /// use daisy_vliw::op::Operation;
 ///
 /// #[derive(Debug, Clone, Copy)]
@@ -103,7 +90,6 @@ impl IsaId {
 ///     type Cpu = ToyCpu; // a GuestCpu implementation, elided here
 ///     type DecodeError = u32;
 ///
-///     const ID: IsaId = IsaId(0xFFFF);
 ///     const NAME: &'static str = "toy";
 ///
 ///     fn decode(word: u32) -> Result<ToyInsn, u32> {
@@ -184,8 +170,6 @@ pub trait Isa {
     /// [`std::convert::Infallible`].
     type DecodeError: std::fmt::Debug;
 
-    /// Unique ISA identifier, mixed into every translation-cache key.
-    const ID: IsaId;
     /// Human-readable name for reports and traces.
     const NAME: &'static str;
     /// Guest page size. All in-tree guests use the shared 4 KiB

@@ -158,9 +158,8 @@ pub fn decode(w: u32) -> Insn {
 /// Memoizes [`decode`] results per instruction-word address.
 ///
 /// This is the shared direct-mapped memo table from the frontend
-/// boundary, instantiated for PowerPC instructions and salted with the
-/// PowerPC ISA id; see [`daisy_isa::DecodeCache`] for the
-/// self-invalidation story.
+/// boundary, instantiated for PowerPC instructions; see
+/// [`daisy_isa::DecodeCache`] for the self-invalidation story.
 pub type DecodeCache = daisy_isa::DecodeCache<Insn>;
 
 fn decode_op19(w: u32) -> Insn {
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn decode_cache_hits_and_self_invalidates() {
-        let mut c = DecodeCache::with_slots(daisy_isa::IsaId::PPC, 16);
+        let mut c = DecodeCache::with_slots(16);
         let addi = 0x3860_0001; // li r3,1
         assert_eq!(c.decode_at(0x1000, addi, decode), decode(addi));
         // Same word at the same address: served from the cache.

@@ -14,7 +14,7 @@ use crate::mem::Memory;
 use crate::reg::{msr_bits, xer_bits, CrField};
 use crate::vectors;
 use daisy_isa::convert::{BranchInfo, Converted};
-use daisy_isa::{Event, Exception, IsaId, StopReason};
+use daisy_isa::{Event, Exception, StopReason};
 use daisy_vliw::op::Operation;
 use daisy_vliw::reg::Reg;
 use daisy_vliw::regfile::RegFile;
@@ -34,7 +34,6 @@ impl daisy_isa::Isa for PpcIsa {
     // `Insn::Invalid`, which converts to an interpreter exit.
     type DecodeError = std::convert::Infallible;
 
-    const ID: IsaId = IsaId::PPC;
     const NAME: &'static str = "ppc";
 
     fn decode(word: u32) -> Result<Insn, Self::DecodeError> {

@@ -807,7 +807,7 @@ impl Cpu {
         mut trace: impl FnMut(u32, &Insn),
     ) -> Result<StopReason, MemTooSmall> {
         let limit = self.ninstrs.saturating_add(max_instrs);
-        let mut dcache = DecodeCache::new(daisy_isa::IsaId::PPC);
+        let mut dcache = DecodeCache::default();
         while self.ninstrs < limit {
             let pc = self.pc;
             let ev = match self.fetch_cached(mem, &mut dcache) {

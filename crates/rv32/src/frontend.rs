@@ -11,7 +11,7 @@ use crate::insn::{decode, encode, Insn};
 use crate::interp::{mcause, Cpu, DecodeCache, TRAP_VECTOR};
 use daisy_isa::convert::{BranchInfo, Converted};
 use daisy_isa::mem::Memory;
-use daisy_isa::{Event, Exception, IsaId, StopReason};
+use daisy_isa::{Event, Exception, StopReason};
 use daisy_vliw::op::Operation;
 use daisy_vliw::reg::{CrField, Reg};
 use daisy_vliw::regfile::RegFile;
@@ -32,7 +32,6 @@ impl daisy_isa::Isa for Rv32Isa {
     // which converts to an interpreter exit.
     type DecodeError = std::convert::Infallible;
 
-    const ID: IsaId = IsaId::RV32;
     const NAME: &'static str = "rv32";
 
     fn decode(word: u32) -> Result<Insn, Self::DecodeError> {
@@ -209,7 +208,6 @@ mod tests {
 
     #[test]
     fn isa_constants_and_roundtrips() {
-        assert_eq!(Rv32Isa::ID, IsaId::RV32);
         assert_eq!(Rv32Isa::NAME, "rv32");
         assert_eq!(<Rv32Isa as Isa>::decode(Rv32Isa::interrupt_return_word()).unwrap(), Insn::Mret);
         for &w in Rv32Isa::illegal_words() {

@@ -86,7 +86,7 @@ cmp "$artifacts/BENCH_report.json" BENCH_report.json || {
 }
 
 # Live-metrics pin: the nine-workload packed health document (every
-# counter, gauge, degradation and histogram the registry publishes) is
+# counter, gauge, degradation and histogram a metrics snapshot holds) is
 # deterministic too, so a regenerated copy must match the committed
 # BENCH_health.json byte for byte. A metric renamed, reordered or
 # reading the wrong field fails here; regenerate the file (`cargo run
@@ -130,8 +130,8 @@ for doc in BENCH_dispatch.json BENCH_tiered.json BENCH_translate.json; do
   }
 done
 
-# Live-metrics health smoke: two workloads through the metrics
-# registry with periodic snapshots, then the shape assertion over the
+# Live-metrics health smoke: two workloads stepped boundary by boundary
+# with periodic metrics snapshots, then the shape assertion over the
 # JSON document and the Prometheus exposition (the structural
 # validation is crates/bench/tests/health_schema.rs; the committed
 # nine-workload document is BENCH_health.json — regenerate with

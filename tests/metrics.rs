@@ -1,9 +1,8 @@
-//! The unified metrics registry and the always-on flight recorder,
-//! end to end: snapshots must conserve the per-layer counters exactly
-//! on every workload and every execution tier, the registry a monitor
-//! scrapes must agree with a direct snapshot, and the flight
-//! recorder's post-mortem must fire — with the full degradation chain
-//! — on a system built with every default.
+//! Metrics snapshots and the always-on flight recorder, end to end:
+//! snapshots must conserve the per-layer counters exactly on every
+//! workload and every execution tier, and the flight recorder's
+//! post-mortem must fire — with the full degradation chain — on a
+//! system built with every default.
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
 use daisy::metrics::Counter;
@@ -12,12 +11,9 @@ use daisy::DegradeCause;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 
-fn run_with_metrics(w: &Workload, native: bool) -> DaisySystem<PpcIsa> {
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(w.mem_size)
-        .native_execution(native)
-        .metrics(true)
-        .build();
+fn run_workload(w: &Workload, native: bool) -> DaisySystem<PpcIsa> {
+    let mut sys =
+        DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).native_execution(native).build();
     sys.load(&w.program()).expect("workload fits in memory");
     sys.run(50 * w.max_instrs).expect("workload completes");
     w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{}: check failed: {e}", w.name));
@@ -28,13 +24,13 @@ fn run_with_metrics(w: &Workload, native: bool) -> DaisySystem<PpcIsa> {
 /// tiers, the final snapshot agrees counter-for-counter with
 /// the per-layer stats structs it is gathered from — dispatches,
 /// retired instructions, cast-outs, and interrupts among them. A
-/// mismatch means a publisher drifted from the source of truth.
+/// mismatch means a metric row reads the wrong field.
 #[test]
 fn snapshot_conserves_stats_on_every_workload_and_tier() {
     for w in daisy_workloads::all() {
         for native in [false, true] {
             let tier = if native { "native" } else { "packed" };
-            let sys = run_with_metrics(&w, native);
+            let sys = run_workload(&w, native);
             let snap = sys.metrics_snapshot();
             let ctx = format!("{} ({tier})", w.name);
 
@@ -94,25 +90,11 @@ fn snapshot_conserves_stats_on_every_workload_and_tier() {
     }
 }
 
-/// The registry is a faithful copy: after an explicit publish, the
-/// snapshot read back through the shared handle equals one gathered
-/// directly from the layers — on every workload.
-#[test]
-fn published_registry_agrees_with_direct_snapshot() {
-    for w in daisy_workloads::all() {
-        let mut sys = run_with_metrics(&w, false);
-        sys.publish_metrics_now();
-        let direct = sys.metrics_snapshot();
-        let scraped = sys.metrics_registry().expect("metrics enabled").snapshot();
-        assert_eq!(scraped, direct, "{}: registry drifted from the layers", w.name);
-    }
-}
-
 /// The flight recorder is on in a default-built system, and a ladder
 /// degradation auto-captures a post-mortem whose ring contains the
 /// degradation event itself.
 #[test]
-fn post_mortem_fires_on_degradation_without_a_sink() {
+fn post_mortem_fires_on_degradation_in_a_default_build() {
     let w = daisy_workloads::by_name("wc").expect("wc workload");
     let prog = w.program();
     let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).build();
