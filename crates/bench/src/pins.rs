@@ -22,8 +22,8 @@
 //!   and translator configuration, the groups translated, their summed
 //!   [`XlateCost`] and a 64-bit FNV-1a digest over an explicit byte
 //!   encoding of every group. Static configurations translate every
-//!   word address of the program; the interpretive and tiered ones run
-//!   the workload and hash the packed form of every live translation.
+//!   word address of the program; the interpretive one runs the
+//!   workload and hashes the packed form of every live translation.
 //!   Any scheduler change that moves one operand of one group changes
 //!   the digest.
 
@@ -31,7 +31,6 @@ use crate::runner::{self, Measurement};
 use daisy::native::Refusal;
 use daisy::prelude::*;
 use daisy::sched::{translate_group, XlateCost};
-use daisy::trace::Tier;
 use daisy_baseline::{profile, trad};
 use daisy_ppc::mem::Memory;
 use daisy_ppc::PpcIsa;
@@ -214,22 +213,16 @@ pub fn translate_json() -> String {
                 .collect();
             let interpretive =
                 TranslatorConfig { interpretive: true, ..TranslatorConfig::default() };
-            for (name, builder) in [
-                ("interpretive", DaisySystem::builder().translator(interpretive)),
-                ("tiered", DaisySystem::builder().tiered(TierPolicy::default())),
-            ] {
-                let sys = run(w, builder);
-                let mut h = Fnv::new();
-                for entry in sys.vmm.live_entries() {
-                    let code = sys.vmm.lookup(entry).expect("live entries have translations");
-                    h.u32(entry);
-                    h.u8(u8::from(code.tier == Tier::Hot));
-                    h.packed(&code.packed);
-                }
-                h.cost(&sys.vmm.cost);
-                let groups = sys.vmm.stats.groups_translated;
-                cells.push(format!("\"{name}\": {}", translate_cell(groups, &sys.vmm.cost, h.0)));
+            let sys = run(w, DaisySystem::builder().translator(interpretive));
+            let mut h = Fnv::new();
+            for entry in sys.vmm.live_entries() {
+                let code = sys.vmm.lookup(entry).expect("live entries have translations");
+                h.u32(entry);
+                h.packed(&code.packed);
             }
+            h.cost(&sys.vmm.cost);
+            let groups = sys.vmm.stats.groups_translated;
+            cells.push(format!("\"interpretive\": {}", translate_cell(groups, &sys.vmm.cost, h.0)));
             format!("    {{\"name\": \"{}\", {}}}", w.name, cells.join(", "))
         })
         .collect();

@@ -1,5 +1,5 @@
 //! The translation digest pin: every group the translator produces for
-//! the nine paper workloads, under the static, interpretive and tiered
+//! the nine paper workloads, under the static and interpretive
 //! configurations, hashed into `BENCH_translate.json`. A scheduler
 //! change that moves one operand, exit or cost figure of one group
 //! fails here; regenerate the file (`cargo run --release -p
