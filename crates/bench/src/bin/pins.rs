@@ -3,12 +3,12 @@
 //! ```text
 //! pins [--out-dir DIR]
 //!
-//!   --out-dir DIR  write the four documents here
+//!   --out-dir DIR  write the three documents here
 //!                  (default: the repository root)
 //! ```
 //!
-//! Writes `BENCH_engine.json`, `BENCH_dispatch.json`,
-//! `BENCH_tiered.json` and `BENCH_translate.json`; see
+//! Writes `BENCH_engine.json`, `BENCH_dispatch.json` and
+//! `BENCH_translate.json`; see
 //! [`daisy_bench::pins`] for what each holds.
 
 use daisy_bench::pins;
@@ -40,6 +40,5 @@ fn main() {
     };
     write("BENCH_engine.json", pins::engine_json());
     write("BENCH_dispatch.json", pins::dispatch_json());
-    write("BENCH_tiered.json", pins::tiered_json());
     write("BENCH_translate.json", pins::translate_json());
 }

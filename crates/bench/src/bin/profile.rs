@@ -2,10 +2,8 @@
 //! for one or more workloads.
 //!
 //! ```text
-//! profile [--tiered] [--top N] [--jsonl FILE] [WORKLOAD ...]
+//! profile [--top N] [--jsonl FILE] [WORKLOAD ...]
 //!
-//!   --tiered      enable profile-guided tiered retranslation
-//!                 (default TierPolicy: promote at 64 dispatches)
 //!   --top N       show the N hottest groups (default 10)
 //!   --jsonl FILE  also write every captured trace event to FILE as
 //!                 JSON lines
@@ -13,46 +11,42 @@
 //! ```
 //!
 //! For each workload this prints the top-N groups by dispatch count
-//! (entry address, tier, dispatches, VLIWs retired, stall cycles) and a
+//! (entry address, dispatches, VLIWs retired, stall cycles) and a
 //! histogram of structured trace events. The group table is rolled up
 //! from the guest profile's dispatch timeline
 //! ([`GuestProfile::timeline`]); when the timeline hit its bound the
 //! dropped count is printed, so a truncated table is visible.
 
 use daisy::prelude::*;
-use daisy::trace::Tier;
 use daisy_bench::reporting::{resolve_workloads, run_profiled, RunConfig};
 use std::collections::{BTreeMap, HashMap};
 
 /// One group entry's rollup of its timeline dispatches.
 #[derive(Default)]
 struct GroupRow {
-    tier: Tier,
     dispatches: u64,
     vliws: u64,
     stalls: u64,
 }
 
 struct Options {
-    tiered: bool,
     top: usize,
     jsonl: Option<String>,
     workloads: Vec<String>,
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options { tiered: false, top: 10, jsonl: None, workloads: Vec::new() };
+    let mut opts = Options { top: 10, jsonl: None, workloads: Vec::new() };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--tiered" => opts.tiered = true,
             "--top" => {
                 let n = args.next().expect("--top needs a value");
                 opts.top = n.parse().expect("--top needs an integer");
             }
             "--jsonl" => opts.jsonl = Some(args.next().expect("--jsonl needs a path")),
             "--help" | "-h" => {
-                println!("profile [--tiered] [--top N] [--jsonl FILE] [WORKLOAD ...]");
+                println!("profile [--top N] [--jsonl FILE] [WORKLOAD ...]");
                 std::process::exit(0);
             }
             other => opts.workloads.push(other.to_string()),
@@ -65,7 +59,6 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
     let sys = run_profiled(
         w,
         RunConfig {
-            tiered: opts.tiered.then(TierPolicy::default),
             guest_profiling: true,
             flight_recorder_capacity: 1 << 16,
             ..RunConfig::default()
@@ -75,33 +68,22 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let mut groups: HashMap<u32, GroupRow> = HashMap::new();
     for ev in gp.timeline() {
-        if let TimelineEvent::Dispatch { entry, cycles, vliws, tier, .. } = *ev {
+        if let TimelineEvent::Dispatch { entry, cycles, vliws, .. } = *ev {
             let row = groups.entry(entry).or_default();
-            row.tier = row.tier.max(tier);
             row.dispatches += 1;
             row.vliws += u64::from(vliws);
             row.stalls += cycles.saturating_sub(u64::from(vliws));
         }
     }
-    let mode = if opts.tiered { "tiered" } else { "cold-only" };
-    println!("== {} ({mode}, {} distinct groups) ==", w.name, groups.len());
+    println!("== {} ({} distinct groups) ==", w.name, groups.len());
     if gp.timeline_dropped() > 0 {
         println!("(timeline full: {} dispatches dropped from the table)", gp.timeline_dropped());
     }
-    println!(
-        "{:>10}  {:>5}  {:>10}  {:>12}  {:>12}",
-        "entry", "tier", "dispatches", "vliws", "stalls"
-    );
+    println!("{:>10}  {:>10}  {:>12}  {:>12}", "entry", "dispatches", "vliws", "stalls");
     let mut top: Vec<(u32, GroupRow)> = groups.into_iter().collect();
     top.sort_by(|a, b| b.1.dispatches.cmp(&a.1.dispatches).then(a.0.cmp(&b.0)));
     for (entry, row) in top.into_iter().take(opts.top) {
-        println!(
-            "{entry:>#10x}  {:>5}  {:>10}  {:>12}  {:>12}",
-            row.tier.name(),
-            row.dispatches,
-            row.vliws,
-            row.stalls
-        );
+        println!("{entry:>#10x}  {:>10}  {:>12}  {:>12}", row.dispatches, row.vliws, row.stalls);
     }
 
     let recorder = sys.flight_recorder();
@@ -113,9 +95,6 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
     println!("-- events ({} captured, {} dropped) --", events.len(), recorder.dropped());
     for (kind, n) in &hist {
         println!("{kind:>18}  {n}");
-    }
-    if sys.vmm.stats.hot_promotions > 0 {
-        println!("-- {} hot promotions --", sys.vmm.stats.hot_promotions);
     }
     println!();
 

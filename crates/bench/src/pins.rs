@@ -15,9 +15,6 @@
 //!   and the native column reads zero.
 //! - `BENCH_dispatch.json` ([`dispatch_json`]): VMM, chained and total
 //!   dispatches with group chaining on and off.
-//! - `BENCH_tiered.json` ([`tiered_json`]): finite-cache ILP, VLIWs,
-//!   stall cycles, dispatches and hot promotions with profile-guided
-//!   tiered retranslation off and on.
 //! - `BENCH_translate.json` ([`translate_json`]): per paper workload
 //!   and translator configuration, the groups translated, their summed
 //!   [`XlateCost`] and a 64-bit FNV-1a digest over an explicit byte
@@ -27,7 +24,6 @@
 //!   Any scheduler change that moves one operand of one group changes
 //!   the digest.
 
-use crate::runner::{self, Measurement};
 use daisy::native::Refusal;
 use daisy::prelude::*;
 use daisy::sched::{translate_group, XlateCost};
@@ -110,50 +106,6 @@ pub fn dispatch_json() -> String {
         })
         .collect();
     document("dispatch", &rows)
-}
-
-pub fn tiered_json() -> String {
-    let rows: Vec<String> = ["compress", "sort", "xlat"]
-        .iter()
-        .map(|&name| {
-            let w = daisy_workloads::by_name(name).expect("known workload");
-            let measure = |tiered: bool| {
-                runner::run_daisy_tiered(
-                    &w,
-                    TranslatorConfig::default(),
-                    Hierarchy::paper_default(),
-                    tiered.then(TierPolicy::default),
-                )
-            };
-            let cell = |m: &Measurement| {
-                format!(
-                    concat!(
-                        "{{\"finite_ilp\": {:.4}, \"ilp\": {:.4}, \"vliws\": {}, ",
-                        "\"stall_cycles\": {}, \"total_dispatches\": {}, ",
-                        "\"hot_promotions\": {}}}"
-                    ),
-                    m.finite_ilp(),
-                    m.ilp(),
-                    m.stats.vliws_executed,
-                    m.stats.stall_cycles,
-                    m.stats.total_dispatches(),
-                    m.hot_promotions
-                )
-            };
-            let (cold, hot) = (measure(false), measure(true));
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"cold\": {}, \"tiered\": {}, ",
-                    "\"finite_ilp_delta_pct\": {:.2}}}"
-                ),
-                name,
-                cell(&cold),
-                cell(&hot),
-                (hot.finite_ilp() / cold.finite_ilp() - 1.0) * 100.0
-            )
-        })
-        .collect();
-    document("tiered", &rows)
 }
 
 fn document(bench: &str, rows: &[String]) -> String {

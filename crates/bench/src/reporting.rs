@@ -21,8 +21,6 @@ use std::fmt::Write as _;
 pub struct RunConfig {
     /// Cache hierarchy (default infinite).
     pub cache: Hierarchy,
-    /// Enable profile-guided tiered retranslation under this policy.
-    pub tiered: Option<TierPolicy>,
     /// Enable guest-level attribution ([`daisy::profile`]).
     pub guest_profiling: bool,
     /// Trace events the flight recorder keeps (default
@@ -34,7 +32,6 @@ impl Default for RunConfig {
     fn default() -> RunConfig {
         RunConfig {
             cache: Hierarchy::infinite(),
-            tiered: None,
             guest_profiling: false,
             flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
         }
@@ -61,15 +58,12 @@ pub fn resolve_workloads(names: &[String]) -> Vec<Workload> {
 /// Runs `w` to completion under DAISY with the given extras, asserting
 /// the workload's result check.
 pub fn run_profiled(w: &Workload, cfg: RunConfig) -> DaisySystem<PpcIsa> {
-    let mut builder = DaisySystem::<PpcIsa>::builder()
+    let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .cache(cfg.cache)
         .guest_profiling(cfg.guest_profiling)
-        .flight_recorder_capacity(cfg.flight_recorder_capacity);
-    if let Some(policy) = cfg.tiered {
-        builder = builder.tiered(policy);
-    }
-    let mut sys = builder.build();
+        .flight_recorder_capacity(cfg.flight_recorder_capacity)
+        .build();
     sys.load(&w.program()).expect("workload fits in memory");
     sys.run(50 * w.max_instrs).expect("workload completes");
     w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{}: check failed: {e}", w.name));

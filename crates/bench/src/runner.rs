@@ -2,7 +2,7 @@
 //! translator/cache configuration), under the reference interpreter,
 //! under the baselines, and collect everything the tables need.
 
-use daisy::sched::{TierPolicy, TranslatorConfig};
+use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
 use daisy_cachesim::{CacheStats, Hierarchy};
@@ -28,8 +28,6 @@ pub struct Measurement {
     pub pages_translated: u64,
     /// Groups translated.
     pub groups_translated: u64,
-    /// Hot-tier promotions performed (zero unless tiering is enabled).
-    pub hot_promotions: u64,
     /// Base instructions scheduled during translation.
     pub instrs_compiled: u64,
     /// Per-cache-level statistics `(name, stats)`.
@@ -61,35 +59,21 @@ pub fn run_reference(w: &Workload) -> Cpu {
 }
 
 /// Runs a workload under DAISY with the given configuration.
-pub fn run_daisy(w: &Workload, cfg: TranslatorConfig, cache: Hierarchy) -> Measurement {
-    run_daisy_tiered(w, cfg, cache, None)
-}
-
-/// Like [`run_daisy`], but with profile-guided tiered retranslation
-/// enabled when a [`TierPolicy`] is given.
 ///
 /// Runs on the native tier, which reproduces the packed engine's
 /// statistics exactly under any cache hierarchy (and falls back to the
 /// packed engine on hosts that cannot execute emitted x86-64), so every
 /// table comes out the same on either engine; native is just faster.
-pub fn run_daisy_tiered(
-    w: &Workload,
-    cfg: TranslatorConfig,
-    cache: Hierarchy,
-    policy: Option<TierPolicy>,
-) -> Measurement {
+pub fn run_daisy(w: &Workload, cfg: TranslatorConfig, cache: Hierarchy) -> Measurement {
     let base_instrs = run_reference(w).ninstrs;
     let prog = w.program();
     let static_words = u64::from(prog.code_size() / 4);
-    let mut builder = DaisySystem::<PpcIsa>::builder()
+    let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .translator(cfg)
         .cache(cache)
-        .native_execution(true);
-    if let Some(policy) = policy {
-        builder = builder.tiered(policy);
-    }
-    let mut sys = builder.build();
+        .native_execution(true)
+        .build();
     sys.load(&prog).expect("workload fits in memory");
     let stop = sys.run(50 * w.max_instrs).expect("DAISY run");
     assert_eq!(stop, StopReason::Syscall, "{}: DAISY did not complete", w.name);
@@ -102,7 +86,6 @@ pub fn run_daisy_tiered(
         code_bytes_total: sys.vmm.stats.code_bytes_total,
         pages_translated: sys.vmm.stats.pages_translated,
         groups_translated: sys.vmm.stats.groups_translated,
-        hot_promotions: sys.vmm.stats.hot_promotions,
         instrs_compiled: sys.vmm.cost.instrs_scheduled,
         cache_levels: sys.cache.level_stats(),
     }

@@ -110,7 +110,7 @@ fn prometheus_exposition_follows_conventions() {
             families.push((fam.to_owned(), ty.to_owned()));
         }
     }
-    // 40 counters + 5 gauges + the two labelled families + two
+    // 39 counters + 5 gauges + the two labelled families + two
     // histograms, each exactly once regardless of workload count.
     let expected = Counter::COUNT + Gauge::COUNT + 2 + 2;
     assert_eq!(families.len(), expected, "one header block per family");

@@ -82,7 +82,6 @@ fn chrome_trace_is_valid_trace_event_json() {
                 assert!(ts >= 0.0 && dur >= 1.0, "dispatch spans are visible");
                 let args = ev.get("args").expect("X has args");
                 assert!(args.get("entry").and_then(Json::str).is_some());
-                assert!(args.get("tier").and_then(Json::str).is_some());
             }
             "i" => {
                 assert!(ev.get("ts").and_then(Json::num).is_some(), "instant has ts");

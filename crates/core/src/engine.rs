@@ -12,7 +12,6 @@
 use crate::native::NativeSlot;
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
-use crate::trace::Tier;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::mem::Memory;
 use daisy_vliw::op::{compare, effective_address, eval, EvalOut, MemWidth, OpKind, Operation};
@@ -76,15 +75,10 @@ pub struct GroupCode {
     pub packed: PackedGroup,
     /// Translated-code address of each tree instruction.
     pub vliw_addrs: Vec<u32>,
-    /// Which translator tier produced this code (cold first-touch or
-    /// profile-guided hot retranslation); carried so promotion, the
-    /// native tier and trace events can tell the tiers apart.
-    pub tier: Tier,
     /// Dispatcher boundaries that entered this translation, VMM and
     /// chained dispatches alike (bumped once per `step`). The one
-    /// hotness counter: the native threshold and the hot-promotion
-    /// threshold are two thresholds on it. Native runs that follow a
-    /// patched edge skip the dispatcher and are not counted.
+    /// hotness counter: the native threshold reads it. Native runs that
+    /// follow a patched edge skip the dispatcher and are not counted.
     dispatches: Cell<u64>,
     /// The native tier's compile state for this translation (see
     /// [`crate::native`]). Dropping the translation drops its compiled
@@ -113,7 +107,6 @@ impl GroupCode {
             code_bytes: group.code_bytes(),
             packed,
             vliw_addrs,
-            tier: Tier::Cold,
             dispatches: Cell::new(0),
             native: RefCell::new(NativeSlot::Cold),
             links,
@@ -122,24 +115,14 @@ impl GroupCode {
         }
     }
 
-    /// Sets the translation tier (builder style; the VMM tags hot
-    /// retranslations before publishing the code).
-    pub fn with_tier(mut self, tier: Tier) -> GroupCode {
-        self.tier = tier;
-        self
-    }
-
     /// Dispatcher boundaries that have entered this translation so far.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.get()
     }
 
-    /// Counts one dispatcher boundary entering this translation and
-    /// returns the new count.
-    pub(crate) fn count_dispatch(&self) -> u64 {
-        let n = self.dispatches.get() + 1;
-        self.dispatches.set(n);
-        n
+    /// Counts one dispatcher boundary entering this translation.
+    pub(crate) fn count_dispatch(&self) {
+        self.dispatches.set(self.dispatches.get() + 1);
     }
 
     /// The link slot for a static direct-branch exit `target`, if the

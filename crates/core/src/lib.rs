@@ -24,10 +24,8 @@
 //!   emulated guest CPU state into a runnable whole.
 //! * [`oracle`] — the oracle-parallelism schedulers of Chapter 6.
 //! * [`overhead`] — the analytic compile-overhead model of §5.1.
-//! * [`trace`] — structured observability: trace events, the
-//!   [`trace::FlightRecorder`] ring they land in, and the hot/cold
-//!   translation tiers
-//!   behind [`sched::TierPolicy`].
+//! * [`trace`] — structured observability: trace events and the
+//!   [`trace::FlightRecorder`] ring they land in.
 //! * [`profile`] — guest-level attribution (`perf` for the guest):
 //!   per-guest-PC cycles, stalls, speculation waste, the §4.2
 //!   VMM-overhead clock, and Chrome-trace / flamegraph / annotated
@@ -92,7 +90,7 @@ pub mod trace;
 pub mod vmm;
 
 pub use error::{DaisyError, Degradation, DegradeCause, Rung};
-pub use sched::{TierPolicy, TranslatorConfig};
+pub use sched::TranslatorConfig;
 pub use stats::RunStats;
 pub use system::DaisySystem;
 pub use vmm::Vmm;
@@ -129,7 +127,7 @@ pub mod prelude {
     pub use crate::metrics::{Counter, Gauge, MetricsSnapshot, PostMortem};
     pub use crate::native::NativeStats;
     pub use crate::profile::{GuestProfile, OverheadReport, PcStats, TimelineEvent};
-    pub use crate::sched::{TierPolicy, TranslatorConfig};
+    pub use crate::sched::TranslatorConfig;
     pub use crate::stats::{ChainStats, RunStats};
     pub use crate::system::{DaisySystem, DaisySystemBuilder};
     pub use crate::trace::{FlightRecorder, TraceEvent};

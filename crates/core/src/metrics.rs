@@ -119,9 +119,6 @@ metric_table! {
         AliasRetranslations => "daisy_vmm_alias_retranslations_total",
             "Entries retranslated with load speculation inhibited",
             |s| s.vmm.alias_retranslations;
-        HotPromotions => "daisy_vmm_hot_promotions_total",
-            "Entries promoted to the hot translation tier",
-            |s| s.vmm.hot_promotions;
         HintBudgetExhausted => "daisy_vmm_hint_budget_exhausted_total",
             "Interpret-ahead hint gatherings that ran out of budget",
             |s| s.vmm.hint_budget_exhausted;
@@ -832,7 +829,6 @@ mod tests {
             &mut vmm.invalidations,
             &mut vmm.cast_outs,
             &mut vmm.alias_retranslations,
-            &mut vmm.hot_promotions,
             &mut vmm.code_bytes,
             &mut vmm.code_bytes_total,
             &mut vmm.hint_budget_exhausted,

@@ -12,10 +12,7 @@
 //! A translation is lowered on the dispatch that brings its own
 //! dispatch counter ([`GroupCode::dispatches`]) to the threshold; its
 //! compile state lives on the translation too, so a retranslation
-//! starts cold. Under a [`crate::sched::TierPolicy`] the system offers
-//! only hot-tier translations to the tier: cold code always passes
-//! through the dispatcher, where promotion counts it, and the ladder
-//! reads cold → retranslated hot → native.
+//! starts cold.
 //!
 //! Four mechanisms keep the tier honest:
 //!

@@ -58,7 +58,6 @@
 
 use crate::engine::GroupCode;
 use crate::stats::RunStats;
-use crate::trace::Tier;
 use daisy_isa::mem::Memory;
 use daisy_isa::Isa;
 use daisy_vliw::packed::{OpMeta, PackedCtrl};
@@ -122,8 +121,6 @@ pub enum TimelineEvent {
         cycles: u64,
         /// VLIWs retired by the dispatch.
         vliws: u32,
-        /// Translation tier the dispatched code was built at.
-        tier: Tier,
     },
     /// A point event (degradation, cast-out) in the Chrome trace.
     Instant {
@@ -137,8 +134,8 @@ pub enum TimelineEvent {
 }
 
 /// Buckets modeled VMM time per §4.2: first-touch translation,
-/// retranslation (hot promotion, conservative rebuilds, re-translation
-/// after cast-out or invalidation), chain maintenance, and
+/// retranslation (conservative rebuilds, re-translation after cast-out
+/// or invalidation), chain maintenance, and
 /// interpretation.
 ///
 /// Translation work is measured in base instructions scheduled
@@ -152,8 +149,7 @@ pub struct OverheadClock {
     /// First-touch translations observed.
     pub translations: u64,
     /// Translations of an entry that had been translated before
-    /// (hot promotion, conservative rebuild, cast-out or invalidation
-    /// refill).
+    /// (conservative rebuild, cast-out or invalidation refill).
     pub retranslations: u64,
     /// Base instructions scheduled by first-touch translations.
     pub translate_instrs: u64,
@@ -328,18 +324,6 @@ impl GuestProfile {
         self.per_pc.iter()
     }
 
-    /// Attribution for one guest PC, aggregated over all group entries
-    /// that scheduled it.
-    pub fn pc_stats(&self, pc: u32) -> PcStats {
-        let mut agg = PcStats::default();
-        for ((_, p), s) in &self.per_pc {
-            if *p == pc {
-                agg.merge(s);
-            }
-        }
-        agg
-    }
-
     /// Attribution aggregated per guest PC over all entries, sorted by
     /// PC — the view the annotated-disassembly exporter renders.
     pub fn by_pc(&self) -> BTreeMap<u32, PcStats> {
@@ -348,11 +332,6 @@ impl GuestProfile {
             out.entry(*pc).or_default().merge(s);
         }
         out
-    }
-
-    /// Total attributed cycles (issue + stall), all PCs.
-    pub fn total_cycles(&self) -> f64 {
-        self.per_pc.values().map(|s| s.cycles + s.stall_cycles).sum()
     }
 
     /// Total attributed issue cycles — equals the run's
@@ -526,7 +505,6 @@ impl GuestProfile {
             start: start_cycle,
             cycles: cycle_delta,
             vliws: vliw_count,
-            tier: code.tier,
         });
     }
 }
@@ -574,14 +552,12 @@ pub fn chrome_trace_json(profile: &GuestProfile, process_name: &str) -> String {
         for ev in profile.timeline() {
             out.push(',');
             match *ev {
-                TimelineEvent::Dispatch { entry, start, cycles, vliws, tier } => write!(
+                TimelineEvent::Dispatch { entry, start, cycles, vliws } => write!(
                     out,
                     "{{\"name\":\"group@{entry:#x}\",\"cat\":\"dispatch\",\"ph\":\"X\",\
                      \"ts\":{start},\"dur\":{dur},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"entry\":\"{entry:#x}\",\"vliws\":{vliws},\
-                     \"tier\":\"{tier}\"}}}}",
+                     \"args\":{{\"entry\":\"{entry:#x}\",\"vliws\":{vliws}}}}}",
                     dur = cycles.max(1),
-                    tier = tier.name(),
                 )
                 .unwrap(),
                 TimelineEvent::Instant { label, addr, at } => write!(

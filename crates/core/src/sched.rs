@@ -110,75 +110,6 @@ impl Default for TranslatorConfig {
     }
 }
 
-/// Profile-guided tiered-retranslation policy (the hot-group
-/// reoptimization the paper sketches in §4.3).
-///
-/// Groups translate cold with the base [`TranslatorConfig`] — fast,
-/// narrow, cheap. Each translation counts its own dispatches
-/// ([`crate::engine::GroupCode::dispatches`]); the dispatch that brings
-/// a cold translation to [`TierPolicy::hot_threshold`] drops it, and
-/// the next dispatch retranslates it with [`TierPolicy::hot_config`]: a wider scheduling window, more
-/// simultaneous paths, deeper loop unrolling, and interpretive
-/// compilation (Ch. 6) so observed branch outcomes and indirect targets
-/// steer the richer schedule. Cold first-touch translation cost stays
-/// where it was; only entries that provably repay the investment get
-/// the expensive treatment.
-///
-/// Enabled via [`crate::system::DaisySystemBuilder::tiered`]
-/// ([`TierPolicy::with_threshold`] for the default policy at a chosen
-/// threshold).
-#[derive(Debug, Clone)]
-pub struct TierPolicy {
-    /// Dispatch count of a cold translation at which its entry is
-    /// promoted to the hot tier (promotion follows that dispatch).
-    pub hot_threshold: u64,
-    /// Multiplier on [`TranslatorConfig::window_size`] for hot groups.
-    pub window_multiplier: u32,
-    /// Multiplier on [`TranslatorConfig::max_vliws_per_group`].
-    pub vliw_multiplier: u32,
-    /// Multiplier on [`TranslatorConfig::max_paths`].
-    pub path_multiplier: u32,
-    /// Added to [`TranslatorConfig::max_join_visits`] (deeper loop
-    /// unrolling in hot groups).
-    pub extra_join_visits: u32,
-    /// Use interpretive compilation (Ch. 6) for hot retranslations:
-    /// interpret ahead from the entry on cloned state and feed observed
-    /// branch probabilities / indirect targets to the scheduler.
-    pub interpretive: bool,
-}
-
-impl Default for TierPolicy {
-    fn default() -> TierPolicy {
-        TierPolicy {
-            hot_threshold: 64,
-            window_multiplier: 4,
-            vliw_multiplier: 2,
-            path_multiplier: 2,
-            extra_join_visits: 1,
-            interpretive: true,
-        }
-    }
-}
-
-impl TierPolicy {
-    /// The default policy with an explicit promotion threshold.
-    pub fn with_threshold(hot_threshold: u64) -> TierPolicy {
-        TierPolicy { hot_threshold, ..TierPolicy::default() }
-    }
-
-    /// Derives the hot-tier translator configuration from `base`.
-    pub fn hot_config(&self, base: &TranslatorConfig) -> TranslatorConfig {
-        TranslatorConfig {
-            window_size: base.window_size.saturating_mul(self.window_multiplier),
-            max_vliws_per_group: base.max_vliws_per_group.saturating_mul(self.vliw_multiplier),
-            max_paths: base.max_paths.saturating_mul(self.path_multiplier),
-            max_join_visits: base.max_join_visits + self.extra_join_visits,
-            interpretive: base.interpretive || self.interpretive,
-            ..base.clone()
-        }
-    }
-}
-
 /// Per-group scheduling hints gathered by interpreting ahead of
 /// translation (paper Ch. 6). Empty hints reproduce the static
 /// behaviour exactly.

@@ -25,9 +25,9 @@ use crate::metrics::{IrqLatency, MetricsSnapshot, MetricsSource, PostMortem};
 use crate::native::{NativeRun, NativeStats, NativeTier, DEFAULT_NATIVE_THRESHOLD};
 use crate::precise::{self, ArchEvent, RecoverError};
 use crate::profile::GuestProfile;
-use crate::sched::{TierPolicy, TranslatorConfig};
+use crate::sched::TranslatorConfig;
 use crate::stats::RunStats;
-use crate::trace::{ExcClass, FlightRecorder, Tier, TraceEvent, DEFAULT_FLIGHT_RECORDER_CAPACITY};
+use crate::trace::{ExcClass, FlightRecorder, TraceEvent, DEFAULT_FLIGHT_RECORDER_CAPACITY};
 use crate::vmm::Vmm;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::convert::BranchKind;
@@ -141,7 +141,6 @@ pub struct DaisySystemBuilder<I: Isa> {
     code_capacity: Option<u64>,
     chaining: bool,
     guest_profiling: bool,
-    tier_policy: Option<TierPolicy>,
     native: bool,
     native_threshold: u64,
     flight_recorder_capacity: usize,
@@ -157,7 +156,6 @@ impl<I: Isa> Default for DaisySystemBuilder<I> {
             code_capacity: None,
             chaining: true,
             guest_profiling: false,
-            tier_policy: None,
             native: false,
             native_threshold: DEFAULT_NATIVE_THRESHOLD,
             flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
@@ -223,9 +221,7 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// code: its first `dispatches - 1` dispatches run on the packed
     /// engine (default [`crate::native::DEFAULT_NATIVE_THRESHOLD`];
     /// clamped to at least 1). Counted per translation
-    /// ([`GroupCode::dispatches`]), the same counter the
-    /// [`TierPolicy`] hot threshold reads; under a tier policy only
-    /// hot-tier translations are lowered. Only meaningful with
+    /// ([`GroupCode::dispatches`]). Only meaningful with
     /// [`DaisySystemBuilder::native_execution`] on.
     pub fn native_threshold(mut self, dispatches: u64) -> Self {
         self.native_threshold = dispatches;
@@ -254,23 +250,11 @@ impl<I: Isa> DaisySystemBuilder<I> {
         self
     }
 
-    /// Enables profile-guided tiered retranslation under `policy`: a
-    /// cold translation is dropped right after the dispatch that
-    /// brings its count ([`GroupCode::dispatches`]) to the policy's hot
-    /// threshold, and rebuilt with the policy's wider scheduling window
-    /// and deeper speculation. With the native tier on, only those hot
-    /// retranslations are lowered to native code.
-    pub fn tiered(mut self, policy: TierPolicy) -> Self {
-        self.tier_policy = Some(policy);
-        self
-    }
-
     /// Builds the system.
     pub fn build(self) -> DaisySystem<I> {
         let mut vmm = Vmm::new(self.cfg);
         vmm.set_code_capacity(self.code_capacity);
         vmm.tracer = FlightRecorder::with_capacity(self.flight_recorder_capacity);
-        vmm.tier_policy = self.tier_policy;
         // The native tier only composes with configurations it can
         // reproduce exactly: no guest profiling (native code records no
         // retirement trace). Under a finite cache its compiled groups
@@ -573,8 +557,8 @@ impl<I: Isa> DaisySystem<I> {
             }
         };
         // The translation's one hotness counter: the native threshold
-        // (in `prepare`) and hot promotion (below) both read it.
-        let dispatches = code.count_dispatch();
+        // (in `prepare`) reads it.
+        code.count_dispatch();
         let guest_before =
             self.guest_profile.as_ref().map(|_| (self.stats.cycles(), self.stats.stall_cycles));
         // Snapshot for the recovery-retry path below: a dispatch whose
@@ -603,10 +587,7 @@ impl<I: Isa> DaisySystem<I> {
         // exit — a chained native run may end groups away from the
         // dispatched one.
         let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
-        // Under a tier policy only hot retranslations go native, so
-        // every cold dispatch passes through here and is counted.
-        let native_eligible = self.vmm.tier_policy.is_none() || code.tier == Tier::Hot;
-        if rung == Rung::Native && native_eligible {
+        if rung == Rung::Native {
             let patching_ok = self.native_patching_ok();
             if let Some(nt) = self.native.as_mut() {
                 nt.sync_epoch(
@@ -700,12 +681,6 @@ impl<I: Isa> DaisySystem<I> {
                 self.stats.cycles() - c0,
             );
         }
-
-        // Promote a cold translation to the hot tier once its dispatch
-        // count reaches the threshold (profile-guided retranslation).
-        let promoted = code.tier == Tier::Cold
-            && self.vmm.tier_policy.as_ref().is_some_and(|p| dispatches >= p.hot_threshold)
-            && self.vmm.promote_hot(code.entry, dispatches);
 
         match exit {
             GroupExit::Branch { target, via, slot } => {
@@ -818,16 +793,6 @@ impl<I: Isa> DaisySystem<I> {
                 self.vmm.note_alias_restart(entry);
                 self.cpu.set_pc(addr);
             }
-        }
-        if promoted {
-            // The promoted entry's cold translation may still be
-            // reachable through a pending chain whose `from` is the
-            // group we just ran (a self-loop keeps itself alive via
-            // the strong reference in the pending link, so the weak
-            // auto-sever never fires). Dropping the pending link
-            // forces the next dispatch through the VMM, which
-            // rebuilds the entry under the hot tier.
-            self.pending_chain = None;
         }
         Ok(None)
     }
@@ -1017,10 +982,8 @@ impl<I: Isa> DaisySystem<I> {
     /// and only entries on the native rung are compiled again, so no
     /// patched edge reaches a degraded entry. Guest profiling needs
     /// none: [`DaisySystemBuilder::build`] creates no native tier when
-    /// it is on. Tiering needs none either: cold code, the only code
-    /// promotion counts, is never compiled. With a bus, native groups
-    /// still run one group per dispatch, which preserves boundary-exact
-    /// behaviour.
+    /// it is on. With a bus, native groups still run one group per
+    /// dispatch, which preserves boundary-exact behaviour.
     fn native_patching_ok(&self) -> bool {
         !self.mem.has_bus()
     }

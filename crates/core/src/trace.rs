@@ -5,10 +5,9 @@
 //! adds the *where* — a stream of structured [`TraceEvent`]s emitted at
 //! every translation-lifecycle transition (translate, cast-out,
 //! invalidate, chain install/sever, alias restart, exception,
-//! code-modification flush, hot promotion). The hotness signal that
-//! profile-guided reoptimization (§4.3 of the paper, and
-//! [`crate::sched::TierPolicy`] here) consumes is one dispatch counter
-//! per translation ([`crate::engine::GroupCode::dispatches`]); per-entry
+//! code-modification flush, native compile, degradation). The hotness
+//! signal the native tier consumes is one dispatch counter per
+//! translation ([`crate::engine::GroupCode::dispatches`]); per-entry
 //! attribution of cycles and stalls lives in [`crate::profile`].
 //!
 //! Every event lands in one ring, the VMM's [`FlightRecorder`]: it is
@@ -43,28 +42,6 @@ use crate::error::{DegradeCause, Rung};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Translation tier of a group: first-touch translations are cold;
-/// profile-guided retranslations of hot entries use the wider
-/// [`crate::sched::TierPolicy`] settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Tier {
-    /// First-touch translation with the base configuration.
-    #[default]
-    Cold,
-    /// Profile-guided retranslation with the hot-tier configuration.
-    Hot,
-}
-
-impl Tier {
-    /// Short lowercase name (`"cold"` / `"hot"`), for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Cold => "cold",
-            Tier::Hot => "hot",
-        }
-    }
-}
-
 /// Classification of a precise exception, for trace consumers that do
 /// not want to carry the engine's full exit type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +75,7 @@ impl ExcClass {
 #[non_exhaustive]
 pub enum TraceEvent {
     /// A group was translated (first touch, or retranslation after an
-    /// invalidation / cast-out / alias / hot promotion).
+    /// invalidation / cast-out / alias restart).
     Translate {
         /// Group entry point (base address).
         entry: u32,
@@ -108,8 +85,6 @@ pub enum TraceEvent {
         vliws: u32,
         /// Bytes of translated code produced.
         code_bytes: u32,
-        /// Which tier's translator configuration was used.
-        tier: Tier,
         /// True when load speculation was inhibited (the conservative
         /// alias-retranslation mode).
         conservative: bool,
@@ -183,15 +158,6 @@ pub enum TraceEvent {
         /// Base address of the device-accessing instruction.
         addr: u32,
     },
-    /// A group's dispatch count crossed the hot threshold; its cold
-    /// translation was dropped for hot-tier retranslation.
-    HotPromotion {
-        /// Entry point promoted.
-        entry: u32,
-        /// The promoted cold translation's own dispatch count at
-        /// promotion ([`crate::engine::GroupCode::dispatches`]).
-        dispatches: u64,
-    },
     /// A hot group was lowered to native host code — or refused, with
     /// the stable refusal label as the outcome.
     NativeCompile {
@@ -235,7 +201,6 @@ impl TraceEvent {
             TraceEvent::Exception { .. } => "exception",
             TraceEvent::ExternalInterrupt { .. } => "external_interrupt",
             TraceEvent::MmioBail { .. } => "mmio_bail",
-            TraceEvent::HotPromotion { .. } => "hot_promotion",
             TraceEvent::NativeCompile { .. } => "native_compile",
             TraceEvent::Degraded { .. } => "degraded",
         }
@@ -247,12 +212,11 @@ impl TraceEvent {
     pub fn to_json(&self) -> String {
         let k = self.kind();
         match *self {
-            TraceEvent::Translate { entry, page, vliws, code_bytes, tier, conservative } => {
+            TraceEvent::Translate { entry, page, vliws, code_bytes, conservative } => {
                 format!(
                     "{{\"event\": \"{k}\", \"entry\": {entry}, \"page\": {page}, \
                      \"vliws\": {vliws}, \"code_bytes\": {code_bytes}, \
-                     \"tier\": \"{}\", \"conservative\": {conservative}}}",
-                    tier.name()
+                     \"conservative\": {conservative}}}"
                 )
             }
             TraceEvent::CastOut { page, groups } => {
@@ -291,9 +255,6 @@ impl TraceEvent {
             TraceEvent::MmioBail { addr } => {
                 format!("{{\"event\": \"{k}\", \"addr\": {addr}}}")
             }
-            TraceEvent::HotPromotion { entry, dispatches } => {
-                format!("{{\"event\": \"{k}\", \"entry\": {entry}, \"dispatches\": {dispatches}}}")
-            }
             TraceEvent::NativeCompile { entry, outcome } => {
                 format!("{{\"event\": \"{k}\", \"entry\": {entry}, \"outcome\": \"{outcome}\"}}")
             }
@@ -316,12 +277,11 @@ impl fmt::Display for TraceEvent {
     /// stable output, not debug text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            TraceEvent::Translate { entry, vliws, code_bytes, tier, conservative, .. } => {
+            TraceEvent::Translate { entry, vliws, code_bytes, conservative, .. } => {
                 write!(
                     f,
-                    "translate 0x{entry:x}: {vliws} vliws, {code_bytes} bytes ({}{})",
-                    tier.name(),
-                    if conservative { ", conservative" } else { "" }
+                    "translate 0x{entry:x}: {vliws} vliws, {code_bytes} bytes{}",
+                    if conservative { " (conservative)" } else { "" }
                 )
             }
             TraceEvent::CastOut { page, groups } => {
@@ -352,9 +312,6 @@ impl fmt::Display for TraceEvent {
                 write!(f, "external interrupt at 0x{pc:x}")
             }
             TraceEvent::MmioBail { addr } => write!(f, "mmio bail at 0x{addr:x}"),
-            TraceEvent::HotPromotion { entry, dispatches } => {
-                write!(f, "hot promotion 0x{entry:x} after {dispatches} dispatches")
-            }
             TraceEvent::NativeCompile { entry, outcome } => {
                 write!(f, "native compile 0x{entry:x}: {outcome}")
             }
@@ -518,7 +475,6 @@ mod tests {
                 page: 0,
                 vliws: 1,
                 code_bytes: 4,
-                tier: Tier::Cold,
                 conservative: true,
             },
             TraceEvent::CastOut { page: 2, groups: 3 },
@@ -531,7 +487,6 @@ mod tests {
             TraceEvent::Exception { class: ExcClass::StoreFault, base_addr: 16 },
             TraceEvent::ExternalInterrupt { pc: 20 },
             TraceEvent::MmioBail { addr: 24 },
-            TraceEvent::HotPromotion { entry: 4, dispatches: 64 },
             TraceEvent::NativeCompile { entry: 4, outcome: "ok" },
             TraceEvent::Degraded {
                 entry: 4,

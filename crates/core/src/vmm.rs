@@ -11,14 +11,14 @@
 //! Code layout uses the paper's *second* mapping option (start of
 //! Ch. 3): a hash table from base address to translated code, with each
 //! group allocated contiguously — "code for a translated page can be
-//! contiguous … and there is less wastage". The first option's fixed
-//! `N×` expansion factor is still tracked for the code-size statistics
-//! of Table 5.1.
+//! contiguous … and there is less wastage". Table 5.1's code
+//! expansion is therefore measured, not fixed: bytes of translated code
+//! produced per page translated.
 
 use crate::engine::GroupCode;
 use crate::error::{Degradation, DegradeCause, Rung};
-use crate::sched::{translate_group_with_hints, Hints, TierPolicy, TranslatorConfig, XlateCost};
-use crate::trace::{FlightRecorder, Tier, TraceEvent};
+use crate::sched::{translate_group_with_hints, Hints, TranslatorConfig, XlateCost};
+use crate::trace::{FlightRecorder, TraceEvent};
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::Memory;
 use daisy_isa::{DecodeCache, Event, GuestCpu, Isa, PAGE_SIZE};
@@ -47,9 +47,6 @@ pub struct VmmStats {
     /// repeated run-time aliasing (the paper's proposed-but-unbuilt
     /// remedy in Ch. 5, implemented here).
     pub alias_retranslations: u64,
-    /// Entry points promoted to the hot tier (dropped for profile-guided
-    /// retranslation under the wider [`TierPolicy`] settings).
-    pub hot_promotions: u64,
     /// Bytes of translated VLIW code currently live.
     pub code_bytes: u64,
     /// Bytes of translated code ever produced (monotone; Fig. 5.4).
@@ -118,10 +115,6 @@ pub struct Vmm<I: Isa> {
     pub alias_retranslate_after: Option<u32>,
     alias_counts: HashMap<u32, u32>,
     no_spec_entries: HashSet<u32>,
-    /// Profile-guided tiered retranslation (None = single-tier, the
-    /// paper's measured configuration).
-    pub tier_policy: Option<TierPolicy>,
-    hot_entries: HashSet<u32>,
     next_code_addr: u32,
     /// Cumulative translation cost.
     pub cost: XlateCost,
@@ -150,8 +143,6 @@ impl<I: Isa> Vmm<I> {
             alias_retranslate_after: None,
             alias_counts: HashMap::new(),
             no_spec_entries: HashSet::new(),
-            tier_policy: None,
-            hot_entries: HashSet::new(),
             next_code_addr: VLIW_BASE,
             cost: XlateCost::default(),
             stats: VmmStats::default(),
@@ -226,16 +217,9 @@ impl<I: Isa> Vmm<I> {
         if let Some(g) = self.pages.get(&page).and_then(|t| t.get(slot)) {
             return Rc::clone(g);
         }
-        // Pick the tier: hot entries (promoted by the dispatcher) rebuild
-        // under the wider TierPolicy configuration; everything else
-        // borrows the base config. Conservative (no-load-speculation)
-        // mode from repeated aliasing composes with either tier.
-        let (mut cfg, mut tier) = (Cow::Borrowed(&self.cfg), Tier::Cold);
-        if let Some(policy) = self.tier_policy.as_ref().filter(|_| self.hot_entries.contains(&addr))
-        {
-            cfg = Cow::Owned(policy.hot_config(&self.cfg));
-            tier = Tier::Hot;
-        }
+        // Every entry borrows the base config, except one that aliased
+        // too often: it is rebuilt with load speculation off.
+        let mut cfg = Cow::Borrowed(&self.cfg);
         if self.no_spec_entries.contains(&addr) {
             // This entry aliased too often: rebuild it conservatively.
             cfg.to_mut().speculate_loads = false;
@@ -296,14 +280,13 @@ impl<I: Isa> Vmm<I> {
             self.stats.pages_translated += 1;
         }
         let nvliws = group.len() as u32;
-        let rc = Rc::new(GroupCode::new(group, vliw_addrs).with_tier(tier));
+        let rc = Rc::new(GroupCode::new(group, vliw_addrs));
         table.insert(slot, Rc::clone(&rc));
         self.tracer.emit(|| TraceEvent::Translate {
             entry: addr,
             page,
             vliws: nvliws,
             code_bytes: bytes,
-            tier,
             conservative,
         });
         // Stay within the translated-code area, casting out LRU pages
@@ -343,22 +326,6 @@ impl<I: Isa> Vmm<I> {
         }
     }
 
-    /// Promotes `entry` to the hot tier: its cold translation is
-    /// dropped and the next dispatch rebuilds it under
-    /// [`TierPolicy::hot_config`]. `dispatches` is the cold
-    /// translation's dispatch count at promotion (carried into the
-    /// trace event). Returns `false` when tiering is off or the entry
-    /// was already hot.
-    pub fn promote_hot(&mut self, entry: u32, dispatches: u64) -> bool {
-        if self.tier_policy.is_none() || !self.hot_entries.insert(entry) {
-            return false;
-        }
-        self.stats.hot_promotions += 1;
-        self.drop_entry(entry);
-        self.tracer.emit(|| TraceEvent::HotPromotion { entry, dispatches });
-        true
-    }
-
     /// Returns the existing translation for `addr`, if any — one page
     /// hash plus one array index.
     pub fn lookup(&self, addr: u32) -> Option<Rc<GroupCode>> {
@@ -394,12 +361,6 @@ impl<I: Isa> Vmm<I> {
     /// Number of live groups (entry points).
     pub fn live_groups(&self) -> usize {
         self.pages.values().map(|t| t.live).sum()
-    }
-
-    /// Live code size under the paper's *first* mapping option: each
-    /// translated page reserves `n×` its size regardless of use.
-    pub fn fixed_expansion_bytes(&self, n: u32) -> u64 {
-        self.pages.len() as u64 * u64::from(self.cfg.page_size) * u64::from(n)
     }
 
     /// Every ladder step taken so far this run, in order.

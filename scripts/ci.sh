@@ -50,8 +50,8 @@ cargo run -q --release -p daisy-bench --bin inject -- --seeds 32
 # against the SoC firmware on the packed and (below, on x86-64) native
 # tiers; each campaign's delivery schedule is replayed instruction-
 # exactly on the interpreter oracle and diffed bit for bit, UART
-# transcript included (docs/soc.md). The full 256-seed matrix is
-# `cargo test --release --test preempt -- --ignored`.
+# transcript included (docs/soc.md). The full 256-seed matrix runs in
+# the test suite (`tests/preempt.rs::preempt_acceptance_256_seeds`).
 cargo run -q --release -p daisy-bench --bin inject -- \
   --seeds 32 --kind preempt
 
@@ -112,18 +112,17 @@ cmp "$artifacts/repro-output.txt" docs/repro-output.txt || {
 }
 
 # Bench-count pins: native coverage and refusals, chained versus
-# unchained dispatch counts, cold versus tiered retranslation, and the
-# translation digest (every group of every workload under seven
-# translator configurations) are simulated counts, so `pins`
-# regenerates them exactly (guest results checked, packed and native
-# VLIW counts asserted equal). The dispatch, tiered and translate
-# documents must match the committed files byte for byte on every
+# unchained dispatch counts, and the translation digest (every group of
+# every workload under six translator configurations) are simulated
+# counts, so `pins` regenerates them exactly (guest results checked,
+# packed and native VLIW counts asserted equal). The dispatch and
+# translate documents must match the committed files byte for byte on every
 # host; the engine document only on x86-64 (below), since
 # elsewhere the native tier declines to engage and its column reads
 # zero. Regenerate the files (`cargo run --release -p daisy-bench --bin
 # pins`) only for a change that means to move a count, and say so.
 cargo run -q --release -p daisy-bench --bin pins -- --out-dir "$artifacts"
-for doc in BENCH_dispatch.json BENCH_tiered.json BENCH_translate.json; do
+for doc in BENCH_dispatch.json BENCH_translate.json; do
   cmp "$artifacts/$doc" "$doc" || {
     echo "error: regenerated $doc differs from the committed file" >&2
     exit 1
@@ -150,8 +149,7 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 # programs under those edge hierarchies (a level 0 that costs cycles,
 # no private instruction level), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
-# retired bytes) and under tiered retranslation (only hot translations
-# compile, and they chain natively), then a 16-seed injection sweep of the two
+# retired bytes), then a 16-seed injection sweep of the two
 # invalidation-heavy fault kinds with the ladder starting at the native
 # rung. Other hosts build the same code but the tier declines to
 # engage, so there is nothing extra to test.
@@ -163,7 +161,6 @@ if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_replays_probes_exactly_under_edge_hierarchies
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
-  cargo test -q --test tiered tiered_native_is_observably_tiered_packed
   for kind in hot_patch chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \
       --native --seeds 16 --kind "$kind"

@@ -331,16 +331,14 @@ pub fn trace_events(sys: &DaisySystem<PpcIsa>) -> Vec<TraceEvent> {
     sys.flight_recorder().events().into_iter().map(|(_, ev)| ev).collect()
 }
 
-/// A finished run paired with its flight-recorder trace, native
-/// compile events stripped.
+/// A finished run paired with its flight-recorder trace, the native
+/// tier's `native_compile` events stripped.
 pub fn traced_run(sys: DaisySystem<PpcIsa>) -> TracedRun {
-    let events = strip_native_events(trace_events(&sys));
+    let events = trace_events(&sys)
+        .into_iter()
+        .filter(|e| !matches!(e, TraceEvent::NativeCompile { .. }))
+        .collect();
     (sys, events)
-}
-
-/// Drops the native tier's `native_compile` events from a trace.
-pub fn strip_native_events(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    events.into_iter().filter(|e| !matches!(e, TraceEvent::NativeCompile { .. })).collect()
 }
 
 /// Asserts two twin runs are indistinguishable: architected state,

@@ -6,7 +6,7 @@
 
 use daisy::precise::RecoverError;
 use daisy::prelude::*;
-use daisy::trace::{ExcClass, Tier};
+use daisy::trace::ExcClass;
 use daisy::DegradeCause;
 
 /// Every `TraceEvent` variant's one-liner, exactly.
@@ -19,10 +19,9 @@ fn trace_event_one_liners_are_pinned() {
                 page: 16,
                 vliws: 7,
                 code_bytes: 212,
-                tier: Tier::Cold,
                 conservative: false,
             },
-            "translate 0x1000: 7 vliws, 212 bytes (cold)",
+            "translate 0x1000: 7 vliws, 212 bytes",
         ),
         (
             TraceEvent::Translate {
@@ -30,10 +29,9 @@ fn trace_event_one_liners_are_pinned() {
                 page: 32,
                 vliws: 3,
                 code_bytes: 96,
-                tier: Tier::Hot,
                 conservative: true,
             },
-            "translate 0x2040: 3 vliws, 96 bytes (hot, conservative)",
+            "translate 0x2040: 3 vliws, 96 bytes (conservative)",
         ),
         (TraceEvent::CastOut { page: 5, groups: 2 }, "cast out page 5 (2 groups)"),
         (TraceEvent::Invalidate { page: 9 }, "invalidate page 9"),
@@ -66,10 +64,6 @@ fn trace_event_one_liners_are_pinned() {
         ),
         (TraceEvent::ExternalInterrupt { pc: 0x1020 }, "external interrupt at 0x1020"),
         (TraceEvent::MmioBail { addr: 0xffff_0000 }, "mmio bail at 0xffff0000"),
-        (
-            TraceEvent::HotPromotion { entry: 0x1000, dispatches: 64 },
-            "hot promotion 0x1000 after 64 dispatches",
-        ),
         (
             TraceEvent::NativeCompile { entry: 0x1000, outcome: "compiled" },
             "native compile 0x1000: compiled",

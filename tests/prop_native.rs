@@ -214,6 +214,51 @@ fn check_cast_out_churn(cache: HierarchyCtor) {
 }
 
 // ---------------------------------------------------------------------
+// The native threshold, pinned exactly on a one-group self-loop.
+// ---------------------------------------------------------------------
+
+/// With native threshold `t`, exactly `t - 1` packed dispatches of a
+/// translation come before its first native one: the threshold reads
+/// the translation's own dispatch counter, which the dispatcher bumps
+/// once per boundary, before execution.
+#[test]
+fn native_threshold_counts_dispatches_exactly() {
+    if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        return;
+    }
+    // `r3 += 3` for 200 trips of a self-loop.
+    let mut a = Asm::new(0x1000);
+    a.li(Gpr(3), 0);
+    a.li(Gpr(4), 200);
+    a.mtctr(Gpr(4));
+    a.label("loop");
+    a.addi(Gpr(3), Gpr(3), 3);
+    a.bdnz("loop");
+    a.sc();
+    let prog = a.finish().unwrap();
+    let head = prog.labels["loop"];
+    for t in [1u64, 2, 8] {
+        let mut sys =
+            DaisySystem::<PpcIsa>::builder().native_execution(true).native_threshold(t).build();
+        sys.load(&prog).unwrap();
+        let native_dispatches = |s: &DaisySystem<PpcIsa>| s.native_stats().unwrap().dispatches;
+        // Steps until a dispatch of the loop head enters native code,
+        // counting the head's dispatches up to and including that one.
+        let mut n = 0;
+        loop {
+            let (at_head, before) = (sys.cpu.pc == head, native_dispatches(&sys));
+            let stop = sys.step().unwrap();
+            n += u64::from(at_head);
+            if at_head && native_dispatches(&sys) > before {
+                break;
+            }
+            assert!(stop.is_none(), "t={t}: the run ended before native code ran");
+        }
+        assert_eq!(n, t, "t={t}: the head first ran native on its dispatch {n}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Randomized programs (compact cousin of `tests/common`'s generator:
 // ALU work, CR-driven skips, CTR loops, calls through LR, loads and
 // stores in a private data window, and trap parcels — the last lower
