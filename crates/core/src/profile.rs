@@ -57,10 +57,11 @@
 //! workloads under the finite cache hierarchy).
 
 use crate::engine::GroupCode;
+use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use daisy_isa::mem::Memory;
 use daisy_isa::Isa;
-use daisy_vliw::packed::{OpMeta, PackedCtrl};
+use daisy_vliw::packed::{OpMeta, PackedCtrl, PackedGroup};
 use daisy_vliw::reg::NUM_REGS;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -238,6 +239,7 @@ pub struct GuestProfile {
     seen_degradations: usize,
     seen_cast_outs: u64,
     // Scratch reused across record_dispatch calls.
+    scratch_path: Vec<u32>,
     scratch_vliw_pcs: Vec<u32>,
     scratch_dispatch_pcs: Vec<u32>,
 }
@@ -262,6 +264,7 @@ impl GuestProfile {
             wasted_spec_ops: 0,
             seen_degradations: 0,
             seen_cast_outs: 0,
+            scratch_path: Vec::new(),
             scratch_vliw_pcs: Vec::new(),
             scratch_dispatch_pcs: Vec::new(),
         }
@@ -391,6 +394,7 @@ impl GuestProfile {
         &mut self,
         code: &GroupCode,
         visited: &[u32],
+        events: &[ArchEvent],
         stall_delta: u64,
         start_cycle: u64,
         cycle_delta: u64,
@@ -398,6 +402,12 @@ impl GuestProfile {
         let packed = &code.packed;
         let entry = code.entry;
         self.dispatches += 1;
+        // A dispatch's cycles are its retired VLIWs plus its stalls.
+        replay_path(packed, events, cycle_delta - stall_delta, &mut self.scratch_path);
+        assert_eq!(
+            self.scratch_path, visited,
+            "replayed path diverges from the recorded one at entry {entry:#x}"
+        );
 
         // --- issue-cycle shares, one cycle per retired VLIW ---
         let mut vliw_count = 0u32;
@@ -506,6 +516,41 @@ impl GuestProfile {
             cycles: cycle_delta,
             vliws: vliw_count,
         });
+    }
+}
+
+/// Rebuilds the packed-node sequence a dispatch of `packed` visited
+/// from the branch directions it resolved (the `Dir`/`IndirectDir`
+/// entries of its architected-event trail, in order) and the VLIWs it
+/// retired. Every node but a `Cond` has one successor, so the walk
+/// needs no other record. It ends at a leaf, at a `Cond` once the
+/// directions run out, or at a `Next` once `vliws` tree instructions
+/// were entered: mid-node exits (exceptions, alias restarts, code
+/// modification, MMIO) and back-edge budget exits all stop where the
+/// engine stopped.
+fn replay_path(packed: &PackedGroup, events: &[ArchEvent], vliws: u64, out: &mut Vec<u32>) {
+    out.clear();
+    let mut dirs = events.iter().filter_map(|e| match *e {
+        ArchEvent::Dir(t) => Some(t),
+        ArchEvent::IndirectDir(inline) => Some(inline.is_none()),
+        _ => None,
+    });
+    let (Some(&root), true) = (packed.roots.first(), vliws > 0) else { return };
+    let mut node = root as usize;
+    let mut entered = 1u64;
+    loop {
+        out.push(node as u32);
+        node = match packed.nodes[node].ctrl {
+            PackedCtrl::Cond { taken, fall, .. } => match dirs.next() {
+                Some(t) => (if t { taken } else { fall }) as usize,
+                None => return,
+            },
+            PackedCtrl::Next { vliw } if entered < vliws => {
+                entered += 1;
+                packed.roots[vliw as usize] as usize
+            }
+            _ => return,
+        };
     }
 }
 

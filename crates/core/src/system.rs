@@ -676,6 +676,7 @@ impl<I: Isa> DaisySystem<I> {
             gp.record_dispatch(
                 &code,
                 &self.scratch.visited,
+                &self.scratch.events,
                 self.stats.stall_cycles - s0,
                 c0,
                 self.stats.cycles() - c0,
