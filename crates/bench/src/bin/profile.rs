@@ -56,14 +56,8 @@ fn parse_args() -> Options {
 }
 
 fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
-    let sys = run_profiled(
-        w,
-        RunConfig {
-            guest_profiling: true,
-            flight_recorder_capacity: 1 << 16,
-            ..RunConfig::default()
-        },
-    );
+    let sys =
+        run_profiled(w, RunConfig { flight_recorder_capacity: 1 << 16, ..RunConfig::default() });
 
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let mut groups: HashMap<u32, GroupRow> = HashMap::new();

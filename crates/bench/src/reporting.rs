@@ -21,8 +21,6 @@ use std::fmt::Write as _;
 pub struct RunConfig {
     /// Cache hierarchy (default infinite).
     pub cache: Hierarchy,
-    /// Enable guest-level attribution ([`daisy::profile`]).
-    pub guest_profiling: bool,
     /// Trace events the flight recorder keeps (default
     /// [`DEFAULT_FLIGHT_RECORDER_CAPACITY`]).
     pub flight_recorder_capacity: usize,
@@ -32,7 +30,6 @@ impl Default for RunConfig {
     fn default() -> RunConfig {
         RunConfig {
             cache: Hierarchy::infinite(),
-            guest_profiling: false,
             flight_recorder_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
         }
     }
@@ -55,13 +52,14 @@ pub fn resolve_workloads(names: &[String]) -> Vec<Workload> {
         .collect()
 }
 
-/// Runs `w` to completion under DAISY with the given extras, asserting
-/// the workload's result check.
+/// Runs `w` to completion under DAISY with guest-level attribution
+/// ([`daisy::profile`]) and the given extras, asserting the workload's
+/// result check.
 pub fn run_profiled(w: &Workload, cfg: RunConfig) -> DaisySystem<PpcIsa> {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
         .cache(cfg.cache)
-        .guest_profiling(cfg.guest_profiling)
+        .guest_profiling(true)
         .flight_recorder_capacity(cfg.flight_recorder_capacity)
         .build();
     sys.load(&w.program()).expect("workload fits in memory");
@@ -102,14 +100,8 @@ pub struct WorkloadReport {
 /// can export traces from the same run.
 pub fn report_workload(w: &Workload) -> (WorkloadReport, DaisySystem<PpcIsa>) {
     let base_instrs = run_reference(w).ninstrs;
-    let sys = run_profiled(
-        w,
-        RunConfig {
-            cache: Hierarchy::paper_default(),
-            guest_profiling: true,
-            ..RunConfig::default()
-        },
-    );
+    let sys =
+        run_profiled(w, RunConfig { cache: Hierarchy::paper_default(), ..RunConfig::default() });
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let overhead = gp.overhead().report(&sys.stats);
     let report = WorkloadReport {

@@ -290,12 +290,6 @@ pub struct EngineScratch {
     /// Architected-commitment record for precise-exception recovery
     /// (§3.5); filled afresh by each [`run_group`] call.
     pub events: Vec<ArchEvent>,
-    /// Retirement trace filled only by [`run_group_profiled`]: the
-    /// absolute packed-node index of every tree node the dispatch
-    /// visited, in execution order. The non-profiled engine never
-    /// touches it (the `PROFILE` const generic compiles the recording
-    /// out), so the hot loop stays provenance-free.
-    pub(crate) visited: Vec<u32>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
     tag_info: [Option<(u32, bool, bool)>; NUM_REGS],
     pending: [Option<PendingLoad>; NUM_REGS],
@@ -307,7 +301,6 @@ impl EngineScratch {
     pub fn new() -> EngineScratch {
         EngineScratch {
             events: Vec::with_capacity(64),
-            visited: Vec::new(),
             tag_info: [None; NUM_REGS],
             pending: [None; NUM_REGS],
             touched: Vec::with_capacity(8),
@@ -318,7 +311,6 @@ impl EngineScratch {
     /// previous dispatch.
     pub(crate) fn reset(&mut self) {
         self.events.clear();
-        self.visited.clear();
         for i in self.touched.drain(..) {
             self.tag_info[i as usize] = None;
             self.pending[i as usize] = None;
@@ -389,7 +381,7 @@ pub fn run_group(
     stats: &mut RunStats,
     scratch: &mut EngineScratch,
 ) -> GroupExit {
-    run_group_impl::<false, false>(code, rf, mem, cache, stats, scratch, ResumePoint::default())
+    run_group_impl::<false>(code, rf, mem, cache, stats, scratch, ResumePoint::default())
 }
 
 /// Where a native bail-out left off inside a group: the packed engine
@@ -435,29 +427,10 @@ pub fn run_group_resume(
     scratch: &mut EngineScratch,
     resume: ResumePoint,
 ) -> GroupExit {
-    run_group_impl::<false, true>(code, rf, mem, cache, stats, scratch, resume)
+    run_group_impl::<true>(code, rf, mem, cache, stats, scratch, resume)
 }
 
-/// [`run_group`] with guest-PC attribution enabled: identical
-/// semantics, but additionally records the absolute packed-node index
-/// of every visited tree node into the scratch state's `visited` list
-/// so
-/// retirement code (`daisy::profile`) can attribute cycles and
-/// speculation waste per guest instruction. Kept as a separate
-/// monomorphization so [`run_group`] compiles with zero recording code.
-#[inline]
-pub fn run_group_profiled(
-    code: &GroupCode,
-    rf: &mut RegFile,
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    stats: &mut RunStats,
-    scratch: &mut EngineScratch,
-) -> GroupExit {
-    run_group_impl::<true, false>(code, rf, mem, cache, stats, scratch, ResumePoint::default())
-}
-
-fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
+fn run_group_impl<const RESUME: bool>(
     code: &GroupCode,
     rf: &mut RegFile,
     mem: &mut Memory,
@@ -508,9 +481,6 @@ fn run_group_impl<const PROFILE: bool, const RESUME: bool>(
         let mut node = if resuming { resume.node } else { packed.roots[vliw] as usize };
         let mut parcels_this_vliw = if resuming { resume.parcels } else { 0usize };
         loop {
-            if PROFILE {
-                scratch.visited.push(node as u32);
-            }
             let n = &packed.nodes[node];
             let first_op = if resuming { resume.op } else { n.start as usize };
             if !resuming {

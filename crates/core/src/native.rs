@@ -487,16 +487,7 @@ impl NativeTier {
                     },
                 };
                 let bail = bail_cg.bails[self.ctx.exit_b as usize];
-                let log_len =
-                    (self.ctx.log_end as usize).saturating_sub(self.log.as_ptr() as usize);
-                scratch.reset();
-                reconstruct_events(
-                    &rcode.packed,
-                    &self.log[..log_len.min(self.log.len())],
-                    bail.node as usize,
-                    bail.op as usize,
-                    scratch,
-                );
+                self.replay_trail(&rcode, Some((bail.node as usize, bail.op as usize)), scratch);
                 // Rehydrate bypassed loads the bailing group issued
                 // before the bail: rows stamped with the current
                 // generation are live, and the packed resume's verify
@@ -556,6 +547,23 @@ impl NativeTier {
         }
     }
 
+    /// Rebuilds in `scratch` the architected-event trail of the last
+    /// run's final group entry, `code`, from its branch-direction log:
+    /// up to the bail site `(node, op)`, or with `None` to the exit
+    /// (guest profiling reads the directions of every run; the log
+    /// restarts at every group entry, so it describes a whole run only
+    /// when no patched edge or inline indirect-target way was followed).
+    pub(crate) fn replay_trail(
+        &self,
+        code: &GroupCode,
+        bail: Option<(usize, usize)>,
+        scratch: &mut EngineScratch,
+    ) {
+        let len = (self.ctx.log_end as usize).saturating_sub(self.log.as_ptr() as usize);
+        scratch.reset();
+        reconstruct_events(&code.packed, &self.log[..len.min(self.log.len())], bail, scratch);
+    }
+
     /// Replays the run's access log through `cache`, in the packed
     /// engine's probe order, then the level-0 MRU hits compiled code
     /// counted instead of logging, adding the stall cycles and level-0
@@ -588,38 +596,35 @@ impl NativeTier {
 }
 
 /// Rebuilds the packed engine's architected-event trail for a native
-/// run that bailed: replays the group's control flow from its entry
-/// using the recorded branch-direction bytes (one per executed
-/// condition), pushing exactly the events the packed engine would have
-/// pushed for every parcel *before* the bail site. Values are not
-/// recomputed — only event structure matters, and it is fully
-/// determined by the path plus the op/meta tables (native code bails
-/// *before* any faulting access, firing trap check, or failing load
-/// verify, so no exception tags are ever set on this prefix and every
-/// executed General parcel took its completing path).
+/// run: replays the group's control flow from its entry using the
+/// recorded branch-direction bytes (one per executed condition),
+/// pushing exactly the events the packed engine would have pushed. With
+/// `bail = Some((node, op))` the replay stops before the parcel the run
+/// bailed at; with `None` it runs to the run's exit: a leaf, or a back
+/// edge whose budget stub left the group (the stub logs no byte).
+/// Values are not recomputed — only event structure matters, and it is
+/// fully determined by the path plus the op/meta tables (native code
+/// bails *before* any faulting access, firing trap check, or failing
+/// load verify, so no exception tags are ever set on the replayed path
+/// and every executed General parcel took its completing path).
 ///
 /// The direction log holds one byte per executed condition (0/1) and
 /// one `2` byte per taken backward `Next` edge; the bail site is the
-/// *last* visit to `(bail_node, bail_op)` — the one that has consumed
-/// the whole log — since any revisit consumes at least one byte.
+/// *last* visit to `(node, op)` — the one that has consumed the whole
+/// log — since any revisit consumes at least one byte.
 fn reconstruct_events(
     packed: &PackedGroup,
     dirs: &[u8],
-    bail_node: usize,
-    bail_op: usize,
+    bail: Option<(usize, usize)>,
     scratch: &mut EngineScratch,
 ) {
-    let mut di = 0usize;
-    let mut vliw = match packed.roots.first() {
-        Some(_) => 0usize,
-        None => return,
-    };
+    let (mut di, mut vliw) = (0usize, 0usize);
     'group: loop {
         let mut node = packed.roots[vliw] as usize;
         loop {
             let n = &packed.nodes[node];
             for k in n.start as usize..(n.start + n.len) as usize {
-                if node == bail_node && k == bail_op && di == dirs.len() {
+                if bail == Some((node, k)) && di == dirs.len() {
                     break 'group;
                 }
                 let op = &packed.ops[k];
@@ -676,19 +681,24 @@ fn reconstruct_events(
                 PackedCtrl::Next { vliw: nv } => {
                     // A taken backward edge logged one `2` byte (so
                     // loop iterations are distinguishable); consume it.
+                    // An unlogged one is the budget stub's exit.
                     if nv as usize <= vliw {
-                        debug_assert_eq!(dirs.get(di).copied(), Some(2), "missing back-edge byte");
+                        if di == dirs.len() {
+                            debug_assert!(bail.is_none(), "missing back-edge byte");
+                            break 'group;
+                        }
+                        debug_assert_eq!(dirs[di], 2, "back edge without its byte");
                         di += 1;
                     }
                     vliw = nv as usize;
                     break;
                 }
-                // A leaf before the bail site cannot happen on the
-                // actually-executed path; stop defensively.
+                // The exit of a completed run; a leaf before the bail
+                // site cannot happen on the actually-executed path.
                 PackedCtrl::Leave { .. }
                 | PackedCtrl::Indirect { .. }
                 | PackedCtrl::Interp { .. } => {
-                    debug_assert!(false, "walker reached a leaf before the bail site");
+                    debug_assert!(bail.is_none(), "walker reached a leaf before the bail site");
                     break 'group;
                 }
             }

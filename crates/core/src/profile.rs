@@ -12,11 +12,16 @@
 //! * [`GuestProfile`] attributes VLIW issue cycles, stall cycles,
 //!   dispatch counts, and **speculation waste** to `(group entry, guest
 //!   PC)` pairs, using the provenance side-tables the lowering step
-//!   builds ([`daisy_vliw::packed::PackedGroup::origins`]) and the
-//!   retirement trace the
-//!   profiled engine variants record
-//!   ([`crate::engine::run_group_profiled`]). Provenance is consulted
-//!   only here, at retirement — never inside the execution hot loop.
+//!   builds ([`daisy_vliw::packed::PackedGroup::origins`]) and the path
+//!   each dispatch took. The path is not recorded: it is replayed at
+//!   the group boundary from the dispatch's VLIW count and the branch
+//!   directions in its architected-event trail
+//!   ([`crate::engine::EngineScratch::events`]), which the native tier
+//!   rebuilds from its compiled code's branch-direction log at every
+//!   exit. That log restarts at every group entry, so a profiled native
+//!   system patches no chain edge and runs one group per `step()`.
+//!   Provenance is consulted only here, at retirement — never inside
+//!   the execution hot loop.
 //! * [`OverheadClock`] buckets modeled VMM time into translate /
 //!   retranslate / chain-maintenance / interpret, per §4.2.
 //! * Exporters: Chrome `trace_event` JSON ([`chrome_trace_json`]),
@@ -42,7 +47,7 @@
 //! **Speculation waste** follows the paper's wasted-work notion: a
 //! speculative parcel whose renamed results never reach an architected
 //! commitment on the taken path. At retirement a backward liveness walk
-//! runs over the recorded visit trace: non-speculative parcels
+//! runs over the replayed path: non-speculative parcels
 //! (commits, stores, trap checks) and resolved branch/indirect sources
 //! seed the needed set; a speculative parcel none of whose destinations
 //! are needed is wasted, and usefulness propagates transitively through
@@ -50,11 +55,6 @@
 //! groups are acyclic and each node executes at most once per dispatch;
 //! for dispatches aborted mid-node (exceptions, alias restarts) the
 //! trailing node is approximated as fully executed.
-//!
-//! Recording never perturbs what it measures: the profiled packed
-//! engine leaves the same architected state, memory and [`RunStats`]
-//! as the unprofiled one (`tests/profile.rs` pins this on the paper
-//! workloads under the finite cache hierarchy).
 
 use crate::engine::GroupCode;
 use crate::precise::ArchEvent;
@@ -383,17 +383,17 @@ impl GuestProfile {
         }
     }
 
-    /// Records one retired dispatch from the engine's visit trace.
+    /// Records one retired dispatch of `code`.
     ///
-    /// `visited` holds absolute packed-node indices in execution order
-    /// ([`crate::engine::EngineScratch`]); `stall_delta` /
-    /// `cycle_delta` are the dispatch's contribution to the run
-    /// counters; `start_cycle` is the simulated clock at dispatch
-    /// start.
+    /// `events` is the dispatch's architected-event trail
+    /// ([`crate::engine::EngineScratch::events`]), whose branch
+    /// directions rebuild the path it took (`replay_path`);
+    /// `stall_delta` / `cycle_delta` are the dispatch's contribution to
+    /// the run counters; `start_cycle` is the simulated clock at
+    /// dispatch start.
     pub(crate) fn record_dispatch(
         &mut self,
         code: &GroupCode,
-        visited: &[u32],
         events: &[ArchEvent],
         stall_delta: u64,
         start_cycle: u64,
@@ -403,44 +403,36 @@ impl GuestProfile {
         let entry = code.entry;
         self.dispatches += 1;
         // A dispatch's cycles are its retired VLIWs plus its stalls.
-        replay_path(packed, events, cycle_delta - stall_delta, &mut self.scratch_path);
-        assert_eq!(
-            self.scratch_path, visited,
-            "replayed path diverges from the recorded one at entry {entry:#x}"
-        );
+        let vliws = cycle_delta - stall_delta;
+        replay_path(packed, events, vliws, &mut self.scratch_path);
+        let visited = &self.scratch_path;
 
         // --- issue-cycle shares, one cycle per retired VLIW ---
-        let mut vliw_count = 0u32;
-        let mut i = 0usize;
         let mut dispatch_pcs = std::mem::take(&mut self.scratch_dispatch_pcs);
         let mut vliw_pcs = std::mem::take(&mut self.scratch_vliw_pcs);
         dispatch_pcs.clear();
-        while i < visited.len() {
-            let v = packed.node_vliw(visited[i] as usize);
-            vliw_count += 1;
+        let vliw_of = |ni: u32| packed.node_vliw(ni as usize);
+        for nodes in visited.chunk_by(|&a, &b| vliw_of(a) == vliw_of(b)) {
             vliw_pcs.clear();
-            let mut j = i;
-            while j < visited.len() && packed.node_vliw(visited[j] as usize) == v {
-                let node = &packed.nodes[visited[j] as usize];
+            for &ni in nodes {
+                let node = &packed.nodes[ni as usize];
                 vliw_pcs.extend_from_slice(packed.node_origins(node));
                 if let PackedCtrl::Cond { cond, .. } = node.ctrl {
                     vliw_pcs.push(cond.origin);
                 }
-                j += 1;
             }
             vliw_pcs.sort_unstable();
             vliw_pcs.dedup();
             if vliw_pcs.is_empty() {
                 // Structural VLIW (no parcels on the taken path): its
                 // issue cycle belongs to the VLIW's anchor address.
-                vliw_pcs.push(packed.anchor(v as usize));
+                vliw_pcs.push(packed.anchor(vliw_of(nodes[0]) as usize));
             }
             let share = 1.0 / vliw_pcs.len() as f64;
             for &pc in &vliw_pcs {
                 self.per_pc.entry((entry, pc)).or_default().cycles += share;
                 dispatch_pcs.push(pc);
             }
-            i = j;
         }
 
         // --- stall shares and dispatch counts over the whole path ---
@@ -514,20 +506,18 @@ impl GuestProfile {
             entry,
             start: start_cycle,
             cycles: cycle_delta,
-            vliws: vliw_count,
+            vliws: vliws as u32,
         });
     }
 }
 
 /// Rebuilds the packed-node sequence a dispatch of `packed` visited
-/// from the branch directions it resolved (the `Dir`/`IndirectDir`
-/// entries of its architected-event trail, in order) and the VLIWs it
-/// retired. Every node but a `Cond` has one successor, so the walk
-/// needs no other record. It ends at a leaf, at a `Cond` once the
-/// directions run out, or at a `Next` once `vliws` tree instructions
-/// were entered: mid-node exits (exceptions, alias restarts, code
-/// modification, MMIO) and back-edge budget exits all stop where the
-/// engine stopped.
+/// from the branch directions in its event trail and the `vliws` it
+/// retired. Every node but a `Cond` has one successor, so the walk ends
+/// where the engine stopped: at a leaf, at a `Cond` once the directions
+/// run out (a mid-node exit), or at a `Next` once `vliws` tree
+/// instructions were entered (a mid-node exit or a back-edge budget
+/// exit).
 fn replay_path(packed: &PackedGroup, events: &[ArchEvent], vliws: u64, out: &mut Vec<u32>) {
     out.clear();
     let mut dirs = events.iter().filter_map(|e| match *e {
@@ -535,8 +525,7 @@ fn replay_path(packed: &PackedGroup, events: &[ArchEvent], vliws: u64, out: &mut
         ArchEvent::IndirectDir(inline) => Some(inline.is_none()),
         _ => None,
     });
-    let (Some(&root), true) = (packed.roots.first(), vliws > 0) else { return };
-    let mut node = root as usize;
+    let mut node = packed.roots[0] as usize;
     let mut entered = 1u64;
     loop {
         out.push(node as u32);

@@ -17,8 +17,7 @@
 //! ISA it is running.
 
 use crate::engine::{
-    run_group, run_group_profiled, run_group_resume, ChainLink, EngineScratch, ExcKind, GroupCode,
-    GroupExit,
+    run_group, run_group_resume, ChainLink, EngineScratch, ExcKind, GroupCode, GroupExit,
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
 use crate::metrics::{IrqLatency, MetricsSnapshot, MetricsSource, PostMortem};
@@ -208,10 +207,11 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// is [`DaisySystemBuilder::native_threshold`]. Works under any cache
     /// hierarchy: with a finite one, compiled code logs its cache probes
     /// and the tier replays them through the model at every return, so
-    /// statistics match the packed engine exactly. Silently falls back
-    /// to the packed engine when the host is not x86-64 Linux or when
-    /// guest profiling is enabled (native code records no retirement
-    /// trace).
+    /// statistics match the packed engine exactly. Under guest
+    /// profiling compiled groups run one per dispatch: their
+    /// branch-direction log restarts at every group entry, so no chain
+    /// edge is patched (see [`crate::profile`]). Silently falls back to
+    /// the packed engine when the host is not x86-64 Linux.
     pub fn native_execution(mut self, on: bool) -> Self {
         self.native = on;
         self
@@ -242,9 +242,9 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// Enables guest-level attribution ([`DaisySystem::guest_profile`]):
     /// per-guest-PC cycle/stall/waste accounting plus the dispatch
     /// timeline and §4.2 overhead clock behind the exporters in
-    /// [`crate::profile`] (default off). Selects the profiled engine
-    /// variants, which record each dispatch's retirement trace; the
-    /// non-profiled engines carry zero recording code.
+    /// [`crate::profile`] (default off). The engines run unchanged: each
+    /// dispatch's path is replayed at the group boundary from the branch
+    /// directions its event trail records.
     pub fn guest_profiling(mut self, on: bool) -> Self {
         self.guest_profiling = on;
         self
@@ -255,15 +255,12 @@ impl<I: Isa> DaisySystemBuilder<I> {
         let mut vmm = Vmm::new(self.cfg);
         vmm.set_code_capacity(self.code_capacity);
         vmm.tracer = FlightRecorder::with_capacity(self.flight_recorder_capacity);
-        // The native tier only composes with configurations it can
-        // reproduce exactly: no guest profiling (native code records no
-        // retirement trace). Under a finite cache its compiled groups
-        // log their cache probes and the tier replays them through this
-        // system's hierarchy. `NativeTier::new` additionally returns
-        // `None` on hosts that cannot execute emitted x86-64.
-        let native = (self.native && !self.guest_profiling)
-            .then(|| NativeTier::new(self.native_threshold, &self.cache))
-            .flatten();
+        // Under a finite cache the native tier's compiled groups log
+        // their cache probes and the tier replays them through this
+        // system's hierarchy. `NativeTier::new` returns `None` on hosts
+        // that cannot execute emitted x86-64.
+        let native =
+            self.native.then(|| NativeTier::new(self.native_threshold, &self.cache)).flatten();
         DaisySystem {
             mem: Memory::new(self.mem_size),
             cpu: <I::Cpu as GuestCpu>::new(0),
@@ -613,6 +610,12 @@ impl<I: Isa> DaisySystem<I> {
                         &mut self.scratch,
                     ) {
                         NativeRun::Done { exit, final_entry, final_code } => {
+                            // Profiling reads the run's branch
+                            // directions; with patching off under
+                            // profiling, the run ended in `code`.
+                            if self.guest_profile.is_some() {
+                                nt.replay_trail(&code, None, &mut self.scratch);
+                            }
                             native_result = Some((exit, final_entry, final_code));
                         }
                         NativeRun::Resume { code: rcode, entry, point } => {
@@ -635,9 +638,7 @@ impl<I: Isa> DaisySystem<I> {
         let (exit, run_entry, run_code) = match native_result {
             Some(r) => r,
             None => {
-                let engine =
-                    if self.guest_profile.is_some() { run_group_profiled } else { run_group };
-                let exit = engine(
+                let exit = run_group(
                     &code,
                     &mut rf,
                     &mut self.mem,
@@ -671,11 +672,10 @@ impl<I: Isa> DaisySystem<I> {
 
         // Guest-level attribution: distribute the dispatch's cycles,
         // stalls, and speculation waste over the guest PCs on its taken
-        // path, from the retirement trace the profiled engine recorded.
+        // path, replayed from the branch directions in its event trail.
         if let (Some(gp), Some((c0, s0))) = (&mut self.guest_profile, guest_before) {
             gp.record_dispatch(
                 &code,
-                &self.scratch.visited,
                 &self.scratch.events,
                 self.stats.stall_cycles - s0,
                 c0,
@@ -976,17 +976,18 @@ impl<I: Isa> DaisySystem<I> {
     /// patched into direct jumps. Patching removes the dispatcher
     /// boundary between the linked groups, so it is only sound when
     /// nothing observes that boundary: no bus (device interrupts are
-    /// taken at boundaries). Chaining needs no clause: the followed
-    /// edges and indirect-cache ways this guards exist only with
-    /// chaining on. The ladder needs none: [`Self::degrade`]
-    /// flushes every compiled group, patched edge and inline IBTC way,
-    /// and only entries on the native rung are compiled again, so no
-    /// patched edge reaches a degraded entry. Guest profiling needs
-    /// none: [`DaisySystemBuilder::build`] creates no native tier when
-    /// it is on. With a bus, native groups still run one group per
-    /// dispatch, which preserves boundary-exact behaviour.
+    /// taken at boundaries) and no guest profiling (the profile replays
+    /// each dispatch's path from the compiled code's branch-direction
+    /// log, which restarts at every group entry). Chaining needs no
+    /// clause: the followed edges and indirect-cache ways this guards
+    /// exist only with chaining on. The ladder needs none:
+    /// [`Self::degrade`] flushes every compiled group, patched edge and
+    /// inline IBTC way, and only entries on the native rung are
+    /// compiled again, so no patched edge reaches a degraded entry.
+    /// Otherwise native groups run one group per dispatch, which
+    /// preserves boundary-exact behaviour.
     fn native_patching_ok(&self) -> bool {
-        !self.mem.has_bus()
+        !self.mem.has_bus() && self.guest_profile.is_none()
     }
 
     /// Every ladder step taken this run, in order.

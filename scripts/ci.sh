@@ -71,6 +71,15 @@ scripts/check_report_shape.sh "$artifacts/BENCH_report.smoke.json" 2
   exit 1
 }
 
+# Per-group profile smoke: the `profile` binary is the one reader of
+# the guest profile's per-group timeline tables.
+cargo run -q --release -p daisy-bench --bin profile -- --top 3 wc \
+  > "$artifacts/profile.smoke.txt"
+grep -q '^== wc ' "$artifacts/profile.smoke.txt" || {
+  echo "error: profile smoke printed no '== wc' table" >&2
+  exit 1
+}
+
 # Simulated-results pin: the full nine-workload report (finite-cache
 # ILP, base instructions, speculation counts, overhead per base
 # instruction) is deterministic, so a regenerated copy must match the

@@ -142,51 +142,50 @@ fn hint_budget_exhaustion_is_surfaced() {
 }
 
 /// Guest-level attribution must survive the degradation ladder: with
-/// profiling on, the walk down to the last translated rung (Packed →
-/// Conservative) still records the forced step as a `"degrade"`
-/// instant on the timeline, and the conservation invariant (attributed
-/// issue and stall cycles equal the run totals) holds across the tier
-/// change.
+/// profiling on, one forced step down from the top rung (Packed →
+/// Conservative, or Native → Packed with the native tier engaged) is
+/// recorded as a `"degrade"` instant on the timeline, the degraded run
+/// stays correct, and the conservation invariant (attributed issue and
+/// stall cycles equal the run totals) holds across the tier change.
 #[test]
 fn guest_profile_survives_ladder_walk() {
     let w = daisy_workloads::by_name("cmp").expect("known workload");
     let prog = w.program();
-    let mut sys =
-        DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).guest_profiling(true).build();
-    sys.load(&prog).unwrap();
-    let entry = prog.entry;
-    // One rung down: Conservative still dispatches translated groups,
-    // so attribution keeps flowing after the tier change.
-    let d = sys.degrade(entry, DegradeCause::Forced).expect("ladder has a rung left");
-    assert_eq!(d.to, daisy::Rung::Conservative);
-    let stop = sys.run(50 * w.max_instrs).unwrap();
-    assert_eq!(stop, StopReason::Syscall);
-    w.check(&sys.cpu, &sys.mem).expect("checker passes under profiling + degradation");
+    for native in [false, true] {
+        let mut sys = DaisySystem::<PpcIsa>::builder()
+            .mem_size(w.mem_size)
+            .guest_profiling(true)
+            .native_execution(native)
+            .build();
+        sys.load(&prog).unwrap();
+        // One rung down: the entry still dispatches translated groups,
+        // so attribution keeps flowing after the tier change.
+        let d = sys.degrade(prog.entry, DegradeCause::Forced).expect("ladder has a rung left");
+        assert_eq!(Some(d.to), d.from.next_down(), "native={native}: one rung down");
+        if native && cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            assert_eq!(d.from, daisy::Rung::Native, "the native tier is the top rung");
+        }
+        let stop = sys.run(50 * w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall);
+        w.check(&sys.cpu, &sys.mem).expect("checker passes under profiling + degradation");
 
-    let gp = sys.guest_profile().expect("profiling was enabled");
-    let degrade_instants = gp
-        .timeline()
-        .iter()
-        .filter(|e| matches!(e, TimelineEvent::Instant { label: "degrade", .. }))
-        .count();
-    assert_eq!(degrade_instants, 1, "the forced step must appear on the timeline");
+        let gp = sys.guest_profile().expect("profiling was enabled");
+        let degrade_instants = gp
+            .timeline()
+            .iter()
+            .filter(|e| matches!(e, TimelineEvent::Instant { label: "degrade", .. }))
+            .count();
+        assert_eq!(degrade_instants, 1, "native={native}: the forced step must be on the timeline");
 
-    let issue = gp.total_issue_cycles();
-    let stalls = gp.total_stall_cycles();
-    let tol = |x: f64| 1e-6 * x.max(1.0);
-    assert!(
-        (issue - sys.stats.vliws_executed as f64).abs() <= tol(issue),
-        "attributed issue cycles {} must match vliws_executed {}",
-        issue,
-        sys.stats.vliws_executed
-    );
-    assert!(
-        (stalls - sys.stats.stall_cycles as f64).abs() <= tol(stalls),
-        "attributed stall cycles {} must match stall_cycles {}",
-        stalls,
-        sys.stats.stall_cycles
-    );
-    assert!(gp.dispatches() > 0, "degraded tiers still dispatch translated groups");
+        for (what, got, want) in [
+            ("issue", gp.total_issue_cycles(), sys.stats.vliws_executed),
+            ("stall", gp.total_stall_cycles(), sys.stats.stall_cycles),
+        ] {
+            let ok = (got - want as f64).abs() <= 1e-6 * got.max(1.0);
+            assert!(ok, "native={native}: attributed {what} cycles {got} != run total {want}");
+        }
+        assert!(gp.dispatches() > 0, "native={native}: degraded tiers still dispatch groups");
+    }
 }
 
 /// Cast-outs forced by a clamped translation cache must surface as
