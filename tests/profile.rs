@@ -11,8 +11,8 @@ use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 use std::collections::BTreeMap;
 
-/// Workloads the attribution invariants are checked on — a handful
-/// that covers loops, speculation and indirect dispatch. The
+/// Workloads the attribution invariants are checked on — kept to a
+/// handful so those runs stay cheap in debug builds. The
 /// non-perturbation test runs all nine.
 const WORKLOADS: &[&str] = &["wc", "cmp", "hist", "xlat"];
 
