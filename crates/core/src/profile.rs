@@ -462,42 +462,32 @@ impl GuestProfile {
             }
             let start = node.start as usize;
             for k in (start..start + node.len as usize).rev() {
-                let op = &packed.ops[k];
                 let m = &packed.meta[k];
-                let pc = packed.origin_pc(k);
-                if op.speculative {
-                    let useful = (m.d1 != OpMeta::NONE && needed[m.d1 as usize])
-                        || (m.d2 != OpMeta::NONE && needed[m.d2 as usize]);
-                    let s = self.per_pc.entry((entry, pc)).or_default();
+                let s = self.per_pc.entry((entry, packed.origin_pc(k))).or_default();
+                if packed.ops[k].speculative {
                     s.spec_ops += 1;
                     self.spec_ops += 1;
-                    if useful {
-                        if m.d1 != OpMeta::NONE {
-                            needed[m.d1 as usize] = false;
-                        }
-                        if m.d2 != OpMeta::NONE {
-                            needed[m.d2 as usize] = false;
-                        }
-                        for si in 0..m.nsrc as usize {
-                            needed[m.s[si] as usize] = true;
-                        }
-                    } else {
+                    let useful = (m.d1 != OpMeta::NONE && needed[m.d1 as usize])
+                        || (m.d2 != OpMeta::NONE && needed[m.d2 as usize]);
+                    if !useful {
                         s.wasted_spec_ops += 1;
                         self.wasted_spec_ops += 1;
+                        continue;
                     }
                 } else {
                     // Architected effect (commit, store, trap check):
-                    // always needed; its sources become live.
-                    self.per_pc.entry((entry, pc)).or_default().committed_ops += 1;
-                    if m.d1 != OpMeta::NONE {
-                        needed[m.d1 as usize] = false;
+                    // always needed.
+                    s.committed_ops += 1;
+                }
+                // A needed parcel kills its destinations; its sources
+                // become live.
+                for d in [m.d1, m.d2] {
+                    if d != OpMeta::NONE {
+                        needed[d as usize] = false;
                     }
-                    if m.d2 != OpMeta::NONE {
-                        needed[m.d2 as usize] = false;
-                    }
-                    for si in 0..m.nsrc as usize {
-                        needed[m.s[si] as usize] = true;
-                    }
+                }
+                for &src in &m.s[..m.nsrc as usize] {
+                    needed[src as usize] = true;
                 }
             }
         }

@@ -103,29 +103,27 @@ fn profiling_does_not_perturb_the_run() {
     );
 }
 
-/// Conservation: the per-PC issue-cycle shares sum to the run's
-/// `vliws_executed` and the stall shares to `stall_cycles` — every
-/// engine cycle lands on some guest PC, no cycle is invented.
+/// Asserts conservation on a profiled run: the per-PC issue-cycle
+/// shares sum to its `vliws_executed` and the stall shares to its
+/// `stall_cycles`.
+fn assert_conserves(name: &str, sys: &DaisySystem<PpcIsa>) {
+    let gp = sys.guest_profile().unwrap();
+    for (what, got, want) in [
+        ("issue", gp.total_issue_cycles(), sys.stats.vliws_executed),
+        ("stall", gp.total_stall_cycles(), sys.stats.stall_cycles),
+    ] {
+        let want = want as f64;
+        let ok = (got - want).abs() < 1e-6 * want.max(1.0);
+        assert!(ok, "{name}: attributed {what} cycles {got} != run total {want}");
+    }
+}
+
+/// Conservation: every engine cycle lands on some guest PC, no cycle
+/// is invented.
 #[test]
 fn attributed_cycles_sum_to_run_totals() {
     for name in WORKLOADS {
-        let w = workload(name);
-        let sys = run_guest_profiled(&w);
-        let gp = sys.guest_profile().unwrap();
-
-        let issue = gp.total_issue_cycles();
-        let want_issue = sys.stats.vliws_executed as f64;
-        assert!(
-            (issue - want_issue).abs() < 1e-6 * want_issue.max(1.0),
-            "{name}: issue cycles {issue} != vliws_executed {want_issue}"
-        );
-
-        let stalls = gp.total_stall_cycles();
-        let want_stalls = sys.stats.stall_cycles as f64;
-        assert!(
-            (stalls - want_stalls).abs() < 1e-6 * want_stalls.max(1.0),
-            "{name}: stall cycles {stalls} != stall_cycles {want_stalls}"
-        );
+        assert_conserves(name, &run_guest_profiled(&workload(name)));
     }
 }
 
@@ -221,4 +219,22 @@ fn annotated_disassembly_renders_decoded_instructions() {
     assert!(!report.contains("??"), "all profiled PCs must decode");
     let body_lines = report.lines().filter(|l| l.contains("0x")).count();
     assert!(body_lines > 5, "expected a non-trivial number of annotated PCs");
+}
+
+/// Degraded entries attribute through the conservative rung: profiles
+/// exist and conserve issue and stall cycles.
+#[test]
+fn attribution_survives_forced_degradation() {
+    let w = workload("cmp");
+    let prog = w.program();
+    let mut sys =
+        DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).guest_profiling(true).build();
+    sys.load(&prog).unwrap();
+    sys.degrade(prog.entry, daisy::DegradeCause::Forced).expect("rung below packed");
+    let stop = sys.run(50 * w.max_instrs).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
+    w.check(&sys.cpu, &sys.mem).expect("degraded run stays correct");
+
+    assert!(sys.guest_profile().unwrap().dispatches() > 0);
+    assert_conserves("degraded cmp", &sys);
 }
