@@ -762,6 +762,9 @@ impl<I: Isa> DaisySystem<I> {
                     base_addr,
                 });
                 if !self.cpu.vectored() {
+                    // Stop where the interpreter stops: at the faulting
+                    // instruction, state exact just before it.
+                    self.cpu.set_pc(base_addr);
                     return Ok(Some(match kind {
                         ExcKind::Dsi { addr, write } => {
                             self.cpu.record_data_fault(addr, write);

@@ -180,6 +180,7 @@ fn trap_word_fires_precisely() {
     let (sys, stop) = run_daisy(&prog, 0x10000);
     assert_eq!(stop, StopReason::Trap);
     assert_eq!(sys.cpu.gpr[3], 5, "state precise at the trap");
+    assert_eq!(sys.cpu.pc, 0x1004, "stopped at the trap instruction");
 
     // Non-firing trap falls through.
     let mut a = Asm::new(0x1000);

@@ -24,7 +24,11 @@ use proptest::prelude::*;
 pub const MEM_SIZE: u32 = 0x2_0000;
 
 /// One step of a generated program. Field values are constrained so the
-/// program always terminates and only touches the data window.
+/// program always terminates and only touches the data window, except
+/// `Fault`: a guest fault behind a branch that falls through at run
+/// time, so the faulting access can be hoisted above it — a load from
+/// a bad pointer (`kind` 0), a store to one (1) or `tw 31,r0,r0` (2).
+/// Only [`fault`] generates it.
 #[derive(Debug, Clone)]
 pub enum Step {
     Alu { op: u8, rt: u8, ra: u8, rb: u8, rc: bool },
@@ -41,6 +45,7 @@ pub enum Step {
     Call { rt: u8, ra: u8, rb: u8 },
     CrOp { bt: u8, ba: u8, bb: u8 },
     Trap { never: bool },
+    Fault { kind: u8, reg: u8 },
 }
 
 pub const DATA: u32 = 0x8000;
@@ -90,6 +95,14 @@ pub fn step() -> impl Strategy<Value = Step> {
         any::<bool>().prop_map(|_| Step::Trap { never: true }),
     ]
 }
+
+/// One [`Step::Fault`].
+pub fn fault() -> impl Strategy<Value = Step> {
+    (0u8..3, 0u8..12).prop_map(|(kind, reg)| Step::Fault { kind, reg })
+}
+
+/// A bad pointer: outside every generated run's memory.
+pub const BAD_ADDR: u32 = 0x00F0_0000;
 
 /// Emits the generated steps as real instructions. r20 is reserved as
 /// the data-window base, r21 as a bounded index register.
@@ -229,6 +242,20 @@ fn emit(a: &mut Asm, steps: &[Step]) {
                     a.emit(Insn::Tw { to: 16, ra: Gpr(0), rb: Gpr(0) });
                 }
             }
+            Step::Fault { kind, reg } => {
+                let l = fresh();
+                // The data-window base is never zero: falls through.
+                a.cmpwi(CrField(7), base, 0);
+                a.beq(CrField(7), &l);
+                a.lis(Gpr(22), (BAD_ADDR >> 16) as i16);
+                match kind {
+                    0 => a.lwz(Gpr(reg), 0, Gpr(22)),
+                    1 => a.stw(Gpr(reg), 0, Gpr(22)),
+                    // Trap on every comparison: always fires.
+                    _ => a.emit(Insn::Tw { to: 31, ra: Gpr(0), rb: Gpr(0) }),
+                }
+                a.label(&l);
+            }
         }
     }
     a.sc();
@@ -251,6 +278,13 @@ fn fill_data(mem: &mut Memory) {
 /// Runs `prog` on the reference interpreter from `seeds` (r0..r11),
 /// returning its final registers and memory.
 pub fn run_oracle(prog: &Program, seeds: &[u32]) -> (Cpu, Memory) {
+    let (cpu, mem, stop) = run_oracle_to_stop(prog, seeds);
+    assert_eq!(stop, StopReason::Syscall);
+    (cpu, mem)
+}
+
+/// [`run_oracle`], returning why the interpreter stopped.
+pub fn run_oracle_to_stop(prog: &Program, seeds: &[u32]) -> (Cpu, Memory, StopReason) {
     let mut mem = Memory::new(MEM_SIZE);
     prog.load_into(&mut mem).unwrap();
     fill_data(&mut mem);
@@ -259,8 +293,7 @@ pub fn run_oracle(prog: &Program, seeds: &[u32]) -> (Cpu, Memory) {
         cpu.gpr[i] = *s;
     }
     let stop = cpu.run(&mut mem, 1_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall);
-    (cpu, mem)
+    (cpu, mem, stop)
 }
 
 /// Runs `prog` on the system `builder` describes, from the same initial
@@ -270,6 +303,17 @@ pub fn run_daisy(
     seeds: &[u32],
     builder: DaisySystemBuilder<PpcIsa>,
 ) -> DaisySystem<PpcIsa> {
+    let (sys, stop) = run_daisy_to_stop(prog, seeds, builder);
+    assert_eq!(stop, StopReason::Syscall);
+    sys
+}
+
+/// [`run_daisy`], returning why the system stopped.
+pub fn run_daisy_to_stop(
+    prog: &Program,
+    seeds: &[u32],
+    builder: DaisySystemBuilder<PpcIsa>,
+) -> (DaisySystem<PpcIsa>, StopReason) {
     let mut sys = builder.mem_size(MEM_SIZE).build();
     sys.load(prog).unwrap();
     fill_data(&mut sys.mem);
@@ -277,8 +321,7 @@ pub fn run_daisy(
         sys.cpu.gpr[i] = *s;
     }
     let stop = sys.run(100_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall);
-    sys
+    (sys, stop)
 }
 
 /// Asserts the system left exactly the oracle's registers and memory.

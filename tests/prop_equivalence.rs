@@ -12,12 +12,16 @@
 
 mod common;
 
-use common::{assemble, assert_same, run_daisy, run_oracle, step, Step, MEM_SIZE};
+use common::{
+    assemble, assert_same, fault, run_daisy, run_daisy_to_stop, run_oracle, run_oracle_to_stop,
+    step, Step, BAD_ADDR, MEM_SIZE,
+};
 use daisy::inject::{run_campaign_on_program, CampaignConfig, FaultKind};
 use daisy::sched::TranslatorConfig;
 use daisy::system::DaisySystem;
+use daisy::DegradeCause;
 use daisy_cachesim::Hierarchy;
-use daisy_ppc::interp::Cpu;
+use daisy_ppc::interp::{Cpu, StopReason};
 use daisy_ppc::mem::Memory;
 use daisy_ppc::PpcIsa;
 use daisy_vliw::machine::MachineConfig;
@@ -118,6 +122,55 @@ proptest! {
         for kind in [FaultKind::IllegalOp, FaultKind::InterruptStorm, FaultKind::ChainSever] {
             run_campaign_on_program::<PpcIsa>(&prog, MEM_SIZE, 1_000_000, &CampaignConfig::new(kind, seed))
                 .unwrap_or_else(|e| panic!("injection broke the packed engine: {e}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Guest faults are precise on every tier (§3.5): a program that
+    /// loads from a bad pointer, stores to one or fires a trap stops
+    /// where the interpreter stops, with the interpreter's state. The
+    /// fault sits behind a branch that falls through, so its access
+    /// can be hoisted and its poison taken at the commit. The native
+    /// half compiles every group on its first dispatch, so it reaches
+    /// the fault through a bail and a packed resume. A recovery
+    /// cross-check that failed would be absorbed by the degradation
+    /// ladder, so no `RecoveryMismatch` step may appear either.
+    #[test]
+    fn guest_faults_stop_precisely_on_every_tier(
+        before in prop::collection::vec(step(), 0..16),
+        fault in fault(),
+        after in prop::collection::vec(step(), 0..16),
+        seeds in prop::collection::vec(any::<u32>(), 12),
+    ) {
+        let expected = match fault {
+            Step::Fault { kind: 0, .. } => StopReason::StorageFault { addr: BAD_ADDR, write: false, fetch: false },
+            Step::Fault { kind: 1, .. } => StopReason::StorageFault { addr: BAD_ADDR, write: true, fetch: false },
+            _ => StopReason::Trap,
+        };
+        let steps: Vec<Step> = before.into_iter().chain([fault]).chain(after).collect();
+        let prog = assemble(&steps);
+        let (cpu, mem, stop) = run_oracle_to_stop(&prog, &seeds);
+        assert_eq!(stop, expected, "interpreter stop");
+        for native in [false, true] {
+            let builder = DaisySystem::builder().native_execution(native).native_threshold(1);
+            let (sys, daisy_stop) = run_daisy_to_stop(&prog, &seeds, builder);
+            let tier = if native { "native" } else { "packed" };
+            assert_eq!(daisy_stop, stop, "{tier}: stop reason");
+            assert_same(&sys, &cpu, &mem, tier);
+            assert_eq!(sys.stats.exceptions, 1, "{tier}: the fault left translated code");
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            if native {
+                let bails = sys.native_stats().map_or(0, |n| n.bails);
+                assert!(bails > 0, "native: the fault was reached without a bail");
+            }
+            assert!(
+                sys.degradations().iter().all(|d| d.cause != DegradeCause::RecoveryMismatch),
+                "{tier}: recovery fell back: {:?}",
+                sys.degradations()
+            );
         }
     }
 }
