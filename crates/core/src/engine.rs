@@ -240,6 +240,8 @@ pub enum GroupExit {
         base_addr: u32,
         /// Architected events completed before the fault, for recovery.
         fault_idx: usize,
+        /// Op-arena index of the faulting parcel.
+        fault_op: usize,
     },
     /// A store hit a page with its translated bit set (§3.2); resume by
     /// re-interpreting the modifying instruction at `addr` after
@@ -290,6 +292,10 @@ pub struct EngineScratch {
     /// Architected-commitment record for precise-exception recovery
     /// (§3.5); filled afresh by each [`run_group`] call.
     pub events: Vec<ArchEvent>,
+    /// The path trail, in the native tier's direction-log format: one
+    /// byte per resolved condition (0 fall, 1 taken) and a `2` per
+    /// taken backward `Next` edge. [`trail_path`] rebuilds the path.
+    pub(crate) dirs: Vec<u8>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
     tag_info: [Option<(u32, bool, bool)>; NUM_REGS],
     pending: [Option<PendingLoad>; NUM_REGS],
@@ -301,6 +307,7 @@ impl EngineScratch {
     pub fn new() -> EngineScratch {
         EngineScratch {
             events: Vec::with_capacity(64),
+            dirs: Vec::with_capacity(64),
             tag_info: [None; NUM_REGS],
             pending: [None; NUM_REGS],
             touched: Vec::with_capacity(8),
@@ -311,6 +318,7 @@ impl EngineScratch {
     /// previous dispatch.
     pub(crate) fn reset(&mut self) {
         self.events.clear();
+        self.dirs.clear();
         for i in self.touched.drain(..) {
             self.tag_info[i as usize] = None;
             self.pending[i as usize] = None;
@@ -499,6 +507,7 @@ fn run_group_impl<const RESUME: bool>(
                 if poisoned || m.class == OpClass::General {
                     match exec_parcel_general(
                         op,
+                        k,
                         vals,
                         tags,
                         mem,
@@ -666,6 +675,7 @@ fn run_group_impl<const RESUME: bool>(
                                         kind: ExcKind::Dsi { addr: ea, write: false },
                                         base_addr: op.base_addr,
                                         fault_idx: scratch.events.len(),
+                                        fault_op: k,
                                     };
                                 }
                             }
@@ -704,6 +714,7 @@ fn run_group_impl<const RESUME: bool>(
                                     kind: ExcKind::Dsi { addr: ea, write: true },
                                     base_addr: op.base_addr,
                                     fault_idx: scratch.events.len(),
+                                    fault_op: k,
                                 };
                             }
                         }
@@ -728,6 +739,7 @@ fn run_group_impl<const RESUME: bool>(
                         }
                         None => scratch.events.push(ArchEvent::Dir(t)),
                     }
+                    scratch.dirs.push(u8::from(t));
                     // Resolution completes the branch instruction, but
                     // a CTR-decrementing branch also commits its count
                     // register, which already counted it — dedup
@@ -740,12 +752,15 @@ fn run_group_impl<const RESUME: bool>(
                 }
                 PackedCtrl::Next { vliw: next } => {
                     stats.issue_histogram[parcels_this_vliw.min(24)] += 1;
-                    if next as usize <= vliw && stats.vliws_executed >= backedge_limit {
-                        return GroupExit::Branch {
-                            target: packed.anchor(next as usize),
-                            via: None,
-                            slot: None,
-                        };
+                    if next as usize <= vliw {
+                        if stats.vliws_executed >= backedge_limit {
+                            return GroupExit::Branch {
+                                target: packed.anchor(next as usize),
+                                via: None,
+                                slot: None,
+                            };
+                        }
+                        scratch.dirs.push(2);
                     }
                     vliw = next as usize;
                     break;
@@ -772,6 +787,65 @@ fn run_group_impl<const RESUME: bool>(
     }
 }
 
+/// Where [`trail_path`] stops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TrailEnd {
+    /// At the node holding this op-arena index once the trail is
+    /// consumed: an exception's faulting parcel.
+    Parcel(usize),
+    /// At a `Next` once this many tree instructions were entered: a
+    /// dispatch's VLIW count.
+    Vliws(u64),
+}
+
+/// Rebuilds into `out` the packed-node path an execution of `packed`
+/// took, from its path trail `dirs` ([`EngineScratch`]'s, or a native
+/// run's direction log: the two share one format). Every node but a
+/// `Cond` has one successor, and a taken back edge consumes its `2`,
+/// so the walk ends where execution stopped: at a leaf, at `end`, at a
+/// `Cond` once the trail runs out (a mid-node exit) or at a backward
+/// `Next` once it runs out (the back-edge budget's exit). A revisited
+/// node consumes at least one byte first, so [`TrailEnd::Parcel`]
+/// stops at the last visit.
+pub(crate) fn trail_path(packed: &PackedGroup, dirs: &[u8], end: TrailEnd, out: &mut Vec<u32>) {
+    out.clear();
+    let (mut di, mut vliw, mut entered) = (0usize, 0usize, 1u64);
+    let mut node = packed.roots[0] as usize;
+    loop {
+        out.push(node as u32);
+        let n = &packed.nodes[node];
+        if let TrailEnd::Parcel(k) = end {
+            if di == dirs.len() && (n.start as usize..(n.start + n.len) as usize).contains(&k) {
+                return;
+            }
+        }
+        node = match n.ctrl {
+            PackedCtrl::Cond { taken, fall, .. } => match dirs.get(di) {
+                Some(&t) => {
+                    di += 1;
+                    (if t != 0 { taken } else { fall }) as usize
+                }
+                None => return,
+            },
+            PackedCtrl::Next { vliw: next } => {
+                if matches!(end, TrailEnd::Vliws(v) if entered >= v) {
+                    return;
+                }
+                if next as usize <= vliw {
+                    if di == dirs.len() {
+                        return;
+                    }
+                    di += 1;
+                }
+                entered += 1;
+                vliw = next as usize;
+                packed.roots[vliw] as usize
+            }
+            _ => return,
+        };
+    }
+}
+
 /// The packed engine's full-semantics parcel interpreter, over the
 /// register file's raw arrays and the scratch tables. [`run_group`]
 /// routes here whenever a
@@ -779,13 +853,15 @@ fn run_group_impl<const RESUME: bool>(
 /// faults, §2.1) or the parcel's [`OpClass`] is
 /// [`General`](OpClass::General) (trap checks, load-verify commits);
 /// everything hot runs in the class-dispatched arms inlined into the
-/// walk loop.
+/// walk loop. `k` is the parcel's op-arena index, which an exception
+/// exit names.
 // invariant: the translator only emits `Load` operations with a
 // destination register (convert.rs builds them via `.dst(..)`), so the
 // `op.dest.expect(..)` calls below cannot fire on translated code.
 #[allow(clippy::too_many_arguments, clippy::expect_used)]
 fn exec_parcel_general(
     op: &Operation,
+    k: usize,
     vals: &mut [u32; NUM_REGS],
     tags: &mut [bool; NUM_REGS],
     mem: &mut Memory,
@@ -830,6 +906,7 @@ fn exec_parcel_general(
             kind: ExcKind::Dsi { addr, write },
             base_addr: op.base_addr,
             fault_idx: scratch.events.len(),
+            fault_op: k,
         });
     }
 
@@ -893,6 +970,7 @@ fn exec_parcel_general(
                             kind: ExcKind::Dsi { addr: ea, write: false },
                             base_addr: op.base_addr,
                             fault_idx: scratch.events.len(),
+                            fault_op: k,
                         });
                     }
                 }
@@ -925,6 +1003,7 @@ fn exec_parcel_general(
                         kind: ExcKind::Dsi { addr: ea, write: true },
                         base_addr: op.base_addr,
                         fault_idx: scratch.events.len(),
+                        fault_op: k,
                     });
                 }
             }
@@ -935,6 +1014,7 @@ fn exec_parcel_general(
                     kind: ExcKind::Trap,
                     base_addr: op.base_addr,
                     fault_idx: scratch.events.len(),
+                    fault_op: k,
                 });
             }
             EvalOut::Trap(false) => {

@@ -561,7 +561,9 @@ impl NativeTier {
     ) {
         let len = (self.ctx.log_end as usize).saturating_sub(self.log.as_ptr() as usize);
         scratch.reset();
-        reconstruct_events(&code.packed, &self.log[..len.min(self.log.len())], bail, scratch);
+        let dirs = &self.log[..len.min(self.log.len())];
+        reconstruct_events(&code.packed, dirs, bail, scratch);
+        scratch.dirs.extend_from_slice(dirs);
     }
 
     /// Replays the run's access log through `cache`, in the packed

@@ -21,6 +21,7 @@ use daisy_isa::convert::Flow;
 use daisy_isa::mem::Memory;
 use daisy_isa::Isa;
 use daisy_vliw::op::OpKind;
+use daisy_vliw::packed::{OpMeta, PackedCtrl, PackedGroup};
 use daisy_vliw::reg::Reg;
 
 /// One architected commitment observed while executing translated code.
@@ -125,6 +126,42 @@ fn match_expected(exp: &Expected, events: &[ArchEvent], i: usize) -> Option<usiz
         }
         _ => None,
     }
+}
+
+/// Rebuilds the architected commitments of one execution of `packed`
+/// from the translated code along its node `path` (see
+/// `engine::trail_path`), stopping before parcel `fault_op` in the
+/// path's last node. Each resolved condition's direction is read off
+/// the node that follows it. Values play no part: the path and the op
+/// tables fix which parcels committed, since every parcel before the
+/// fault completed (a poisoned speculative one commits nothing).
+pub(crate) fn commits(packed: &PackedGroup, path: &[u32], fault_op: usize) -> Vec<ArchEvent> {
+    let mut events = Vec::new();
+    for (i, &ni) in path.iter().enumerate() {
+        let n = &packed.nodes[ni as usize];
+        let last = i + 1 == path.len();
+        for k in n.start as usize..(n.start + n.len) as usize {
+            if last && k == fault_op {
+                return events;
+            }
+            let (op, m) = (&packed.ops[k], &packed.meta[k]);
+            events.push(match op.kind {
+                OpKind::TrapIf { .. } => ArchEvent::TrapCheck,
+                OpKind::Store { .. } => ArchEvent::Store,
+                _ if op.speculative || m.d1 == OpMeta::NONE => continue,
+                OpKind::Load { .. } => ArchEvent::Def { d1: Reg(m.d1), d2: None },
+                _ => ArchEvent::Def { d1: Reg(m.d1), d2: op.dest2 },
+            });
+        }
+        if let (PackedCtrl::Cond { cond, taken, .. }, Some(&next)) = (n.ctrl, path.get(i + 1)) {
+            let t = next == taken;
+            events.push(match cond.spec_target {
+                Some(spec) => ArchEvent::IndirectDir(if t { None } else { Some(spec) }),
+                None => ArchEvent::Dir(t),
+            });
+        }
+    }
+    events
 }
 
 /// Recovers the base-architecture address of the instruction whose

@@ -56,7 +56,7 @@
 //! for dispatches aborted mid-node (exceptions, alias restarts) the
 //! trailing node is approximated as fully executed.
 
-use crate::engine::GroupCode;
+use crate::engine::{trail_path, GroupCode, TrailEnd};
 use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use daisy_isa::mem::Memory;
@@ -395,6 +395,7 @@ impl GuestProfile {
         &mut self,
         code: &GroupCode,
         events: &[ArchEvent],
+        dirs: &[u8],
         stall_delta: u64,
         start_cycle: u64,
         cycle_delta: u64,
@@ -405,6 +406,9 @@ impl GuestProfile {
         // A dispatch's cycles are its retired VLIWs plus its stalls.
         let vliws = cycle_delta - stall_delta;
         replay_path(packed, events, vliws, &mut self.scratch_path);
+        let mut from_dirs = Vec::new();
+        trail_path(packed, dirs, TrailEnd::Vliws(vliws), &mut from_dirs);
+        assert_eq!(from_dirs, self.scratch_path, "profiled path rebuild diverged at {entry:#x}");
         let visited = &self.scratch_path;
 
         // --- issue-cycle shares, one cycle per retired VLIW ---

@@ -17,7 +17,8 @@
 //! ISA it is running.
 
 use crate::engine::{
-    run_group, run_group_resume, ChainLink, EngineScratch, ExcKind, GroupCode, GroupExit,
+    run_group, run_group_resume, trail_path, ChainLink, EngineScratch, ExcKind, GroupCode,
+    GroupExit, TrailEnd,
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
 use crate::metrics::{IrqLatency, MetricsSnapshot, MetricsSource, PostMortem};
@@ -584,6 +585,7 @@ impl<I: Isa> DaisySystem<I> {
         // exit — a chained native run may end groups away from the
         // dispatched one.
         let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
+        let mut native_done = false;
         if rung == Rung::Native {
             let patching_ok = self.native_patching_ok();
             if let Some(nt) = self.native.as_mut() {
@@ -610,6 +612,7 @@ impl<I: Isa> DaisySystem<I> {
                         &mut self.scratch,
                     ) {
                         NativeRun::Done { exit, final_entry, final_code } => {
+                            native_done = true;
                             // Profiling reads the run's branch
                             // directions; with patching off under
                             // profiling, the run ended in `code`.
@@ -649,6 +652,33 @@ impl<I: Isa> DaisySystem<I> {
                 (exit, code.entry, None)
             }
         };
+        // Pin: the commit list rebuilt from the translated code along
+        // the direction trail equals the recorded event trail, on every
+        // packed and native-resumed exit that ends at a leaf, at the
+        // back-edge budget or at an exception's faulting parcel.
+        if !native_done {
+            let rcode = run_code.as_deref().unwrap_or(&code);
+            let fault_op = match exit {
+                GroupExit::Exception { fault_op, .. } => Some(fault_op),
+                GroupExit::Branch { .. } | GroupExit::Interp { .. } => Some(usize::MAX),
+                _ => None,
+            };
+            if let Some(fault_op) = fault_op {
+                let end = if fault_op == usize::MAX {
+                    TrailEnd::Vliws(u64::MAX)
+                } else {
+                    TrailEnd::Parcel(fault_op)
+                };
+                let mut path = Vec::new();
+                trail_path(&rcode.packed, &self.scratch.dirs, end, &mut path);
+                let rebuilt = precise::commits(&rcode.packed, &path, fault_op);
+                assert_eq!(
+                    rebuilt, self.scratch.events,
+                    "trail rebuild diverged at {:#x} ({exit:?})",
+                    rcode.entry
+                );
+            }
+        }
         let from_page = run_entry / self.vmm.cfg.page_size;
         // §3.5 recovery cross-check, *before* committing the
         // register file: a failed check means the translation's
@@ -677,6 +707,7 @@ impl<I: Isa> DaisySystem<I> {
             gp.record_dispatch(
                 &code,
                 &self.scratch.events,
+                &self.scratch.dirs,
                 self.stats.stall_cycles - s0,
                 c0,
                 self.stats.cycles() - c0,
@@ -751,7 +782,7 @@ impl<I: Isa> DaisySystem<I> {
                     return Ok(Some(stop));
                 }
             }
-            GroupExit::Exception { kind, base_addr, fault_idx: _ } => {
+            GroupExit::Exception { kind, base_addr, .. } => {
                 self.stats.exceptions += 1;
                 self.vmm.tracer.emit(|| TraceEvent::Exception {
                     class: match kind {
