@@ -10,7 +10,6 @@
 //! fetch and per memory parcel.
 
 use crate::native::NativeSlot;
-use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::mem::Memory;
@@ -238,9 +237,8 @@ pub enum GroupExit {
         /// The responsible base instruction (engine metadata; the VMM
         /// re-derives it with `precise::recover` and cross-checks).
         base_addr: u32,
-        /// Architected events completed before the fault, for recovery.
-        fault_idx: usize,
-        /// Op-arena index of the faulting parcel.
+        /// Op-arena index of the faulting parcel: where the commit list
+        /// that recovery rebuilds from the path trail ends.
         fault_op: usize,
     },
     /// A store hit a page with its translated bit set (§3.2); resume by
@@ -286,15 +284,14 @@ struct PendingLoad {
 /// registers (~3 KiB); rather than zeroing them on every dispatch, the
 /// engine records which slots it populated and its internal reset
 /// clears only those — on the common path (no speculative faults, no
-/// bypassed loads) reset is just clearing the event vector's length.
+/// bypassed loads) reset is just clearing the path trail's length.
 #[derive(Debug)]
 pub struct EngineScratch {
-    /// Architected-commitment record for precise-exception recovery
-    /// (§3.5); filled afresh by each [`run_group`] call.
-    pub events: Vec<ArchEvent>,
-    /// The path trail, in the native tier's direction-log format: one
-    /// byte per resolved condition (0 fall, 1 taken) and a `2` per
-    /// taken backward `Next` edge. [`trail_path`] rebuilds the path.
+    /// The path trail, filled afresh by each [`run_group`] call in the
+    /// native tier's direction-log format: one byte per resolved
+    /// condition (0 fall, 1 taken) and a `2` per taken backward `Next`
+    /// edge. [`trail_path`] rebuilds the path from it, for §3.5
+    /// recovery and for the guest profiler.
     pub(crate) dirs: Vec<u8>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
     tag_info: [Option<(u32, bool, bool)>; NUM_REGS],
@@ -306,7 +303,6 @@ impl EngineScratch {
     /// Creates empty scratch state.
     pub fn new() -> EngineScratch {
         EngineScratch {
-            events: Vec::with_capacity(64),
             dirs: Vec::with_capacity(64),
             tag_info: [None; NUM_REGS],
             pending: [None; NUM_REGS],
@@ -314,10 +310,9 @@ impl EngineScratch {
         }
     }
 
-    /// Clears the event record and every table slot populated by the
+    /// Clears the path trail and every table slot populated by the
     /// previous dispatch.
     pub(crate) fn reset(&mut self) {
-        self.events.clear();
         self.dirs.clear();
         for i in self.touched.drain(..) {
             self.tag_info[i as usize] = None;
@@ -374,8 +369,9 @@ fn write_mem(mem: &mut Memory, ea: u32, width: MemWidth, v: u32) -> Result<(), (
 /// instruction, conditions route through the flat node table and the
 /// taken path's parcels execute as dense slices of the op arena.
 ///
-/// `scratch` is reset and its event record filled with the
-/// architected-commitment trail used for precise-exception recovery.
+/// `scratch` is reset and its path trail filled with the run's branch
+/// directions, from which precise-exception recovery (§3.5) and the
+/// guest profiler rebuild the path.
 ///
 /// The property tests in `tests/prop_equivalence.rs` check it against
 /// the reference interpreter, including under the finite cache
@@ -422,9 +418,10 @@ pub struct ResumePoint {
 
 /// Resumes packed execution of `code` mid-group after a native-tier
 /// bail-out. The caller (the native dispatcher) has already merged the
-/// native counter deltas into `stats` and reconstructed `scratch` up
-/// to the bail point, so this entry skips the per-dispatch scratch
-/// reset and the current tree instruction's cycle/issue accounting.
+/// native counter deltas into `stats` and loaded `scratch` (path
+/// trail, pending loads) up to the bail point, so this entry skips the
+/// per-dispatch scratch reset and the current tree instruction's
+/// cycle/issue accounting.
 #[inline]
 pub fn run_group_resume(
     code: &GroupCode,
@@ -530,7 +527,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = vals[s0];
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::LoadImm => {
@@ -538,7 +534,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = op.imm as u32;
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::Add => {
@@ -546,7 +541,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = vals[s0].wrapping_add(vals[s1]);
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::AddImm => {
@@ -554,7 +548,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = vals[s0].wrapping_add(op.imm as u32);
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::CmpSImm => {
@@ -562,7 +555,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = compare(vals[s0], op.imm as u32, true, vals[s1] & 1 != 0);
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::RotlImmMask => {
@@ -570,7 +562,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals[d] = vals[s0].rotate_left(op.imm as u32 & 31) & op.imm2;
                         tags[d] = false;
                         scratch.tag_info[d] = None;
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                         commit_base!(op);
                     }
                     OpClass::Value => {
@@ -583,16 +574,13 @@ fn run_group_impl<const RESUME: bool>(
                             vals[d] = v;
                             tags[d] = false;
                             scratch.tag_info[d] = None;
+                            commit_base!(op);
                         }
                         if m.d2 != OpMeta::NONE {
                             let d2 = m.d2 as usize;
                             vals[d2] = u32::from(carry.unwrap_or(false));
                             tags[d2] = false;
                             scratch.tag_info[d2] = None;
-                        }
-                        if m.d1 != OpMeta::NONE {
-                            scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: op.dest2 });
-                            commit_base!(op);
                         }
                     }
                     OpClass::SpecValue => {
@@ -656,7 +644,6 @@ fn run_group_impl<const RESUME: bool>(
                                     scratch.touched.push(d as u8);
                                 }
                                 if !op.speculative {
-                                    scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
                                     commit_base!(op);
                                 }
                             }
@@ -674,7 +661,6 @@ fn run_group_impl<const RESUME: bool>(
                                     return GroupExit::Exception {
                                         kind: ExcKind::Dsi { addr: ea, write: false },
                                         base_addr: op.base_addr,
-                                        fault_idx: scratch.events.len(),
                                         fault_op: k,
                                     };
                                 }
@@ -702,7 +688,6 @@ fn run_group_impl<const RESUME: bool>(
                                     stats.stall_cycles += u64::from(acc.penalty);
                                 }
                                 stats.stores += 1;
-                                scratch.events.push(ArchEvent::Store);
                                 commit_base!(op);
                                 if mem.has_code_writes() {
                                     stats.code_modifications += 1;
@@ -713,7 +698,6 @@ fn run_group_impl<const RESUME: bool>(
                                 return GroupExit::Exception {
                                     kind: ExcKind::Dsi { addr: ea, write: true },
                                     base_addr: op.base_addr,
-                                    fault_idx: scratch.events.len(),
                                     fault_op: k,
                                 };
                             }
@@ -726,19 +710,6 @@ fn run_group_impl<const RESUME: bool>(
                 PackedCtrl::Cond { cond, taken, fall } => {
                     debug_assert!(!tags[cond.src.index()], "branch conditions are committed clean");
                     let t = cond.holds(vals[cond.src.index()]);
-                    match cond.spec_target {
-                        // A Ch. 6 indirect-branch specialization: the
-                        // taken side is the true indirect exit, the
-                        // fall side continues inline at the target.
-                        Some(spec) => {
-                            scratch.events.push(ArchEvent::IndirectDir(if t {
-                                None
-                            } else {
-                                Some(spec)
-                            }));
-                        }
-                        None => scratch.events.push(ArchEvent::Dir(t)),
-                    }
                     scratch.dirs.push(u8::from(t));
                     // Resolution completes the branch instruction, but
                     // a CTR-decrementing branch also commits its count
@@ -905,7 +876,6 @@ fn exec_parcel_general(
         return Err(GroupExit::Exception {
             kind: ExcKind::Dsi { addr, write },
             base_addr: op.base_addr,
-            fault_idx: scratch.events.len(),
             fault_op: k,
         });
     }
@@ -952,7 +922,6 @@ fn exec_parcel_general(
                         scratch.touched.push(d.index() as u8);
                     }
                     if !op.speculative {
-                        scratch.events.push(ArchEvent::Def { d1: d, d2: None });
                         count_completion(stats, last_base, op.base_addr);
                     }
                 }
@@ -969,7 +938,6 @@ fn exec_parcel_general(
                         return Err(GroupExit::Exception {
                             kind: ExcKind::Dsi { addr: ea, write: false },
                             base_addr: op.base_addr,
-                            fault_idx: scratch.events.len(),
                             fault_op: k,
                         });
                     }
@@ -991,7 +959,6 @@ fn exec_parcel_general(
                         stats.stall_cycles += u64::from(acc.penalty);
                     }
                     stats.stores += 1;
-                    scratch.events.push(ArchEvent::Store);
                     count_completion(stats, last_base, op.base_addr);
                     if mem.has_code_writes() {
                         stats.code_modifications += 1;
@@ -1002,7 +969,6 @@ fn exec_parcel_general(
                     return Err(GroupExit::Exception {
                         kind: ExcKind::Dsi { addr: ea, write: true },
                         base_addr: op.base_addr,
-                        fault_idx: scratch.events.len(),
                         fault_op: k,
                     });
                 }
@@ -1013,14 +979,10 @@ fn exec_parcel_general(
                 return Err(GroupExit::Exception {
                     kind: ExcKind::Trap,
                     base_addr: op.base_addr,
-                    fault_idx: scratch.events.len(),
                     fault_op: k,
                 });
             }
-            EvalOut::Trap(false) => {
-                scratch.events.push(ArchEvent::TrapCheck);
-                count_completion(stats, last_base, op.base_addr);
-            }
+            EvalOut::Trap(false) => count_completion(stats, last_base, op.base_addr),
             _ => unreachable!("TrapIf evaluates to Trap"),
         },
         _ => {
@@ -1049,11 +1011,8 @@ fn exec_parcel_general(
                 tags[d2.index()] = false;
                 scratch.tag_info[d2.index()] = None;
             }
-            if !op.speculative {
-                if let Some(d) = op.dest {
-                    scratch.events.push(ArchEvent::Def { d1: d, d2: op.dest2 });
-                    count_completion(stats, last_base, op.base_addr);
-                }
+            if !op.speculative && op.dest.is_some() {
+                count_completion(stats, last_base, op.base_addr);
             }
         }
     }

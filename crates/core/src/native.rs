@@ -24,11 +24,12 @@
 //!   to templates, so the tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
-//!   translated page). The dispatcher then reconstructs the packed
-//!   engine's architected-event trail from the branch-direction path
-//!   log (`reconstruct_events`) and resumes the same group mid-node
-//!   on the packed engine ([`crate::engine::run_group_resume`]), so
-//!   §3.5 precise-exception recovery works unchanged.
+//!   translated page). The dispatcher then copies the run's
+//!   branch-direction log into the packed engine's path trail (the two
+//!   share one format) and resumes the same group mid-node on the
+//!   packed engine ([`crate::engine::run_group_resume`]), which
+//!   continues the trail, so §3.5 precise-exception recovery works
+//!   unchanged.
 //! * **Probe replay** — under a finite cache model, compiled code
 //!   logs the cache probes the packed engine would make (each VLIW's
 //!   fetch, then each completed load or store in parcel order), and
@@ -47,7 +48,6 @@
 //!   every compiled group, so it also reclaims the whole code arena.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
-use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use crate::trace::{FlightRecorder, TraceEvent};
 use daisy_cachesim::{Hierarchy, Side};
@@ -59,9 +59,9 @@ use daisy_jit::{
     ctx::JitCtx, CompileOpts, CompiledGroup, Jit, ACCESS_LOG_VLIW_BUDGET, DEFAULT_ARENA_BYTES,
     LOG_CAPACITY,
 };
-use daisy_vliw::op::{MemWidth, OpKind};
-use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
-use daisy_vliw::reg::{Reg, NUM_REGS};
+use daisy_vliw::op::MemWidth;
+use daisy_vliw::packed::BACKEDGE_VLIW_BUDGET;
+use daisy_vliw::reg::NUM_REGS;
 use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::IndirectVia;
 use std::collections::HashMap;
@@ -161,7 +161,7 @@ pub enum NativeRun {
         final_code: Option<Rc<GroupCode>>,
     },
     /// The run bailed pre-side-effect; the caller must resume `code`
-    /// on the packed engine at `point` (scratch already reconstructed).
+    /// on the packed engine at `point` (scratch already loaded).
     Resume {
         /// Translation of the group that bailed.
         code: Rc<GroupCode>,
@@ -388,8 +388,8 @@ impl NativeTier {
     /// Runs `cg` (the compilation of `code`) natively and reconciles
     /// the counter deltas into `stats`, replaying the run's cache
     /// probes through `cache` when the model is finite. On a bail-out,
-    /// reconstructs `scratch` up to the bail point and returns
-    /// [`NativeRun::Resume`] for the packed engine to finish.
+    /// loads `scratch` with the path trail up to the bail point and
+    /// returns [`NativeRun::Resume`] for the packed engine to finish.
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &mut self,
@@ -487,7 +487,7 @@ impl NativeTier {
                     },
                 };
                 let bail = bail_cg.bails[self.ctx.exit_b as usize];
-                self.replay_trail(&rcode, Some((bail.node as usize, bail.op as usize)), scratch);
+                self.copy_trail(scratch);
                 // Rehydrate bypassed loads the bailing group issued
                 // before the bail: rows stamped with the current
                 // generation are live, and the packed resume's verify
@@ -547,23 +547,15 @@ impl NativeTier {
         }
     }
 
-    /// Rebuilds in `scratch` the architected-event trail of the last
-    /// run's final group entry, `code`, from its branch-direction log:
-    /// up to the bail site `(node, op)`, or with `None` to the exit
-    /// (guest profiling reads the directions of every run; the log
-    /// restarts at every group entry, so it describes a whole run only
-    /// when no patched edge or inline indirect-target way was followed).
-    pub(crate) fn replay_trail(
-        &self,
-        code: &GroupCode,
-        bail: Option<(usize, usize)>,
-        scratch: &mut EngineScratch,
-    ) {
+    /// Resets `scratch` and loads its path trail with the last run's
+    /// branch-direction log: the trail of the run's final group entry,
+    /// up to the bail site or the exit (the log restarts at every group
+    /// entry, so it describes a whole run only when no patched edge or
+    /// inline indirect-target way was followed).
+    pub(crate) fn copy_trail(&self, scratch: &mut EngineScratch) {
         let len = (self.ctx.log_end as usize).saturating_sub(self.log.as_ptr() as usize);
         scratch.reset();
-        let dirs = &self.log[..len.min(self.log.len())];
-        reconstruct_events(&code.packed, dirs, bail, scratch);
-        scratch.dirs.extend_from_slice(dirs);
+        scratch.dirs.extend_from_slice(&self.log[..len.min(self.log.len())]);
     }
 
     /// Replays the run's access log through `cache`, in the packed
@@ -597,121 +589,11 @@ impl NativeTier {
     }
 }
 
-/// Rebuilds the packed engine's architected-event trail for a native
-/// run: replays the group's control flow from its entry using the
-/// recorded branch-direction bytes (one per executed condition),
-/// pushing exactly the events the packed engine would have pushed. With
-/// `bail = Some((node, op))` the replay stops before the parcel the run
-/// bailed at; with `None` it runs to the run's exit: a leaf, or a back
-/// edge whose budget stub left the group (the stub logs no byte).
-/// Values are not recomputed — only event structure matters, and it is
-/// fully determined by the path plus the op/meta tables (native code
-/// bails *before* any faulting access, firing trap check, or failing
-/// load verify, so no exception tags are ever set on the replayed path
-/// and every executed General parcel took its completing path).
-///
-/// The direction log holds one byte per executed condition (0/1) and
-/// one `2` byte per taken backward `Next` edge; the bail site is the
-/// *last* visit to `(node, op)` — the one that has consumed the whole
-/// log — since any revisit consumes at least one byte.
-fn reconstruct_events(
-    packed: &PackedGroup,
-    dirs: &[u8],
-    bail: Option<(usize, usize)>,
-    scratch: &mut EngineScratch,
-) {
-    let (mut di, mut vliw) = (0usize, 0usize);
-    'group: loop {
-        let mut node = packed.roots[vliw] as usize;
-        loop {
-            let n = &packed.nodes[node];
-            for k in n.start as usize..(n.start + n.len) as usize {
-                if bail == Some((node, k)) && di == dirs.len() {
-                    break 'group;
-                }
-                let op = &packed.ops[k];
-                let m = &packed.meta[k];
-                match m.class {
-                    OpClass::Copy
-                    | OpClass::LoadImm
-                    | OpClass::Add
-                    | OpClass::AddImm
-                    | OpClass::CmpSImm
-                    | OpClass::RotlImmMask => {
-                        scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
-                    }
-                    OpClass::Value => {
-                        if m.d1 != OpMeta::NONE {
-                            scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: op.dest2 });
-                        }
-                    }
-                    OpClass::SpecValue => {}
-                    OpClass::Load => {
-                        if !op.speculative {
-                            scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: None });
-                        }
-                    }
-                    OpClass::Store => scratch.events.push(ArchEvent::Store),
-                    // Lowered by the general templates. On the
-                    // pre-bail path a trap check completed without
-                    // firing and a verify commit completed without an
-                    // alias restart — the same events the packed
-                    // engine's general interpreter pushes.
-                    OpClass::General => {
-                        if matches!(op.kind, OpKind::TrapIf { .. }) {
-                            scratch.events.push(ArchEvent::TrapCheck);
-                        } else if !op.speculative && m.d1 != OpMeta::NONE {
-                            scratch.events.push(ArchEvent::Def { d1: Reg(m.d1), d2: op.dest2 });
-                        }
-                    }
-                }
-            }
-            match n.ctrl {
-                PackedCtrl::Cond { cond, taken, fall } => {
-                    let t = dirs.get(di).copied().unwrap_or(0) != 0;
-                    di += 1;
-                    match cond.spec_target {
-                        Some(spec) => scratch.events.push(ArchEvent::IndirectDir(if t {
-                            None
-                        } else {
-                            Some(spec)
-                        })),
-                        None => scratch.events.push(ArchEvent::Dir(t)),
-                    }
-                    node = if t { taken } else { fall } as usize;
-                }
-                PackedCtrl::Next { vliw: nv } => {
-                    // A taken backward edge logged one `2` byte (so
-                    // loop iterations are distinguishable); consume it.
-                    // An unlogged one is the budget stub's exit.
-                    if nv as usize <= vliw {
-                        if di == dirs.len() {
-                            debug_assert!(bail.is_none(), "missing back-edge byte");
-                            break 'group;
-                        }
-                        debug_assert_eq!(dirs[di], 2, "back edge without its byte");
-                        di += 1;
-                    }
-                    vliw = nv as usize;
-                    break;
-                }
-                // The exit of a completed run; a leaf before the bail
-                // site cannot happen on the actually-executed path.
-                PackedCtrl::Leave { .. }
-                | PackedCtrl::Indirect { .. }
-                | PackedCtrl::Interp { .. } => {
-                    debug_assert!(bail.is_none(), "walker reached a leaf before the bail site");
-                    break 'group;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
 mod tests {
     use super::*;
-    use daisy_vliw::op::Operation;
+    use daisy_vliw::op::{OpKind, Operation};
+    use daisy_vliw::reg::Reg;
     use daisy_vliw::tree::{Exit, Group, ROOT};
 
     /// A one-VLIW group at `entry` that loads a constant and leaves.

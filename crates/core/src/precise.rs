@@ -11,12 +11,16 @@
 //! the base instruction at which the match reaches the faulting parcel
 //! is the offender.
 //!
-//! The execution engine records an [`ArchEvent`] for every architected
-//! commitment; [`recover`] replays base instructions against that
-//! record. (The engine also carries each parcel's originating address as
-//! metadata — the tests cross-check the recovered address against it,
-//! validating the paper's claim that no side tables are needed.)
+//! The engines record no commitments. They leave only their path trail,
+//! one byte per resolved branch, and an exception names its faulting
+//! parcel. `commits` rebuilds the [`ArchEvent`] list by scanning the
+//! translated code along that path up to the parcel, and [`recover`]
+//! replays base instructions against it. (The engine also carries each
+//! parcel's originating address as metadata — the VMM cross-checks the
+//! recovered address against it, validating the paper's claim that no
+//! side tables are needed.)
 
+use crate::engine::{trail_path, TrailEnd};
 use daisy_isa::convert::Flow;
 use daisy_isa::mem::Memory;
 use daisy_isa::Isa;
@@ -129,13 +133,15 @@ fn match_expected(exp: &Expected, events: &[ArchEvent], i: usize) -> Option<usiz
 }
 
 /// Rebuilds the architected commitments of one execution of `packed`
-/// from the translated code along its node `path` (see
-/// `engine::trail_path`), stopping before parcel `fault_op` in the
-/// path's last node. Each resolved condition's direction is read off
-/// the node that follows it. Values play no part: the path and the op
-/// tables fix which parcels committed, since every parcel before the
-/// fault completed (a poisoned speculative one commits nothing).
-pub(crate) fn commits(packed: &PackedGroup, path: &[u32], fault_op: usize) -> Vec<ArchEvent> {
+/// that faulted at parcel `fault_op`, from the translated code along
+/// the path its trail `dirs` names (see [`crate::engine::EngineScratch`]).
+/// Each resolved condition's direction is read off the node that
+/// follows it. Values play no part: the path and the op tables fix
+/// which parcels committed, since every parcel before the fault
+/// completed (a poisoned speculative one commits nothing).
+pub(crate) fn commits(packed: &PackedGroup, dirs: &[u8], fault_op: usize) -> Vec<ArchEvent> {
+    let mut path = Vec::new();
+    trail_path(packed, dirs, TrailEnd::Parcel(fault_op), &mut path);
     let mut events = Vec::new();
     for (i, &ni) in path.iter().enumerate() {
         let n = &packed.nodes[ni as usize];

@@ -13,13 +13,13 @@
 //!   dispatch counts, and **speculation waste** to `(group entry, guest
 //!   PC)` pairs, using the provenance side-tables the lowering step
 //!   builds ([`daisy_vliw::packed::PackedGroup::origins`]) and the path
-//!   each dispatch took. The path is not recorded: it is replayed at
-//!   the group boundary from the dispatch's VLIW count and the branch
-//!   directions in its architected-event trail
-//!   ([`crate::engine::EngineScratch::events`]), which the native tier
-//!   rebuilds from its compiled code's branch-direction log at every
-//!   exit. That log restarts at every group entry, so a profiled native
-//!   system patches no chain edge and runs one group per `step()`.
+//!   each dispatch took. The path is not recorded: it is rebuilt at
+//!   the group boundary from the dispatch's VLIW count and its path
+//!   trail, the branch directions every engine logs for §3.5 recovery
+//!   (`engine::trail_path`). The native tier's trail is its compiled
+//!   code's branch-direction log, which restarts at every group entry,
+//!   so a profiled native system patches no chain edge and runs one
+//!   group per `step()`.
 //!   Provenance is consulted only here, at retirement — never inside
 //!   the execution hot loop.
 //! * [`OverheadClock`] buckets modeled VMM time into translate /
@@ -47,7 +47,7 @@
 //! **Speculation waste** follows the paper's wasted-work notion: a
 //! speculative parcel whose renamed results never reach an architected
 //! commitment on the taken path. At retirement a backward liveness walk
-//! runs over the replayed path: non-speculative parcels
+//! runs over the rebuilt path: non-speculative parcels
 //! (commits, stores, trap checks) and resolved branch/indirect sources
 //! seed the needed set; a speculative parcel none of whose destinations
 //! are needed is wasted, and usefulness propagates transitively through
@@ -57,11 +57,10 @@
 //! trailing node is approximated as fully executed.
 
 use crate::engine::{trail_path, GroupCode, TrailEnd};
-use crate::precise::ArchEvent;
 use crate::stats::RunStats;
 use daisy_isa::mem::Memory;
 use daisy_isa::Isa;
-use daisy_vliw::packed::{OpMeta, PackedCtrl, PackedGroup};
+use daisy_vliw::packed::{OpMeta, PackedCtrl};
 use daisy_vliw::reg::NUM_REGS;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -385,16 +384,14 @@ impl GuestProfile {
 
     /// Records one retired dispatch of `code`.
     ///
-    /// `events` is the dispatch's architected-event trail
-    /// ([`crate::engine::EngineScratch::events`]), whose branch
-    /// directions rebuild the path it took (`replay_path`);
+    /// `dirs` is the dispatch's path trail, from which
+    /// `engine::trail_path` rebuilds the path it took;
     /// `stall_delta` / `cycle_delta` are the dispatch's contribution to
     /// the run counters; `start_cycle` is the simulated clock at
     /// dispatch start.
     pub(crate) fn record_dispatch(
         &mut self,
         code: &GroupCode,
-        events: &[ArchEvent],
         dirs: &[u8],
         stall_delta: u64,
         start_cycle: u64,
@@ -405,10 +402,7 @@ impl GuestProfile {
         self.dispatches += 1;
         // A dispatch's cycles are its retired VLIWs plus its stalls.
         let vliws = cycle_delta - stall_delta;
-        replay_path(packed, events, vliws, &mut self.scratch_path);
-        let mut from_dirs = Vec::new();
-        trail_path(packed, dirs, TrailEnd::Vliws(vliws), &mut from_dirs);
-        assert_eq!(from_dirs, self.scratch_path, "profiled path rebuild diverged at {entry:#x}");
+        trail_path(packed, dirs, TrailEnd::Vliws(vliws), &mut self.scratch_path);
         let visited = &self.scratch_path;
 
         // --- issue-cycle shares, one cycle per retired VLIW ---
@@ -502,38 +496,6 @@ impl GuestProfile {
             cycles: cycle_delta,
             vliws: vliws as u32,
         });
-    }
-}
-
-/// Rebuilds the packed-node sequence a dispatch of `packed` visited
-/// from the branch directions in its event trail and the `vliws` it
-/// retired. Every node but a `Cond` has one successor, so the walk ends
-/// where the engine stopped: at a leaf, at a `Cond` once the directions
-/// run out (a mid-node exit), or at a `Next` once `vliws` tree
-/// instructions were entered (a mid-node exit or a back-edge budget
-/// exit).
-fn replay_path(packed: &PackedGroup, events: &[ArchEvent], vliws: u64, out: &mut Vec<u32>) {
-    out.clear();
-    let mut dirs = events.iter().filter_map(|e| match *e {
-        ArchEvent::Dir(t) => Some(t),
-        ArchEvent::IndirectDir(inline) => Some(inline.is_none()),
-        _ => None,
-    });
-    let mut node = packed.roots[0] as usize;
-    let mut entered = 1u64;
-    loop {
-        out.push(node as u32);
-        node = match packed.nodes[node].ctrl {
-            PackedCtrl::Cond { taken, fall, .. } => match dirs.next() {
-                Some(t) => (if t { taken } else { fall }) as usize,
-                None => return,
-            },
-            PackedCtrl::Next { vliw } if entered < vliws => {
-                entered += 1;
-                packed.roots[vliw as usize] as usize
-            }
-            _ => return,
-        };
     }
 }
 

@@ -17,8 +17,7 @@
 //! ISA it is running.
 
 use crate::engine::{
-    run_group, run_group_resume, trail_path, ChainLink, EngineScratch, ExcKind, GroupCode,
-    GroupExit, TrailEnd,
+    run_group, run_group_resume, ChainLink, EngineScratch, ExcKind, GroupCode, GroupExit,
 };
 use crate::error::{DaisyError, Degradation, DegradeCause, Rung};
 use crate::metrics::{IrqLatency, MetricsSnapshot, MetricsSource, PostMortem};
@@ -244,8 +243,8 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// per-guest-PC cycle/stall/waste accounting plus the dispatch
     /// timeline and §4.2 overhead clock behind the exporters in
     /// [`crate::profile`] (default off). The engines run unchanged: each
-    /// dispatch's path is replayed at the group boundary from the branch
-    /// directions its event trail records.
+    /// dispatch's path is rebuilt at the group boundary from the branch
+    /// directions its path trail records.
     pub fn guest_profiling(mut self, on: bool) -> Self {
         self.guest_profiling = on;
         self
@@ -578,14 +577,13 @@ impl<I: Isa> DaisySystem<I> {
         // compiled code, and (where the dispatcher can be skipped
         // invisibly) patch the chain edge just followed into a direct
         // native jump. A bailed native run resumes the same group
-        // mid-node on the packed engine with the architected-event
-        // trail reconstructed, so everything downstream (recovery
+        // mid-node on the packed engine, continuing the path trail its
+        // direction log began, so everything downstream (recovery
         // cross-check, exception delivery, exit handling) is
         // rung-oblivious. `run_from` names the group that produced the
         // exit — a chained native run may end groups away from the
         // dispatched one.
         let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
-        let mut native_done = false;
         if rung == Rung::Native {
             let patching_ok = self.native_patching_ok();
             if let Some(nt) = self.native.as_mut() {
@@ -612,12 +610,11 @@ impl<I: Isa> DaisySystem<I> {
                         &mut self.scratch,
                     ) {
                         NativeRun::Done { exit, final_entry, final_code } => {
-                            native_done = true;
                             // Profiling reads the run's branch
                             // directions; with patching off under
                             // profiling, the run ended in `code`.
                             if self.guest_profile.is_some() {
-                                nt.replay_trail(&code, None, &mut self.scratch);
+                                nt.copy_trail(&mut self.scratch);
                             }
                             native_result = Some((exit, final_entry, final_code));
                         }
@@ -652,33 +649,6 @@ impl<I: Isa> DaisySystem<I> {
                 (exit, code.entry, None)
             }
         };
-        // Pin: the commit list rebuilt from the translated code along
-        // the direction trail equals the recorded event trail, on every
-        // packed and native-resumed exit that ends at a leaf, at the
-        // back-edge budget or at an exception's faulting parcel.
-        if !native_done {
-            let rcode = run_code.as_deref().unwrap_or(&code);
-            let fault_op = match exit {
-                GroupExit::Exception { fault_op, .. } => Some(fault_op),
-                GroupExit::Branch { .. } | GroupExit::Interp { .. } => Some(usize::MAX),
-                _ => None,
-            };
-            if let Some(fault_op) = fault_op {
-                let end = if fault_op == usize::MAX {
-                    TrailEnd::Vliws(u64::MAX)
-                } else {
-                    TrailEnd::Parcel(fault_op)
-                };
-                let mut path = Vec::new();
-                trail_path(&rcode.packed, &self.scratch.dirs, end, &mut path);
-                let rebuilt = precise::commits(&rcode.packed, &path, fault_op);
-                assert_eq!(
-                    rebuilt, self.scratch.events,
-                    "trail rebuild diverged at {:#x} ({exit:?})",
-                    rcode.entry
-                );
-            }
-        }
         let from_page = run_entry / self.vmm.cfg.page_size;
         // §3.5 recovery cross-check, *before* committing the
         // register file: a failed check means the translation's
@@ -686,8 +656,9 @@ impl<I: Isa> DaisySystem<I> {
         // rung down is sound exactly when no architected state was
         // mutated yet — registers are still in `rf`, and memory is
         // clean unless a store committed before the fault.
-        if let GroupExit::Exception { base_addr, fault_idx, .. } = exit {
-            if self.recovery_cross_check(run_entry, base_addr, fault_idx)? {
+        if let GroupExit::Exception { base_addr, fault_op, .. } = exit {
+            let fault_code = run_code.as_deref().unwrap_or(&code);
+            if self.recovery_cross_check(fault_code, base_addr, fault_op)? {
                 // Discard `rf`; architected state is untouched, so the
                 // next step re-dispatches the same PC one rung down.
                 // The retry re-executes (and re-counts) every base
@@ -702,11 +673,10 @@ impl<I: Isa> DaisySystem<I> {
 
         // Guest-level attribution: distribute the dispatch's cycles,
         // stalls, and speculation waste over the guest PCs on its taken
-        // path, replayed from the branch directions in its event trail.
+        // path, rebuilt from the branch directions in its path trail.
         if let (Some(gp), Some((c0, s0))) = (&mut self.guest_profile, guest_before) {
             gp.record_dispatch(
                 &code,
-                &self.scratch.events,
                 &self.scratch.dirs,
                 self.stats.stall_cycles - s0,
                 c0,
@@ -844,13 +814,13 @@ impl<I: Isa> DaisySystem<I> {
     #[inline(never)]
     fn recovery_cross_check(
         &mut self,
-        entry: u32,
+        code: &GroupCode,
         base_addr: u32,
-        fault_idx: usize,
+        fault_op: usize,
     ) -> Result<bool, DaisyError> {
-        let events = &self.scratch.events;
-        let n = fault_idx.min(events.len());
-        let checked = precise::recover::<I>(&self.mem, entry, &events[..n], fault_idx);
+        let entry = code.entry;
+        let events = precise::commits(&code.packed, &self.scratch.dirs, fault_op);
+        let checked = precise::recover::<I>(&self.mem, entry, &events, events.len());
         let mismatch = match checked {
             Ok(recovered) if recovered == base_addr => None,
             Ok(recovered) => Some(RecoverError {
@@ -862,7 +832,7 @@ impl<I: Isa> DaisySystem<I> {
         // Retrying is sound exactly when no architected state was
         // mutated yet — registers are still in the discarded `rf`, and
         // memory is clean unless a store committed before the fault.
-        let stores_committed = events[..n].iter().any(|e| matches!(e, ArchEvent::Store));
+        let stores_committed = events.contains(&ArchEvent::Store);
         if !stores_committed && self.degrade(entry, DegradeCause::RecoveryMismatch).is_some() {
             return Ok(true);
         }
