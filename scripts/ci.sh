@@ -41,6 +41,14 @@ scripts/check_doc_links.py README.md docs/*.md
 cargo test -q --test cross_isa
 cargo test -q -p daisy-rv32 --test translate
 
+# Example smoke: the four examples that assert their own results
+# (precise exceptions, the quickstart, self-modifying code and the
+# group inspector) must run to completion. Clippy above only builds
+# them.
+for example in precise_exceptions quickstart selfmod inspect; do
+  cargo run -q --release --example "$example" > /dev/null
+done
+
 # Fault-injection smoke: a fixed 32-seed sweep of every fault kind on
 # the fast workloads. Fails on any panic, unrecoverable error, oracle
 # divergence, or a fault kind that never records a ladder step.
