@@ -124,7 +124,6 @@ fn static_configs(w: &Workload) -> Vec<(&'static str, TranslatorConfig)> {
     vec![
         ("default", base()),
         ("page256", TranslatorConfig { page_size: 256, ..base() }),
-        ("reroll", TranslatorConfig { reroll_loops: true, ..base() }),
         ("no_spec", TranslatorConfig { speculate_loads: false, ..base() }),
         ("whole_program", trad::traditional_config(MachineConfig::big(), prof)),
     ]

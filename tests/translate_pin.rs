@@ -1,6 +1,7 @@
 //! The translation digest pin: every group the translator produces for
-//! the nine paper workloads, under the static and interpretive
-//! configurations, hashed into `BENCH_translate.json`. A scheduler
+//! the nine paper workloads, under four static configurations
+//! (default, 256-byte pages, no load speculation, whole program) and
+//! the interpretive one, hashed into `BENCH_translate.json`. A scheduler
 //! change that moves one operand, exit or cost figure of one group
 //! fails here; regenerate the file (`cargo run --release -p
 //! daisy-bench --bin pins`) only for a change that means to move the
