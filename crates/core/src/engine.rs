@@ -14,7 +14,7 @@ use crate::stats::RunStats;
 use daisy_cachesim::Hierarchy;
 use daisy_isa::mem::Memory;
 use daisy_vliw::op::{compare, effective_address, eval, EvalOut, MemWidth, OpKind, Operation};
-use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
+use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup};
 use daisy_vliw::reg::{Reg, NUM_REGS};
 use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::{Group, IndirectVia};
@@ -289,8 +289,8 @@ struct PendingLoad {
 pub struct EngineScratch {
     /// The path trail, filled afresh by each [`run_group`] call in the
     /// native tier's direction-log format: one byte per resolved
-    /// condition (0 fall, 1 taken) and a `2` per taken backward `Next`
-    /// edge. [`trail_path`] rebuilds the path from it, for §3.5
+    /// condition (0 fall, 1 taken). [`trail_path`] rebuilds the path
+    /// from it, for §3.5
     /// recovery and for the guest profiler.
     pub(crate) dirs: Vec<u8>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
@@ -410,10 +410,6 @@ pub struct ResumePoint {
     pub parcels: usize,
     /// The `last_base` commit-dedup register at the bail.
     pub last_base: u32,
-    /// Absolute `vliws_executed` at the bailing group's *entry*, so the
-    /// resumed run enforces the same back-edge budget limit the native
-    /// prologue snapshotted (`budget_base + BACKEDGE_VLIW_BUDGET`).
-    pub budget_base: u64,
 }
 
 /// Resumes packed execution of `code` mid-group after a native-tier
@@ -452,12 +448,6 @@ fn run_group_impl<const RESUME: bool>(
     let (vals, tags) = rf.arrays_mut();
     let mut last_base = if RESUME { resume.last_base } else { u32::MAX };
     let mut vliw = if RESUME { resume.vliw } else { 0usize };
-    // Back-edge budget: a backward `Next` past this point leaves the
-    // group at the loop header instead of iterating natively forever,
-    // so the dispatch loop (ladder checks, timer) regains control. A
-    // resumed run inherits the budget base its native prologue set.
-    let backedge_limit =
-        (if RESUME { resume.budget_base } else { stats.vliws_executed }) + BACKEDGE_VLIW_BUDGET;
     // True only for the first tree instruction of a resumed run: its
     // entry accounting already happened natively, and execution starts
     // mid-node at `resume.op`.
@@ -508,8 +498,6 @@ fn run_group_impl<const RESUME: bool>(
                         vals,
                         tags,
                         mem,
-                        cache,
-                        infinite,
                         stats,
                         scratch,
                         &mut last_base,
@@ -723,16 +711,6 @@ fn run_group_impl<const RESUME: bool>(
                 }
                 PackedCtrl::Next { vliw: next } => {
                     stats.issue_histogram[parcels_this_vliw.min(24)] += 1;
-                    if next as usize <= vliw {
-                        if stats.vliws_executed >= backedge_limit {
-                            return GroupExit::Branch {
-                                target: packed.anchor(next as usize),
-                                via: None,
-                                slot: None,
-                            };
-                        }
-                        scratch.dirs.push(2);
-                    }
                     vliw = next as usize;
                     break;
                 }
@@ -761,8 +739,8 @@ fn run_group_impl<const RESUME: bool>(
 /// Where [`trail_path`] stops.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TrailEnd {
-    /// At the node holding this op-arena index once the trail is
-    /// consumed: an exception's faulting parcel.
+    /// At the node holding this op-arena index: an exception's
+    /// faulting parcel.
     Parcel(usize),
     /// At a `Next` once this many tree instructions were entered: a
     /// dispatch's VLIW count.
@@ -772,45 +750,40 @@ pub(crate) enum TrailEnd {
 /// Rebuilds into `out` the packed-node path an execution of `packed`
 /// took, from its path trail `dirs` ([`EngineScratch`]'s, or a native
 /// run's direction log: the two share one format). Every node but a
-/// `Cond` has one successor, and a taken back edge consumes its `2`,
-/// so the walk ends where execution stopped: at a leaf, at `end`, at a
-/// `Cond` once the trail runs out (a mid-node exit) or at a backward
-/// `Next` once it runs out (the back-edge budget's exit). A revisited
-/// node consumes at least one byte first, so [`TrailEnd::Parcel`]
-/// stops at the last visit.
+/// `Cond` has one successor, so the walk ends where execution stopped:
+/// at a leaf, at `end`, or at a `Cond` once the trail runs out (a
+/// mid-node exit). Groups are acyclic ([`Group::validate`]), so every
+/// node is visited at most once and the trail holds only `0` and `1`.
+///
+/// [`Group::validate`]: daisy_vliw::tree::Group::validate
 pub(crate) fn trail_path(packed: &PackedGroup, dirs: &[u8], end: TrailEnd, out: &mut Vec<u32>) {
     out.clear();
-    let (mut di, mut vliw, mut entered) = (0usize, 0usize, 1u64);
+    let (mut di, mut entered) = (0usize, 1u64);
     let mut node = packed.roots[0] as usize;
     loop {
         out.push(node as u32);
         let n = &packed.nodes[node];
         if let TrailEnd::Parcel(k) = end {
-            if di == dirs.len() && (n.start as usize..(n.start + n.len) as usize).contains(&k) {
+            if (n.start as usize..(n.start + n.len) as usize).contains(&k) {
+                debug_assert_eq!(di, dirs.len(), "a fault ends the trail");
                 return;
             }
         }
         node = match n.ctrl {
             PackedCtrl::Cond { taken, fall, .. } => match dirs.get(di) {
                 Some(&t) => {
+                    debug_assert!(t <= 1, "trail bytes are branch directions");
                     di += 1;
                     (if t != 0 { taken } else { fall }) as usize
                 }
                 None => return,
             },
-            PackedCtrl::Next { vliw: next } => {
+            PackedCtrl::Next { vliw } => {
                 if matches!(end, TrailEnd::Vliws(v) if entered >= v) {
                     return;
                 }
-                if next as usize <= vliw {
-                    if di == dirs.len() {
-                        return;
-                    }
-                    di += 1;
-                }
                 entered += 1;
-                vliw = next as usize;
-                packed.roots[vliw] as usize
+                packed.roots[vliw as usize] as usize
             }
             _ => return,
         };
@@ -826,18 +799,13 @@ pub(crate) fn trail_path(packed: &PackedGroup, dirs: &[u8], end: TrailEnd, out: 
 /// everything hot runs in the class-dispatched arms inlined into the
 /// walk loop. `k` is the parcel's op-arena index, which an exception
 /// exit names.
-// invariant: the translator only emits `Load` operations with a
-// destination register (convert.rs builds them via `.dst(..)`), so the
-// `op.dest.expect(..)` calls below cannot fire on translated code.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
+#[allow(clippy::too_many_arguments)]
 fn exec_parcel_general(
     op: &Operation,
     k: usize,
     vals: &mut [u32; NUM_REGS],
     tags: &mut [bool; NUM_REGS],
-    mem: &mut Memory,
-    cache: &mut Hierarchy,
-    infinite: bool,
+    mem: &Memory,
     stats: &mut RunStats,
     scratch: &mut EngineScratch,
     last_base: &mut u32,
@@ -888,91 +856,8 @@ fn exec_parcel_general(
     };
 
     match op.kind {
-        OpKind::Load { width, algebraic } => {
-            let ea = effective_address(op, src_vals);
-            // Same MMIO discipline as the class-dispatched Load arm.
-            if mem.is_mmio_inline(ea) {
-                if op.speculative {
-                    let d = op.dest.expect("loads have destinations");
-                    vals[d.index()] = 0;
-                    tags[d.index()] = true;
-                    scratch.tag_info[d.index()] = Some((ea, false, true));
-                    scratch.touched.push(d.index() as u8);
-                    return Ok(());
-                }
-                return Err(GroupExit::Mmio { addr: op.base_addr });
-            }
-            match read_mem(mem, ea, width, algebraic) {
-                Ok(v) => {
-                    if !infinite {
-                        let acc = cache.access_data(ea);
-                        if acc.l0_miss {
-                            stats.load_l0_misses += 1;
-                        }
-                        stats.stall_cycles += u64::from(acc.penalty);
-                    }
-                    stats.loads += 1;
-                    let d = op.dest.expect("loads have destinations");
-                    vals[d.index()] = v;
-                    tags[d.index()] = false;
-                    scratch.tag_info[d.index()] = None;
-                    if op.bypassed_store {
-                        scratch.pending[d.index()] =
-                            Some(PendingLoad { ea, width, algebraic, value: v });
-                        scratch.touched.push(d.index() as u8);
-                    }
-                    if !op.speculative {
-                        count_completion(stats, last_base, op.base_addr);
-                    }
-                }
-                Err(()) => {
-                    if op.speculative {
-                        // "A speculative operation that causes an error
-                        // … just sets the exception tag bit."
-                        let d = op.dest.expect("loads have destinations");
-                        vals[d.index()] = 0;
-                        tags[d.index()] = true;
-                        scratch.tag_info[d.index()] = Some((ea, false, false));
-                        scratch.touched.push(d.index() as u8);
-                    } else {
-                        return Err(GroupExit::Exception {
-                            kind: ExcKind::Dsi { addr: ea, write: false },
-                            base_addr: op.base_addr,
-                            fault_op: k,
-                        });
-                    }
-                }
-            }
-        }
-        OpKind::Store { width } => {
-            let ea = effective_address(op, src_vals);
-            if mem.is_mmio_inline(ea) {
-                return Err(GroupExit::Mmio { addr: op.base_addr });
-            }
-            match write_mem(mem, ea, width, src_vals[0]) {
-                Ok(()) => {
-                    if !infinite {
-                        let acc = cache.access_data(ea);
-                        if acc.l0_miss {
-                            stats.store_l0_misses += 1;
-                        }
-                        stats.stall_cycles += u64::from(acc.penalty);
-                    }
-                    stats.stores += 1;
-                    count_completion(stats, last_base, op.base_addr);
-                    if mem.has_code_writes() {
-                        stats.code_modifications += 1;
-                        return Err(GroupExit::CodeModified { addr: op.base_addr });
-                    }
-                }
-                Err(()) => {
-                    return Err(GroupExit::Exception {
-                        kind: ExcKind::Dsi { addr: ea, write: true },
-                        base_addr: op.base_addr,
-                        fault_op: k,
-                    });
-                }
-            }
+        OpKind::Load { .. } | OpKind::Store { .. } => {
+            unreachable!("clean memory parcels run in their class arms")
         }
         OpKind::TrapIf { .. } => match eval(op, src_vals) {
             EvalOut::Trap(true) => {

@@ -237,8 +237,7 @@ pub struct CampaignOutcome {
     /// guest runs with interrupts disabled).
     pub interrupts_taken: u64,
     /// Deliveries that landed at a boundary where the previous group
-    /// ran on the native x86-64 tier — the rerolled back-edge yields
-    /// the preemption fuzzer exists to hit.
+    /// ran on the native x86-64 tier.
     pub native_yield_preempts: u64,
     /// Engine statistics of the perturbed run.
     pub stats: RunStats,

@@ -20,8 +20,8 @@
 //!   can reproduce (pathological condition depth) are never compiled;
 //!   they stay on the packed engine forever. Arena exhaustion only
 //!   defers an entry until the next flush gives the arena back. Trap
-//!   checks, load-verify commits and intra-group back edges all lower
-//!   to templates, so the tier refuses almost nothing.
+//!   checks and load-verify commits lower to templates too, so the
+//!   tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
 //!   translated page). The dispatcher then copies the run's
@@ -60,7 +60,6 @@ use daisy_jit::{
     LOG_CAPACITY,
 };
 use daisy_vliw::op::MemWidth;
-use daisy_vliw::packed::BACKEDGE_VLIW_BUDGET;
 use daisy_vliw::reg::NUM_REGS;
 use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::IndirectVia;
@@ -70,11 +69,6 @@ use std::rc::{Rc, Weak};
 /// Default native threshold: a translation is lowered to native code on
 /// its eighth dispatch.
 pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
-
-/// Tree instructions a single native entry may execute before chain
-/// stubs stop following patched edges and return to the dispatcher
-/// (bounds chained loops; also the granularity of run-budget checks).
-const NATIVE_VLIW_BUDGET: u64 = 16_384;
 
 /// Counters of the native tier itself (compilation and dispatch
 /// behaviour; the *architectural* counters go straight into
@@ -409,13 +403,15 @@ impl NativeTier {
         self.ctx.translated_base = translated as *const u8;
         self.ctx.log_base = self.log.as_mut_ptr();
         self.ctx.pending_base = self.pending.as_mut_ptr() as *mut u8;
-        // Under a finite cache the chain budget is what bounds the
-        // access log (chain stubs return before it could overflow);
-        // returning at a stub leaves every statistic unchanged.
-        (self.ctx.access_base, self.ctx.budget_vliws) = match &self.access_log {
-            Some(log) => (log.base(), NATIVE_VLIW_BUDGET.min(ACCESS_LOG_VLIW_BUDGET)),
-            None => (std::ptr::null_mut(), NATIVE_VLIW_BUDGET),
-        };
+        // The chain budget: once this many tree instructions have run,
+        // chain stubs and inline indirect-cache hits return to the
+        // dispatcher instead of following patched edges (bounding
+        // chained loops, and the granularity of run-budget checks).
+        // It also bounds the access log under a finite cache; returning
+        // at a stub leaves every statistic unchanged.
+        self.ctx.budget_vliws = ACCESS_LOG_VLIW_BUDGET;
+        self.ctx.access_base =
+            self.access_log.as_ref().map_or(std::ptr::null_mut(), |log| log.base());
         if self.access_log.is_some() {
             self.ctx.fetch_mru = cache.l0_mru_line(Side::Instr);
             self.ctx.data_mru = cache.l0_mru_line(Side::Data);
@@ -511,12 +507,6 @@ impl NativeTier {
                         );
                     }
                 }
-                // Absolute vliws_executed at the bailing group's
-                // entry: the merge above already added ctx.vliws, and
-                // the prologue stored entry-relative-vliws + BUDGET in
-                // entry_vliws.
-                let budget_base = (stats.vliws_executed - self.ctx.vliws)
-                    + (self.ctx.entry_vliws - BACKEDGE_VLIW_BUDGET);
                 NativeRun::Resume {
                     entry: final_entry,
                     point: ResumePoint {
@@ -525,21 +515,16 @@ impl NativeTier {
                         op: bail.op as usize,
                         parcels: bail.parcels as usize,
                         last_base: self.ctx.last_base,
-                        budget_base,
                     },
                     code: rcode,
                 }
             }
-            // EXIT_BRANCH (0) — also the defensive default. A
-            // `u32::MAX` slot is the back-edge budget stub's sentinel:
-            // that exit is a yield at the loop header, not a chainable
-            // group edge (the packed engine returns `slot: None` for
-            // the same event).
+            // EXIT_BRANCH (0) — also the defensive default.
             _ => NativeRun::Done {
                 exit: GroupExit::Branch {
                     target: self.ctx.exit_a,
                     via: None,
-                    slot: (self.ctx.exit_b != u32::MAX).then_some(self.ctx.exit_b as usize),
+                    slot: Some(self.ctx.exit_b as usize),
                 },
                 final_entry,
                 final_code,

@@ -172,8 +172,8 @@ pub(crate) fn commits(packed: &PackedGroup, dirs: &[u8], fault_op: usize) -> Vec
 
 /// Recovers the base-architecture address of the instruction whose
 /// parcel faulted. `events` is the architected-commitment record of the
-/// group execution; `fault_idx` is the number of events that completed
-/// before the fault.
+/// group execution up to the fault: every event in it completed before
+/// the fault.
 ///
 /// # Errors
 ///
@@ -184,7 +184,6 @@ pub fn recover<I: Isa>(
     mem: &Memory,
     entry: u32,
     events: &[ArchEvent],
-    fault_idx: usize,
 ) -> Result<u32, RecoverError> {
     let mut pc = entry;
     let mut i = 0usize;
@@ -193,7 +192,7 @@ pub fn recover<I: Isa>(
     for _ in 0..100_000 {
         let (exp, flow, _) = expected_of::<I>(mem, pc);
         for e in &exp {
-            if i >= fault_idx {
+            if i == events.len() {
                 return Ok(pc);
             }
             match match_expected(e, events, i) {
@@ -212,11 +211,12 @@ pub fn recover<I: Isa>(
             Flow::Fall => pc.wrapping_add(4),
             Flow::Jump { target } => target,
             Flow::CondJump { target, .. } => {
-                if i >= fault_idx {
+                if i == events.len() {
                     // A fault can occur while resolving the branch only
                     // through a tagged condition commit, which would
                     // have been caught at its Def; reaching here with
-                    // i == fault_idx means the branch itself faulted.
+                    // every event consumed means the branch itself
+                    // faulted.
                     return Ok(pc);
                 }
                 match events.get(i) {
@@ -239,7 +239,7 @@ pub fn recover<I: Isa>(
                 // A specialized indirect branch (Ch. 6) records where it
                 // actually went; otherwise the group ended here.
                 match events.get(i) {
-                    Some(ArchEvent::IndirectDir(Some(t))) if i < fault_idx => {
+                    Some(ArchEvent::IndirectDir(Some(t))) => {
                         i += 1;
                         *t
                     }
@@ -284,7 +284,7 @@ mod tests {
             ArchEvent::Def { d1: Reg::gpr(Gpr(4)), d2: None },
             // load's Def never completed
         ];
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 2), Ok(0x1008));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events), Ok(0x1008));
     }
 
     #[test]
@@ -299,14 +299,14 @@ mod tests {
         });
         // Taken direction: skip the add.
         let events = [ArchEvent::Def { d1: Reg::cr(CrField(0)), d2: None }, ArchEvent::Dir(true)];
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 2), Ok(0x100C));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events), Ok(0x100C));
         // Not-taken direction: the add commits first.
         let events = [
             ArchEvent::Def { d1: Reg::cr(CrField(0)), d2: None },
             ArchEvent::Dir(false),
             ArchEvent::Def { d1: Reg::gpr(Gpr(4)), d2: None },
         ];
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 3), Ok(0x100C));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events), Ok(0x100C));
     }
 
     #[test]
@@ -321,10 +321,10 @@ mod tests {
             ArchEvent::Def { d1: Reg::gpr(Gpr(3)), d2: None },
             ArchEvent::Def { d1: Reg::CA, d2: None },
         ];
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 2), Ok(0x1004));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events), Ok(0x1004));
         // In-order execution writes both in one parcel.
         let events = [ArchEvent::Def { d1: Reg::gpr(Gpr(3)), d2: Some(Reg::CA) }];
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 1), Ok(0x1004));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events), Ok(0x1004));
     }
 
     #[test]
@@ -334,7 +334,7 @@ mod tests {
             a.sc();
         });
         let events = [ArchEvent::Store];
-        assert!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events, 1).is_err());
+        assert!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &events).is_err());
     }
 
     #[test]
@@ -343,6 +343,6 @@ mod tests {
             a.lwz(Gpr(5), 0, Gpr(9));
             a.sc();
         });
-        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &[], 0), Ok(0x1000));
+        assert_eq!(recover::<daisy_ppc::PpcIsa>(&mem, 0x1000, &[]), Ok(0x1000));
     }
 }

@@ -52,7 +52,9 @@
 //! seed the needed set; a speculative parcel none of whose destinations
 //! are needed is wasted, and usefulness propagates transitively through
 //! speculative chains. This is exact for completed dispatches because
-//! groups are acyclic and each node executes at most once per dispatch;
+//! groups are acyclic ([`daisy_vliw::tree::Group::validate`] rejects
+//! any `Goto` to the same or an earlier VLIW), so each node executes
+//! at most once per dispatch;
 //! for dispatches aborted mid-node (exceptions, alias restarts) the
 //! trailing node is approximated as fully executed.
 

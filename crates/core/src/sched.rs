@@ -43,7 +43,7 @@ use daisy_isa::Isa;
 use daisy_vliw::machine::MachineConfig;
 use daisy_vliw::op::{MemWidth, OpKind, Operation};
 use daisy_vliw::reg::{Reg, RenameMask, NUM_REGS};
-use daisy_vliw::tree::{Cond, Exit, Group, IndirectVia, NodeId, NodeKind, VliwId, ROOT};
+use daisy_vliw::tree::{Cond, Exit, Group, IndirectVia, NodeId, VliwId, ROOT};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -81,14 +81,6 @@ pub struct TranslatorConfig {
     /// observed branch outcomes (and indirect-branch targets, which get
     /// specialized as `if (lr == T) goto T`) into the scheduler.
     pub interpretive: bool,
-    /// Reroll single-group loops: when a path would leave the group
-    /// with a direct branch back to a VLIW already scheduled *on that
-    /// path*, seal a backward `Goto` to that VLIW instead, keeping the
-    /// loop inside the group. Every engine bounds the resulting cycles
-    /// with [`daisy_vliw::packed::BACKEDGE_VLIW_BUDGET`]. Off by
-    /// default: backward edges change group shape (and therefore
-    /// per-dispatch statistics), so they are opt-in.
-    pub reroll_loops: bool,
 }
 
 impl Default for TranslatorConfig {
@@ -105,7 +97,6 @@ impl Default for TranslatorConfig {
             whole_program: false,
             profile: None,
             interpretive: false,
-            reroll_loops: false,
         }
     }
 }
@@ -434,9 +425,6 @@ pub fn translate_group_with_hints<I: Isa>(
     while let Some(idx) = s.most_probable() {
         s.step::<I>(idx);
     }
-    if cfg.reroll_loops {
-        s.reroll_loops();
-    }
     s.group.base_instrs = s.cost.instrs_scheduled as u32;
     let Scheduler { group, cost, vliw_free, paths, spare, suffixes, joins, ops, .. } = s;
     SCRATCH.with(|c| c.set(Scratch { vliw_free, paths, spare, suffixes, joins, ops }));
@@ -500,132 +488,6 @@ impl Scheduler<'_> {
         p.vliws.push(id);
         p.tips.push(ROOT);
         p.maps.push(identity_map());
-    }
-
-    /// Post-pass for [`TranslatorConfig::reroll_loops`]: rewrites
-    /// direct-branch exits whose target is the anchor of an earlier
-    /// VLIW of this group into backward `Goto` edges, so single-group
-    /// loops iterate natively instead of re-dispatching every trip.
-    ///
-    /// Soundness: at any `Branch` exit architected state is complete
-    /// (the commit discipline), so re-entering the loop header is
-    /// indistinguishable from a fresh dispatch at its anchor *unless*
-    /// some rename register read inside the re-entered region was
-    /// defined outside it — on iteration two such a read would see a
-    /// stale first-iteration value. A rewrite is therefore applied
-    /// only when every rename read anywhere in the header's
-    /// `Goto`-reachable region has no def outside that region anywhere
-    /// in the group. Rewrites go one at a time (each new edge changes
-    /// reachability) until a fixed point.
-    fn reroll_loops(&mut self) {
-        while self.reroll_one() {}
-    }
-
-    /// Applies at most one `Branch -> Goto` rewrite; returns whether
-    /// one was applied. Terminates: each rewrite removes a `Branch`
-    /// leaf and never creates one.
-    fn reroll_one(&mut self) -> bool {
-        let n = self.group.len();
-        for wi in 0..n {
-            for ni in 0..self.group.vliw(VliwId(wi as u32)).nodes().len() {
-                let nid = NodeId(ni as u32);
-                let target = match self.group.vliw(VliwId(wi as u32)).node(nid).kind {
-                    NodeKind::Exit(Exit::Branch { target }) => target,
-                    _ => continue,
-                };
-                // Highest-index VLIW anchored at the target whose
-                // Goto-reachable region contains this exit's VLIW: the
-                // innermost loop header for this back-edge.
-                let header = (0..n).rev().find(|&c| {
-                    self.group.vliw(VliwId(c as u32)).base_entry == target && self.goto_reach(c)[wi]
-                });
-                let Some(c) = header else { continue };
-                let region = self.goto_reach(c);
-                if !self.region_has_work(&region) {
-                    // A loop with no guest work would spin until the
-                    // back-edge budget for nothing; leave it to the
-                    // dispatcher.
-                    continue;
-                }
-                if !self.region_renames_invariant(&region) {
-                    continue;
-                }
-                self.group.vliw_mut(VliwId(wi as u32)).reseal(nid, Exit::Goto(VliwId(c as u32)));
-                return true;
-            }
-        }
-        false
-    }
-
-    /// VLIWs reachable from `from` (inclusive) over `Goto` edges.
-    fn goto_reach(&self, from: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.group.len()];
-        let mut stack = vec![from];
-        while let Some(v) = stack.pop() {
-            if std::mem::replace(&mut seen[v], true) {
-                continue;
-            }
-            for node in self.group.vliw(VliwId(v as u32)).nodes() {
-                if let NodeKind::Exit(Exit::Goto(t)) = node.kind {
-                    if !seen[t.0 as usize] {
-                        stack.push(t.0 as usize);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// Whether the region executes any guest work (an op or a
-    /// conditional split) — the guard against sealing no-op spin loops.
-    fn region_has_work(&self, region: &[bool]) -> bool {
-        (0..self.group.len()).filter(|&v| region[v]).any(|v| {
-            self.group
-                .vliw(VliwId(v as u32))
-                .nodes()
-                .iter()
-                .any(|node| !node.ops.is_empty() || matches!(node.kind, NodeKind::Branch { .. }))
-        })
-    }
-
-    /// Whether every rename register read inside the region is defined
-    /// only inside the region (anywhere in the group). Architected
-    /// reads are always safe: they see committed state at the region
-    /// entry, same as a fresh dispatch.
-    fn region_renames_invariant(&self, region: &[bool]) -> bool {
-        let mut read_inside = [false; NUM_REGS];
-        let mut def_outside = [false; NUM_REGS];
-        for (v, &inside) in region.iter().enumerate().take(self.group.len()) {
-            for node in self.group.vliw(VliwId(v as u32)).nodes() {
-                for op in &node.ops {
-                    if inside {
-                        for &s in op.srcs() {
-                            if s.is_rename() {
-                                read_inside[s.index()] = true;
-                            }
-                        }
-                    } else {
-                        for d in [op.dest, op.dest2].into_iter().flatten() {
-                            if d.is_rename() {
-                                def_outside[d.index()] = true;
-                            }
-                        }
-                    }
-                }
-                if inside {
-                    match &node.kind {
-                        NodeKind::Branch { cond, .. } if cond.src.is_rename() => {
-                            read_inside[cond.src.index()] = true;
-                        }
-                        NodeKind::Exit(Exit::Indirect { src, .. }) if src.is_rename() => {
-                            read_inside[src.index()] = true;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        (0..NUM_REGS).all(|r| !(read_inside[r] && def_outside[r]))
     }
 
     /// Rename registers free from position `pos` to the end of the path

@@ -70,7 +70,7 @@ pub struct DaisySystem<I: Isa> {
     /// appear to be at [a precise] point" (§3.7).
     pending_external: bool,
     /// External interrupts delivered at a boundary produced by a
-    /// native-tier run (including rerolled back-edge yields).
+    /// native-tier run.
     native_yield_preempts: u64,
     /// Whether the previous dispatch executed (at least partly) as
     /// native host code.
@@ -820,7 +820,7 @@ impl<I: Isa> DaisySystem<I> {
     ) -> Result<bool, DaisyError> {
         let entry = code.entry;
         let events = precise::commits(&code.packed, &self.scratch.dirs, fault_op);
-        let checked = precise::recover::<I>(&self.mem, entry, &events, events.len());
+        let checked = precise::recover::<I>(&self.mem, entry, &events);
         let mismatch = match checked {
             Ok(recovered) if recovered == base_addr => None,
             Ok(recovered) => Some(RecoverError {
@@ -1000,8 +1000,8 @@ impl<I: Isa> DaisySystem<I> {
     }
 
     /// External interrupts that preempted the guest at a boundary a
-    /// native-tier run produced (direct exits and rerolled back-edge
-    /// yields alike).
+    /// native-tier run produced (a group exit, or a chain stub's return
+    /// once the run's chain budget is spent).
     pub fn native_yield_preempts(&self) -> u64 {
         self.native_yield_preempts
     }

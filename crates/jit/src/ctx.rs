@@ -89,10 +89,6 @@ pub struct JitCtx {
     /// Cross-page CTR-indirect chain follows (delta for
     /// `CrossPage.via_ctr`).
     pub crosspage_via_ctr: u64,
-    /// Back-edge budget limit of the currently executing group:
-    /// `vliws`-at-entry plus the shared back-edge budget, snapshotted
-    /// by every group prologue.
-    pub entry_vliws: u64,
     /// Base of the cache access log (`u64` entries, see
     /// [`PROBE_FETCH`]). The entry thunk loads it into `rbp`, the log
     /// cursor for the whole run; only groups compiled for a finite cache
@@ -138,7 +134,6 @@ pub const OFF_PENDING_GEN: i32 = offset_of!(JitCtx, pending_gen) as i32;
 pub const OFF_ICACHE_HITS: i32 = offset_of!(JitCtx, icache_hits) as i32;
 pub const OFF_CROSSPAGE_VIA_LR: i32 = offset_of!(JitCtx, crosspage_via_lr) as i32;
 pub const OFF_CROSSPAGE_VIA_CTR: i32 = offset_of!(JitCtx, crosspage_via_ctr) as i32;
-pub const OFF_ENTRY_VLIWS: i32 = offset_of!(JitCtx, entry_vliws) as i32;
 pub const OFF_ACCESS_BASE: i32 = offset_of!(JitCtx, access_base) as i32;
 pub const OFF_ACCESS_END: i32 = offset_of!(JitCtx, access_end) as i32;
 pub const OFF_FETCH_MRU: i32 = offset_of!(JitCtx, fetch_mru) as i32;
@@ -177,7 +172,6 @@ impl JitCtx {
             icache_hits: 0,
             crosspage_via_lr: 0,
             crosspage_via_ctr: 0,
-            entry_vliws: 0,
             access_base: std::ptr::null_mut(),
             access_end: std::ptr::null_mut(),
             fetch_mru: u64::MAX,
@@ -212,9 +206,8 @@ impl JitCtx {
         self.data_mru_hits = 0;
         // `pending_gen` is deliberately *not* reset: row validity is
         // "gen matches the current value", and monotonicity guarantees
-        // zeroed rows (gen 0) can never become valid again.
-        // `entry_vliws` is overwritten by every group prologue, and
-        // the tracked MRU lines are the caller's to seed.
+        // zeroed rows (gen 0) can never become valid again. The
+        // tracked MRU lines are the caller's to seed.
     }
 }
 

@@ -40,8 +40,8 @@ use std::rc::Rc;
 pub const DEFAULT_ARENA_BYTES: usize = 16 << 20;
 
 /// Path-log capacity handed to compiled code. Re-exported from
-/// `lower`, where the static per-group bound (cond depth × executable
-/// VLIW entries under the back-edge budget) is derived and enforced.
+/// `lower`, where the static per-group bound (one byte per node, each
+/// visited at most once per group entry) is derived and enforced.
 pub const LOG_CAPACITY: usize = lower::LOG_CAPACITY;
 
 /// Access-log capacity (in `u64` entries) for runs of groups compiled

@@ -15,8 +15,8 @@
 //! pages, firing trap checks, failed load-verify commits) so the
 //! packed engine can resume mid-group and produce the architecturally
 //! identical outcome. Indirect exits carry an inline branch-target
-//! cache probe; rerolled loops carry a per-entry back-edge budget
-//! check; both fall back to the ordinary dispatcher exit on any miss.
+//! cache probe that falls back to the ordinary dispatcher exit on any
+//! miss.
 //!
 //! Register plan, fixed for the whole native run:
 //!
@@ -48,37 +48,32 @@ use crate::asm::{
 use crate::ctx::{
     EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BASE_INSTRS, OFF_BUDGET, OFF_CHAINED,
     OFF_CROSSPAGE, OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_MRU,
-    OFF_DATA_MRU_HITS, OFF_ENTRY_VLIWS, OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU,
-    OFF_FETCH_MRU_HITS, OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE, OFF_ONPAGE,
-    OFF_PENDING_BASE, OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD, PROBE_STORE,
+    OFF_DATA_MRU_HITS, OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS,
+    OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE, OFF_ONPAGE, OFF_PENDING_BASE,
+    OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD, PROBE_STORE,
 };
 use crate::CompileOpts;
 use daisy_vliw::op::{CrOp, MemWidth, OpKind, Operation};
-use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup, BACKEDGE_VLIW_BUDGET};
+use daisy_vliw::packed::{OpClass, OpMeta, PackedCtrl, PackedGroup};
 use daisy_vliw::tree::IndirectVia;
 
-/// Structural ceiling on lowered groups: bounds emitter recursion and
-/// (with [`MAX_COND_DEPTH`]) the path log.
+/// Structural ceiling on lowered groups. Groups are acyclic (every
+/// intra-group edge goes forward, `Group::validate`), so one group
+/// entry visits each of at most `MAX_NODES` nodes, and each of at most
+/// `MAX_NODES` VLIWs, at most once: this bounds both logs below.
 pub const MAX_NODES: usize = 2048;
 
 /// Ceiling on conditional nesting along any root-to-leaf path of a
-/// single VLIW. Enforced at lowering (refuse [`Refusal::TooLarge`])
-/// so the path-log bound below is a static guarantee — compiled code
-/// never checks log capacity at run time (an early exit there would
-/// diverge from packed execution).
+/// single VLIW, which bounds the emitter's recursion. Enforced at
+/// lowering (refuse [`Refusal::TooLarge`]).
 pub const MAX_COND_DEPTH: usize = 128;
 
-/// Static path-log capacity: one byte per executed condition plus one
-/// per taken back edge. Per group entry the back-edge budget bounds
-/// executed VLIW entries by `BACKEDGE_VLIW_BUDGET + MAX_NODES + 2`
-/// (once over budget, only forward — acyclic — progress remains), and
-/// each entry logs at most `MAX_COND_DEPTH` condition bytes plus one
-/// back-edge byte.
-pub const LOG_CAPACITY: usize = ENTRY_VLIWS * (MAX_COND_DEPTH + 1);
-
-/// Executed VLIW entries per group entry: the back-edge budget plus
-/// one acyclic pass (see [`LOG_CAPACITY`]).
-const ENTRY_VLIWS: usize = BACKEDGE_VLIW_BUDGET as usize + MAX_NODES + 2;
+/// Static path-log capacity: one byte per executed condition. Every
+/// group prologue resets the cursor, and one entry visits each node at
+/// most once, so it logs fewer than [`MAX_NODES`] bytes. Compiled code
+/// never checks the capacity at run time (an early exit there would
+/// diverge from packed execution).
+pub const LOG_CAPACITY: usize = MAX_NODES;
 
 /// Ceiling on memory parcels along any root-to-leaf path of a single
 /// VLIW in a group that logs cache probes. Enforced at lowering
@@ -94,12 +89,11 @@ pub const ACCESS_LOG_VLIW_BUDGET: u64 = 16_384;
 /// Static access-log capacity in entries. Chain stubs and inline
 /// indirect-cache hits only enter the next group while fewer than
 /// `budget_vliws` VLIWs have run, and one group entry executes at most
-/// `BACKEDGE_VLIW_BUDGET + MAX_NODES + 2` more (the path-log bound),
-/// each writing at most one fetch entry plus
-/// [`MAX_VLIW_MEM_PARCELS`] data entries. So compiled code never checks
-/// the cursor at run time.
+/// [`MAX_NODES`] more (each VLIW once), each writing at most one fetch
+/// entry plus [`MAX_VLIW_MEM_PARCELS`] data entries. So compiled code
+/// never checks the cursor at run time.
 pub const ACCESS_LOG_CAPACITY: usize =
-    (ACCESS_LOG_VLIW_BUDGET as usize + ENTRY_VLIWS) * (MAX_VLIW_MEM_PARCELS + 1);
+    (ACCESS_LOG_VLIW_BUDGET as usize + MAX_NODES) * (MAX_VLIW_MEM_PARCELS + 1);
 
 /// Why a group could not be lowered. Refusal is permanent for the
 /// group (recorded by the tier) and never an error: execution simply
@@ -229,15 +223,6 @@ struct PendingBail {
     parcels: u32,
 }
 
-/// One deferred back-edge budget-exit stub: a clean architected
-/// `Branch` exit through the target VLIW's anchor, shared by every
-/// back edge into that VLIW.
-struct PendingBudgetExit {
-    label: Label,
-    /// Guest anchor of the back edge's target VLIW.
-    anchor: u32,
-}
-
 struct Emitter<'a> {
     a: Asm,
     g: &'a PackedGroup,
@@ -247,7 +232,6 @@ struct Emitter<'a> {
     vliw_labels: Vec<Label>,
     leaves: Vec<PendingLeave>,
     bails: Vec<PendingBail>,
-    budget_exits: Vec<PendingBudgetExit>,
 }
 
 fn ctx(off: i32) -> Mem {
@@ -266,13 +250,13 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
     if g.nodes.len() > MAX_NODES {
         return Err(Refusal::TooLarge);
     }
-    // Static log bounds: nested conditions deeper than MAX_COND_DEPTH
-    // would void the LOG_CAPACITY guarantee, and (when logging probes)
-    // memory parcels past MAX_VLIW_MEM_PARCELS on one VLIW path the
-    // ACCESS_LOG_CAPACITY one (a runtime capacity check is not an
-    // option — exiting early where packed would continue diverges the
-    // statistics). Each VLIW's nodes form a tree, so a plain DFS
-    // terminates.
+    // Static bounds: nested conditions deeper than MAX_COND_DEPTH
+    // would overrun the emitter's recursion, and (when logging probes)
+    // memory parcels past MAX_VLIW_MEM_PARCELS on one VLIW path would
+    // void the ACCESS_LOG_CAPACITY guarantee (a runtime capacity check
+    // is not an option — exiting early where packed would continue
+    // diverges the statistics). Each VLIW's nodes form a tree, so a
+    // plain DFS terminates.
     for &root in &g.roots {
         let mut stack = vec![(root as usize, 0usize, 0usize)];
         while let Some((idx, depth, mem)) = stack.pop() {
@@ -302,23 +286,18 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
         vliw_labels: Vec::new(),
         leaves: Vec::new(),
         bails: Vec::new(),
-        budget_exits: Vec::new(),
     };
     e.vliw_labels = (0..g.roots.len()).map(|_| e.a.label()).collect();
 
     // Group entry: register for chain attribution, reset the path-log
     // cursor and the last_base dedup register (mirrors the packed
-    // engine's per-dispatch `last_base = u32::MAX`), invalidate every
-    // pending-table row written by earlier group entries (mirrors the
-    // packed engine's per-dispatch pending reset), and snapshot the
-    // back-edge budget limit `vliws-at-entry + BACKEDGE_VLIW_BUDGET`.
+    // engine's per-dispatch `last_base = u32::MAX`), and invalidate
+    // every pending-table row written by earlier group entries
+    // (mirrors the packed engine's per-dispatch pending reset).
     e.a.mov_m32_imm(ctx(OFF_CUR_GROUP), p.group_id);
     e.a.mov_r64_m(R14, ctx(OFF_LOG_BASE));
     e.a.mov_r32_imm(R15, u32::MAX);
     e.a.inc_m64(ctx(OFF_PENDING_GEN));
-    e.a.mov_r64_m(RAX, ctx(OFF_VLIWS));
-    e.a.add_r64_imm(RAX, BACKEDGE_VLIW_BUDGET as i32);
-    e.a.mov_m_r64(ctx(OFF_ENTRY_VLIWS), RAX);
 
     for (vi, &root) in g.roots.iter().enumerate() {
         let l = e.vliw_labels[vi];
@@ -404,33 +383,7 @@ impl<'a> Emitter<'a> {
             self.a.jmp_abs(self.p.epilogue);
         }
         self.bails = bails;
-        // Back-edge budget exits: a clean architected `Branch` through
-        // the loop header's anchor (state is complete at every VLIW
-        // boundary, so this is an ordinary group exit, not a bail).
-        // `exit_b = u32::MAX` marks "no chain slot": the anchor is a
-        // VLIW root, not an entry of the exit-target table.
-        let budget_exits = std::mem::take(&mut self.budget_exits);
-        for pe in &budget_exits {
-            self.a.bind(pe.label);
-            self.a.mov_m32_imm(ctx(OFF_EXIT_KIND), EXIT_BRANCH);
-            self.a.mov_m32_imm(ctx(OFF_EXIT_A), pe.anchor);
-            self.a.mov_m32_imm(ctx(OFF_EXIT_B), u32::MAX);
-            self.a.jmp_abs(self.p.epilogue);
-        }
-        self.budget_exits = budget_exits;
         stub_offs
-    }
-
-    /// Shared budget-exit stub for back edges into `vliw` (keyed by the
-    /// target's anchor, so every back edge to one header shares it).
-    fn budget_exit_label(&mut self, vliw: u32) -> Label {
-        let anchor = self.g.anchor(vliw as usize);
-        if let Some(pe) = self.budget_exits.iter().find(|pe| pe.anchor == anchor) {
-            return pe.label;
-        }
-        let label = self.a.label();
-        self.budget_exits.push(PendingBudgetExit { label, anchor });
-        label
     }
 
     /// Inline indirect-branch target cache probe. On entry eax holds
@@ -530,21 +483,6 @@ impl<'a> Emitter<'a> {
             PackedCtrl::Next { vliw } => {
                 self.hist(parcels);
                 let l = self.vliw_labels[vliw as usize];
-                if vliw <= self.g.node_vliw(idx) {
-                    // Backward edge (rerolled loop): check the
-                    // per-entry budget first — once spent, leave the
-                    // group through the target's anchor like any
-                    // direct branch, so the dispatcher (ladder,
-                    // interrupts, run limits) regains control. A taken
-                    // back edge logs direction byte 2 (bail
-                    // reconstruction must know the walk revisits nodes).
-                    let stub = self.budget_exit_label(vliw);
-                    self.a.mov_r64_m(RAX, ctx(OFF_VLIWS));
-                    self.a.cmp_r64_m(RAX, ctx(OFF_ENTRY_VLIWS));
-                    self.a.jcc(CC_AE, stub);
-                    self.a.mov_m8_imm(Mem::base_disp(R14, 0), 2);
-                    self.a.inc_r64(R14);
-                }
                 self.a.jmp(l);
             }
             PackedCtrl::Leave { target, slot } => {

@@ -378,62 +378,70 @@ fn store(at: u32, val: u8, base: u8, disp: i32) -> Operation {
         .with_imm(disp)
 }
 
-/// The access log's static bound, at its worst: a rerolled loop whose
-/// one VLIW carries the most memory parcels a logging group may hold,
+/// The access log's static bound, at its worst: a group whose every
+/// VLIW carries the most memory parcels a logging group may hold,
 /// chained to itself until the run reaches the budget the dispatcher
-/// derives for a finite cache. The cursor must stay inside the
-/// capacity, and the log must be exactly the packed engine's probe
+/// sets. Seven VLIWs do not divide the budget, so the last chained
+/// entry starts below it and runs past it. The cursor must stay inside
+/// the capacity, and the log must be exactly the packed engine's probe
 /// sequence: per executed VLIW its fetch, then every load and store in
 /// parcel order.
 #[test]
 fn access_log_stays_within_capacity_at_the_chain_budget() {
     const ENTRY: u32 = 0x1000;
-    const FETCH: u32 = 0x8000_0040;
+    const VLIWS: u32 = 7;
+    let fetch: Vec<u32> = (0..VLIWS).map(|i| 0x8000_0040 + 0x40 * i).collect();
     let jit = Jit::new(1 << 20).expect("host supports the native tier");
     let mut g = Group::new(ENTRY);
-    let v0 = &mut g.vliws[0];
     let mut probes = Vec::new();
     for k in 0..MAX_VLIW_MEM_PARCELS as u32 {
-        let disp = 4 * k as i32;
-        if k % 3 == 2 {
-            v0.add_op(ROOT, store(ENTRY + 4 * k, 1, 2, 0x400 + disp));
-            probes.push(u64::from(0x500 + 4 * k) | u64::from(PROBE_STORE) << 32);
+        probes.push(if k % 3 == 2 {
+            u64::from(0x500 + 4 * k) | u64::from(PROBE_STORE) << 32
         } else {
-            v0.add_op(ROOT, load(ENTRY + 4 * k, 10 + (k % 8) as u8, 2, disp));
-            probes.push(u64::from(0x100 + 4 * k) | u64::from(PROBE_LOAD) << 32);
+            u64::from(0x100 + 4 * k) | u64::from(PROBE_LOAD) << 32
+        });
+    }
+    for i in 0..VLIWS {
+        let at = ENTRY + 0x100 * i;
+        let v = if i == 0 { VliwId(0) } else { g.push_vliw(at) };
+        for k in 0..MAX_VLIW_MEM_PARCELS as u32 {
+            let disp = 4 * k as i32;
+            let op = if k % 3 == 2 {
+                store(at + 4 * k, 1, 2, 0x400 + disp)
+            } else {
+                load(at + 4 * k, 10 + (k % 8) as u8, 2, disp)
+            };
+            g.vliw_mut(v).add_op(ROOT, op);
+        }
+        if i > 0 {
+            g.vliw_mut(VliwId(i - 1)).seal(ROOT, Exit::Goto(v));
         }
     }
-    // r5 counts iterations: loop while its low 11 bits are nonzero,
-    // then leave through the (self-linked) chain exit.
-    v0.add_op(ROOT, Operation::new(OpKind::AddImm, 0x1100).dst(Reg(5)).src(Reg(5)).with_imm(1));
-    let cond = Cond { src: Reg(5), mask: 0x7FF, want_set: true, spec_target: None, origin: 0x1104 };
-    let (t, f) = v0.split(ROOT, cond);
-    v0.seal(t, Exit::Goto(VliwId(0)));
-    v0.seal(f, Exit::Branch { target: ENTRY });
+    // Leave through the chain exit, linked back to this group's entry.
+    g.vliw_mut(VliwId(VLIWS - 1)).seal(ROOT, Exit::Branch { target: ENTRY });
+    assert_eq!(g.validate(), Ok(()));
     let p = PackedGroup::lower(&g);
-    let fetch = [FETCH];
     let opts = CompileOpts { fetch_addrs: Some(&fetch), ..CompileOpts::default() };
     let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
     jit.link(&cg, 0, &cg);
 
     let mut h = Harness::new();
     h.vals[2] = 0x100;
-    // Start off the 2048-iteration cadence so a chain stub passes one
-    // VLIW short of the budget and the last entry overshoots it.
-    h.vals[5] = 1;
     h.run(&jit, &cg, ACCESS_LOG_VLIW_BUDGET);
     jit.unlink_all();
 
     let vliws = h.ctx.vliws;
     assert!(vliws > ACCESS_LOG_VLIW_BUDGET, "the last entry runs past the budget: {vliws}");
+    assert_eq!(vliws % u64::from(VLIWS), 0, "every entry runs the whole group");
     assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
-    assert!(h.ctx.chained_dispatches > 0);
+    assert_eq!(h.ctx.chained_dispatches, vliws / u64::from(VLIWS) - 1);
     assert!(h.access_len() <= ACCESS_LOG_CAPACITY, "{} entries", h.access_len());
     let per_vliw = MAX_VLIW_MEM_PARCELS + 1;
     assert_eq!(h.access_len(), vliws as usize * per_vliw);
     assert_eq!(h.ctx.loads + h.ctx.stores, vliws * MAX_VLIW_MEM_PARCELS as u64);
     for (i, entry) in h.access[..h.access_len()].chunks(per_vliw).enumerate() {
-        assert_eq!(entry[0], u64::from(FETCH) | u64::from(PROBE_FETCH) << 32, "VLIW {i} fetch");
+        let f = fetch[i % VLIWS as usize];
+        assert_eq!(entry[0], u64::from(f) | u64::from(PROBE_FETCH) << 32, "VLIW {i} fetch");
         assert_eq!(&entry[1..], &probes[..], "VLIW {i} data probes");
     }
 }

@@ -32,16 +32,6 @@ use crate::op::{OpKind, Operation};
 use crate::reg::Reg;
 use crate::tree::{Cond, Exit, Group, IndirectVia, NodeKind};
 
-/// Tree instructions a single group entry may execute before a
-/// *backward* intra-group edge stops looping and leaves the group
-/// through an architected branch to the target VLIW's anchor.
-///
-/// Shared by every engine (packed, native) so a budget exit is
-/// observationally identical across tiers: the limit is always
-/// `vliws_executed`-at-group-entry plus this constant, checked at each
-/// backward edge before it is followed.
-pub const BACKEDGE_VLIW_BUDGET: u64 = 4096;
-
 /// Fast-dispatch class of a parcel, pre-computed at lowering time so
 /// the hot loop switches on one dense byte instead of re-deriving the
 /// execution shape from [`Operation`] flags on every execution.
@@ -161,11 +151,9 @@ pub enum PackedCtrl {
         fall: u32,
     },
     /// Fall into the root of VLIW `vliw` of the same group (the tree
-    /// representation's `Exit::Goto`). Usually forward; a backward
-    /// edge (loop rerolling, see `TranslatorConfig::reroll_loops`)
-    /// carries an implicit [`BACKEDGE_VLIW_BUDGET`] check in every
-    /// engine, exiting through the target VLIW's anchor when the
-    /// per-entry budget is spent.
+    /// representation's `Exit::Goto`). Always forward
+    /// ([`Group::validate`]), so one group entry visits each node at
+    /// most once.
     Next {
         /// Index of the successor VLIW.
         vliw: u32,
@@ -218,8 +206,7 @@ pub struct PackedGroup {
     /// Index into [`PackedGroup::nodes`] of each VLIW's root.
     pub roots: Vec<u32>,
     /// Guest anchor address of each VLIW (`Vliw::base_entry`), parallel
-    /// to `roots`: the architected exit target when a backward `Next`
-    /// edge into that VLIW runs out of [`BACKEDGE_VLIW_BUDGET`].
+    /// to `roots`.
     anchors: Vec<u32>,
     /// Sorted distinct direct-branch exit targets;
     /// [`PackedCtrl::Leave::slot`] indexes this table (and the runtime
@@ -301,8 +288,8 @@ impl PackedGroup {
         PackedGroup { ops, meta, nodes, roots, anchors, exit_targets, origin, node_vliw }
     }
 
-    /// Guest anchor address of VLIW `vliw` — the architected boundary a
-    /// backward edge into it exits through on budget exhaustion.
+    /// Guest anchor address of VLIW `vliw`: the base instruction its
+    /// issue cycle is attributed to.
     #[inline]
     pub fn anchor(&self, vliw: usize) -> u32 {
         self.anchors[vliw]

@@ -221,17 +221,6 @@ impl Vliw {
         self.nodes[node.0 as usize].kind = NodeKind::Exit(exit);
     }
 
-    /// Replaces the exit of a leaf (used when a path is re-pointed at a
-    /// newly created entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not an exit.
-    pub fn reseal(&mut self, node: NodeId, exit: Exit) {
-        assert!(matches!(self.nodes[node.0 as usize].kind, NodeKind::Exit(_)));
-        self.nodes[node.0 as usize].kind = NodeKind::Exit(exit);
-    }
-
     /// Estimated binary size in bytes: one word per parcel, one per
     /// branch, one per exit, one header word. This stands in for the
     /// paper's generated binary VLIW code when measuring code explosion
@@ -326,10 +315,9 @@ impl Group {
     /// satisfy; returns the first violation.
     ///
     /// * no node is left `Open` (every path was sealed),
-    /// * every `Goto` targets a VLIW of the group (backward targets are
-    ///   legal: loop rerolling closes single-group loops with a
-    ///   backward `Goto`, and every engine bounds them with the shared
-    ///   back-edge budget),
+    /// * every `Goto` targets a later VLIW of the group, so the group
+    ///   is acyclic: one entry visits each VLIW at most once (a loop's
+    ///   back edge leaves the group, and the loop re-dispatches),
     /// * branch and child node ids are in range,
     /// * commit parcels write architected registers from renamed ones.
     ///
@@ -371,6 +359,9 @@ impl Group {
                     NodeKind::Exit(Exit::Goto(t)) => {
                         if t.0 as usize >= self.vliws.len() {
                             return Err(format!("v{vi}/n{ni}: goto out of range"));
+                        }
+                        if t.0 as usize <= vi {
+                            return Err(format!("v{vi}/n{ni}: backward goto to v{}", t.0));
                         }
                     }
                     NodeKind::Exit(_) => {}
@@ -461,10 +452,17 @@ mod tests {
         let g = Group::new(0x1000);
         assert!(g.validate().unwrap_err().contains("open"));
 
-        // Backward goto is legal (loop rerolling); out-of-range is not.
+        // A goto to the same VLIW or an earlier one would make a cycle.
         let mut g = Group::new(0x1000);
         g.vliw_mut(VliwId(0)).seal(ROOT, Exit::Goto(VliwId(0)));
-        assert!(g.validate().is_ok());
+        assert!(g.validate().unwrap_err().contains("backward goto to v0"));
+        let mut g = Group::new(0x1000);
+        let next = g.push_vliw(0x1004);
+        g.vliw_mut(VliwId(0)).seal(ROOT, Exit::Goto(next));
+        g.vliw_mut(next).seal(ROOT, Exit::Goto(VliwId(0)));
+        assert!(g.validate().unwrap_err().contains("v1/n0: backward goto to v0"));
+
+        // Out of range.
         let mut g = Group::new(0x1000);
         g.vliw_mut(VliwId(0)).seal(ROOT, Exit::Goto(VliwId(7)));
         assert!(g.validate().unwrap_err().contains("range"));

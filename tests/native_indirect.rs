@@ -1,23 +1,18 @@
-//! The native tier's two in-arena control-flow shortcuts — the inline
-//! indirect-branch target cache (IBTC) and rerolled single-group loop
-//! back edges — must never be *observable*: they only remove
-//! dispatcher boundaries that nothing is watching. This suite stresses
-//! exactly the situations where that promise is easiest to break:
-//! aligned computed-dispatch tables (the access pattern that defeats
-//! bit-sliced way selection), injection campaigns that invalidate and
-//! sever translations on an indirect-branch-heavy workload, and a
-//! rerolled loop spinning inside one compiled group while a timer
-//! needs every budget exit to actually reach the dispatcher.
+//! The native tier's in-arena control-flow shortcut — the inline
+//! indirect-branch target cache (IBTC) — must never be *observable*:
+//! it only removes dispatcher boundaries that nothing is watching.
+//! This suite stresses exactly the situations where that promise is
+//! easiest to break: aligned computed-dispatch tables (the access
+//! pattern that defeats bit-sliced way selection) and injection
+//! campaigns that invalidate and sever translations on an
+//! indirect-branch-heavy workload.
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
 use daisy::system::DaisySystem;
-use daisy::trace::TraceEvent;
-use daisy::TranslatorConfig;
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::interp::StopReason;
 use daisy_ppc::reg::{CrField, Gpr};
 use daisy_ppc::PpcIsa;
-use daisy_vliw::packed::BACKEDGE_VLIW_BUDGET;
 
 mod common;
 use common::{assert_indistinguishable, traced_run, TracedRun};
@@ -163,92 +158,6 @@ fn ibtc_stays_bit_exact_under_invalidation_campaigns() {
             assert!(
                 out.native_stats.compiles > 0,
                 "{kind} seed {seed}: the native tier never compiled a group"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rerolled back edges versus the back-edge budget and the timer.
-// ---------------------------------------------------------------------
-
-const SPINS: u32 = 50_000;
-
-/// A loop whose body rerolls into a single group: one counted spin with
-/// no calls, no indirects, no memory traffic.
-fn spin_program() -> Program {
-    let mut a = Asm::new(0x1000);
-    let cr = CrField(0);
-    let (acc, n) = (Gpr(3), Gpr(4));
-    a.li(acc, 0);
-    a.li32(n, SPINS);
-    a.label("spin");
-    a.addi(acc, acc, 1);
-    a.cmpw(cr, acc, n);
-    a.blt(cr, "spin");
-    a.sc();
-    a.finish().expect("spin loop assembles")
-}
-
-fn run_spin(native: bool, timer: Option<u32>) -> TracedRun {
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(0x1_0000)
-        .translator(TranslatorConfig { reroll_loops: true, ..TranslatorConfig::default() })
-        .native_execution(native)
-        .native_threshold(THRESHOLD)
-        .flight_recorder_capacity(1 << 21)
-        .build();
-    sys.load(&spin_program()).unwrap();
-    if let Some(period) = timer {
-        // The SoC timer with an acknowledge-and-return handler, so
-        // ticks deliver and return invisibly — the loop must keep
-        // surfacing for them.
-        common::attach_soc_timer(&mut sys, period);
-    }
-    let stop = sys.run(10_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall, "spin loop did not finish");
-    assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
-    assert_eq!(sys.cpu.gpr[3], SPINS, "wrong spin count");
-    traced_run(sys)
-}
-
-/// A rerolled single-group loop exhausts its back-edge budget instead
-/// of spinning forever, and a timer still preempts it: every budget
-/// exit is a real dispatcher boundary where ticks deliver. The twins
-/// stay indistinguishable with and without the timer watching.
-#[test]
-fn rerolled_loop_budget_exit_keeps_timer_preemption() {
-    for timer in [None, Some(3_000u32)] {
-        let packed = run_spin(false, timer);
-        let native = run_spin(true, timer);
-        let ctx = format!("rerolled spin, timer={timer:?}");
-        assert_indistinguishable(&packed, &native, &ctx);
-        if timer.is_some() {
-            let ticks = packed
-                .1
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::ExternalInterrupt { .. }))
-                .count();
-            assert!(ticks >= 3, "{ctx}: timer only delivered {ticks} ticks mid-loop");
-        }
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        {
-            let ns = native.0.native_stats().unwrap();
-            assert!(ns.compiles > 0, "{ctx}: native tier never compiled the spin");
-            // The loop iterated *inside* the compiled group (far fewer
-            // native entries than iterations — a failed reroll would
-            // dispatch once per trip) …
-            let entries = ns.dispatches + ns.chained;
-            assert!(
-                entries < u64::from(SPINS) / 4,
-                "{ctx}: {entries} native entries for {SPINS} iterations — loop did not reroll"
-            );
-            // … yet never spun past its per-entry budget: the emitted
-            // check forced it back out through the anchor, so entries
-            // scale with iterations / budget.
-            assert!(
-                entries >= u64::from(SPINS) / (BACKEDGE_VLIW_BUDGET * 4),
-                "{ctx}: only {entries} native entries — back-edge budget never triggered"
             );
         }
     }

@@ -153,8 +153,8 @@ fn preempt_campaigns_bit_exact_on_packed() {
 }
 
 /// Campaigns with the native x86-64 tier on: interrupts must land at
-/// rerolled back-edge yields of compiled groups without losing
-/// precision. On hosts without native support this degenerates to a
+/// boundaries that compiled groups produce (group exits and chain-budget
+/// returns) without losing precision. On hosts without native support this degenerates to a
 /// second packed run (the builder falls back), which is still valid.
 #[test]
 fn preempt_campaigns_bit_exact_on_native() {
