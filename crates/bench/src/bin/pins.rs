@@ -3,12 +3,11 @@
 //! ```text
 //! pins [--out-dir DIR]
 //!
-//!   --out-dir DIR  write the three documents here
+//!   --out-dir DIR  write the two documents here
 //!                  (default: the repository root)
 //! ```
 //!
-//! Writes `BENCH_engine.json`, `BENCH_dispatch.json` and
-//! `BENCH_translate.json`; see
+//! Writes `BENCH_engine.json` and `BENCH_translate.json`; see
 //! [`daisy_bench::pins`] for what each holds.
 
 use daisy_bench::pins;
@@ -39,6 +38,5 @@ fn main() {
         println!("wrote {}", path.display());
     };
     write("BENCH_engine.json", pins::engine_json());
-    write("BENCH_dispatch.json", pins::dispatch_json());
     write("BENCH_translate.json", pins::translate_json());
 }

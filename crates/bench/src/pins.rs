@@ -13,8 +13,6 @@
 //!   the packed engine must execute exactly as many VLIWs. On hosts
 //!   without native support the tier falls back to packed execution
 //!   and the native column reads zero.
-//! - `BENCH_dispatch.json` ([`dispatch_json`]): VMM, chained and total
-//!   dispatches with group chaining on and off.
 //! - `BENCH_translate.json` ([`translate_json`]): per paper workload
 //!   and translator configuration, the groups translated, their summed
 //!   [`XlateCost`] and a 64-bit FNV-1a digest over an explicit byte
@@ -79,33 +77,6 @@ pub fn engine_json() -> String {
         })
         .collect();
     document("engine", &rows)
-}
-
-pub fn dispatch_json() -> String {
-    let rows: Vec<String> = ["hist", "compress", "c_sieve"]
-        .iter()
-        .map(|&name| {
-            let w = daisy_workloads::by_name(name).expect("known workload");
-            let cell = |chaining: bool| {
-                let sys = run(&w, DaisySystem::builder().chaining(chaining));
-                format!(
-                    concat!(
-                        "{{\"vmm_dispatches\": {}, \"chained_dispatches\": {}, ",
-                        "\"total_dispatches\": {}}}"
-                    ),
-                    sys.stats.groups_entered,
-                    sys.stats.chain.chained_dispatches,
-                    sys.stats.total_dispatches()
-                )
-            };
-            format!(
-                "    {{\"name\": \"{name}\", \"chained\": {}, \"unchained\": {}}}",
-                cell(true),
-                cell(false)
-            )
-        })
-        .collect();
-    document("dispatch", &rows)
 }
 
 fn document(bench: &str, rows: &[String]) -> String {

@@ -189,7 +189,7 @@ fn alias_restart_through_chained_edge_retranslates_conservatively() {
 /// absorbs at least half of all VMM dispatches.
 #[test]
 fn chaining_cuts_vmm_dispatches_without_changing_results() {
-    for name in ["hist", "compress"] {
+    for name in ["hist", "compress", "c_sieve"] {
         let w = daisy_workloads::by_name(name).expect("workload");
         let prog = w.program();
         let run = |chaining: bool| {
