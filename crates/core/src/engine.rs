@@ -290,8 +290,7 @@ pub struct EngineScratch {
     /// The path trail, filled afresh by each [`run_group`] call in the
     /// native tier's direction-log format: one byte per resolved
     /// condition (0 fall, 1 taken). [`trail_path`] rebuilds the path
-    /// from it, for §3.5
-    /// recovery and for the guest profiler.
+    /// from it, for §3.5 recovery and for the guest profiler.
     pub(crate) dirs: Vec<u8>,
     /// Per poisoned register: (faulting address, is-store, is-MMIO).
     tag_info: [Option<(u32, bool, bool)>; NUM_REGS],

@@ -481,6 +481,9 @@ impl<'a> Emitter<'a> {
                 self.emit_node(taken as usize, parcels);
             }
             PackedCtrl::Next { vliw } => {
+                // The logs' static bounds rely on one entry visiting
+                // each node at most once (`Group::validate`).
+                assert!(vliw > self.g.node_vliw(idx), "backward Next: groups are acyclic");
                 self.hist(parcels);
                 let l = self.vliw_labels[vliw as usize];
                 self.a.jmp(l);

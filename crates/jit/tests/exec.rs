@@ -446,6 +446,17 @@ fn access_log_stays_within_capacity_at_the_chain_budget() {
     }
 }
 
+/// A backward `Next` would void the logs' static bounds, so the
+/// lowerer never emits one: groups are acyclic.
+#[test]
+#[should_panic(expected = "groups are acyclic")]
+fn backward_next_is_never_lowered() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    g.vliws[0].seal(ROOT, Exit::Goto(VliwId(0)));
+    compile(&jit, &g, 0x1000);
+}
+
 /// With level-0 line shifts, a probe of the line its side probed last
 /// only bumps that side's hit counter; every other probe is logged and
 /// becomes the tracked line. Three VLIWs: the first two share a
