@@ -393,25 +393,22 @@ fn access_log_stays_within_capacity_at_the_chain_budget() {
     let fetch: Vec<u32> = (0..VLIWS).map(|i| 0x8000_0040 + 0x40 * i).collect();
     let jit = Jit::new(1 << 20).expect("host supports the native tier");
     let mut g = Group::new(ENTRY);
+    // Every VLIW makes the same data probes.
     let mut probes = Vec::new();
-    for k in 0..MAX_VLIW_MEM_PARCELS as u32 {
-        probes.push(if k % 3 == 2 {
-            u64::from(0x500 + 4 * k) | u64::from(PROBE_STORE) << 32
-        } else {
-            u64::from(0x100 + 4 * k) | u64::from(PROBE_LOAD) << 32
-        });
-    }
     for i in 0..VLIWS {
         let at = ENTRY + 0x100 * i;
         let v = if i == 0 { VliwId(0) } else { g.push_vliw(at) };
         for k in 0..MAX_VLIW_MEM_PARCELS as u32 {
             let disp = 4 * k as i32;
-            let op = if k % 3 == 2 {
-                store(at + 4 * k, 1, 2, 0x400 + disp)
+            let (op, probe) = if k % 3 == 2 {
+                (store(at + 4 * k, 1, 2, 0x400 + disp), (0x500 + 4 * k, PROBE_STORE))
             } else {
-                load(at + 4 * k, 10 + (k % 8) as u8, 2, disp)
+                (load(at + 4 * k, 10 + (k % 8) as u8, 2, disp), (0x100 + 4 * k, PROBE_LOAD))
             };
             g.vliw_mut(v).add_op(ROOT, op);
+            if i == 0 {
+                probes.push(u64::from(probe.0) | u64::from(probe.1) << 32);
+            }
         }
         if i > 0 {
             g.vliw_mut(VliwId(i - 1)).seal(ROOT, Exit::Goto(v));
