@@ -212,17 +212,22 @@ pub enum ExcKind {
 /// How a group finished executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupExit {
-    /// Control leaves to a base-architecture address.
+    /// Control leaves to a fixed base-architecture address.
     Branch {
         /// Target base address.
         target: u32,
-        /// `Some` for indirect branches (Table 5.6 typing).
-        via: Option<IndirectVia>,
-        /// Chain-link slot of this exit in the exiting group (`None`
-        /// for indirect exits). Lowered into the packed format at
-        /// translation time, so the dispatch loop installs and follows
-        /// group-to-group links without re-searching the exit table.
-        slot: Option<usize>,
+        /// Chain-link slot of this exit in the exiting group. Lowered
+        /// into the packed format at translation time, so the dispatch
+        /// loop installs and follows group-to-group links without
+        /// re-searching the exit table.
+        slot: usize,
+    },
+    /// Control leaves to a computed base-architecture address.
+    Indirect {
+        /// Target base address (word-aligned).
+        target: u32,
+        /// The register the target came from (Table 5.6 typing).
+        via: IndirectVia,
     },
     /// The VMM must interpret the instruction at `addr`.
     Interp {
@@ -715,16 +720,12 @@ fn run_group_impl<const RESUME: bool>(
                 }
                 PackedCtrl::Leave { target, slot } => {
                     stats.issue_histogram[parcels_this_vliw.min(24)] += 1;
-                    return GroupExit::Branch { target, via: None, slot: Some(slot as usize) };
+                    return GroupExit::Branch { target, slot: slot as usize };
                 }
                 PackedCtrl::Indirect { src, via } => {
                     stats.issue_histogram[parcels_this_vliw.min(24)] += 1;
                     debug_assert!(!tags[src.index()], "indirect targets are committed clean");
-                    return GroupExit::Branch {
-                        target: vals[src.index()] & !3,
-                        via: Some(via),
-                        slot: None,
-                    };
+                    return GroupExit::Indirect { target: vals[src.index()] & !3, via };
                 }
                 PackedCtrl::Interp { addr } => {
                     stats.issue_histogram[parcels_this_vliw.min(24)] += 1;

@@ -453,14 +453,9 @@ impl NativeTier {
 
         match self.ctx.exit_kind {
             EXIT_INDIRECT => NativeRun::Done {
-                exit: GroupExit::Branch {
+                exit: GroupExit::Indirect {
                     target: self.ctx.exit_a,
-                    via: Some(if self.ctx.exit_b == 0 {
-                        IndirectVia::Lr
-                    } else {
-                        IndirectVia::Ctr
-                    }),
-                    slot: None,
+                    via: if self.ctx.exit_b == 0 { IndirectVia::Lr } else { IndirectVia::Ctr },
                 },
                 final_entry,
                 final_code,
@@ -521,11 +516,7 @@ impl NativeTier {
             }
             // EXIT_BRANCH (0) — also the defensive default.
             _ => NativeRun::Done {
-                exit: GroupExit::Branch {
-                    target: self.ctx.exit_a,
-                    via: None,
-                    slot: Some(self.ctx.exit_b as usize),
-                },
+                exit: GroupExit::Branch { target: self.ctx.exit_a, slot: self.ctx.exit_b as usize },
                 final_entry,
                 final_code,
             },

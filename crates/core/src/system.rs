@@ -685,15 +685,11 @@ impl<I: Isa> DaisySystem<I> {
         }
 
         match exit {
-            GroupExit::Branch { target, via, slot } => {
+            GroupExit::Branch { target, slot } => {
                 if target / self.vmm.cfg.page_size == from_page {
                     self.stats.onpage_dispatches += 1;
                 } else {
-                    match via {
-                        None => self.stats.crosspage.direct += 1,
-                        Some(IndirectVia::Lr) => self.stats.crosspage.via_lr += 1,
-                        Some(IndirectVia::Ctr) => self.stats.crosspage.via_ctr += 1,
-                    }
+                    self.stats.crosspage.direct += 1;
                 }
                 self.cpu.set_pc(target);
                 if self.chaining {
@@ -702,14 +698,22 @@ impl<I: Isa> DaisySystem<I> {
                     // link hangs off the group that produced the exit
                     // (for a chained native run, the final group).
                     let from = run_code.unwrap_or(code);
-                    self.pending_chain = match via {
-                        None => slot.map(|slot| PendingChain::Direct {
-                            from: Rc::clone(&from),
-                            slot,
-                            target,
-                        }),
-                        Some(_) => Some(PendingChain::Indirect { from, target }),
-                    };
+                    self.pending_chain = Some(PendingChain::Direct { from, slot, target });
+                }
+            }
+            GroupExit::Indirect { target, via } => {
+                if target / self.vmm.cfg.page_size == from_page {
+                    self.stats.onpage_dispatches += 1;
+                } else {
+                    match via {
+                        IndirectVia::Lr => self.stats.crosspage.via_lr += 1,
+                        IndirectVia::Ctr => self.stats.crosspage.via_ctr += 1,
+                    }
+                }
+                self.cpu.set_pc(target);
+                if self.chaining {
+                    let from = run_code.unwrap_or(code);
+                    self.pending_chain = Some(PendingChain::Indirect { from, target });
                 }
             }
             GroupExit::Interp { addr } => {
