@@ -19,6 +19,10 @@ pub const RSP: Gpr = Gpr(4);
 pub const RBP: Gpr = Gpr(5);
 pub const RSI: Gpr = Gpr(6);
 pub const RDI: Gpr = Gpr(7);
+pub const R8: Gpr = Gpr(8);
+pub const R9: Gpr = Gpr(9);
+pub const R10: Gpr = Gpr(10);
+pub const R11: Gpr = Gpr(11);
 pub const R12: Gpr = Gpr(12);
 pub const R13: Gpr = Gpr(13);
 pub const R14: Gpr = Gpr(14);
@@ -741,6 +745,13 @@ mod tests {
         assert_eq!(asm(|a| a.cmp_r32_imm(RAX, 0x1234)), vec![0x81, 0xF8, 0x34, 0x12, 0x00, 0x00]);
         // inc qword [rbx+0x28] -> 48 FF 43 28
         assert_eq!(asm(|a| a.inc_m64(Mem::base_disp(RBX, 0x28))), vec![0x48, 0xFF, 0x43, 0x28]);
+        // inc r8 -> 49 FF C0
+        assert_eq!(asm(|a| a.inc_r64(R8)), vec![0x49, 0xFF, 0xC0]);
+        // cmp r9, [rbx+0x28] -> 4C 3B 4B 28
+        assert_eq!(
+            asm(|a| a.cmp_r64_m(R9, Mem::base_disp(RBX, 0x28))),
+            vec![0x4C, 0x3B, 0x4B, 0x28]
+        );
         // setne cl -> 0F 95 C1
         assert_eq!(asm(|a| a.setcc_r8(CC_NE, RCX)), vec![0x0F, 0x95, 0xC1]);
         // cmovl eax, edx -> 0F 4C C2

@@ -5,9 +5,13 @@
 //! offsets are the `OFF_*` constants (each an `offset_of!` of its
 //! field) referenced by the emitter in `lower.rs`. The dispatcher fills the input fields,
 //! calls the shared entry thunk, and reads the exit record plus the
-//! counter deltas back out. Keeping every counter in the block (one
-//! `inc qword [rbx+OFF]` each) is what lets native runs reproduce
-//! `RunStats` bit-for-bit against packed execution.
+//! counter deltas back out. Every counter the dispatcher reads is in
+//! the block, which is what lets native runs reproduce `RunStats`
+//! bit-for-bit against packed execution. Four of them (`base_instrs`,
+//! `vliws`, `loads`, `stores`) live in host registers r8–r11 while
+//! compiled code runs: the thunk loads them from the block and the
+//! shared epilogue, which every exit reaches, stores them back. The
+//! rest take one `inc qword [rbx+OFF]` each.
 
 use core::mem::offset_of;
 

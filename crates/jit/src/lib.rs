@@ -414,11 +414,16 @@ impl std::fmt::Debug for Jit {
 ///
 /// Thunk (`extern "sysv64" fn(*mut JitCtx, u64)`): saves the
 /// callee-saved registers the templates claim, loads the pinned
-/// context registers (the access-log cursor starts at `access_base`),
-/// and tail-jumps to the group entry in `rsi`. Epilogue: stores both
-/// log cursors and `last_base` back to the context and unwinds.
+/// context registers (the access-log cursor starts at `access_base`)
+/// and the four counters compiled code keeps in r8–r11 for the whole
+/// run, and tail-jumps to the group entry in `rsi`. Epilogue: stores
+/// those counters, both log cursors and `last_base` back to the
+/// context and unwinds. Every exit, bail and chain-stub fallback goes
+/// through the epilogue, so the block's counters are exact on return.
 fn shared_code() -> (Vec<u8>, Vec<u8>) {
-    use asm::{Asm, Mem, R12, R13, R14, R15, RBP, RBX, RDI, RSI};
+    use asm::{Asm, Mem, R10, R11, R12, R13, R14, R15, R8, R9, RBP, RBX, RDI, RSI};
+    use ctx::{OFF_BASE_INSTRS, OFF_LOADS, OFF_STORES, OFF_VLIWS};
+    let counters = [(R8, OFF_BASE_INSTRS), (R9, OFF_VLIWS), (R10, OFF_LOADS), (R11, OFF_STORES)];
     let mut t = Asm::new(0);
     for r in [RBX, RBP, R12, R13, R14, R15] {
         t.push_r64(r);
@@ -428,9 +433,15 @@ fn shared_code() -> (Vec<u8>, Vec<u8>) {
     t.mov_r64_m(R12, Mem::base_disp(RBX, ctx::OFF_VALS));
     t.mov_r64_m(R13, Mem::base_disp(RBX, ctx::OFF_MEM_BASE));
     t.mov_r64_m(RBP, Mem::base_disp(RBX, ctx::OFF_ACCESS_BASE));
+    for (r, off) in counters {
+        t.mov_r64_m(r, Mem::base_disp(RBX, off));
+    }
     t.jmp_r64(RSI);
 
     let mut e = Asm::new(0);
+    for (r, off) in counters {
+        e.mov_m_r64(Mem::base_disp(RBX, off), r);
+    }
     e.mov_m_r64(Mem::base_disp(RBX, ctx::OFF_LOG_END), R14);
     e.mov_m_r64(Mem::base_disp(RBX, ctx::OFF_ACCESS_END), RBP);
     e.mov_m_r32(Mem::base_disp(RBX, ctx::OFF_LAST_BASE), R15);

@@ -28,7 +28,18 @@
 //! | r14  | path-log cursor (one byte per condition)    |
 //! | r15d | `last_base` dedup register                  |
 //! | rbp  | access-log cursor (finite cache only)       |
+//! | r8   | `base_instrs` counter                       |
+//! | r9   | `vliws` counter (chain budget compares it)  |
+//! | r10  | `loads` counter                             |
+//! | r11  | `stores` counter                            |
 //! | rax, rcx, rdx, rsi, rdi | per-template scratch     |
+//!
+//! The four counters live in registers for the whole run, across
+//! chained groups and inline indirect-cache hits: the entry thunk
+//! loads them from the context block and the shared epilogue, which
+//! every exit, bail and stub reaches, stores them back. The other
+//! counters (histogram, chain and locality counts, MRU hits) stay in
+//! the block.
 //!
 //! Under a finite cache model the lowerer is given each VLIW's
 //! translated-code address, and compiled code appends every probe the
@@ -42,15 +53,15 @@
 //! line. Without fetch addresses no log store is emitted.
 
 use crate::asm::{
-    Asm, Label, Mem, CC_A, CC_AE, CC_B, CC_C, CC_E, CC_G, CC_L, CC_NE, R12, R13, R14, R15, RAX,
-    RBP, RBX, RCX, RDI, RDX, RSI,
+    Asm, Label, Mem, CC_A, CC_AE, CC_B, CC_C, CC_E, CC_G, CC_L, CC_NE, R10, R11, R12, R13, R14,
+    R15, R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI,
 };
 use crate::ctx::{
-    EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BASE_INSTRS, OFF_BUDGET, OFF_CHAINED,
-    OFF_CROSSPAGE, OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_MRU,
-    OFF_DATA_MRU_HITS, OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS,
-    OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOADS, OFF_LOG_BASE, OFF_ONPAGE, OFF_PENDING_BASE,
-    OFF_PENDING_GEN, OFF_STORES, OFF_VLIWS, PROBE_FETCH, PROBE_LOAD, PROBE_STORE,
+    EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BUDGET, OFF_CHAINED, OFF_CROSSPAGE,
+    OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_MRU, OFF_DATA_MRU_HITS,
+    OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS, OFF_HISTOGRAM,
+    OFF_ICACHE_HITS, OFF_LOG_BASE, OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, PROBE_FETCH,
+    PROBE_LOAD, PROBE_STORE,
 };
 use crate::CompileOpts;
 use daisy_vliw::op::{CrOp, MemWidth, OpKind, Operation};
@@ -232,6 +243,10 @@ struct Emitter<'a> {
     vliw_labels: Vec<Label>,
     leaves: Vec<PendingLeave>,
     bails: Vec<PendingBail>,
+    /// The base address the path being emitted committed last, when it
+    /// is known at compile time (r15d then holds it); `None` at a VLIW
+    /// root, whose predecessor varies.
+    last_base: Option<u32>,
 }
 
 fn ctx(off: i32) -> Mem {
@@ -286,6 +301,7 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
         vliw_labels: Vec::new(),
         leaves: Vec::new(),
         bails: Vec::new(),
+        last_base: None,
     };
     e.vliw_labels = (0..g.roots.len()).map(|_| e.a.label()).collect();
 
@@ -304,10 +320,11 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
         e.a.bind(l);
         // stats.vliws_executed += 1 (per tree instruction), then the
         // VLIW's fetch probe.
-        e.a.inc_m64(ctx(OFF_VLIWS));
+        e.a.inc_r64(R9);
         if let Some(addrs) = e.opts.fetch_addrs {
             e.probe(PROBE_FETCH, Some(addrs[vi]));
         }
+        e.last_base = None;
         e.emit_node(root as usize, 0);
     }
     let stub_offs = e.emit_deferred();
@@ -354,8 +371,7 @@ impl<'a> Emitter<'a> {
             let stub = self.a.pos();
             // Budget: stop following edges once the VLIW quota is
             // spent, returning control to the dispatcher.
-            self.a.mov_r64_m(RAX, ctx(OFF_VLIWS));
-            self.a.cmp_r64_m(RAX, ctx(OFF_BUDGET));
+            self.a.cmp_r64_m(R9, ctx(OFF_BUDGET));
             self.a.jcc(CC_AE, l.fallback_label);
             // Aliveness: the imm64 is patched to the target's alive
             // byte; a dead target (invalidated, cast out, or
@@ -423,8 +439,7 @@ impl<'a> Emitter<'a> {
         // Budget: stop chaining once the run quota is spent, so a hot
         // indirect loop still returns to the dispatcher (ladder,
         // interrupts, run limits).
-        self.a.mov_r64_m(RSI, ctx(OFF_VLIWS));
-        self.a.cmp_r64_m(RSI, ctx(OFF_BUDGET));
+        self.a.cmp_r64_m(R9, ctx(OFF_BUDGET));
         self.a.jcc(CC_AE, miss);
         // Aliveness of the cached target (retired groups flip it).
         self.a.mov_r64_m(RSI, Mem::base_index_disp(RDX, RCX, 8));
@@ -465,8 +480,10 @@ impl<'a> Emitter<'a> {
             PackedCtrl::Cond { cond, taken, fall } => {
                 // Every executed condition commits its originating
                 // branch instruction (dedup'd via last_base), on both
-                // paths — so commit before splitting.
+                // paths — so commit before splitting. Both sides start
+                // from the last base committed here.
                 self.commit_base(cond.origin);
+                let last_base = self.last_base;
                 self.a.mov_r32_m(RAX, vreg(cond.src.0));
                 self.a.test_r32_imm(RAX, cond.mask);
                 let t_label = self.a.label();
@@ -475,6 +492,7 @@ impl<'a> Emitter<'a> {
                 self.a.mov_m8_imm(Mem::base_disp(R14, 0), 0);
                 self.a.inc_r64(R14);
                 self.emit_node(fall as usize, parcels);
+                self.last_base = last_base;
                 self.a.bind(t_label);
                 self.a.mov_m8_imm(Mem::base_disp(R14, 0), 1);
                 self.a.inc_r64(R14);
@@ -576,14 +594,29 @@ impl<'a> Emitter<'a> {
         self.a.inc_m64(ctx(OFF_HISTOGRAM + 8 * bucket));
     }
 
-    /// `if last_base != addr { last_base = addr; base_instrs += 1 }`.
+    /// `if last_base != addr { last_base = addr; base_instrs += 1 }`,
+    /// decided at compile time where the path being emitted fixes
+    /// `last_base`: a repeat of the last committed address emits
+    /// nothing, a different one emits the update without a compare.
+    /// Only a VLIW's first commit, whose predecessor varies, compares
+    /// r15d at run time. r15d stays exact everywhere, so a bail hands
+    /// the packed resume the true `last_base`.
     fn commit_base(&mut self, addr: u32) {
-        let skip = self.a.label();
-        self.a.cmp_r32_imm(R15, addr as i32);
-        self.a.jcc(CC_E, skip);
+        if self.last_base == Some(addr) {
+            return;
+        }
+        let skip = self.last_base.is_none().then(|| {
+            let skip = self.a.label();
+            self.a.cmp_r32_imm(R15, addr as i32);
+            self.a.jcc(CC_E, skip);
+            skip
+        });
         self.a.mov_r32_imm(R15, addr);
-        self.a.inc_m64(ctx(OFF_BASE_INSTRS));
-        self.a.bind(skip);
+        self.a.inc_r64(R8);
+        if let Some(skip) = skip {
+            self.a.bind(skip);
+        }
+        self.last_base = Some(addr);
     }
 
     fn bail_label(&mut self, node: u32, op: u32, parcels: u32) -> Label {
@@ -762,7 +795,7 @@ impl<'a> Emitter<'a> {
                 self.a.bswap_r32(RAX);
             }
         }
-        self.a.inc_m64(ctx(OFF_LOADS));
+        self.a.inc_r64(R10);
         if self.opts.fetch_addrs.is_some() {
             self.probe(PROBE_LOAD, None);
         }
@@ -825,7 +858,7 @@ impl<'a> Emitter<'a> {
                 self.a.mov_m_r32(at, RAX);
             }
         }
-        self.a.inc_m64(ctx(OFF_STORES));
+        self.a.inc_r64(R11);
         if self.opts.fetch_addrs.is_some() {
             self.probe(PROBE_STORE, None);
         }

@@ -123,6 +123,111 @@ fn conditional_logs_direction_and_picks_exit() {
     assert_eq!(h.log[0], 0); // fall-through
 }
 
+fn li(at: u32, dst: u8, imm: i32) -> Operation {
+    Operation::new(OpKind::Li, at).dst(Reg(dst)).with_imm(imm)
+}
+
+/// A VLIW's first commit dedups against whichever path led into it:
+/// VLIW 0's two sides end on different base instructions, and VLIW 1
+/// opens with the fall side's last one. Only that first commit compares
+/// `last_base` at run time; the rest are settled at compile time.
+#[test]
+fn first_commit_of_a_vliw_dedups_against_either_predecessor() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    let v1 = g.push_vliw(0x1010);
+    let v0 = &mut g.vliws[0];
+    let cond =
+        Cond { src: Reg(64), mask: 0b0010, want_set: true, spec_target: None, origin: 0x1000 };
+    let (t, f) = v0.split(ROOT, cond);
+    v0.add_op(f, li(0x1004, 5, 1));
+    v0.add_op(t, li(0x1008, 6, 2));
+    v0.seal(t, Exit::Goto(v1));
+    v0.seal(f, Exit::Goto(v1));
+    let v = g.vliw_mut(v1);
+    v.add_op(ROOT, li(0x1004, 7, 3));
+    v.add_op(ROOT, li(0x100C, 8, 4));
+    v.seal(ROOT, Exit::Branch { target: 0x2000 });
+    assert_eq!(g.validate(), Ok(()));
+    let cg = compile(&jit, &g, 0x1000);
+
+    let mut h = Harness::new();
+    // Fall: 0x1000, 0x1004, then VLIW 1 repeats 0x1004 and adds 0x100C.
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!((h.vals[5], h.vals[6], h.vals[7], h.vals[8]), (1, 0, 3, 4));
+    assert_eq!(h.ctx.vliws, 2);
+    assert_eq!(h.ctx.base_instrs, 3);
+    assert_eq!(h.ctx.last_base, 0x100C);
+
+    // Taken: 0x1000, 0x1008, then 0x1004 is new and 0x100C follows.
+    let mut h = Harness::new();
+    h.vals[64] = 0b0010;
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!((h.vals[5], h.vals[6], h.vals[7], h.vals[8]), (0, 2, 3, 4));
+    assert_eq!(h.ctx.vliws, 2);
+    assert_eq!(h.ctx.base_instrs, 4);
+    assert_eq!(h.ctx.last_base, 0x100C);
+}
+
+/// Both sides of a condition start from the commit made before the
+/// split, whichever side the emitter lays out first. The fall side
+/// commits a new base instruction; the taken side opens with the
+/// branch's own (a CTR-decrementing branch committing its count), which
+/// must not count again.
+#[test]
+fn both_sides_of_a_condition_start_from_the_commit_before_it() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    let v0 = &mut g.vliws[0];
+    v0.add_op(ROOT, li(0x1000, 5, 1));
+    let cond =
+        Cond { src: Reg(64), mask: 0b0010, want_set: true, spec_target: None, origin: 0x1004 };
+    let (t, f) = v0.split(ROOT, cond);
+    v0.add_op(f, li(0x1008, 6, 2));
+    v0.add_op(t, li(0x1004, 7, 3));
+    v0.seal(t, Exit::Branch { target: 0x2000 });
+    v0.seal(f, Exit::Branch { target: 0x3000 });
+    let cg = compile(&jit, &g, 0x1000);
+
+    let mut h = Harness::new();
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!(h.ctx.exit_a, 0x3000);
+    assert_eq!(h.ctx.base_instrs, 3);
+    assert_eq!(h.ctx.last_base, 0x1008);
+
+    h.vals[64] = 0b0010;
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!(h.ctx.exit_a, 0x2000);
+    assert_eq!(h.vals[7], 3);
+    assert_eq!(h.ctx.base_instrs, 2);
+    assert_eq!(h.ctx.last_base, 0x1004);
+}
+
+/// A bail after commits settled at compile time still hands the packed
+/// resume the exact `last_base` and base-instruction count.
+#[test]
+fn bail_after_mid_vliw_commits_reports_the_last_commit() {
+    let jit = Jit::new(1 << 20).expect("host supports the native tier");
+    let mut g = Group::new(0x1000);
+    let v0 = &mut g.vliws[0];
+    v0.add_op(ROOT, li(0x1000, 5, 1));
+    v0.add_op(ROOT, li(0x1004, 6, 2));
+    v0.add_op(ROOT, load(0x1008, 3, 2, 0));
+    v0.seal(ROOT, Exit::Branch { target: 0x2000 });
+    let cg = compile(&jit, &g, 0x1000);
+
+    let mut h = Harness::new();
+    h.vals[2] = MEM_LEN as u32; // out of bounds
+    h.run(&jit, &cg, u64::MAX);
+    assert_eq!(h.ctx.exit_kind, EXIT_BAIL);
+    assert_eq!(cg.bails[h.ctx.exit_b as usize].op, 2);
+    assert_eq!((h.vals[5], h.vals[6]), (1, 2));
+    assert_eq!(h.ctx.vliws, 1);
+    assert_eq!(h.ctx.base_instrs, 2);
+    assert_eq!(h.ctx.loads, 0);
+    assert_eq!(h.ctx.last_base, 0x1004);
+}
+
 #[test]
 fn store_then_load_roundtrips_big_endian() {
     let jit = Jit::new(1 << 20).expect("host supports the native tier");
