@@ -34,6 +34,12 @@ cargo check --offline --manifest-path daisybench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test --workspace --doc
 
+# Member-crate tests: tier-1 (`cargo test` at the root) runs only the
+# root package's tests, so the crates' own suites run here — among
+# them the JIT's hand-built-group tests (crates/jit/tests/exec.rs),
+# the cache model's proptests and the core's unit tests.
+cargo test -q --workspace --exclude daisy-repro
+
 # Docs link check: every relative markdown link in README.md and
 # docs/*.md must point at an existing file, and every #anchor at a
 # real heading in the target document.
