@@ -83,17 +83,18 @@ impl CacheStats {
     }
 }
 
-/// Sentinel for [`Cache::mru`] before the first probe: line addresses
-/// are at most 32 bits wide, so no probe can match it.
+/// Sentinel for a set's tracked line before the set's first probe:
+/// line addresses are at most 32 bits wide, so no probe can match it.
 const NO_LINE: u64 = u64::MAX;
 
 /// One cache level with LRU replacement.
 ///
 /// Tags, ages and valid bits live in flat arrays indexed
 /// `set * assoc + way`; the set index and tag come from a shift and a
-/// mask precomputed at construction. A probe of the line probed last
-/// hits without searching its set: that line is resident and already
-/// the newest in its set, so the hit cannot change the LRU order.
+/// mask precomputed at construction. Each set tracks the line probed
+/// last in it, and a probe of that line hits without searching the set:
+/// the line is resident and already the newest way of its set, so the
+/// hit cannot change which way a later miss there evicts.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -107,8 +108,8 @@ pub struct Cache {
     /// Probe tick of each way's last use (0 while invalid).
     ages: Vec<u64>,
     valid: Vec<bool>,
-    /// Line address of the last probe, or [`NO_LINE`].
-    mru: u64,
+    /// Line address of the last probe of each set, or [`NO_LINE`].
+    lines: Vec<u64>,
     stats: CacheStats,
     tick: u64,
 }
@@ -126,7 +127,7 @@ impl Cache {
             tags: vec![0; n],
             ages: vec![0; n],
             valid: vec![false; n],
-            mru: NO_LINE,
+            lines: vec![NO_LINE; sets as usize],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -147,10 +148,11 @@ impl Cache {
     pub fn access(&mut self, addr: u32) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        if u64::from(line) == self.mru {
+        let last = &mut self.lines[(line & self.set_mask) as usize];
+        if u64::from(line) == *last {
             return true;
         }
-        self.mru = u64::from(line);
+        *last = u64::from(line);
         self.probe_set(line)
     }
 
@@ -325,16 +327,22 @@ impl Hierarchy {
         self.private_l0(side).map(|c| c.line_shift)
     }
 
-    /// Line address (`addr >> l0_line_shift`) of the last probe of
-    /// `side`'s private level 0. `u64::MAX`, which no line address
-    /// equals, before its first probe or when the side has no private
-    /// level 0.
-    pub fn l0_mru_line(&self, side: Side) -> u64 {
-        self.private_l0(side).map_or(NO_LINE, |c| c.mru)
+    /// `sets - 1` of `side`'s private level 0, or `None` when the side
+    /// has none: a line's set is `line & l0_set_mask`.
+    pub fn l0_set_mask(&self, side: Side) -> Option<u32> {
+        self.private_l0(side).map(|c| c.set_mask)
     }
 
-    /// Records `hits` probes of `side` that each fell in the line of
-    /// [`Hierarchy::l0_mru_line`], with the effect of making them one
+    /// The line address (`addr >> l0_line_shift`) probed last in each
+    /// set of `side`'s private level 0, indexed by set. `u64::MAX`,
+    /// which no line address equals, for a set not probed yet. Empty
+    /// when the side has no private level 0.
+    pub fn l0_lines(&self, side: Side) -> &[u64] {
+        self.private_l0(side).map_or(&[], |c| &c.lines)
+    }
+
+    /// Records `hits` probes of `side` that each fell in its set's line
+    /// of [`Hierarchy::l0_lines`], with the effect of making them one
     /// by one: such a probe hits the private level 0 without touching
     /// its LRU state or any level behind it, so it only counts a
     /// level-0 access. Returns the probes' summed penalty, `hits` times
@@ -353,7 +361,7 @@ impl Hierarchy {
             Side::Data => self.dlevels.first_mut(),
         }
         .expect("MRU hits need a private level 0");
-        assert!(l0.mru != NO_LINE, "MRU hits before the level's first probe");
+        assert!(l0.stats.accesses > 0, "MRU hits before the level's first probe");
         l0.stats.accesses += hits;
         hits * u64::from(l0.cfg.latency)
     }

@@ -73,8 +73,8 @@ proptest! {
 // simulator (divisions for set and tag, an array of line records, a
 // probe tick on every access, a full set search on every probe). The
 // production cache precomputes shifts and masks, keeps flat arrays and
-// short-circuits repeat probes of the same line; none of that may change
-// a single hit, miss, counter or penalty.
+// short-circuits a probe of the line its set probed last; none of that
+// may change a single hit, miss, counter or penalty.
 // ---------------------------------------------------------------------
 
 mod reference {
@@ -270,10 +270,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Counted level-0 MRU hits. The native tier does not log a probe of the
-// line its side's private level 0 used last: it counts it and adds the
-// counts through `add_l0_mru_hits` after replaying the logged probes.
-// That must equal making every probe one by one.
+// Counted level-0 hits. The native tier does not log a probe of the line
+// its set of the side's private level 0 used last: it checks each probe
+// against a copy of that level's line table, and the replay adds the
+// left-out probes through `add_l0_mru_hits` after the logged ones. That
+// must equal making every probe one by one.
 // ---------------------------------------------------------------------
 
 /// One random level: 1–16 sets, 1/2/4 ways, 4–64-byte lines, latency
@@ -298,11 +299,12 @@ fn hierarchy() -> impl Strategy<Value = Geometry> {
 
 proptest! {
     /// Probes are split as compiled code splits them. Each side with a
-    /// private level 0 tracks a line, seeded from `l0_mru_line` when a
-    /// run starts: a probe of the tracked line is counted, any other
-    /// probe is made at once and becomes the tracked line. Runs end at
-    /// random, adding their counts. Every made probe returns the
-    /// per-probe `Access`, and at the end the summed penalty and every
+    /// private level 0 tracks one line per set, copied from `l0_lines`
+    /// when a run starts: a probe of its set's line is counted, any
+    /// other probe is made at once and becomes its set's line. Runs end
+    /// at random, adding their counts. Every made probe returns the
+    /// per-probe `Access`, each run ends with the tracked lines equal
+    /// to `l0_lines`, and at the end the summed penalty and every
     /// level's counters are equal.
     #[test]
     fn counted_mru_hits_equal_per_probe_access(
@@ -313,29 +315,34 @@ proptest! {
         let mut each = Hierarchy::new(i.clone(), d.clone(), s.clone(), mem);
         let mut split = Hierarchy::new(i, d, s, mem);
         let sides = [Side::Instr, Side::Data];
-        let shifts = sides.map(|side| split.l0_line_shift(side));
+        let geometry = sides.map(|side| split.l0_line_shift(side).zip(split.l0_set_mask(side)));
         let (mut each_penalty, mut split_penalty) = (0u64, 0u64);
-        let mut tracked = sides.map(|side| split.l0_mru_line(side));
+        let mut tracked = sides.map(|side| split.l0_lines(side).to_vec());
         let mut hits = [0u64; 2];
         for (n, &((instr, a), run_end)) in stream.iter().enumerate() {
             let k = usize::from(!instr);
             let want = if instr { each.access_instr(a) } else { each.access_data(a) };
             each_penalty += u64::from(want.penalty);
-            let line = shifts[k].map(|sh| u64::from(a >> sh));
-            if line == Some(tracked[k]) {
-                prop_assert!(!want.l0_miss, "a level-0 MRU probe missed at {:#x}", a);
+            let at = geometry[k].map(|(shift, mask)| (a >> shift, ((a >> shift) & mask) as usize));
+            if at.is_some_and(|(line, set)| tracked[k][set] == u64::from(line)) {
+                prop_assert!(!want.l0_miss, "a probe of its set's last line missed at {:#x}", a);
                 hits[k] += 1;
             } else {
                 let got = if instr { split.access_instr(a) } else { split.access_data(a) };
                 prop_assert_eq!(got, want, "addr {:#x}", a);
                 split_penalty += u64::from(got.penalty);
-                tracked[k] = line.unwrap_or(tracked[k]);
+                if let Some((line, set)) = at {
+                    tracked[k][set] = u64::from(line);
+                }
             }
             if run_end == 0 || n + 1 == stream.len() {
                 for (side, h) in sides.into_iter().zip(&mut hits) {
                     split_penalty += split.add_l0_mru_hits(side, std::mem::take(h));
                 }
-                tracked = sides.map(|side| split.l0_mru_line(side));
+                for (side, t) in sides.into_iter().zip(&tracked) {
+                    prop_assert_eq!(&t[..], split.l0_lines(side), "{:?} line table", side);
+                }
+                tracked = sides.map(|side| split.l0_lines(side).to_vec());
             }
         }
         prop_assert_eq!(split_penalty, each_penalty);

@@ -35,11 +35,15 @@
 //!   fetch, then each completed load or store in parcel order), and
 //!   [`NativeTier::execute`] replays the log through the
 //!   [`Hierarchy`] before it returns, so stall cycles and miss counts
-//!   match packed execution exactly. A probe of the line its side's
-//!   private level 0 used last changes no cache state, so compiled
-//!   code only counts those, and the replay adds the counts. On a bail
-//!   the replay finishes before the packed resume makes its own
-//!   probes.
+//!   match packed execution exactly. A probe of the line its set of
+//!   the side's private level 0 used last changes no cache state, so
+//!   compiled code does not log it: it checks each probe against the
+//!   tier's copy of that level's per-set line table, filled from the
+//!   model at each run entry, and the replay derives the left-out hits
+//!   from the run's VLIW, load and store counts. After the replay the
+//!   copy equals the model's table again (a debug assertion checks
+//!   it). On a bail the replay finishes before the packed resume makes
+//!   its own probes.
 //! * **Severing** — chained direct jumps between compiled groups are
 //!   guarded by per-group alive bytes and a global patch log; any
 //!   invalidation or cast-out in the VMM flushes every native edge
@@ -53,7 +57,9 @@ use crate::trace::{FlightRecorder, TraceEvent};
 use daisy_cachesim::{Hierarchy, Side};
 use daisy_isa::mem::Memory;
 use daisy_jit::arena::AccessLog;
-use daisy_jit::ctx::{EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD};
+use daisy_jit::ctx::{
+    EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD, VIA_CTR, VIA_LR,
+};
 pub use daisy_jit::lower::Refusal;
 use daisy_jit::{
     ctx::JitCtx, CompileOpts, CompiledGroup, Jit, ACCESS_LOG_VLIW_BUDGET, DEFAULT_ARENA_BYTES,
@@ -182,11 +188,16 @@ pub struct NativeTier {
     /// an infinite cache, where groups compile without log stores and
     /// nothing is replayed.
     access_log: Option<AccessLog>,
-    /// `(instruction, data)` line shifts of the cache model's private
-    /// level 0s, compiled into every group: probes of the line a side
-    /// used last are counted, not logged. `None` for a side without a
-    /// private level 0, which logs every probe.
-    line_shifts: (Option<u32>, Option<u32>),
+    /// The line shifts and set masks of the cache model's private
+    /// level 0s, compiled into every group with its fetch addresses: a
+    /// probe of the line its set used last is not logged. A side
+    /// without a private level 0 has no shift and logs every probe.
+    l0: CompileOpts<'static>,
+    /// Per side (instruction, data): the tier's copy of that level's
+    /// line table ([`Hierarchy::l0_lines`]), which compiled code reads
+    /// and updates during a run. Empty for a side without a private
+    /// level 0.
+    lines: [Vec<u64>; 2],
     /// Bypassed-load pending table: [`NUM_REGS`] rows of 32 bytes
     /// (`{gen: u64, ea: u32, value: u32, meta: u32, pad}`), written by
     /// the bypassed-load template and read by the verify-commit
@@ -210,6 +221,9 @@ impl std::fmt::Debug for NativeTier {
             .finish()
     }
 }
+
+/// The cache model's two sides, in the order of [`NativeTier::lines`].
+const SIDES: [Side; 2] = [Side::Instr, Side::Data];
 
 /// Bytes per pending-table row (must match the lowerer's layout).
 const PENDING_ROW_BYTES: usize = 32;
@@ -239,7 +253,14 @@ impl NativeTier {
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
             access_log: if cache.is_infinite() { None } else { Some(AccessLog::new()?) },
-            line_shifts: (cache.l0_line_shift(Side::Instr), cache.l0_line_shift(Side::Data)),
+            l0: CompileOpts {
+                fetch_addrs: None,
+                instr_line_shift: cache.l0_line_shift(Side::Instr),
+                instr_set_mask: cache.l0_set_mask(Side::Instr).unwrap_or(0),
+                data_line_shift: cache.l0_line_shift(Side::Data),
+                data_set_mask: cache.l0_set_mask(Side::Data).unwrap_or(0),
+            },
+            lines: SIDES.map(|side| cache.l0_lines(side).to_vec()),
             pending: vec![0u64; NUM_REGS * PENDING_ROW_BYTES / 8],
             epoch: (0, 0, 0),
             stats: NativeStats::default(),
@@ -313,8 +334,7 @@ impl NativeTier {
         let (_, mem_len, _) = mem.jit_view();
         let opts = CompileOpts {
             fetch_addrs: self.access_log.is_some().then_some(&code.vliw_addrs[..]),
-            instr_line_shift: self.line_shifts.0,
-            data_line_shift: self.line_shifts.1,
+            ..self.l0
         };
         match self.jit.compile(&code.packed, entry, page_size, mem_len, Memory::page_shift(), opts)
         {
@@ -413,15 +433,20 @@ impl NativeTier {
         self.ctx.access_base =
             self.access_log.as_ref().map_or(std::ptr::null_mut(), |log| log.base());
         if self.access_log.is_some() {
-            self.ctx.fetch_mru = cache.l0_mru_line(Side::Instr);
-            self.ctx.data_mru = cache.l0_mru_line(Side::Data);
+            for (shadow, side) in self.lines.iter_mut().zip(SIDES) {
+                shadow.copy_from_slice(cache.l0_lines(side));
+            }
         }
+        let [fetch_lines, data_lines] = &mut self.lines;
+        self.ctx.fetch_lines = fetch_lines.as_mut_ptr();
+        self.ctx.data_lines = data_lines.as_mut_ptr();
         // SAFETY: every pointer set above is valid for the run — vals
         // is the register file's fixed array, mem/translated never
         // reallocate, the log holds LOG_CAPACITY bytes, the access log
         // (when groups log) ACCESS_LOG_CAPACITY entries under the
-        // budget just set, and `cg` was compiled by this tier's own
-        // `Jit` into its sealed arena.
+        // budget just set, each line table one entry per set of the
+        // geometry compiled into every group, and `cg` was compiled by
+        // this tier's own `Jit` into its sealed arena.
         unsafe { self.jit.run(&mut self.ctx, cg) };
         self.replay_probes(cache, stats);
 
@@ -455,7 +480,11 @@ impl NativeTier {
             EXIT_INDIRECT => NativeRun::Done {
                 exit: GroupExit::Indirect {
                     target: self.ctx.exit_a,
-                    via: if self.ctx.exit_b == 0 { IndirectVia::Lr } else { IndirectVia::Ctr },
+                    via: match self.ctx.exit_b {
+                        VIA_LR => IndirectVia::Lr,
+                        VIA_CTR => IndirectVia::Ctr,
+                        via => unreachable!("indirect exit with via {via}"),
+                    },
                 },
                 final_entry,
                 final_code,
@@ -535,18 +564,25 @@ impl NativeTier {
     }
 
     /// Replays the run's access log through `cache`, in the packed
-    /// engine's probe order, then the level-0 MRU hits compiled code
-    /// counted instead of logging, adding the stall cycles and level-0
-    /// miss counts the packed engine would have added. The hits can
-    /// come last: each only counts a level-0 access, which no other
-    /// probe observes. A no-op under an infinite cache (the log is
-    /// empty and nothing was written).
+    /// engine's probe order, then the level-0 hits compiled code left
+    /// out of the log, adding the stall cycles and level-0 miss counts
+    /// the packed engine would have added. Every VLIW, load and store
+    /// of the run made one probe, so the hits are the run's `vliws`
+    /// less its logged fetches, and its `loads + stores` less its
+    /// logged data probes. They can come last: each only counts a
+    /// level-0 access, which no other probe observes. A no-op under an
+    /// infinite cache (the log is empty and nothing was written).
     fn replay_probes(&self, cache: &mut Hierarchy, stats: &mut RunStats) {
         let Some(log) = &self.access_log else { return };
-        for &e in log.written(self.ctx.access_end) {
+        let written = log.written(self.ctx.access_end);
+        let mut fetches = 0;
+        for &e in written {
             let addr = e as u32;
             match (e >> 32) as u32 {
-                PROBE_FETCH => stats.stall_cycles += u64::from(cache.access_instr(addr).penalty),
+                PROBE_FETCH => {
+                    fetches += 1;
+                    stats.stall_cycles += u64::from(cache.access_instr(addr).penalty);
+                }
                 kind => {
                     let acc = cache.access_data(addr);
                     if acc.l0_miss {
@@ -560,8 +596,14 @@ impl NativeTier {
                 }
             }
         }
-        stats.stall_cycles += cache.add_l0_mru_hits(Side::Instr, self.ctx.fetch_mru_hits)
-            + cache.add_l0_mru_hits(Side::Data, self.ctx.data_mru_hits);
+        let data = written.len() as u64 - fetches;
+        stats.stall_cycles += cache.add_l0_mru_hits(Side::Instr, self.ctx.vliws - fetches)
+            + cache.add_l0_mru_hits(Side::Data, self.ctx.loads + self.ctx.stores - data);
+        // Compiled code updated its copy of each line table exactly as
+        // the replay updated the model's.
+        for (shadow, side) in self.lines.iter().zip(SIDES) {
+            debug_assert_eq!(shadow[..], *cache.l0_lines(side), "{side:?} line table");
+        }
     }
 }
 

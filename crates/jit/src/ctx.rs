@@ -11,7 +11,12 @@
 //! `vliws`, `loads`, `stores`) live in host registers r8–r11 while
 //! compiled code runs: the thunk loads them from the block and the
 //! shared epilogue, which every exit reaches, stores them back. The
-//! rest take one `inc qword [rbx+OFF]` each.
+//! rest take one `inc qword [rbx+OFF]` each. Under a finite cache the
+//! block also points at the dispatcher's copies of the two level-0
+//! line tables (`fetch_lines`, `data_lines`): compiled code reads and
+//! updates them but counts no hits, since every probe follows the
+//! `vliws`, `loads` or `stores` increment of its fetch, load or store,
+//! and the dispatcher derives the hits from those counts.
 
 use core::mem::offset_of;
 
@@ -20,6 +25,11 @@ pub const EXIT_BRANCH: u32 = 0;
 pub const EXIT_INDIRECT: u32 = 1;
 pub const EXIT_INTERP: u32 = 2;
 pub const EXIT_BAIL: u32 = 3;
+
+/// [`JitCtx::exit_b`] of an [`EXIT_INDIRECT`] exit: which register
+/// the target came from. The dispatcher rejects any other value.
+pub const VIA_LR: u32 = 0;
+pub const VIA_CTR: u32 = 1;
 
 /// Access-log entry kinds. Each entry is one `u64`: the probed address
 /// in the low 32 bits, the kind in the high 32 bits.
@@ -65,7 +75,7 @@ pub struct JitCtx {
     /// Branch: exit target. Indirect: computed target. Interp: addr.
     /// Bail: unused.
     pub exit_a: u32,
-    /// Branch: exit slot. Indirect: via discriminant (0=Lr, 1=Ctr).
+    /// Branch: exit slot. Indirect: [`VIA_LR`] or [`VIA_CTR`].
     /// Bail: bail-site id.
     pub exit_b: u32,
     /// `last_base` dedup register at exit (written from `r15d`).
@@ -100,18 +110,15 @@ pub struct JitCtx {
     pub access_base: *mut u64,
     /// Access-log cursor at exit (written from `rbp` by the epilogue).
     pub access_end: *mut u64,
-    /// Line address of the instruction side's last probe, tracked by
-    /// groups compiled with an instruction line shift: a fetch of this
-    /// line is counted in `fetch_mru_hits` instead of logged, and every
-    /// other fetch is logged and becomes the tracked line. The
-    /// dispatcher seeds it from the cache model before each run.
-    pub fetch_mru: u64,
-    /// `fetch_mru` for loads and stores, under the data line shift.
-    pub data_mru: u64,
-    /// Fetches of `fetch_mru` made by the run (not logged).
-    pub fetch_mru_hits: u64,
-    /// Loads and stores of `data_mru` made by the run (not logged).
-    pub data_mru_hits: u64,
+    /// Base of the instruction side's line table: one `u64` per set
+    /// of its private level 0, the line address probed last in that
+    /// set. Groups compiled with an instruction line shift read it: a
+    /// fetch of its set's line is not logged, and every other fetch is
+    /// logged and becomes its set's line. The dispatcher fills the
+    /// table from the cache model before each run.
+    pub fetch_lines: *mut u64,
+    /// `fetch_lines` for loads and stores, under the data geometry.
+    pub data_lines: *mut u64,
 }
 
 pub const OFF_VALS: i32 = offset_of!(JitCtx, vals) as i32;
@@ -140,10 +147,8 @@ pub const OFF_CROSSPAGE_VIA_LR: i32 = offset_of!(JitCtx, crosspage_via_lr) as i3
 pub const OFF_CROSSPAGE_VIA_CTR: i32 = offset_of!(JitCtx, crosspage_via_ctr) as i32;
 pub const OFF_ACCESS_BASE: i32 = offset_of!(JitCtx, access_base) as i32;
 pub const OFF_ACCESS_END: i32 = offset_of!(JitCtx, access_end) as i32;
-pub const OFF_FETCH_MRU: i32 = offset_of!(JitCtx, fetch_mru) as i32;
-pub const OFF_DATA_MRU: i32 = offset_of!(JitCtx, data_mru) as i32;
-pub const OFF_FETCH_MRU_HITS: i32 = offset_of!(JitCtx, fetch_mru_hits) as i32;
-pub const OFF_DATA_MRU_HITS: i32 = offset_of!(JitCtx, data_mru_hits) as i32;
+pub const OFF_FETCH_LINES: i32 = offset_of!(JitCtx, fetch_lines) as i32;
+pub const OFF_DATA_LINES: i32 = offset_of!(JitCtx, data_lines) as i32;
 
 impl JitCtx {
     /// A zeroed context with dangling (never-dereferenced-as-is)
@@ -178,10 +183,8 @@ impl JitCtx {
             crosspage_via_ctr: 0,
             access_base: std::ptr::null_mut(),
             access_end: std::ptr::null_mut(),
-            fetch_mru: u64::MAX,
-            data_mru: u64::MAX,
-            fetch_mru_hits: 0,
-            data_mru_hits: 0,
+            fetch_lines: std::ptr::null_mut(),
+            data_lines: std::ptr::null_mut(),
         }
     }
 
@@ -206,12 +209,9 @@ impl JitCtx {
         self.crosspage_via_lr = 0;
         self.crosspage_via_ctr = 0;
         self.access_end = std::ptr::null_mut();
-        self.fetch_mru_hits = 0;
-        self.data_mru_hits = 0;
         // `pending_gen` is deliberately *not* reset: row validity is
         // "gen matches the current value", and monotonicity guarantees
-        // zeroed rows (gen 0) can never become valid again. The
-        // tracked MRU lines are the caller's to seed.
+        // zeroed rows (gen 0) can never become valid again.
     }
 }
 

@@ -139,7 +139,7 @@ impl IbtcTable {
 }
 
 /// Per-compilation options: the cache model's fetch addresses and
-/// level-0 line sizes.
+/// level-0 geometry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileOpts<'a> {
     /// Translated-code address of each VLIW (one per VLIW of the
@@ -148,12 +148,17 @@ pub struct CompileOpts<'a> {
     /// (the default) emits no log stores.
     pub fetch_addrs: Option<&'a [u32]>,
     /// log2 of the line size of the instruction side's private level
-    /// 0. With `fetch_addrs`, a fetch of the line in
-    /// [`JitCtx::fetch_mru`] bumps [`JitCtx::fetch_mru_hits`] instead
-    /// of being logged. `None` logs every fetch.
+    /// 0. With `fetch_addrs`, a fetch of the line its set holds in
+    /// [`JitCtx::fetch_lines`] is not logged. `None` logs every fetch.
     pub instr_line_shift: Option<u32>,
-    /// The same for loads and stores, against [`JitCtx::data_mru`].
+    /// `sets - 1` of the instruction side's private level 0: a line's
+    /// entry in [`JitCtx::fetch_lines`] is `line & instr_set_mask`.
+    pub instr_set_mask: u32,
+    /// The line shift for loads and stores, against
+    /// [`JitCtx::data_lines`].
     pub data_line_shift: Option<u32>,
+    /// The set mask for loads and stores.
+    pub data_set_mask: u32,
 }
 
 /// Allocator for *alive bytes*: one byte per compiled group, flipped

@@ -38,19 +38,23 @@
 //! chained groups and inline indirect-cache hits: the entry thunk
 //! loads them from the context block and the shared epilogue, which
 //! every exit, bail and stub reaches, stores them back. The other
-//! counters (histogram, chain and locality counts, MRU hits) stay in
-//! the block.
+//! counters (histogram, chain and locality counts) stay in the block.
 //!
 //! Under a finite cache model the lowerer is given each VLIW's
 //! translated-code address, and compiled code appends every probe the
 //! packed engine would make to the access log: the VLIW's fetch at its
 //! start, then each completed load or store in parcel order. The
 //! dispatcher replays the log through the cache model when the run
-//! returns. A side whose private level-0 line size is given tracks
-//! that level's most recently used line in the context block: a probe
-//! of that line only bumps a hit counter (it cannot change the cache's
-//! state), and every other probe is logged and becomes the tracked
-//! line. Without fetch addresses no log store is emitted.
+//! returns. A side whose private level-0 geometry is given (line shift
+//! and set mask) compares each probe with the line its set probed last,
+//! in a per-set table the dispatcher fills before the run: such a probe
+//! cannot change the cache's state and is not logged; every other
+//! probe is logged and becomes its set's line. A fetch's set is a
+//! compile-time constant. The probe keeps no hit count either: every
+//! fetch follows an `inc r9`, every load probe an `inc r10` and every
+//! store probe an `inc r11`, so the replay derives the unlogged hits
+//! from those counters. Without fetch addresses no log store is
+//! emitted.
 
 use crate::asm::{
     Asm, Label, Mem, CC_A, CC_AE, CC_B, CC_C, CC_E, CC_G, CC_L, CC_NE, R10, R11, R12, R13, R14,
@@ -58,10 +62,10 @@ use crate::asm::{
 };
 use crate::ctx::{
     EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, OFF_BUDGET, OFF_CHAINED, OFF_CROSSPAGE,
-    OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_MRU, OFF_DATA_MRU_HITS,
-    OFF_EXIT_A, OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS, OFF_HISTOGRAM,
-    OFF_ICACHE_HITS, OFF_LOG_BASE, OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, PROBE_FETCH,
-    PROBE_LOAD, PROBE_STORE,
+    OFF_CROSSPAGE_VIA_CTR, OFF_CROSSPAGE_VIA_LR, OFF_CUR_GROUP, OFF_DATA_LINES, OFF_EXIT_A,
+    OFF_EXIT_B, OFF_EXIT_KIND, OFF_FETCH_LINES, OFF_HISTOGRAM, OFF_ICACHE_HITS, OFF_LOG_BASE,
+    OFF_ONPAGE, OFF_PENDING_BASE, OFF_PENDING_GEN, PROBE_FETCH, PROBE_LOAD, PROBE_STORE, VIA_CTR,
+    VIA_LR,
 };
 use crate::CompileOpts;
 use daisy_vliw::op::{CrOp, MemWidth, OpKind, Operation};
@@ -523,8 +527,8 @@ impl<'a> Emitter<'a> {
                 self.a.mov_m_r32(ctx(OFF_EXIT_A), RAX);
                 self.a.mov_m32_imm(ctx(OFF_EXIT_KIND), EXIT_INDIRECT);
                 let via_code = match via {
-                    IndirectVia::Lr => 0,
-                    IndirectVia::Ctr => 1,
+                    IndirectVia::Lr => VIA_LR,
+                    IndirectVia::Ctr => VIA_CTR,
                 };
                 self.a.mov_m32_imm(ctx(OFF_EXIT_B), via_code);
                 self.a.jmp_abs(self.p.epilogue);
@@ -538,37 +542,46 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// One cache probe. When the probe's side has a level-0 line shift
-    /// and the probe falls in the tracked line, it bumps the side's hit
-    /// counter; any other probe becomes the tracked line and is logged.
-    /// The address is the constant `addr`, or ecx (the effective
-    /// address of the load or store just completed) when `None`.
-    /// Clobbers rdx only, so a load's value survives in eax.
+    /// One cache probe. When the probe's side has a level-0 line shift,
+    /// the line is compared with the one its set probed last (the
+    /// side's line table, one `u64` per set): a match is not logged,
+    /// since the replay derives those hits from the VLIW, load and
+    /// store counts, and any other line becomes its set's line and is
+    /// logged. The address is the constant `addr`, whose set is then
+    /// known here, or ecx (the effective address of the load or store
+    /// just completed) when `None`. Clobbers rdx, rsi and rdi only, so
+    /// a load's value survives in eax and its address in ecx.
     fn probe(&mut self, kind: u32, addr: Option<u32>) {
-        let (shift, mru, hits) = if kind == PROBE_FETCH {
-            (self.opts.instr_line_shift, OFF_FETCH_MRU, OFF_FETCH_MRU_HITS)
+        let (shift, set_mask, lines) = if kind == PROBE_FETCH {
+            (self.opts.instr_line_shift, self.opts.instr_set_mask, OFF_FETCH_LINES)
         } else {
-            (self.opts.data_line_shift, OFF_DATA_MRU, OFF_DATA_MRU_HITS)
+            (self.opts.data_line_shift, self.opts.data_set_mask, OFF_DATA_LINES)
         };
         let Some(shift) = shift else { return self.log_probe(kind, addr) };
-        // The line into edx, zero-extended to rdx: the tracked line is
-        // a u64 whose "none yet" value no line address equals.
-        match addr {
-            Some(addr) => self.a.mov_r32_imm(RDX, addr >> shift),
+        // The line into edx, zero-extended to rdx (an unprobed set
+        // holds a u64 no line address equals), and its set's entry.
+        self.a.mov_r64_m(RDI, ctx(lines));
+        let entry = match addr {
+            Some(addr) => {
+                let line = addr >> shift;
+                self.a.mov_r32_imm(RDX, line);
+                Mem::base_disp(RDI, 8 * (line & set_mask) as i32)
+            }
             None => {
                 self.a.mov_rr32(RDX, RCX);
                 if shift != 0 {
                     self.a.shr_r32_imm(RDX, shift as u8);
                 }
+                self.a.mov_rr32(RSI, RDX);
+                self.a.and_r32_imm(RSI, set_mask as i32);
+                self.a.shl_r32_imm(RSI, 3);
+                Mem::base_index(RDI, RSI)
             }
-        }
-        let (miss, join) = (self.a.label(), self.a.label());
-        self.a.cmp_r64_m(RDX, ctx(mru));
-        self.a.jcc(CC_NE, miss);
-        self.a.inc_m64(ctx(hits));
-        self.a.jmp(join);
-        self.a.bind(miss);
-        self.a.mov_m_r64(ctx(mru), RDX);
+        };
+        let join = self.a.label();
+        self.a.cmp_r64_m(RDX, entry);
+        self.a.jcc(CC_E, join);
+        self.a.mov_m_r64(entry, RDX);
         self.log_probe(kind, addr);
         self.a.bind(join);
     }

@@ -5,6 +5,7 @@
 //! the core crate's native≡packed property tests compare at scale.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
+use daisy_cachesim::{CacheConfig, Hierarchy, Side};
 use daisy_jit::ctx::{JitCtx, EXIT_BAIL, EXIT_BRANCH, PROBE_FETCH, PROBE_LOAD, PROBE_STORE};
 use daisy_jit::lower::{Refusal, MAX_VLIW_MEM_PARCELS};
 use daisy_jit::{
@@ -26,6 +27,7 @@ struct Harness {
     translated: Vec<u8>,
     log: Vec<u8>,
     access: Vec<u64>,
+    pending: Vec<u64>,
     ctx: JitCtx,
 }
 
@@ -37,6 +39,8 @@ impl Harness {
             translated: vec![0u8; MEM_LEN >> 12],
             log: vec![0u8; LOG_CAPACITY],
             access: vec![0u64; ACCESS_LOG_CAPACITY],
+            // Bypassed-load rows: 32 bytes per register.
+            pending: vec![0u64; 80 * 4],
             ctx: JitCtx::new(),
         }
     }
@@ -48,6 +52,7 @@ impl Harness {
         self.ctx.translated_base = self.translated.as_ptr();
         self.ctx.log_base = self.log.as_mut_ptr();
         self.ctx.access_base = self.access.as_mut_ptr();
+        self.ctx.pending_base = self.pending.as_mut_ptr() as *mut u8;
         self.ctx.budget_vliws = budget;
         unsafe { jit.run(&mut self.ctx, group) };
     }
@@ -559,76 +564,164 @@ fn backward_next_is_never_lowered() {
     compile(&jit, &g, 0x1000);
 }
 
-/// With level-0 line shifts, a probe of the line its side probed last
-/// only bumps that side's hit counter; every other probe is logged and
-/// becomes the tracked line. Three VLIWs: the first two share a
-/// 256-byte fetch line, and the loads and stores revisit two 16-byte
-/// data lines. Loads still deliver their values.
+/// Under a level-0 geometry, a probe of the line its set probed last is
+/// left out of the log, and every other probe is logged and becomes its
+/// set's line in the side's table. The I side is direct-mapped with
+/// four 64-byte sets, the D side 2-way with four 16-byte sets. The
+/// fetches visit set 0, set 1, then set 0's line again. The data probes
+/// are A, B (another set), A again, then C (A's set), then A, which is
+/// still resident but no longer its set's last line. Replaying the log
+/// and then the hits derived from the counters leaves the cache model
+/// as the packed engine's probes one by one would, with the same line
+/// tables. Loads still deliver their values, and a bypassed load still
+/// records its address and value.
 #[test]
-fn mru_probes_are_counted_and_every_other_probe_is_logged() {
+fn probes_of_a_sets_last_line_are_left_out_of_the_log() {
     const ENTRY: u32 = 0x1000;
+    let hierarchy = || {
+        Hierarchy::new(
+            vec![CacheConfig::new("I", 256, 1, 64, 0)],
+            vec![CacheConfig::new("D", 128, 2, 16, 1)],
+            vec![CacheConfig::new("S", 1024, 4, 64, 5)],
+            20,
+        )
+    };
+    let (a, b, c) = (0x100u32, 0x110, 0x140);
+    let fetch = [0x8000_0000u32, 0x8000_0040, 0x8000_0010];
     let jit = Jit::new(1 << 20).expect("host supports the native tier");
     let mut g = Group::new(ENTRY);
     let (v1, v2) = (g.push_vliw(ENTRY + 0x20), g.push_vliw(ENTRY + 0x40));
     let v = &mut g.vliws[0];
-    v.add_op(ROOT, load(ENTRY, 10, 2, 0)); // 0x100: new line
-    v.add_op(ROOT, load(ENTRY + 4, 11, 2, 4)); // 0x104: hit
-    v.add_op(ROOT, store(ENTRY + 8, 1, 2, 8)); // 0x108: hit
+    let mut bypassed = load(ENTRY, 10, 2, 0); // A
+    bypassed.bypassed_store = true;
+    v.add_op(ROOT, bypassed);
+    v.add_op(ROOT, load(ENTRY + 4, 11, 2, 0x10)); // B
     v.seal(ROOT, Exit::Goto(v1));
     let v = &mut g.vliws[v1.0 as usize];
-    v.add_op(ROOT, load(ENTRY + 0x20, 12, 2, 0x300)); // 0x400: new line
-    v.add_op(ROOT, store(ENTRY + 0x24, 1, 2, 0x304)); // 0x404: hit
+    v.add_op(ROOT, store(ENTRY + 0x20, 1, 2, 4)); // A
+    v.add_op(ROOT, load(ENTRY + 0x24, 12, 2, 0x40)); // C
     v.seal(ROOT, Exit::Goto(v2));
     let v = &mut g.vliws[v2.0 as usize];
-    v.add_op(ROOT, load(ENTRY + 0x40, 13, 2, 0x30C)); // 0x40C: hit
+    v.add_op(ROOT, load(ENTRY + 0x40, 13, 2, 8)); // A
     v.seal(ROOT, Exit::Branch { target: 0x2000 });
     let p = PackedGroup::lower(&g);
-    // VLIWs 0 and 1 share fetch line 0x80_0000; VLIW 2 is on the next.
-    let fetch = [0x8000_0000, 0x8000_0040, 0x8000_0100];
+    let model = hierarchy();
     let opts = CompileOpts {
         fetch_addrs: Some(&fetch),
-        instr_line_shift: Some(8),
-        data_line_shift: Some(4),
+        instr_line_shift: model.l0_line_shift(Side::Instr),
+        instr_set_mask: model.l0_set_mask(Side::Instr).expect("private I level"),
+        data_line_shift: model.l0_line_shift(Side::Data),
+        data_set_mask: model.l0_set_mask(Side::Data).expect("private D level"),
     };
     let cg = jit.compile(&p, ENTRY, PAGE, MEM_LEN as u32, 12, opts).expect("group lowers");
+    // The packed engine's probes, one by one, for one run.
+    let per_run = [
+        (true, fetch[0]),
+        (false, a),
+        (false, b),
+        (true, fetch[1]),
+        (false, a + 4),
+        (false, c),
+        (true, fetch[2]),
+        (false, a + 8),
+    ];
 
     let mut h = Harness::new();
     h.vals[1] = 0xDEAD_BEEF;
-    h.vals[2] = 0x100;
-    for (i, w) in [0x1122_3344u32, 0x5566_7788].iter().enumerate() {
-        h.mem[0x100 + 4 * i..][..4].copy_from_slice(&w.to_be_bytes());
+    h.vals[2] = a;
+    for (at, w) in [(a, 0x1122_3344u32), (b, 0x5566_7788), (c, 0x99AA_BBCC), (a + 8, 0x0BAD_F00D)] {
+        h.mem[at as usize..][..4].copy_from_slice(&w.to_be_bytes());
     }
-    h.mem[0x40C..0x410].copy_from_slice(&0x99AA_BBCCu32.to_be_bytes());
     let entry = |addr: u32, kind: u32| u64::from(addr) | u64::from(kind) << 32;
+    let (mut split, mut each) = (hierarchy(), hierarchy());
+    let (mut split_penalty, mut each_penalty) = (0u64, 0u64);
+    let run = |h: &mut Harness, split: &Hierarchy| {
+        // The tier's copies of the line tables, filled from the model.
+        let mut lines = [Side::Instr, Side::Data].map(|side| split.l0_lines(side).to_vec());
+        h.ctx.fetch_lines = lines[0].as_mut_ptr();
+        h.ctx.data_lines = lines[1].as_mut_ptr();
+        h.run(&jit, &cg, u64::MAX);
+        assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
+        assert_eq!((h.ctx.vliws, h.ctx.loads, h.ctx.stores), (3, 4, 1));
+        lines
+    };
 
-    // Cold: nothing tracked yet, so each side's first probe is logged.
-    h.run(&jit, &cg, u64::MAX);
-    assert_eq!(h.ctx.exit_kind, EXIT_BRANCH);
-    assert_eq!((h.vals[10], h.vals[11], h.vals[13]), (0x1122_3344, 0x5566_7788, 0x99AA_BBCC));
-    assert_eq!(h.mem[0x404..0x408], 0xDEAD_BEEFu32.to_be_bytes());
+    // Cold: every set is unprobed, so only the repeats are left out.
+    let lines = run(&mut h, &split);
+    assert_eq!((h.vals[10], h.vals[11], h.vals[12]), (0x1122_3344, 0x5566_7788, 0x99AA_BBCC));
+    assert_eq!(h.vals[13], 0x0BAD_F00D);
+    assert_eq!(h.mem[0x104..0x108], 0xDEAD_BEEFu32.to_be_bytes());
+    let row = &h.pending[10 * 4..][..2];
+    assert_eq!(row, [h.ctx.pending_gen, u64::from(a) | 0x1122_3344 << 32], "bypassed row");
+    let log = &h.access[..h.access_len()];
     assert_eq!(
-        &h.access[..h.access_len()],
-        &[
-            entry(0x8000_0000, PROBE_FETCH),
-            entry(0x100, PROBE_LOAD),
-            entry(0x400, PROBE_LOAD),
-            entry(0x8000_0100, PROBE_FETCH),
+        log,
+        [
+            entry(fetch[0], PROBE_FETCH),
+            entry(a, PROBE_LOAD),
+            entry(b, PROBE_LOAD),
+            entry(fetch[1], PROBE_FETCH),
+            entry(c, PROBE_LOAD),
+            entry(a + 8, PROBE_LOAD),
         ]
     );
-    assert_eq!((h.ctx.fetch_mru_hits, h.ctx.data_mru_hits), (1, 4));
-    assert_eq!((h.ctx.fetch_mru, h.ctx.data_mru), (0x80_0001, 0x40));
-    let probes = h.ctx.vliws + h.ctx.loads + h.ctx.stores;
-    assert_eq!(h.access_len() as u64 + h.ctx.fetch_mru_hits + h.ctx.data_mru_hits, probes);
+    const NO_LINE: u64 = u64::MAX;
+    let (i0, i1) = (u64::from(fetch[0] >> 6), u64::from(fetch[1] >> 6));
+    let (la, lb) = (u64::from(a >> 4), u64::from(b >> 4));
+    assert_eq!(lines[0], [i0, i1, NO_LINE, NO_LINE]);
+    assert_eq!(lines[1], [la, lb, NO_LINE, NO_LINE]);
 
-    // Seeded with the lines the group starts on, those probes hit too.
-    h.ctx.fetch_mru = 0x80_0000;
-    h.ctx.data_mru = 0x10;
-    h.run(&jit, &cg, u64::MAX);
-    assert_eq!(
-        &h.access[..h.access_len()],
-        &[entry(0x400, PROBE_LOAD), entry(0x8000_0100, PROBE_FETCH)]
-    );
-    assert_eq!((h.ctx.fetch_mru_hits, h.ctx.data_mru_hits), (2, 5));
+    // Replayed as the tier replays it, the log and the derived hits
+    // match the probes one by one, and the model's tables end equal to
+    // the copies compiled code updated.
+    assert_eq!(replay(&h, &lines, &mut split, &mut split_penalty), [1, 1]);
+    for &(instr, at) in &per_run {
+        each_penalty += probe(&mut each, instr, at);
+    }
+    assert_eq!(split.level_stats(), each.level_stats());
+    assert_eq!(split_penalty, each_penalty);
+
+    // Seeded from the model, the next run logs only C and A: every
+    // other line is its set's last.
+    let lines = run(&mut h, &split);
+    assert_eq!(&h.access[..h.access_len()], [entry(c, PROBE_LOAD), entry(a + 8, PROBE_LOAD)]);
+    assert_eq!(replay(&h, &lines, &mut split, &mut split_penalty), [3, 3]);
+    for &(instr, at) in &per_run {
+        each_penalty += probe(&mut each, instr, at);
+    }
+    assert_eq!(split.level_stats(), each.level_stats());
+    assert_eq!(split_penalty, each_penalty);
+}
+
+/// One probe of `model`'s instruction or data side; returns its penalty.
+fn probe(model: &mut Hierarchy, instr: bool, addr: u32) -> u64 {
+    let acc = if instr { model.access_instr(addr) } else { model.access_data(addr) };
+    u64::from(acc.penalty)
+}
+
+/// Replays the last run's access log through `model` as the native tier
+/// does, then the hits left out of it, derived from the run's counters,
+/// adding the penalties to `penalty`. Checks that `model`'s line tables
+/// end equal to `lines`, the copies the run updated, and returns the
+/// derived `[fetch, data]` hits.
+fn replay(
+    h: &Harness,
+    lines: &[Vec<u64>; 2],
+    model: &mut Hierarchy,
+    penalty: &mut u64,
+) -> [u64; 2] {
+    let log = &h.access[..h.access_len()];
+    let fetches = log.iter().filter(|&&e| (e >> 32) as u32 == PROBE_FETCH).count() as u64;
+    let data = log.len() as u64 - fetches;
+    for &e in log {
+        *penalty += probe(model, (e >> 32) as u32 == PROBE_FETCH, e as u32);
+    }
+    let hits = [h.ctx.vliws - fetches, h.ctx.loads + h.ctx.stores - data];
+    for ((side, n), table) in [Side::Instr, Side::Data].into_iter().zip(hits).zip(lines) {
+        *penalty += model.add_l0_mru_hits(side, n);
+        assert_eq!(table[..], *model.l0_lines(side), "{side:?} line table");
+    }
+    hits
 }
 
 /// One memory parcel past the bound refuses the group when it would
