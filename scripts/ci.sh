@@ -37,8 +37,9 @@ cargo test --workspace --doc
 # Member-crate tests: tier-1 (`cargo test` at the root) runs only the
 # root package's tests, so the crates' own suites run here — among
 # them the JIT's hand-built-group tests (crates/jit/tests/exec.rs),
-# the cache model's proptests and the core's unit tests.
-cargo test -q --workspace --exclude daisy-repro
+# the cache model's proptests and the core's unit tests. The doctests
+# ran in the step above, so this one leaves them out.
+cargo test -q --workspace --exclude daisy-repro --lib --bins --tests
 
 # Docs link check: every relative markdown link in README.md and
 # docs/*.md must point at an existing file, and every #anchor at a
