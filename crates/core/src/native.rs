@@ -432,10 +432,8 @@ impl NativeTier {
         self.ctx.budget_vliws = ACCESS_LOG_VLIW_BUDGET;
         self.ctx.access_base =
             self.access_log.as_ref().map_or(std::ptr::null_mut(), |log| log.base());
-        if self.access_log.is_some() {
-            for (shadow, side) in self.lines.iter_mut().zip(SIDES) {
-                shadow.copy_from_slice(cache.l0_lines(side));
-            }
+        for (shadow, side) in self.lines.iter_mut().zip(SIDES) {
+            shadow.copy_from_slice(cache.l0_lines(side));
         }
         let [fetch_lines, data_lines] = &mut self.lines;
         self.ctx.fetch_lines = fetch_lines.as_mut_ptr();
