@@ -1,35 +1,39 @@
 //! `health` — periodic metrics snapshots over the workload suite.
 //!
 //! ```text
-//! health [--mode packed|native] [--interval N] [--watch]
-//!        [--out FILE] [--prom FILE] [WORKLOAD ...]
+//! health [--interval N] [--watch] [--out FILE] [--prom FILE]
+//!        [WORKLOAD ...]
 //!
-//!   --mode MODE      execution tier: packed (default), native
 //!   --interval N     dispatch boundaries between snapshots
 //!                    (default 4096)
 //!   --watch          print a delta line per snapshot while running
 //!   --out FILE       write the JSON health document here
 //!                    (default BENCH_health.json)
 //!   --prom FILE      also write Prometheus text exposition with one
-//!                    labelled series per workload
+//!                    labelled series per configuration and
+//!                    workload
 //!   WORKLOAD         workload names (default: all nine)
 //! ```
 //!
-//! Each workload runs to completion one dispatch boundary at a time,
+//! Each workload runs under four configurations: `packed` (the packed
+//! engine alone) and `daisybench`'s `native_suite`, `sim_suite` and
+//! `code_thrash`. Each run goes to completion one dispatch boundary at
+//! a time,
 //! snapshotting every `--interval` boundaries and at the last one. The
-//! last snapshot per workload lands in the JSON document (and the
+//! last snapshot per run lands in the JSON document (and the
 //! optional Prometheus file); `--watch` additionally prints the
 //! snapshot-over-snapshot deltas as they happen — the live-health
 //! view. Results are checked: a workload that computes a wrong answer
-//! aborts the run.
+//! aborts the run, and so does a `native_suite` run that executes a
+//! different number of VLIWs or retires a different number of
+//! instructions than the `packed` one.
 
 use daisy::metrics::{prometheus_text, Counter, Gauge};
 use daisy::prelude::*;
-use daisy_bench::health::{health_json, run_health, Mode};
+use daisy_bench::health::{health_json, run_health};
 use daisy_bench::reporting::resolve_workloads;
 
 struct Options {
-    mode: Mode,
     interval: u64,
     watch: bool,
     out: String,
@@ -39,7 +43,6 @@ struct Options {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        mode: Mode::Packed,
         interval: 4096,
         watch: false,
         out: "BENCH_health.json".to_owned(),
@@ -49,11 +52,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--mode" => {
-                let v = args.next().expect("--mode needs a value");
-                opts.mode = Mode::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown mode: {v} (expected packed|native)"));
-            }
             "--interval" => {
                 opts.interval = args
                     .next()
@@ -67,8 +65,7 @@ fn parse_args() -> Options {
             "--prom" => opts.prom = Some(args.next().expect("--prom needs a path")),
             "--help" | "-h" => {
                 println!(
-                    "health [--mode packed|native] [--interval N] [--watch] \
-                     [--out FILE] [--prom FILE] [WORKLOAD ...]"
+                    "health [--interval N] [--watch] [--out FILE] [--prom FILE] [WORKLOAD ...]"
                 );
                 std::process::exit(0);
             }
@@ -81,15 +78,22 @@ fn parse_args() -> Options {
 fn main() {
     let opts = parse_args();
     let workloads = resolve_workloads(&opts.workloads);
-    let mut records = Vec::new();
+    let records = run_health(&workloads, opts.interval, opts.watch);
     println!(
-        "{:>12}  {:>10}  {:>9}  {:>12}  {:>10}  {:>9}  {:>8}",
-        "workload", "boundaries", "snapshots", "retired", "dispatches", "cast_outs", "degraded"
+        "{:>12}  {:>12}  {:>10}  {:>9}  {:>12}  {:>10}  {:>9}  {:>8}",
+        "config",
+        "workload",
+        "boundaries",
+        "snapshots",
+        "retired",
+        "dispatches",
+        "cast_outs",
+        "degraded"
     );
-    for w in &workloads {
-        let r = run_health(w, opts.mode, opts.interval, opts.watch);
+    for r in &records {
         println!(
-            "{:>12}  {:>10}  {:>9}  {:>12}  {:>10}  {:>9}  {:>8}",
+            "{:>12}  {:>12}  {:>10}  {:>9}  {:>12}  {:>10}  {:>9}  {:>8}",
+            r.config,
             r.name,
             r.boundaries,
             r.snapshots,
@@ -98,14 +102,14 @@ fn main() {
             r.last.counter(Counter::CastOuts),
             r.last.gauge(Gauge::DegradedEntries),
         );
-        records.push(r);
     }
-    let json = health_json(&records, opts.mode, opts.interval);
-    std::fs::write(&opts.out, json).expect("write health JSON");
+    std::fs::write(&opts.out, health_json(&records, opts.interval)).expect("write health JSON");
     println!("wrote {}", opts.out);
     if let Some(prom_path) = &opts.prom {
-        let series: Vec<(&str, &MetricsSnapshot)> =
-            records.iter().map(|r| (r.name, &r.last)).collect();
+        let labels: Vec<[(&str, &str); 2]> =
+            records.iter().map(|r| [("config", r.config), ("workload", r.name)]).collect();
+        let series: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
+            labels.iter().zip(&records).map(|(l, r)| (&l[..], &r.last)).collect();
         std::fs::write(prom_path, prometheus_text(&series)).expect("write Prometheus text");
         println!("wrote {prom_path}");
     }

@@ -1,14 +1,14 @@
-//! `pins` — the deterministic bench documents.
+//! `pins` — the deterministic translation pin.
 //!
 //! ```text
 //! pins [--out-dir DIR]
 //!
-//!   --out-dir DIR  write the two documents here
+//!   --out-dir DIR  write the document here
 //!                  (default: the repository root)
 //! ```
 //!
-//! Writes `BENCH_engine.json` and `BENCH_translate.json`; see
-//! [`daisy_bench::pins`] for what each holds.
+//! Writes `BENCH_translate.json`; see [`daisy_bench::pins`] for what
+//! it holds.
 
 use daisy_bench::pins;
 use std::path::Path;
@@ -37,6 +37,5 @@ fn main() {
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         println!("wrote {}", path.display());
     };
-    write("BENCH_engine.json", pins::engine_json());
     write("BENCH_translate.json", pins::translate_json());
 }

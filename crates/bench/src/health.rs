@@ -1,6 +1,10 @@
 //! Plumbing for the `health` binary: checked runs stepped one dispatch
 //! boundary at a time, periodic [`DaisySystem::metrics_snapshot`]s at
-//! those boundaries, and the `BENCH_health.json` serializer.
+//! those boundaries, and the `BENCH_health.json` serializer. Every
+//! workload runs under four configurations: the packed engine alone and
+//! `daisybench`'s three, so the document pins the work counts
+//! (VLIWs, stall cycles, cast-outs, compiles) each benchmark workload
+//! does.
 //!
 //! The `report` binary answers "how well did the paper's machine do";
 //! `health` answers "what is the machine doing right now" — the
@@ -14,38 +18,32 @@ use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
 use std::fmt::Write as _;
 
-/// Execution tier for a health run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Packed-format execution (default; all hosts).
-    Packed,
-    /// Native x86-64 tier over packed (falls back off-x86-64).
-    Native,
-}
+/// Configures a fresh system's builder for one configuration.
+type Configure = fn(DaisySystemBuilder<PpcIsa>) -> DaisySystemBuilder<PpcIsa>;
 
-impl Mode {
-    /// The mode's name as it appears in flags and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Packed => "packed",
-            Mode::Native => "native",
-        }
-    }
+/// The system configurations a health document covers, by name: the
+/// packed engine alone, then `daisybench`'s three workloads (copied
+/// from its `Workload::build`). Off x86-64 the native tier declines to
+/// engage, so the last three run packed and their native rows read 0.
+const CONFIGS: [(&str, Configure); 4] = [
+    ("packed", |b| b),
+    ("native_suite", |b| b.native_execution(true)),
+    ("sim_suite", |b| b.native_execution(true).cache(Hierarchy::paper_default())),
+    ("code_thrash", |b| {
+        b.translator(TranslatorConfig { page_size: 256, ..TranslatorConfig::default() })
+            .native_execution(true)
+            .code_capacity(512)
+    }),
+];
 
-    /// Parses a `--mode` value.
-    pub fn parse(s: &str) -> Option<Mode> {
-        match s {
-            "packed" => Some(Mode::Packed),
-            "native" => Some(Mode::Native),
-            _ => None,
-        }
-    }
-}
-
-/// One workload's health record: how long it ran, how many periodic
-/// snapshots were taken, and the final (exact) snapshot.
+/// One workload's health record under one configuration: how long it
+/// ran, how many periodic snapshots were taken, and the final (exact)
+/// snapshot.
 #[derive(Debug, Clone)]
 pub struct HealthRecord {
+    /// Configuration name (`packed`, `native_suite`, `sim_suite` or
+    /// `code_thrash`).
+    pub config: &'static str,
     /// Workload name.
     pub name: &'static str,
     /// Dispatch boundaries stepped to completion.
@@ -56,15 +54,44 @@ pub struct HealthRecord {
     pub last: MetricsSnapshot,
 }
 
-/// Runs `w` to completion one dispatch boundary at a time,
-/// snapshotting every `interval` boundaries and at the last one;
-/// `watch` prints a delta line per snapshot. Asserts the workload's
-/// result check, then returns the last snapshot.
-pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> HealthRecord {
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(w.mem_size)
-        .native_execution(mode == Mode::Native)
-        .build();
+/// Runs every workload under every configuration, configuration by
+/// configuration. Asserts that the `packed` and
+/// `native_suite` runs of each workload execute as many VLIWs and
+/// retire as many instructions.
+pub fn run_health(workloads: &[Workload], interval: u64, watch: bool) -> Vec<HealthRecord> {
+    let records: Vec<HealthRecord> = CONFIGS
+        .iter()
+        .flat_map(|&(config, build)| {
+            workloads.iter().map(move |w| run_one(w, config, build, interval, watch))
+        })
+        .collect();
+    let n = workloads.len();
+    for (packed, native) in records[..n].iter().zip(&records[n..2 * n]) {
+        for c in [Counter::Vliws, Counter::RetiredInstrs] {
+            assert_eq!(
+                packed.last.counter(c),
+                native.last.counter(c),
+                "{}: native_suite disagrees with packed on {}",
+                packed.name,
+                c.name()
+            );
+        }
+    }
+    records
+}
+
+/// Runs `w` to completion on a system from `build`, one dispatch
+/// boundary at a time, snapshotting every `interval` boundaries and at
+/// the last one; `watch` prints a delta line per snapshot. Asserts the
+/// workload's result check, then returns the last snapshot.
+fn run_one(
+    w: &Workload,
+    config: &'static str,
+    build: Configure,
+    interval: u64,
+    watch: bool,
+) -> HealthRecord {
+    let mut sys = build(DaisySystem::builder().mem_size(w.mem_size)).build();
     sys.load(&w.program()).expect("workload fits in memory");
 
     let mut boundaries: u64 = 0;
@@ -80,8 +107,9 @@ pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> Healt
             if watch {
                 let d = snap.delta(&prev);
                 println!(
-                    "{:>12} b={:<8} +retired={:<8} +dispatches={:<6} +chained={:<6} \
+                    "{:>12} {:>12} b={:<8} +retired={:<8} +dispatches={:<6} +chained={:<6} \
                      +cast_outs={:<4} degraded={}",
+                    config,
                     w.name,
                     boundaries,
                     d.counter(Counter::RetiredInstrs),
@@ -96,51 +124,56 @@ pub fn run_health(w: &Workload, mode: Mode, interval: u64, watch: bool) -> Healt
         if stop.is_some() {
             break;
         }
-        assert!(sys.stats.cycles() <= budget, "{}: exceeded cycle budget", w.name);
+        assert!(sys.stats.cycles() <= budget, "{config}/{}: exceeded cycle budget", w.name);
     }
-    w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{}: check failed: {e}", w.name));
-    HealthRecord { name: w.name, boundaries, snapshots, last: sys.metrics_snapshot() }
+    w.check(&sys.cpu, &sys.mem)
+        .unwrap_or_else(|e| panic!("{config}/{}: check failed: {e}", w.name));
+    HealthRecord { config, name: w.name, boundaries, snapshots, last: sys.metrics_snapshot() }
 }
 
-/// Serializes the records as the `BENCH_health.json` document:
+/// Serializes [`run_health`]'s records as the `BENCH_health.json`
+/// document, one entry of `configs` per configuration:
 ///
 /// ```json
 /// {
-///   "schema": "daisy-health-v1",
-///   "mode": "packed",
+///   "schema": "daisy-health-v2",
 ///   "interval": 4096,
-///   "workloads": [ { "name": ..., "boundaries": ...,
-///     "snapshots": ..., "metrics": { ... } }, ... ]
+///   "configs": [
+///     {"name": "packed", "workloads": [
+///       {"name": ..., "boundaries": ..., "snapshots": ..., "metrics": { ... }},
+///       ...
+///     ]},
+///     ...
+///   ]
 /// }
 /// ```
 ///
 /// where each `metrics` object is
 /// [`MetricsSnapshot::to_json`](daisy::metrics::MetricsSnapshot::to_json).
-pub fn health_json(records: &[HealthRecord], mode: Mode, interval: u64) -> String {
-    let mut out = String::new();
-    // invariant: write! to a String cannot fail.
-    #[allow(clippy::unwrap_used)]
-    writeln!(
-        out,
-        "{{\n  \"schema\": \"daisy-health-v1\",\n  \"mode\": \"{}\",\n  \"interval\": {},\n  \
-         \"workloads\": [",
-        mode.name(),
-        interval
-    )
-    .unwrap();
-    for (i, r) in records.iter().enumerate() {
+pub fn health_json(records: &[HealthRecord], interval: u64) -> String {
+    let mut out = format!(
+        "{{\n  \"schema\": \"daisy-health-v2\",\n  \"interval\": {interval},\n  \"configs\": [\n"
+    );
+    let configs: Vec<&[HealthRecord]> = records.chunk_by(|a, b| a.config == b.config).collect();
+    for (c, group) in configs.iter().enumerate() {
         // invariant: write! to a String cannot fail.
         #[allow(clippy::unwrap_used)]
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"boundaries\": {}, \"snapshots\": {}, \"metrics\": {}}}{}",
-            r.name,
-            r.boundaries,
-            r.snapshots,
-            r.last.to_json(),
-            if i + 1 < records.len() { "," } else { "" },
-        )
-        .unwrap();
+        writeln!(out, "    {{\"name\": \"{}\", \"workloads\": [", group[0].config).unwrap();
+        for (i, r) in group.iter().enumerate() {
+            // invariant: write! to a String cannot fail.
+            #[allow(clippy::unwrap_used)]
+            writeln!(
+                out,
+                "      {{\"name\": \"{}\", \"boundaries\": {}, \"snapshots\": {}, \"metrics\": {}}}{}",
+                r.name,
+                r.boundaries,
+                r.snapshots,
+                r.last.to_json(),
+                if i + 1 < group.len() { "," } else { "" },
+            )
+            .unwrap();
+        }
+        out.push_str(if c + 1 < configs.len() { "    ]},\n" } else { "    ]}\n" });
     }
     out.push_str("  ]\n}\n");
     out

@@ -1,28 +1,20 @@
-//! The deterministic bench documents the `pins` binary writes.
+//! The deterministic translation pin the `pins` binary writes.
 //!
-//! Every figure in them is a simulated count or a digest of translator
-//! output, so a regenerated copy must match the committed one byte for
-//! byte (`scripts/ci.sh` `cmp`s them, and `tests/translate_pin.rs`
-//! checks [`translate_json`] inside the test suite). Host time is
-//! measured by `daisybench`, not here.
+//! `BENCH_translate.json` ([`translate_json`]) holds, per paper workload
+//! and translator configuration, the groups translated, their summed
+//! [`XlateCost`] and a 64-bit FNV-1a digest over an explicit byte
+//! encoding of every group. Static configurations translate every word
+//! address of the program; the interpretive one runs the workload and
+//! hashes the packed form of every live translation. Any scheduler
+//! change that moves one operand of one group changes the digest.
 //!
-//! - `BENCH_engine.json` ([`engine_json`]): per paper workload, the
-//!   native tier's `vliws_executed` and `vliws_native`, its coverage
-//!   (the fraction of tree instructions executed as compiled x86-64)
-//!   and its refusals by kind. Each workload's result is checked, and
-//!   the packed engine must execute exactly as many VLIWs. On hosts
-//!   without native support the tier falls back to packed execution
-//!   and the native column reads zero.
-//! - `BENCH_translate.json` ([`translate_json`]): per paper workload
-//!   and translator configuration, the groups translated, their summed
-//!   [`XlateCost`] and a 64-bit FNV-1a digest over an explicit byte
-//!   encoding of every group. Static configurations translate every
-//!   word address of the program; the interpretive one runs the
-//!   workload and hashes the packed form of every live translation.
-//!   Any scheduler change that moves one operand of one group changes
-//!   the digest.
+//! Every figure is a simulated count or a digest, so a regenerated copy
+//! must match the committed one byte for byte (`scripts/ci.sh` `cmp`s
+//! it, and `tests/translate_pin.rs` checks [`translate_json`] inside
+//! the test suite). The work counts of whole runs are pinned by
+//! `BENCH_health.json` (see [`crate::health`]); host time is measured
+//! by `daisybench`, not here.
 
-use daisy::native::Refusal;
 use daisy::prelude::*;
 use daisy::sched::{translate_group, XlateCost};
 use daisy_baseline::{profile, trad};
@@ -43,40 +35,6 @@ fn run(w: &Workload, builder: DaisySystemBuilder<PpcIsa>) -> DaisySystem<PpcIsa>
     sys.run(10 * w.max_instrs).expect("DAISY run");
     w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{}: wrong guest result: {e}", w.name));
     sys
-}
-
-pub fn engine_json() -> String {
-    let rows: Vec<String> = daisy_workloads::all()
-        .iter()
-        .map(|w| {
-            let packed = run(w, DaisySystem::builder());
-            let native = run(w, DaisySystem::builder().native_execution(true));
-            let vliws = native.stats.vliws_executed;
-            assert_eq!(
-                packed.stats.vliws_executed, vliws,
-                "{}: native tier disagrees on work done",
-                w.name
-            );
-            let ns = native.native_stats().unwrap_or_default();
-            let refusals = Refusal::ALL
-                .iter()
-                .map(|r| format!("\"{}\": {}", r.as_str(), ns.refusal_histogram[r.index()]))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"native\": {{\"vliws_executed\": {}, ",
-                    "\"vliws_native\": {}, \"coverage\": {:.3}, \"refusals\": {{{}}}}}}}"
-                ),
-                w.name,
-                vliws,
-                ns.vliws_native,
-                ns.vliws_native as f64 / vliws.max(1) as f64,
-                refusals
-            )
-        })
-        .collect();
-    document("engine", &rows)
 }
 
 fn document(bench: &str, rows: &[String]) -> String {

@@ -13,37 +13,43 @@ use daisy::metrics::{
     RUNG_ENTRIES_METRIC,
 };
 use daisy::prelude::*;
-use daisy_bench::health::{health_json, run_health, Mode};
+use daisy_bench::health::{health_json, run_health, HealthRecord};
 use daisy_bench::json::{parse, Json};
 
-fn two_quick_records() -> Vec<daisy_bench::health::HealthRecord> {
-    ["cmp", "hist"]
+const CONFIGS: [&str; 4] = ["packed", "native_suite", "sim_suite", "code_thrash"];
+
+fn two_quick_records() -> Vec<HealthRecord> {
+    let workloads: Vec<_> = ["cmp", "hist"]
         .iter()
-        .map(|n| {
-            let w = daisy_workloads::by_name(n).expect("known workload");
-            run_health(&w, Mode::Packed, 1024, false)
-        })
-        .collect()
+        .map(|n| daisy_workloads::by_name(n).expect("known workload"))
+        .collect();
+    run_health(&workloads, 1024, false)
 }
 
 /// Acceptance: `BENCH_health.json` parses as JSON, carries the schema
-/// tag, and each workload's metrics object holds exactly the
-/// registered counter/gauge names, all nine degradation causes, all
-/// four ladder rungs, and both histograms. Runs two real workloads —
-/// the same pair CI smokes.
+/// tag and one document per configuration, and each workload's metrics
+/// object holds exactly the registered counter/gauge names, all nine
+/// degradation causes, all four ladder rungs, and both histograms.
+/// Runs two real workloads — the same pair CI smokes.
 #[test]
 fn bench_health_json_schema_holds() {
     let records = two_quick_records();
-    let text = health_json(&records, Mode::Packed, 1024);
+    let text = health_json(&records, 1024);
     let doc = parse(&text).expect("health output must parse as JSON");
 
-    assert_eq!(doc.get("schema").and_then(Json::str), Some("daisy-health-v1"));
-    assert_eq!(doc.get("mode").and_then(Json::str), Some("packed"));
+    assert_eq!(doc.get("schema").and_then(Json::str), Some("daisy-health-v2"));
     assert_eq!(doc.get("interval").and_then(Json::num), Some(1024.0));
 
-    let workloads = doc.get("workloads").and_then(Json::arr).expect("workloads array");
-    assert_eq!(workloads.len(), 2);
-    for (entry, want_name) in workloads.iter().zip(["cmp", "hist"]) {
+    let configs = doc.get("configs").and_then(Json::arr).expect("configs array");
+    let names: Vec<_> = configs.iter().map(|c| c.get("name").and_then(Json::str)).collect();
+    assert_eq!(names, CONFIGS.map(Some));
+    let workloads: Vec<&Json> = configs
+        .iter()
+        .flat_map(|c| c.get("workloads").and_then(Json::arr).expect("workloads array"))
+        .collect();
+    assert_eq!(workloads.len(), 2 * CONFIGS.len());
+    for (entry, want_name) in workloads.into_iter().zip(["cmp", "hist"].iter().cycle()) {
+        let want_name = *want_name;
         assert_eq!(entry.get("name").and_then(Json::str), Some(want_name));
         let boundaries = entry.get("boundaries").and_then(Json::num).expect("boundaries");
         assert!(boundaries > 0.0, "{want_name}: must step at least one boundary");
@@ -91,7 +97,10 @@ fn bench_health_json_schema_holds() {
 #[test]
 fn prometheus_exposition_follows_conventions() {
     let records = two_quick_records();
-    let series: Vec<(&str, &MetricsSnapshot)> = records.iter().map(|r| (r.name, &r.last)).collect();
+    let labels: Vec<[(&str, &str); 2]> =
+        records.iter().map(|r| [("config", r.config), ("workload", r.name)]).collect();
+    let series: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
+        labels.iter().zip(&records).map(|(l, r)| (&l[..], &r.last)).collect();
     let text = prometheus_text(&series);
 
     let mut families = Vec::new();
@@ -110,7 +119,7 @@ fn prometheus_exposition_follows_conventions() {
             families.push((fam.to_owned(), ty.to_owned()));
         }
     }
-    // 39 counters + 5 gauges + the two labelled families + two
+    // Every counter and gauge + the two labelled families + two
     // histograms, each exactly once regardless of workload count.
     let expected = Counter::COUNT + Gauge::COUNT + 2 + 2;
     assert_eq!(families.len(), expected, "one header block per family");
@@ -118,12 +127,13 @@ fn prometheus_exposition_follows_conventions() {
     assert!(names.contains(&DEGRADATIONS_METRIC) && names.contains(&RUNG_ENTRIES_METRIC));
 
     // Every sample line belongs to a declared family and carries the
-    // workload label; histograms are cumulative and closed.
+    // configuration and workload labels; histograms are cumulative and
+    // closed.
     for (fam, ty) in &families {
         match ty.as_str() {
             "histogram" => {
                 for r in &records {
-                    let label = format!("workload=\"{}\"", r.name);
+                    let label = format!("config=\"{}\",workload=\"{}\"", r.config, r.name);
                     let bucket_lines: Vec<&str> = text
                         .lines()
                         .filter(|l| l.starts_with(&format!("{fam}_bucket{{")) && l.contains(&label))
@@ -155,7 +165,7 @@ fn prometheus_exposition_follows_conventions() {
                         l.starts_with(&format!("{fam}{{")) || l.starts_with(&format!("{fam} "))
                     })
                     .count();
-                assert!(samples >= records.len(), "{fam}: one sample per workload at least");
+                assert!(samples >= records.len(), "{fam}: one sample per run at least");
             }
         }
     }

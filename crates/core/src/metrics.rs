@@ -544,18 +544,13 @@ impl MetricsSnapshot {
     /// each metric's series under a single `# TYPE` header as the
     /// format requires.
     pub fn to_prometheus(&self) -> String {
-        prometheus_text(&[("", self)])
+        prometheus_text(&[(&[], self)])
     }
 }
 
-fn prom_labels(workload: &str, extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if !workload.is_empty() {
-        parts.push(format!("workload=\"{workload}\""));
-    }
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{v}\""));
-    }
+fn prom_labels(labels: Labels<'_>, extra: Option<(&str, &str)>) -> String {
+    let parts: Vec<String> =
+        labels.iter().chain(&extra).map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     if parts.is_empty() {
         String::new()
     } else {
@@ -563,73 +558,81 @@ fn prom_labels(workload: &str, extra: Option<(&str, &str)>) -> String {
     }
 }
 
-fn prom_histogram(out: &mut String, metric: &str, help: &str, series: &[(&str, &HistSnapshot)]) {
+fn prom_histogram(
+    out: &mut String,
+    metric: &str,
+    help: &str,
+    series: &[(Labels<'_>, &HistSnapshot)],
+) {
     let _ = writeln!(out, "# HELP {metric} {help}");
     let _ = writeln!(out, "# TYPE {metric} histogram");
-    for (workload, h) in series {
+    for (labels, h) in series {
         let mut cum = 0u64;
         for (i, bound) in h.bounds.iter().enumerate() {
             cum += h.buckets[i];
-            let labels = prom_labels(workload, Some(("le", &bound.to_string())));
-            let _ = writeln!(out, "{metric}_bucket{labels} {cum}");
+            let le = prom_labels(labels, Some(("le", &bound.to_string())));
+            let _ = writeln!(out, "{metric}_bucket{le} {cum}");
         }
         cum += h.buckets.last().copied().unwrap_or(0);
-        let labels = prom_labels(workload, Some(("le", "+Inf")));
-        let _ = writeln!(out, "{metric}_bucket{labels} {cum}");
-        let plain = prom_labels(workload, None);
+        let le = prom_labels(labels, Some(("le", "+Inf")));
+        let _ = writeln!(out, "{metric}_bucket{le} {cum}");
+        let plain = prom_labels(labels, None);
         let _ = writeln!(out, "{metric}_sum{plain} {}", h.sum);
         let _ = writeln!(out, "{metric}_count{plain} {}", h.count);
     }
 }
 
+/// One series' Prometheus labels, as `(name, value)` pairs.
+pub type Labels<'a> = &'a [(&'a str, &'a str)];
+
 /// Renders several labelled snapshots as one Prometheus text
 /// exposition: each metric appears once, with one `# HELP`/`# TYPE`
-/// header followed by every series (labelled `workload="<name>"`; an
-/// empty name omits the label). Label values are used verbatim —
+/// header followed by every series, each carrying its own labels (for
+/// example `config="packed",workload="wc"`; no labels omit the
+/// braces). Label values are used verbatim — configuration and
 /// workload names are plain identifiers, so no escaping is needed.
-pub fn prometheus_text(series: &[(&str, &MetricsSnapshot)]) -> String {
+pub fn prometheus_text(series: &[(Labels<'_>, &MetricsSnapshot)]) -> String {
     let mut out = String::with_capacity(4096 * series.len().max(1));
     for (i, c) in Counter::ALL.iter().enumerate() {
         let _ = writeln!(out, "# HELP {} {}", c.name(), c.help());
         let _ = writeln!(out, "# TYPE {} counter", c.name());
-        for (workload, snap) in series {
-            let _ =
-                writeln!(out, "{}{} {}", c.name(), prom_labels(workload, None), snap.counters[i]);
+        for (labels, snap) in series {
+            let _ = writeln!(out, "{}{} {}", c.name(), prom_labels(labels, None), snap.counters[i]);
         }
     }
     for (i, g) in Gauge::ALL.iter().enumerate() {
         let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());
         let _ = writeln!(out, "# TYPE {} gauge", g.name());
-        for (workload, snap) in series {
-            let _ = writeln!(out, "{}{} {}", g.name(), prom_labels(workload, None), snap.gauges[i]);
+        for (labels, snap) in series {
+            let _ = writeln!(out, "{}{} {}", g.name(), prom_labels(labels, None), snap.gauges[i]);
         }
     }
     let _ = writeln!(out, "# HELP {DEGRADATIONS_METRIC} Ladder degradations by cause");
     let _ = writeln!(out, "# TYPE {DEGRADATIONS_METRIC} counter");
-    for (workload, snap) in series {
+    for (labels, snap) in series {
         for (i, cause) in DegradeCause::ALL.iter().enumerate() {
-            let labels = prom_labels(workload, Some(("cause", cause.name())));
+            let labels = prom_labels(labels, Some(("cause", cause.name())));
             let _ = writeln!(out, "{DEGRADATIONS_METRIC}{labels} {}", snap.degradations[i]);
         }
     }
     let _ = writeln!(out, "# HELP {RUNG_ENTRIES_METRIC} Degraded-entry occupancy per ladder rung");
     let _ = writeln!(out, "# TYPE {RUNG_ENTRIES_METRIC} gauge");
-    for (workload, snap) in series {
+    for (labels, snap) in series {
         for (i, rung) in Rung::ALL.iter().enumerate() {
-            let labels = prom_labels(workload, Some(("rung", rung.name())));
+            let labels = prom_labels(labels, Some(("rung", rung.name())));
             let _ = writeln!(out, "{RUNG_ENTRIES_METRIC}{labels} {}", snap.rung_entries[i]);
         }
     }
-    let issue: Vec<(&str, &HistSnapshot)> =
-        series.iter().map(|(w, s)| (*w, &s.issue_parcels)).collect();
+    let issue: Vec<(Labels<'_>, &HistSnapshot)> =
+        series.iter().map(|(l, s)| (*l, &s.issue_parcels)).collect();
     prom_histogram(
         &mut out,
         ISSUE_HIST_METRIC,
         "Parcels executed per tree instruction (taken path)",
         &issue,
     );
-    let irq: Vec<(&str, &HistSnapshot)> =
-        series.iter().map(|(w, s)| (*w, &s.irq_latency)).collect();
+    let irq: Vec<(Labels<'_>, &HistSnapshot)> =
+        series.iter().map(|(l, s)| (*l, &s.irq_latency)).collect();
     prom_histogram(
         &mut out,
         IRQ_HIST_METRIC,
@@ -907,7 +910,8 @@ mod tests {
     fn prometheus_groups_series_under_one_type_header() {
         let a = sample_snapshot();
         let b = MetricsSnapshot::default();
-        let text = prometheus_text(&[("alpha", &a), ("beta", &b)]);
+        let text =
+            prometheus_text(&[(&[("workload", "alpha")], &a), (&[("workload", "beta")], &b)]);
         // One TYPE line per metric, even with two series.
         let type_lines = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
         assert_eq!(type_lines, Counter::COUNT + Gauge::COUNT + 4);

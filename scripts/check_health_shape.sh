@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Shape assertion for the `health` binary's artifacts: the JSON
-# document must carry the schema tag and a full metrics object per
-# workload, and the optional Prometheus text must be well-formed
-# exposition (every series preceded by matching # HELP / # TYPE lines,
-# counters ending in _total). Pure grep/sed — no JSON tooling assumed
-# on the CI host; the strict structural validation lives in
-# crates/bench/tests/health_schema.rs.
+# document must carry the schema tag and one document per
+# configuration (packed, native_suite, sim_suite, code_thrash), each
+# with a full metrics object per workload, and the optional Prometheus
+# text must be well-formed exposition (every series preceded by
+# matching # HELP / # TYPE lines, counters ending in _total). Pure
+# grep/sed — no JSON tooling assumed on the CI host; the strict
+# structural validation lives in crates/bench/tests/health_schema.rs.
 set -euo pipefail
 
 health="${1:?usage: check_health_shape.sh <BENCH_health.json> [health.prom] [expected-workloads]}"
@@ -14,42 +15,40 @@ expected="${3:-}"
 
 [ -s "$health" ] || { echo "error: $health is missing or empty" >&2; exit 1; }
 
-grep -q '"schema": "daisy-health-v1"' "$health" || {
-  echo "error: schema tag daisy-health-v1 missing in $health" >&2
+grep -q '"schema": "daisy-health-v2"' "$health" || {
+  echo "error: schema tag daisy-health-v2 missing in $health" >&2
   exit 1
 }
-grep -Eq '"mode": "(packed|native)"' "$health" || {
-  echo "error: mode field missing or invalid in $health" >&2
+configs=$(sed -n 's/^    {"name": "\([a-z_]*\)", "workloads": \[$/\1/p' "$health" | xargs)
+[ "$configs" = "packed native_suite sim_suite code_thrash" ] || {
+  echo "error: configurations '$configs' in $health; expected" \
+       "'packed native_suite sim_suite code_thrash'" >&2
   exit 1
 }
 
-entries=$(grep -c '"name":' "$health" || true)
-for key in boundaries snapshots metrics counters gauges degradations_by_cause \
-           ladder_rung_entries histograms; do
-  n=$(grep -c "\"$key\":" "$health" || true)
-  if [ "$n" -ne "$entries" ]; then
-    echo "error: key '$key' appears $n times for $entries workloads in $health" >&2
+# Every key, and one counter from each publishing layer (the VMM, the
+# dispatch path, the engine, the native tier, the flight recorder) plus
+# the interrupt-latency histogram, appears once per workload in every
+# configuration's document.
+for config in $configs; do
+  section=$(sed -n "/^    {\"name\": \"$config\", \"workloads\": \[/,/^    \]}/p" "$health")
+  entries=$(grep -c '^      {"name":' <<<"$section" || true)
+  for key in boundaries snapshots metrics counters gauges degradations_by_cause \
+             ladder_rung_entries histograms daisy_vmm_pages_translated_total \
+             daisy_dispatch_chained_total daisy_engine_retired_instrs_total \
+             daisy_native_compiles_total daisy_flight_recorder_dropped_total \
+             daisy_irq_latency_instrs; do
+    n=$(grep -c "\"$key\":" <<<"$section" || true)
+    if [ "$n" -ne "$entries" ]; then
+      echo "error: $config: key '$key' appears $n times for $entries workloads in $health" >&2
+      exit 1
+    fi
+  done
+  if [ -n "$expected" ] && [ "$entries" -ne "$expected" ]; then
+    echo "error: $config: expected $expected workloads, found $entries in $health" >&2
     exit 1
   fi
 done
-
-# Spot-check one counter from each publishing layer reaches the
-# document: the VMM, the dispatch path, the engine, the native tier,
-# and the flight recorder.
-for metric in daisy_vmm_pages_translated_total daisy_dispatch_chained_total \
-              daisy_engine_retired_instrs_total daisy_native_compiles_total \
-              daisy_flight_recorder_dropped_total daisy_irq_latency_instrs; do
-  n=$(grep -c "\"$metric\"" "$health" || true)
-  if [ "$n" -ne "$entries" ]; then
-    echo "error: metric '$metric' appears $n times for $entries workloads in $health" >&2
-    exit 1
-  fi
-done
-
-if [ -n "$expected" ] && [ "$entries" -ne "$expected" ]; then
-  echo "error: expected $expected workloads, found $entries in $health" >&2
-  exit 1
-fi
 
 if [ -n "$prom" ]; then
   [ -s "$prom" ] || { echo "error: $prom is missing or empty" >&2; exit 1; }
@@ -98,4 +97,4 @@ if [ -n "$prom" ]; then
   echo "ok: $prom is well-formed exposition ($helps families)"
 fi
 
-echo "ok: $health carries full metrics for $entries workload(s)"
+echo "ok: $health carries full metrics for $entries workload(s) in each of 4 configurations"
