@@ -40,7 +40,7 @@
 //! labelled by `rung`.
 
 use crate::error::{Degradation, DegradeCause, Rung};
-use crate::native::NativeStats;
+use crate::native::{NativeStats, Refusal};
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
 use crate::vmm::VmmStats;
@@ -197,6 +197,15 @@ metric_table! {
         NativeRefusals => "daisy_native_refusals_total",
             "Groups the native lowerer refused",
             |s| s.native.map_or(0, |n| n.refusals);
+        NativeRefusalsTooLarge => "daisy_native_refusals_too_large_total",
+            "Groups refused as too large to lower",
+            |s| s.native.map_or(0, |n| n.refusal_histogram[Refusal::TooLarge.index()]);
+        NativeRefusalsArenaFull => "daisy_native_refusals_arena_full_total",
+            "Groups refused because the code arena was full",
+            |s| s.native.map_or(0, |n| n.refusal_histogram[Refusal::ArenaFull.index()]);
+        NativeRefusalsUnsupported => "daisy_native_refusals_unsupported_total",
+            "Groups refused because the host cannot run native code",
+            |s| s.native.map_or(0, |n| n.refusal_histogram[Refusal::Unsupported.index()]);
         NativeDispatches => "daisy_native_dispatches_total",
             "Dispatches that entered native code",
             |s| s.native.map_or(0, |n| n.dispatches);
@@ -839,9 +848,13 @@ mod tests {
             *f = next();
         }
         let mut native = NativeStats::default();
+        let [too_large, arena_full, unsupported] = &mut native.refusal_histogram;
         for f in [
             &mut native.compiles,
             &mut native.refusals,
+            too_large,
+            arena_full,
+            unsupported,
             &mut native.dispatches,
             &mut native.chained,
             &mut native.bails,

@@ -36,7 +36,8 @@ for config in $configs; do
   for key in boundaries snapshots metrics counters gauges degradations_by_cause \
              ladder_rung_entries histograms daisy_vmm_pages_translated_total \
              daisy_dispatch_chained_total daisy_engine_retired_instrs_total \
-             daisy_native_compiles_total daisy_flight_recorder_dropped_total \
+             daisy_native_compiles_total daisy_native_refusals_too_large_total \
+             daisy_flight_recorder_dropped_total \
              daisy_irq_latency_instrs; do
     n=$(grep -c "\"$key\":" <<<"$section" || true)
     if [ "$n" -ne "$entries" ]; then

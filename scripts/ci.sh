@@ -119,7 +119,7 @@ cmp "$artifacts/BENCH_report.json" BENCH_report.json || {
 # four configurations (the packed engine alone and daisybench's
 # native_suite, sim_suite and code_thrash) and holds every counter,
 # gauge, degradation and histogram a metrics snapshot holds, native
-# coverage, refusals, stall cycles and cast-outs among them.
+# coverage, refusals by reason, stall cycles and cast-outs among them.
 # The runs are deterministic, so on x86-64 a regenerated copy must match
 # the committed BENCH_health.json byte for byte. Elsewhere the native
 # tier declines to engage and its rows read zero, so only the packed
