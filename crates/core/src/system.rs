@@ -1053,13 +1053,7 @@ impl<I: Isa> DaisySystem<I> {
     fn interp_one(&mut self) -> Option<StopReason> {
         let insn = match self.cpu.fetch(&self.mem) {
             Ok(i) => i,
-            Err(_) => {
-                return Some(StopReason::StorageFault {
-                    addr: self.cpu.pc(),
-                    write: false,
-                    fetch: true,
-                })
-            }
+            Err(ev) => return self.cpu.handle_event(ev),
         };
         let ev = self.interp_execute(insn);
         if ev == Event::Continue {
@@ -1097,9 +1091,7 @@ impl<I: Isa> DaisySystem<I> {
             let pc = self.cpu.pc();
             let insn = match self.cpu.fetch(&self.mem) {
                 Ok(i) => i,
-                Err(_) => {
-                    return Some(StopReason::StorageFault { addr: pc, write: false, fetch: true })
-                }
+                Err(ev) => return self.cpu.handle_event(ev),
             };
             // Boundary test: subroutine call, cross-page branch, or
             // backward branch ends interpretation (after executing it).
@@ -1112,21 +1104,8 @@ impl<I: Isa> DaisySystem<I> {
                         BranchKind::ViaLr | BranchKind::ViaCtr => true,
                     }
             });
-            // Unlike `interp_one`, traps, program exceptions and fetch
-            // faults inside the window always stop the run; system
-            // calls and data faults follow the guest's vectored-delivery
-            // rules.
-            let stop = match self.interp_execute(insn) {
-                Event::Continue => None,
-                Event::Trap => Some(StopReason::Trap),
-                Event::Program => Some(StopReason::Program),
-                Event::Isi => Some(StopReason::StorageFault {
-                    addr: self.cpu.pc(),
-                    write: false,
-                    fetch: true,
-                }),
-                ev => self.cpu.handle_event(ev),
-            };
+            let ev = self.interp_execute(insn);
+            let stop = self.cpu.handle_event(ev);
             if stop.is_some() {
                 return stop;
             }
@@ -1286,6 +1265,47 @@ mod tests {
         let _ = stop;
         assert_eq!(sys.cpu.gpr[7], 0x00F0_0000, "handler saw DAR");
         assert_eq!(sys.cpu.gpr[8], prog.addr_of("after"));
+    }
+
+    /// §3.4: a trap inside the post-`rfi` interpretation window is
+    /// delivered to the guest's program vector, as the oracle does.
+    #[test]
+    fn vectored_trap_in_post_rfi_window_reaches_handler() {
+        let mut a = Asm::new(0x1000);
+        a.li(Gpr(20), 0);
+        a.li(Gpr(21), 0);
+        a.sc(); // → 0xC00, whose rfi returns to the trap
+        a.twi(31, Gpr(0), 0); // runs in the window → 0x700
+        a.li(Gpr(21), 5);
+        a.label("end");
+        a.b("end");
+        let prog = a.finish().unwrap();
+
+        let mut sc_handler = Asm::new(vectors::SYSCALL);
+        sc_handler.rfi();
+        // The program handler marks r20 and returns past the trap.
+        let mut trap_handler = Asm::new(vectors::PROGRAM);
+        trap_handler.li(Gpr(20), 77);
+        trap_handler.emit(Insn::Mfspr { rt: Gpr(8), spr: daisy_ppc::reg::Spr::Srr0 });
+        trap_handler.addi(Gpr(8), Gpr(8), 4);
+        trap_handler.emit(Insn::Mtspr { spr: daisy_ppc::reg::Spr::Srr0, rs: Gpr(8) });
+        trap_handler.rfi();
+        let os = [sc_handler.finish().unwrap(), trap_handler.finish().unwrap()];
+
+        let mut mem = Memory::new(0x40000);
+        prog.load_into(&mut mem).unwrap();
+        os.iter().for_each(|p| p.load_into(&mut mem).unwrap());
+        let mut cpu = Cpu::new(prog.entry);
+        cpu.vectored = true;
+        assert_eq!(cpu.run(&mut mem, 10_000).unwrap(), StopReason::MaxInstrs);
+        assert_eq!((cpu.gpr[20], cpu.gpr[21]), (77, 5), "oracle ran the handler");
+
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(0x40000).build();
+        sys.load(&prog).unwrap();
+        os.iter().for_each(|p| p.load_into(&mut sys.mem).unwrap());
+        sys.cpu.vectored = true;
+        assert_eq!(sys.run(10_000).unwrap(), StopReason::MaxInstrs);
+        assert_eq!((sys.cpu.gpr[20], sys.cpu.gpr[21]), (77, 5), "DAISY ran the handler");
     }
 
     #[test]
