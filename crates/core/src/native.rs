@@ -58,7 +58,7 @@ use daisy_cachesim::{Hierarchy, Side};
 use daisy_isa::mem::Memory;
 use daisy_jit::arena::AccessLog;
 use daisy_jit::ctx::{
-    EXIT_BAIL, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD, VIA_CTR, VIA_LR,
+    EXIT_BAIL, EXIT_BRANCH, EXIT_INDIRECT, EXIT_INTERP, PROBE_FETCH, PROBE_LOAD, VIA_CTR, VIA_LR,
 };
 pub use daisy_jit::lower::Refusal;
 use daisy_jit::{
@@ -541,12 +541,12 @@ impl NativeTier {
                     code: rcode,
                 }
             }
-            // EXIT_BRANCH (0) — also the defensive default.
-            _ => NativeRun::Done {
+            EXIT_BRANCH => NativeRun::Done {
                 exit: GroupExit::Branch { target: self.ctx.exit_a, slot: self.ctx.exit_b as usize },
                 final_entry,
                 final_code,
             },
+            kind => unreachable!("native exit with kind {kind}"),
         }
     }
 
