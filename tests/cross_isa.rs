@@ -2,11 +2,13 @@
 //! two different guest ISAs, driven through the same translation core,
 //! must produce identical observable results.
 //!
-//! For each ported algorithm this harness runs four executions — the
-//! PowerPC binary and the RV32I binary, each through `DaisySystem`
-//! translation and through its own interpreter oracle — then asserts:
+//! For each ported algorithm this harness runs the PowerPC binary and
+//! the RV32I binary, each through its own interpreter oracle and
+//! through `DaisySystem` translation on the packed engine and on the
+//! native tier (under an infinite cache and the paper's finite
+//! hierarchy), then asserts:
 //!
-//! 1. each guest's translated run matches its interpreter oracle
+//! 1. each guest's translated runs match its interpreter oracle
 //!    (bit-exact architected state, the §3.5 contract),
 //! 2. the scalar results agree *across* ISAs (PowerPC `r3` vs RV32
 //!    `a0`), and
@@ -20,17 +22,14 @@ use daisy::prelude::*;
 use daisy_ppc::PpcIsa;
 use daisy_rv32::Rv32Isa;
 
-/// Runs one workload through translation and through its interpreter
-/// oracle; checks both and returns (translated system state, oracle
-/// state) after asserting they agree.
+/// Runs one workload through its interpreter oracle and through
+/// translation on three systems: the packed engine, and the native tier
+/// under an infinite cache and under `Hierarchy::paper_default()` (where
+/// compiled code logs its cache probes for replay). Checks every run and
+/// asserts each translated run's state equals the oracle's; returns the
+/// packed system's state.
 fn run_both<I: Isa>(w: &Workload<I>) -> (I::Cpu, daisy_isa::mem::Memory) {
     let prog = w.program();
-
-    let mut sys = DaisySystem::<I>::builder().mem_size(w.mem_size).build();
-    sys.load(&prog).unwrap();
-    let stop = sys.run(10 * w.max_instrs).unwrap();
-    assert_eq!(stop, StopReason::Syscall, "{} (daisy): {stop:?}", w.name);
-    w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{} (daisy): {e}", w.name));
 
     let mut mem = daisy_isa::mem::Memory::new(w.mem_size);
     prog.load_into(&mut mem).unwrap();
@@ -39,10 +38,32 @@ fn run_both<I: Isa>(w: &Workload<I>) -> (I::Cpu, daisy_isa::mem::Memory) {
     assert_eq!(istop, StopReason::Syscall, "{} (interp): {istop:?}", w.name);
     w.check(&cpu, &mem).unwrap_or_else(|e| panic!("{} (interp): {e}", w.name));
 
-    if let Some(diff) = sys.cpu.state_diff(&cpu, true) {
-        panic!("{}: translated vs interpreted state differs: {diff}", w.name);
+    let systems = [
+        ("packed", false, Hierarchy::infinite()),
+        ("native", true, Hierarchy::infinite()),
+        ("native, paper_default", true, Hierarchy::paper_default()),
+    ];
+    let mut packed = None;
+    for (tier, native, cache) in systems {
+        let mut sys = DaisySystem::<I>::builder()
+            .mem_size(w.mem_size)
+            .native_execution(native)
+            .cache(cache)
+            .build();
+        sys.load(&prog).unwrap();
+        let stop = sys.run(10 * w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall, "{} ({tier}): {stop:?}", w.name);
+        w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| panic!("{} ({tier}): {e}", w.name));
+        if let Some(diff) = sys.cpu.state_diff(&cpu, true) {
+            panic!("{} ({tier}): translated vs interpreted state differs: {diff}", w.name);
+        }
+        if native && cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            let ns = sys.native_stats().unwrap();
+            assert!(ns.vliws_native > 0, "{} ({tier}): no VLIW ran natively", w.name);
+        }
+        packed.get_or_insert((sys.cpu, sys.mem));
     }
-    (sys.cpu, sys.mem)
+    packed.unwrap()
 }
 
 fn cross_check(name: &str) -> (u32, u32, daisy_isa::mem::Memory, daisy_isa::mem::Memory) {
