@@ -16,7 +16,6 @@ use daisy::metrics::{Counter, Gauge};
 use daisy::prelude::*;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
-use std::fmt::Write as _;
 
 /// Configures a fresh system's builder for one configuration.
 type Configure = fn(DaisySystemBuilder<PpcIsa>) -> DaisySystemBuilder<PpcIsa>;
@@ -55,9 +54,8 @@ pub struct HealthRecord {
 }
 
 /// Runs every workload under every configuration, configuration by
-/// configuration. Asserts that the `packed` and
-/// `native_suite` runs of each workload execute as many VLIWs and
-/// retire as many instructions.
+/// configuration. Asserts that the `packed` and `native_suite` runs of
+/// each workload execute as many VLIWs and retire as many instructions.
 pub fn run_health(workloads: &[Workload], interval: u64, watch: bool) -> Vec<HealthRecord> {
     let records: Vec<HealthRecord> = CONFIGS
         .iter()
@@ -151,30 +149,29 @@ fn run_one(
 /// where each `metrics` object is
 /// [`MetricsSnapshot::to_json`](daisy::metrics::MetricsSnapshot::to_json).
 pub fn health_json(records: &[HealthRecord], interval: u64) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"daisy-health-v2\",\n  \"interval\": {interval},\n  \"configs\": [\n"
-    );
-    let configs: Vec<&[HealthRecord]> = records.chunk_by(|a, b| a.config == b.config).collect();
-    for (c, group) in configs.iter().enumerate() {
-        // invariant: write! to a String cannot fail.
-        #[allow(clippy::unwrap_used)]
-        writeln!(out, "    {{\"name\": \"{}\", \"workloads\": [", group[0].config).unwrap();
-        for (i, r) in group.iter().enumerate() {
-            // invariant: write! to a String cannot fail.
-            #[allow(clippy::unwrap_used)]
-            writeln!(
-                out,
-                "      {{\"name\": \"{}\", \"boundaries\": {}, \"snapshots\": {}, \"metrics\": {}}}{}",
-                r.name,
-                r.boundaries,
-                r.snapshots,
-                r.last.to_json(),
-                if i + 1 < group.len() { "," } else { "" },
-            )
-            .unwrap();
-        }
-        out.push_str(if c + 1 < configs.len() { "    ]},\n" } else { "    ]}\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let configs: Vec<String> = records
+        .chunk_by(|a, b| a.config == b.config)
+        .map(|group| {
+            let rows: Vec<String> = group
+                .iter()
+                .map(|r| {
+                    format!(
+                        "      {{\"name\": \"{}\", \"boundaries\": {}, \"snapshots\": {}, \
+                         \"metrics\": {}}}",
+                        r.name,
+                        r.boundaries,
+                        r.snapshots,
+                        r.last.to_json()
+                    )
+                })
+                .collect();
+            let name = group[0].config;
+            format!("    {{\"name\": \"{name}\", \"workloads\": [\n{}\n    ]}}", rows.join(",\n"))
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"daisy-health-v2\",\n  \"interval\": {interval},\n  \
+         \"configs\": [\n{}\n  ]\n}}\n",
+        configs.join(",\n")
+    )
 }

@@ -37,10 +37,6 @@ fn run(w: &Workload, builder: DaisySystemBuilder<PpcIsa>) -> DaisySystem<PpcIsa>
     sys
 }
 
-fn document(bench: &str, rows: &[String]) -> String {
-    format!("{{\n  \"bench\": \"{bench}\",\n  \"workloads\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
-}
-
 /// The static translator configurations of [`translate_json`], by
 /// column name. `whole_program` is the traditional-compiler baseline
 /// (Table 5.2), profiled on the workload itself.
@@ -106,7 +102,7 @@ pub fn translate_json() -> String {
             format!("    {{\"name\": \"{}\", {}}}", w.name, cells.join(", "))
         })
         .collect();
-    document("translate", &rows)
+    format!("{{\n  \"bench\": \"translate\",\n  \"workloads\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
 }
 
 /// 64-bit FNV-1a over an explicit little-endian encoding of translator
