@@ -63,6 +63,7 @@ pub fn run_health(workloads: &[Workload], interval: u64, watch: bool) -> Vec<Hea
             workloads.iter().map(move |w| run_one(w, config, build, interval, watch))
         })
         .collect();
+    // CONFIGS lists `packed` first and `native_suite` second.
     let n = workloads.len();
     for (packed, native) in records[..n].iter().zip(&records[n..2 * n]) {
         for c in [Counter::Vliws, Counter::RetiredInstrs] {
