@@ -28,7 +28,7 @@
 //! different number of VLIWs or retires a different number of
 //! instructions than the `packed` one.
 
-use daisy::metrics::{prometheus_text, Counter, Gauge};
+use daisy::metrics::{prometheus_text, Counter, Gauge, Labels};
 use daisy::prelude::*;
 use daisy_bench::health::{health_json, run_health};
 use daisy_bench::reporting::resolve_workloads;
@@ -108,7 +108,7 @@ fn main() {
     if let Some(prom_path) = &opts.prom {
         let labels: Vec<[(&str, &str); 2]> =
             records.iter().map(|r| [("config", r.config), ("workload", r.name)]).collect();
-        let series: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
+        let series: Vec<(Labels<'_>, &MetricsSnapshot)> =
             labels.iter().zip(&records).map(|(l, r)| (&l[..], &r.last)).collect();
         std::fs::write(prom_path, prometheus_text(&series)).expect("write Prometheus text");
         println!("wrote {prom_path}");

@@ -9,8 +9,8 @@
 //! using the offline parser in [`daisy_bench::json`].
 
 use daisy::metrics::{
-    prometheus_text, Counter, Gauge, DEGRADATIONS_METRIC, IRQ_HIST_METRIC, ISSUE_HIST_METRIC,
-    RUNG_ENTRIES_METRIC,
+    prometheus_text, Counter, Gauge, Labels, DEGRADATIONS_METRIC, IRQ_HIST_METRIC,
+    ISSUE_HIST_METRIC, RUNG_ENTRIES_METRIC,
 };
 use daisy::prelude::*;
 use daisy_bench::health::{health_json, run_health, HealthRecord};
@@ -99,7 +99,7 @@ fn prometheus_exposition_follows_conventions() {
     let records = two_quick_records();
     let labels: Vec<[(&str, &str); 2]> =
         records.iter().map(|r| [("config", r.config), ("workload", r.name)]).collect();
-    let series: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
+    let series: Vec<(Labels<'_>, &MetricsSnapshot)> =
         labels.iter().zip(&records).map(|(l, r)| (&l[..], &r.last)).collect();
     let text = prometheus_text(&series);
 
