@@ -7,7 +7,7 @@
 //! EXPERIMENTS:
 //!   table5.1 fig5.1 table5.2 table5.3 table5.4 fig5.2 table5.5
 //!   table5.6 table5.7 fig5.3-5.5 table5.8 table5.9 oracle ablation
-//!   interpretive utilization
+//!   interpretive utilization guest-profile
 //!   all        (default: everything)
 //! ```
 
@@ -83,12 +83,16 @@ fn main() {
         ran = true;
         println!("{}", tables::print_utilization(&tables::utilization()));
     }
+    if want("guest-profile") {
+        ran = true;
+        println!("{}", tables::print_guest_profile(&tables::guest_profile()));
+    }
     if !ran {
         eprintln!("unknown experiment(s): {args:?}");
         eprintln!(
             "known: table5.1 fig5.1 table5.2 table5.3 table5.4 fig5.2 table5.5 \
              table5.6 table5.7 fig5.3-5.5 table5.8 table5.9 oracle ablation \
-             interpretive utilization all"
+             interpretive utilization guest-profile all"
         );
         std::process::exit(2);
     }

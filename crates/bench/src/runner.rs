@@ -105,3 +105,13 @@ pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
         v.iter().sum::<f64>() / v.len() as f64
     }
 }
+
+/// Geometric mean of the positive values (0 when there are none).
+pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let v: Vec<f64> = xs.into_iter().filter(|x| *x > 0.0).collect();
+    if v.is_empty() {
+        0.0
+    } else {
+        (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp()
+    }
+}

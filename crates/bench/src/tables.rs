@@ -7,7 +7,8 @@
 //! RS/6000 testbed and real AIX binaries — but the relationships the
 //! paper draws from each exhibit are asserted in `tests/repro_shapes.rs`.
 
-use crate::runner::{self, mean, Measurement};
+use crate::reporting::{self, WorkloadReport};
+use crate::runner::{self, geomean, mean, Measurement};
 use daisy::oracle;
 use daisy::overhead::{self, OverheadModel, OverheadRow, ReuseFactor};
 use daisy::sched::TranslatorConfig;
@@ -751,6 +752,58 @@ pub fn print_utilization(rows: &[UtilizationRow]) -> String {
             100.0 * r.buckets[3]
         );
     }
+    s
+}
+
+// -------------------------------------------------------- guest profile
+
+/// Guest-level attribution of every workload: one guest-profiled run
+/// under the paper's finite cache each (see
+/// [`reporting::report_workload`]).
+pub fn guest_profile() -> Vec<WorkloadReport> {
+    workloads().iter().map(|w| reporting::report_workload(w).0).collect()
+}
+
+/// Formats the guest-profile table, every figure at six places.
+pub fn print_guest_profile(rows: &[WorkloadReport]) -> String {
+    let mut s = String::new();
+    let _ = writeln!(s, "Guest profile (paper_default cache, one guest-profiled run per workload)");
+    let _ = writeln!(
+        s,
+        "{:<10} {:>12} {:>11} {:>13} {:>13} {:>24} {:>15} {:>9} {:>16}",
+        "Program",
+        "base_instrs",
+        "finite_ilp",
+        "infinite_ilp",
+        "ops_per_vliw",
+        "overhead_per_base_instr",
+        "waste_fraction",
+        "spec_ops",
+        "wasted_spec_ops"
+    );
+    for r in rows {
+        let _ = writeln!(
+            s,
+            "{:<10} {:>12} {:>11.6} {:>13.6} {:>13.6} {:>24.6} {:>15.6} {:>9} {:>16}",
+            r.name,
+            r.base_instrs,
+            r.finite_ilp,
+            r.infinite_ilp,
+            r.ops_per_vliw,
+            r.overhead_per_base_instr,
+            r.waste_fraction,
+            r.spec_ops,
+            r.wasted_spec_ops
+        );
+    }
+    let _ = writeln!(
+        s,
+        "{:<10} {:>12} {:>11.6} {:>13.6}",
+        "GEOMEAN",
+        "",
+        geomean(rows.iter().map(|r| r.finite_ilp)),
+        geomean(rows.iter().map(|r| r.infinite_ilp))
+    );
     s
 }
 
