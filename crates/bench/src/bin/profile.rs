@@ -2,23 +2,37 @@
 //! for one or more workloads.
 //!
 //! ```text
-//! profile [--top N] [--jsonl FILE] [WORKLOAD ...]
+//! profile [--top N] [--jsonl FILE] [--trace-dir DIR] [--folded-dir DIR]
+//!         [--annotate-dir DIR] [WORKLOAD ...]
 //!
-//!   --top N       show the N hottest groups (default 10)
-//!   --jsonl FILE  also write every captured trace event to FILE as
-//!                 JSON lines
-//!   WORKLOAD      workload names (default: all nine)
+//!   --top N          show the N hottest groups (default 10)
+//!   --jsonl FILE     also write every captured trace event to FILE as
+//!                    JSON lines
+//!   --trace-dir DIR  also write a Chrome trace_event JSON per
+//!                    workload to DIR/<workload>.trace.json
+//!                    (load in chrome://tracing or Perfetto)
+//!   --folded-dir DIR also write flamegraph-folded stacks to
+//!                    DIR/<workload>.folded
+//!   --annotate-dir DIR
+//!                    also write an annotated guest disassembly to
+//!                    DIR/<workload>.txt
+//!   WORKLOAD         workload names (default: all nine)
 //! ```
 //!
-//! For each workload this prints the top-N groups by dispatch count
-//! (entry address, dispatches, VLIWs retired, stall cycles) and a
-//! histogram of structured trace events. The group table is rolled up
-//! from the guest profile's dispatch timeline
-//! ([`GuestProfile::timeline`]); when the timeline hit its bound the
-//! dropped count is printed, so a truncated table is visible.
+//! Each workload runs once to completion under the paper's finite
+//! cache ([`Hierarchy::paper_default`]) with guest profiling on; a
+//! workload that computes a wrong answer aborts the run. For each this
+//! prints the top-N groups by dispatch count (entry address,
+//! dispatches, VLIWs retired, stall cycles) and a histogram of
+//! structured trace events. The group table is rolled up from the
+//! guest profile's dispatch timeline ([`GuestProfile::timeline`]);
+//! when the timeline hit its bound the dropped count is printed, so a
+//! truncated table is visible. The guest-level metrics of the same run
+//! are `repro guest-profile`'s table.
 
 use daisy::prelude::*;
-use daisy_bench::reporting::{resolve_workloads, run_profiled, RunConfig};
+use daisy::profile::{annotated_disassembly, chrome_trace_json, folded_stacks};
+use daisy_bench::reporting::{resolve_workloads, run_profiled};
 use std::collections::{BTreeMap, HashMap};
 
 /// One group entry's rollup of its timeline dispatches.
@@ -32,11 +46,21 @@ struct GroupRow {
 struct Options {
     top: usize,
     jsonl: Option<String>,
+    trace_dir: Option<String>,
+    folded_dir: Option<String>,
+    annotate_dir: Option<String>,
     workloads: Vec<String>,
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options { top: 10, jsonl: None, workloads: Vec::new() };
+    let mut opts = Options {
+        top: 10,
+        jsonl: None,
+        trace_dir: None,
+        folded_dir: None,
+        annotate_dir: None,
+        workloads: Vec::new(),
+    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -45,8 +69,18 @@ fn parse_args() -> Options {
                 opts.top = n.parse().expect("--top needs an integer");
             }
             "--jsonl" => opts.jsonl = Some(args.next().expect("--jsonl needs a path")),
+            "--trace-dir" => opts.trace_dir = Some(args.next().expect("--trace-dir needs a path")),
+            "--folded-dir" => {
+                opts.folded_dir = Some(args.next().expect("--folded-dir needs a path"))
+            }
+            "--annotate-dir" => {
+                opts.annotate_dir = Some(args.next().expect("--annotate-dir needs a path"))
+            }
             "--help" | "-h" => {
-                println!("profile [--top N] [--jsonl FILE] [WORKLOAD ...]");
+                println!(
+                    "profile [--top N] [--jsonl FILE] [--trace-dir DIR] [--folded-dir DIR] \
+                     [--annotate-dir DIR] [WORKLOAD ...]"
+                );
                 std::process::exit(0);
             }
             other => opts.workloads.push(other.to_string()),
@@ -55,9 +89,15 @@ fn parse_args() -> Options {
     opts
 }
 
+fn write_artifact(dir: &str, file: String, contents: &str) {
+    std::fs::create_dir_all(dir).expect("create artifact dir");
+    let path = std::path::Path::new(dir).join(file);
+    std::fs::write(&path, contents).expect("write artifact");
+    println!("  wrote {}", path.display());
+}
+
 fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
-    let sys =
-        run_profiled(w, RunConfig { flight_recorder_capacity: 1 << 16, ..RunConfig::default() });
+    let sys = run_profiled(w, 1 << 16);
 
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let mut groups: HashMap<u32, GroupRow> = HashMap::new();
@@ -102,6 +142,17 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
         for (_, ev) in &events {
             writeln!(f, "{}", ev.to_json()).expect("write --jsonl file");
         }
+    }
+    if let Some(dir) = &opts.trace_dir {
+        write_artifact(dir, format!("{}.trace.json", w.name), &chrome_trace_json(gp, w.name));
+    }
+    if let Some(dir) = &opts.folded_dir {
+        let folded = folded_stacks(gp, w.name, sys.vmm.cfg.page_size);
+        write_artifact(dir, format!("{}.folded", w.name), &folded);
+    }
+    if let Some(dir) = &opts.annotate_dir {
+        let annotated = annotated_disassembly::<daisy_ppc::PpcIsa>(gp, &sys.mem, w.name);
+        write_artifact(dir, format!("{}.txt", w.name), &annotated);
     }
 }
 

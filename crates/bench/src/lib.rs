@@ -4,10 +4,10 @@
 //! [`runner`] provides the shared measurement plumbing; [`tables`]
 //! contains one generator per experiment, each returning structured
 //! rows (so integration tests can assert on them) plus a formatter.
-//! The `repro` binary prints any or all of them. [`reporting`] and
-//! [`health`] back the `report` and `health` binaries, [`pins`] the
-//! `pins` binary; [`json`] is the offline parser the artifact schema
-//! tests validate with.
+//! The `repro` binary prints any or all of them. [`reporting`] backs
+//! `repro`'s guest-profile table and the `profile` binary, [`health`]
+//! the `health` binary and [`pins`] the `pins` binary; [`json`] is the
+//! offline parser the artifact schema tests validate with.
 
 pub mod health;
 pub mod json;

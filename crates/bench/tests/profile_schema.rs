@@ -1,56 +1,61 @@
-//! Schema tests for the `report` binary's artifacts: the
-//! `BENCH_report.json` document and the Chrome `trace_event` export
-//! must be valid JSON with the shapes the consumers (CI's shape
-//! assertion, `chrome://tracing`, Perfetto) expect.
+//! Schema tests for the guest-profile artifacts: `repro`'s
+//! guest-profile table must carry every metric for every workload,
+//! and the `profile` binary's Chrome `trace_event` export must be
+//! valid JSON with the shape `chrome://tracing` and Perfetto expect.
 //!
 //! The environment is offline, so validation uses the minimal
 //! recursive-descent parser in [`daisy_bench::json`] — strict enough
 //! to reject malformed output (trailing commas, bare NaN, unquoted
 //! keys), small enough to audit at a glance.
 
+use daisy::profile::chrome_trace_json;
 use daisy_bench::json::{parse, Json};
-use daisy_bench::reporting::{chrome_trace_for, report_json, report_workload};
+use daisy_bench::reporting::report_workload;
+use daisy_bench::tables::print_guest_profile;
 
-// ------------------------------------------------------------- schemas
+/// Every column of the guest-profile table after the workload name.
+const COLUMNS: &[&str] = &[
+    "base_instrs",
+    "finite_ilp",
+    "infinite_ilp",
+    "ops_per_vliw",
+    "overhead_per_base_instr",
+    "waste_fraction",
+    "spec_ops",
+    "wasted_spec_ops",
+];
 
-/// The five metrics every workload entry must publish, plus the raw
-/// counts behind the waste fraction.
-const METRICS: &[&str] =
-    &["finite_ilp", "infinite_ilp", "ops_per_vliw", "overhead_per_base_instr", "waste_fraction"];
-
-/// Acceptance: `BENCH_report.json` parses as JSON and carries all five
-/// metrics (finite, non-negative numbers) for every workload, plus the
-/// geomean block. Runs two real workloads — the same pair CI smokes.
+/// Acceptance: the guest-profile table names every metric in its
+/// header and prints each as a finite, non-negative number for every
+/// workload, then the two positive ILP geomeans. Runs two real
+/// workloads.
 #[test]
-fn bench_report_json_schema_holds() {
+fn guest_profile_table_carries_every_metric() {
     let reports: Vec<_> = ["wc", "cmp"]
         .iter()
         .map(|n| report_workload(&daisy_workloads::by_name(n).expect("known workload")).0)
         .collect();
-    let text = report_json(&reports);
-    let doc = parse(&text).expect("report output must parse as JSON");
-
-    assert_eq!(doc.get("cache").and_then(Json::str), Some("paper_default"));
-    let workloads = doc.get("workloads").and_then(Json::arr).expect("workloads array");
-    assert_eq!(workloads.len(), 2);
-    for (entry, want_name) in workloads.iter().zip(["wc", "cmp"]) {
-        assert_eq!(entry.get("name").and_then(Json::str), Some(want_name));
-        let base = entry.get("base_instrs").and_then(Json::num).expect("base_instrs");
-        assert!(base > 0.0, "{want_name}: base_instrs must be positive");
-        for metric in METRICS {
-            let v = entry
-                .get(metric)
-                .and_then(Json::num)
-                .unwrap_or_else(|| panic!("{want_name}: missing metric {metric}"));
-            assert!(v >= 0.0, "{want_name}: {metric} = {v} must be non-negative");
+    let text = print_guest_profile(&reports);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "title, header, two workloads, geomean:\n{text}");
+    let header: Vec<&str> = lines[1].split_whitespace().collect();
+    assert_eq!(header[0], "Program");
+    assert_eq!(&header[1..], COLUMNS);
+    for (line, want_name) in lines[2..4].iter().zip(["wc", "cmp"]) {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(cols[0], want_name);
+        assert_eq!(cols.len(), 1 + COLUMNS.len(), "{want_name}: {line}");
+        let v: Vec<f64> = cols[1..].iter().map(|c| c.parse().expect("numeric cell")).collect();
+        for (x, column) in v.iter().zip(COLUMNS) {
+            assert!(x.is_finite() && *x >= 0.0, "{want_name}: {column} = {x}");
         }
-        let spec = entry.get("spec_ops").and_then(Json::num).expect("spec_ops");
-        let wasted = entry.get("wasted_spec_ops").and_then(Json::num).expect("wasted_spec_ops");
-        assert!(wasted <= spec, "{want_name}: wasted > speculative");
+        assert!(v[0] > 0.0, "{want_name}: base_instrs must be positive");
+        assert!(v[7] <= v[6], "{want_name}: wasted > speculative");
     }
-    let geomean = doc.get("geomean").expect("geomean block");
-    for k in ["finite_ilp", "infinite_ilp"] {
-        assert!(geomean.get(k).and_then(Json::num).expect("geomean metric") > 0.0);
+    let geomean: Vec<&str> = lines[4].split_whitespace().collect();
+    assert_eq!(geomean[0], "GEOMEAN");
+    for cell in &geomean[1..] {
+        assert!(cell.parse::<f64>().expect("numeric geomean") > 0.0);
     }
 }
 
@@ -62,7 +67,8 @@ fn bench_report_json_schema_holds() {
 fn chrome_trace_is_valid_trace_event_json() {
     let w = daisy_workloads::by_name("cmp").expect("known workload");
     let (_, sys) = report_workload(&w);
-    let text = chrome_trace_for(&sys, w.name);
+    let gp = sys.guest_profile().expect("guest profiling enabled");
+    let text = chrome_trace_json(gp, w.name);
     let doc = parse(&text).expect("trace must parse as JSON");
 
     let events = doc.get("traceEvents").and_then(Json::arr).expect("traceEvents array");
