@@ -1053,7 +1053,7 @@ impl<I: Isa> DaisySystem<I> {
     fn interp_one(&mut self) -> Option<StopReason> {
         let insn = match self.cpu.fetch(&self.mem) {
             Ok(i) => i,
-            Err(ev) => return self.cpu.handle_event(ev),
+            Err(ev) => return self.handle_event(ev),
         };
         let ev = self.interp_execute(insn);
         if ev == Event::Continue {
@@ -1065,7 +1065,18 @@ impl<I: Isa> DaisySystem<I> {
             }
             return None;
         }
-        self.cpu.handle_event(ev)
+        self.handle_event(ev)
+    }
+
+    /// Resolves an interpreter event the way the oracle does
+    /// ([`GuestCpu::handle_event`]), counting each one delivered to a
+    /// guest vector as an exception (a stop is not a delivery).
+    fn handle_event(&mut self, ev: Event) -> Option<StopReason> {
+        let stop = self.cpu.handle_event(ev);
+        if ev != Event::Continue && stop.is_none() {
+            self.stats.exceptions += 1;
+        }
+        stop
     }
 
     /// Executes one fetched instruction on the interpreter and counts
@@ -1091,7 +1102,7 @@ impl<I: Isa> DaisySystem<I> {
             let pc = self.cpu.pc();
             let insn = match self.cpu.fetch(&self.mem) {
                 Ok(i) => i,
-                Err(ev) => return self.cpu.handle_event(ev),
+                Err(ev) => return self.handle_event(ev),
             };
             // Boundary test: subroutine call, cross-page branch, or
             // backward branch ends interpretation (after executing it).
@@ -1105,7 +1116,7 @@ impl<I: Isa> DaisySystem<I> {
                     }
             });
             let ev = self.interp_execute(insn);
-            let stop = self.cpu.handle_event(ev);
+            let stop = self.handle_event(ev);
             if stop.is_some() {
                 return stop;
             }
@@ -1306,6 +1317,7 @@ mod tests {
         sys.cpu.vectored = true;
         assert_eq!(sys.run(10_000).unwrap(), StopReason::MaxInstrs);
         assert_eq!((sys.cpu.gpr[20], sys.cpu.gpr[21]), (77, 5), "DAISY ran the handler");
+        assert_eq!(sys.stats.exceptions, 2, "the system call and the trap were delivered");
     }
 
     #[test]
