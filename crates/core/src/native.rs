@@ -376,8 +376,7 @@ impl NativeTier {
     /// Mirrors a dispatcher indirect-icache event into `from`'s inline
     /// IBTC. Called whenever the dispatcher hits or installs way `way`
     /// of `from`'s icache for indirect target `target`: when both ends
-    /// are compiled and inline dispatch is `allowed` (patching safe)
-    /// the way is installed pointing at `to`'s native
+    /// are compiled the way is installed pointing at `to`'s native
     /// entry; otherwise that way is invalidated — the dispatcher just
     /// (re)wrote it, so whatever the inline cache held is stale. The
     /// invalidate half is mandatory for correctness: way overwrites
@@ -388,12 +387,10 @@ impl NativeTier {
         target: u32,
         way: usize,
         to: Option<&Rc<GroupCode>>,
-        allowed: bool,
     ) {
         let Some(fc) = compiled(from) else { return };
         let Some(tbl) = fc.ibtc() else { return };
-        let tc = if allowed { to.and_then(|t| compiled(t)) } else { None };
-        match tc {
+        match to.and_then(|t| compiled(t)) {
             Some(tc) => tbl.install(way, target, tc.entry_addr(), tc.alive_addr()),
             None => tbl.invalidate(way),
         }
@@ -404,6 +401,14 @@ impl NativeTier {
     /// probes through `cache` when the model is finite. On a bail-out,
     /// loads `scratch` with the path trail up to the bail point and
     /// returns [`NativeRun::Resume`] for the packed engine to finish.
+    ///
+    /// `chain_budget` is the run's chain budget: once this many tree
+    /// instructions have run, chain stubs and inline indirect-cache
+    /// hits return to the dispatcher instead of following patched
+    /// edges, through the same exit record an unpatched edge writes. A
+    /// budget of 0 therefore ends every run in the group it entered.
+    /// It is capped at [`ACCESS_LOG_VLIW_BUDGET`], which bounds the
+    /// access log under a finite cache.
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &mut self,
@@ -414,6 +419,7 @@ impl NativeTier {
         cache: &mut Hierarchy,
         stats: &mut RunStats,
         scratch: &mut EngineScratch,
+        chain_budget: u64,
     ) -> NativeRun {
         let (mem_base, _len, translated) = mem.jit_view();
         self.ctx.reset_counters();
@@ -423,13 +429,8 @@ impl NativeTier {
         self.ctx.translated_base = translated as *const u8;
         self.ctx.log_base = self.log.as_mut_ptr();
         self.ctx.pending_base = self.pending.as_mut_ptr() as *mut u8;
-        // The chain budget: once this many tree instructions have run,
-        // chain stubs and inline indirect-cache hits return to the
-        // dispatcher instead of following patched edges (bounding
-        // chained loops, and the granularity of run-budget checks).
-        // It also bounds the access log under a finite cache; returning
-        // at a stub leaves every statistic unchanged.
-        self.ctx.budget_vliws = ACCESS_LOG_VLIW_BUDGET;
+        // Returning at a stub leaves every statistic unchanged.
+        self.ctx.budget_vliws = chain_budget.min(ACCESS_LOG_VLIW_BUDGET);
         self.ctx.access_base =
             self.access_log.as_ref().map_or(std::ptr::null_mut(), |log| log.base());
         for (shadow, side) in self.lines.iter_mut().zip(SIDES) {

@@ -32,6 +32,7 @@ use daisy_cachesim::Hierarchy;
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::{MemFault, Memory};
 use daisy_isa::{Event, Exception, GuestCpu, Isa, Program, StopReason};
+use daisy_jit::ACCESS_LOG_VLIW_BUDGET;
 use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::IndirectVia;
 use std::collections::{HashMap, HashSet};
@@ -452,9 +453,7 @@ impl<I: Isa> DaisySystem<I> {
         let pending = self.pending_chain.take();
         let mut chained: Option<Rc<GroupCode>> = None;
         // A direct link followed at this boundary, remembered so the
-        // native tier can patch the same edge into a direct jump (only
-        // under configurations where skipping the dispatcher between
-        // these two groups is invisible — see `native_patching_ok`).
+        // native tier can patch the same edge into a direct jump.
         let mut followed_edge: Option<(Rc<GroupCode>, usize)> = None;
         if self.chaining {
             match &pending {
@@ -483,12 +482,9 @@ impl<I: Isa> DaisySystem<I> {
                             self.stats.chain.icache_hits += 1;
                             // Mirror the hit into `from`'s inline IBTC
                             // so the next indirect exit resolves
-                            // without this dispatcher boundary (or
-                            // drop the stale way if inline dispatch
-                            // is currently unsafe).
-                            let allowed = self.native_patching_ok();
+                            // without this dispatcher boundary.
                             if let Some(nt) = self.native.as_mut() {
-                                nt.icache_sync(from, pc, way, Some(&code), allowed);
+                                nt.icache_sync(from, pc, way, Some(&code));
                             }
                             chained = Some(code);
                         }
@@ -536,9 +532,8 @@ impl<I: Isa> DaisySystem<I> {
                             // IBTC must never keep an entry the
                             // dispatcher's icache no longer holds, so
                             // sync (install or invalidate) that way.
-                            let allowed = self.native_patching_ok();
                             if let Some(nt) = self.native.as_mut() {
-                                nt.icache_sync(&from, pc, way, Some(&code), allowed);
+                                nt.icache_sync(&from, pc, way, Some(&code));
                             }
                             let from_entry = from.entry;
                             self.vmm.tracer.emit(|| TraceEvent::ChainInstall {
@@ -573,10 +568,9 @@ impl<I: Isa> DaisySystem<I> {
         } else {
             default_rung
         };
-        // Native tier: compile the translation once it is warm, enter
-        // compiled code, and (where the dispatcher can be skipped
-        // invisibly) patch the chain edge just followed into a direct
-        // native jump. A bailed native run resumes the same group
+        // Native tier: compile the translation once it is warm, patch
+        // the chain edge just followed into a direct native jump, and
+        // enter compiled code. A bailed native run resumes the same group
         // mid-node on the packed engine, continuing the path trail its
         // direction log began, so everything downstream (recovery
         // cross-check, exception delivery, exit handling) is
@@ -585,7 +579,20 @@ impl<I: Isa> DaisySystem<I> {
         // dispatched one.
         let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
         if rung == Rung::Native {
-            let patching_ok = self.native_patching_ok();
+            // The chain budget is the one gate on following patched
+            // edges and inline indirect-cache hits. It is 0 while
+            // something observes every boundary: a bus (device
+            // interrupts are taken at boundaries) or guest profiling
+            // (which rebuilds each dispatch's path from the direction
+            // log, restarted at every group entry). The ladder needs no
+            // clause: `degrade` flushes every compiled group,
+            // patched edge and inline IBTC way, and only entries on the
+            // native rung are compiled again.
+            let chain_budget = if self.mem.has_bus() || self.guest_profile.is_some() {
+                0
+            } else {
+                ACCESS_LOG_VLIW_BUDGET
+            };
             if let Some(nt) = self.native.as_mut() {
                 nt.sync_epoch(
                     self.vmm.stats.invalidations,
@@ -595,10 +602,8 @@ impl<I: Isa> DaisySystem<I> {
                 if let Some(cg) =
                     nt.prepare(&code, self.vmm.cfg.page_size, &mut self.mem, &mut self.vmm.tracer)
                 {
-                    if patching_ok {
-                        if let Some((pfrom, pslot)) = &followed_edge {
-                            nt.try_patch(pfrom, *pslot, &code);
-                        }
+                    if let Some((pfrom, pslot)) = &followed_edge {
+                        nt.try_patch(pfrom, *pslot, &code);
                     }
                     match nt.execute(
                         &cg,
@@ -608,10 +613,11 @@ impl<I: Isa> DaisySystem<I> {
                         &mut self.cache,
                         &mut self.stats,
                         &mut self.scratch,
+                        chain_budget,
                     ) {
                         NativeRun::Done { exit, final_entry, final_code } => {
                             // Profiling reads the run's branch
-                            // directions; with patching off under
+                            // directions; with no chain budget under
                             // profiling, the run ended in `code`.
                             if self.guest_profile.is_some() {
                                 nt.copy_trail(&mut self.scratch);
@@ -978,24 +984,6 @@ impl<I: Isa> DaisySystem<I> {
     /// where packed execution puts them.
     pub fn native_stats(&self) -> Option<NativeStats> {
         self.native.as_ref().map(|nt| nt.stats)
-    }
-
-    /// Whether chain edges between compiled native groups may be
-    /// patched into direct jumps. Patching removes the dispatcher
-    /// boundary between the linked groups, so it is only sound when
-    /// nothing observes that boundary: no bus (device interrupts are
-    /// taken at boundaries) and no guest profiling (the profile replays
-    /// each dispatch's path from the compiled code's branch-direction
-    /// log, which restarts at every group entry). Chaining needs no
-    /// clause: the followed edges and indirect-cache ways this guards
-    /// exist only with chaining on. The ladder needs none:
-    /// [`Self::degrade`] flushes every compiled group, patched edge and
-    /// inline IBTC way, and only entries on the native rung are
-    /// compiled again, so no patched edge reaches a degraded entry.
-    /// Otherwise native groups run one group per dispatch, which
-    /// preserves boundary-exact behaviour.
-    fn native_patching_ok(&self) -> bool {
-        !self.mem.has_bus() && self.guest_profile.is_none()
     }
 
     /// Every ladder step taken this run, in order.

@@ -144,7 +144,10 @@ fn native_matches_packed_with_boundary_observers() {
         {
             let ns = native.0.native_stats().unwrap();
             assert!(ns.dispatches > 0, "{name}: native tier never entered compiled code");
-            assert_eq!(ns.edge_patches, 0, "{name}: a bus keeps every boundary visible");
+            // Edges are patched, but a zero chain budget never follows
+            // one.
+            assert!(ns.edge_patches > 0, "{name}: no chain edge was patched");
+            assert_eq!(ns.chained, 0, "{name}: a bus keeps every boundary visible");
         }
     }
 }
