@@ -66,11 +66,13 @@ pub struct VmmStats {
 struct PageTable {
     slots: Box<[Option<Rc<GroupCode>>]>,
     live: usize,
+    /// The VMM tick of the page's last lookup, for LRU cast-out.
+    last_use: u64,
 }
 
 impl PageTable {
-    fn new(nslots: usize) -> PageTable {
-        PageTable { slots: vec![None; nslots].into_boxed_slice(), live: 0 }
+    fn new(nslots: usize, tick: u64) -> PageTable {
+        PageTable { slots: vec![None; nslots].into_boxed_slice(), live: 0, last_use: tick }
     }
 
     fn get(&self, slot: usize) -> Option<&Rc<GroupCode>> {
@@ -104,8 +106,7 @@ pub struct Vmm<I: Isa> {
     pub cfg: TranslatorConfig,
     /// Page index → direct-mapped entry table for that page.
     pages: HashMap<u32, PageTable>,
-    /// Per-page last-use tick for LRU cast-out.
-    last_use: HashMap<u32, u64>,
+    /// Lookups so far; each stamps its page's [`PageTable::last_use`].
     tick: u64,
     /// Capacity of the translated-code area, if bounded.
     capacity: Option<u64>,
@@ -137,7 +138,6 @@ impl<I: Isa> Vmm<I> {
         Vmm {
             cfg,
             pages: HashMap::new(),
-            last_use: HashMap::new(),
             tick: 0,
             capacity: None,
             alias_retranslate_after: None,
@@ -164,25 +164,36 @@ impl<I: Isa> Vmm<I> {
     fn cast_out_lru(&mut self, keep: u32) {
         let Some(cap) = self.capacity else { return };
         while self.stats.code_bytes > cap && self.pages.len() > 1 {
-            let Some((&victim, _)) = self
-                .last_use
+            // Ticks are unique, so the victim does not depend on the
+            // map's iteration order.
+            let Some(victim) = self
+                .pages
                 .iter()
-                .filter(|(p, _)| **p != keep && self.pages.contains_key(*p))
-                .min_by_key(|(_, t)| **t)
+                .filter(|(p, _)| **p != keep)
+                .min_by_key(|(_, t)| t.last_use)
+                .map(|(&p, _)| p)
             else {
                 return;
             };
-            if let Some(table) = self.pages.remove(&victim) {
-                for g in table.groups() {
-                    self.stats.code_bytes =
-                        self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
-                }
-                self.stats.cast_outs += 1;
-                self.tracer
-                    .emit(|| TraceEvent::CastOut { page: victim, groups: table.live as u32 });
-            }
-            self.last_use.remove(&victim);
+            self.remove_page(victim, |page, groups| TraceEvent::CastOut { page, groups });
+            self.stats.cast_outs += 1;
         }
+    }
+
+    /// Destroys every translation on `page`, releasing their code
+    /// bytes and emitting `event(page, groups destroyed)`. Returns the
+    /// number of groups destroyed, or `None` if the page had none.
+    fn remove_page(
+        &mut self,
+        page: u32,
+        event: impl FnOnce(u32, u32) -> TraceEvent,
+    ) -> Option<usize> {
+        let table = self.pages.remove(&page)?;
+        for g in table.groups() {
+            self.stats.code_bytes = self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
+        }
+        self.tracer.emit(|| event(page, table.live as u32));
+        Some(table.live)
     }
 
     fn page_of(&self, addr: u32) -> u32 {
@@ -213,9 +224,11 @@ impl<I: Isa> Vmm<I> {
         let slot = self.slot_of(addr);
         self.tick += 1;
         let tick = self.tick;
-        self.last_use.insert(page, tick);
-        if let Some(g) = self.pages.get(&page).and_then(|t| t.get(slot)) {
-            return Rc::clone(g);
+        if let Some(table) = self.pages.get_mut(&page) {
+            table.last_use = tick;
+            if let Some(g) = table.get(slot) {
+                return Rc::clone(g);
+            }
         }
         // Every entry borrows the base config, except one that aliased
         // too often: it is rebuilt with load speculation off.
@@ -274,7 +287,7 @@ impl<I: Isa> Vmm<I> {
         let nslots = (self.cfg.page_size / 4) as usize;
         let table = self.pages.entry(page).or_insert_with(|| {
             // First translation for this page.
-            PageTable::new(nslots)
+            PageTable::new(nslots, tick)
         });
         if table.live == 0 {
             self.stats.pages_translated += 1;
@@ -341,13 +354,8 @@ impl<I: Isa> Vmm<I> {
         let first_page = unit_lo / self.cfg.page_size;
         let last_page = unit_hi / self.cfg.page_size;
         for page in first_page..=last_page {
-            if let Some(table) = self.pages.remove(&page) {
+            if self.remove_page(page, |page, _| TraceEvent::Invalidate { page }).is_some() {
                 self.stats.invalidations += 1;
-                for g in table.groups() {
-                    self.stats.code_bytes =
-                        self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
-                }
-                self.tracer.emit(|| TraceEvent::Invalidate { page });
             }
         }
         mem.clear_translated_bit(unit_lo);
@@ -405,12 +413,7 @@ impl<I: Isa> Vmm<I> {
     /// the interpret rung. Returns the number of groups destroyed.
     pub fn drop_page_of(&mut self, addr: u32) -> usize {
         let page = self.page_of(addr);
-        let Some(table) = self.pages.remove(&page) else { return 0 };
-        for g in table.groups() {
-            self.stats.code_bytes = self.stats.code_bytes.saturating_sub(u64::from(g.code_bytes));
-        }
-        self.tracer.emit(|| TraceEvent::Invalidate { page });
-        table.live
+        self.remove_page(page, |page, _| TraceEvent::Invalidate { page }).unwrap_or(0)
     }
 
     /// Severs every outbound chain link and indirect-cache entry of
