@@ -119,9 +119,6 @@ metric_table! {
         AliasRetranslations => "daisy_vmm_alias_retranslations_total",
             "Entries retranslated with load speculation inhibited",
             |s| s.vmm.alias_retranslations;
-        HintBudgetExhausted => "daisy_vmm_hint_budget_exhausted_total",
-            "Interpret-ahead hint gatherings that ran out of budget",
-            |s| s.vmm.hint_budget_exhausted;
         CodeBytesEmitted => "daisy_vmm_code_bytes_emitted_total",
             "Bytes of translated VLIW code ever produced",
             |s| s.vmm.code_bytes_total;
@@ -843,7 +840,6 @@ mod tests {
             &mut vmm.alias_retranslations,
             &mut vmm.code_bytes,
             &mut vmm.code_bytes_total,
-            &mut vmm.hint_budget_exhausted,
         ] {
             *f = next();
         }

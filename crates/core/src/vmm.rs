@@ -51,10 +51,6 @@ pub struct VmmStats {
     pub code_bytes: u64,
     /// Bytes of translated code ever produced (monotone; Fig. 5.4).
     pub code_bytes_total: u64,
-    /// Interpret-ahead hint gatherings that ran out of budget before
-    /// reaching a group boundary (each is recorded as a
-    /// [`crate::error::DegradeCause::HintBudget`] degradation).
-    pub hint_budget_exhausted: u64,
 }
 
 /// Direct-mapped per-page translation table. Entry points are 4-byte
@@ -254,7 +250,6 @@ impl<I: Isa> Vmm<I> {
                 to: Rung::Packed,
                 cause: DegradeCause::HintBudget,
             });
-            self.stats.hint_budget_exhausted += 1;
         }
         self.cost.add(&cost);
         self.stats.groups_translated += 1;

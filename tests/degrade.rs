@@ -127,7 +127,10 @@ fn hint_budget_exhaustion_is_surfaced() {
     assert_eq!(stop, StopReason::Syscall);
     assert_eq!(sys.cpu.gpr[3], 100);
 
-    assert!(sys.vmm.stats.hint_budget_exhausted > 0, "budget must have tripped");
+    assert!(
+        sys.metrics_snapshot().degradations_by(DegradeCause::HintBudget) > 0,
+        "budget must have tripped"
+    );
     assert!(
         sys.degradations().iter().any(|d| d.cause == DegradeCause::HintBudget),
         "exhaustion must be recorded as a typed degradation"
@@ -246,6 +249,10 @@ fn hint_budget_not_exhausted_on_short_code() {
     sys.load(&prog).unwrap();
     sys.run(1_000_000).unwrap();
     assert_eq!(sys.cpu.gpr[3], 42);
-    assert_eq!(sys.vmm.stats.hint_budget_exhausted, 0, "short code fits the budget");
+    assert_eq!(
+        sys.metrics_snapshot().degradations_by(DegradeCause::HintBudget),
+        0,
+        "short code fits the budget"
+    );
     assert!(sys.degradations().is_empty());
 }
