@@ -5,6 +5,9 @@
 //! and pin down the accounting invariants between chained and
 //! unchained runs.
 
+mod common;
+
+use common::{assert_same, run_oracle_in};
 use daisy::prelude::*;
 use daisy_ppc::encode::encode;
 use daisy_ppc::insn::Insn;
@@ -75,15 +78,6 @@ fn small_page_config() -> TranslatorConfig {
     TranslatorConfig { page_size: PAGE, ..TranslatorConfig::default() }
 }
 
-fn run_reference(prog: &daisy_ppc::asm::Program, mem_size: u32) -> (Cpu, Memory) {
-    let mut mem = Memory::new(mem_size);
-    prog.load_into(&mut mem).unwrap();
-    let mut cpu = Cpu::new(prog.entry);
-    let stop = cpu.run(&mut mem, 1_000_000).unwrap();
-    assert_eq!(stop, StopReason::Syscall, "reference run did not finish");
-    (cpu, mem)
-}
-
 fn run_chained(
     prog: &daisy_ppc::asm::Program,
     mem_size: u32,
@@ -100,20 +94,6 @@ fn run_chained(
     sys
 }
 
-fn assert_state_matches(sys: &DaisySystem<PpcIsa>, cpu: &Cpu, mem: &Memory, what: &str) {
-    assert_eq!(sys.cpu.gpr, cpu.gpr, "{what}: GPR state diverged");
-    assert_eq!(sys.cpu.cr, cpu.cr, "{what}: CR diverged");
-    assert_eq!(sys.cpu.ctr, cpu.ctr, "{what}: CTR diverged");
-    assert_eq!(sys.cpu.xer, cpu.xer, "{what}: XER diverged");
-    assert_eq!(sys.cpu.pc, cpu.pc, "{what}: PC diverged");
-    let size = mem.size();
-    assert_eq!(
-        sys.mem.read_bytes(0, size).unwrap(),
-        mem.read_bytes(0, size).unwrap(),
-        "{what}: memory image diverged"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,9 +106,9 @@ proptest! {
         filler in proptest::collection::vec(0u8..6, 0..12),
     ) {
         let prog = selfmod_program(&imms, &filler);
-        let (cpu, mem) = run_reference(&prog, 0x2_0000);
+        let (cpu, mem) = run_oracle_in(&prog, 0x2_0000, 1_000_000, "selfmod");
         let sys = run_chained(&prog, 0x2_0000, true);
-        assert_state_matches(&sys, &cpu, &mem, "selfmod");
+        assert_same(&sys, &cpu, &mem, "selfmod");
         // The first iteration stores before the patch page is ever
         // translated; only later iterations hit a protected unit.
         if imms.len() >= 2 {
@@ -147,9 +127,9 @@ proptest! {
 fn selfmod_loop_severs_chain_links() {
     let imms: Vec<i16> = (1..=8).collect();
     let prog = selfmod_program(&imms, &[1, 2]);
-    let (cpu, mem) = run_reference(&prog, 0x2_0000);
+    let (cpu, mem) = run_oracle_in(&prog, 0x2_0000, 1_000_000, "selfmod");
     let sys = run_chained(&prog, 0x2_0000, true);
-    assert_state_matches(&sys, &cpu, &mem, "selfmod sever");
+    assert_same(&sys, &cpu, &mem, "selfmod sever");
     assert_eq!(sys.cpu.gpr[7], 36);
     assert!(sys.stats.chain.link_installs >= 1, "hot exits should get links");
     assert!(
@@ -251,9 +231,9 @@ fn run_native_chained(prog: &daisy_ppc::asm::Program, mem_size: u32) -> DaisySys
 fn selfmod_loop_severs_native_slots() {
     let imms: Vec<i16> = (1..=8).collect();
     let prog = selfmod_program(&imms, &[1, 2]);
-    let (cpu, mem) = run_reference(&prog, 0x2_0000);
+    let (cpu, mem) = run_oracle_in(&prog, 0x2_0000, 1_000_000, "selfmod");
     let sys = run_native_chained(&prog, 0x2_0000);
-    assert_state_matches(&sys, &cpu, &mem, "native selfmod sever");
+    assert_same(&sys, &cpu, &mem, "native selfmod sever");
     assert_eq!(sys.cpu.gpr[7], 36);
     assert!(sys.stats.code_modifications >= 2);
     assert!(

@@ -1,9 +1,10 @@
 //! The random-program generator shared by the oracle proptests
 //! (`prop_equivalence`, `prop_packed`): arbitrary but safe PowerPC
 //! programs — they always terminate and touch only a private data
-//! window — plus the interpreter-oracle run and the state diff; the
-//! native-versus-packed twin comparison; and the SoC interval-timer
-//! setup the preemption tests share.
+//! window — plus the interpreter-oracle runs (of those programs, of
+//! any program and of a workload) and the state diff every oracle
+//! test uses; the native-versus-packed twin comparison; and the SoC
+//! interval-timer setup the preemption tests share.
 
 // Each test binary that includes this module uses a different subset.
 #![allow(dead_code)]
@@ -18,6 +19,7 @@ use daisy_ppc::mem::Memory;
 use daisy_ppc::reg::{CrBit, CrField, Gpr, Spr};
 use daisy_ppc::{vectors, PpcIsa};
 use daisy_soc::{reg, IRQ_TIMER, SOC_BASE};
+use daisy_workloads::Workload;
 use proptest::prelude::*;
 
 /// Guest memory size of every generated run.
@@ -294,6 +296,25 @@ pub fn run_oracle_to_stop(prog: &Program, seeds: &[u32]) -> (Cpu, Memory, StopRe
     }
     let stop = cpu.run(&mut mem, 1_000_000).unwrap();
     (cpu, mem, stop)
+}
+
+/// Runs `prog` from its entry on the reference interpreter in
+/// `mem_size` bytes of otherwise zeroed memory, for at most `max`
+/// instructions, asserting it ends at its final system call; returns
+/// the final registers and memory.
+pub fn run_oracle_in(prog: &Program, mem_size: u32, max: u64, ctx: &str) -> (Cpu, Memory) {
+    let mut mem = Memory::new(mem_size);
+    prog.load_into(&mut mem).unwrap();
+    let mut cpu = Cpu::new(prog.entry);
+    let stop = cpu.run(&mut mem, max).unwrap();
+    assert_eq!(stop, StopReason::Syscall, "{ctx}: reference run did not finish");
+    (cpu, mem)
+}
+
+/// [`run_oracle_in`] for a workload, in its own memory size and
+/// instruction budget.
+pub fn run_workload_oracle(w: &Workload) -> (Cpu, Memory) {
+    run_oracle_in(&w.program(), w.mem_size, w.max_instrs, w.name)
 }
 
 /// Runs `prog` on the system `builder` describes, from the same initial

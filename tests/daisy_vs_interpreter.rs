@@ -3,21 +3,13 @@
 //! interpreter — the paper's "100% architectural compatibility" claim,
 //! checked bit for bit.
 
+mod common;
+
+use common::{assert_same, run_workload_oracle};
 use daisy::system::DaisySystem;
-use daisy_ppc::interp::{Cpu, StopReason};
-use daisy_ppc::mem::Memory;
+use daisy_ppc::interp::StopReason;
 use daisy_ppc::PpcIsa;
 use daisy_workloads::Workload;
-
-fn run_reference(w: &Workload) -> (Cpu, Memory) {
-    let prog = w.program();
-    let mut mem = Memory::new(w.mem_size);
-    prog.load_into(&mut mem).unwrap();
-    let mut cpu = Cpu::new(prog.entry);
-    let stop = cpu.run(&mut mem, w.max_instrs).unwrap();
-    assert_eq!(stop, StopReason::Syscall, "{}: reference run did not finish", w.name);
-    (cpu, mem)
-}
 
 fn run_daisy(w: &Workload) -> DaisySystem<PpcIsa> {
     let prog = w.program();
@@ -31,24 +23,11 @@ fn run_daisy(w: &Workload) -> DaisySystem<PpcIsa> {
 #[test]
 fn all_workloads_match_reference_state() {
     for w in daisy_workloads::all() {
-        let (ref_cpu, ref_mem) = run_reference(&w);
+        let (ref_cpu, ref_mem) = run_workload_oracle(&w);
         let sys = run_daisy(&w);
 
-        assert_eq!(sys.cpu.gpr, ref_cpu.gpr, "{}: GPR state diverged", w.name);
-        assert_eq!(sys.cpu.cr, ref_cpu.cr, "{}: CR diverged", w.name);
-        assert_eq!(sys.cpu.lr, ref_cpu.lr, "{}: LR diverged", w.name);
-        assert_eq!(sys.cpu.ctr, ref_cpu.ctr, "{}: CTR diverged", w.name);
-        assert_eq!(sys.cpu.xer, ref_cpu.xer, "{}: XER diverged", w.name);
-        assert_eq!(sys.cpu.pc, ref_cpu.pc, "{}: PC diverged", w.name);
-
-        // Full memory image comparison.
-        let size = ref_mem.size();
-        assert_eq!(
-            sys.mem.read_bytes(0, size).unwrap(),
-            ref_mem.read_bytes(0, size).unwrap(),
-            "{}: memory image diverged",
-            w.name
-        );
+        // Registers, PC and the full memory image.
+        assert_same(&sys, &ref_cpu, &ref_mem, w.name);
 
         // And the workload's own semantic checker.
         w.check(&sys.cpu, &sys.mem)
@@ -64,7 +43,7 @@ fn finite_caches_never_change_semantics() {
     use daisy_cachesim::Hierarchy;
     for name in ["c_sieve", "hist", "wc"] {
         let w = daisy_workloads::by_name(name).unwrap();
-        let (ref_cpu, _) = run_reference(&w);
+        let (ref_cpu, _) = run_workload_oracle(&w);
         for cache in [Hierarchy::paper_default(), Hierarchy::paper_eight_issue()] {
             let prog = w.program();
             let mut sys = daisy::system::DaisySystem::<PpcIsa>::builder()
@@ -84,7 +63,7 @@ fn finite_caches_never_change_semantics() {
 #[test]
 fn daisy_extracts_parallelism_on_every_workload() {
     for w in daisy_workloads::all() {
-        let (ref_cpu, _) = run_reference(&w);
+        let (ref_cpu, _) = run_workload_oracle(&w);
         let sys = run_daisy(&w);
         let ilp = sys.stats.pathlength_reduction(ref_cpu.ninstrs);
         assert!(

@@ -4,39 +4,14 @@
 //! exhaustion. Every configuration must stay bit-exact against the
 //! pure-interpreter reference.
 
+mod common;
+
+use common::{assert_same, run_workload_oracle};
 use daisy::prelude::*;
 use daisy::DegradeCause;
-use daisy_ppc::interp::{Cpu, StopReason};
-use daisy_ppc::mem::Memory;
+use daisy_ppc::interp::StopReason;
 use daisy_ppc::PpcIsa;
 use daisy_ppc::{Asm, Gpr};
-use daisy_workloads::Workload;
-
-fn run_reference(w: &Workload) -> (Cpu, Memory) {
-    let prog = w.program();
-    let mut mem = Memory::new(w.mem_size);
-    prog.load_into(&mut mem).unwrap();
-    let mut cpu = Cpu::new(prog.entry);
-    let stop = cpu.run(&mut mem, w.max_instrs).unwrap();
-    assert_eq!(stop, StopReason::Syscall, "{}: reference run did not finish", w.name);
-    (cpu, mem)
-}
-
-fn assert_state_matches(w: &Workload, sys: &DaisySystem<PpcIsa>, ref_cpu: &Cpu, ref_mem: &Memory) {
-    assert_eq!(sys.cpu.gpr, ref_cpu.gpr, "{}: GPR state diverged", w.name);
-    assert_eq!(sys.cpu.cr, ref_cpu.cr, "{}: CR diverged", w.name);
-    assert_eq!(sys.cpu.lr, ref_cpu.lr, "{}: LR diverged", w.name);
-    assert_eq!(sys.cpu.ctr, ref_cpu.ctr, "{}: CTR diverged", w.name);
-    assert_eq!(sys.cpu.xer, ref_cpu.xer, "{}: XER diverged", w.name);
-    assert_eq!(sys.cpu.pc, ref_cpu.pc, "{}: PC diverged", w.name);
-    let size = ref_mem.size();
-    assert_eq!(
-        sys.mem.read_bytes(0, size).unwrap(),
-        ref_mem.read_bytes(0, size).unwrap(),
-        "{}: memory image diverged",
-        w.name
-    );
-}
 
 /// Satellite: all nine workloads with the translation cache clamped to
 /// roughly two small pages of translated code. Continuous cast-out is
@@ -45,7 +20,7 @@ fn assert_state_matches(w: &Workload, sys: &DaisySystem<PpcIsa>, ref_cpu: &Cpu, 
 fn clamped_cache_is_bit_exact_on_all_workloads() {
     let mut cast_outs_total = 0u64;
     for w in daisy_workloads::all() {
-        let (ref_cpu, ref_mem) = run_reference(&w);
+        let (ref_cpu, ref_mem) = run_workload_oracle(&w);
 
         let prog = w.program();
         let mut sys = DaisySystem::<PpcIsa>::builder()
@@ -57,7 +32,7 @@ fn clamped_cache_is_bit_exact_on_all_workloads() {
         let stop = sys.run(50 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall, "{}: clamped run did not finish", w.name);
 
-        assert_state_matches(&w, &sys, &ref_cpu, &ref_mem);
+        assert_same(&sys, &ref_cpu, &ref_mem, w.name);
         w.check(&sys.cpu, &sys.mem)
             .unwrap_or_else(|e| panic!("{}: checker failed under clamp: {e}", w.name));
         cast_outs_total += sys.vmm.stats.cast_outs;
@@ -73,7 +48,7 @@ fn clamped_cache_is_bit_exact_on_all_workloads() {
 #[test]
 fn full_ladder_walk_is_bit_exact() {
     for w in daisy_workloads::all() {
-        let (ref_cpu, ref_mem) = run_reference(&w);
+        let (ref_cpu, ref_mem) = run_workload_oracle(&w);
 
         let prog = w.program();
         let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).build();
@@ -92,7 +67,7 @@ fn full_ladder_walk_is_bit_exact() {
 
         let stop = sys.run(50 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall, "{}: degraded run did not finish", w.name);
-        assert_state_matches(&w, &sys, &ref_cpu, &ref_mem);
+        assert_same(&sys, &ref_cpu, &ref_mem, w.name);
         w.check(&sys.cpu, &sys.mem)
             .unwrap_or_else(|e| panic!("{}: checker failed on the floor: {e}", w.name));
         assert_eq!(sys.degradations().len(), 2, "{}: exactly two steps recorded", w.name);
@@ -201,7 +176,7 @@ fn guest_profile_survives_ladder_walk() {
 fn guest_profile_records_cast_outs_under_clamp() {
     let mut cast_outs_total = 0u64;
     for w in daisy_workloads::all() {
-        let (ref_cpu, ref_mem) = run_reference(&w);
+        let (ref_cpu, ref_mem) = run_workload_oracle(&w);
 
         let prog = w.program();
         let mut sys = DaisySystem::<PpcIsa>::builder()
@@ -213,7 +188,7 @@ fn guest_profile_records_cast_outs_under_clamp() {
         sys.load(&prog).unwrap();
         let stop = sys.run(50 * w.max_instrs).unwrap();
         assert_eq!(stop, StopReason::Syscall, "{}: profiled clamped run did not finish", w.name);
-        assert_state_matches(&w, &sys, &ref_cpu, &ref_mem);
+        assert_same(&sys, &ref_cpu, &ref_mem, w.name);
 
         let gp = sys.guest_profile().expect("profiling was enabled");
         let cast_out_instants = gp
