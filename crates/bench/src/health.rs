@@ -6,7 +6,7 @@
 //! (VLIWs, stall cycles, cast-outs, compiles) each benchmark workload
 //! does.
 //!
-//! The `report` binary answers "how well did the paper's machine do";
+//! `repro`'s tables answer "how well did the paper's machine do";
 //! `health` answers "what is the machine doing right now" — the
 //! snapshots a monitor would take, exercised over the workload suite
 //! so their conservation can be asserted and their shapes pinned (see

@@ -3,7 +3,7 @@
 //! The environment is offline, so artifact validation cannot lean on a
 //! JSON crate; this parser is strict enough to reject malformed output
 //! (trailing commas, bare NaN, unquoted keys) and small enough to
-//! audit at a glance. Used by `tests/report_schema.rs` and
+//! audit at a glance. Used by `tests/profile_schema.rs` and
 //! `tests/health_schema.rs`.
 
 use std::collections::BTreeMap;

@@ -78,14 +78,13 @@ pub struct WorkloadReport {
 }
 
 /// Runs `w` once under the paper's finite cache with guest profiling
-/// and distills the metric bundle; returns the system too so callers
-/// can export traces from the same run.
-pub fn report_workload(w: &Workload) -> (WorkloadReport, DaisySystem<PpcIsa>) {
+/// and distills the metric bundle.
+pub fn report_workload(w: &Workload) -> WorkloadReport {
     let base_instrs = run_reference(w).ninstrs;
     let sys = run_profiled(w, DEFAULT_FLIGHT_RECORDER_CAPACITY);
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let overhead = gp.overhead().report(&sys.stats);
-    let report = WorkloadReport {
+    WorkloadReport {
         name: w.name,
         base_instrs,
         finite_ilp: sys.stats.finite_ilp(base_instrs),
@@ -95,6 +94,5 @@ pub fn report_workload(w: &Workload) -> (WorkloadReport, DaisySystem<PpcIsa>) {
         waste_fraction: gp.waste_fraction(),
         spec_ops: gp.spec_ops(),
         wasted_spec_ops: gp.wasted_spec_ops(),
-    };
-    (report, sys)
+    }
 }

@@ -761,7 +761,7 @@ pub fn print_utilization(rows: &[UtilizationRow]) -> String {
 /// under the paper's finite cache each (see
 /// [`reporting::report_workload`]).
 pub fn guest_profile() -> Vec<WorkloadReport> {
-    workloads().iter().map(|w| reporting::report_workload(w).0).collect()
+    workloads().iter().map(reporting::report_workload).collect()
 }
 
 /// Formats the guest-profile table, every figure at six places.

@@ -9,8 +9,9 @@
 //! keys), small enough to audit at a glance.
 
 use daisy::profile::chrome_trace_json;
+use daisy::trace::DEFAULT_FLIGHT_RECORDER_CAPACITY;
 use daisy_bench::json::{parse, Json};
-use daisy_bench::reporting::report_workload;
+use daisy_bench::reporting::{report_workload, run_profiled};
 use daisy_bench::tables::print_guest_profile;
 
 /// Every column of the guest-profile table after the workload name.
@@ -33,7 +34,7 @@ const COLUMNS: &[&str] = &[
 fn guest_profile_table_carries_every_metric() {
     let reports: Vec<_> = ["wc", "cmp"]
         .iter()
-        .map(|n| report_workload(&daisy_workloads::by_name(n).expect("known workload")).0)
+        .map(|n| report_workload(&daisy_workloads::by_name(n).expect("known workload")))
         .collect();
     let text = print_guest_profile(&reports);
     let lines: Vec<&str> = text.lines().collect();
@@ -66,7 +67,7 @@ fn guest_profile_table_carries_every_metric() {
 #[test]
 fn chrome_trace_is_valid_trace_event_json() {
     let w = daisy_workloads::by_name("cmp").expect("known workload");
-    let (_, sys) = report_workload(&w);
+    let sys = run_profiled(&w, DEFAULT_FLIGHT_RECORDER_CAPACITY);
     let gp = sys.guest_profile().expect("guest profiling enabled");
     let text = chrome_trace_json(gp, w.name);
     let doc = parse(&text).expect("trace must parse as JSON");
