@@ -102,7 +102,7 @@ pub struct Vmm<I: Isa> {
     pub cfg: TranslatorConfig,
     /// Page index → direct-mapped entry table for that page.
     pages: HashMap<u32, PageTable>,
-    /// Lookups so far; each stamps its page's [`PageTable::last_use`].
+    /// Lookups so far; each stamps its page's `PageTable::last_use`.
     tick: u64,
     /// Capacity of the translated-code area, if bounded.
     capacity: Option<u64>,
