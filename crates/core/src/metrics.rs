@@ -218,6 +218,9 @@ metric_table! {
         NativeFlushes => "daisy_native_flushes_total",
             "Native-tier epoch flushes (all patched edges severed)",
             |s| s.native.map_or(0, |n| n.flushes);
+        NativeBackoffs => "daisy_native_backoffs_total",
+            "Flushes whose compiles had not repaid, doubling the native threshold",
+            |s| s.native.map_or(0, |n| n.backoffs);
         NativeVliws => "daisy_native_vliws_total",
             "Tree instructions executed natively",
             |s| s.native.map_or(0, |n| n.vliws_native);
@@ -856,6 +859,7 @@ mod tests {
             &mut native.bails,
             &mut native.edge_patches,
             &mut native.flushes,
+            &mut native.backoffs,
             &mut native.vliws_native,
             &mut native.ibtc_hits,
         ] {

@@ -14,7 +14,7 @@
 //! compile state lives on the translation too, so a retranslation
 //! starts cold.
 //!
-//! Four mechanisms keep the tier honest:
+//! Five mechanisms keep the tier honest:
 //!
 //! * **Refusal** — groups whose shape falls outside what the lowerer
 //!   can reproduce (pathological condition depth) are never compiled;
@@ -50,6 +50,15 @@
 //!   (the analogue of the weak-`Rc` chain links severing), and
 //!   execution falls back to dispatcher boundaries. The flush retires
 //!   every compiled group, so it also reclaims the whole code arena.
+//! * **Payback** — a compile must repay its cost, the §5.1 break-even
+//!   applied to the second tier. At each flush the tier compares the
+//!   VLIWs it ran natively since the previous flush with
+//!   [`PAYBACK_VLIWS`] per compile made in that time. Compiles that died
+//!   unrepaid double the threshold in force, up to
+//!   [`MAX_BACKOFF_THRESHOLD`]; an epoch that repays restores the
+//!   builder's threshold. Under cast-out churn that kills every compiled
+//!   group within a few hundred VLIWs the tier thus stops compiling,
+//!   and groups that stay live long enough still compile.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::stats::RunStats;
@@ -76,6 +85,25 @@ use std::rc::{Rc, Weak};
 /// its eighth dispatch.
 pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
 
+/// Native VLIWs one compile must buy before the flush that retires it
+/// for the compile to have paid for itself (§5.1's break-even,
+/// `t = r·i·(1/PR − 1/PV)`, with the second tier's costs). Measured on a
+/// 2-vCPU x86-64 VM with compress's groups: one compile lowers about
+/// 4.4 KB of code in 15–20 µs, and each compile, link and flush cycle
+/// makes 7 `mprotect` calls at 2–3 µs each, so a cycle costs 34–41 µs.
+/// Each VLIW run natively instead of on the packed engine saves 12–16 ns
+/// (about 18.9 ns packed, 3–7 native). So a compile repays after about
+/// 2,100–3,400 native VLIWs. The decisions are insensitive to the exact
+/// value: on the nine workloads, under every configuration
+/// `BENCH_health.json` pins, any constant from 30 to 100,000 gives the
+/// same back-offs (docs/performance.md, "Compiles that repay
+/// themselves").
+pub const PAYBACK_VLIWS: u64 = 3_000;
+
+/// The highest threshold the payback back-off raises the threshold in
+/// force to: a translation dispatched this often still compiles.
+pub const MAX_BACKOFF_THRESHOLD: u64 = 1 << 10;
+
 /// Counters of the native tier itself (compilation and dispatch
 /// behaviour; the *architectural* counters go straight into
 /// [`RunStats`], where they are indistinguishable from packed
@@ -98,6 +126,10 @@ pub struct NativeStats {
     /// Global severs: every patched edge restored and every compiled
     /// group retired (invalidation, cast-out, ladder engagement).
     pub flushes: u64,
+    /// Flushes at which the compiles made since the previous flush had
+    /// not repaid (fewer than [`PAYBACK_VLIWS`] native VLIWs each), so
+    /// the threshold in force doubled.
+    pub backoffs: u64,
     /// Tree instructions executed natively (numerator of native
     /// coverage; the denominator is [`RunStats::vliws_executed`]).
     pub vliws_native: u64,
@@ -179,8 +211,15 @@ pub struct NativeTier {
     jit: Jit,
     /// The dispatch of a translation on which it is lowered (min 1):
     /// its first `threshold - 1` dispatches run on the packed engine.
-    /// Counted by [`GroupCode::dispatches`].
+    /// Counted by [`GroupCode::dispatches`]. The threshold in force:
+    /// `base_threshold` while compiles repay, doubled at each flush
+    /// that finds they did not.
     threshold: u64,
+    /// The builder's threshold (min 1).
+    base_threshold: u64,
+    /// [`NativeTier::stats`] as the last flush left them: the payback
+    /// test reads its counts as differences from this snapshot.
+    at_flush: NativeStats,
     registry: HashMap<u32, RegEntry>,
     ctx: JitCtx,
     log: Vec<u8>,
@@ -246,9 +285,12 @@ impl NativeTier {
 
     /// [`NativeTier::new`] with a code arena of `arena_bytes`.
     fn with_arena(threshold: u64, cache: &Hierarchy, arena_bytes: usize) -> Option<NativeTier> {
+        let threshold = threshold.max(1);
         Some(NativeTier {
             jit: Jit::new(arena_bytes)?,
-            threshold: threshold.max(1),
+            threshold,
+            base_threshold: threshold,
+            at_flush: NativeStats::default(),
             registry: HashMap::new(),
             ctx: JitCtx::new(),
             log: vec![0u8; LOG_CAPACITY],
@@ -273,7 +315,8 @@ impl NativeTier {
     /// counts and refusals survive — they describe the *translations*
     /// — so a still-live hot group recompiles on its next dispatch
     /// instead of re-warming from zero under invalidation churn, and a
-    /// deferred one gets its retry.
+    /// deferred one gets its retry. Then applies the payback test (see
+    /// the module doc) to the compiles the flush retired.
     pub fn flush(&mut self) {
         self.jit.unlink_all();
         for code in self.registry.values().filter_map(|row| row.code.upgrade()) {
@@ -294,7 +337,17 @@ impl NativeTier {
         // space until a later flush).
         self.registry.retain(|_, row| row.compiled.strong_count() > 0);
         self.jit.reclaim();
+        // The payback test (see the module doc).
+        let ran = self.stats.vliws_native - self.at_flush.vliws_native;
+        let cost = (self.stats.compiles - self.at_flush.compiles) * PAYBACK_VLIWS;
+        if ran >= cost {
+            self.threshold = self.base_threshold;
+        } else if self.threshold < MAX_BACKOFF_THRESHOLD {
+            self.threshold = (self.threshold * 2).min(MAX_BACKOFF_THRESHOLD);
+            self.stats.backoffs += 1;
+        }
         self.stats.flushes += 1;
+        self.at_flush = self.stats;
     }
 
     /// Compares the VMM's invalidation/cast-out/alias-retranslation
@@ -656,5 +709,38 @@ mod tests {
         assert_eq!(Some(cg.entry_addr()), first_addr, "lands on the reclaimed bytes");
         assert_eq!(tier.stats.compiles, compiles + 1);
         assert_eq!(tier.registry.len(), 1);
+    }
+
+    #[test]
+    fn unrepaid_compiles_double_the_threshold_until_an_epoch_repays() {
+        let mut tier = NativeTier::new(1, &Hierarchy::infinite()).expect("native host");
+        let (mut mem, mut tracer) = (Memory::new(0x10000), FlightRecorder::default());
+        let c = code(0x1000);
+        // Dispatches the translation until it compiles.
+        let mut warm_up = |tier: &mut NativeTier| {
+            c.count_dispatch();
+            while tier.prepare(&c, 4096, &mut mem, &mut tracer).is_none() {
+                c.count_dispatch();
+            }
+        };
+        let doublings = u64::from(MAX_BACKOFF_THRESHOLD.trailing_zeros());
+        // Each flush retires one compile that ran no native VLIW.
+        for backoffs in 1..=doublings {
+            warm_up(&mut tier);
+            tier.flush();
+            assert_eq!(tier.stats.backoffs, backoffs);
+            assert_eq!(tier.threshold, 1 << backoffs);
+        }
+        warm_up(&mut tier);
+        tier.flush();
+        assert_eq!(tier.threshold, MAX_BACKOFF_THRESHOLD, "the back-off stops at its cap");
+        assert_eq!(tier.stats.backoffs, doublings, "a capped threshold is not doubled");
+        // A compile that ran its payback natively restores the builder's
+        // threshold at the next flush.
+        warm_up(&mut tier);
+        tier.stats.vliws_native += PAYBACK_VLIWS;
+        tier.flush();
+        assert_eq!(tier.threshold, 1);
+        assert_eq!(tier.stats.backoffs, doublings);
     }
 }

@@ -222,7 +222,14 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// code: its first `dispatches - 1` dispatches run on the packed
     /// engine (default [`crate::native::DEFAULT_NATIVE_THRESHOLD`];
     /// clamped to at least 1). Counted per translation
-    /// ([`GroupCode::dispatches`]). Only meaningful with
+    /// ([`GroupCode::dispatches`]). This holds while compiles repay
+    /// their cost: a flush that finds the compiles made since the
+    /// previous one ran fewer than
+    /// [`crate::native::PAYBACK_VLIWS`] native VLIWs each doubles the
+    /// threshold in force (up to
+    /// [`crate::native::MAX_BACKOFF_THRESHOLD`]), and the next flush
+    /// whose compiles repaid restores this value (see
+    /// [`crate::native`]). Only meaningful with
     /// [`DaisySystemBuilder::native_execution`] on.
     pub fn native_threshold(mut self, dispatches: u64) -> Self {
         self.native_threshold = dispatches;

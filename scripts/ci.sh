@@ -171,7 +171,8 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 # programs under those edge hierarchies (a level 0 that costs cycles,
 # no private instruction level), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
-# retired bytes), then a 16-seed injection sweep of the two
+# retired bytes) and under code_thrash's churn, where no compile repays
+# and the threshold backs off, then a 16-seed injection sweep of the two
 # invalidation-heavy fault kinds with the ladder starting at the native
 # rung. Other hosts build the same code but the tier declines to
 # engage, so there is nothing extra to test.
@@ -183,6 +184,7 @@ if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_replays_probes_exactly_under_edge_hierarchies
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
+  cargo test -q --test prop_native native_backs_off_when_compiles_die_unrepaid
   for kind in hot_patch chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \
       --native --seeds 16 --kind "$kind"

@@ -216,6 +216,40 @@ fn check_cast_out_churn(cache: HierarchyCtor) {
     }
 }
 
+/// daisybench's `code_thrash` configuration (256-byte pages, a 512-byte
+/// code area, the default threshold) casts out compress's compiled
+/// groups about a hundred native VLIWs after each compile, so no compile
+/// repays. The payback test must back the threshold off until the tier
+/// stops compiling (4,119 compiles per run without it), and native must
+/// still equal packed.
+#[test]
+fn native_backs_off_when_compiles_die_unrepaid() {
+    let w = daisy_workloads::by_name("compress").expect("compress workload");
+    let run = |native: bool| {
+        let mut sys = DaisySystem::<PpcIsa>::builder()
+            .mem_size(w.mem_size)
+            .translator(TranslatorConfig { page_size: 256, ..TranslatorConfig::default() })
+            .code_capacity(512)
+            .native_execution(native)
+            .flight_recorder_capacity(1 << 21)
+            .build();
+        sys.load(&w.program()).unwrap();
+        let stop = sys.run(10 * w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall, "code_thrash run did not finish");
+        assert_eq!(sys.flight_recorder().dropped(), 0, "trace ring overflowed; grow the cap");
+        traced_run(sys)
+    };
+    let (packed, native) = (run(false), run(true));
+    assert_indistinguishable(&packed, &native, "compress under code_thrash");
+    w.check(&native.0.cpu, &native.0.mem).expect("compress checker under the native tier");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let ns = native.0.native_stats().unwrap();
+        assert!(ns.backoffs > 0, "unrepaid compiles must back the threshold off: {ns:?}");
+        assert!(ns.compiles <= 8, "the tier must stop compiling groups that die unrepaid: {ns:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The native threshold, pinned exactly on a one-group self-loop.
 // ---------------------------------------------------------------------
