@@ -7,7 +7,8 @@
 //!
 //!   --top N          show the N hottest groups (default 10)
 //!   --jsonl FILE     also write every captured trace event to FILE as
-//!                    JSON lines
+//!                    JSON lines (FILE is truncated once, then holds
+//!                    every workload of the run in order)
 //!   --trace-dir DIR  also write a Chrome trace_event JSON per
 //!                    workload to DIR/<workload>.trace.json
 //!                    (load in chrome://tracing or Perfetto)
@@ -34,6 +35,8 @@ use daisy::prelude::*;
 use daisy::profile::{annotated_disassembly, chrome_trace_json, folded_stacks};
 use daisy_bench::reporting::{resolve_workloads, run_profiled};
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::Write as _;
 
 /// One group entry's rollup of its timeline dispatches.
 #[derive(Default)]
@@ -96,7 +99,7 @@ fn write_artifact(dir: &str, file: String, contents: &str) {
     println!("  wrote {}", path.display());
 }
 
-fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
+fn profile_workload(w: &daisy_workloads::Workload, opts: &Options, jsonl: Option<&mut File>) {
     let sys = run_profiled(w, 1 << 16);
 
     let gp = sys.guest_profile().expect("guest profiling enabled");
@@ -132,13 +135,7 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
     }
     println!();
 
-    if let Some(path) = &opts.jsonl {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open --jsonl file");
+    if let Some(f) = jsonl {
         for (_, ev) in &events {
             writeln!(f, "{}", ev.to_json()).expect("write --jsonl file");
         }
@@ -159,7 +156,9 @@ fn profile_workload(w: &daisy_workloads::Workload, opts: &Options) {
 fn main() {
     let opts = parse_args();
     let workloads = resolve_workloads(&opts.workloads);
+    let mut jsonl =
+        opts.jsonl.as_ref().map(|path| File::create(path).expect("create --jsonl file"));
     for w in &workloads {
-        profile_workload(w, &opts);
+        profile_workload(w, &opts, jsonl.as_mut());
     }
 }
