@@ -216,7 +216,7 @@ metric_table! {
             "Chain edges patched into direct native jumps",
             |s| s.native.map_or(0, |n| n.edge_patches);
         NativeFlushes => "daisy_native_flushes_total",
-            "Native-tier epoch flushes (all patched edges severed)",
+            "Native-tier flushes (every compiled group retired, code arena reclaimed)",
             |s| s.native.map_or(0, |n| n.flushes);
         NativeBackoffs => "daisy_native_backoffs_total",
             "Flushes whose compiles had not repaid, doubling the native threshold",

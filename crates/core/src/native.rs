@@ -18,10 +18,10 @@
 //!
 //! * **Refusal** — groups whose shape falls outside what the lowerer
 //!   can reproduce (pathological condition depth) are never compiled;
-//!   they stay on the packed engine forever. Arena exhaustion only
-//!   defers an entry until the next flush gives the arena back. Trap
-//!   checks and load-verify commits lower to templates too, so the
-//!   tier refuses almost nothing.
+//!   they stay on the packed engine forever. A full arena only flushes
+//!   the tier, which gives the arena back; the entry compiles on a
+//!   later dispatch. Trap checks and load-verify commits lower to
+//!   templates too, so the tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
 //!   translated page). The dispatcher then copies the run's
@@ -44,21 +44,26 @@
 //!   copy equals the model's table again (a debug assertion checks
 //!   it). On a bail the replay finishes before the packed resume makes
 //!   its own probes.
-//! * **Severing** — chained direct jumps between compiled groups are
-//!   guarded by per-group alive bytes and a global patch log; any
-//!   invalidation or cast-out in the VMM flushes every native edge
-//!   (the analogue of the weak-`Rc` chain links severing), and
-//!   execution falls back to dispatcher boundaries. The flush retires
-//!   every compiled group, so it also reclaims the whole code arena.
+//! * **Severing** — a compiled group lives in its translation's
+//!   [`GroupCode`], so it dies with the translation (invalidation,
+//!   cast-out, alias retranslation). Its alive byte then flips, and
+//!   every patched chain jump and inline IBTC way that points into it
+//!   falls back to a dispatcher boundary, the analogue of the weak-`Rc`
+//!   chain links severing; the jumps and ways it holds die with its
+//!   code. The arena gives dead code's bytes back only wholesale, so
+//!   the tier flushes (retires every compiled group, then rewinds the
+//!   arena) at the first cold dispatch after a compiled group died, on
+//!   a full arena, and at every ladder step and explicit sever.
 //! * **Payback** — a compile must repay its cost, the §5.1 break-even
 //!   applied to the second tier. At each flush the tier compares the
 //!   VLIWs it ran natively since the previous flush with
 //!   [`PAYBACK_VLIWS`] per compile made in that time. Compiles that died
 //!   unrepaid double the threshold in force, up to
-//!   [`MAX_BACKOFF_THRESHOLD`]; an epoch that repays restores the
-//!   builder's threshold. Under cast-out churn that kills every compiled
-//!   group within a few hundred VLIWs the tier thus stops compiling,
-//!   and groups that stay live long enough still compile.
+//!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid
+//!   restores the builder's threshold. Under cast-out churn that kills
+//!   every compiled group within a few hundred VLIWs the tier thus
+//!   stops compiling, and groups that stay live long enough still
+//!   compile.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::stats::RunStats;
@@ -90,7 +95,9 @@ pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
 /// `t = r·i·(1/PR − 1/PV)`, with the second tier's costs). Measured on a
 /// 2-vCPU x86-64 VM with compress's groups: one compile lowers about
 /// 4.4 KB of code in 15–20 µs, and each compile, link and flush cycle
-/// makes 7 `mprotect` calls at 2–3 µs each, so a cycle costs 34–41 µs.
+/// made 7 `mprotect` calls at 2–3 µs each, so a cycle cost 34–41 µs
+/// (flushes then also rewrote every patched edge; they no longer do, so
+/// a cycle now costs somewhat less).
 /// Each VLIW run natively instead of on the packed engine saves 12–16 ns
 /// (about 18.9 ns packed, 3–7 native). So a compile repays after about
 /// 2,100–3,400 native VLIWs. The decisions are insensitive to the exact
@@ -123,8 +130,9 @@ pub struct NativeStats {
     pub bails: u64,
     /// Chain edges patched into direct jumps.
     pub edge_patches: u64,
-    /// Global severs: every patched edge restored and every compiled
-    /// group retired (invalidation, cast-out, ladder engagement).
+    /// Flushes: every compiled group retired and the code arena
+    /// reclaimed (after a compiled group died, on a full arena, at a
+    /// ladder step or an explicit sever).
     pub flushes: u64,
     /// Flushes at which the compiles made since the previous flush had
     /// not repaid (fewer than [`PAYBACK_VLIWS`] native VLIWs each), so
@@ -147,18 +155,14 @@ pub struct NativeStats {
 /// lives and dies with the translation it describes.
 #[derive(Debug)]
 pub(crate) enum NativeSlot {
-    /// Not compiled: below the threshold, or retired by a flush (a
-    /// retired translation is past the threshold, so it recompiles on
-    /// its next dispatch).
+    /// Not compiled: below the threshold, refused for lack of arena
+    /// space, or retired by a flush (either way past the threshold, so
+    /// it compiles on its next dispatch).
     Cold,
     /// Lowered and installed.
     Compiled(Rc<CompiledGroup>),
     /// Permanently outside the template set.
     Refused,
-    /// Refused for lack of arena space when the tier had flushed this
-    /// many times: stays packed until the next flush reclaims the
-    /// arena, then compiles on its next dispatch.
-    Deferred(u64),
 }
 
 /// The compiled body of `code`, if it has one.
@@ -243,10 +247,6 @@ pub struct NativeTier {
     /// template. `u64` elements so the generation word is aligned; the
     /// prologue's `pending_gen` bump invalidates all rows at once.
     pending: Vec<u64>,
-    /// `(invalidations, cast_outs, alias_retranslations)` snapshot;
-    /// any drift severs all native chain edges and retires all
-    /// compiled groups.
-    epoch: (u64, u64, u64),
     /// Native-tier counters.
     pub stats: NativeStats,
 }
@@ -304,37 +304,29 @@ impl NativeTier {
             },
             lines: SIDES.map(|side| cache.l0_lines(side).to_vec()),
             pending: vec![0u64; NUM_REGS * PENDING_ROW_BYTES / 8],
-            epoch: (0, 0, 0),
             stats: NativeStats::default(),
         })
     }
 
-    /// Severs every patched chain edge, retires every compiled group
-    /// (their alive bytes flip, so even a stale patched edge could
-    /// never enter them) and reclaims their arena space. Dispatch
-    /// counts and refusals survive — they describe the *translations*
-    /// — so a still-live hot group recompiles on its next dispatch
-    /// instead of re-warming from zero under invalidation churn, and a
-    /// deferred one gets its retry. Then applies the payback test (see
-    /// the module doc) to the compiles the flush retired.
+    /// Retires every compiled group (each dies with its slot, taking
+    /// its patched jumps and inline IBTC ways along, and its alive byte
+    /// cuts those pointing into it) and reclaims the code arena.
+    /// Dispatch counts and refusals survive — they describe the
+    /// *translations* — so a still-live hot group recompiles on its
+    /// next dispatch instead of re-warming from zero. Then applies the
+    /// payback test (see the module doc) to the compiles the flush
+    /// retired.
     pub fn flush(&mut self) {
-        self.jit.unlink_all();
         for code in self.registry.values().filter_map(|row| row.code.upgrade()) {
             let mut slot = code.native.borrow_mut();
-            if let NativeSlot::Compiled(cg) = &*slot {
-                // Drop the retiring group's inline indirect-target
-                // entries too: they are the IBTC analogue of the chain
-                // edges `unlink_all` just severed.
-                if let Some(t) = cg.ibtc() {
-                    t.clear();
-                }
+            if matches!(*slot, NativeSlot::Compiled(_)) {
                 *slot = NativeSlot::Cold;
             }
         }
         // Rows of retired groups can never resolve again. With no
-        // group left alive and no edge patched, the arena rewinds
-        // (a caller still holding a group keeps both its row and the
-        // space until a later flush).
+        // group left alive, the arena rewinds (a caller still holding
+        // a group keeps both its row and the space until a later
+        // flush).
         self.registry.retain(|_, row| row.compiled.strong_count() > 0);
         self.jit.reclaim();
         // The payback test (see the module doc).
@@ -350,23 +342,12 @@ impl NativeTier {
         self.at_flush = self.stats;
     }
 
-    /// Compares the VMM's invalidation/cast-out/alias-retranslation
-    /// counters against the last-seen snapshot and flushes on any
-    /// drift — the native analogue of weak chain links severing when
-    /// translations die.
-    pub fn sync_epoch(&mut self, invalidations: u64, cast_outs: u64, alias_retranslations: u64) {
-        if self.epoch != (invalidations, cast_outs, alias_retranslations) {
-            self.epoch = (invalidations, cast_outs, alias_retranslations);
-            if !self.registry.is_empty() || self.jit.active_patches() > 0 {
-                self.flush();
-            }
-        }
-    }
-
     /// Looks up (or performs, once the translation's dispatch count
     /// reaches the threshold) the compilation of `code`. Returns the
     /// compiled group when this dispatch should run natively; `None`
-    /// keeps it on the packed engine.
+    /// keeps it on the packed engine. A cold `code` first flushes the
+    /// tier if a compiled group has died since the last flush, so dead
+    /// code's bytes come back before anything new is compiled.
     pub fn prepare(
         &mut self,
         code: &Rc<GroupCode>,
@@ -377,8 +358,10 @@ impl NativeTier {
         match &*code.native.borrow() {
             NativeSlot::Compiled(cg) => return Some(Rc::clone(cg)),
             NativeSlot::Refused => return None,
-            NativeSlot::Deferred(at) if *at == self.stats.flushes => return None,
-            NativeSlot::Cold | NativeSlot::Deferred(_) => {}
+            NativeSlot::Cold => {}
+        }
+        if self.registry.values().any(|row| row.compiled.strong_count() == 0) {
+            self.flush();
         }
         if code.dispatches() < self.threshold {
             return None;
@@ -405,11 +388,11 @@ impl NativeTier {
                 self.stats.refusals += 1;
                 self.stats.refusal_histogram[r.index()] += 1;
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
-                *code.native.borrow_mut() = if r == Refusal::ArenaFull {
-                    NativeSlot::Deferred(self.stats.flushes)
+                if r == Refusal::ArenaFull {
+                    self.flush();
                 } else {
-                    NativeSlot::Refused
-                };
+                    *code.native.borrow_mut() = NativeSlot::Refused;
+                }
                 None
             }
         }
@@ -675,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_full_defers_the_entry_until_a_flush_reclaims_the_arena() {
+    fn arena_full_flushes_and_the_entry_compiles_on_the_reclaimed_bytes() {
         let mut tier =
             NativeTier::with_arena(1, &Hierarchy::infinite(), 2 * 4096).expect("native host");
         let (mut mem, mut tracer) = (Memory::new(0x10000), FlightRecorder::default());
@@ -696,19 +679,41 @@ mod tests {
             })
             .expect("64 groups overflow a two-page arena");
         assert_eq!(tier.stats.refusal_histogram[Refusal::ArenaFull.index()], 1);
-        assert_eq!(tier.registry.len() as u64, tier.stats.compiles);
-
-        // Deferred, not retried: no second refusal before a flush.
-        assert!(prepare(&mut tier, starved).is_none());
-        assert_eq!(tier.stats.refusals, 1);
-
-        tier.flush();
+        assert_eq!(tier.stats.flushes, 1, "the refusal flushes the tier");
         assert!(tier.registry.is_empty(), "rows of retired groups are pruned");
         let compiles = tier.stats.compiles;
+        // The flush found the compiles unrepaid and doubled the
+        // threshold to 2, which the entry's second dispatch meets.
         let cg = prepare(&mut tier, starved).expect("compiles after the reclaim");
         assert_eq!(Some(cg.entry_addr()), first_addr, "lands on the reclaimed bytes");
         assert_eq!(tier.stats.compiles, compiles + 1);
         assert_eq!(tier.registry.len(), 1);
+    }
+
+    #[test]
+    fn a_dead_group_flushes_the_tier_at_the_next_cold_dispatch() {
+        let mut tier = NativeTier::new(1, &Hierarchy::infinite()).expect("native host");
+        let (mut mem, mut tracer) = (Memory::new(0x10000), FlightRecorder::default());
+        let mut prepare = |tier: &mut NativeTier, c: &Rc<GroupCode>| {
+            c.count_dispatch();
+            tier.prepare(c, 4096, &mut mem, &mut tracer)
+        };
+        let (a, b, c) = (code(0x1000), code(0x1100), code(0x1200));
+        let a_addr = prepare(&mut tier, &a).expect("compiles").entry_addr();
+        prepare(&mut tier, &b).expect("compiles");
+        // A compiled group in use keeps its bytes: no flush.
+        assert!(prepare(&mut tier, &b).is_some());
+        assert_eq!(tier.stats.flushes, 0);
+        // Dropping a translation kills its compiled group; the next
+        // cold dispatch retires the rest and reclaims the arena. The
+        // flush finds both compiles unrepaid and doubles the threshold
+        // to 2, so `c` comes to it with two dispatches.
+        drop(a);
+        c.count_dispatch();
+        let cg = prepare(&mut tier, &c).expect("compiles after the flush");
+        assert_eq!(tier.stats.flushes, 1);
+        assert_eq!(cg.entry_addr(), a_addr, "lands on the reclaimed bytes");
+        assert!(matches!(*b.native.borrow(), NativeSlot::Cold), "the flush retired b");
     }
 
     #[test]

@@ -601,11 +601,6 @@ impl<I: Isa> DaisySystem<I> {
                 ACCESS_LOG_VLIW_BUDGET
             };
             if let Some(nt) = self.native.as_mut() {
-                nt.sync_epoch(
-                    self.vmm.stats.invalidations,
-                    self.vmm.stats.cast_outs,
-                    self.vmm.stats.alias_retranslations,
-                );
                 if let Some(cg) =
                     nt.prepare(&code, self.vmm.cfg.page_size, &mut self.mem, &mut self.vmm.tracer)
                 {

@@ -14,10 +14,10 @@
 //! flipping their alive byte (see [`crate::AliveSlab`]); the space
 //! they occupied comes back only wholesale, through
 //! [`Arena::rewind`], once the owner has proven nothing can reach it:
-//! no group alive and no chain edge patched (see
-//! [`crate::Jit::reclaim`]). A full arena between rewinds simply stops
-//! further compilation — execution falls back to the packed tier,
-//! never fails.
+//! no group alive (see [`crate::Jit::reclaim`]). Every patched chain
+//! edge lies inside a compiled group, so no edge survives to jump into
+//! rewound bytes. A full arena between rewinds simply stops further
+//! compilation — execution falls back to the packed tier, never fails.
 //!
 //! The crate takes no libc dependency, so the three needed syscalls
 //! are issued directly. The cache access log's backing store
@@ -80,21 +80,6 @@ pub struct Arena {
     /// Page runs `[start, end)` (page-aligned arena offsets) the open
     /// write window has flipped to `rw-`; empty at rest.
     window: RefCell<Vec<(usize, usize)>>,
-    /// Registered patch points: `(offset of a rel32 field, original
-    /// target offset)` — enough to restore every chain edge to its
-    /// fallback path on a global unpatch.
-    patches: RefCell<Vec<PatchSite>>,
-}
-
-/// One installed chain-edge patch, recorded so severs can undo it.
-#[derive(Debug, Clone, Copy)]
-pub struct PatchSite {
-    /// Offset of the patched `jmp` rel32 field within the arena.
-    pub site: usize,
-    /// Arena offset the site jumps to while patched (the chain stub).
-    pub stub: usize,
-    /// Arena offset the site jumps to when unpatched (the fallback).
-    pub fallback: usize,
 }
 
 impl Arena {
@@ -123,7 +108,6 @@ impl Arena {
                 len,
                 used: Cell::new(0),
                 window: RefCell::new(Vec::new()),
-                patches: RefCell::new(Vec::new()),
             })
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
@@ -228,8 +212,7 @@ impl Arena {
     }
 
     /// Rewrites the rel32 field at arena offset `at` to land on the
-    /// absolute address `target`, then records nothing — use
-    /// [`Arena::patch_edge`] for tracked chain edges.
+    /// absolute address `target`.
     pub fn write_rel32(&self, at: usize, target: u64) {
         self.open(at, 4);
         let next = self.base as u64 + at as u64 + 4;
@@ -249,37 +232,12 @@ impl Arena {
         }
     }
 
-    /// Activates a chain edge: points `site.site` at `site.stub` and
-    /// records the site so [`Arena::unpatch_all`] can restore it.
-    pub fn patch_edge(&self, site: PatchSite) {
-        self.write_rel32(site.site, self.addr_of(site.stub));
-        self.patches.borrow_mut().push(site);
-    }
-
-    /// Restores every patched chain edge to its fallback path (the
-    /// exit-record sequence that returns to the dispatcher). Returns
-    /// how many were restored.
-    pub fn unpatch_all(&self) -> u64 {
-        let sites = std::mem::take(&mut *self.patches.borrow_mut());
-        for s in &sites {
-            self.write_rel32(s.site, self.addr_of(s.fallback));
-        }
-        self.seal();
-        sites.len() as u64
-    }
-
-    /// Number of currently active chain-edge patches.
-    pub fn active_patches(&self) -> usize {
-        self.patches.borrow().len()
-    }
-
     /// Moves the bump pointer back to `to`, handing every byte past it
-    /// out again. Refused (returns `false`) while any chain-edge patch
-    /// is recorded, so a stale patch site can never be "restored" into
-    /// new code, or when `to` lies past the bump pointer. The caller
-    /// guarantees nothing past `to` is reachable any more.
+    /// out again. Refused (returns `false`) when `to` lies past the
+    /// bump pointer. The caller guarantees nothing past `to` is
+    /// reachable any more.
     pub fn rewind(&self, to: usize) -> bool {
-        if to > self.used.get() || self.active_patches() > 0 {
+        if to > self.used.get() {
             return false;
         }
         self.used.set(to);
@@ -373,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_and_unpatch_rewrite_jump_targets() {
+    fn write_rel32_retargets_a_jump() {
         let arena = Arena::new(1 << 16).expect("mmap");
         // jmp +0 (to fallback); fallback: mov eax,1; ret; stub: mov eax,2; ret
         let mut code = vec![0xE9, 0, 0, 0, 0]; // site at 0, rel at 1
@@ -386,12 +344,9 @@ mod tests {
         arena.seal();
         let f: extern "sysv64" fn() -> u32 = unsafe { std::mem::transmute(arena.addr_of(off)) };
         assert_eq!(f(), 1);
-        arena.patch_edge(PatchSite { site: off + 1, stub: off + stub, fallback: off + fallback });
+        arena.write_rel32(off + 1, arena.addr_of(off + stub));
         arena.seal();
         assert_eq!(f(), 2);
-        assert_eq!(arena.unpatch_all(), 1);
-        assert_eq!(f(), 1);
-        assert_eq!(arena.active_patches(), 0);
     }
 
     #[test]
@@ -451,15 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn rewind_is_refused_while_an_edge_is_patched() {
+    fn rewind_hands_space_out_again() {
         let arena = Arena::new(1 << 16).expect("mmap");
         let keep = arena.install(&[0xC3]).expect("fits") + 1;
         let off = arena.install(&[0xE9, 0, 0, 0, 0, 0xC3, 0xC3]).expect("fits");
-        arena.patch_edge(PatchSite { site: off + 1, stub: off + 6, fallback: off + 5 });
         arena.seal();
-        assert!(!arena.rewind(keep));
         assert!(!arena.rewind(arena.used() + 1), "past the bump pointer");
-        assert_eq!(arena.unpatch_all(), 1);
         assert!(arena.rewind(keep));
         assert_eq!(arena.used(), keep);
         assert_eq!(arena.install(&[0x90]), Some(off), "space is handed out again");

@@ -8,10 +8,12 @@
 //! how the `Native` rung composes with the degradation ladder.
 //!
 //! The arena is `r-x` at rest; each write opens a window over only
-//! the pages it touches. Space is bump-allocated and comes back
-//! wholesale: once every group is dropped and every chain edge
-//! unpatched (the core crate's epoch flush), [`Jit::reclaim`] rewinds
-//! the arena to just past the shared thunk and epilogue.
+//! the pages it touches. A compiled group dies with its owner: dropping
+//! it flips its alive byte, which cuts every patched edge and inline
+//! indirect-cache way that points into it. Space is bump-allocated and
+//! comes back wholesale: once every group is dropped (the core crate's
+//! flush), [`Jit::reclaim`] rewinds the arena to just past the shared
+//! thunk and epilogue.
 //!
 //! This crate is deliberately engine-agnostic: it knows the packed
 //! format and the [`ctx::JitCtx`] ABI, but dispatch policy, statistics
@@ -27,7 +29,7 @@ pub mod asm;
 pub mod ctx;
 pub mod lower;
 
-use arena::{Arena, PatchSite};
+use arena::Arena;
 use ctx::JitCtx;
 use daisy_vliw::packed::PackedGroup;
 use lower::{ExitSite, LowerParams, Lowered, Refusal};
@@ -126,13 +128,6 @@ impl IbtcTable {
         self.ways[way].tag.set(IBTC_INVALID_TAG);
     }
 
-    /// Drops every entry (epoch flush / sever).
-    pub fn clear(&self) {
-        for w in &self.ways {
-            w.tag.set(IBTC_INVALID_TAG);
-        }
-    }
-
     fn base_addr(&self) -> u64 {
         self as *const IbtcTable as u64
     }
@@ -170,6 +165,12 @@ pub struct CompileOpts<'a> {
 /// Bytes are never freed or reused: a stale patched edge can therefore
 /// never observe a recycled "alive" byte that belongs to a different
 /// group.
+///
+/// The byte is the only guard between a group's death and the next
+/// flush of the core crate's tier, which alone reclaims the arena: a
+/// retranslated entry's old group stays reachable through live edges
+/// until then. `tests/chaining.rs::alias_restart_retranslation_retires_native_code`
+/// fails when [`AliveHandle`]'s drop stops clearing the byte.
 #[derive(Default)]
 pub struct AliveSlab {
     // One Box per byte on purpose: compiled code polls each byte by
@@ -261,7 +262,7 @@ impl CompiledGroup {
 }
 
 /// The native-tier compiler and code cache: one W^X arena, the shared
-/// entry thunk and epilogue, the alive-byte slab, and the patch log.
+/// entry thunk and epilogue, and the alive-byte slab.
 pub struct Jit {
     arena: Rc<Arena>,
     slab: Rc<AliveSlab>,
@@ -301,18 +302,15 @@ impl Jit {
         self.arena.used()
     }
 
-    /// Number of currently patched chain edges.
-    pub fn active_patches(&self) -> usize {
-        self.arena.active_patches()
-    }
-
     /// Gives back the space of every compiled group: rewinds the bump
     /// pointer to just past the shared thunk and epilogue, so later
     /// compilations overwrite retired code. Refused (returns `false`)
     /// while any [`CompiledGroup`] is alive — each holds an `Rc` to the
-    /// arena, so the `Jit`'s must be the only strong one — or any chain
-    /// edge is patched. Group ids and alive bytes are never reused, so
-    /// stale registry rows and stale alive-byte polls stay harmless.
+    /// arena, so the `Jit`'s must be the only strong one. Every patched
+    /// edge and inline indirect-cache way lives in a compiled group, so
+    /// with none alive nothing can jump into the rewound bytes. Group
+    /// ids and alive bytes are never reused, so stale registry rows and
+    /// stale alive-byte polls stay harmless.
     pub fn reclaim(&self) -> bool {
         Rc::strong_count(&self.arena) == 1 && self.arena.rewind(self.code_start)
     }
@@ -366,28 +364,18 @@ impl Jit {
 
     /// Patches every exit of `from` that carries chain-link slot
     /// `slot` into a direct jump to `to` (through the budget/alive
-    /// stub). Returns the number of sites patched.
+    /// stub). Returns the number of sites patched. The edge lasts as
+    /// long as `from`; `to`'s alive byte cuts it when `to` dies.
     pub fn link(&self, from: &CompiledGroup, slot: u32, to: &CompiledGroup) -> usize {
         let mut n = 0;
         for e in from.exits.iter().filter(|e| e.slot == slot) {
             self.arena.write_imm64(from.off + e.stub_alive_imm, to.alive.addr());
             self.arena.write_rel32(from.off + e.stub_jmp, to.entry_addr());
-            self.arena.patch_edge(PatchSite {
-                site: from.off + e.site,
-                stub: from.off + e.stub,
-                fallback: from.off + e.fallback,
-            });
+            self.arena.write_rel32(from.off + e.site, self.arena.addr_of(from.off + e.stub));
             n += 1;
         }
         self.arena.seal();
         n
-    }
-
-    /// Restores every patched edge in the arena to its fallback path.
-    /// The native analogue of severing all chain links: every
-    /// group-to-group transfer goes back through the dispatcher.
-    pub fn unlink_all(&self) -> u64 {
-        self.arena.unpatch_all()
     }
 
     /// Runs compiled code starting at `group`.
@@ -408,10 +396,7 @@ impl Jit {
 
 impl std::fmt::Debug for Jit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Jit")
-            .field("arena_used", &self.arena.used())
-            .field("active_patches", &self.arena.active_patches())
-            .finish()
+        f.debug_struct("Jit").field("arena_used", &self.arena.used()).finish()
     }
 }
 

@@ -177,7 +177,9 @@ pub struct LowerParams {
 }
 
 /// One `Leave` exit emission: a patchable 5-byte `jmp` plus its chain
-/// stub and fallback, all as offsets relative to the blob start.
+/// stub, all as offsets relative to the blob start. Unpatched, the
+/// `jmp` lands on the exit's fallback, the exit-record sequence that
+/// returns to the dispatcher.
 #[derive(Debug, Clone, Copy)]
 pub struct ExitSite {
     /// Chain-link slot this exit was lowered from.
@@ -193,9 +195,6 @@ pub struct ExitSite {
     /// Offset of the stub's final `jmp` rel32 field (retargeted to the
     /// linked group's entry).
     pub stub_jmp: usize,
-    /// Offset of the fallback exit-record sequence (patch target when
-    /// unlinked).
-    pub fallback: usize,
 }
 
 /// One potential runtime bail point (a memory parcel), identifying
@@ -340,14 +339,13 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
         .leaves
         .iter()
         .zip(&stub_offs)
-        .map(|(l, &(fallback, stub, stub_alive_imm, stub_jmp))| ExitSite {
+        .map(|(l, &(stub, stub_alive_imm, stub_jmp))| ExitSite {
             slot: l.slot,
             target: l.target,
             site: l.site,
             stub,
             stub_alive_imm,
             stub_jmp,
-            fallback,
         })
         .collect();
     Ok(Lowered { code: e.a.finish(), exits, bails, parcels })
@@ -355,9 +353,9 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
 
 impl<'a> Emitter<'a> {
     /// Emits the fallbacks, chain stubs, and bail stubs referenced by
-    /// the bodies; returns `(fallback, stub, alive_imm, stub_jmp)`
-    /// offsets per leaf.
-    fn emit_deferred(&mut self) -> Vec<(usize, usize, usize, usize)> {
+    /// the bodies; returns `(stub, alive_imm, stub_jmp)` offsets per
+    /// leaf.
+    fn emit_deferred(&mut self) -> Vec<(usize, usize, usize)> {
         // Fallback + chain stub per Leave leaf. The stub is only
         // reachable once the tier patches the site, and its own final
         // jmp is patched to the target group's entry at the same time;
@@ -365,7 +363,6 @@ impl<'a> Emitter<'a> {
         let mut stub_offs = Vec::with_capacity(self.leaves.len());
         let leaves = std::mem::take(&mut self.leaves);
         for l in &leaves {
-            let fallback = self.a.pos();
             self.a.bind(l.fallback_label);
             self.a.mov_m32_imm(ctx(OFF_EXIT_KIND), EXIT_BRANCH);
             self.a.mov_m32_imm(ctx(OFF_EXIT_A), l.target);
@@ -391,7 +388,7 @@ impl<'a> Emitter<'a> {
             let onpage = l.target / self.p.page_size == self.p.entry / self.p.page_size;
             self.a.inc_m64(ctx(if onpage { OFF_ONPAGE } else { OFF_CROSSPAGE }));
             let stub_jmp = self.a.jmp_abs(self.p.epilogue);
-            stub_offs.push((fallback, stub, alive_imm, stub_jmp));
+            stub_offs.push((stub, alive_imm, stub_jmp));
         }
         self.leaves = leaves;
         // Bail stubs: record which site bailed and return.

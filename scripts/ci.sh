@@ -172,10 +172,11 @@ scripts/check_health_shape.sh BENCH_health.json "" 9
 # no private instruction level), the same equivalence under cast-out
 # churn (every flush reclaims the code arena and recompiles over the
 # retired bytes) and under code_thrash's churn, where no compile repays
-# and the threshold backs off, then a 16-seed injection sweep of the two
-# invalidation-heavy fault kinds with the ladder starting at the native
-# rung. Other hosts build the same code but the tier declines to
-# engage, so there is nothing extra to test.
+# and the threshold backs off, then a 16-seed injection sweep, with the
+# ladder starting at the native rung, of the three invalidation-heavy
+# fault kinds (code patches, cast-out churn and chain severs) and of
+# interrupt storms. Other hosts build the same code but the tier
+# declines to engage, so there is nothing extra to test.
 if [ "$(uname -m)" = "x86_64" ]; then
   cargo test -q --test prop_native \
     native_is_observably_the_packed_engine_on_every_workload
@@ -185,7 +186,7 @@ if [ "$(uname -m)" = "x86_64" ]; then
     native_replays_probes_exactly_under_edge_hierarchies
   cargo test -q --test prop_native native_matches_packed_under_cast_out_churn
   cargo test -q --test prop_native native_backs_off_when_compiles_die_unrepaid
-  for kind in hot_patch chain_sever interrupt_storm; do
+  for kind in hot_patch cast_out_thrash chain_sever interrupt_storm; do
     cargo run -q --release -p daisy-bench --bin inject -- \
       --native --seeds 16 --kind "$kind"
   done

@@ -222,11 +222,13 @@ fn run_native_chained(prog: &daisy_ppc::asm::Program, mem_size: u32) -> DaisySys
 }
 
 /// The self-modifying loop under the native tier: every store over the
-/// patch page invalidates, and the invalidation must retire compiled
-/// code and patched native jumps before the next dispatch could enter
-/// stale host code. Stale code would execute the previous iteration's
-/// immediate and corrupt the accumulator — so bit-exactness *is* the
-/// sever check; the flush counter pins that it happened natively too.
+/// patch page invalidates, and the invalidation must retire that page's
+/// code before the next dispatch could enter it. Stale code would
+/// execute the previous iteration's immediate and corrupt the
+/// accumulator — so bit-exactness *is* the sever check. The store kills
+/// only the patch page's translations, which never compile, so the hot
+/// loop's compiled code survives every invalidation: the tier never
+/// flushes and keeps dispatching the code it compiled.
 #[test]
 fn selfmod_loop_severs_native_slots() {
     let imms: Vec<i16> = (1..=8).collect();
@@ -245,10 +247,8 @@ fn selfmod_loop_severs_native_slots() {
     {
         let ns = sys.native_stats().expect("native tier active");
         assert!(ns.compiles >= 1, "the hot loop should compile: {ns:?}");
-        assert!(
-            ns.flushes >= 1,
-            "each invalidation epoch must flush native code and patches: {ns:?}"
-        );
+        assert_eq!(ns.flushes, 0, "no compiled group died, so nothing flushed: {ns:?}");
+        assert!(ns.dispatches > ns.compiles, "compiled code outlives the stores: {ns:?}");
     }
 }
 

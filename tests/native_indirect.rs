@@ -118,19 +118,17 @@ fn inline_ibtc_resolves_aligned_dispatch_table() {
 // campaign cross-checks against the interpreter oracle bit-for-bit.
 //
 // Every campaign reaches compiled code: each asserts
-// `NativeStats::compiles > 0` (cast_out_thrash compiles on a
-// translation's first dispatch, since its tiny code area casts out at
-// nearly every boundary). Left alone, xlat's indirect exits resolve
-// through live inline rows (the control run below). Under every one of
-// these campaigns they do not: each kind flushes the whole native tier
-// within a few boundaries, so `NativeStats::ibtc_hits` reads 0 for all
-// three (on seed 0, hot_patch flushes 75,175 times in 241,010
-// boundaries, chain_sever flushes at every boundary, and
-// cast_out_thrash flushes 210,908 times in 361,515 boundaries while
-// compiling 241,011 groups). The campaigns therefore prove the tier's
-// invalidation paths exact, not its IBTC under invalidation; a
-// page-granular flush that lets rows survive would make the hits
-// assertable here.
+// `NativeStats::compiles > 0`. Left alone, xlat's indirect exits
+// resolve through live inline rows (the control run below). Under
+// every one of these campaigns they do not, and `NativeStats::ibtc_hits`
+// reads 0 for all nine. Chain-sever flushes the tier at every boundary
+// (seed 0: 241,012 flushes in 241,010 boundaries). The other two kinds
+// kill most compiled groups before they repay, so the payback back-off
+// leaves a handful of compiles: on seed 0, hot_patch compiles 6 groups
+// and flushes 8 times in 241,010 boundaries, and cast_out_thrash
+// compiles 4 and flushes 4 times in 361,515. The campaigns therefore
+// prove the tier's retirement paths exact, not its IBTC under
+// invalidation.
 // ---------------------------------------------------------------------
 
 #[test]
