@@ -93,13 +93,13 @@ pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
 /// Native VLIWs one compile must buy before the flush that retires it
 /// for the compile to have paid for itself (§5.1's break-even,
 /// `t = r·i·(1/PR − 1/PV)`, with the second tier's costs). Measured on a
-/// 2-vCPU x86-64 VM with compress's groups: one compile lowers about
-/// 4.4 KB of code in 15–20 µs, and each compile, link and flush cycle
-/// made 7 `mprotect` calls at 2–3 µs each, so a cycle cost 34–41 µs
-/// (flushes then also rewrote every patched edge; they no longer do, so
-/// a cycle now costs somewhat less).
-/// Each VLIW run natively instead of on the packed engine saves 12–16 ns
-/// (about 18.9 ns packed, 3–7 native). So a compile repays after about
+/// 2-vCPU x86-64 VM with compress's groups, when each flush also
+/// rewrote every patched edge: one compile lowers about 4.4 KB of code
+/// in 15–20 µs, and each compile, link and flush cycle made 7
+/// `mprotect` calls at 2–3 µs each, so a cycle cost 34–41 µs. The
+/// cycle's cost without that rewrite is unmeasured. Each VLIW run
+/// natively instead of on the packed engine saves 12–16 ns (about
+/// 18.9 ns packed, 3–7 native). So a compile repays after about
 /// 2,100–3,400 native VLIWs. The decisions are insensitive to the exact
 /// value: on the nine workloads, under every configuration
 /// `BENCH_health.json` pins, any constant from 30 to 100,000 gives the
@@ -360,7 +360,9 @@ impl NativeTier {
             NativeSlot::Refused => return None,
             NativeSlot::Cold => {}
         }
-        if self.registry.values().any(|row| row.compiled.strong_count() == 0) {
+        // Every live compiled group has a row, so a dead row exists
+        // exactly when the rows outnumber the live groups.
+        if self.registry.len() > self.jit.live_groups() {
             self.flush();
         }
         if code.dispatches() < self.threshold {

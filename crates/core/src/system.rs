@@ -330,6 +330,10 @@ impl<I: Isa> DaisySystem<I> {
 
     fn handle_code_writes(&mut self) {
         for unit in self.mem.drain_code_writes() {
+            // Only a host store between steps finds a chain pending (a
+            // guest store ends its group without one). It may have hit
+            // the link's source, which the link holds alive: drop it.
+            self.pending_chain = None;
             self.vmm.invalidate_unit(&mut self.mem, unit);
         }
     }

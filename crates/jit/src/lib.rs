@@ -312,7 +312,13 @@ impl Jit {
     /// ids and alive bytes are never reused, so stale registry rows and
     /// stale alive-byte polls stay harmless.
     pub fn reclaim(&self) -> bool {
-        Rc::strong_count(&self.arena) == 1 && self.arena.rewind(self.code_start)
+        self.live_groups() == 0 && self.arena.rewind(self.code_start)
+    }
+
+    /// Number of [`CompiledGroup`]s alive: each holds one strong `Rc`
+    /// to the arena besides the `Jit`'s own.
+    pub fn live_groups(&self) -> usize {
+        Rc::strong_count(&self.arena) - 1
     }
 
     /// Compiles `g` and installs it. The returned group is live

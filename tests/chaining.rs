@@ -347,6 +347,68 @@ fn alias_restart_retranslation_retires_native_code() {
     assert!(sys.vmm.stats.alias_retranslations >= 1, "threshold should trip");
 }
 
+/// A counted loop whose group at `a` adds 1 to r7. With `two_units`,
+/// `a` ends its 4 KiB invalidation unit with a jump to `b`, whose
+/// `bdnz` jumps back; without, `a`'s group `bdnz`s to itself. Returns
+/// the program, `a`, and the PC at which the last group run was `a`'s.
+fn counted_loop(two_units: bool) -> (daisy_ppc::asm::Program, u32, u32) {
+    let mut a = Asm::new(0x1FF0);
+    a.li(Gpr(31), 30_000);
+    a.mtctr(Gpr(31));
+    let (site, mut boundary) = (a.here(), a.here());
+    a.label("a");
+    a.addi(Gpr(7), Gpr(7), 1); // rewritten by the host mid-run
+    if two_units {
+        a.b("b");
+        boundary = a.here();
+        a.label("b");
+    }
+    a.bdnz("a");
+    a.sc();
+    (a.finish().expect("counted loop assembles"), site, boundary)
+}
+
+/// A host store between two steps rewrites the group the pending chain
+/// hangs off. Unless the store retires that group before anything
+/// runs, the pending link (when the group links to itself) or a patched
+/// jump into it enters code translated from the old instruction.
+/// Checked against the interpreter taking the same store at the same
+/// architected point, on the packed engine and on the native tier.
+#[test]
+fn host_store_retires_the_pending_chains_source() {
+    let word = encode(&Insn::Addi { rt: Gpr(7), ra: Gpr(7), si: 2 });
+    for (two_units, native) in [(true, true), (true, false), (false, true), (false, false)] {
+        let ctx = format!("two_units {two_units}, native {native}");
+        let (prog, site, boundary) = counted_loop(two_units);
+        let mut sys =
+            DaisySystem::<PpcIsa>::builder().mem_size(0x4000).native_execution(native).build();
+        sys.load(&prog).unwrap();
+        // Warm up until the loop runs through links (patched edges on
+        // the native tier), then stop where the last group run was `a`'s.
+        let edges = 1 + u64::from(two_units);
+        let linked = |s: &DaisySystem<PpcIsa>| {
+            s.native_stats()
+                .map_or(s.stats.chain.chained_dispatches > 0, |ns| ns.edge_patches >= edges)
+        };
+        while !(linked(&sys) && sys.cpu.pc == boundary) {
+            assert_eq!(sys.step().unwrap(), None, "{ctx}: finished during warm-up");
+        }
+        let ctr = sys.cpu.ctr;
+        sys.mem.write_u32(site, word).unwrap();
+        assert_eq!(sys.run(10_000_000).unwrap(), StopReason::Syscall, "{ctx}");
+
+        let mut mem = Memory::new(0x4000);
+        prog.load_into(&mut mem).unwrap();
+        let mut cpu = Cpu::new(prog.entry);
+        while cpu.pc != boundary || cpu.ctr != ctr {
+            cpu.step(&mut mem);
+        }
+        mem.write_u32(site, word).unwrap();
+        assert_eq!(cpu.run(&mut mem, 1_000_000).unwrap(), StopReason::Syscall, "{ctx}");
+        assert_same(&sys, &cpu, &mem, &ctx);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Interrupt storms under chaining (§3.7): external interrupts delivered
 // at every group boundary while the dispatch loop is chaining hot exits
