@@ -45,15 +45,12 @@
 //!   it). On a bail the replay finishes before the packed resume makes
 //!   its own probes.
 //! * **Severing** — a compiled group lives in its translation's
-//!   [`GroupCode`], so it dies with the translation (invalidation,
-//!   cast-out, alias retranslation). Its alive byte then flips, and
-//!   every patched chain jump and inline IBTC way that points into it
-//!   falls back to a dispatcher boundary, the analogue of the weak-`Rc`
-//!   chain links severing; the jumps and ways it holds die with its
-//!   code. The arena gives dead code's bytes back only wholesale, so
-//!   the tier flushes (retires every compiled group, then rewinds the
-//!   arena) at the first cold dispatch after a compiled group died, on
-//!   a full arena, and at every ladder step and explicit sever.
+//!   [`GroupCode`] and dies with it (invalidation, cast-out, alias
+//!   retranslation); its alive byte then sends every patched jump and
+//!   inline IBTC way into it back to the dispatcher, as a weak-`Rc`
+//!   chain link severs. The arena gives bytes back only wholesale, so
+//!   the tier flushes at the first cold dispatch after a compiled group
+//!   died, on a full arena, and at every ladder step and explicit sever.
 //! * **Payback** — a compile must repay its cost, the §5.1 break-even
 //!   applied to the second tier. At each flush the tier compares the
 //!   VLIWs it ran natively since the previous flush with
@@ -706,10 +703,8 @@ mod tests {
         // A compiled group in use keeps its bytes: no flush.
         assert!(prepare(&mut tier, &b).is_some());
         assert_eq!(tier.stats.flushes, 0);
-        // Dropping a translation kills its compiled group; the next
-        // cold dispatch retires the rest and reclaims the arena. The
-        // flush finds both compiles unrepaid and doubles the threshold
-        // to 2, so `c` comes to it with two dispatches.
+        // The next cold dispatch after `a` dies flushes; the flush
+        // doubles the threshold to 2, which `c`'s two dispatches meet.
         drop(a);
         c.count_dispatch();
         let cg = prepare(&mut tier, &c).expect("compiles after the flush");

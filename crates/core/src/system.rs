@@ -330,9 +330,8 @@ impl<I: Isa> DaisySystem<I> {
 
     fn handle_code_writes(&mut self) {
         for unit in self.mem.drain_code_writes() {
-            // Only a host store between steps finds a chain pending (a
-            // guest store ends its group without one). It may have hit
-            // the link's source, which the link holds alive: drop it.
+            // A host store between steps may have hit the pending
+            // link's source, which the link holds alive.
             self.pending_chain = None;
             self.vmm.invalidate_unit(&mut self.mem, unit);
         }
@@ -508,6 +507,9 @@ impl<I: Isa> DaisySystem<I> {
         let code = match chained {
             Some(code) => {
                 self.stats.chain.chained_dispatches += 1;
+                // A source the VMM dropped between steps now lives only
+                // in `followed_edge`, until its edge is patched.
+                drop(pending);
                 code
             }
             None => {
@@ -608,8 +610,10 @@ impl<I: Isa> DaisySystem<I> {
                 if let Some(cg) =
                     nt.prepare(&code, self.vmm.cfg.page_size, &mut self.mem, &mut self.vmm.tracer)
                 {
-                    if let Some((pfrom, pslot)) = &followed_edge {
-                        nt.try_patch(pfrom, *pslot, &code);
+                    // Taken: a dead source's alive byte clears here,
+                    // before compiled code could jump into it.
+                    if let Some((pfrom, pslot)) = followed_edge.take() {
+                        nt.try_patch(&pfrom, pslot, &code);
                     }
                     match nt.execute(
                         &cg,

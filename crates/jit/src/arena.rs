@@ -13,11 +13,9 @@
 //! Allocation is a bump pointer. Compiled groups are retired by
 //! flipping their alive byte (see [`crate::AliveSlab`]); the space
 //! they occupied comes back only wholesale, through
-//! [`Arena::rewind`], once the owner has proven nothing can reach it:
-//! no group alive (see [`crate::Jit::reclaim`]). Every patched chain
-//! edge lies inside a compiled group, so no edge survives to jump into
-//! rewound bytes. A full arena between rewinds simply stops further
-//! compilation — execution falls back to the packed tier, never fails.
+//! [`Arena::rewind`], once no group is alive (see
+//! [`crate::Jit::reclaim`]). A full arena refuses compiles until then;
+//! execution falls back to the packed tier, never fails.
 //!
 //! The crate takes no libc dependency, so the three needed syscalls
 //! are issued directly. The cache access log's backing store
@@ -125,11 +123,6 @@ impl Arena {
     /// Bytes already handed out.
     pub fn used(&self) -> usize {
         self.used.get()
-    }
-
-    /// Bytes still available.
-    pub fn remaining(&self) -> usize {
-        self.len - self.used.get()
     }
 
     /// The absolute address `install` would place the next blob at

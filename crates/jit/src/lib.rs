@@ -166,11 +166,9 @@ pub struct CompileOpts<'a> {
 /// never observe a recycled "alive" byte that belongs to a different
 /// group.
 ///
-/// The byte is the only guard between a group's death and the next
-/// flush of the core crate's tier, which alone reclaims the arena: a
-/// retranslated entry's old group stays reachable through live edges
-/// until then. `tests/chaining.rs::alias_restart_retranslation_retires_native_code`
-/// fails when [`AliveHandle`]'s drop stops clearing the byte.
+/// Until the core crate's tier next flushes, the byte alone keeps live
+/// edges out of a dead group: `tests/chaining.rs::alias_restart_retranslation_retires_native_code`
+/// fails when [`AliveHandle`]'s drop stops clearing it.
 #[derive(Default)]
 pub struct AliveSlab {
     // One Box per byte on purpose: compiled code polls each byte by

@@ -9,6 +9,7 @@ mod common;
 
 use common::{assert_same, run_oracle_in};
 use daisy::prelude::*;
+use daisy_ppc::asm::Program;
 use daisy_ppc::encode::encode;
 use daisy_ppc::insn::Insn;
 use daisy_ppc::interp::{Cpu, StopReason};
@@ -32,7 +33,7 @@ const TABLE: u32 = 0x8000;
 /// lands in the *next* 4 KiB invalidation unit: the store kills only
 /// the patch group, while the storing group — and its chain link into
 /// the patch page — survives to observe the sever.
-fn selfmod_program(imms: &[i16], filler: &[u8]) -> daisy_ppc::asm::Program {
+fn selfmod_program(imms: &[i16], filler: &[u8]) -> Program {
     let mut a = Asm::new(0x1F00);
     for r in [0u8, 1, 2, 3, 6] {
         a.li(Gpr(r), i16::from(r) + 1);
@@ -78,11 +79,7 @@ fn small_page_config() -> TranslatorConfig {
     TranslatorConfig { page_size: PAGE, ..TranslatorConfig::default() }
 }
 
-fn run_chained(
-    prog: &daisy_ppc::asm::Program,
-    mem_size: u32,
-    chaining: bool,
-) -> DaisySystem<PpcIsa> {
+fn run_chained(prog: &Program, mem_size: u32, chaining: bool) -> DaisySystem<PpcIsa> {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(mem_size)
         .translator(small_page_config())
@@ -208,7 +205,7 @@ fn chaining_cuts_vmm_dispatches_without_changing_results() {
 // before the next entry, and an explicit sever cuts them with the
 // links.
 
-fn run_native_chained(prog: &daisy_ppc::asm::Program, mem_size: u32) -> DaisySystem<PpcIsa> {
+fn run_native_chained(prog: &Program, mem_size: u32) -> DaisySystem<PpcIsa> {
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(mem_size)
         .translator(small_page_config())
@@ -225,10 +222,9 @@ fn run_native_chained(prog: &daisy_ppc::asm::Program, mem_size: u32) -> DaisySys
 /// patch page invalidates, and the invalidation must retire that page's
 /// code before the next dispatch could enter it. Stale code would
 /// execute the previous iteration's immediate and corrupt the
-/// accumulator — so bit-exactness *is* the sever check. The store kills
-/// only the patch page's translations, which never compile, so the hot
-/// loop's compiled code survives every invalidation: the tier never
-/// flushes and keeps dispatching the code it compiled.
+/// accumulator — so bit-exactness *is* the sever check. The stores kill
+/// only the patch page's translations, which never compile, so the
+/// tier never flushes.
 #[test]
 fn selfmod_loop_severs_native_slots() {
     let imms: Vec<i16> = (1..=8).collect();
@@ -347,17 +343,19 @@ fn alias_restart_retranslation_retires_native_code() {
     assert!(sys.vmm.stats.alias_retranslations >= 1, "threshold should trip");
 }
 
-/// A counted loop whose group at `a` adds 1 to r7. With `two_units`,
-/// `a` ends its 4 KiB invalidation unit with a jump to `b`, whose
-/// `bdnz` jumps back; without, `a`'s group `bdnz`s to itself. Returns
-/// the program, `a`, and the PC at which the last group run was `a`'s.
-fn counted_loop(two_units: bool) -> (daisy_ppc::asm::Program, u32, u32) {
+/// Runs a counted loop whose group at `a` adds 1 to r7 until the loop
+/// runs through links (patched edges on the native tier), stopping
+/// where the last group run was `a`'s. With `two_units`, `a` ends its
+/// 4 KiB invalidation unit with a jump to `b`, whose `bdnz` jumps back;
+/// without, `a`'s group `bdnz`s to itself. Returns the system, the
+/// program, `a`, and the PC it stopped at.
+fn warm_counted_loop(two_units: bool, native: bool) -> (DaisySystem<PpcIsa>, Program, u32, u32) {
     let mut a = Asm::new(0x1FF0);
     a.li(Gpr(31), 30_000);
     a.mtctr(Gpr(31));
     let (site, mut boundary) = (a.here(), a.here());
     a.label("a");
-    a.addi(Gpr(7), Gpr(7), 1); // rewritten by the host mid-run
+    a.addi(Gpr(7), Gpr(7), 1);
     if two_units {
         a.b("b");
         boundary = a.here();
@@ -365,7 +363,19 @@ fn counted_loop(two_units: bool) -> (daisy_ppc::asm::Program, u32, u32) {
     }
     a.bdnz("a");
     a.sc();
-    (a.finish().expect("counted loop assembles"), site, boundary)
+    let prog = a.finish().expect("counted loop assembles");
+    let mut sys =
+        DaisySystem::<PpcIsa>::builder().mem_size(0x4000).native_execution(native).build();
+    sys.load(&prog).unwrap();
+    let linked = |s: &DaisySystem<PpcIsa>| {
+        s.native_stats().map_or(s.stats.chain.chained_dispatches > 0, |ns| {
+            ns.edge_patches > u64::from(two_units)
+        })
+    };
+    while !(linked(&sys) && sys.cpu.pc == boundary) {
+        assert_eq!(sys.step().unwrap(), None, "finished during warm-up");
+    }
+    (sys, prog, site, boundary)
 }
 
 /// A host store between two steps rewrites the group the pending chain
@@ -379,20 +389,7 @@ fn host_store_retires_the_pending_chains_source() {
     let word = encode(&Insn::Addi { rt: Gpr(7), ra: Gpr(7), si: 2 });
     for (two_units, native) in [(true, true), (true, false), (false, true), (false, false)] {
         let ctx = format!("two_units {two_units}, native {native}");
-        let (prog, site, boundary) = counted_loop(two_units);
-        let mut sys =
-            DaisySystem::<PpcIsa>::builder().mem_size(0x4000).native_execution(native).build();
-        sys.load(&prog).unwrap();
-        // Warm up until the loop runs through links (patched edges on
-        // the native tier), then stop where the last group run was `a`'s.
-        let edges = 1 + u64::from(two_units);
-        let linked = |s: &DaisySystem<PpcIsa>| {
-            s.native_stats()
-                .map_or(s.stats.chain.chained_dispatches > 0, |ns| ns.edge_patches >= edges)
-        };
-        while !(linked(&sys) && sys.cpu.pc == boundary) {
-            assert_eq!(sys.step().unwrap(), None, "{ctx}: finished during warm-up");
-        }
+        let (mut sys, prog, site, boundary) = warm_counted_loop(two_units, native);
         let ctr = sys.cpu.ctr;
         sys.mem.write_u32(site, word).unwrap();
         assert_eq!(sys.run(10_000_000).unwrap(), StopReason::Syscall, "{ctx}");
@@ -407,6 +404,23 @@ fn host_store_retires_the_pending_chains_source() {
         assert_eq!(cpu.run(&mut mem, 1_000_000).unwrap(), StopReason::Syscall, "{ctx}");
         assert_same(&sys, &cpu, &mem, &ctx);
     }
+}
+
+/// A translation the VMM drops between steps (the injector's
+/// translation-drop fault) while the pending chain hangs off it runs no
+/// more: the next step follows its link to `b`, and `b`'s patched jump
+/// back into it falls back to the dispatcher after `b`'s one
+/// instruction instead of looping on the dropped code.
+#[test]
+fn dropped_pending_source_runs_no_more_native_code() {
+    let (mut sys, prog, site, _) = warm_counted_loop(true, true);
+    assert!(sys.vmm.drop_translation(site));
+    let (ctr, r7) = (sys.cpu.ctr, sys.cpu.gpr[7]);
+    assert_eq!(sys.step().unwrap(), None);
+    assert_eq!((sys.cpu.pc, sys.cpu.ctr, sys.cpu.gpr[7]), (site, ctr - 1, r7), "ran past the drop");
+    assert_eq!(sys.run(10_000_000).unwrap(), StopReason::Syscall);
+    let (cpu, mem) = run_oracle_in(&prog, 0x4000, 1_000_000, "drop");
+    assert_same(&sys, &cpu, &mem, "dropped pending source");
 }
 
 // ---------------------------------------------------------------------
@@ -425,7 +439,7 @@ const STORM_POST_CAP: u32 = 48;
 /// An external-interrupt handler that logs each delivery. Saves r3/r4
 /// to SPRG0/1, bumps a counter at `STORM_COUNT`, appends (SRR0, SRR1)
 /// to the log window right after it, restores, and returns via `rfi`.
-fn storm_handler() -> daisy_ppc::asm::Program {
+fn storm_handler() -> Program {
     use daisy_ppc::reg::Spr;
     let mut a = Asm::new(daisy_ppc::vectors::EXTERNAL);
     a.emit(Insn::Mtspr { spr: Spr::Sprg0, rs: Gpr(3) });
@@ -447,7 +461,7 @@ fn storm_handler() -> daisy_ppc::asm::Program {
 }
 
 /// A plain arithmetic loop — enough boundaries for a storm to matter.
-fn storm_program(iters: i16, filler: &[u8]) -> daisy_ppc::asm::Program {
+fn storm_program(iters: i16, filler: &[u8]) -> Program {
     let mut a = Asm::new(0x1000);
     for r in [0u8, 1, 2, 3, 6] {
         a.li(Gpr(r), i16::from(r) + 1);
