@@ -19,9 +19,11 @@
 //! * **Refusal** — groups whose shape falls outside what the lowerer
 //!   can reproduce (pathological condition depth) are never compiled;
 //!   they stay on the packed engine forever. A full arena only flushes
-//!   the tier, which gives the arena back; the entry compiles on a
-//!   later dispatch. Trap checks and load-verify commits lower to
-//!   templates too, so the tier refuses almost nothing.
+//!   the tier and raises the threshold to twice the entry's dispatch
+//!   count: counts survive the flush, so a hot set larger than the
+//!   arena refills it once per doubling of its counts, not every round.
+//!   Trap checks and load-verify commits lower to templates too, so
+//!   the tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
 //!   translated page). The dispatcher then copies the run's
@@ -56,11 +58,10 @@
 //!   VLIWs it ran natively since the previous flush with
 //!   [`PAYBACK_VLIWS`] per compile made in that time. Compiles that died
 //!   unrepaid double the threshold in force, up to
-//!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid
-//!   restores the builder's threshold. Under cast-out churn that kills
-//!   every compiled group within a few hundred VLIWs the tier thus
-//!   stops compiling, and groups that stay live long enough still
-//!   compile.
+//!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid restores
+//!   the builder's threshold. Under cast-out churn that kills every
+//!   compiled group within a few hundred VLIWs the tier thus stops
+//!   compiling, and groups that stay live long enough still compile.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::stats::RunStats;
@@ -389,6 +390,9 @@ impl NativeTier {
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
                 if r == Refusal::ArenaFull {
                     self.flush();
+                    // The live hot set outgrew the arena, and its
+                    // counts survive the flush (see the module doc).
+                    self.threshold = self.threshold.max(code.dispatches().saturating_mul(2));
                 } else {
                     *code.native.borrow_mut() = NativeSlot::Refused;
                 }
@@ -687,6 +691,17 @@ mod tests {
         assert_eq!(Some(cg.entry_addr()), first_addr, "lands on the reclaimed bytes");
         assert_eq!(tier.stats.compiles, compiles + 1);
         assert_eq!(tier.registry.len(), 1);
+        drop(cg);
+        // 56 of the 64 fit. Each refusal raises the threshold to twice
+        // the count reached, so the set refills once per doubling of
+        // the counts (11 flushes and 616 compiles in 2,000 rounds; a
+        // threshold capped at `MAX_BACKOFF_THRESHOLD` gives 1,106 and
+        // 61,986).
+        for _ in 1..2_000 {
+            codes.iter().for_each(|c| drop(prepare(&mut tier, c)));
+        }
+        assert!(tier.stats.flushes <= 12, "{:?}", tier.stats);
+        assert!(tier.stats.compiles <= 64 * 12, "{:?}", tier.stats);
     }
 
     #[test]

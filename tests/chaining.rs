@@ -248,12 +248,11 @@ fn selfmod_loop_severs_native_slots() {
     }
 }
 
-/// An explicit [`DaisySystem::sever_chains`] mid-run must cut patched
-/// native jumps together with the Rust-level links — a patched edge
-/// surviving the sever would carry execution across a boundary the
-/// dispatcher believes severed.
-#[test]
-fn sever_chains_retires_native_patches() {
+/// Compress on the native tier, stepped until an edge is patched.
+/// Bounded: with the general templates and the inline indirect-branch
+/// cache, whole chained regions execute in a single step, so a fixed
+/// large warm-up could finish the workload.
+fn warm_compress_until_patched() -> (DaisySystem<PpcIsa>, daisy_workloads::Workload) {
     let w = daisy_workloads::by_name("compress").expect("compress workload");
     let mut sys = DaisySystem::<PpcIsa>::builder()
         .mem_size(w.mem_size)
@@ -261,18 +260,22 @@ fn sever_chains_retires_native_patches() {
         .native_threshold(2)
         .build();
     sys.load(&w.program()).unwrap();
-    // Warm up until patched edges exist, then sever, then run to
-    // completion. (Bounded: with the general templates and the inline
-    // indirect-branch cache, whole chained regions execute in a single
-    // step, so a fixed large warmup could finish the workload.)
     for _ in 0..400 {
         if sys.native_stats().is_some_and(|ns| ns.edge_patches > 0) {
             break;
         }
-        if sys.step().unwrap().is_some() {
-            panic!("compress finished during warmup");
-        }
+        assert_eq!(sys.step().unwrap(), None, "compress finished during warm-up");
     }
+    (sys, w)
+}
+
+/// An explicit [`DaisySystem::sever_chains`] mid-run must cut patched
+/// native jumps together with the Rust-level links — a patched edge
+/// surviving the sever would carry execution across a boundary the
+/// dispatcher believes severed.
+#[test]
+fn sever_chains_retires_native_patches() {
+    let (mut sys, w) = warm_compress_until_patched();
     sys.sever_chains();
     let stop = sys.run(10 * w.max_instrs).unwrap();
     assert_eq!(stop, StopReason::Syscall);
@@ -292,21 +295,7 @@ fn sever_chains_retires_native_patches() {
 /// entries are patched anew.
 #[test]
 fn degrade_keeps_native_patching_live() {
-    let w = daisy_workloads::by_name("compress").expect("compress workload");
-    let mut sys = DaisySystem::<PpcIsa>::builder()
-        .mem_size(w.mem_size)
-        .native_execution(true)
-        .native_threshold(2)
-        .build();
-    sys.load(&w.program()).unwrap();
-    for _ in 0..400 {
-        if sys.native_stats().is_some_and(|ns| ns.edge_patches > 0) {
-            break;
-        }
-        if sys.step().unwrap().is_some() {
-            panic!("compress finished during warmup");
-        }
-    }
+    let (mut sys, w) = warm_compress_until_patched();
     let entry = sys.cpu.pc;
     let patches_before = sys.native_stats().map_or(0, |ns| ns.edge_patches);
     sys.degrade(entry, DegradeCause::Forced).expect("a rung below the default");
