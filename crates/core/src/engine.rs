@@ -96,14 +96,17 @@ pub struct GroupCode {
 impl GroupCode {
     /// Lowers a translated group to the packed execution format and
     /// derives one chain-link slot per static direct-branch exit
-    /// target. The tree form is not kept: the packed form is the one
-    /// representation every engine runs.
-    pub fn new(group: Group, vliw_addrs: Vec<u32>) -> GroupCode {
-        let packed = PackedGroup::lower(&group);
+    /// target. `vliw_addrs` and `code_bytes` are the group's layout in
+    /// the translated-code area: each tree instruction's address and
+    /// their total size ([`Group::code_bytes`]). The tree is only
+    /// borrowed: the packed form is the one representation every
+    /// engine runs.
+    pub fn new(group: &Group, vliw_addrs: Vec<u32>, code_bytes: u32) -> GroupCode {
+        let packed = PackedGroup::lower(group);
         let links = RefCell::new(vec![None; packed.exit_targets().len()]);
         GroupCode {
             entry: group.entry,
-            code_bytes: group.code_bytes(),
+            code_bytes,
             packed,
             vliw_addrs,
             dispatches: Cell::new(0),
@@ -922,7 +925,8 @@ mod tests {
         let cfg = TranslatorConfig::default();
         let (group, _) = translate_group::<daisy_ppc::PpcIsa>(&cfg, &mem, prog.entry);
         let n = group.len();
-        let code = GroupCode::new(group, (0..n as u32).map(|i| 0x8000_0000 + i * 64).collect());
+        let addrs = (0..n as u32).map(|i| 0x8000_0000 + i * 64).collect();
+        let code = GroupCode::new(&group, addrs, group.code_bytes());
         (code, mem)
     }
 

@@ -59,7 +59,8 @@
 //!   [`PAYBACK_VLIWS`] per compile made in that time. Compiles that died
 //!   unrepaid double the threshold in force, up to
 //!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid restores
-//!   the builder's threshold. Under cast-out churn that kills every
+//!   the builder's threshold, and one with no compile since the
+//!   previous flush leaves the threshold as it is. Under cast-out churn that kills every
 //!   compiled group within a few hundred VLIWs the tier thus stops
 //!   compiling, and groups that stay live long enough still compile.
 
@@ -327,14 +328,17 @@ impl NativeTier {
         // flush).
         self.registry.retain(|_, row| row.compiled.strong_count() > 0);
         self.jit.reclaim();
-        // The payback test (see the module doc).
+        // The payback test (see the module doc). A flush with no
+        // compile since the previous one has nothing to judge.
+        let compiles = self.stats.compiles - self.at_flush.compiles;
         let ran = self.stats.vliws_native - self.at_flush.vliws_native;
-        let cost = (self.stats.compiles - self.at_flush.compiles) * PAYBACK_VLIWS;
-        if ran >= cost {
-            self.threshold = self.base_threshold;
-        } else if self.threshold < MAX_BACKOFF_THRESHOLD {
-            self.threshold = (self.threshold * 2).min(MAX_BACKOFF_THRESHOLD);
-            self.stats.backoffs += 1;
+        if compiles > 0 {
+            if ran >= compiles * PAYBACK_VLIWS {
+                self.threshold = self.base_threshold;
+            } else if self.threshold < MAX_BACKOFF_THRESHOLD {
+                self.threshold = (self.threshold * 2).min(MAX_BACKOFF_THRESHOLD);
+                self.stats.backoffs += 1;
+            }
         }
         self.stats.flushes += 1;
         self.at_flush = self.stats;
@@ -657,7 +661,7 @@ mod tests {
         let mut g = Group::new(entry);
         g.vliws[0].add_op(ROOT, Operation::new(OpKind::Li, entry).dst(Reg(1)).with_imm(7));
         g.vliws[0].seal(ROOT, Exit::Branch { target: entry + 0x100 });
-        Rc::new(GroupCode::new(g, vec![entry]))
+        Rc::new(GroupCode::new(&g, vec![entry], g.code_bytes()))
     }
 
     #[test]
@@ -759,5 +763,22 @@ mod tests {
         tier.flush();
         assert_eq!(tier.threshold, 1);
         assert_eq!(tier.stats.backoffs, doublings);
+    }
+
+    #[test]
+    fn a_flush_with_no_compile_leaves_the_threshold_in_force() {
+        let mut tier = NativeTier::new(1, &Hierarchy::infinite()).expect("native host");
+        let (mut mem, mut tracer) = (Memory::new(0x10000), FlightRecorder::default());
+        let c = code(0x1000);
+        c.count_dispatch();
+        assert!(tier.prepare(&c, 4096, &mut mem, &mut tracer).is_some());
+        tier.flush();
+        assert_eq!((tier.threshold, tier.stats.backoffs), (2, 1), "an unrepaid compile backs off");
+        // Nothing compiled since: the next flushes judge nothing.
+        tier.flush();
+        tier.stats.vliws_native += PAYBACK_VLIWS;
+        tier.flush();
+        assert_eq!((tier.threshold, tier.stats.backoffs), (2, 1));
+        assert_eq!(tier.stats.flushes, 3);
     }
 }

@@ -33,9 +33,14 @@
 //! - A fork copies its parent into a recycled path's buffers. Paths do
 //!   not share prefixes: a fork still copies one rename map per VLIW of
 //!   the path, a few hundred bytes.
-//!
-//! What a translation still allocates is its output: the tree's VLIWs,
-//! nodes and parcel lists.
+//! - On the VMM's path ([`crate::vmm::Vmm::entry`]) the tree is
+//!   recycled too: the scheduler builds each group in one per-thread
+//!   `Group` whose VLIWs, nodes and parcel lists keep their capacity
+//!   ([`Group::reset`]), and the VMM lays out and lowers the packed
+//!   form from that borrowed tree. A group there allocates only its
+//!   packed form and the VMM's bookkeeping (`tests/translate_allocs.rs`
+//!   pins the count). [`translate_group`] still hands out an owned
+//!   tree, built fresh.
 
 use daisy_isa::convert::{CondSpec, Converted, Flow};
 use daisy_isa::mem::Memory;
@@ -347,6 +352,9 @@ struct Scratch {
 
 thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+    /// The tree [`translate_recycled`] schedules into, kept with its
+    /// buffers between translations like [`Scratch`].
+    static TREE: Cell<Option<Group>> = const { Cell::new(None) };
 }
 
 /// Where a conditional branch's taken side goes.
@@ -361,7 +369,7 @@ struct Scheduler<'a> {
     cfg: &'a TranslatorConfig,
     hints: &'a Hints,
     mem: &'a Memory,
-    group: Group,
+    group: &'a mut Group,
     /// Rename registers not yet allocated in each VLIW, across *all*
     /// paths (conservative: paths share tree prefixes, so an allocation
     /// at a shared VLIW must be visible to every path through it).
@@ -396,6 +404,38 @@ pub fn translate_group_with_hints<I: Isa>(
     entry: u32,
     hints: &Hints,
 ) -> (Group, XlateCost) {
+    let mut group = Group::new(entry);
+    let cost = schedule::<I>(cfg, mem, entry, hints, &mut group);
+    (group, cost)
+}
+
+/// [`translate_group_with_hints`] into this thread's recycled tree: the
+/// finished group is lent to `finish` (the VMM lays it out and lowers
+/// it) and then kept, VLIWs, nodes and parcel lists, for the next
+/// translation. Returns what `finish` made and the translation's cost.
+pub(crate) fn translate_recycled<I: Isa, R>(
+    cfg: &TranslatorConfig,
+    mem: &Memory,
+    entry: u32,
+    hints: &Hints,
+    finish: impl FnOnce(&Group) -> R,
+) -> (R, XlateCost) {
+    let mut group = TREE.with(Cell::take).unwrap_or_else(|| Group::new(entry));
+    let cost = schedule::<I>(cfg, mem, entry, hints, &mut group);
+    let made = finish(&group);
+    TREE.with(|t| t.set(Some(group)));
+    (made, cost)
+}
+
+/// Runs the Pathlist scheduler for `entry` into `group`, which it
+/// resets first.
+fn schedule<I: Isa>(
+    cfg: &TranslatorConfig,
+    mem: &Memory,
+    entry: u32,
+    hints: &Hints,
+    group: &mut Group,
+) -> XlateCost {
     let Scratch { mut vliw_free, mut paths, mut spare, suffixes, mut joins, ops } =
         SCRATCH.with(Cell::take);
     vliw_free.clear();
@@ -409,11 +449,12 @@ pub fn translate_group_with_hints<I: Isa>(
     } else {
         joins.start(entry - entry % cfg.page_size, cfg.page_size.div_ceil(4) as usize);
     }
+    group.reset(entry);
     let mut s = Scheduler {
         cfg,
         hints,
         mem,
-        group: Group::new(entry),
+        group,
         vliw_free,
         paths,
         spare,
@@ -426,9 +467,9 @@ pub fn translate_group_with_hints<I: Isa>(
         s.step::<I>(idx);
     }
     s.group.base_instrs = s.cost.instrs_scheduled as u32;
-    let Scheduler { group, cost, vliw_free, paths, spare, suffixes, joins, ops, .. } = s;
+    let Scheduler { cost, vliw_free, paths, spare, suffixes, joins, ops, .. } = s;
     SCRATCH.with(|c| c.set(Scratch { vliw_free, paths, spare, suffixes, joins, ops }));
-    (group, cost)
+    cost
 }
 
 // invariant: every live `Path` keeps `vliws`, `tips`, and `maps`

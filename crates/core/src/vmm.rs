@@ -17,7 +17,7 @@
 
 use crate::engine::GroupCode;
 use crate::error::{Degradation, DegradeCause, Rung};
-use crate::sched::{translate_group_with_hints, Hints, TranslatorConfig, XlateCost};
+use crate::sched::{translate_recycled, Hints, TranslatorConfig, XlateCost};
 use crate::trace::{FlightRecorder, TraceEvent};
 use daisy_isa::convert::BranchKind;
 use daisy_isa::mem::Memory;
@@ -238,7 +238,19 @@ impl<I: Isa> Vmm<I> {
             Some(cpu) if cfg.interpretive => gather_hints::<I>(&cfg, mem, cpu, addr),
             _ => (Hints::default(), false),
         };
-        let (group, cost) = translate_group_with_hints::<I>(&cfg, mem, addr, &hints);
+        // Lay the group's tree instructions out contiguously in the
+        // translated-code area and lower it, from the scheduler's
+        // recycled tree.
+        let start = self.next_code_addr;
+        let (code, cost) = translate_recycled::<I, _>(&cfg, mem, addr, &hints, |group| {
+            let mut vliw_addrs = Vec::with_capacity(group.len());
+            let mut at = start;
+            for v in &group.vliws {
+                vliw_addrs.push(at);
+                at = at.wrapping_add(v.code_bytes());
+            }
+            GroupCode::new(group, vliw_addrs, at.wrapping_sub(start))
+        });
         if exhausted {
             // The interpret-ahead window ran dry before a group
             // boundary: the translation is sound but its hints are
@@ -253,16 +265,8 @@ impl<I: Isa> Vmm<I> {
         }
         self.cost.add(&cost);
         self.stats.groups_translated += 1;
-        // Lay the group's tree instructions out contiguously in the
-        // translated-code area.
-        let mut vliw_addrs = Vec::with_capacity(group.len());
-        let mut at = self.next_code_addr;
-        for v in &group.vliws {
-            vliw_addrs.push(at);
-            at = at.wrapping_add(v.code_bytes());
-        }
-        let bytes = at.wrapping_sub(self.next_code_addr);
-        self.next_code_addr = at;
+        let bytes = code.code_bytes;
+        self.next_code_addr = start.wrapping_add(bytes);
         self.stats.code_bytes += u64::from(bytes);
         self.stats.code_bytes_total += u64::from(bytes);
 
@@ -287,8 +291,8 @@ impl<I: Isa> Vmm<I> {
         if table.live == 0 {
             self.stats.pages_translated += 1;
         }
-        let nvliws = group.len() as u32;
-        let rc = Rc::new(GroupCode::new(group, vliw_addrs));
+        let nvliws = code.vliw_addrs.len() as u32;
+        let rc = Rc::new(code);
         table.insert(slot, Rc::clone(&rc));
         self.tracer.emit(|| TraceEvent::Translate {
             entry: addr,

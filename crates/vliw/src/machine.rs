@@ -37,11 +37,13 @@ pub struct ResCounts {
 impl ResCounts {
     /// Total issue parcels (branches are accounted separately, as in the
     /// paper: "7 conditional branches ... in addition").
+    #[inline]
     pub fn issue(&self) -> u32 {
         self.alu + self.loads + self.stores
     }
 
     /// Memory parcels.
+    #[inline]
     pub fn mem(&self) -> u32 {
         self.loads + self.stores
     }
@@ -109,6 +111,7 @@ impl MachineConfig {
 
     /// Whether a tree with `counts` can accept one more parcel of
     /// `class`.
+    #[inline]
     pub fn has_room(&self, counts: &ResCounts, class: ResClass) -> bool {
         if counts.issue() >= self.issue {
             return false;
@@ -122,6 +125,7 @@ impl MachineConfig {
 
     /// Whether a tree with `counts` can accept one more conditional
     /// branch.
+    #[inline]
     pub fn has_branch_room(&self, counts: &ResCounts) -> bool {
         counts.branches < self.branch
     }

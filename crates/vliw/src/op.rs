@@ -54,6 +54,7 @@ pub enum MemWidth {
 
 impl MemWidth {
     /// Width in bytes.
+    #[inline]
     pub fn bytes(self) -> u32 {
         match self {
             MemWidth::Byte => 1,
@@ -241,16 +242,19 @@ pub enum OpKind {
 
 impl OpKind {
     /// True for loads.
+    #[inline]
     pub fn is_load(self) -> bool {
         matches!(self, OpKind::Load { .. })
     }
 
     /// True for stores.
+    #[inline]
     pub fn is_store(self) -> bool {
         matches!(self, OpKind::Store { .. })
     }
 
     /// True for memory operations.
+    #[inline]
     pub fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }
@@ -287,6 +291,7 @@ pub struct Operation {
 
 impl Operation {
     /// Creates an operation with no operands.
+    #[inline]
     pub fn new(kind: OpKind, base_addr: u32) -> Operation {
         Operation {
             kind,
@@ -305,6 +310,7 @@ impl Operation {
 
     /// Sets the destination.
     #[must_use]
+    #[inline]
     pub fn dst(mut self, r: Reg) -> Operation {
         self.dest = Some(r);
         self
@@ -312,6 +318,7 @@ impl Operation {
 
     /// Sets the carry-out destination.
     #[must_use]
+    #[inline]
     pub fn dst2(mut self, r: Reg) -> Operation {
         self.dest2 = Some(r);
         self
@@ -323,6 +330,7 @@ impl Operation {
     ///
     /// Panics if more than three sources are added.
     #[must_use]
+    #[inline]
     pub fn src(mut self, r: Reg) -> Operation {
         assert!(self.nsrc < 3, "operation has at most 3 sources");
         self.srcs[self.nsrc as usize] = r;
@@ -332,6 +340,7 @@ impl Operation {
 
     /// Sets the signed immediate.
     #[must_use]
+    #[inline]
     pub fn with_imm(mut self, v: i32) -> Operation {
         self.imm = v;
         self
@@ -339,17 +348,20 @@ impl Operation {
 
     /// Sets the mask immediate.
     #[must_use]
+    #[inline]
     pub fn with_imm2(mut self, v: u32) -> Operation {
         self.imm2 = v;
         self
     }
 
     /// The source operands.
+    #[inline]
     pub fn srcs(&self) -> &[Reg] {
         &self.srcs[..self.nsrc as usize]
     }
 
     /// Replaces source `i`.
+    #[inline]
     pub fn set_src(&mut self, i: usize, r: Reg) {
         assert!(i < self.nsrc as usize);
         self.srcs[i] = r;

@@ -31,11 +31,13 @@ pub struct Gpr(pub u8);
 
 impl Gpr {
     /// Returns the register number, guaranteed `< 32` for valid values.
+    #[inline]
     pub fn num(self) -> u8 {
         self.0
     }
 
     /// Returns true if this names one of the 32 architected GPRs.
+    #[inline]
     pub fn is_valid(self) -> bool {
         self.0 < 32
     }
@@ -57,11 +59,13 @@ pub struct CrField(pub u8);
 
 impl CrField {
     /// Returns the field number, `< 8` for valid values.
+    #[inline]
     pub fn num(self) -> u8 {
         self.0
     }
 
     /// Returns true if this names one of the 8 architected CR fields.
+    #[inline]
     pub fn is_valid(self) -> bool {
         self.0 < 8
     }
@@ -99,18 +103,21 @@ impl Reg {
     pub const SO: Reg = Reg(76);
 
     /// An architected GPR.
+    #[inline]
     pub fn gpr(g: Gpr) -> Reg {
         debug_assert!(g.is_valid());
         Reg(g.0)
     }
 
     /// A rename-pool register by pool index (0..32).
+    #[inline]
     pub fn rename(i: u8) -> Reg {
         debug_assert!(i < NUM_RENAME as u8);
         Reg(FIRST_RENAME + i)
     }
 
     /// An architected CR field.
+    #[inline]
     pub fn cr(f: CrField) -> Reg {
         debug_assert!(f.is_valid());
         Reg(64 + f.0)
@@ -119,31 +126,37 @@ impl Reg {
     /// True for resources visible to the base architecture. Assignments
     /// to these must happen in original program order to keep exceptions
     /// precise; assignments to the others are invisible speculation.
+    #[inline]
     pub fn is_architected(self) -> bool {
         !(FIRST_RENAME..64).contains(&self.0)
     }
 
     /// True for rename-pool registers.
+    #[inline]
     pub fn is_rename(self) -> bool {
         (FIRST_RENAME..64).contains(&self.0)
     }
 
     /// True for CR field registers (architected only).
+    #[inline]
     pub fn is_cr_field(self) -> bool {
         (64..72).contains(&self.0)
     }
 
     /// The architected GPR, if this is one.
+    #[inline]
     pub fn as_gpr(self) -> Option<Gpr> {
         (self.0 < 32).then_some(Gpr(self.0))
     }
 
     /// The CR field, if this is one.
+    #[inline]
     pub fn as_cr_field(self) -> Option<CrField> {
         self.is_cr_field().then_some(CrField(self.0 - 64))
     }
 
     /// Index into a dense per-register table.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -177,6 +190,7 @@ impl RenameMask {
     pub const ALL_FREE: RenameMask = RenameMask(u32::MAX);
 
     /// Picks the lowest-numbered free register, if any.
+    #[inline]
     pub fn pick(self) -> Option<Reg> {
         if self.0 == 0 {
             None
@@ -187,6 +201,7 @@ impl RenameMask {
 
     /// Marks a rename register allocated.
     #[must_use]
+    #[inline]
     pub fn without(self, r: Reg) -> RenameMask {
         debug_assert!(r.is_rename());
         RenameMask(self.0 & !(1 << (r.0 - FIRST_RENAME)))
@@ -194,6 +209,7 @@ impl RenameMask {
 
     /// Marks a rename register free again.
     #[must_use]
+    #[inline]
     pub fn with(self, r: Reg) -> RenameMask {
         debug_assert!(r.is_rename());
         RenameMask(self.0 | (1 << (r.0 - FIRST_RENAME)))
@@ -201,16 +217,19 @@ impl RenameMask {
 
     /// Intersection — free in both.
     #[must_use]
+    #[inline]
     pub fn and(self, other: RenameMask) -> RenameMask {
         RenameMask(self.0 & other.0)
     }
 
     /// True if `r` is free.
+    #[inline]
     pub fn is_free(self, r: Reg) -> bool {
         r.is_rename() && self.0 & (1 << (r.0 - FIRST_RENAME)) != 0
     }
 
     /// Number of free rename registers.
+    #[inline]
     pub fn count(self) -> u32 {
         self.0.count_ones()
     }

@@ -119,9 +119,12 @@ pub struct Node {
 }
 
 /// One VLIW tree instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vliw {
     nodes: Vec<Node>,
+    /// Open, empty nodes kept from an earlier tree for their parcel
+    /// lists' capacity (see [`Vliw::reset`]). Not part of the tree:
+    /// equality, cloning and `Debug` ignore it.
+    spare: Vec<Node>,
     counts: ResCounts,
     /// Base-architecture address corresponding to this VLIW's entry —
     /// the anchor for precise-exception recovery (paper §3.5).
@@ -132,29 +135,55 @@ impl Vliw {
     /// Creates an empty tree (a single open root) anchored at
     /// base-architecture address `base_entry`.
     pub fn new(base_entry: u32) -> Vliw {
-        Vliw {
-            nodes: vec![Node { ops: Vec::new(), kind: NodeKind::Open }],
-            counts: ResCounts::default(),
-            base_entry,
+        let mut v =
+            Vliw { nodes: Vec::new(), spare: Vec::new(), counts: ResCounts::default(), base_entry };
+        v.open_node();
+        v
+    }
+
+    /// Empties the tree back to a single open root anchored at
+    /// `base_entry`, as [`Vliw::new`] builds it, but keeps every node's
+    /// parcel list for reuse.
+    fn reset(&mut self, base_entry: u32) {
+        for mut n in self.nodes.drain(..) {
+            n.ops.clear();
+            n.kind = NodeKind::Open;
+            self.spare.push(n);
         }
+        self.counts = ResCounts::default();
+        self.base_entry = base_entry;
+        self.open_node();
+    }
+
+    /// Appends an open node, reusing a spare one if there is one.
+    #[inline]
+    fn open_node(&mut self) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        let node = self.spare.pop().unwrap_or(Node { ops: Vec::new(), kind: NodeKind::Open });
+        self.nodes.push(node);
+        id
     }
 
     /// The node table.
+    #[inline]
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
     /// A node by id.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
     }
 
     /// Resource usage over the whole tree.
+    #[inline]
     pub fn counts(&self) -> &ResCounts {
         &self.counts
     }
 
     /// Resource class of an operation for accounting.
+    #[inline]
     pub fn class_of(op: &Operation) -> ResClass {
         match op.kind {
             OpKind::Load { .. } => ResClass::Load,
@@ -164,11 +193,13 @@ impl Vliw {
     }
 
     /// True if the machine allows adding `op` to this tree.
+    #[inline]
     pub fn has_room(&self, cfg: &MachineConfig, op: &Operation) -> bool {
         cfg.has_room(&self.counts, Vliw::class_of(op))
     }
 
     /// True if the machine allows one more conditional branch.
+    #[inline]
     pub fn has_branch_room(&self, cfg: &MachineConfig) -> bool {
         cfg.has_branch_room(&self.counts)
     }
@@ -179,6 +210,7 @@ impl Vliw {
     /// parcels on a node always execute before its branch condition or
     /// exit takes effect, so later out-of-order placements into an
     /// earlier VLIW of a path are well defined.
+    #[inline]
     pub fn add_op(&mut self, node: NodeId, op: Operation) {
         match Vliw::class_of(&op) {
             ResClass::Alu => self.counts.alu += 1,
@@ -194,15 +226,14 @@ impl Vliw {
     /// # Panics
     ///
     /// Panics if the node is not open.
+    #[inline]
     pub fn split(&mut self, node: NodeId, cond: Cond) -> (NodeId, NodeId) {
         assert!(
             matches!(self.nodes[node.0 as usize].kind, NodeKind::Open),
             "can only split an open node"
         );
-        let taken = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { ops: Vec::new(), kind: NodeKind::Open });
-        let fall = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { ops: Vec::new(), kind: NodeKind::Open });
+        let taken = self.open_node();
+        let fall = self.open_node();
         self.nodes[node.0 as usize].kind = NodeKind::Branch { cond, taken, fall };
         self.counts.branches += 1;
         (taken, fall)
@@ -213,6 +244,7 @@ impl Vliw {
     /// # Panics
     ///
     /// Panics if the node is not open.
+    #[inline]
     pub fn seal(&mut self, node: NodeId, exit: Exit) {
         assert!(
             matches!(self.nodes[node.0 as usize].kind, NodeKind::Open),
@@ -234,6 +266,39 @@ impl Vliw {
     /// Total parcels (ops) in the tree.
     pub fn num_ops(&self) -> u32 {
         self.counts.issue()
+    }
+}
+
+// The spare nodes are not part of the tree, so the tree traits are
+// written out to leave them out.
+impl Clone for Vliw {
+    fn clone(&self) -> Vliw {
+        Vliw {
+            nodes: self.nodes.clone(),
+            spare: Vec::new(),
+            counts: self.counts,
+            base_entry: self.base_entry,
+        }
+    }
+}
+
+impl PartialEq for Vliw {
+    fn eq(&self, other: &Vliw) -> bool {
+        self.nodes == other.nodes
+            && self.counts == other.counts
+            && self.base_entry == other.base_entry
+    }
+}
+
+impl Eq for Vliw {}
+
+impl fmt::Debug for Vliw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Vliw")
+            .field("nodes", &self.nodes)
+            .field("counts", &self.counts)
+            .field("base_entry", &self.base_entry)
+            .finish()
     }
 }
 
@@ -262,7 +327,6 @@ impl fmt::Display for Vliw {
 /// A group of VLIWs translated from one entry point (the unit the
 /// Pathlist algorithm produces, laid out from the entry offset in the
 /// translated code page).
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
     /// Base-architecture address of the group's entry instruction.
     pub entry: u32,
@@ -271,37 +335,66 @@ pub struct Group {
     /// Dynamic count of base-architecture instructions covered (for
     /// diagnostics; paths overlap so this is not a code-size measure).
     pub base_instrs: u32,
+    /// VLIWs of an earlier group kept for their buffers (see
+    /// [`Group::reset`]); [`Group::push_vliw`] resets one before reuse.
+    /// Not part of the group: equality, cloning and `Debug` ignore it.
+    spare: Vec<Vliw>,
 }
 
 impl Group {
     /// Creates a group with a single empty root VLIW.
     pub fn new(entry: u32) -> Group {
-        Group { entry, vliws: vec![Vliw::new(entry)], base_instrs: 0 }
+        let mut g = Group { entry, vliws: Vec::new(), base_instrs: 0, spare: Vec::new() };
+        g.push_vliw(entry);
+        g
+    }
+
+    /// Empties the group back to a single open root VLIW at `entry`,
+    /// as [`Group::new`] builds it, but keeps its VLIWs, nodes and
+    /// parcel lists for reuse: a scheduler that translates into one
+    /// recycled group allocates nothing once the buffers have grown.
+    pub fn reset(&mut self, entry: u32) {
+        self.spare.append(&mut self.vliws);
+        self.entry = entry;
+        self.base_instrs = 0;
+        self.push_vliw(entry);
     }
 
     /// The VLIW with the given id.
+    #[inline]
     pub fn vliw(&self, id: VliwId) -> &Vliw {
         &self.vliws[id.0 as usize]
     }
 
     /// Mutable access to a VLIW.
+    #[inline]
     pub fn vliw_mut(&mut self, id: VliwId) -> &mut Vliw {
         &mut self.vliws[id.0 as usize]
     }
 
     /// Appends a new empty VLIW anchored at `base_entry`, returning its id.
+    #[inline]
     pub fn push_vliw(&mut self, base_entry: u32) -> VliwId {
         let id = VliwId(self.vliws.len() as u32);
-        self.vliws.push(Vliw::new(base_entry));
+        let v = match self.spare.pop() {
+            Some(mut v) => {
+                v.reset(base_entry);
+                v
+            }
+            None => Vliw::new(base_entry),
+        };
+        self.vliws.push(v);
         id
     }
 
     /// Number of VLIWs.
+    #[inline]
     pub fn len(&self) -> usize {
         self.vliws.len()
     }
 
     /// True when the group has no VLIWs (never after construction).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.vliws.is_empty()
     }
@@ -369,6 +462,39 @@ impl Group {
             }
         }
         Ok(())
+    }
+}
+
+// The spare VLIWs are not part of the group, so the tree traits are
+// written out to leave them out.
+impl Clone for Group {
+    fn clone(&self) -> Group {
+        Group {
+            entry: self.entry,
+            vliws: self.vliws.clone(),
+            base_instrs: self.base_instrs,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for Group {
+    fn eq(&self, other: &Group) -> bool {
+        self.entry == other.entry
+            && self.vliws == other.vliws
+            && self.base_instrs == other.base_instrs
+    }
+}
+
+impl Eq for Group {}
+
+impl fmt::Debug for Group {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Group")
+            .field("entry", &self.entry)
+            .field("vliws", &self.vliws)
+            .field("base_instrs", &self.base_instrs)
+            .finish()
     }
 }
 
@@ -489,6 +615,45 @@ mod tests {
         g.vliw_mut(VliwId(0)).seal(ROOT, Exit::Goto(next));
         g.vliw_mut(next).seal(ROOT, Exit::Branch { target: 0x2000 });
         assert_eq!(g.validate(), Ok(()));
+    }
+
+    /// Builds a two-VLIW tree with a split and parcels on every node.
+    fn build_two_vliws(g: &mut Group) {
+        let next = g.push_vliw(0x1004);
+        let cond =
+            Cond { src: Reg(64), mask: 0b0010, want_set: true, spec_target: None, origin: 0x1000 };
+        let root = g.vliw_mut(VliwId(0));
+        root.add_op(ROOT, alu_op());
+        let (t, f) = root.split(ROOT, cond);
+        root.add_op(t, alu_op());
+        root.add_op(f, alu_op());
+        root.seal(t, Exit::Goto(next));
+        root.seal(f, Exit::Branch { target: 0x2000 });
+        g.vliw_mut(next).add_op(ROOT, alu_op());
+        g.vliw_mut(next).seal(ROOT, Exit::Interp { addr: 0x1008 });
+        g.base_instrs = 3;
+    }
+
+    #[test]
+    fn a_reset_group_is_a_new_group() {
+        let mut g = Group::new(0x1000);
+        build_two_vliws(&mut g);
+        let built = g.clone();
+        assert_eq!(built.vliw(VliwId(0)).nodes().len(), 3);
+
+        // Every recycled VLIW and node comes back empty and open, and
+        // the spare buffers show in neither equality nor `Debug`.
+        g.reset(0x3000);
+        assert_eq!(g, Group::new(0x3000));
+        assert_eq!(format!("{g:?}"), format!("{:?}", Group::new(0x3000)));
+        let v = g.push_vliw(0x3004);
+        assert_eq!(*g.vliw(v), Vliw::new(0x3004));
+
+        // Rebuilding the tree in the recycled group gives it back.
+        g.reset(0x1000);
+        build_two_vliws(&mut g);
+        assert_eq!(g, built);
+        assert_eq!(format!("{g:?}"), format!("{built:?}"));
     }
 
     #[test]

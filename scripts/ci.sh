@@ -29,8 +29,10 @@ cargo fmt --check
 # The benchmark harness is a separate package (daisybench/, outside the
 # workspace) that uses the core, jit and vliw crates by path; build it
 # so an API change that breaks it fails here rather than at benchmark
-# time.
+# time, and run its own tests, which run real programs on all three
+# benchmark workloads and check them against the interpreter oracle.
 cargo check --offline --manifest-path daisybench/Cargo.toml
+cargo test --offline -q --manifest-path daisybench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test --workspace --doc
 

@@ -1,10 +1,12 @@
 //! Heap allocations per translation, pinned. The scheduler keeps its
 //! buffers (paths, rename masks, the join table, the converted
-//! primitives) from one translation to the next and copies forks into
-//! recycled paths, so a group allocates only what it hands back: the
-//! tree itself and the VMM's packed form of it. A change that brings
-//! back a per-fork path clone, a per-op scratch `Vec` or a per-group
-//! hash table moves the count and fails here.
+//! primitives) from one translation to the next, copies forks into
+//! recycled paths and, on the VMM's path, builds each group in one
+//! recycled tree that the VMM lowers from. A group therefore allocates
+//! only its packed form and the VMM's bookkeeping (its VLIW address
+//! list, chain-link table and `Rc`). A change that brings back a
+//! per-group tree, a per-fork path clone, a per-op scratch `Vec` or a
+//! per-group hash table moves the count and fails here.
 
 use daisy::prelude::*;
 use daisy::Vmm;
@@ -62,8 +64,9 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 /// compress under `code_thrash`'s configuration (256-byte pages, a
 /// 512-byte code area) translates its six entry points over and over as
 /// they cast each other out. Replaying that translation sequence
-/// through one VMM costs 67.2 heap allocations per group (the
-/// scheduler's tree plus the VMM's packed form and bookkeeping).
+/// through one VMM costs 12.46 heap allocations per group, the VMM's
+/// packed form and bookkeeping (67.2 while every group built a fresh
+/// tree).
 #[test]
 fn translation_allocations_per_group_are_pinned() {
     let w = daisy_workloads::by_name("compress").expect("compress workload");
@@ -106,7 +109,7 @@ fn translation_allocations_per_group_are_pinned() {
     println!("{allocations} allocations over {groups} groups");
     assert_eq!(
         (allocations, groups),
-        (1_567_328, 23_312),
+        (290_539, 23_312),
         "allocations per translated group moved ({:.2} per group)",
         allocations as f64 / groups as f64
     );
