@@ -60,9 +60,10 @@
 //!   unrepaid double the threshold in force, up to
 //!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid restores
 //!   the builder's threshold, and one with no compile since the
-//!   previous flush leaves the threshold as it is. Under cast-out churn that kills every
-//!   compiled group within a few hundred VLIWs the tier thus stops
-//!   compiling, and groups that stay live long enough still compile.
+//!   previous flush leaves the threshold as it is. Under cast-out churn
+//!   that kills every compiled group within a few hundred VLIWs the
+//!   tier thus stops compiling, and groups that stay live long enough
+//!   still compile.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::stats::RunStats;

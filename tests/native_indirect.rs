@@ -123,11 +123,11 @@ fn inline_ibtc_resolves_aligned_dispatch_table() {
 // every one of these campaigns they do not, and `NativeStats::ibtc_hits`
 // reads 0 for all nine. Chain-sever flushes the tier at every boundary
 // (seed 0: 241,012 flushes in 241,010 boundaries) and compiles 219,675
-// groups there. A flush with no compile since the previous one now
-// leaves the threshold alone, so the payback back-off holds (9
-// back-offs; 141,011 and 224,699 compiles while such a flush restored
-// the builder's threshold), but groups dispatched more often than the
-// capped threshold still recompile after every flush. The other two
+// groups there. A flush with no compile since the previous one leaves
+// the threshold alone, so the payback back-off holds (9 back-offs; when
+// such a flush restored the builder's threshold: 141,011 back-offs and
+// 224,699 compiles), but groups dispatched more often than the capped
+// threshold still recompile after every flush. The other two
 // kinds kill most compiled groups before they repay, so the back-off
 // leaves a handful of compiles: on seed 0, hot_patch compiles 5 groups
 // and flushes 7 times in 241,010 boundaries, and cast_out_thrash
