@@ -57,13 +57,15 @@
 //!   applied to the second tier. At each flush the tier compares the
 //!   VLIWs it ran natively since the previous flush with
 //!   [`PAYBACK_VLIWS`] per compile made in that time. Compiles that died
-//!   unrepaid double the threshold in force, up to
-//!   [`MAX_BACKOFF_THRESHOLD`]; a flush that finds them repaid restores
-//!   the builder's threshold, and one with no compile since the
-//!   previous flush leaves the threshold as it is. Under cast-out churn
-//!   that kills every compiled group within a few hundred VLIWs the
-//!   tier thus stops compiling, and groups that stay live long enough
-//!   still compile.
+//!   unrepaid double the threshold in force, with no cap: dispatch
+//!   counts survive a flush, so under a cap every translation
+//!   dispatched past it would recompile after each flush. A flush that
+//!   finds the compiles repaid restores the builder's threshold, and
+//!   one with no compile since the previous flush leaves the threshold
+//!   as it is. Under churn that kills every compiled group within a
+//!   few hundred VLIWs (cast-outs, or a chain sever at every boundary)
+//!   the tier thus stops compiling, and groups that stay live long
+//!   enough still compile.
 
 use crate::engine::{EngineScratch, GroupCode, GroupExit, ResumePoint};
 use crate::stats::RunStats;
@@ -106,10 +108,6 @@ pub const DEFAULT_NATIVE_THRESHOLD: u64 = 8;
 /// same back-offs (docs/performance.md, "Compiles that repay
 /// themselves").
 pub const PAYBACK_VLIWS: u64 = 3_000;
-
-/// The highest threshold the payback back-off raises the threshold in
-/// force to: a translation dispatched this often still compiles.
-pub const MAX_BACKOFF_THRESHOLD: u64 = 1 << 10;
 
 /// Counters of the native tier itself (compilation and dispatch
 /// behaviour; the *architectural* counters go straight into
@@ -155,9 +153,10 @@ pub struct NativeStats {
 /// lives and dies with the translation it describes.
 #[derive(Debug)]
 pub(crate) enum NativeSlot {
-    /// Not compiled: below the threshold, refused for lack of arena
-    /// space, or retired by a flush (either way past the threshold, so
-    /// it compiles on its next dispatch).
+    /// Not compiled: below the threshold in force, refused for lack of
+    /// arena space, or retired by a flush. It compiles on the first
+    /// dispatch that finds its count at the threshold in force, which a
+    /// flush may have raised past it.
     Cold,
     /// Lowered and installed.
     Compiled(Rc<CompiledGroup>),
@@ -174,9 +173,8 @@ fn compiled(code: &GroupCode) -> Option<Rc<CompiledGroup>> {
 }
 
 /// Registry row resolving a compiled group id (`JitCtx::cur_group`)
-/// back to its guest entry and translation.
+/// back to its translation.
 struct RegEntry {
-    entry: u32,
     code: Weak<GroupCode>,
     compiled: Weak<CompiledGroup>,
 }
@@ -184,25 +182,19 @@ struct RegEntry {
 /// Outcome of one native dispatch.
 pub enum NativeRun {
     /// The run completed natively; `exit` is exactly what the packed
-    /// engine would have returned from the *final* group executed
-    /// (`final_entry`, whose translation is `final_code` for chain
-    /// bookkeeping).
+    /// engine would have returned from the *final* group executed.
     Done {
         /// The group exit, packed-engine-identical.
         exit: GroupExit,
-        /// Entry of the group that produced the exit (chained runs may
-        /// end groups away from the dispatched one).
-        final_entry: u32,
-        /// Translation of that group, for pending-chain bookkeeping.
-        final_code: Option<Rc<GroupCode>>,
+        /// Translation of the group that produced the exit (chained
+        /// runs may end groups away from the dispatched one).
+        code: Rc<GroupCode>,
     },
     /// The run bailed pre-side-effect; the caller must resume `code`
     /// on the packed engine at `point` (scratch already loaded).
     Resume {
         /// Translation of the group that bailed.
         code: Rc<GroupCode>,
-        /// Entry of that group.
-        entry: u32,
         /// Where the packed engine re-enters.
         point: ResumePoint,
     },
@@ -336,8 +328,8 @@ impl NativeTier {
         if compiles > 0 {
             if ran >= compiles * PAYBACK_VLIWS {
                 self.threshold = self.base_threshold;
-            } else if self.threshold < MAX_BACKOFF_THRESHOLD {
-                self.threshold = (self.threshold * 2).min(MAX_BACKOFF_THRESHOLD);
+            } else {
+                self.threshold = self.threshold.saturating_mul(2);
                 self.stats.backoffs += 1;
             }
         }
@@ -383,7 +375,7 @@ impl NativeTier {
                 self.stats.compiles += 1;
                 self.registry.insert(
                     cg.group_id,
-                    RegEntry { entry, code: Rc::downgrade(code), compiled: Rc::downgrade(&cg) },
+                    RegEntry { code: Rc::downgrade(code), compiled: Rc::downgrade(&cg) },
                 );
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: "ok" });
                 *code.native.borrow_mut() = NativeSlot::Compiled(Rc::clone(&cg));
@@ -512,12 +504,11 @@ impl NativeTier {
         self.stats.vliws_native += self.ctx.vliws;
 
         // Resolve the group that produced the exit (chained runs end
-        // away from the dispatched group). A registry row can only be
-        // stale for the dispatched group itself, whose `code` we hold.
-        let (final_entry, final_code, final_cg) = match self.registry.get(&self.ctx.cur_group) {
-            Some(row) => (row.entry, row.code.upgrade(), row.compiled.upgrade()),
-            None => (code.entry, Some(Rc::clone(code)), None),
-        };
+        // away from the dispatched group). Only the dispatched group,
+        // whose `code` we hold, can lack a live registry row.
+        let row = self.registry.get(&self.ctx.cur_group);
+        let final_cg = row.and_then(|row| row.compiled.upgrade());
+        let final_code = row.and_then(|row| row.code.upgrade()).unwrap_or_else(|| Rc::clone(code));
 
         match self.ctx.exit_kind {
             EXIT_INDIRECT => NativeRun::Done {
@@ -529,22 +520,19 @@ impl NativeTier {
                         via => unreachable!("indirect exit with via {via}"),
                     },
                 },
-                final_entry,
-                final_code,
+                code: final_code,
             },
             EXIT_INTERP => NativeRun::Done {
                 exit: GroupExit::Interp { addr: self.ctx.exit_a },
-                final_entry,
-                final_code,
+                code: final_code,
             },
             EXIT_BAIL => {
                 self.stats.bails += 1;
-                let rcode = final_code.unwrap_or_else(|| Rc::clone(code));
                 let bail_cg = match final_cg {
                     Some(c) => c,
                     // The dispatched group itself (never chained-into),
                     // whose compilation the caller holds.
-                    None => match compiled(&rcode) {
+                    None => match compiled(&final_code) {
                         Some(c) => c,
                         None => unreachable!("bailing group's compilation is live during its run"),
                     },
@@ -575,21 +563,19 @@ impl NativeTier {
                     }
                 }
                 NativeRun::Resume {
-                    entry: final_entry,
                     point: ResumePoint {
-                        vliw: rcode.packed.node_vliw(bail.node as usize) as usize,
+                        vliw: final_code.packed.node_vliw(bail.node as usize) as usize,
                         node: bail.node as usize,
                         op: bail.op as usize,
                         parcels: bail.parcels as usize,
                         last_base: self.ctx.last_base,
                     },
-                    code: rcode,
+                    code: final_code,
                 }
             }
             EXIT_BRANCH => NativeRun::Done {
                 exit: GroupExit::Branch { target: self.ctx.exit_a, slot: self.ctx.exit_b as usize },
-                final_entry,
-                final_code,
+                code: final_code,
             },
             kind => unreachable!("native exit with kind {kind}"),
         }
@@ -699,9 +685,10 @@ mod tests {
         drop(cg);
         // 56 of the 64 fit. Each refusal raises the threshold to twice
         // the count reached, so the set refills once per doubling of
-        // the counts (11 flushes and 616 compiles in 2,000 rounds; a
-        // threshold capped at `MAX_BACKOFF_THRESHOLD` gives 1,106 and
-        // 61,986).
+        // the counts: 11 flushes and 616 compiles in 2,000 rounds. The
+        // uncapped back-off alone gives the same here, as each flush
+        // also doubles the threshold; the raise skips the doublings
+        // when the counts have run far past the threshold in force.
         for _ in 1..2_000 {
             codes.iter().for_each(|c| drop(prepare(&mut tier, c)));
         }
@@ -745,25 +732,23 @@ mod tests {
                 c.count_dispatch();
             }
         };
-        let doublings = u64::from(MAX_BACKOFF_THRESHOLD.trailing_zeros());
-        // Each flush retires one compile that ran no native VLIW.
-        for backoffs in 1..=doublings {
+        // Each flush retires one compile that ran no native VLIW. Counts
+        // survive a flush, so each doubling outruns them again, with no
+        // cap: the twelfth compile waits for dispatch 2,048.
+        for backoffs in 1..=12 {
             warm_up(&mut tier);
             tier.flush();
             assert_eq!(tier.stats.backoffs, backoffs);
             assert_eq!(tier.threshold, 1 << backoffs);
         }
-        warm_up(&mut tier);
-        tier.flush();
-        assert_eq!(tier.threshold, MAX_BACKOFF_THRESHOLD, "the back-off stops at its cap");
-        assert_eq!(tier.stats.backoffs, doublings, "a capped threshold is not doubled");
+        assert_eq!(c.dispatches(), 1 << 11);
         // A compile that ran its payback natively restores the builder's
         // threshold at the next flush.
         warm_up(&mut tier);
         tier.stats.vliws_native += PAYBACK_VLIWS;
         tier.flush();
         assert_eq!(tier.threshold, 1);
-        assert_eq!(tier.stats.backoffs, doublings);
+        assert_eq!(tier.stats.backoffs, 12);
     }
 
     #[test]

@@ -36,18 +36,35 @@ use daisy_jit::ACCESS_LOG_VLIW_BUDGET;
 use daisy_vliw::regfile::RegFile;
 use daisy_vliw::tree::IndirectVia;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::ops::ControlFlow;
+use std::rc::{Rc, Weak};
 
 /// How the previous group exited, carried to the next dispatch so a
-/// chain link can be followed or installed.
+/// chain link can be followed or installed. The source is weak, as
+/// chain links are: the VMM's page table is a translation's only owner,
+/// so a source it dropped between steps does not upgrade.
 #[derive(Debug)]
-enum PendingChain {
-    /// A static direct-branch exit: the `from` group has a link slot
-    /// for `target`.
-    Direct { from: Rc<GroupCode>, slot: usize, target: u32 },
-    /// An indirect (LR/CTR) exit, served by `from`'s inline dispatch
+struct PendingChain {
+    /// The group that produced the exit.
+    from: Weak<GroupCode>,
+    /// The exit's target.
+    target: u32,
+    /// `from`'s link slot for a static direct-branch exit; `None` for
+    /// an indirect (LR/CTR) exit, served by `from`'s inline dispatch
     /// cache.
-    Indirect { from: Rc<GroupCode>, target: u32 },
+    slot: Option<usize>,
+}
+
+/// A group run, as the execute phase hands it to the retire phase.
+struct Run {
+    exit: GroupExit,
+    /// The translation of the group that produced `exit`: a chained
+    /// native run may end groups away from the dispatched one.
+    code: Rc<GroupCode>,
+    /// `RunStats::base_instrs` before the run, for the recovery retry.
+    base_instrs: u64,
+    /// Cycles and stall cycles before the run, under guest profiling.
+    guest: Option<(u64, u64)>,
 }
 
 /// A fully wired DAISY machine, emulating the guest ISA `I`.
@@ -226,11 +243,9 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// their cost: a flush that finds the compiles made since the
     /// previous one ran fewer than
     /// [`crate::native::PAYBACK_VLIWS`] native VLIWs each doubles the
-    /// threshold in force (up to
-    /// [`crate::native::MAX_BACKOFF_THRESHOLD`]), and the next flush
-    /// whose compiles repaid restores this value (see
-    /// [`crate::native`]). Only meaningful with
-    /// [`DaisySystemBuilder::native_execution`] on.
+    /// threshold in force, with no cap, and the next flush whose
+    /// compiles repaid restores this value (see [`crate::native`]).
+    /// Only meaningful with [`DaisySystemBuilder::native_execution`] on.
     pub fn native_threshold(mut self, dispatches: u64) -> Self {
         self.native_threshold = dispatches;
         self
@@ -330,9 +345,6 @@ impl<I: Isa> DaisySystem<I> {
 
     fn handle_code_writes(&mut self) {
         for unit in self.mem.drain_code_writes() {
-            // A host store between steps may have hit the pending
-            // link's source, which the link holds alive.
-            self.pending_chain = None;
             self.vmm.invalidate_unit(&mut self.mem, unit);
         }
     }
@@ -390,9 +402,29 @@ impl<I: Isa> DaisySystem<I> {
     /// See [`DaisySystem::run`].
     // invariant-free hot path: `run` is a tight trampoline around this,
     // and the packed engine's short groups make the call boundary
-    // itself measurable — keep it inlinable.
+    // itself measurable — keep it and its phases inlinable.
     #[inline]
     pub fn step(&mut self) -> Result<Option<StopReason>, DaisyError> {
+        if cfg!(debug_assertions) {
+            self.vmm.assert_sole_owner();
+        }
+        let pc = match self.boundary() {
+            ControlFlow::Continue(pc) => pc,
+            ControlFlow::Break(stop) => return Ok(stop),
+        };
+        let (code, edge) = self.dispatch(pc);
+        let mut rf = RegFile::new();
+        let run = self.execute(code, edge, &mut rf);
+        self.retire(run, &rf)
+    }
+
+    /// The boundary phase: retires the translations stores hit, mirrors
+    /// VMM events into the guest profile, samples and delivers external
+    /// interrupts, and runs pages on the bottom ladder rung on the
+    /// interpreter. Continues with the PC to dispatch, or breaks with
+    /// the step's result when the interpreter ran it.
+    #[inline]
+    fn boundary(&mut self) -> ControlFlow<Option<StopReason>, u32> {
         self.handle_code_writes();
         // Mirror VMM events (degradations, cast-outs) into the guest
         // profile's timeline; syncing at the group boundary keeps the
@@ -451,147 +483,125 @@ impl<I: Isa> DaisySystem<I> {
         if self.ladder_engaged && self.interp_pages.contains(&(pc / self.vmm.cfg.page_size)) {
             self.pending_chain = None;
             self.last_exit_native = false;
-            return Ok(self.interp_burst());
+            return ControlFlow::Break(self.interp_burst());
         }
-        // Chained dispatch: follow the link installed on the
-        // previous group's exit straight to the next translation,
-        // bypassing the VMM. The `target == pc` guard keeps this
-        // sound across interrupt delivery and externally swapped
-        // CPU state; weak links make it sound across invalidation
-        // (`handle_code_writes` above already dropped any
-        // translation a store killed, so its links cannot upgrade).
-        let pending = self.pending_chain.take();
-        let mut chained: Option<Rc<GroupCode>> = None;
-        // A direct link followed at this boundary, remembered so the
-        // native tier can patch the same edge into a direct jump.
-        let mut followed_edge: Option<(Rc<GroupCode>, usize)> = None;
-        if self.chaining {
-            match &pending {
-                Some(PendingChain::Direct { from, slot, target }) if *target == pc => {
-                    match from.follow_link(*slot) {
-                        ChainLink::Live(code) => {
-                            if self.native.is_some() {
-                                followed_edge = Some((Rc::clone(from), *slot));
-                            }
-                            chained = Some(code);
-                        }
-                        ChainLink::Severed => {
-                            self.stats.chain.severs += 1;
-                            from.clear_link(*slot);
-                            let from_entry = from.entry;
-                            self.vmm
-                                .tracer
-                                .emit(|| TraceEvent::ChainSever { from: from_entry, target: pc });
-                        }
-                        ChainLink::Empty => {}
-                    }
+        ControlFlow::Continue(pc)
+    }
+
+    /// The dispatch phase: finds the translation at `pc` by following
+    /// the previous exit's chain link or else through the VMM, installs
+    /// the link or inline-cache way a VMM dispatch makes, and counts the
+    /// dispatch on the translation's one hotness counter (the native
+    /// threshold reads it). Also returns the direct edge it followed,
+    /// which the native tier patches into a direct jump.
+    #[inline]
+    fn dispatch(&mut self, pc: u32) -> (Rc<GroupCode>, Option<(Rc<GroupCode>, usize)>) {
+        // Chained dispatch: follow the link installed on the previous
+        // group's exit straight to the next translation, bypassing the
+        // VMM. The `target == pc` guard keeps this sound across
+        // interrupt delivery and externally swapped CPU state; weak
+        // links make it sound across invalidation: a source or target
+        // the VMM has dropped does not upgrade.
+        let pending = self.pending_chain.take().filter(|p| p.target == pc);
+        let from = pending.and_then(|p| Some((p.from.upgrade()?, p.slot)));
+        let chained = match &from {
+            Some((from, Some(slot))) => match from.follow_link(*slot) {
+                ChainLink::Live(code) => Some(code),
+                ChainLink::Severed => {
+                    self.stats.chain.severs += 1;
+                    from.clear_link(*slot);
+                    let from_entry = from.entry;
+                    self.vmm
+                        .tracer
+                        .emit(|| TraceEvent::ChainSever { from: from_entry, target: pc });
+                    None
                 }
-                Some(PendingChain::Indirect { from, target }) if *target == pc => {
-                    match from.icache_lookup(pc) {
-                        Some((code, way)) => {
-                            self.stats.chain.icache_hits += 1;
-                            // Mirror the hit into `from`'s inline IBTC
-                            // so the next indirect exit resolves
-                            // without this dispatcher boundary.
-                            if let Some(nt) = self.native.as_mut() {
-                                nt.icache_sync(from, pc, way, Some(&code));
-                            }
-                            chained = Some(code);
-                        }
-                        None => self.stats.chain.icache_misses += 1,
+                ChainLink::Empty => None,
+            },
+            Some((from, None)) => match from.icache_lookup(pc) {
+                Some((code, way)) => {
+                    self.stats.chain.icache_hits += 1;
+                    // Mirror the hit into `from`'s inline IBTC so the
+                    // next indirect exit resolves without this
+                    // dispatcher boundary.
+                    if let Some(nt) = self.native.as_mut() {
+                        nt.icache_sync(from, pc, way, Some(&code));
                     }
+                    Some(code)
                 }
-                _ => {}
-            }
-        }
-        let code = match chained {
-            Some(code) => {
-                self.stats.chain.chained_dispatches += 1;
-                // A source the VMM dropped between steps now lives only
-                // in `followed_edge`, until its edge is patched.
-                drop(pending);
-                code
-            }
-            None => {
-                self.stats.groups_entered += 1;
-                let xlate_before = self
-                    .guest_profile
-                    .as_ref()
-                    .map(|_| (self.vmm.stats.groups_translated, self.vmm.cost.instrs_scheduled));
-                let code = self.vmm.entry_with_cpu(&mut self.mem, pc, Some(&self.cpu));
-                // Feed any translation work this dispatch triggered
-                // into the §4.2 overhead clock (first-touch vs
-                // retranslation is classified by the clock itself).
-                if let (Some(gp), Some((g0, i0))) = (&mut self.guest_profile, xlate_before) {
-                    if self.vmm.stats.groups_translated > g0 {
-                        gp.overhead_mut().note_translation(pc, self.vmm.cost.instrs_scheduled - i0);
-                    }
+                None => {
+                    self.stats.chain.icache_misses += 1;
+                    None
                 }
-                if self.chaining {
-                    match pending {
-                        Some(PendingChain::Direct { from, slot, target }) if target == pc => {
-                            from.install_link(slot, &code);
-                            self.stats.chain.link_installs += 1;
-                            let from_entry = from.entry;
-                            self.vmm.tracer.emit(|| TraceEvent::ChainInstall {
-                                from: from_entry,
-                                to: pc,
-                                indirect: false,
-                            });
-                        }
-                        Some(PendingChain::Indirect { from, target }) if target == pc => {
-                            let way = from.icache_install(pc, &code);
-                            // The install overwrote a way: the inline
-                            // IBTC must never keep an entry the
-                            // dispatcher's icache no longer holds, so
-                            // sync (install or invalidate) that way.
-                            if let Some(nt) = self.native.as_mut() {
-                                nt.icache_sync(&from, pc, way, Some(&code));
-                            }
-                            let from_entry = from.entry;
-                            self.vmm.tracer.emit(|| TraceEvent::ChainInstall {
-                                from: from_entry,
-                                to: pc,
-                                indirect: true,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-                code
-            }
+            },
+            None => None,
         };
-        // The translation's one hotness counter: the native threshold
-        // (in `prepare`) reads it.
+        if let Some(code) = chained {
+            self.stats.chain.chained_dispatches += 1;
+            code.count_dispatch();
+            return (code, from.and_then(|(from, slot)| Some((from, slot?))));
+        }
+        self.stats.groups_entered += 1;
+        let xlate_before = self
+            .guest_profile
+            .as_ref()
+            .map(|_| (self.vmm.stats.groups_translated, self.vmm.cost.instrs_scheduled));
+        let code = self.vmm.entry_with_cpu(&mut self.mem, pc, Some(&self.cpu));
+        // Feed any translation work this dispatch triggered into the
+        // §4.2 overhead clock (first-touch vs retranslation is
+        // classified by the clock itself).
+        if let (Some(gp), Some((g0, i0))) = (&mut self.guest_profile, xlate_before) {
+            if self.vmm.stats.groups_translated > g0 {
+                gp.overhead_mut().note_translation(pc, self.vmm.cost.instrs_scheduled - i0);
+            }
+        }
+        if let Some((from, slot)) = from {
+            match slot {
+                Some(slot) => {
+                    from.install_link(slot, &code);
+                    self.stats.chain.link_installs += 1;
+                }
+                None => {
+                    let way = from.icache_install(pc, &code);
+                    // The install overwrote a way: the inline IBTC must
+                    // never keep an entry the dispatcher's icache no
+                    // longer holds, so sync (install or invalidate) it.
+                    if let Some(nt) = self.native.as_mut() {
+                        nt.icache_sync(&from, pc, way, Some(&code));
+                    }
+                }
+            }
+            let (from, indirect) = (from.entry, slot.is_none());
+            self.vmm.tracer.emit(|| TraceEvent::ChainInstall { from, to: pc, indirect });
+        }
         code.count_dispatch();
-        let guest_before =
+        (code, None)
+    }
+
+    /// The execute phase: runs `code` from the architected state, loaded
+    /// into `rf`, on its ladder rung. On the native rung the tier
+    /// compiles the translation once it is warm, patches `edge` (the
+    /// chain edge just followed) into a direct native jump, and enters
+    /// compiled code. A bailed native run resumes the same group
+    /// mid-node on the packed engine, continuing the path trail its
+    /// direction log began, so the retire phase is rung-oblivious.
+    #[inline]
+    fn execute(
+        &mut self,
+        code: Rc<GroupCode>,
+        edge: Option<(Rc<GroupCode>, usize)>,
+        rf: &mut RegFile,
+    ) -> Run {
+        let guest =
             self.guest_profile.as_ref().map(|_| (self.stats.cycles(), self.stats.stall_cycles));
-        // Snapshot for the recovery-retry path below: a dispatch whose
-        // recovery cross-check fails is re-run in full one rung down,
-        // so its base-instruction commits must not count twice.
-        let base_instrs_before = self.stats.base_instrs;
-        let mut rf = RegFile::new();
-        self.cpu.fill_regfile(&mut rf);
+        let base_instrs = self.stats.base_instrs;
+        self.cpu.fill_regfile(rf);
         // Entries faulted below the native rung run on the packed
         // engine (the conservative rung's translation was rebuilt
         // without load speculation, upstream in the VMM).
-        let default_rung = if self.native.is_some() { Rung::Native } else { Rung::Packed };
-        let rung = if self.ladder_engaged {
-            self.ladder.get(&code.entry).copied().unwrap_or(default_rung)
-        } else {
-            default_rung
-        };
-        // Native tier: compile the translation once it is warm, patch
-        // the chain edge just followed into a direct native jump, and
-        // enter compiled code. A bailed native run resumes the same group
-        // mid-node on the packed engine, continuing the path trail its
-        // direction log began, so everything downstream (recovery
-        // cross-check, exception delivery, exit handling) is
-        // rung-oblivious. `run_from` names the group that produced the
-        // exit — a chained native run may end groups away from the
-        // dispatched one.
-        let mut native_result: Option<(GroupExit, u32, Option<Rc<GroupCode>>)> = None;
-        if rung == Rung::Native {
+        let native_rung = !self.ladder_engaged || self.rung(code.entry) == Rung::Native;
+        let mut native_run = None;
+        if let Some(nt) = self.native.as_mut().filter(|_| native_rung) {
             // The chain budget is the one gate on following patched
             // edges and inline indirect-cache hits. It is 0 while
             // something observes every boundary: a bus (device
@@ -606,66 +616,51 @@ impl<I: Isa> DaisySystem<I> {
             } else {
                 ACCESS_LOG_VLIW_BUDGET
             };
-            if let Some(nt) = self.native.as_mut() {
-                if let Some(cg) =
-                    nt.prepare(&code, self.vmm.cfg.page_size, &mut self.mem, &mut self.vmm.tracer)
-                {
-                    // Taken: a dead source's alive byte clears here,
-                    // before compiled code could jump into it.
-                    if let Some((pfrom, pslot)) = followed_edge.take() {
-                        nt.try_patch(&pfrom, pslot, &code);
-                    }
-                    match nt.execute(
-                        &cg,
-                        &code,
-                        &mut rf,
-                        &mut self.mem,
-                        &mut self.cache,
-                        &mut self.stats,
-                        &mut self.scratch,
-                        chain_budget,
-                    ) {
-                        NativeRun::Done { exit, final_entry, final_code } => {
-                            // Profiling reads the run's branch
-                            // directions; with no chain budget under
-                            // profiling, the run ended in `code`.
-                            if self.guest_profile.is_some() {
-                                nt.copy_trail(&mut self.scratch);
-                            }
-                            native_result = Some((exit, final_entry, final_code));
-                        }
-                        NativeRun::Resume { code: rcode, entry, point } => {
-                            let exit = run_group_resume(
-                                &rcode,
-                                &mut rf,
-                                &mut self.mem,
-                                &mut self.cache,
-                                &mut self.stats,
-                                &mut self.scratch,
-                                point,
-                            );
-                            native_result = Some((exit, entry, Some(rcode)));
-                        }
-                    }
+            if let Some(cg) =
+                nt.prepare(&code, self.vmm.cfg.page_size, &mut self.mem, &mut self.vmm.tracer)
+            {
+                if let Some((from, slot)) = edge {
+                    nt.try_patch(&from, slot, &code);
                 }
+                let (mem, cache, stats, scratch) =
+                    (&mut self.mem, &mut self.cache, &mut self.stats, &mut self.scratch);
+                native_run = Some(
+                    match nt.execute(&cg, &code, rf, mem, cache, stats, scratch, chain_budget) {
+                        NativeRun::Done { exit, code } => {
+                            // Profiling reads the run's branch directions;
+                            // with no chain budget under profiling, the run
+                            // ended in the dispatched group.
+                            if self.guest_profile.is_some() {
+                                nt.copy_trail(scratch);
+                            }
+                            (exit, code)
+                        }
+                        NativeRun::Resume { code, point } => {
+                            (run_group_resume(&code, rf, mem, cache, stats, scratch, point), code)
+                        }
+                    },
+                );
             }
         }
-        self.last_exit_native = native_result.is_some();
-        let (exit, run_entry, run_code) = match native_result {
-            Some(r) => r,
+        self.last_exit_native = native_run.is_some();
+        let (exit, code) = match native_run {
+            Some(run) => run,
             None => {
-                let exit = run_group(
-                    &code,
-                    &mut rf,
-                    &mut self.mem,
-                    &mut self.cache,
-                    &mut self.stats,
-                    &mut self.scratch,
-                );
-                (exit, code.entry, None)
+                let (mem, cache, stats, scratch) =
+                    (&mut self.mem, &mut self.cache, &mut self.stats, &mut self.scratch);
+                (run_group(&code, rf, mem, cache, stats, scratch), code)
             }
         };
-        let from_page = run_entry / self.vmm.cfg.page_size;
+        Run { exit, code, base_instrs, guest }
+    }
+
+    /// The retire phase: cross-checks an exception exit's recovery,
+    /// commits `rf`, attributes the dispatch to the guest profile, and
+    /// handles the exit.
+    #[inline]
+    fn retire(&mut self, run: Run, rf: &RegFile) -> Result<Option<StopReason>, DaisyError> {
+        let Run { exit, code, base_instrs, guest } = run;
+        let from_page = code.entry / self.vmm.cfg.page_size;
         // §3.5 recovery cross-check, *before* committing the
         // register file: a failed check means the translation's
         // metadata cannot be trusted, and retrying the group one
@@ -673,24 +668,23 @@ impl<I: Isa> DaisySystem<I> {
         // mutated yet — registers are still in `rf`, and memory is
         // clean unless a store committed before the fault.
         if let GroupExit::Exception { base_addr, fault_op, .. } = exit {
-            let fault_code = run_code.as_deref().unwrap_or(&code);
-            if self.recovery_cross_check(fault_code, base_addr, fault_op)? {
+            if self.recovery_cross_check(&code, base_addr, fault_op)? {
                 // Discard `rf`; architected state is untouched, so the
                 // next step re-dispatches the same PC one rung down.
                 // The retry re-executes (and re-counts) every base
                 // instruction the aborted attempt committed — roll the
                 // counter back so each executes-once instruction counts
                 // once. Cycles stay: the failed attempt's time is real.
-                self.stats.base_instrs = base_instrs_before;
+                self.stats.base_instrs = base_instrs;
                 return Ok(None);
             }
         }
-        self.cpu.write_back(&rf);
+        self.cpu.write_back(rf);
 
         // Guest-level attribution: distribute the dispatch's cycles,
         // stalls, and speculation waste over the guest PCs on its taken
         // path, rebuilt from the branch directions in its path trail.
-        if let (Some(gp), Some((c0, s0))) = (&mut self.guest_profile, guest_before) {
+        if let (Some(gp), Some((c0, s0))) = (&mut self.guest_profile, guest) {
             gp.record_dispatch(
                 &code,
                 &self.scratch.dirs,
@@ -710,11 +704,9 @@ impl<I: Isa> DaisySystem<I> {
                 self.cpu.set_pc(target);
                 if self.chaining {
                     // The slot was lowered into the packed exit at
-                    // translation time — no exit-table search here. The
-                    // link hangs off the group that produced the exit
-                    // (for a chained native run, the final group).
-                    let from = run_code.unwrap_or(code);
-                    self.pending_chain = Some(PendingChain::Direct { from, slot, target });
+                    // translation time — no exit-table search here.
+                    let from = Rc::downgrade(&code);
+                    self.pending_chain = Some(PendingChain { from, target, slot: Some(slot) });
                 }
             }
             GroupExit::Indirect { target, via } => {
@@ -728,8 +720,8 @@ impl<I: Isa> DaisySystem<I> {
                 }
                 self.cpu.set_pc(target);
                 if self.chaining {
-                    let from = run_code.unwrap_or(code);
-                    self.pending_chain = Some(PendingChain::Indirect { from, target });
+                    let from = Rc::downgrade(&code);
+                    self.pending_chain = Some(PendingChain { from, target, slot: None });
                 }
             }
             GroupExit::Interp { addr } => {
@@ -813,7 +805,7 @@ impl<I: Isa> DaisySystem<I> {
                 // chained native run that is the bailed group, not the
                 // dispatched one (matching what the packed engine
                 // reports when it dispatches that group directly).
-                let entry = run_entry;
+                let entry = code.entry;
                 self.vmm.tracer.emit(|| TraceEvent::AliasRestart { entry, addr });
                 self.vmm.note_alias_restart(entry);
                 self.cpu.set_pc(addr);
@@ -864,6 +856,7 @@ impl<I: Isa> DaisySystem<I> {
     /// [`DaisySystem::degradations`] and emitting it as
     /// [`TraceEvent::Degraded`]. Returns `None` — and changes nothing —
     /// when the entry is already at the bottom rung.
+    #[cold]
     pub fn degrade(&mut self, entry: u32, cause: DegradeCause) -> Option<Degradation> {
         self.ladder_engaged = true;
         let from = self.rung(entry);
@@ -897,9 +890,6 @@ impl<I: Isa> DaisySystem<I> {
         if let Some(nt) = self.native.as_mut() {
             nt.flush();
         }
-        // The pending chain may target a translation the step above
-        // just dropped, or carry execution past the ladder check.
-        self.pending_chain = None;
         let d = Degradation { entry, from, to, cause };
         self.vmm.record_degradation(d);
         // Auto-dump: every ladder step captures a post-mortem from the
@@ -1030,6 +1020,7 @@ impl<I: Isa> DaisySystem<I> {
     /// the page (the next step re-checks the ladder). The bound keeps
     /// interrupt delivery and the run budget at group-boundary
     /// granularity even for fully interpreted pages.
+    #[cold]
     fn interp_burst(&mut self) -> Option<StopReason> {
         let page_size = self.vmm.cfg.page_size;
         let page = self.cpu.pc() / page_size;

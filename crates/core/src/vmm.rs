@@ -370,6 +370,19 @@ impl<I: Isa> Vmm<I> {
         self.pages.values().map(|t| t.live).sum()
     }
 
+    /// Panics unless the page table is the only owner of every
+    /// translation it holds: everything else (chain links, the pending
+    /// chain, the native tier's registry) holds weak references, so a
+    /// translation and its compiled code die when their slot empties.
+    /// Debug builds check this at the top of every `DaisySystem::step`.
+    pub(crate) fn assert_sole_owner(&self) {
+        for table in self.pages.values() {
+            for g in table.slots.iter().flatten().take(table.live) {
+                assert!(Rc::strong_count(g) == 1, "translation {:#x} outlives its slot", g.entry);
+            }
+        }
+    }
+
     /// Every ladder step taken so far this run, in order.
     pub fn degradations(&self) -> &[Degradation] {
         &self.degradations

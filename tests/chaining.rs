@@ -397,19 +397,50 @@ fn host_store_retires_the_pending_chains_source() {
 
 /// A translation the VMM drops between steps (the injector's
 /// translation-drop fault) while the pending chain hangs off it runs no
-/// more: the next step follows its link to `b`, and `b`'s patched jump
-/// back into it falls back to the dispatcher after `b`'s one
-/// instruction instead of looping on the dropped code.
+/// more: its weak pending link no longer upgrades, so the next step
+/// dispatches `b` through the VMM, and `b`'s patched jump back into the
+/// dropped code falls back to the dispatcher after `b`'s one
+/// instruction instead of looping on it.
 #[test]
 fn dropped_pending_source_runs_no_more_native_code() {
     let (mut sys, prog, site, _) = warm_counted_loop(true, true);
     assert!(sys.vmm.drop_translation(site));
-    let (ctr, r7) = (sys.cpu.ctr, sys.cpu.gpr[7]);
+    let (ctr, r7, groups) = (sys.cpu.ctr, sys.cpu.gpr[7], sys.stats.groups_entered);
     assert_eq!(sys.step().unwrap(), None);
+    assert_eq!(sys.stats.groups_entered, groups + 1, "the step did not go through the VMM");
     assert_eq!((sys.cpu.pc, sys.cpu.ctr, sys.cpu.gpr[7]), (site, ctr - 1, r7), "ran past the drop");
     assert_eq!(sys.run(10_000_000).unwrap(), StopReason::Syscall);
     let (cpu, mem) = run_oracle_in(&prog, 0x4000, 1_000_000, "drop");
     assert_same(&sys, &cpu, &mem, "dropped pending source");
+}
+
+/// A host store between two steps into a translated 4 KiB unit that
+/// holds neither end of the pending link retires only that unit's
+/// translations: the next step still follows the link, on both engines.
+#[test]
+fn host_store_to_an_unrelated_unit_keeps_the_pending_link() {
+    const OTHER: u32 = 0x3000;
+    let word = encode(&Insn::Addi { rt: Gpr(7), ra: Gpr(7), si: 2 });
+    for native in [false, true] {
+        let ctx = format!("native {native}");
+        let (mut sys, prog, _, _) = warm_counted_loop(true, native);
+        drop(sys.vmm.entry(&mut sys.mem, OTHER));
+        sys.mem.write_u32(OTHER, word).unwrap();
+        let native_chained = |s: &DaisySystem<PpcIsa>| s.native_stats().map_or(0, |ns| ns.chained);
+        let (groups, chained) = (sys.stats.groups_entered, sys.stats.chain.chained_dispatches);
+        let within_native = native_chained(&sys);
+        assert_eq!(sys.step().unwrap(), None, "{ctx}");
+        assert!(sys.vmm.lookup(OTHER).is_none(), "{ctx}: the store left its unit translated");
+        assert_eq!(sys.stats.groups_entered, groups, "{ctx}: the step went through the VMM");
+        // One chained dispatch at the boundary, plus the patched edges
+        // the native run followed after it.
+        let followed = native_chained(&sys) - within_native;
+        assert_eq!(sys.stats.chain.chained_dispatches, chained + 1 + followed, "{ctx}");
+        assert_eq!(sys.run(10_000_000).unwrap(), StopReason::Syscall, "{ctx}");
+        let (cpu, mut mem) = run_oracle_in(&prog, 0x4000, 1_000_000, &ctx);
+        mem.write_u32(OTHER, word).unwrap();
+        assert_same(&sys, &cpu, &mem, &ctx);
+    }
 }
 
 // ---------------------------------------------------------------------
