@@ -127,12 +127,6 @@ impl GroupCode {
         self.dispatches.set(self.dispatches.get() + 1);
     }
 
-    /// The link slot for a static direct-branch exit `target`, if the
-    /// group has such an exit.
-    pub fn exit_slot(&self, target: u32) -> Option<usize> {
-        self.packed.exit_slot(target)
-    }
-
     /// Resolves the chain link in `slot`.
     pub fn follow_link(&self, slot: usize) -> ChainLink {
         match &self.links.borrow()[slot] {

@@ -97,19 +97,6 @@ pub enum DegradeCause {
     /// The §3.5 recovery cross-check disagreed with the engine's
     /// metadata; the group is rerun one rung down rather than trusted.
     RecoveryMismatch,
-    /// An illegal or reserved opcode was found in the group's page.
-    IllegalOp,
-    /// The group's code was rewritten while hot (self-modifying code
-    /// beyond what invalidation alone should absorb).
-    CodeRewrite,
-    /// Translation-cache cast-out pressure (thrash).
-    CastOutPressure,
-    /// Interrupts arriving at every group boundary.
-    InterruptStorm,
-    /// Chain links repeatedly severed under the group.
-    ChainUnstable,
-    /// The entry's translation unit was dropped out from under it.
-    TranslationDropped,
     /// The interpret-ahead hint budget was exhausted mid-group: the
     /// translation is still sound but was built from truncated hints
     /// (`from == to` — a quality degradation within the same rung).
@@ -120,31 +107,16 @@ pub enum DegradeCause {
 
 impl DegradeCause {
     /// Every cause, in [`DegradeCause::index`] order.
-    pub const ALL: [DegradeCause; 9] = [
-        DegradeCause::RecoveryMismatch,
-        DegradeCause::IllegalOp,
-        DegradeCause::CodeRewrite,
-        DegradeCause::CastOutPressure,
-        DegradeCause::InterruptStorm,
-        DegradeCause::ChainUnstable,
-        DegradeCause::TranslationDropped,
-        DegradeCause::HintBudget,
-        DegradeCause::Forced,
-    ];
+    pub const ALL: [DegradeCause; 3] =
+        [DegradeCause::RecoveryMismatch, DegradeCause::HintBudget, DegradeCause::Forced];
 
     /// Stable position in [`DegradeCause::ALL`], used by
     /// [`crate::metrics`] for per-cause counter arrays.
     pub fn index(self) -> usize {
         match self {
             DegradeCause::RecoveryMismatch => 0,
-            DegradeCause::IllegalOp => 1,
-            DegradeCause::CodeRewrite => 2,
-            DegradeCause::CastOutPressure => 3,
-            DegradeCause::InterruptStorm => 4,
-            DegradeCause::ChainUnstable => 5,
-            DegradeCause::TranslationDropped => 6,
-            DegradeCause::HintBudget => 7,
-            DegradeCause::Forced => 8,
+            DegradeCause::HintBudget => 1,
+            DegradeCause::Forced => 2,
         }
     }
 
@@ -152,12 +124,6 @@ impl DegradeCause {
     pub fn name(self) -> &'static str {
         match self {
             DegradeCause::RecoveryMismatch => "recovery_mismatch",
-            DegradeCause::IllegalOp => "illegal_op",
-            DegradeCause::CodeRewrite => "code_rewrite",
-            DegradeCause::CastOutPressure => "cast_out_pressure",
-            DegradeCause::InterruptStorm => "interrupt_storm",
-            DegradeCause::ChainUnstable => "chain_unstable",
-            DegradeCause::TranslationDropped => "translation_dropped",
             DegradeCause::HintBudget => "hint_budget",
             DegradeCause::Forced => "forced",
         }

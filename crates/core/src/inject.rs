@@ -141,20 +141,6 @@ impl FaultKind {
         }
         FaultKind::ALL.into_iter().find(|k| k.name() == name)
     }
-
-    /// The ladder cause this kind's forced degradations are recorded
-    /// under.
-    pub fn cause(self) -> DegradeCause {
-        match self {
-            FaultKind::IllegalOp => DegradeCause::IllegalOp,
-            FaultKind::HotPatch => DegradeCause::CodeRewrite,
-            FaultKind::CastOutThrash => DegradeCause::CastOutPressure,
-            FaultKind::InterruptStorm => DegradeCause::InterruptStorm,
-            FaultKind::ChainSever => DegradeCause::ChainUnstable,
-            FaultKind::TranslationDrop => DegradeCause::TranslationDropped,
-            FaultKind::Preempt => DegradeCause::InterruptStorm,
-        }
-    }
 }
 
 impl fmt::Display for FaultKind {
@@ -182,7 +168,7 @@ pub struct CampaignConfig {
     /// most of the recovery surface lives).
     pub chaining: bool,
     /// Ladder steps the campaign driver forces (spread over the run, at
-    /// the then-current PC, recorded under [`FaultKind::cause`]), so
+    /// the then-current PC, recorded under [`DegradeCause::Forced`]), so
     /// every campaign also exercises the conservative and interpret
     /// rungs. Default 2 — one full walk from the packed rung to the
     /// floor.
@@ -490,7 +476,7 @@ pub fn run_campaign_on_program<I: Isa>(
         // every campaign exercises the whole ladder.
         if degrades_left > 0
             && boundaries.is_multiple_of(7)
-            && sys.degrade(sys.cpu.pc(), kind.cause()).is_some()
+            && sys.degrade(sys.cpu.pc(), DegradeCause::Forced).is_some()
         {
             degrades_left -= 1;
         }
@@ -646,7 +632,7 @@ fn run_preempt_campaign_on_program<I: Isa>(
         // also exercises the conservative and interpret rungs.
         if degrades_left > 0
             && boundaries.is_multiple_of(7)
-            && sys.degrade(sys.cpu.pc(), kind.cause()).is_some()
+            && sys.degrade(sys.cpu.pc(), DegradeCause::Forced).is_some()
         {
             degrades_left -= 1;
         }

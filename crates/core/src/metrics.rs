@@ -757,7 +757,7 @@ mod tests {
             entry: 0x1000,
             from: Rung::Packed,
             to: Rung::Conservative,
-            cause: DegradeCause::CastOutPressure,
+            cause: DegradeCause::RecoveryMismatch,
         }];
         MetricsSnapshot::gather(&MetricsSource {
             stats: &stats,
@@ -785,7 +785,7 @@ mod tests {
         assert_eq!(snap.gauge(Gauge::CodeBytesLive), 1234);
         assert_eq!(snap.gauge(Gauge::LiveGroups), 7);
         assert_eq!(snap.gauge(Gauge::DegradedEntries), 1);
-        assert_eq!(snap.degradations_by(DegradeCause::CastOutPressure), 1);
+        assert_eq!(snap.degradations_by(DegradeCause::RecoveryMismatch), 1);
         assert_eq!(snap.rung_entries(Rung::Conservative), 1);
         assert_eq!(snap.issue_parcels.count, 301);
         assert_eq!(snap.issue_parcels.sum, 300 * 2 + 24);
@@ -932,7 +932,7 @@ mod tests {
         assert!(text.contains(&format!("{vmm}{{workload=\"alpha\"}} 10")));
         assert!(text.contains(&format!("{vmm}{{workload=\"beta\"}} 0")));
         assert!(text.contains(
-            "daisy_degradations_total{workload=\"alpha\",cause=\"cast_out_pressure\"} 1"
+            "daisy_degradations_total{workload=\"alpha\",cause=\"recovery_mismatch\"} 1"
         ));
         assert!(
             text.contains("daisy_ladder_rung_entries{workload=\"alpha\",rung=\"conservative\"} 1")

@@ -19,11 +19,11 @@
 //! * **Refusal** — groups whose shape falls outside what the lowerer
 //!   can reproduce (pathological condition depth) are never compiled;
 //!   they stay on the packed engine forever. A full arena only flushes
-//!   the tier and raises the threshold to twice the entry's dispatch
-//!   count: counts survive the flush, so a hot set larger than the
-//!   arena refills it once per doubling of its counts, not every round.
-//!   Trap checks and load-verify commits lower to templates too, so
-//!   the tier refuses almost nothing.
+//!   the tier, and the payback test at that flush doubles the threshold
+//!   when the compiles it retires did not repay, so a hot set larger
+//!   than the arena refills it once per doubling of its counts, not
+//!   every round. Trap checks and load-verify commits lower to
+//!   templates too, so the tier refuses almost nothing.
 //! * **Bail-out** — compiled code stops *before* any side effect it
 //!   cannot reproduce exactly (a faulting access, a store to a
 //!   translated page). The dispatcher then copies the run's
@@ -387,9 +387,6 @@ impl NativeTier {
                 tracer.emit(|| TraceEvent::NativeCompile { entry, outcome: r.as_str() });
                 if r == Refusal::ArenaFull {
                     self.flush();
-                    // The live hot set outgrew the arena, and its
-                    // counts survive the flush (see the module doc).
-                    self.threshold = self.threshold.max(code.dispatches().saturating_mul(2));
                 } else {
                     *code.native.borrow_mut() = NativeSlot::Refused;
                 }
@@ -683,12 +680,10 @@ mod tests {
         assert_eq!(tier.stats.compiles, compiles + 1);
         assert_eq!(tier.registry.len(), 1);
         drop(cg);
-        // 56 of the 64 fit. Each refusal raises the threshold to twice
-        // the count reached, so the set refills once per doubling of
-        // the counts: 11 flushes and 616 compiles in 2,000 rounds. The
-        // uncapped back-off alone gives the same here, as each flush
-        // also doubles the threshold; the raise skips the doublings
-        // when the counts have run far past the threshold in force.
+        // 56 of the 64 fit. Each refusal flushes, and the flush finds
+        // the compiles unrepaid and doubles the threshold, so the set
+        // refills once per doubling of the counts: 11 flushes and 616
+        // compiles in 2,000 rounds.
         for _ in 1..2_000 {
             codes.iter().for_each(|c| drop(prepare(&mut tier, c)));
         }

@@ -18,7 +18,8 @@
 //!   trail, the branch directions every engine logs for §3.5 recovery
 //!   (`engine::trail_path`). The native tier's trail is its compiled
 //!   code's branch-direction log, which restarts at every group entry,
-//!   so a profiled native system patches no chain edge and runs one
+//!   so a profiled native system runs with a chain budget of 0: it
+//!   still patches chain edges but never follows one, and runs one
 //!   group per `step()`.
 //!   Provenance is consulted only here, at retirement — never inside
 //!   the execution hot loop.

@@ -227,8 +227,9 @@ impl<I: Isa> DaisySystemBuilder<I> {
     /// and the tier replays them through the model at every return, so
     /// statistics match the packed engine exactly. Under guest
     /// profiling compiled groups run one per dispatch: their
-    /// branch-direction log restarts at every group entry, so no chain
-    /// edge is patched (see [`crate::profile`]). Silently falls back to
+    /// branch-direction log restarts at every group entry, so the chain
+    /// budget is 0 and a patched chain edge is never followed (see
+    /// [`crate::profile`]). Silently falls back to
     /// the packed engine when the host is not x86-64 Linux.
     pub fn native_execution(mut self, on: bool) -> Self {
         self.native = on;

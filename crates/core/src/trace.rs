@@ -439,12 +439,9 @@ mod tests {
             entry: 0x1000,
             from: Rung::Packed,
             to: Rung::Conservative,
-            cause: DegradeCause::CastOutPressure,
+            cause: DegradeCause::Forced,
         };
-        assert_eq!(
-            ev.to_string(),
-            "degraded entry 0x1000: packed -> conservative (cast_out_pressure)"
-        );
+        assert_eq!(ev.to_string(), "degraded entry 0x1000: packed -> conservative (forced)");
         assert_eq!(
             TraceEvent::CastOut { page: 4, groups: 2 }.to_string(),
             "cast out page 4 (2 groups)"

@@ -168,11 +168,6 @@ impl Memory {
         }
     }
 
-    /// Current device time (0 when no bus is attached).
-    pub fn bus_time(&self) -> u64 {
-        self.bus.as_ref().map_or(0, |b| b.now.get())
-    }
-
     /// Samples the aggregated external-interrupt line at the current
     /// device time. False when no bus is attached.
     pub fn bus_irq_level(&self) -> bool {

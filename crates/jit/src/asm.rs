@@ -130,11 +130,6 @@ impl Asm {
         self.labels[l.0] = Some(self.buf.len());
     }
 
-    /// True if `l` has been bound.
-    pub fn is_bound(&self, l: Label) -> bool {
-        self.labels[l.0].is_some()
-    }
-
     /// Resolves all fixups and returns the finished bytes.
     ///
     /// # Panics
@@ -289,16 +284,6 @@ impl Asm {
         self.enc_mem(false, false, &[0x0F, 0xB7], dst.0, m);
     }
 
-    /// `movsx r32, word [m]`
-    pub fn movsx_r32_m16(&mut self, dst: Gpr, m: Mem) {
-        self.enc_mem(false, false, &[0x0F, 0xBF], dst.0, m);
-    }
-
-    /// `movsx r32, byte [m]`
-    pub fn movsx_r32_m8(&mut self, dst: Gpr, m: Mem) {
-        self.enc_mem(false, false, &[0x0F, 0xBE], dst.0, m);
-    }
-
     /// `movsx r32, r8` (low byte of `src`; use only rax/rcx/rdx/rbx)
     pub fn movsx_r32_r8(&mut self, dst: Gpr, src: Gpr) {
         assert!(src.0 < 4);
@@ -435,11 +420,6 @@ impl Asm {
     /// `cmp r64, [m]`
     pub fn cmp_r64_m(&mut self, dst: Gpr, m: Mem) {
         self.enc_mem(false, true, &[0x3B], dst.0, m);
-    }
-
-    /// `cmp r64, r64`
-    pub fn cmp_rr64(&mut self, a: Gpr, b: Gpr) {
-        self.enc_rr(false, true, &[0x3B], a.0, b);
     }
 
     /// `cmp byte [m], imm8`
@@ -688,14 +668,6 @@ impl Asm {
     }
 }
 
-/// Rewrites the rel32 field at `at` (offset of the field itself) so the
-/// jump lands on absolute `target`, given the buffer lives at `base`.
-pub fn patch_rel32(code: &mut [u8], base: u64, at: usize, target: u64) {
-    let next = base + at as u64 + 4;
-    let rel = (target as i64).wrapping_sub(next as i64) as i32;
-    code[at..at + 4].copy_from_slice(&rel.to_le_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,12 +765,5 @@ mod tests {
         let code = a.finish();
         assert_eq!(code[0], 0xE9);
         assert_eq!(&code[1..5], &0xFFBi32.to_le_bytes());
-    }
-
-    #[test]
-    fn patch_rel32_retargets() {
-        let mut code = vec![0xE9, 0, 0, 0, 0];
-        patch_rel32(&mut code, 0x4000, 1, 0x4105);
-        assert_eq!(&code[1..5], &0x100i32.to_le_bytes());
     }
 }

@@ -226,14 +226,10 @@ pub struct CompiledGroup {
     off: usize,
     /// Registry id baked into the code (`JitCtx::cur_group`).
     pub group_id: u32,
-    /// Guest entry address of the group.
-    pub entry: u32,
     /// Patchable direct exits (offsets relative to the blob).
     pub exits: Vec<ExitSite>,
     /// Bail-site table; `JitCtx::exit_b` indexes it on a bail exit.
     pub bails: Vec<lower::BailSite>,
-    /// Parcels covered by this compilation (coverage accounting).
-    pub parcels: u32,
     /// Inline indirect-branch target cache, present when the group has
     /// indirect exits and the cache was enabled at compile time. Boxed
     /// so the address baked into the code never moves.
@@ -357,10 +353,8 @@ impl Jit {
             arena: Rc::clone(&self.arena),
             off,
             group_id,
-            entry,
             exits: lowered.exits,
             bails: lowered.bails,
-            parcels: lowered.parcels,
             ibtc,
             alive: self.slab.alloc(),
         }))

@@ -219,8 +219,6 @@ pub struct Lowered {
     pub exits: Vec<ExitSite>,
     /// Runtime bail points; `JitCtx::exit_b` indexes this table.
     pub bails: Vec<BailSite>,
-    /// Total parcels in the group (template-coverage accounting).
-    pub parcels: u32,
 }
 
 struct PendingLeave {
@@ -332,7 +330,6 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
     }
     let stub_offs = e.emit_deferred();
 
-    let parcels = g.ops.len() as u32;
     let bails =
         e.bails.iter().map(|b| BailSite { node: b.node, op: b.op, parcels: b.parcels }).collect();
     let exits = e
@@ -348,7 +345,7 @@ pub fn lower(g: &PackedGroup, p: LowerParams, opts: CompileOpts<'_>) -> Result<L
             stub_jmp,
         })
         .collect();
-    Ok(Lowered { code: e.a.finish(), exits, bails, parcels })
+    Ok(Lowered { code: e.a.finish(), exits, bails })
 }
 
 impl<'a> Emitter<'a> {

@@ -23,9 +23,7 @@
 //! ```
 
 use crate::encode::encode;
-use crate::insn::{
-    bo, Arith2Op, ArithOp, CrOp, Insn, LogicImmOp, LogicOp, MemWidth, ShiftOp, UnaryOp,
-};
+use crate::insn::{bo, Arith2Op, ArithOp, CrOp, Insn, LogicImmOp, LogicOp, MemWidth, UnaryOp};
 use crate::reg::{CrBit, CrField, Gpr, Spr};
 use std::collections::HashMap;
 use std::fmt;
@@ -152,11 +150,6 @@ impl Asm {
         self.items.push(Item::Insn(insn));
     }
 
-    /// Emits a raw 32-bit word into the code stream (data-in-code).
-    pub fn word(&mut self, w: u32) {
-        self.items.push(Item::Insn(Insn::Invalid(w)));
-    }
-
     /// Resolves labels and produces the [`Program`].
     ///
     /// # Errors
@@ -272,16 +265,6 @@ impl Asm {
         self.emit(Insn::Addic { rt, ra, si, rc: false });
     }
 
-    /// `addic. rt,ra,imm`.
-    pub fn addic_(&mut self, rt: Gpr, ra: Gpr, si: i16) {
-        self.emit(Insn::Addic { rt, ra, si, rc: true });
-    }
-
-    /// `subfic rt,ra,imm`.
-    pub fn subfic(&mut self, rt: Gpr, ra: Gpr, si: i16) {
-        self.emit(Insn::Subfic { rt, ra, si });
-    }
-
     /// `mulli rt,ra,imm`.
     pub fn mulli(&mut self, rt: Gpr, ra: Gpr, si: i16) {
         self.emit(Insn::Mulli { rt, ra, si });
@@ -294,11 +277,6 @@ impl Asm {
     /// `add rt,ra,rb`.
     pub fn add(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
         self.arith(ArithOp::Add, rt, ra, rb);
-    }
-
-    /// `add. rt,ra,rb`.
-    pub fn add_(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.emit(Insn::Arith { op: ArithOp::Add, rt, ra, rb, oe: false, rc: true });
     }
 
     /// `addc rt,ra,rb`.
@@ -316,34 +294,14 @@ impl Asm {
         self.arith(ArithOp::Subf, rt, ra, rb);
     }
 
-    /// `subf. rt,ra,rb`.
-    pub fn subf_(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.emit(Insn::Arith { op: ArithOp::Subf, rt, ra, rb, oe: false, rc: true });
-    }
-
     /// `subfc rt,ra,rb`.
     pub fn subfc(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
         self.arith(ArithOp::Subfc, rt, ra, rb);
     }
 
-    /// `subfe rt,ra,rb`.
-    pub fn subfe(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.arith(ArithOp::Subfe, rt, ra, rb);
-    }
-
     /// `mullw rt,ra,rb`.
     pub fn mullw(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
         self.arith(ArithOp::Mullw, rt, ra, rb);
-    }
-
-    /// `mulhwu rt,ra,rb`.
-    pub fn mulhwu(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.arith(ArithOp::Mulhwu, rt, ra, rb);
-    }
-
-    /// `divw rt,ra,rb`.
-    pub fn divw(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.arith(ArithOp::Divw, rt, ra, rb);
     }
 
     /// `divwu rt,ra,rb`.
@@ -356,11 +314,6 @@ impl Asm {
         self.emit(Insn::Arith2 { op: Arith2Op::Neg, rt, ra, oe: false, rc: false });
     }
 
-    /// `addze rt,ra`.
-    pub fn addze(&mut self, rt: Gpr, ra: Gpr) {
-        self.emit(Insn::Arith2 { op: Arith2Op::Addze, rt, ra, oe: false, rc: false });
-    }
-
     fn logic(&mut self, op: LogicOp, ra: Gpr, rs: Gpr, rb: Gpr, rc: bool) {
         self.emit(Insn::Logic { op, ra, rs, rb, rc });
     }
@@ -368,11 +321,6 @@ impl Asm {
     /// `and ra,rs,rb`.
     pub fn and(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
         self.logic(LogicOp::And, ra, rs, rb, false);
-    }
-
-    /// `and. ra,rs,rb`.
-    pub fn and_(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
-        self.logic(LogicOp::And, ra, rs, rb, true);
     }
 
     /// `or ra,rs,rb`.
@@ -390,11 +338,6 @@ impl Asm {
         self.logic(LogicOp::Nor, ra, rs, rb, false);
     }
 
-    /// `andc ra,rs,rb`.
-    pub fn andc(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
-        self.logic(LogicOp::Andc, ra, rs, rb, false);
-    }
-
     /// `andi. ra,rs,ui`.
     pub fn andi_(&mut self, ra: Gpr, rs: Gpr, ui: u16) {
         self.emit(Insn::LogicImm { op: LogicImmOp::Andi, ra, rs, ui });
@@ -408,21 +351,6 @@ impl Asm {
     /// `xori ra,rs,ui`.
     pub fn xori(&mut self, ra: Gpr, rs: Gpr, ui: u16) {
         self.emit(Insn::LogicImm { op: LogicImmOp::Xori, ra, rs, ui });
-    }
-
-    /// `slw ra,rs,rb`.
-    pub fn slw(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
-        self.emit(Insn::Shift { op: ShiftOp::Slw, ra, rs, rb, rc: false });
-    }
-
-    /// `srw ra,rs,rb`.
-    pub fn srw(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
-        self.emit(Insn::Shift { op: ShiftOp::Srw, ra, rs, rb, rc: false });
-    }
-
-    /// `sraw ra,rs,rb`.
-    pub fn sraw(&mut self, ra: Gpr, rs: Gpr, rb: Gpr) {
-        self.emit(Insn::Shift { op: ShiftOp::Sraw, ra, rs, rb, rc: false });
     }
 
     /// `srawi ra,rs,sh`.
@@ -460,19 +388,9 @@ impl Asm {
         self.emit(Insn::Unary { op: UnaryOp::Extsb, ra, rs, rc: false });
     }
 
-    /// `extsh ra,rs`.
-    pub fn extsh(&mut self, ra: Gpr, rs: Gpr) {
-        self.emit(Insn::Unary { op: UnaryOp::Extsh, ra, rs, rc: false });
-    }
-
     /// `cmpw bf,ra,rb`.
     pub fn cmpw(&mut self, bf: CrField, ra: Gpr, rb: Gpr) {
         self.emit(Insn::Cmp { bf, signed: true, ra, rb });
-    }
-
-    /// `cmplw bf,ra,rb`.
-    pub fn cmplw(&mut self, bf: CrField, ra: Gpr, rb: Gpr) {
-        self.emit(Insn::Cmp { bf, signed: false, ra, rb });
     }
 
     /// `cmpwi bf,ra,imm`.
@@ -513,11 +431,6 @@ impl Asm {
         self.dload(MemWidth::Byte, false, rt, d, ra, false);
     }
 
-    /// `lbzu rt,d(ra)`.
-    pub fn lbzu(&mut self, rt: Gpr, d: i16, ra: Gpr) {
-        self.dload(MemWidth::Byte, false, rt, d, ra, true);
-    }
-
     /// `lbzx rt,ra,rb`.
     pub fn lbzx(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
         self.xloadi(MemWidth::Byte, false, rt, ra, rb);
@@ -526,16 +439,6 @@ impl Asm {
     /// `lhz rt,d(ra)`.
     pub fn lhz(&mut self, rt: Gpr, d: i16, ra: Gpr) {
         self.dload(MemWidth::Half, false, rt, d, ra, false);
-    }
-
-    /// `lha rt,d(ra)`.
-    pub fn lha(&mut self, rt: Gpr, d: i16, ra: Gpr) {
-        self.dload(MemWidth::Half, true, rt, d, ra, false);
-    }
-
-    /// `lhzx rt,ra,rb`.
-    pub fn lhzx(&mut self, rt: Gpr, ra: Gpr, rb: Gpr) {
-        self.xloadi(MemWidth::Half, false, rt, ra, rb);
     }
 
     fn dstore(&mut self, width: MemWidth, rs: Gpr, d: i16, ra: Gpr, update: bool) {
@@ -551,11 +454,6 @@ impl Asm {
         self.dstore(MemWidth::Word, rs, d, ra, false);
     }
 
-    /// `stwu rs,d(ra)`.
-    pub fn stwu(&mut self, rs: Gpr, d: i16, ra: Gpr) {
-        self.dstore(MemWidth::Word, rs, d, ra, true);
-    }
-
     /// `stwx rs,ra,rb`.
     pub fn stwx(&mut self, rs: Gpr, ra: Gpr, rb: Gpr) {
         self.xstorei(MemWidth::Word, rs, ra, rb);
@@ -564,11 +462,6 @@ impl Asm {
     /// `stb rs,d(ra)`.
     pub fn stb(&mut self, rs: Gpr, d: i16, ra: Gpr) {
         self.dstore(MemWidth::Byte, rs, d, ra, false);
-    }
-
-    /// `stbu rs,d(ra)`.
-    pub fn stbu(&mut self, rs: Gpr, d: i16, ra: Gpr) {
-        self.dstore(MemWidth::Byte, rs, d, ra, true);
     }
 
     /// `stbx rs,ra,rb`.
@@ -616,11 +509,6 @@ impl Asm {
         self.emit(Insn::BranchCctr { bo: bo::ALWAYS, bi: CrBit(0), lk: false });
     }
 
-    /// `bctrl`.
-    pub fn bctrl(&mut self) {
-        self.emit(Insn::BranchCctr { bo: bo::ALWAYS, bi: CrBit(0), lk: true });
-    }
-
     /// Generic conditional branch to a label.
     pub fn bc(&mut self, bo_field: u8, bi: CrBit, label: &str) {
         self.items.push(Item::BcTo { bo: bo_field, bi, label: label.to_owned(), lk: false });
@@ -661,11 +549,6 @@ impl Asm {
         self.bc(bo::DNZ, CrBit(0), label);
     }
 
-    /// `bdz label` — decrement CTR, branch if zero.
-    pub fn bdz(&mut self, label: &str) {
-        self.bc(bo::DZ, CrBit(0), label);
-    }
-
     /// `mflr rt`.
     pub fn mflr(&mut self, rt: Gpr) {
         self.emit(Insn::Mfspr { rt, spr: Spr::Lr });
@@ -694,11 +577,6 @@ impl Asm {
     /// `mtcrf fxm,rs`.
     pub fn mtcrf(&mut self, fxm: u8, rs: Gpr) {
         self.emit(Insn::Mtcrf { fxm, rs });
-    }
-
-    /// `crand bt,ba,bb`.
-    pub fn crand(&mut self, bt: CrBit, ba: CrBit, bb: CrBit) {
-        self.emit(Insn::CrLogic { op: CrOp::And, bt, ba, bb });
     }
 
     /// `cror bt,ba,bb`.

@@ -304,17 +304,6 @@ impl Insn {
         }
     }
 
-    /// True for any branch instruction.
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Insn::BranchI { .. }
-                | Insn::BranchC { .. }
-                | Insn::BranchClr { .. }
-                | Insn::BranchCctr { .. }
-        )
-    }
-
     /// True for loads (including `lmw`).
     pub fn is_load(&self) -> bool {
         matches!(self, Insn::Load { .. } | Insn::Lmw { .. })

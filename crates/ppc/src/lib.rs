@@ -8,7 +8,6 @@
 //! * [`mod@encode`]/[`mod@decode`] — bit-exact 32-bit PowerPC encodings,
 //! * [`asm`] — a label-based assembler / program builder used to write
 //!   the benchmark workloads,
-//! * [`parse`] — a textual assembly front end over the builder,
 //! * [`interp`] — a reference interpreter with full architected state
 //!   (GPRs, CR, LR, CTR, XER, MSR, SRR0/1, DAR, DSISR) that defines the
 //!   semantics DAISY must preserve and generates execution traces,
@@ -47,7 +46,6 @@ pub mod frontend;
 pub mod insn;
 pub mod interp;
 pub use daisy_isa::mem;
-pub mod parse;
 pub mod reg;
 
 pub use asm::{Asm, Program};

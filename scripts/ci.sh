@@ -43,10 +43,11 @@ cargo test --workspace --doc
 # ran in the step above, so this one leaves them out.
 cargo test -q --workspace --exclude daisy-repro --lib --bins --tests
 
-# Docs link check: every relative markdown link in README.md and
-# docs/*.md must point at an existing file, and every #anchor at a
-# real heading in the target document.
-scripts/check_doc_links.py README.md docs/*.md
+# Docs link check: every relative markdown link in README.md,
+# DESIGN.md, EXPERIMENTS.md, CHANGELOG.md, ROADMAP.md and docs/*.md
+# must point at an existing file, and every #anchor at a real heading
+# in the target document.
+scripts/check_doc_links.py README.md DESIGN.md EXPERIMENTS.md CHANGELOG.md ROADMAP.md docs/*.md
 
 # Cross-ISA differential smoke: the same algorithms on the PowerPC and
 # RV32 guests, each through translation and its interpreter oracle,

@@ -73,9 +73,9 @@ fn trace_event_one_liners_are_pinned() {
                 entry: 0x1000,
                 from: Rung::Packed,
                 to: Rung::Conservative,
-                cause: DegradeCause::CastOutPressure,
+                cause: DegradeCause::RecoveryMismatch,
             },
-            "degraded entry 0x1000: packed -> conservative (cast_out_pressure)",
+            "degraded entry 0x1000: packed -> conservative (recovery_mismatch)",
         ),
     ];
     for (ev, want) in cases {
@@ -90,20 +90,7 @@ fn rung_and_cause_names_are_pinned() {
     let rungs: Vec<String> = Rung::ALL.iter().map(ToString::to_string).collect();
     assert_eq!(rungs, ["native", "packed", "conservative", "interpret"]);
     let causes: Vec<String> = DegradeCause::ALL.iter().map(ToString::to_string).collect();
-    assert_eq!(
-        causes,
-        [
-            "recovery_mismatch",
-            "illegal_op",
-            "code_rewrite",
-            "cast_out_pressure",
-            "interrupt_storm",
-            "chain_unstable",
-            "translation_dropped",
-            "hint_budget",
-            "forced",
-        ]
-    );
+    assert_eq!(causes, ["recovery_mismatch", "hint_budget", "forced"]);
 }
 
 /// The unrecoverable-fault rendering (`Degradation`'s own pin lives

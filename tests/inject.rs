@@ -6,10 +6,12 @@
 //! a smaller always-on slice in `cargo test`.
 
 use daisy::inject::{run_campaign, CampaignConfig, FaultKind};
+use daisy::DegradeCause;
 use daisy_ppc::PpcIsa;
 
 /// Every fault kind on a real workload, a few seeds each: zero
-/// divergence, and at least one ladder step recorded per kind.
+/// divergence, and at least one ladder step recorded per kind, each one
+/// the ladder driver's forced step.
 #[test]
 fn all_fault_kinds_bit_exact_with_degradations() {
     let w = daisy_workloads::by_name("c_sieve").expect("sieve workload");
@@ -24,6 +26,12 @@ fn all_fault_kinds_bit_exact_with_degradations() {
                 "{kind} seed {seed}: ladder driver must record at least one step"
             );
             assert!(out.boundaries > 0, "{kind} seed {seed}: ran no groups");
+            let pm = out.post_mortem.expect("a degraded campaign keeps its post-mortem");
+            assert!(
+                pm.chain.iter().all(|d| d.cause == DegradeCause::Forced),
+                "{kind} seed {seed}: unforced ladder step in {:?}",
+                pm.chain
+            );
             injected += out.injections;
         }
         assert!(injected > 0, "{kind}: no perturbation was ever applied");

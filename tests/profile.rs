@@ -49,7 +49,7 @@ fn run(w: &Workload, cache: Hierarchy, guest_profiling: bool) -> DaisySystem<Ppc
 #[test]
 fn profiling_does_not_perturb_the_run() {
     let native_host = cfg!(all(target_arch = "x86_64", target_os = "linux"));
-    let mut bails = 0;
+    let (mut bails, mut chained, mut edge_patches) = (0, 0, 0);
     for w in daisy_workloads::all() {
         let name = w.name;
         let plain = run(&w, Hierarchy::paper_default(), false);
@@ -84,6 +84,8 @@ fn profiling_does_not_perturb_the_run() {
         if let Some(ns) = native.native_stats() {
             assert!(ns.vliws_native > 0, "{name}: no VLIW ran natively");
             bails += ns.bails;
+            chained += ns.chained;
+            edge_patches += ns.edge_patches;
         }
         assert_eq!(native.stats, profiled.stats, "{name}: RunStats diverged on the native tier");
         let (gn, gp) = (native.guest_profile().unwrap(), profiled.guest_profile().unwrap());
@@ -101,6 +103,11 @@ fn profiling_does_not_perturb_the_run() {
         bails > 0 || !native_host,
         "no native run bailed: a replay across a bail went untested"
     );
+    // Edges are patched, but a zero chain budget never follows one.
+    if native_host {
+        assert!(edge_patches > 0, "no chain edge was patched");
+        assert_eq!(chained, 0, "a profiled run followed a patched edge");
+    }
 }
 
 /// Asserts conservation on a profiled run: the per-PC issue-cycle
